@@ -13,6 +13,7 @@ when deleted from emp
 if exists (select * from deleted emp where salary > 100.0)
 then insert into audit_log select name, salary from deleted emp;;
 explain rule audit;
+explain rule uq_emp_emp_no;
 .stats emp
 .stats audit_log
 .stats missing

@@ -10,13 +10,18 @@ let rec retry_eintr f =
   | v -> v
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
 
+(* [Unix.single_write], not [Unix.write]: the latter loops over 64 KiB
+   chunks and, when EINTR lands after some of them went out, raises
+   without reporting them, so a retry from the old offset would send
+   those bytes twice.  One [write(2)] per call keeps [written] exact. *)
 let write_fully fd s =
   let b = Bytes.unsafe_of_string s in
   let len = Bytes.length b in
   let written = ref 0 in
   while !written < len do
     written :=
-      !written + retry_eintr (fun () -> Unix.write fd b !written (len - !written))
+      !written
+      + retry_eintr (fun () -> Unix.single_write fd b !written (len - !written))
   done
 
 let fsync fd = retry_eintr (fun () -> Unix.fsync fd)

@@ -35,11 +35,11 @@ let materialize (ti : Trans_info.t) ~current_db (tt : Ast.trans_table) :
   | Ast.Tt_inserted t ->
     let tbl = Database.table current_db t in
     let rows =
-      Handle.Set.elements
-        (Handle.Set.filter
-           (fun h -> String.equal (Handle.table h) t)
-           ti.Trans_info.ins)
-      |> List.map (fun h -> Database.get_row current_db h)
+      Handle.Set.fold
+        (fun h acc ->
+          if String.equal (Handle.table h) t then Table.get tbl h :: acc else acc)
+        ti.Trans_info.ins []
+      |> List.rev
     in
     relation_of t tbl rows
   | Ast.Tt_deleted t ->
@@ -67,7 +67,7 @@ let materialize (ti : Trans_info.t) ~current_db (tt : Ast.trans_table) :
       match tt with
       | Ast.Tt_old_updated _ ->
         List.map (fun (_, entry) -> entry.Trans_info.old_row) entries
-      | _ -> List.map (fun (h, _) -> Database.get_row current_db h) entries
+      | _ -> List.map (fun (h, _) -> Table.get tbl h) entries
     in
     relation_of t tbl rows
   | Ast.Tt_selected (t, col) ->

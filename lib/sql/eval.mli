@@ -52,6 +52,40 @@ type cache
 
 val make_cache : unit -> cache
 
+(** {2 IN-subquery value sets}
+
+    An uncorrelated IN (select ...) is evaluated once per operation;
+    its value set is then hashed, so each membership test costs
+    O(1) instead of a scan of the set.  Only a probe value with the
+    same constructor as every non-NULL element takes the hashed path —
+    mixed Int/Float sets, other probe values and small sets keep the
+    linear {!in_semantics} scan — so verdicts and type errors are
+    identical either way. *)
+
+type in_set = private { in_values : Value.t list; in_index : in_index }
+and in_index
+
+type memo = private { memo_rel : relation; mutable memo_in : in_set option }
+(** A memoized subquery result (the compiled evaluator's memo slots
+    hold these too), with the IN value set built from it on first
+    use. *)
+
+val make_memo : relation -> memo
+
+val memo_in_set : memo -> in_set
+(** The memo's IN value set, indexed on first use.  Raises the
+    single-column error on every call while the relation is not one
+    column wide. *)
+
+val scan_set : relation -> in_set
+(** The unindexed value set of a one-column relation (a subquery
+    re-evaluated per row); raises the IN-subquery single-column error
+    otherwise. *)
+
+val in_set_mem : in_set -> Value.t -> Value.t
+(** SQL IN of a value against a set: [Bool true], [Bool false] or
+    [Null] (unknown), exactly as {!in_semantics} over [in_values]. *)
+
 val join_optimization : bool ref
 (** When true (the default), an equality conjunct in the WHERE clause
     linking two from-list sources turns the nested-loop join into an
@@ -126,10 +160,15 @@ val cost_model : bool ref
 
 (** {2 Cost model} *)
 
-type probe_shape = Shape_eq of int option | Shape_range | Shape_prefix
+type probe_shape =
+  | Shape_eq of int option
+  | Shape_set of int
+  | Shape_range
+  | Shape_prefix
 (** The statically-known shape of a sargable conjunct: an equality/IN
     probe with the given key count ([None] = IN (select ...)), a range,
-    or a LIKE prefix range. *)
+    or a LIKE prefix range.  [Shape_set k] is an IN (select ...) whose
+    value set has been evaluated to [k] values. *)
 
 val estimate_shape :
   access -> table:string -> column:string -> probe_shape -> int option
@@ -145,7 +184,17 @@ val choose_candidates :
     compiling evaluators: given [(payload, column, shape)] candidates
     in conjunct order, the ones worth attempting, cheapest first, each
     with its estimate.  With {!cost_model} off: equality candidates in
-    conjunct order, no estimates (the historical planner). *)
+    conjunct order, no estimates (the historical planner).  A
+    [Shape_set k] candidate is also dropped when probing its [k] keys
+    would cost more than scanning the table (one key probe is weighed
+    as four scanned rows). *)
+
+val recheck_set :
+  access -> table:string -> column:string -> Value.t list -> int option option
+(** Re-rank an IN (select ...) candidate once its value set is known
+    (both evaluators and EXPLAIN call this after evaluating the
+    subquery): [None] = scan instead, [Some est] = probe, reporting
+    [est]. *)
 
 type probe_hit = {
   ph_column : string;  (** indexed column satisfying the probe *)

@@ -76,6 +76,15 @@ let vnull = Value.Null
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Route DML and rule processing through the compiled path ([true]) or
+   the interpreter for the duration of [f].  Every test that flips the
+   evaluator must restore it on any exit: the compiled path is the
+   default for the rest of the suite. *)
+let with_compile flag f =
+  let saved = !Sqlf.Compile.enabled in
+  Sqlf.Compile.enabled := flag;
+  Fun.protect ~finally:(fun () -> Sqlf.Compile.enabled := saved) f
+
 (* ------------------------------------------------------------------ *)
 (* Seed plumbing for the randomized suites.
 

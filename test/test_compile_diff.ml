@@ -39,13 +39,6 @@ open Core
 open Helpers
 module Compile = Sqlf.Compile
 
-(* Every test that flips the evaluator must restore it on any exit:
-   the compiled path is the default for the rest of the suite. *)
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Part A: statement-level differential                                *)
 
@@ -409,6 +402,183 @@ let predicate_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Part A3: hashed IN / NOT IN                                          *)
+
+(* A memoized IN (select ...) set hashes its elements when they share
+   one constructor.  Its verdicts must be exactly the linear scan's:
+   first against [Eval.in_semantics] over random sets, then on a
+   corpus run by both evaluators and by an oracle that replaces each
+   uncorrelated subquery with the literal IN list of its values (IN
+   lists are never hashed). *)
+
+let gen_in_value st =
+  let open QCheck.Gen in
+  match int_bound 9 st with
+  | 0 -> Value.Null
+  | 1 -> Value.Float (float_of_int (int_bound 6 st))
+  | 2 -> Value.Str (oneofl [ "a"; "b"; "c" ] st)
+  | 3 -> Value.Bool (bool st)
+  | 4 -> Value.Int 9007199254740993
+  | 5 -> Value.Float 9007199254740992.0
+  | _ -> Value.Int (int_bound 6 st)
+
+(* Sets mostly of one constructor (so the hashed path is taken), with
+   NULLs and the occasional stray constructor mixed in. *)
+let gen_in_set st =
+  let open QCheck.Gen in
+  let n = int_bound 20 st in
+  let base = gen_in_value st in
+  List.init n (fun _ ->
+      match int_bound 9 st with
+      | 0 -> Value.Null
+      | 1 -> gen_in_value st
+      | _ -> (
+        match base with
+        | Value.Int _ -> Value.Int (int_bound 30 st)
+        | Value.Float _ -> Value.Float (float_of_int (int_bound 30 st))
+        | Value.Str _ -> Value.Str (string_of_int (int_bound 30 st))
+        | v -> v))
+
+let observe_value f =
+  match f () with
+  | (v : Value.t) -> Ok v
+  | exception Errors.Error e -> Error (Errors.to_string e)
+
+let hashed_in_matches_scan =
+  QCheck.Test.make ~count:2000 ~name:"hashed IN membership = linear IN scan"
+    (QCheck.make
+       ~print:(fun (v, set) ->
+         Printf.sprintf "%s in (%s)" (Value.to_string v)
+           (String.concat ", " (List.map Value.to_string set)))
+       QCheck.Gen.(pair gen_in_value gen_in_set))
+    (fun (v, set) ->
+      let rel =
+        { Eval.rel_name = ""; cols = [| "x" |]; rows = List.map (fun v -> [| v |]) set }
+      in
+      let memo = Eval.make_memo rel in
+      let hashed = observe_value (fun () -> Eval.in_set_mem (Eval.memo_in_set memo) v) in
+      let scanned = observe_value (fun () -> Eval.in_semantics v set) in
+      if hashed <> scanned then
+        QCheck.Test.fail_reportf "hashed %s, scanned %s"
+          (match hashed with Ok v -> Value.to_string v | Error e -> e)
+          (match scanned with Ok v -> Value.to_string v | Error e -> e);
+      true)
+
+(* h: 14-element columns (past the hashing threshold) holding a NULL
+   and 2^53+1; p: probe values including a NULL and 2^53. *)
+let in_fixture_db =
+  let db =
+    Database.create_table Database.empty
+      (Schema.table "h"
+         [
+           Schema.column "i" Schema.T_int;
+           Schema.column "f" Schema.T_float;
+           Schema.column "s" Schema.T_string;
+         ])
+  in
+  let db =
+    Database.create_table db
+      (Schema.table "p"
+         [
+           Schema.column "v" Schema.T_int;
+           Schema.column "w" Schema.T_float;
+           Schema.column "x" Schema.T_string;
+         ])
+  in
+  let ins db tbl row = fst (Database.insert db tbl row) in
+  let db =
+    List.fold_left
+      (fun db i ->
+        ins db "h" [| vi i; vf (float_of_int i /. 2.); vs ("s" ^ string_of_int i) |])
+      db (List.init 12 (fun i -> i + 1))
+  in
+  let db = ins db "h" [| vnull; vnull; vnull |] in
+  let db = ins db "h" [| vi 9007199254740993; vf 9007199254740992.0; vs "big" |] in
+  List.fold_left
+    (fun db row -> ins db "p" row)
+    db
+    [
+      [| vi 1; vf 1.0; vs "s1" |];
+      [| vi 5; vf 2.5; vs "zz" |];
+      [| vnull; vnull; vnull |];
+      [| vi 9007199254740992; vf 9007199254740992.0; vs "s12" |];
+      [| vi 40; vf 0.5; vs "s3" |];
+    ]
+
+let in_corpus =
+  [
+    (* a NULL element: non-members are UNKNOWN, so NOT IN selects none *)
+    "select v from p where v in (select i from h)";
+    "select v from p where v not in (select i from h)";
+    (* a NULL probe value (p's third row) against a set without NULL *)
+    "select v from p where v in (select i from h where i is not null)";
+    "select v from p where v not in (select i from h where i is not null)";
+    (* the empty set *)
+    "select v from p where v in (select i from h where i > 1000)";
+    "select v from p where v not in (select i from h where i > 1000)";
+    (* Int vs Float, including 2^53+1 against 2^53 *)
+    "select w from p where w in (select i from h)";
+    "select v from p where v in (select f from h)";
+    "select v from p where v not in (select f from h where f is not null)";
+    "select v from p where v in (select i from h union all select f from h)";
+    (* string sets, and string-vs-int type errors *)
+    "select x from p where x in (select s from h)";
+    "select x from p where x in (select i from h)";
+    "select v from p where v not in (select s from h)";
+    (* correlated: re-evaluated per row, never memoized *)
+    "select v from p where v in (select i from h where h.i >= p.v)";
+    "select v from p where v not in (select i from h where h.f > p.w)";
+  ]
+
+(* The oracle form of a select: every uncorrelated IN (select ...) in
+   its WHERE clause replaced by the literal list of its values. *)
+let with_literal_lists db (s : Ast.select) =
+  let resolve = Eval.base_resolver db in
+  let literals sub =
+    List.map
+      (fun row -> Ast.Lit row.(0))
+      (Eval.eval_select resolve sub).Eval.rows
+  in
+  let rec expr (e : Ast.expr) =
+    match e with
+    | Ast.In_select (a, sub) -> Ast.In_list (a, literals sub)
+    | Ast.Not_in_select (a, sub) -> Ast.Not_in_list (a, literals sub)
+    | Ast.And (a, b) -> Ast.And (expr a, expr b)
+    | Ast.Or (a, b) -> Ast.Or (expr a, expr b)
+    | Ast.Not a -> Ast.Not (expr a)
+    | e -> e
+  in
+  { s with Ast.where = Option.map expr s.Ast.where }
+
+(* the corpus's correlated cases reference the outer row as [p.] *)
+let correlated sql =
+  let rec from i =
+    i + 1 < String.length sql && ((sql.[i] = 'p' && sql.[i + 1] = '.') || from (i + 1))
+  in
+  from 0
+
+let test_hashed_in_corpus () =
+  let resolve = Eval.base_resolver in_fixture_db in
+  List.iter
+    (fun sql ->
+      let s = Parser.parse_select_string sql in
+      let interp_cached =
+        observe (fun () -> Eval.eval_select ~cache:(Eval.make_cache ()) resolve s)
+      in
+      check_observed sql interp_cached
+        (observe (fun () ->
+             Compile.eval_select ~use_cache:true resolve in_fixture_db s));
+      check_observed sql
+        (observe (fun () -> Eval.eval_select resolve s))
+        (observe (fun () -> Compile.eval_select resolve in_fixture_db s));
+      if not (correlated sql) then
+        check_observed (sql ^ " (literal-list oracle)")
+          (observe (fun () ->
+               Eval.eval_select resolve (with_literal_lists in_fixture_db s)))
+          interp_cached)
+    in_corpus
+
+(* ------------------------------------------------------------------ *)
 (* Part B: engine-level differential                                   *)
 
 (* The fault-injection harness's workload: a schema, a terminating
@@ -634,6 +804,8 @@ let suite =
     qtest select_differential;
     qtest param_differential;
     qtest predicate_differential;
+    qtest hashed_in_matches_scan;
+    Alcotest.test_case "hashed IN corpus" `Quick test_hashed_in_corpus;
     qtest engine_differential;
     Alcotest.test_case "differential corpus is not vacuous" `Quick
       test_corpus_not_vacuous;

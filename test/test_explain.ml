@@ -47,13 +47,6 @@ let test_parse_explain () =
 
 (* ---- EXPLAIN vs the executor ---- *)
 
-(* Restore the evaluator choice on any exit: the compiled path is the
-   default for the rest of the suite. *)
-let with_compile flag f =
-  let saved = !Sqlf.Compile.enabled in
-  Sqlf.Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Sqlf.Compile.enabled := saved) f
-
 let explain_statements =
   [
     "select * from emp where emp_no = 2";
@@ -539,9 +532,90 @@ let prop_statement_round_trip =
         QCheck.Test.fail_reportf "printed %S\nfailed to parse: %s" printed
           (Errors.to_string e))
 
+(* An IN (select ...) probe is decided again once the subquery has
+   run: a set whose keys would cost more to probe than the table costs
+   to scan turns the plan into a scan, on both evaluators and in
+   EXPLAIN alike. *)
+let test_in_subquery_sized_choice () =
+  let s = system "create table big (k int, v int); create index big_k on big (k)" in
+  run s
+    (Printf.sprintf "insert into big values %s"
+       (String.concat ", "
+          (List.init 40 (fun i -> Printf.sprintf "(%d, %d)" (i + 1) ((i + 1) mod 4)))));
+  let path sql =
+    let pc = with_compile true (fun () -> explained s ("explain " ^ sql)) in
+    let pi = with_compile false (fun () -> explained s ("explain " ^ sql)) in
+    let describe = List.map Eval.describe_source_plan in
+    Alcotest.(check (list string)) (sql ^ ": same plan") (describe pi) (describe pc);
+    match pc with
+    | [ { Eval.sp_path = Eval.Index_probe { est; matches; _ }; _ } ] ->
+      `Probe (est, matches)
+    | [ { Eval.sp_path = Eval.Seq_scan _; _ } ] -> `Scan
+    | _ -> Alcotest.failf "%s: unexpected plan shape" sql
+  in
+  let probe = Alcotest.testable (fun ppf -> function
+      | `Scan -> Fmt.string ppf "scan"
+      | `Probe (est, m) ->
+        Fmt.pf ppf "probe est %s, %d matches"
+          (match est with Some e -> string_of_int e | None -> "-") m)
+      ( = )
+  in
+  Alcotest.check probe "empty set probes" (`Probe (Some 0, 0))
+    (path "select * from big where k in (select k from big where v = 99)");
+  Alcotest.check probe "one key probes, estimated from the actual size"
+    (`Probe (Some 1, 1))
+    (path "select * from big where k in (select k from big where k = 7)");
+  Alcotest.check probe "30 keys of 40 rows scan" `Scan
+    (path "select * from big where k in (select k from big where v <> 0)")
+
+(* The probe-value copy and the residual-filter copy of one sargable
+   IN (select ...) share a memo slot, so the subquery runs once. *)
+let test_probe_and_residual_share_a_slot () =
+  let s = system "create table big (k int, v int)" in
+  let ctx = Sqlf.Compile.make (System.database s) in
+  ignore
+    (Sqlf.Compile.compile_select ctx
+       (Parser.parse_select_string
+          "select * from big where k in (select k from big where v = 1)"));
+  Alcotest.(check int) "one slot" 1 (Sqlf.Compile.slot_count ctx)
+
+(* An unaliased transition table binds under its base table's name with
+   the base table's columns, so [id] in [select id from new updated
+   acct.bal] provably resolves inside the subquery and the rule
+   action's victim selection probes the index. *)
+let test_transition_subquery_probes () =
+  List.iter
+    (fun compiled ->
+      with_compile compiled (fun () ->
+          let s =
+            system
+              "create table acct (id int, bal int, version int); create index                acct_id on acct (id)"
+          in
+          run s
+            "create rule ver_bump when updated acct.bal then update acct set              version = version + 1 where id in (select id from new updated              acct.bal)";
+          run s
+            (Printf.sprintf "insert into acct values %s"
+               (String.concat ", "
+                  (List.init 20 (fun i -> Printf.sprintf "(%d, 0, 0)" i))));
+          let st = Engine.stats (System.engine s) in
+          let scans0 = st.Engine.seq_scans and probes0 = st.Engine.index_probes in
+          run s "update acct set bal = 5 where id = 3";
+          Alcotest.(check int) "no scans" 0 (st.Engine.seq_scans - scans0);
+          Alcotest.(check int) "statement and rule action both probe" 2
+            (st.Engine.index_probes - probes0);
+          Alcotest.(check int) "version bumped" 1
+            (int_cell s "select version from acct where id = 3")))
+    [ true; false ]
+
 let suite =
   [
     Alcotest.test_case "parse explain" `Quick test_parse_explain;
+    Alcotest.test_case "transition-table IN subquery probes" `Quick
+      test_transition_subquery_probes;
+    Alcotest.test_case "IN-subquery probe sized by its set" `Quick
+      test_in_subquery_sized_choice;
+    Alcotest.test_case "probe and residual share a memo slot" `Quick
+      test_probe_and_residual_share_a_slot;
     Alcotest.test_case "explain matches the executor (compiled)" `Quick
       (explain_matches_executor ~compiled:true);
     Alcotest.test_case "explain matches the executor (interpreted)" `Quick

@@ -17,6 +17,7 @@ let () =
       ("instance-engine", Test_instance_engine.suite);
       ("analysis", Test_analysis.suite);
       ("constraints", Test_constraints.suite);
+      ("unique-delta", Test_unique_delta.suite);
       ("system", Test_system.suite);
       ("sql-edge-cases", Test_sql_edge_cases.suite);
       ("functions", Test_functions.suite);

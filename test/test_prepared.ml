@@ -21,7 +21,6 @@
 
 open Core
 open Helpers
-module Compile = Sqlf.Compile
 module Lexer = Sqlf.Lexer
 module Token = Sqlf.Token
 module Pretty = Sqlf.Pretty
@@ -227,11 +226,6 @@ let test_explain_reports_cache_state () =
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: compiled frame binding = interpreter           *)
 (* substitution                                                        *)
-
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
 
 (* Run the same prepared-statement script on two fresh systems, one per
    evaluator, and compare every rendered result (including errors). *)
