@@ -57,17 +57,21 @@ let of_updated pairs =
   in
   { empty with upd }
 
-let of_selected pairs =
+(* One column set per table read, shared by all of its handles. *)
+let of_selected reads =
   let sel =
     List.fold_left
-      (fun m (h, cols) ->
-        let existing =
-          Option.value (Handle.Map.find_opt h m) ~default:Col_set.empty
-        in
-        Handle.Map.add h
-          (List.fold_left (fun s c -> Col_set.add c s) existing cols)
-          m)
-      Handle.Map.empty pairs
+      (fun m (cols, handles) ->
+        let set = Col_set.of_list cols in
+        List.fold_left
+          (fun m h ->
+            Handle.Map.update h
+              (function
+                | None -> Some set
+                | Some existing -> Some (Col_set.union existing set))
+              m)
+          m handles)
+      Handle.Map.empty reads
   in
   { empty with sel }
 
@@ -76,7 +80,7 @@ let of_affected = function
   | Dml.A_delete pairs -> of_deleted (List.map fst pairs)
   | Dml.A_update triples ->
     of_updated (List.map (fun (h, cols, _) -> (h, cols)) triples)
-  | Dml.A_select pairs -> of_selected pairs
+  | Dml.A_select reads -> of_selected reads
 
 let union_cols m1 m2 =
   Handle.Map.union (fun _ a b -> Some (Col_set.union a b)) m1 m2

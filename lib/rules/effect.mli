@@ -33,7 +33,9 @@ val is_empty : t -> bool
 val of_inserted : Handle.t list -> t
 val of_deleted : Handle.t list -> t
 val of_updated : (Handle.t * string list) list -> t
-val of_selected : (Handle.t * string list) list -> t
+val of_selected : (string list * Handle.t list) list -> t
+(** One (columns, handles) entry per table read, as {!Dml.A_select}
+    carries them. *)
 
 val of_affected : Dml.affected -> t
 (** The effect of a single operation, from its affected set

@@ -307,17 +307,8 @@ let set_commit_hook t hook = t.commit_hook <- hook
    in the engine statistics. *)
 let access_for t db : Eval.access =
   {
-    Eval.acc_cols =
-      (fun ~table ->
-        if Database.has_table db table then
-          Some (Table.col_names (Database.table db table))
-        else None);
-    acc_probe =
-      (fun ~table ~column values -> Database.probe db ~table ~column values);
-    acc_range =
-      (fun ~table ~column ~lower ~upper ->
-        Database.range_probe db ~table ~column ~lower ~upper);
-    acc_note =
+    (Eval.db_access db) with
+    Eval.acc_note =
       (fun ~table:_ -> function
         | `Seq_scan -> t.stats.seq_scans <- t.stats.seq_scans + 1
         | `Index_probe -> t.stats.index_probes <- t.stats.index_probes + 1
@@ -326,21 +317,8 @@ let access_for t db : Eval.access =
           t.stats.hash_join_builds <- t.stats.hash_join_builds + 1
         | `Hash_join_probe ->
           t.stats.hash_join_probes <- t.stats.hash_join_probes + 1);
-    acc_index =
-      (fun ~table ~column ->
-        List.find_map
-          (fun (t', ix) ->
-            if String.equal t' table && String.equal (Index.column ix) column
-            then Some (Index.name ix)
-            else None)
-          (Database.indexes db));
-    acc_count =
-      (fun ~table ->
-        if Database.has_table db table then
-          Some (Table.cardinality (Database.table db table))
-        else None);
-    acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
   }
+
 (* The validity key for compiled rule forms: a compiled condition or
    action is reusable only against the catalog it was compiled for and
    the planner switches in force at compile time (join-equivalence

@@ -94,6 +94,9 @@ type cexpr = rt -> grp -> renv -> Value.t
 type cselect = {
   cs_cols : string array; (* static output names of the non-empty path *)
   cs_run : rt -> renv -> Eval.relation;
+  cs_read : rt -> Eval.relation * Handle.t list option;
+      (* [cs_run] with no outer scopes, with the Section 5.1 read set
+         when the shape allows a precise one *)
   cs_plan : rt -> renv -> Eval.source_plan list;
 }
 
@@ -741,7 +744,8 @@ and compile_compound ctx (s : Ast.select) : cselect =
   let cs_plan rt outer =
     List.concat_map (fun c -> c.cs_plan rt outer) (head :: List.map snd arms)
   in
-  { cs_cols = head.cs_cols; cs_run; cs_plan }
+  let cs_read rt = (cs_run rt [||], None) in
+  { cs_cols = head.cs_cols; cs_run; cs_read; cs_plan }
 
 (* The static mirror of the probe planner's candidate scan
    ([Eval.probe_plan]): attribution and independence analysis over the
@@ -1091,7 +1095,50 @@ and compile_plain ctx (s : Ast.select) : cselect =
            empty_sources)
   in
   (* ---- the runner ---- *)
-  let cs_run rt (outer : renv) =
+  let with_outer frame (outer : renv) =
+    if Array.length outer = 0 then [| frame |] else Array.append [| frame |] outer
+  in
+  let holds rt env =
+    match cwhere with
+    | None -> true
+    | Some ce -> Value.truth_holds (Eval.value_truth (ce rt None env))
+  in
+  (* A single base table read through the access hooks: WHERE runs in
+     the probe or scan loop against one reused scratch frame, and only
+     a passing row gets an environment of its own.  Also returns the
+     handles of the passing rows, in handle order. *)
+  let single_source rt outer tbl cp access =
+    let scratch = [| [||] |] in
+    let env = with_outer scratch outer in
+    let envs = ref [] and handles = ref [] in
+    let consider h row =
+      scratch.(0) <- row;
+      if holds rt env then begin
+        envs := with_outer [| row |] outer :: !envs;
+        handles := h :: !handles
+      end
+    in
+    let scan () =
+      access.Eval.acc_note ~table:tbl `Seq_scan;
+      match access.Eval.acc_table ~table:tbl with
+      | Some t -> Table.iter consider t
+      | None -> Errors.raise_error (Errors.Unknown_table tbl)
+    in
+    (match cp with
+    | None -> scan ()
+    | Some cp -> (
+      match run_probe_values rt access cp outer with
+      | Some hit ->
+        access.Eval.acc_note ~table:tbl
+          (match hit.Eval.ph_kind with
+          | `Eq -> `Index_probe
+          | `Range -> `Range_probe);
+        List.iter (fun (h, row) -> consider h row) hit.Eval.ph_pairs
+      | None -> scan ()));
+    (List.rev !envs, List.rev !handles)
+  in
+  (* The environments of the from-list's rows, before WHERE. *)
+  let joined_envs rt (outer : renv) =
     (* phase 1: resolve sources in FROM order; known base tables stay
        lazy when access hooks are installed *)
     let resolved =
@@ -1181,17 +1228,23 @@ and compile_plain ctx (s : Ast.select) : cselect =
             | [ row ] -> [| row |]
             | _ -> Array.of_list (List.rev partial)
           in
-          if Array.length outer = 0 then [| frame |] else Array.append [| frame |] outer)
+          with_outer frame outer)
         frames
     in
-    let filtered =
-      match cwhere with
-      | None -> row_envs
-      | Some ce ->
-        List.filter
-          (fun env -> Value.truth_holds (Eval.value_truth (ce rt None env)))
-          row_envs
-    in
+    row_envs
+  in
+  (* The environments of the from-list rows passing WHERE, with the
+     handles of the retrieved tuples when the from-list is a single
+     base table read through the access hooks. *)
+  let filtered_envs rt outer =
+    match items, probes, rt.rt_access with
+    | [ (_, _, `Base tbl) ], [ cp ], Some access ->
+      let envs, handles = single_source rt outer tbl cp access in
+      (envs, Some handles)
+    | _ -> (List.filter (holds rt) (joined_envs rt outer), None)
+  in
+  let run_read rt (outer : renv) =
+    let filtered, handles = filtered_envs rt outer in
     (* the output names of the rows produced: the static projection
        names, or those of the empty-group projection when it ran *)
     let out_cols = ref sr_cols in
@@ -1256,9 +1309,6 @@ and compile_plain ctx (s : Ast.select) : cselect =
           in
           List.map snd (Eval.sort_by_keys keyed)
         else
-          let envs_for_sort =
-            match s.Ast.where with None -> row_envs | Some _ -> filtered
-          in
           let keyed =
             List.map2
               (fun env row ->
@@ -1268,7 +1318,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
                     corder_nongrouped
                 in
                 (keys, row))
-              envs_for_sort result_rows
+              filtered result_rows
           in
           List.map snd (Eval.sort_by_keys keyed)
     in
@@ -1278,8 +1328,11 @@ and compile_plain ctx (s : Ast.select) : cselect =
     let rows = ordered_rows in
     let rows = if s.Ast.distinct then dedupe_rows rows else rows in
     let rows = take s.Ast.limit rows in
-    { Eval.rel_name = ""; cols; rows }
+    let read = if s.Ast.group_by = [] then handles else None in
+    ({ Eval.rel_name = ""; cols; rows }, read)
   in
+  let cs_run rt outer = fst (run_read rt outer) in
+  let cs_read rt = run_read rt [||] in
   (* ---- the planner: same phases, stopping short of joining ---- *)
   let cs_plan rt (outer : renv) =
     let access = match rt.rt_access with Some a -> a | None -> assert false in
@@ -1329,15 +1382,15 @@ and compile_plain ctx (s : Ast.select) : cselect =
               match run_probe_values rt access cp outer with
               | Some hit -> Eval.probed_path access ~table:tbl hit
               | None ->
-                Eval.Seq_scan { table = tbl; rows = access.Eval.acc_count ~table:tbl })
+                Eval.Seq_scan { table = tbl; rows = Eval.table_count access ~table:tbl })
             | None ->
-              Eval.Seq_scan { table = tbl; rows = access.Eval.acc_count ~table:tbl }
+              Eval.Seq_scan { table = tbl; rows = Eval.table_count access ~table:tbl }
           in
           { Eval.sp_binding = name; sp_path = path; sp_join })
       (List.combine phase1 probes)
       links
   in
-  { cs_cols = sr_cols; cs_run; cs_plan }
+  { cs_cols = sr_cols; cs_run; cs_read; cs_plan }
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -1350,6 +1403,7 @@ let cexpr_holds rt ce (env : renv) =
 
 let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
+let run_select_read rt cs = cs.cs_read rt
 let select_cols cs = cs.cs_cols
 
 let compile_probe ctx ~frame ~target ~table where =
@@ -1407,7 +1461,7 @@ let plan_op ~access resolve db (op : Ast.op) : Eval.source_plan list =
       | Some cp -> (
         match run_probe_values rt access cp [||] with
         | Some hit -> Eval.probed_path access ~table hit
-        | None -> Eval.Seq_scan { table; rows = access.Eval.acc_count ~table })
-      | None -> Eval.Seq_scan { table; rows = access.Eval.acc_count ~table }
+        | None -> Eval.Seq_scan { table; rows = Eval.table_count access ~table })
+      | None -> Eval.Seq_scan { table; rows = Eval.table_count access ~table }
     in
     [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]

@@ -104,6 +104,11 @@ val run_select : rt -> cselect -> Eval.relation
 (** Evaluate with no outer scopes.  Does not hit a fault site — use
     {!eval_select} for public query entry points. *)
 
+val run_select_read : rt -> cselect -> Eval.relation * Handle.t list option
+(** {!run_select} also returning the tuples the select retrieved, with
+    the semantics of {!Eval.eval_select_read}: precise only when the
+    [rt] has access hooks. *)
+
 val select_cols : cselect -> string array
 (** Static output column names (of the non-empty result path). *)
 

@@ -20,7 +20,8 @@ type affected =
   | A_insert of Handle.t list
   | A_delete of (Handle.t * Row.t) list
   | A_update of (Handle.t * string list * Row.t) list (* old rows *)
-  | A_select of (Handle.t * string list) list
+  | A_select of (string list * Handle.t list) list
+      (* per base table read: the columns referenced, the tuples read *)
 
 type op_result = {
   db : Database.t;
@@ -165,24 +166,23 @@ let exec_update ?cache ?access resolve db table sets where =
     result = None;
   }
 
-(* Which columns of base table [name] a select references; used for the
-   column granularity of the Section 5.1 read set.  Falls back to all
-   columns when the reference is unqualified or ambiguous. *)
+(* Which columns of base table [binding_name] a select references, for
+   the column granularity of the Section 5.1 read set: those named under
+   the binding or unqualified (an unqualified name is credited to every
+   table that has the column), and all of them for a star, a star of
+   the binding, or a select naming none of its columns
+   ([select count( * ) from t]). *)
 let referenced_columns (s : Ast.select) schema binding_name =
   let all = Schema.column_names schema in
   let cols = ref [] in
   let add c = if not (List.exists (String.equal c) !cols) then cols := c :: !cols in
-  let saw_unqualified_match = ref false in
   let rec walk_expr = function
     | Ast.Lit _ | Ast.Param _ -> ()
     | Ast.Col { qualifier = Some q; column } ->
       if String.equal q binding_name && Schema.has_column schema column then
         add column
     | Ast.Col { qualifier = None; column } ->
-      if Schema.has_column schema column then begin
-        saw_unqualified_match := true;
-        add column
-      end
+      if Schema.has_column schema column then add column
     | Ast.Binop (_, a, b)
     | Ast.Cmp (_, a, b)
     | Ast.And (a, b)
@@ -225,62 +225,47 @@ let referenced_columns (s : Ast.select) schema binding_name =
     List.iter (fun (e, _) -> walk_expr e) sub.Ast.order_by
   in
   walk_select s;
-  if !cols = [] || !saw_unqualified_match then
-    (* be conservative when attribution is unclear *)
-    if !cols = [] then all else List.rev !cols
-  else List.rev !cols
+  if !cols = [] then all else List.rev !cols
 
-(* Read-set tracking for select operations.  For a single-table select
-   the tracked tuples are exactly those satisfying the predicate; for
-   multi-table selects we conservatively track every tuple of each base
-   table referenced in the top-level FROM (documented substitution —
+(* The Section 5.1 read set of a select, one entry per base table read.
+   [precise] is the executor's report of the tuples it retrieved: the
+   rows of a single-base-table select that passed WHERE (see
+   [Eval.eval_select_read]).  Without it, every tuple of each base table
+   in a top-level from-list counts as read (documented substitution —
    the paper leaves this granularity open). *)
-let select_read_set resolve db (s : Ast.select) =
-  let base_items =
+let select_read_set db (s : Ast.select) precise =
+  let entry t alias handles_of =
+    let tbl = Database.table db t in
+    let binding = Option.value alias ~default:t in
+    (referenced_columns s (Table.schema tbl) binding, handles_of tbl)
+  in
+  match precise, s.Ast.from with
+  | Some handles, [ { Ast.source = Ast.Base t; alias } ] ->
+    [ entry t alias (fun _ -> handles) ]
+  | _ ->
+    let every tbl = List.rev (Table.fold (fun h _ acc -> h :: acc) tbl []) in
     List.filter_map
       (fun item ->
         match item.Ast.source with
-        | Ast.Base t -> Some (t, item.Ast.alias)
+        | Ast.Base t -> Some (entry t item.Ast.alias every)
         | Ast.Transition _ | Ast.Derived _ -> None)
       s.Ast.from
-  in
-  match base_items with
-  | [ (t, alias) ] when s.Ast.group_by = [] ->
-    let tbl = Database.table db t in
-    let binding = Option.value alias ~default:t in
-    let cols = referenced_columns s (Table.schema tbl) binding in
-    let rows =
-      Table.fold
-        (fun h row acc ->
-          let env =
-            [
-              [
-                {
-                  Eval.bind_name = binding;
-                  bind_cols = Table.col_names tbl;
-                  bind_row = row;
-                };
-              ];
-            ]
-          in
-          let keep =
-            match s.Ast.where with
-            | None -> true
-            | Some pred -> (
-              try Eval.eval_predicate resolve env pred with _ -> true)
-          in
-          if keep then (h, cols) :: acc else acc)
-        tbl []
+
+(* The read set comes from the executor's own probes and scans, which
+   need access hooks to read base tables in place: without the caller's,
+   a tracked select reads through [db]'s. *)
+let tracking_access access db =
+  match access with Some a -> a | None -> Eval.db_access db
+
+let exec_select ~track_selects ?cache ?access resolve db s =
+  if not track_selects then
+    let rel = Eval.eval_select ?cache ?access resolve s in
+    { db; affected = A_select []; result = Some rel }
+  else
+    let rel, precise =
+      Eval.eval_select_read ?cache ~access:(tracking_access access db) resolve s
     in
-    List.rev rows
-  | items ->
-    List.concat_map
-      (fun (t, alias) ->
-        let tbl = Database.table db t in
-        let binding = Option.value alias ~default:t in
-        let cols = referenced_columns s (Table.schema tbl) binding in
-        List.map (fun (h, _) -> (h, cols)) (Table.to_list tbl))
-      items
+    { db; affected = A_select (select_read_set db s precise); result = Some rel }
 
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
@@ -452,9 +437,7 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
     | Ast.Update { table; sets; where } ->
       exec_update ?cache ?access resolve db table sets where
     | Ast.Select_op s ->
-      let rel = Eval.eval_select ?cache ?access resolve s in
-      let read = if track_selects then select_read_set resolve db s else [] in
-      { db; affected = A_select read; result = Some rel }
+      exec_select ~track_selects ?cache ?access resolve db s
   end
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
@@ -542,25 +525,16 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
     }
   | C_select { s; csel; nslots } ->
     Fault.hit Fault.Query_eval;
-    let rel = Compile.run_select (rt nslots) csel in
-    let read =
-      if track_selects then
-        (* the read set interprets the select's WHERE over the stored
-           AST, so a prepared plan must bind its parameters first —
-           a dangling [Param] would make the predicate error out and
-           every row count as selected *)
-        let s =
-          match params with
-          | None | Some [||] -> s
-          | Some args -> (
-            match Ast.subst_params_op args (Ast.Select_op s) with
-            | Ast.Select_op s -> s
-            | _ -> assert false)
-        in
-        select_read_set resolve db s
-      else []
-    in
-    { db; affected = A_select read; result = Some rel }
+    if not track_selects then
+      let rel = Compile.run_select (rt nslots) csel in
+      { db; affected = A_select []; result = Some rel }
+    else
+      let rt =
+        Compile.make_rt ~access:(tracking_access access db) ?params
+          ~use_cache:optimize ~slots:nslots resolve
+      in
+      let rel, precise = Compile.run_select_read rt csel in
+      { db; affected = A_select (select_read_set db s precise); result = Some rel }
 
 let exec_cop ?(track_selects = false) ?(optimize = true) ?access ?params
     resolve db cop : op_result =
@@ -586,8 +560,5 @@ let exec_op ?(track_selects = false) ?(optimize = true) ?access resolve db
       exec_delete ?cache ?access resolve db table where
     | Ast.Update { table; sets; where } ->
       exec_update ?cache ?access resolve db table sets where
-    | Ast.Select_op s ->
-      let rel = Eval.eval_select ?cache ?access resolve s in
-      let read = if track_selects then select_read_set resolve db s else [] in
-      { db; affected = A_select read; result = Some rel }
+    | Ast.Select_op s -> exec_select ~track_selects ?cache ?access resolve db s
   end

@@ -8,7 +8,8 @@
     - update: one (handle, columns) entry per selected tuple with its
       old row — the affected set includes tuples whose stored value did
       not change;
-    - select (Section 5.1 extension): the handles and columns read.
+    - select (Section 5.1 extension): per base table read, the columns
+      the select references and the handles of the tuples it read.
 
     Each operation runs against a snapshot of the state at its start:
     tuples are identified first, then changed, so a subquery in a
@@ -21,7 +22,8 @@ type affected =
   | A_insert of Handle.t list
   | A_delete of (Handle.t * Row.t) list
   | A_update of (Handle.t * string list * Row.t) list  (** old rows *)
-  | A_select of (Handle.t * string list) list
+  | A_select of (string list * Handle.t list) list
+      (** per base table read: (columns referenced, tuples read) *)
 
 type op_result = {
   db : Database.t;
@@ -38,9 +40,13 @@ val exec_op :
   Ast.op ->
   op_result
 (** Execute one operation.  [track_selects] (default [false]) computes
-    the Section 5.1 read set for select operations: precise (rows
-    satisfying the predicate) for single-table selects, conservative
-    (every row of each base table in the top-level FROM) otherwise.
+    the Section 5.1 read set for select operations.  When the FROM list
+    is exactly one base table and there is no GROUP BY (or compound
+    operator) it is precise: the tuples the executor's index probe or
+    scan produced that passed WHERE, whatever DISTINCT, ORDER BY and
+    LIMIT then keep.  Otherwise it is conservative: every tuple of each
+    base table in a top-level FROM list.  A tracked select without
+    [access] reads through hooks serving [db] itself.
     [optimize] (default [true]) enables uncorrelated-subquery caching
     for the operation.  [access] installs access-path hooks so
     sargable predicates over indexed columns are satisfied by index

@@ -189,13 +189,13 @@ let join_optimization = ref true
 (* Access-path hooks.  When a caller supplies them, base tables in a
    from-list are realized lazily, giving the planner a chance to
    satisfy a sargable equality/IN conjunct of the WHERE clause by an
-   index probe instead of a scan.  [acc_cols] names a base table's
-   columns without materializing its rows (None: unknown table, forcing
+   index probe instead of a scan.  [acc_table] serves a base table of
+   the state being read, scanned in place (None: unknown table, forcing
    the eager path); [acc_probe] probes any index over the column (None:
    no usable index); [acc_note] reports every scan-vs-probe decision
    for EXPLAIN-style statistics. *)
 type access = {
-  acc_cols : table:string -> string array option;
+  acc_table : table:string -> Table.t option;
   acc_probe :
     table:string ->
     column:string ->
@@ -213,9 +213,38 @@ type access = {
     | `Hash_join_probe ] ->
     unit;
   acc_index : table:string -> column:string -> string option;
-  acc_count : table:string -> int option;
   acc_stats : table:string -> column:string -> (int * bool) option;
 }
+
+(* Hooks serving every table of [db], with no statistics kept. *)
+let db_access db =
+  {
+    acc_table =
+      (fun ~table ->
+        if Database.has_table db table then Some (Database.table db table)
+        else None);
+    acc_probe =
+      (fun ~table ~column values -> Database.probe db ~table ~column values);
+    acc_range =
+      (fun ~table ~column ~lower ~upper ->
+        Database.range_probe db ~table ~column ~lower ~upper);
+    acc_note = (fun ~table:_ _ -> ());
+    acc_index =
+      (fun ~table ~column ->
+        List.find_map
+          (fun (t', ix) ->
+            if String.equal t' table && String.equal (Index.column ix) column
+            then Some (Index.name ix)
+            else None)
+          (Database.indexes db));
+    acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
+  }
+
+let table_cols access ~table =
+  Option.map Table.col_names (access.acc_table ~table)
+
+let table_count access ~table =
+  Option.map Table.cardinality (access.acc_table ~table)
 
 (* Equality-predicate pushdown into index probes; mutable only so the
    differential harness and the ablation benchmark can compare against
@@ -255,7 +284,7 @@ let estimate_shape access ~table ~column shape =
   match access.acc_stats ~table ~column with
   | None -> None
   | Some (distinct, ordered) -> (
-    let nrows = Option.value (access.acc_count ~table) ~default:0 in
+    let nrows = Option.value (table_count access ~table) ~default:0 in
     match shape with
     | Shape_eq k ->
       let k = Option.value k ~default:2 in
@@ -289,7 +318,7 @@ let choose_candidates access ~table cands =
         | Shape_range | Shape_prefix -> None)
       cands
   else
-    let scan_cost = access.acc_count ~table in
+    let scan_cost = table_count access ~table in
     List.filter_map
       (fun (payload, column, shape) ->
         match estimate_shape access ~table ~column shape with
@@ -742,9 +771,13 @@ and default_proj_name e =
    into an index probe (see [probe_source]).  A probe returns the
    matching rows in handle order — an order-preserving subsequence of
    the scan — and the full WHERE predicate is still applied afterwards,
-   so results are again identical. *)
+   so results are again identical.
+
+   When the from-list is a single lazily realized base table, the
+   handles of its rows come back too, aligned with the environments:
+   the tuples the select retrieved, for the Section 5.1 read set. *)
 and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
-    env list =
+    env list * Handle.t list option =
   let resolve_item ix item =
     let named rel =
       match item.Ast.alias with
@@ -756,14 +789,16 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
       let rel = eval_select_inner ctx outer s in
       (named rel, rel.cols, `Rows rel.rows)
     | Ast.Base tbl_name -> (
-      let lazy_cols =
+      let lazy_tbl =
         match ctx.access with
         | None -> None
-        | Some access -> access.acc_cols ~table:tbl_name
+        | Some access -> access.acc_table ~table:tbl_name
       in
-      match lazy_cols with
-      | Some cols ->
-        (Option.value item.Ast.alias ~default:tbl_name, cols, `Table tbl_name)
+      match lazy_tbl with
+      | Some tbl ->
+        ( Option.value item.Ast.alias ~default:tbl_name,
+          Table.col_names tbl,
+          `Table (tbl_name, tbl) )
       | None ->
         let rel = ctx.resolve item.Ast.source in
         (named rel, rel.cols, `Rows rel.rows))
@@ -831,7 +866,7 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
   end) in
   (* realize a lazily-bound base table: by index (or range) probe when
      a sargable conjunct allows it, by scan otherwise *)
-  let realize bind_name tbl_name =
+  let realize bind_name (tbl_name, tbl) =
     let access =
       match ctx.access with Some a -> a | None -> assert false
     in
@@ -842,10 +877,10 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
     | Some hit ->
       access.acc_note ~table:tbl_name
         (match hit.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-      List.map snd hit.ph_pairs
+      hit.ph_pairs
     | None ->
       access.acc_note ~table:tbl_name `Seq_scan;
-      (ctx.resolve (Ast.Base tbl_name)).rows
+      Table.to_list tbl
   in
   let note_join ev name =
     match ctx.access with
@@ -857,7 +892,7 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
     let rows =
       match kind with
       | `Rows rows -> rows
-      | `Table tbl_name -> realize name tbl_name
+      | `Table src -> List.map snd (realize name src)
     in
     let already_bound n =
       match partials with
@@ -916,8 +951,17 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
             rows)
         partials
   in
-  let frames = List.fold_left extend [ [] ] sources in
-  List.map (fun frame -> List.rev frame :: outer) frames
+  match sources with
+  | [ (name, cols, `Table src) ] ->
+    let pairs = realize name src in
+    ( List.map
+        (fun (_, row) ->
+          [ { bind_name = name; bind_cols = cols; bind_row = row } ] :: outer)
+        pairs,
+      Some (List.map fst pairs) )
+  | _ ->
+    let frames = List.fold_left extend [ [] ] sources in
+    (List.map (fun frame -> List.rev frame :: outer) frames, None)
 
 (* The access-path planner: try to satisfy one FROM source by an index
    probe instead of a scan.  Scans the WHERE conjuncts for sargable
@@ -944,7 +988,7 @@ and probe_plan ctx (outer : env) ~frame ~target_name ~table
     if not !predicate_pushdown then None
     else begin
       let ind_expr, ind_sel =
-        independence ~target:frame ~cols_of:(fun t -> access.acc_cols ~table:t)
+        independence ~target:frame ~cols_of:(fun t -> table_cols access ~table:t)
       in
       let attributes_to_target qualifier column =
         let has (_, cols) = Array.exists (String.equal column) cols in
@@ -1183,17 +1227,31 @@ and eval_compound ctx outer (s : Ast.select) : relation =
   in
   { rel_name = ""; cols = head.cols; rows }
 
-and eval_select_plain ctx (outer : env) (s : Ast.select) : relation =
-  let row_envs = from_row_envs ctx outer ?where:s.Ast.where s.Ast.from in
+and eval_select_plain ctx outer s = fst (eval_select_plain_read ctx outer s)
+
+(* A select core with the handles of the tuples it retrieved: those of
+   the rows passing WHERE when the from-list is a single lazily realized
+   base table and there is no GROUP BY, [None] for any other shape.
+   DISTINCT, ORDER BY and LIMIT apply to the output only. *)
+and eval_select_plain_read ctx (outer : env) (s : Ast.select) :
+    relation * Handle.t list option =
+  let row_envs, handles = from_row_envs ctx outer ?where:s.Ast.where s.Ast.from in
   (* WHERE *)
   let where_ctx = { ctx with group = None } in
-  let filtered =
+  let filtered, read =
     match s.Ast.where with
-    | None -> row_envs
-    | Some pred ->
-      List.filter
-        (fun env -> Value.truth_holds (value_truth (eval_expr where_ctx env pred)))
-        row_envs
+    | None -> (row_envs, handles)
+    | Some pred -> (
+      let holds env =
+        Value.truth_holds (value_truth (eval_expr where_ctx env pred))
+      in
+      match handles with
+      | None -> (List.filter holds row_envs, None)
+      | Some hs ->
+        let kept =
+          List.filter (fun (env, _) -> holds env) (List.combine row_envs hs)
+        in
+        (List.map fst kept, Some (List.map snd kept)))
   in
   let grouped = select_contains_agg s in
   let result_pairs =
@@ -1331,7 +1389,7 @@ and eval_select_plain ctx (outer : env) (s : Ast.select) : relation =
       in
       take n rows
   in
-  { rel_name = ""; cols; rows }
+  ({ rel_name = ""; cols; rows }, if s.Ast.group_by = [] then read else None)
 
 (* Output column names when the result has no rows: derive them from
    the projection list and the source schemas. *)
@@ -1385,6 +1443,13 @@ let eval_expr_in ?cache ?access ?(outer = empty_env) resolve env e =
 let eval_predicate ?cache ?access ?(outer = empty_env) resolve env e =
   Value.truth_holds
     (value_truth (eval_expr (make_context ?cache ?access resolve) (env @ outer) e))
+
+let eval_select_read ?cache ~access resolve s =
+  Fault.hit Fault.Query_eval;
+  let ctx = make_context ?cache ~access resolve in
+  match s.Ast.compounds with
+  | [] -> eval_select_plain_read ctx empty_env s
+  | _ :: _ -> (eval_compound ctx empty_env s, None)
 
 (* Entry point for the DML layer's victim selection: probe one base
    table directly, using the same sargable detection, independence
@@ -1452,7 +1517,7 @@ let probed_path access ~table hit =
   let conjunct = Pretty.expr_str hit.ph_conjunct in
   let est = hit.ph_est in
   let matches = List.length hit.ph_pairs in
-  let rows = access.acc_count ~table in
+  let rows = table_count access ~table in
   match hit.ph_kind with
   | `Eq -> Index_probe { table; index; column; conjunct; est; matches; rows }
   | `Range ->
@@ -1475,7 +1540,7 @@ let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
       let rel = eval_select_inner ctx outer sub in
       (named rel, rel.cols, `Materialized ("derived table", List.length rel.rows))
     | Ast.Base tbl_name -> (
-      match access.acc_cols ~table:tbl_name with
+      match table_cols access ~table:tbl_name with
       | Some cols ->
         (Option.value item.Ast.alias ~default:tbl_name, cols, `Lazy tbl_name)
       | None ->
@@ -1557,7 +1622,7 @@ let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
               probe_plan ctx outer ~frame ~target_name:name ~table s.Ast.where
             with
             | Some hit -> probed_path access ~table hit
-            | None -> Seq_scan { table; rows = access.acc_count ~table })
+            | None -> Seq_scan { table; rows = table_count access ~table })
         in
         let sp_join = link_for prior name in
         (name :: prior, { sp_binding = name; sp_path = path; sp_join } :: acc))
@@ -1582,7 +1647,7 @@ let plan_op ?cache ~access resolve (op : Ast.op) : source_plan list =
     (* mirror of the DML layer's victim selection (see
        [Dml.selected_handles]): the table is bound under its own name *)
     let cols =
-      match access.acc_cols ~table with
+      match table_cols access ~table with
       | Some cols -> cols
       | None -> (ctx.resolve (Ast.Base table)).cols
     in
@@ -1593,7 +1658,7 @@ let plan_op ?cache ~access resolve (op : Ast.op) : source_plan list =
           ~target_name:table ~table where
       with
       | Some hit -> probed_path access ~table hit
-      | None -> Seq_scan { table; rows = access.acc_count ~table }
+      | None -> Seq_scan { table; rows = table_count access ~table }
     in
     [ { sp_binding = table; sp_path = path; sp_join = None } ]
 

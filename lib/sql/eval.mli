@@ -103,9 +103,10 @@ val join_optimization : bool ref
     identical either way. *)
 
 type access = {
-  acc_cols : table:string -> string array option;
-      (** a base table's column names, without materializing its rows;
-          [None] for an unknown table (forcing the eager path) *)
+  acc_table : table:string -> Table.t option;
+      (** a base table of the state being read, scanned in place
+          instead of materialized as a relation; [None] for an unknown
+          table (forcing the eager path) *)
   acc_probe :
     table:string ->
     column:string ->
@@ -134,14 +135,18 @@ type access = {
   acc_index : table:string -> column:string -> string option;
       (** name of the index that [acc_probe] would use for this column,
           if any; informational (EXPLAIN) only *)
-  acc_count : table:string -> int option;
-      (** current cardinality of a base table, without materializing
-          it; [None] for an unknown table *)
   acc_stats : table:string -> column:string -> (int * bool) option;
       (** incrementally-maintained statistics for an indexed column:
           distinct non-null key count, and whether an ordered index
           (range capability) covers it; [None] for unindexed columns *)
 }
+
+val db_access : Database.t -> access
+(** Hooks serving every table and index of a database state; [acc_note]
+    does nothing. *)
+
+val table_count : access -> table:string -> int option
+(** A base table's cardinality through {!field-acc_table}. *)
 
 val predicate_pushdown : bool ref
 (** When true (the default) and access hooks are installed, sargable
@@ -229,6 +234,16 @@ val eval_select :
     filter, grouping and aggregates, HAVING, projection, DISTINCT,
     ORDER BY, LIMIT.  [outer] supplies enclosing scopes for correlated
     evaluation. *)
+
+val eval_select_read :
+  ?cache:cache -> access:access -> resolver -> Ast.select ->
+  relation * Handle.t list option
+(** {!eval_select} with no outer scopes, also returning the tuples the
+    select retrieved (Section 5.1): when the from-list is exactly one
+    base table and there is no GROUP BY or compound operator, the
+    handles of the rows that passed WHERE, in handle order, taken from
+    the index probe or scan that produced them.  DISTINCT, ORDER BY and
+    LIMIT never shrink the set.  [None] for every other shape. *)
 
 val eval_expr_in :
   ?cache:cache -> ?access:access -> ?outer:env -> resolver -> env -> Ast.expr ->

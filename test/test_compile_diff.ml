@@ -588,7 +588,8 @@ let test_hashed_in_corpus () =
 let schema_sql =
   "create table t (a int, b int);\n\
    create table u (a int, c int);\n\
-   create table log (n int)"
+   create table log (n int);\n\
+   create table seen (x int, y int)"
 
 let rules_sql =
   [
@@ -623,13 +624,30 @@ let gen_term st =
   let open QCheck.Gen in
   if int_bound 9 st = 0 then "null" else string_of_int (gen_small st)
 
+(* A Section 5.1 rule over one table, with or without a column, whose
+   action logs the tuples read: with [track_selects] on, each select's
+   exact read set lands in [seen], so compiled and interpreted read sets
+   are compared through the final state. *)
+let gen_selected_rule st =
+  let open QCheck.Gen in
+  let table, cols = if bool st then ("t", [| "a"; "b" |]) else ("u", [| "a"; "c" |]) in
+  let tt =
+    match int_bound 2 st with
+    | 0 -> table
+    | k -> Printf.sprintf "%s.%s" table cols.(k - 1)
+  in
+  Printf.sprintf
+    "create rule sel when selected %s then insert into seen (select %s, %s from \
+     selected %s)"
+    tt cols.(0) cols.(1) tt
+
 (* One operation: inserts, deletes, updates and selects over both
    tables, occasionally tripping the rollback rule r5, and rarely a
    genuinely erroneous statement so the two paths must agree on
    diagnostics mid-workload too. *)
 let gen_op st =
   let open QCheck.Gen in
-  match int_bound 13 st with
+  match int_bound 14 st with
   | 0 | 1 ->
     Printf.sprintf "insert into t values (%s, %s)" (gen_term st) (gen_term st)
   | 2 | 3 ->
@@ -657,6 +675,7 @@ let gen_op st =
   | 12 ->
     Printf.sprintf "insert into u values (99, %d); insert into u values \
                     (99, %d)" (gen_small st) (gen_small st)
+  | 13 -> Printf.sprintf "select distinct c from u where a > %d limit 1" (gen_small st)
   | _ ->
     Printf.sprintf "insert into t values (%d, %d, %d)" (gen_small st)
       (gen_small st) (gen_small st)
@@ -674,16 +693,18 @@ let gen_step st =
     `Block (String.concat "; " (List.init n (fun _ -> gen_op st)))
 
 let gen_workload st =
-  QCheck.Gen.list_size (QCheck.Gen.int_range 8 20) gen_step st
+  let rule = gen_selected_rule st in
+  (rule, QCheck.Gen.list_size (QCheck.Gen.int_range 8 20) gen_step st)
 
-let print_workload steps =
+let print_workload (rule, steps) =
   String.concat "\n"
-    (List.map (function `Ddl s -> "[ddl] " ^ s | `Block s -> s) steps)
+    (("[rule] " ^ rule)
+    :: List.map (function `Ddl s -> "[ddl] " ^ s | `Block s -> s) steps)
 
-let make_system ~config () =
+let make_system ~config rule () =
   let s = system ~config schema_sql in
   System.register_procedure s "note_u" note_u_proc;
-  List.iter (run s) rules_sql;
+  List.iter (run s) (rules_sql @ [ rule ]);
   Engine.set_tracing (System.engine s) true;
   s
 
@@ -699,6 +720,7 @@ let run_ddl s sql =
   | exception Errors.Error e -> Error (Errors.to_string e)
 
 let firings_fired = ref 0
+let seen_logged = ref 0
 
 let check_same label a b =
   match a, b with
@@ -722,7 +744,7 @@ let check_same label a b =
   | Error e, Ok _ ->
     QCheck.Test.fail_reportf "%s: compiled errored (%s), interpreted ok" label e
 
-let harness_tables = [ "t"; "u"; "log" ]
+let harness_tables = [ "t"; "u"; "log"; "seen" ]
 
 (* Rule firings as observable behaviour: name + condition verdict per
    considered rule, in order. *)
@@ -737,9 +759,9 @@ let firing_trace s =
       | _ -> None)
     (Engine.trace (System.engine s))
 
-let engine_differential_once ~config steps =
-  let s_compiled = with_compile true (fun () -> make_system ~config ()) in
-  let s_interp = with_compile false (fun () -> make_system ~config ()) in
+let engine_differential_once ~config (rule, steps) =
+  let s_compiled = with_compile true (fun () -> make_system ~config rule ()) in
+  let s_interp = with_compile false (fun () -> make_system ~config rule ()) in
   List.iter
     (fun step ->
       match step with
@@ -768,18 +790,19 @@ let engine_differential_once ~config steps =
                (List.length rc = List.length ri
                && List.for_all2 Row.equal rc ri)
           then QCheck.Test.fail_reportf "final state of %s differs" tbl)
-        harness_tables)
+        harness_tables;
+      seen_logged := !seen_logged + List.length (rows s_compiled "select * from seen"))
 
 let engine_differential =
   QCheck.Test.make ~count:40
     ~name:"engine with compiled evaluators = engine with interpreter"
     (QCheck.make ~print:print_workload gen_workload)
-    (fun steps ->
-      engine_differential_once ~config:Engine.default_config steps;
+    (fun workload ->
+      engine_differential_once ~config:Engine.default_config workload;
       engine_differential_once
         ~config:
           { Engine.default_config with optimize = true; track_selects = true }
-        steps;
+        workload;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -797,7 +820,10 @@ let test_corpus_not_vacuous () =
     (Printf.sprintf "rules fired during engine differential (%d)"
        !firings_fired)
     true
-    (!firings_fired > 0)
+    (!firings_fired > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "read sets logged by the selected rule (%d)" !seen_logged)
+    true (!seen_logged > 0)
 
 let suite =
   [

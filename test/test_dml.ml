@@ -151,18 +151,110 @@ let test_select_read_set_single_table () =
   in
   let r = exec_tracked db "select b from t where a >= 2" in
   (match r.Dml.affected with
-  | Dml.A_select pairs ->
-    Alcotest.(check int) "precise read set" 2 (List.length pairs);
-    List.iter
-      (fun (_, cols) ->
-        Alcotest.(check bool) "cols include a" true (List.mem "a" cols);
-        Alcotest.(check bool) "cols include b" true (List.mem "b" cols);
-        Alcotest.(check bool) "cols exclude c" false (List.mem "c" cols))
-      pairs
+  | Dml.A_select [ (cols, handles) ] ->
+    Alcotest.(check int) "precise read set" 2 (List.length handles);
+    Alcotest.(check bool) "cols include a" true (List.mem "a" cols);
+    Alcotest.(check bool) "cols include b" true (List.mem "b" cols);
+    Alcotest.(check bool) "cols exclude c" false (List.mem "c" cols)
   | _ -> Alcotest.fail "select affected");
   match r.Dml.result with
   | Some rel -> Alcotest.(check int) "rows returned" 2 (List.length rel.Eval.rows)
   | None -> Alcotest.fail "no result rows"
+
+(* The read set of a tracked select, as (columns, the [a] value of each
+   tuple read) per table read. *)
+let read_set db sql =
+  match (exec_tracked db sql).Dml.affected with
+  | Dml.A_select reads ->
+    List.map
+      (fun (cols, handles) ->
+        ( cols,
+          List.map (fun h -> Value.to_string (Database.get_row db h).(0)) handles ))
+      reads
+  | _ -> Alcotest.fail "select affected"
+
+let read_set_testable = Alcotest.(list (pair (list string) (list string)))
+
+let five_rows () =
+  (exec (setup ())
+     "insert into t values (1, 'v', 1.0), (2, 'w', 2.0), (3, 'x', 3.0), \
+      (4, 'y', 4.0), (5, 'z', 5.0)")
+    .Dml.db
+
+(* The read set comes from the rows the executor produced, by index
+   probe or by scan: both report the same tuples and columns. *)
+let test_read_set_index_independent () =
+  let db = five_rows () in
+  let indexed = Database.create_index db ~ix_name:"t_a" ~table:"t" ~column:"a" ~kind:`Hash in
+  List.iter
+    (fun sql ->
+      Alcotest.check read_set_testable sql (read_set db sql) (read_set indexed sql))
+    [
+      "select b from t where a = 3";
+      "select b from t where a in (2, 4) and c > 1.5";
+      "select * from t where a = 9";
+      "select c from t where b = 'x' or a = 1";
+    ];
+  Alcotest.check read_set_testable "probe read set"
+    [ ([ "b"; "a" ], [ "3" ]) ]
+    (read_set indexed "select b from t where a = 3")
+
+(* DISTINCT, ORDER BY and LIMIT shape the output, not what was read. *)
+let test_read_set_ignores_limit () =
+  let db = five_rows () in
+  let r = exec_tracked db "select distinct c from t where a >= 2 order by c desc limit 1" in
+  (match r.Dml.result with
+  | Some rel -> Alcotest.(check int) "one row returned" 1 (List.length rel.Eval.rows)
+  | None -> Alcotest.fail "no result");
+  Alcotest.check read_set_testable "every qualifying row read"
+    [ ([ "c"; "a" ], [ "2"; "3"; "4"; "5" ]) ]
+    (read_set db "select distinct c from t where a >= 2 order by c desc limit 1")
+
+(* Beside a derived table or in a join, a base table counts as read in
+   full; so does a grouped select's. *)
+let test_read_set_conservative_shapes () =
+  let db = five_rows () in
+  let all = [ "1"; "2"; "3"; "4"; "5" ] in
+  Alcotest.check read_set_testable "base plus derived"
+    [ ([ "b"; "a" ], all) ]
+    (read_set db "select b from t, (select 1 as one) d where a = one");
+  Alcotest.check read_set_testable "grouped"
+    [ ([ "b"; "a" ], all) ]
+    (read_set db "select b, count(a) from t where a > 3 group by b")
+
+(* A row the executor never tested is not read, even when its WHERE
+   would raise: the probe on [a = 2] skips the row whose [10 / (a - 1)]
+   divides by zero. *)
+let test_read_set_skips_unevaluated_rows () =
+  let db = five_rows () in
+  let indexed = Database.create_index db ~ix_name:"t_a" ~table:"t" ~column:"a" ~kind:`Hash in
+  Alcotest.check read_set_testable "probed row only"
+    [ ([ "b"; "a" ], [ "2" ]) ]
+    (read_set indexed "select b from t where a = 2 and 10 / (a - 1) > 0");
+  expect_error (fun () ->
+      exec_tracked db "select b from t where a = 2 and 10 / (a - 1) > 0")
+
+(* Through the engine, in a transition table: an EXECUTE of a prepared
+   select records exactly the rows its bound predicate matched, under
+   both evaluators. *)
+let test_read_set_prepared () =
+  List.iter
+    (fun compiled ->
+      with_compile compiled (fun () ->
+          let config = { Engine.default_config with Engine.track_selects = true } in
+          let s = system ~config "create table t (a int, b int); create table log (a int)" in
+          run s
+            "create rule audit when selected t then insert into log (select a from \
+             selected t)";
+          run s "insert into t values (1, 10), (2, 20), (3, 30), (4, 40)";
+          run s "prepare q as select b from t where a > ? limit 1";
+          run s "begin";
+          run s "execute q (2)";
+          run s "commit";
+          Alcotest.check rows_testable "matching rows only"
+            [ [| vi 3 |]; [| vi 4 |] ]
+            (rows s "select a from log order by a")))
+    [ true; false ]
 
 let test_select_read_set_untracked () =
   let db = setup () in
@@ -197,4 +289,13 @@ let suite =
     Alcotest.test_case "select read set (single table)" `Quick
       test_select_read_set_single_table;
     Alcotest.test_case "select untracked" `Quick test_select_read_set_untracked;
+    Alcotest.test_case "read set: index or scan alike" `Quick
+      test_read_set_index_independent;
+    Alcotest.test_case "read set: limit keeps every qualifying row" `Quick
+      test_read_set_ignores_limit;
+    Alcotest.test_case "read set: conservative shapes" `Quick
+      test_read_set_conservative_shapes;
+    Alcotest.test_case "read set: rows the probe skipped" `Quick
+      test_read_set_skips_unevaluated_rows;
+    Alcotest.test_case "read set: prepared select" `Quick test_read_set_prepared;
   ]

@@ -98,7 +98,7 @@ let test_triggering_predicates () =
 
 let test_select_component () =
   let he = h "emp" in
-  let e = Effect.of_selected [ (he, [ "salary" ]) ] in
+  let e = Effect.of_selected [ ([ "salary" ], [ he ]) ] in
   Alcotest.(check bool) "selected emp" true
     (Effect.satisfies_pred e (Ast.Tp_selected ("emp", None)));
   Alcotest.(check bool) "selected emp.salary" true

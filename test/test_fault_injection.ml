@@ -106,7 +106,7 @@ let test_select_effect_counted () =
   let db = Database.create_table Database.empty schema in
   let _, h = Database.insert db "t" [| vi 1; vi 2 |] in
   Alcotest.(check int) "sel-only effect has cardinality" 1
-    (Effect.cardinality (Effect.of_selected [ (h, [ "a" ]) ]));
+    (Effect.cardinality (Effect.of_selected [ ([ "a" ], [ h ]) ]));
   (* and through the engine trace: with select tracking on, the
      external transition's effect_size reflects the rows read *)
   let config = { Engine.default_config with track_selects = true } in

@@ -90,9 +90,9 @@ let test_matching_posting_lists () =
   check_names "update t.b hits wildcard only" [ "r_upd_any" ]
     (Rule_index.matching idx (Effect.of_updated [ (ht, [ "b" ]) ]));
   check_names "select u.b" [ "r_sel_b" ]
-    (Rule_index.matching idx (Effect.of_selected [ (hu, [ "b" ]) ]));
+    (Rule_index.matching idx (Effect.of_selected [ ([ "b" ], [ hu ]) ]));
   check_names "select u.c misses" []
-    (Rule_index.matching idx (Effect.of_selected [ (hu, [ "c" ]) ]));
+    (Rule_index.matching idx (Effect.of_selected [ ([ "c" ], [ hu ]) ]));
   let composite =
     Effect.compose
       (Effect.of_deleted [ ht ])
@@ -149,7 +149,7 @@ let gen_effect st =
     | 0 -> Effect.of_inserted [ h ]
     | 1 -> Effect.of_deleted [ h ]
     | 2 -> Effect.of_updated [ (h, [ prop_cols.(int_bound 2 st) ]) ]
-    | _ -> Effect.of_selected [ (h, [ prop_cols.(int_bound 2 st) ]) ]
+    | _ -> Effect.of_selected [ ([ prop_cols.(int_bound 2 st) ], [ h ]) ]
   in
   List.fold_left
     (fun acc e -> Effect.compose acc e)
