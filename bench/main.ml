@@ -604,7 +604,12 @@ let e10 () =
    workloads themselves (Section 1: optimization "directly applicable
    to the rules themselves").                                           *)
 
-let join_system n =
+(* The nested-loop arm writes its join conjunct as [not (a <> b)]: same
+   NULL and type semantics as [a = b], but no hash-join link. *)
+let join_conjunct ~hash a b =
+  if hash then Printf.sprintf "%s = %s" a b else Printf.sprintf "not (%s <> %s)" a b
+
+let join_system ~hash n =
   let s = System.create () in
   ignore_exec s
     "create table emp (emp_no int, dept_no int);\n\
@@ -618,24 +623,22 @@ let join_system n =
        [ insert_op "emp" (List.init n (fun i -> [ vi i; vi (i mod (n / 4)) ])) ]);
   (* the rule's action joins emp with dept *)
   ignore_exec s
-    "create rule flag_rich when updated dept.budget then insert into report \
-     (select e.emp_no from emp e, dept d where e.dept_no = d.dept_no and \
-     d.budget > 1000)";
+    (Printf.sprintf
+       "create rule flag_rich when updated dept.budget then insert into report \
+        (select e.emp_no from emp e, dept d where %s and d.budget > 1000)"
+       (join_conjunct ~hash "e.dept_no" "d.dept_no"));
   s
 
 let e11_args = [ 64; 256; 1024 ]
 
-let e11_test_of name enabled =
+let e11_test_of name hash =
   Test.make_indexed_with_resource ~name ~fmt:"%s:n=%d" ~args:e11_args
     Test.multiple
-    ~allocate:(fun n -> join_system n)
+    ~allocate:(fun n -> join_system ~hash n)
     ~free:(fun _ -> ())
     (fun _ ->
       let ops = parse_ops "update dept set budget = budget * 20" in
-      Staged.stage (fun s ->
-          Eval.join_optimization := enabled;
-          ignore (Engine.execute_block (System.engine s) ops);
-          Eval.join_optimization := true))
+      Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) ops)))
 
 let e11 () =
   print_header "E11" "ablation: hash equi-join inside rule actions"
@@ -825,9 +828,8 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15: compiled positional closures vs the tree-walking interpreter.
-   Three arms, each run under both evaluators (the [Sqlf.Compile.enabled]
-   switch, flipped inside the measured closure so rule-level caches are
-   shared):
+   Three arms, each run under both evaluators (a system configured with
+   [compiled] on and one with it off):
 
    - where-scan: one query whose WHERE is evaluated per row of an
      n-row table — the per-row name-resolution cost the compiler
@@ -844,8 +846,10 @@ let e14 () =
 
 let e15_scan_args = if tiny then [ 256 ] else [ 1024; 4096 ]
 
-let e15_scan_system n =
-  let s = System.create () in
+let e15_config compiled = { Engine.default_config with Engine.compiled }
+
+let e15_scan_system compiled n =
+  let s = System.create ~config:(e15_config compiled) () in
   ignore_exec s "create table t (a int, b int, s string)";
   ignore
     (Engine.execute_block (System.engine s)
@@ -864,18 +868,15 @@ let e15_query =
 let e15_scan_test name flag =
   Test.make_indexed_with_resource ~name ~fmt:"%s:n=%d" ~args:e15_scan_args
     Test.multiple
-    ~allocate:(fun n -> e15_scan_system n)
+    ~allocate:(fun n -> e15_scan_system flag n)
     ~free:(fun _ -> ())
-    (fun _ ->
-      Staged.stage (fun s ->
-          Sqlf.Compile.enabled := flag;
-          ignore (Engine.query (System.engine s) e15_query)))
+    (fun _ -> Staged.stage (fun s -> ignore (Engine.query (System.engine s) e15_query)))
 
 let e15_rule_count = 32
 let e15_seed_rows = if tiny then 32 else 256
 
-let e15_rule_system () =
-  let s = System.create () in
+let e15_rule_system compiled =
+  let s = System.create ~config:(e15_config compiled) () in
   ignore_exec s "create table c (n int);\ncreate table log (x int)";
   for i = 1 to e15_rule_count do
     ignore_exec s
@@ -894,19 +895,15 @@ let e15_rule_ops = parse_ops "insert into c values (0); delete from c where n = 
 
 let e15_rules_test name flag =
   Test.make_with_resource ~name Test.multiple
-    ~allocate:(fun () -> e15_rule_system ())
+    ~allocate:(fun () -> e15_rule_system flag)
     ~free:(fun _ -> ())
-    (Staged.stage (fun s ->
-         Sqlf.Compile.enabled := flag;
-         ignore (Engine.execute_block (System.engine s) e15_rule_ops)))
+    (Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) e15_rule_ops)))
 
 let e15_cascade_test name flag =
   Test.make_with_resource ~name Test.multiple
-    ~allocate:(fun () -> org_system e14_depth)
+    ~allocate:(fun () -> org_system ~config:(e15_config flag) e14_depth)
     ~free:(fun _ -> ())
-    (Staged.stage (fun s ->
-         Sqlf.Compile.enabled := flag;
-         ignore (Engine.execute_block (System.engine s) e14_ops)))
+    (Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) e14_ops)))
 
 (* Hand-rolled JSON, one object per (arm, size): the machine-readable
    record CI parse-checks and EXPERIMENTS.md quotes. *)
@@ -945,7 +942,6 @@ let e15 () =
   let measure arm make =
     let compiled = run_test (make (arm ^ "-compiled") true) in
     let interp = run_test (make (arm ^ "-interpreted") false) in
-    Sqlf.Compile.enabled := true;
     List.map2
       (fun (name, c) (_, i) -> (arm, arg_of name, c, i))
       compiled interp
@@ -1462,15 +1458,30 @@ let e19 () =
    base table, a second consumes the priced rows through a range
    predicate over an ordered index.  Two ablations, each measured at
    10^4..10^6 item rows: the pricing join under hash join vs nested
-   loops, and a 1%-selective range retrieval under the cost model
-   (ordered-index range probe) vs the equality-only planner (seq
-   scan).  Sizes this large make bechamel's repetition pointless, so
-   arms are timed directly over a fixed iteration count, as in E19.    *)
+   loops (the same rule with its join conjunct in the unlinkable form
+   of [join_conjunct]), and a 1%-selective range retrieval by
+   ordered-index range probe vs seq scan (the same query after the
+   index is dropped).  Sizes this large make bechamel's repetition
+   pointless, so arms are timed directly over a fixed iteration count,
+   as in E19.                                                          *)
 
 let e20_sizes = if tiny then [ 1_000 ] else [ 10_000; 100_000; 1_000_000 ]
 let e20_batch = 64
 let e20_join_iters = if tiny then 2 else 5
 let e20_range_iters = if tiny then 3 else 20
+
+(* The cascade: pricing joins the transition table against item; the
+   flush range-deletes what pricing inserted, so the priced table stays
+   empty between transactions and every measured iteration does
+   identical work. *)
+let e20_rules ~hash =
+  Printf.sprintf
+    "create rule e20_price when inserted into lineitem then insert into \
+     priced select l.lid, l.qty * i.price from inserted lineitem l, item i \
+     where %s;\n\
+     create rule e20_flush when inserted into priced then delete from \
+     priced where cost >= 0"
+    (join_conjunct ~hash "l.iid" "i.iid")
 
 let e20_system n =
   let s = System.create () in
@@ -1494,16 +1505,7 @@ let e20_system n =
     end
   in
   seed 0;
-  (* the cascade: pricing joins the transition table against item;
-     the flush range-deletes what pricing inserted, so the priced
-     table stays empty between transactions and every measured
-     iteration does identical work *)
-  ignore_exec s
-    "create rule e20_price when inserted into lineitem then insert into \
-     priced select l.lid, l.qty * i.price from inserted lineitem l, item i \
-     where l.iid = i.iid;\n\
-     create rule e20_flush when inserted into priced then delete from \
-     priced where cost >= 0";
+  ignore_exec s (e20_rules ~hash:true);
   s
 
 let e20_join_txn n iter =
@@ -1520,7 +1522,6 @@ let e20_timed f =
   Unix.gettimeofday () -. t0
 
 let e20_join_ms s n ~hash =
-  Eval.join_optimization := hash;
   (* one warm-up transaction keeps rule compilation off the clock;
      nested loops at the largest size are quadratic enough that a
      single measured pass is already seconds of work *)
@@ -1532,13 +1533,11 @@ let e20_join_ms s n ~hash =
           ignore_exec s (e20_join_txn n ((if hash then 0 else 4000) + iter))
         done)
   in
-  Eval.join_optimization := true;
   (dt *. 1e3 /. float_of_int iters, iters)
 
 let e20_range_sql = "select count(*) from item where price between 100 and 109"
 
-let e20_range_ms s ~cost =
-  Eval.cost_model := cost;
+let e20_range_ms s =
   ignore (System.query s e20_range_sql);
   let dt =
     e20_timed (fun () ->
@@ -1546,7 +1545,6 @@ let e20_range_ms s ~cost =
           ignore (System.query s e20_range_sql)
         done)
   in
-  Eval.cost_model := true;
   dt *. 1e3 /. float_of_int e20_range_iters
 
 let write_e20_json path rows =
@@ -1586,9 +1584,12 @@ let e20 () =
       (fun n ->
         let s = e20_system n in
         let hash_ms, hash_iters = e20_join_ms s n ~hash:true in
+        ignore_exec s "drop rule e20_price;\ndrop rule e20_flush";
+        ignore_exec s (e20_rules ~hash:false);
         let nl_ms, nl_iters = e20_join_ms s n ~hash:false in
-        let probe_ms = e20_range_ms s ~cost:true in
-        let scan_ms = e20_range_ms s ~cost:false in
+        let probe_ms = e20_range_ms s in
+        ignore_exec s "drop index item_price";
+        let scan_ms = e20_range_ms s in
         results :=
           !results
           @ [

@@ -23,7 +23,6 @@ module Ast = Sqlf.Ast
 module Parser = Sqlf.Parser
 module Pretty = Sqlf.Pretty
 module Eval = Sqlf.Eval
-module Compile = Sqlf.Compile
 module Effect = Rules.Effect
 module Trans_info = Rules.Trans_info
 module Engine = Rules.Engine
@@ -186,9 +185,9 @@ module System = struct
         | outcome, _ -> Outcome outcome
       end
 
-  (* The interpreter routing — the differential-oracle path when
-     {!Compile.enabled} is off.  EXECUTE reaches it with parameters
-     already substituted into the tree. *)
+  (* The interpreter routing — the differential-oracle path of an
+     engine configured with [compiled = false].  EXECUTE reaches it with
+     parameters already substituted into the tree. *)
   let run_op_interp eng (op : Ast.op) : exec_result =
     match op with
     | Ast.Select_op s when not (Engine.in_transaction eng) ->
@@ -265,7 +264,7 @@ module System = struct
     | Ast.Stmt_op op ->
       (* compiled execution enters the statement cache, so a repeated
          statement re-runs its plan without recompiling *)
-      if !Compile.enabled then run_cop eng op (Engine.cached_cop eng op)
+      if (Engine.config eng).compiled then run_cop eng op (Engine.cached_cop eng op)
       else run_op_interp eng op
     | Ast.Stmt_prepare (name, op) ->
       Engine.prepare eng ~name op;
@@ -273,7 +272,7 @@ module System = struct
     | Ast.Stmt_execute (name, args) ->
       let p = Engine.find_prepared eng name in
       let params = Engine.bind_params p args in
-      if !Compile.enabled then
+      if (Engine.config eng).compiled then
         run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
       else
         (* interpreter oracle: substitute the bound constants into the

@@ -41,6 +41,9 @@ type config = {
          only rules registered on the affected (table, op, column)
          keys; off = the literal Figure 1 linear scan over the whole
          catalog, retained as a differential oracle *)
+  compiled : bool;
+      (* run statements and rules through compiled positional closures;
+         off = the tree-walking interpreter, the differential oracle *)
 }
 
 let default_config =
@@ -51,6 +54,7 @@ let default_config =
     optimize = true;
     prune_info = true;
     rule_index = true;
+    compiled = true;
   }
 
 type outcome = Committed | Rolled_back
@@ -77,8 +81,8 @@ type stats = {
       (* statement/prepared plans served without recompiling *)
   mutable stmt_cache_misses : int; (* first-time compilations *)
   mutable stmt_cache_invalidations : int;
-      (* cached plans discarded because the DDL generation or a planner
-         switch moved since compilation *)
+      (* cached plans discarded because the DDL generation moved since
+         compilation *)
 }
 
 (* Execution trace: what happened during rule processing, for the
@@ -170,8 +174,7 @@ type t = {
   mutable db : Database.t;
   mutable ddl_gen : int;
       (* bumped by every DDL statement; compiled rule forms are keyed
-         on it (plus the planner switches) so schema or index changes
-         invalidate them *)
+         on it so schema or index changes invalidate them *)
   mutable rules_rev : Rule.t list;
       (* newest first, so CREATE RULE is O(1): n creations build the
          catalog in O(n) instead of the O(n²) of appending *)
@@ -295,6 +298,7 @@ let fork t =
   }
 
 let database t = t.db
+let config t = t.config
 let transition_start t = t.txn.trans_start
 let stats t = t.stats
 let ddl_generation t = t.ddl_gen
@@ -319,20 +323,13 @@ let access_for t db : Eval.access =
           t.stats.hash_join_probes <- t.stats.hash_join_probes + 1);
   }
 
-(* The validity key for compiled rule forms: a compiled condition or
-   action is reusable only against the catalog it was compiled for and
-   the planner switches in force at compile time (join-equivalence
-   links and probe candidates are selected statically; the cost-model
-   switch changes which candidate shapes are even collected). *)
-let gen_key t =
-  (t.ddl_gen * 8)
-  + (if !Eval.predicate_pushdown then 4 else 0)
-  + (if !Eval.join_optimization then 2 else 0)
-  + if !Eval.cost_model then 1 else 0
+(* Compiled forms are keyed on the DDL generation: a compiled condition,
+   action or statement is reusable only against the catalog it was
+   compiled for. *)
 
 (* Fetch (or build) the compiled form of a rule's condition. *)
 let compiled_condition t (rule : Rule.t) cond =
-  let key = gen_key t in
+  let key = t.ddl_gen in
   let cf = rule.Rule.compiled in
   match cf.Rule.cf_cond with
   | Some (k, cp) when k = key -> cp
@@ -345,7 +342,7 @@ let compiled_condition t (rule : Rule.t) cond =
    cascade's n-th firing re-enters closures instead of re-walking the
    AST. *)
 let compiled_action t (rule : Rule.t) ops =
-  let key = gen_key t in
+  let key = t.ddl_gen in
   let cf = rule.Rule.compiled in
   match cf.Rule.cf_action with
   | Some (k, cops) when k = key -> cops
@@ -357,12 +354,12 @@ let compiled_action t (rule : Rule.t) ops =
 (* {2 Statement cache and prepared statements}
 
    The statement cache maps canonical statement text to a compiled
-   plan, keyed (like compiled rule forms) on [gen_key]: a hit serves
-   the plan without recompiling; a stale entry — DDL generation or a
-   planner switch moved — counts as an invalidation and recompiles in
-   place.  Prepared statements reuse the same validity discipline but
-   live in a separate per-name registry so DEALLOCATE and the server's
-   per-session namespace have something to address. *)
+   plan, keyed (like compiled rule forms) on the DDL generation: a hit
+   serves the plan without recompiling; a stale entry counts as an
+   invalidation and recompiles in place.  Prepared statements reuse the
+   same validity discipline but live in a separate per-name registry so
+   DEALLOCATE and the server's per-session namespace have something to
+   address. *)
 
 let stmt_cache_max = 512
 (* wholesale reset when the cache would exceed this; an LRU is not
@@ -370,7 +367,7 @@ let stmt_cache_max = 512
 
 let cached_cop t (op : Ast.op) =
   let text = Pretty.op_str op in
-  let key = gen_key t in
+  let key = t.ddl_gen in
   match Hashtbl.find_opt t.stmt_cache text with
   | Some (k, cop) when k = key ->
     t.stats.stmt_cache_hits <- t.stats.stmt_cache_hits + 1;
@@ -392,7 +389,7 @@ let cached_cop t (op : Ast.op) =
    find in the cache right now? *)
 let stmt_cache_lookup t (op : Ast.op) =
   match Hashtbl.find_opt t.stmt_cache (Pretty.op_str op) with
-  | Some (k, _) when k = gen_key t -> `Hit
+  | Some (k, _) when k = t.ddl_gen -> `Hit
   | Some _ -> `Stale
   | None -> `Miss
 
@@ -434,7 +431,7 @@ let prepared_op (p : prepared) = p.pr_op
 (* Fetch (or build) a prepared statement's plan — same validity
    discipline as [cached_cop], same counters. *)
 let prepared_cop t (p : prepared) =
-  let key = gen_key t in
+  let key = t.ddl_gen in
   match p.pr_compiled with
   | Some (k, cop) when k = key ->
     t.stats.stmt_cache_hits <- t.stats.stmt_cache_hits + 1;
@@ -721,10 +718,11 @@ let run_steps t ~resolver_of ~exec items =
   |> fun (eff, results) -> (eff, List.rev results)
 
 let run_ops t ~resolver_of (ops : Ast.op list) =
+  let exec = if t.config.compiled then Dml.exec_op else Dml.interpret_op in
   run_steps t ~resolver_of
     ~exec:(fun ~access resolve db op ->
-      Dml.exec_op ~track_selects:t.config.track_selects
-        ~optimize:t.config.optimize ~access resolve db op)
+      exec ~track_selects:t.config.track_selects ~optimize:t.config.optimize ~access
+        resolve db op)
     ops
 
 (* The compiled counterpart: same per-operation resolver/access/state
@@ -932,7 +930,7 @@ let process_rules_exn t =
           timed t
             (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
             (fun () ->
-              if !Compile.enabled then
+              if t.config.compiled then
                 Compile.run_predicate ~access:(access_for t t.db)
                   ~use_cache:t.config.optimize resolve
                   (compiled_condition t rule cond)
@@ -974,7 +972,7 @@ let process_rules_exn t =
             (fun () ->
               let resolver_of db = Transition_tables.resolver info db in
               match Rule.action rule with
-              | Ast.Act_block ops when !Compile.enabled ->
+              | Ast.Act_block ops when t.config.compiled ->
                 run_cops t ~resolver_of (compiled_action t rule ops)
               | _ ->
                 let ops = action_block t rule resolve in
@@ -1151,7 +1149,7 @@ let execute_block_cops t ?params (cops : Dml.cop list) =
    one-shot, so their compiled form is built, run and discarded — the
    win here is the positional evaluation itself, not caching. *)
 let query t (s : Ast.select) =
-  if !Compile.enabled then
+  if t.config.compiled then
     Compile.eval_select ~access:(access_for t t.db) (external_resolver t.db)
       t.db s
   else Eval.eval_select ~access:(access_for t t.db) (external_resolver t.db) s
@@ -1181,7 +1179,7 @@ let explain_access t db : Eval.access =
 (* EXPLAIN must report what the executor will actually do, so it plans
    through whichever path execution would take. *)
 let explain_op t (op : Ast.op) =
-  if !Compile.enabled then
+  if t.config.compiled then
     Compile.plan_op ~access:(explain_access t t.db) (external_resolver t.db)
       t.db op
   else Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
@@ -1233,7 +1231,7 @@ let explain_rule t name =
     let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Trans_info.empty t.db in
     let plan s =
-      if !Compile.enabled then Compile.plan_select ~access resolve t.db s
+      if t.config.compiled then Compile.plan_select ~access resolve t.db s
       else Eval.plan_select ~access resolve s
     in
     List.map

@@ -44,11 +44,18 @@ type config = {
           rules) per transition.  [false] is the literal Figure 1 linear
           scan over the whole catalog, retained as a differential
           oracle; semantically invisible either way. *)
+  compiled : bool;
+      (** Run statements, rule conditions and rule actions through
+          compiled positional closures ({!Sqlf.Compile}), caching their
+          plans.  [false] is the tree-walking interpreter, retained as
+          the differential oracle: it bypasses the statement cache and
+          the compiled rule forms; results, plans and error
+          diagnostics are identical either way. *)
 }
 
 val default_config : config
 (** 10000 steps, creation-order selection, no select tracking,
-    optimizations and the discrimination index on. *)
+    optimizations, the discrimination index and compilation on. *)
 
 type outcome = Committed | Rolled_back
 
@@ -80,8 +87,8 @@ type stats = {
       (** statement/prepared plans served without recompiling *)
   mutable stmt_cache_misses : int;  (** first-time statement compilations *)
   mutable stmt_cache_invalidations : int;
-      (** cached plans discarded because the DDL generation or a planner
-          switch moved since compilation *)
+      (** cached plans discarded because the DDL generation moved since
+          compilation *)
 }
 
 (** One step of an execution trace (Section 6 tooling: understanding
@@ -123,6 +130,8 @@ type txn_log = {
 
 val create : ?config:config -> Database.t -> t
 val database : t -> Database.t
+
+val config : t -> config
 
 val fork : t -> t
 (** A session engine for the concurrent server: an independent
@@ -254,8 +263,8 @@ val query : t -> Ast.select -> Eval.relation
 (** {2 Statement cache and prepared statements}
 
     The statement cache maps canonical statement text to a compiled
-    plan, keyed (like compiled rule forms) on the DDL generation and
-    the planner switches in force at compile time.  A hit serves the
+    plan, keyed (like compiled rule forms) on the DDL generation.  A
+    hit serves the
     plan without recompiling; a stale entry counts as an invalidation
     and recompiles in place.  Prepared statements (PREPARE name AS
     <op>) reuse the same validity discipline in a per-name registry.

@@ -14,8 +14,8 @@ module Pretty = Sqlf.Pretty
 (* Compiled forms of the rule's condition and action block, cached so
    repeated firings (cascades especially) re-enter closures instead of
    re-walking the AST.  A compiled form is valid only for the catalog
-   and planner switches it was compiled against, so each entry carries
-   the engine's generation key; the engine recompiles on mismatch.
+   it was compiled against, so each entry carries the engine's DDL
+   generation; the engine recompiles on mismatch.
    The subrecord is mutable and shared structurally by any copies of
    the rule value, so the cache survives deactivate/activate cycles. *)
 type compiled_forms = {

@@ -29,26 +29,19 @@
      too — so results are identical within the fixed database state a
      cache/slot set is scoped to.
 
-   - Sargable-conjunct selection.  The access-path planner's
-     candidate scan (attribution, independence analysis, catalog
-     lookup of usable columns) is static; only the probe *values* are
-     evaluated at run time.  All candidate conjuncts are kept, in
-     conjunct order, and tried with the interpreter's exact fallback
-     semantics (value evaluation error -> next candidate; no usable
-     index -> next candidate; none left -> scan), so the executor's
+   - Sargable-conjunct selection and FROM-list analysis.  The
+     access-path planner's candidate scan ([Eval.sargable_candidates])
+     and the join links ([Eval.from_links]) are static; only the probe
+     *values* are evaluated at run time, by the interpreter's own
+     ranking and fallback ([Eval.probe_candidates]), so the executor's
      scan/probe counters and EXPLAIN output match the interpreter's.
 
-   The interpreter stays as the differential oracle: the [enabled]
-   switch routes the DML layer and the rules engine through either
-   path, and test/test_compile_diff.ml asserts that results — and
-   error diagnostics — agree. *)
+   The interpreter stays as the differential oracle: an engine built
+   with [compiled = false] in its configuration routes the DML layer
+   and the rules engine through it, and test/test_compile_diff.ml
+   asserts that results — and error diagnostics — agree. *)
 
 open Relational
-
-(* Route DML and rule processing through the compiled path (true, the
-   default) or the tree-walking interpreter.  The switch exists for
-   the differential oracle and the ablation benchmark. *)
-let enabled = ref true
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
@@ -102,18 +95,10 @@ type cselect = {
 
 (* A compiled probe: the statically-selected sargable candidates for
    one base table, ranked by the shared cost model at run time. *)
-type ccand = {
-  cd_column : string;
-  cd_conj : Ast.expr; (* for EXPLAIN rendering only *)
-  cd_shape : Eval.probe_shape; (* static shape, for cost estimation *)
-  cd_values :
-    [ `Exprs of cexpr list
-    | `Select of (rt -> renv -> Eval.in_set)
-    | `Bounds of (cexpr * bool) option * (cexpr * bool) option
-    | `Like of cexpr ];
+type cprobe = {
+  cp_table : string;
+  cp_cands : (cexpr, rt -> renv -> Eval.in_set) Eval.sargable list;
 }
-
-type cprobe = { cp_table : string; cp_cands : ccand list }
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time context                                                *)
@@ -149,13 +134,7 @@ let make db =
   }
 let slot_count ctx = !(ctx.cc_slots)
 
-let col_index cols c =
-  let rec go i =
-    if i >= Array.length cols then None
-    else if String.equal cols.(i) c then Some i
-    else go (i + 1)
-  in
-  go 0
+let col_index = Eval.col_index
 
 (* Compile-time mirror of [Eval.lookup_column]: same innermost-first
    search, same qualified/unqualified rules, same error payloads.
@@ -209,12 +188,6 @@ let resolve_col ctx qualifier column =
 
 (* ------------------------------------------------------------------ *)
 (* Shared runtime helpers (ported verbatim from the interpreter)       *)
-
-module Key_map = Map.Make (struct
-  type t = Value.t
-
-  let compare = Value.compare_total
-end)
 
 module Group_map = Map.Make (struct
   type t = Row.t
@@ -293,76 +266,15 @@ let take limit rows =
     in
     go n rows
 
-(* Rank the compiled candidates with the shared decision procedure
-   ([Eval.choose_candidates]), then try them cheapest-first with the
-   interpreter's fallback semantics: a value-evaluation error or an
-   unusable index moves on to the next candidate; [None] means "scan
-   instead".  Probe values evaluate against the outer scopes alone
-   (they were compiled under them), in non-grouped context. *)
+(* Rank and try the compiled candidates with the interpreter's own
+   procedure ([Eval.probe_candidates]); [None] means "scan instead".
+   Probe values evaluate against the outer scopes alone (they were
+   compiled under them), in non-grouped context. *)
 let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
-  let ranked =
-    Eval.choose_candidates access ~table:cp.cp_table
-      (List.map (fun cd -> (cd, cd.cd_column, cd.cd_shape)) cp.cp_cands)
-  in
-  List.find_map
-    (fun (cd, est) ->
-      let eval_bound =
-        Option.map (fun (ce, incl) -> ((ce rt None outer : Value.t), incl))
-      in
-      let est = ref est in
-      let probe () =
-        match cd.cd_values with
-        | `Exprs ces ->
-          access.Eval.acc_probe ~table:cp.cp_table ~column:cd.cd_column
-            (List.map (fun ce -> ce rt None outer) ces)
-        | `Select f -> (
-          let values = (f rt outer).Eval.in_values in
-          match
-            Eval.recheck_set access ~table:cp.cp_table ~column:cd.cd_column values
-          with
-          | None -> None
-          | Some e ->
-            est := e;
-            access.Eval.acc_probe ~table:cp.cp_table ~column:cd.cd_column values)
-        | `Bounds (lo, hi) ->
-          access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
-            ~lower:(eval_bound lo) ~upper:(eval_bound hi)
-        | `Like ce -> (
-          match ce rt None outer with
-          | Value.Null ->
-            (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
-               probe selects exactly nothing *)
-            access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
-              ~lower:(Some (Value.Null, true))
-              ~upper:None
-          | Value.Str pat -> (
-            match Index.like_prefix pat with
-            | None -> None
-            | Some (prefix, upper) ->
-              access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
-                ~lower:(Some (Value.Str prefix, true))
-                ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
-          | Value.Int _ | Value.Float _ | Value.Bool _ ->
-            (* the scan path reports the type error faithfully *)
-            None)
-      in
-      match (try probe () with _ -> None) with
-      | None -> None
-      | Some pairs ->
-        let kind =
-          match cd.cd_values with
-          | `Exprs _ | `Select _ -> `Eq
-          | `Bounds _ | `Like _ -> `Range
-        in
-        Some
-          {
-            Eval.ph_column = cd.cd_column;
-            ph_conjunct = cd.cd_conj;
-            ph_kind = kind;
-            ph_est = !est;
-            ph_pairs = pairs;
-          })
-    ranked
+  Eval.probe_candidates access ~table:cp.cp_table
+    ~eval:(fun ce -> ce rt None outer)
+    ~eval_set:(fun f -> (f rt outer).Eval.in_values)
+    cp.cp_cands
 
 (* Compiled projections: stars become position lists into the local
    frame; an unknown table-star becomes a closure raising at
@@ -747,117 +659,38 @@ and compile_compound ctx (s : Ast.select) : cselect =
   let cs_read rt = (cs_run rt [||], None) in
   { cs_cols = head.cs_cols; cs_run; cs_read; cs_plan }
 
-(* The static mirror of the probe planner's candidate scan
-   ([Eval.probe_plan]): attribution and independence analysis over the
-   compile-time frame, catalog columns from the compile-time database.
-   Returns all sargable candidates in conjunct order; [run_probe_values]
-   applies the interpreter's per-candidate fallback at run time. *)
+(* The probe planner's candidate scan over the compile-time frame and
+   catalog, with each candidate's value side compiled;
+   [run_probe_values] ranks and tries them at run time. *)
 and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
     cprobe option =
+  let cols_of t =
+    if Database.has_table ctx.cc_db t then
+      Some (Table.col_names (Database.table ctx.cc_db t))
+    else None
+  in
+  let compile_values = function
+    | Eval.Pv_exprs es -> Eval.Pv_exprs (List.map (cexpr_of ctx) es)
+    | Eval.Pv_select sub -> Eval.Pv_select (compile_subquery_in ctx sub)
+    | Eval.Pv_bounds (lo, hi) ->
+      let cbound = Option.map (fun (e, incl) -> (cexpr_of ctx e, incl)) in
+      Eval.Pv_bounds (cbound lo, cbound hi)
+    | Eval.Pv_like p -> Eval.Pv_like (cexpr_of ctx p)
+  in
   match where with
   | None -> None
-  | Some pred ->
-    if not !Eval.predicate_pushdown then None
-    else begin
-      let ind_expr, ind_sel =
-        Eval.independence ~target:frame ~cols_of:(fun t ->
-            if Database.has_table ctx.cc_db t then
-              Some (Table.col_names (Database.table ctx.cc_db t))
-            else None)
-      in
-      let attributes_to_target qualifier column =
-        let has (_, cols) = Array.exists (String.equal column) cols in
-        match qualifier with
-        | Some q ->
-          String.equal q target
-          && (match List.find_opt (fun (n, _) -> String.equal n q) frame with
-             | Some src -> has src
-             | None -> false)
-        | None -> (
-          match List.filter has frame with
-          | [ (n, _) ] -> String.equal n target
-          | _ -> false)
-      in
-      let range_of op e =
-        (* the column is on the left: [col op e] *)
-        match op with
-        | Ast.Lt -> Some (None, Some (e, false))
-        | Ast.Le -> Some (None, Some (e, true))
-        | Ast.Gt -> Some (Some (e, false), None)
-        | Ast.Ge -> Some (Some (e, true), None)
-        | Ast.Eq | Ast.Neq -> None
-      in
-      let mirror op =
-        match op with
-        | Ast.Lt -> Ast.Gt
-        | Ast.Le -> Ast.Ge
-        | Ast.Gt -> Ast.Lt
-        | Ast.Ge -> Ast.Le
-        | (Ast.Eq | Ast.Neq) as op -> op
-      in
-      let candidate = function
-        | Ast.Cmp (Ast.Eq, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (column, Eval.Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.Cmp (Ast.Eq, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (column, Eval.Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.In_list (Ast.Col { qualifier; column }, es)
-          when attributes_to_target qualifier column && List.for_all ind_expr es
-          ->
-          Some (column, Eval.Shape_eq (Some (List.length es)), `Exprs es)
-        | Ast.In_select (Ast.Col { qualifier; column }, sub)
-          when attributes_to_target qualifier column && ind_sel sub ->
-          Some (column, Eval.Shape_eq None, `Select sub)
-        | Ast.Cmp (op, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of op e with
-          | Some bounds -> Some (column, Eval.Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Cmp (op, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of (mirror op) e with
-          | Some bounds -> Some (column, Eval.Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Between (Ast.Col { qualifier; column }, lo, hi)
-          when attributes_to_target qualifier column && ind_expr lo
-               && ind_expr hi ->
-          Some
-            ( column,
-              Eval.Shape_range,
-              `Bounds (Some (lo, true), Some (hi, true)) )
-        | Ast.Like (Ast.Col { qualifier; column }, p)
-          when attributes_to_target qualifier column && ind_expr p ->
-          Some (column, Eval.Shape_prefix, `Like p)
-        | _ -> None
-      in
-      let cands =
-        List.filter_map
-          (fun conj ->
-            match candidate conj with
-            | None -> None
-            | Some (column, shape, src) ->
-              let cbound =
-                Option.map (fun (e, incl) -> (cexpr_of ctx e, incl))
-              in
-              let cv =
-                match src with
-                | `Exprs es -> `Exprs (List.map (cexpr_of ctx) es)
-                | `Select sub -> `Select (compile_subquery_in ctx sub)
-                | `Bounds (lo, hi) -> `Bounds (cbound lo, cbound hi)
-                | `Like p -> `Like (cexpr_of ctx p)
-              in
-              Some
-                {
-                  cd_column = column;
-                  cd_conj = conj;
-                  cd_shape = shape;
-                  cd_values = cv;
-                })
-          (Eval.conjuncts pred)
-      in
-      match cands with [] -> None | _ :: _ -> Some { cp_table = table; cp_cands = cands }
-    end
+  | Some pred -> (
+    match Eval.sargable_candidates ~frame ~target ~cols_of pred with
+    | [] -> None
+    | cands ->
+      Some
+        {
+          cp_table = table;
+          cp_cands =
+            List.map
+              (fun cd -> { cd with Eval.sg_values = compile_values cd.Eval.sg_values })
+              cands;
+        })
 
 and compile_projections cctx local_shape (projs : Ast.proj list) : cproj list =
   List.map
@@ -918,83 +751,11 @@ and compile_plain ctx (s : Ast.select) : cselect =
   in
   let items = List.mapi item_info s.Ast.from in
   let names = List.map (fun (n, _, _) -> n) items in
-  (* duplicate binding names are rejected after phase-1 resolution,
-     matching the interpreter's check order *)
-  let dup_err =
-    let rec check = function
-      | [] -> None
-      | n :: rest ->
-        if List.exists (String.equal n) rest then
-          Some
-            (Errors.Semantic_error
-               (Printf.sprintf
-                  "duplicate table name %S in from clause; use an alias" n))
-        else check rest
-    in
-    check names
-  in
   let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) items in
   let inner = { ctx with cc_shape = frame_shape :: ctx.cc_shape } in
-  (* ---- static hash-join links (mirror of [from_row_envs]) ---- *)
-  let attribute qualifier column =
-    let has_col (_, cols) = Array.exists (String.equal column) cols in
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun (n, _) -> String.equal n q) frame_shape with
-      | Some src when has_col src -> Some src
-      | _ -> None)
-    | None -> (
-      match List.filter has_col frame_shape with [ src ] -> Some src | _ -> None)
-  in
-  let equi_pairs =
-    if not !Eval.join_optimization then []
-    else
-      match s.Ast.where with
-      | None -> []
-      | Some pred ->
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Ast.Cmp
-                ( Ast.Eq,
-                  Ast.Col { qualifier = q1; column = c1 },
-                  Ast.Col { qualifier = q2; column = c2 } ) -> (
-              match attribute q1 c1, attribute q2 c2 with
-              | Some (n1, cs1), Some (n2, cs2) when not (String.equal n1 n2) ->
-                Some (conj, (n1, cs1, c1), (n2, cs2, c2))
-              | _ -> None)
-            | _ -> None)
-          (Eval.conjuncts pred)
-  in
-  let index_of_name n =
-    let rec go i = function
-      | [] -> None
-      | (n', _, _) :: rest -> if String.equal n' n then Some i else go (i + 1) rest
-    in
-    go 0 items
-  in
-  let links =
-    List.mapi
-      (fun k (name, cols, _) ->
-        let bound n = match index_of_name n with Some i -> i < k | None -> false in
-        List.find_map
-          (fun (conj, (n1, cs1, c1), (n2, cs2, c2)) ->
-            if String.equal n2 name && bound n1 then
-              Some
-                ( Option.get (index_of_name n1),
-                  Option.get (col_index cs1 c1),
-                  Option.get (col_index cols c2),
-                  { Eval.jp_with = n1; jp_conjunct = Pretty.expr_str conj } )
-            else if String.equal n1 name && bound n2 then
-              Some
-                ( Option.get (index_of_name n2),
-                  Option.get (col_index cs2 c2),
-                  Option.get (col_index cols c1),
-                  { Eval.jp_with = n2; jp_conjunct = Pretty.expr_str conj } )
-            else None)
-          equi_pairs)
-      items
-  in
+  (* a duplicate binding name is reported after phase-1 resolution,
+     matching the interpreter's check order *)
+  let links = Eval.from_links frame_shape s.Ast.where in
   let probes =
     List.map
       (fun (name, _cols, kind) ->
@@ -1153,71 +914,32 @@ and compile_plain ctx (s : Ast.select) : cselect =
             | Some access -> `Lazy (tbl, access)))
         items
     in
-    (match dup_err with Some e -> Errors.raise_error e | None -> ());
+    let links = match links with Ok l -> l | Error e -> Errors.raise_error e in
     (* phase 2: join, realizing lazy sources by probe or scan *)
-    let note_join ev name =
-      match rt.rt_access with
-      | Some access -> access.Eval.acc_note ~table:name ev
-      | None -> ()
-    in
     let rec extend partials k rs ps ls ns =
       match rs, ps, ls, ns with
-      | [], _, _, _ -> partials
-      | r :: rs', p :: ps', l :: ls', n :: ns' ->
+      | r :: rs, p :: ps, link :: ls, name :: ns ->
         let rows =
           match r with
           | `Rows rows -> rows
           | `Lazy (tbl, access) -> (
-            match p with
-            | Some cp -> (
-              match run_probe_values rt access cp outer with
-              | Some hit ->
-                access.Eval.acc_note ~table:tbl
-                  (match hit.Eval.ph_kind with
-                  | `Eq -> `Index_probe
-                  | `Range -> `Range_probe);
-                List.map snd hit.Eval.ph_pairs
-              | None ->
-                access.Eval.acc_note ~table:tbl `Seq_scan;
-                (rt.rt_resolve (Ast.Base tbl)).Eval.rows)
+            match
+              match p with Some cp -> run_probe_values rt access cp outer | None -> None
+            with
+            | Some hit ->
+              access.Eval.acc_note ~table:tbl
+                (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+              List.map snd hit.Eval.ph_pairs
             | None ->
               access.Eval.acc_note ~table:tbl `Seq_scan;
               (rt.rt_resolve (Ast.Base tbl)).Eval.rows)
         in
-        let partials' =
-          match l with
-          | Some (b_item, b_ix, n_ix, _) when partials <> [] ->
-            (* hash join on the static link, preserving nested-loop
-               enumeration order.  With no partial frames left the
-               interpreter's dynamic link detection never fires (no
-               bound row to join against), so the build is skipped —
-               the guard keeps the access-note counters identical. *)
-            note_join `Hash_join_build n;
-            let table =
-              List.fold_left
-                (fun m row ->
-                  let key = row.(n_ix) in
-                  let existing = Option.value (Key_map.find_opt key m) ~default:[] in
-                  Key_map.add key (row :: existing) m)
-                Key_map.empty rows
-            in
-            let table = Key_map.map List.rev table in
-            List.concat_map
-              (fun partial ->
-                note_join `Hash_join_probe n;
-                let bound_row = List.nth partial (k - 1 - b_item) in
-                let key = bound_row.(b_ix) in
-                match Key_map.find_opt key table with
-                | None -> []
-                | Some rows -> List.map (fun row -> row :: partial) rows)
-              partials
-          | Some _ | None ->
-            List.concat_map
-              (fun partial -> List.map (fun row -> row :: partial) rows)
-              partials
+        let partials =
+          Eval.join_source rt.rt_access ~name ~row_of:Fun.id ~bind:List.cons k link rows
+            partials
         in
-        extend partials' (k + 1) rs' ps' ls' ns'
-      | _ -> assert false
+        extend partials (k + 1) rs ps ls ns
+      | _ -> partials
     in
     let frames = extend [ [] ] 0 resolved probes links names in
     let row_envs =
@@ -1365,14 +1087,13 @@ and compile_plain ctx (s : Ast.select) : cselect =
           | `Base tbl -> `Lazy (name, tbl))
         items
     in
-    (match dup_err with Some e -> Errors.raise_error e | None -> ());
-    (* the static links double as the plan's join annotations; like the
-       interpreter's planner this reports the join the executor would
-       do (execution skips the build when an earlier source turned out
-       empty — the frame is already empty then) *)
+    let links = match links with Ok l -> l | Error e -> Errors.raise_error e in
+    (* like the interpreter's planner this reports the join the executor
+       would do (execution skips the build when an earlier source turned
+       out empty — the frame is already empty then) *)
     List.map2
       (fun (entry, probe) link ->
-        let sp_join = Option.map (fun (_, _, _, jp) -> jp) link in
+        let sp_join = Option.map (Eval.join_plan frame_shape) link in
         match entry with
         | `Done (name, path) -> { Eval.sp_binding = name; sp_path = path; sp_join }
         | `Lazy (name, tbl) ->

@@ -17,16 +17,10 @@
     test/test_compile_diff.ml.
 
     A compiled form is valid only for the catalog it was compiled
-    against (and the planner-switch settings in force at compile
-    time); callers caching compiled forms must key them on a DDL
+    against; callers caching compiled forms must key them on a DDL
     generation counter, as the rules engine does. *)
 
 open Relational
-
-val enabled : bool ref
-(** Route DML execution and rule processing through the compiled path
-    (true, the default) or the interpreter.  Exists for the
-    differential oracle and the ablation benchmark. *)
 
 (** {2 Runtime} *)
 

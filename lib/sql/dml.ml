@@ -231,25 +231,29 @@ let referenced_columns (s : Ast.select) schema binding_name =
    [precise] is the executor's report of the tuples it retrieved: the
    rows of a single-base-table select that passed WHERE (see
    [Eval.eval_select_read]).  Without it, every tuple of each base table
-   in a top-level from-list counts as read (documented substitution —
-   the paper leaves this granularity open). *)
+   in a top-level from-list of any compound arm counts as read, with
+   the columns that arm references (documented substitution — the paper
+   leaves this granularity open). *)
 let select_read_set db (s : Ast.select) precise =
-  let entry t alias handles_of =
+  let entry arm t alias handles_of =
     let tbl = Database.table db t in
     let binding = Option.value alias ~default:t in
-    (referenced_columns s (Table.schema tbl) binding, handles_of tbl)
+    (referenced_columns arm (Table.schema tbl) binding, handles_of tbl)
   in
   match precise, s.Ast.from with
   | Some handles, [ { Ast.source = Ast.Base t; alias } ] ->
-    [ entry t alias (fun _ -> handles) ]
+    [ entry s t alias (fun _ -> handles) ]
   | _ ->
     let every tbl = List.rev (Table.fold (fun h _ acc -> h :: acc) tbl []) in
-    List.filter_map
-      (fun item ->
-        match item.Ast.source with
-        | Ast.Base t -> Some (entry t item.Ast.alias every)
-        | Ast.Transition _ | Ast.Derived _ -> None)
-      s.Ast.from
+    List.concat_map
+      (fun (arm : Ast.select) ->
+        List.filter_map
+          (fun item ->
+            match item.Ast.source with
+            | Ast.Base t -> Some (entry arm t item.Ast.alias every)
+            | Ast.Transition _ | Ast.Derived _ -> None)
+          arm.Ast.from)
+      (s :: List.map snd s.Ast.compounds)
 
 (* The read set comes from the executor's own probes and scans, which
    need access hooks to read base tables in place: without the caller's,
@@ -267,10 +271,23 @@ let exec_select ~track_selects ?cache ?access resolve db s =
     in
     { db; affected = A_select (select_read_set db s precise); result = Some rel }
 
+(* The tree-walking interpreter's run of one operation, with one
+   uncorrelated-subquery cache per operation: the database state is
+   fixed while the operation identifies its tuples. *)
+let run_interpreted ~track_selects ~optimize ?access resolve db (op : Ast.op) =
+  let cache = if optimize then Some (Eval.make_cache ()) else None in
+  match op with
+  | Ast.Insert { table; columns; source } ->
+    exec_insert ?cache ?access resolve db table columns source
+  | Ast.Delete { table; where } -> exec_delete ?cache ?access resolve db table where
+  | Ast.Update { table; sets; where } ->
+    exec_update ?cache ?access resolve db table sets where
+  | Ast.Select_op s -> exec_select ~track_selects ?cache ?access resolve db s
+
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
 
-   When [Compile.enabled] is set, an operation is lowered once — the
+   By default an operation is lowered once — the
    WHERE predicate, SET expressions and embedded selects become
    positional closures, and the victim-selection probe decision is
    made statically — and then run.  The rules engine caches the
@@ -428,16 +445,7 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
       | None | Some [||] -> op
       | Some args -> Ast.subst_params_op args op
     in
-    let cache = if optimize then Some (Eval.make_cache ()) else None in
-    match op with
-    | Ast.Insert { table; columns; source } ->
-      exec_insert ?cache ?access resolve db table columns source
-    | Ast.Delete { table; where } ->
-      exec_delete ?cache ?access resolve db table where
-    | Ast.Update { table; sets; where } ->
-      exec_update ?cache ?access resolve db table sets where
-    | Ast.Select_op s ->
-      exec_select ~track_selects ?cache ?access resolve db s
+    run_interpreted ~track_selects ~optimize ?access resolve db op
   end
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
@@ -541,24 +549,15 @@ let exec_cop ?(track_selects = false) ?(optimize = true) ?access ?params
   Fault.hit Fault.Dml_op;
   run_cop ~track_selects ~optimize ?access ?params resolve db cop
 
+(* Both entry points are exception-safety injection sites: an operation
+   may fail before touching the database, and the caller must treat the
+   containing block as indivisible either way. *)
 let exec_op ?(track_selects = false) ?(optimize = true) ?access resolve db
     (op : Ast.op) : op_result =
-  (* exception-safety injection site: an operation may fail before
-     touching the database, and the caller must treat the containing
-     block as indivisible either way *)
   Fault.hit Fault.Dml_op;
-  if !Compile.enabled then
-    run_cop ~track_selects ~optimize ?access resolve db (compile_op db op)
-  else begin
-    (* one uncorrelated-subquery cache per operation: the database
-       state is fixed while the operation identifies its tuples *)
-    let cache = if optimize then Some (Eval.make_cache ()) else None in
-    match op with
-    | Ast.Insert { table; columns; source } ->
-      exec_insert ?cache ?access resolve db table columns source
-    | Ast.Delete { table; where } ->
-      exec_delete ?cache ?access resolve db table where
-    | Ast.Update { table; sets; where } ->
-      exec_update ?cache ?access resolve db table sets where
-    | Ast.Select_op s -> exec_select ~track_selects ?cache ?access resolve db s
-  end
+  run_cop ~track_selects ~optimize ?access resolve db (compile_op db op)
+
+let interpret_op ?(track_selects = false) ?(optimize = true) ?access resolve db
+    (op : Ast.op) : op_result =
+  Fault.hit Fault.Dml_op;
+  run_interpreted ~track_selects ~optimize ?access resolve db op

@@ -45,18 +45,29 @@ val exec_op :
     operator) it is precise: the tuples the executor's index probe or
     scan produced that passed WHERE, whatever DISTINCT, ORDER BY and
     LIMIT then keep.  Otherwise it is conservative: every tuple of each
-    base table in a top-level FROM list.  A tracked select without
+    base table in a top-level FROM list of any compound arm, with the
+    columns that arm references.  A tracked select without
     [access] reads through hooks serving [db] itself.
     [optimize] (default [true]) enables uncorrelated-subquery caching
     for the operation.  [access] installs access-path hooks so
     sargable predicates over indexed columns are satisfied by index
     probes instead of scans.
 
-    When {!Compile.enabled} is set (the default) the operation's
-    expressions are lowered to positional closures and run; otherwise
-    the tree-walking interpreter executes it.  Results, affected sets
-    and error diagnostics are identical either way (asserted by the
-    differential test harness). *)
+    The operation's expressions are lowered to positional closures and
+    run; {!interpret_op} is the tree-walking counterpart. *)
+
+val interpret_op :
+  ?track_selects:bool ->
+  ?optimize:bool ->
+  ?access:Eval.access ->
+  Eval.resolver ->
+  Database.t ->
+  Ast.op ->
+  op_result
+(** {!exec_op} through the tree-walking interpreter, the differential
+    oracle of the compiled path.  Results, affected sets and error
+    diagnostics are identical (asserted by the differential test
+    harness). *)
 
 (** {2 Compiled operations}
 

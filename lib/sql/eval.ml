@@ -179,10 +179,6 @@ let memo_in_set m =
     m.memo_in <- Some set;
     set
 
-(* Hash equi-joins in the from-list (see [from_row_envs]); mutable only
-   so the ablation benchmark can compare against pure nested loops. *)
-let join_optimization = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Access paths                                                        *)
 
@@ -246,19 +242,6 @@ let table_cols access ~table =
 let table_count access ~table =
   Option.map Table.cardinality (access.acc_table ~table)
 
-(* Equality-predicate pushdown into index probes; mutable only so the
-   differential harness and the ablation benchmark can compare against
-   pure scans. *)
-let predicate_pushdown = ref true
-
-(* Cost-based access-path selection.  When on, the planner ranks every
-   sargable conjunct — equality, IN, range comparison, BETWEEN,
-   prefix LIKE — by estimated enumerated rows from the maintained table
-   statistics and takes the cheapest.  When off, it degrades to the
-   historical first-equality-match rule (no range probes), which the
-   differential harnesses use as an oracle. *)
-let cost_model = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)
 
@@ -306,34 +289,24 @@ let estimate_shape access ~table ~column shape =
    which also weighs the per-key probe cost against the scan: a set
    whose keys would cost more to probe than the table costs to scan
    (e.g. a constraint check whose delta is the whole table) scans.
-
-   With the cost model off this is the historical planner: equality
-   candidates only, in conjunct order, no estimates. *)
+   Without a usable index no candidate survives, so an index-free
+   system always scans. *)
 let choose_candidates access ~table cands =
-  if not !cost_model then
-    List.filter_map
-      (fun (payload, _column, shape) ->
-        match shape with
-        | Shape_eq _ | Shape_set _ -> Some (payload, None)
-        | Shape_range | Shape_prefix -> None)
-      cands
-  else
-    let scan_cost = table_count access ~table in
-    List.filter_map
-      (fun (payload, column, shape) ->
-        match estimate_shape access ~table ~column shape with
-        | None -> None
-        | Some est -> (
-          (* a probe never enumerates more rows than the scan, but when
-             the estimate says it would not help, keep the plan honest
-             and scan *)
-          match scan_cost, shape with
-          | Some n, _ when est > n -> None
-          | Some n, Shape_set k when k * rows_per_probe_key > n -> None
-          | Some _, _ | None, _ -> Some ((payload, Some est), est)))
-      cands
-    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
-    |> List.map fst
+  let scan_cost = table_count access ~table in
+  List.filter_map
+    (fun (payload, column, shape) ->
+      match estimate_shape access ~table ~column shape with
+      | None -> None
+      | Some est -> (
+        (* a probe never enumerates more rows than the scan, but when
+           the estimate says it would not help, keep the plan honest
+           and scan *)
+        match scan_cost, shape with
+        | Some n, _ when est > n -> None
+        | Some n, Shape_set k when k * rows_per_probe_key > n -> None
+        | Some _, _ | None, _ -> Some (payload, est)))
+    cands
+  |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
 
 (* Re-rank an IN (select ...) candidate once its value set is known:
    [None] = scan instead, else the estimate to report. *)
@@ -346,12 +319,12 @@ let recheck_set access ~table ~column values =
 
 (* A successful probe decision: which column and WHERE conjunct
    satisfied it, by equality or range probe, the estimate that ranked
-   it ([None] under the legacy planner), and the rows it enumerates. *)
+   it, and the rows it enumerates. *)
 type probe_hit = {
   ph_column : string;
   ph_conjunct : Ast.expr;
   ph_kind : [ `Eq | `Range ];
-  ph_est : int option;
+  ph_est : int;
   ph_pairs : (Handle.t * Row.t) list;
 }
 
@@ -467,6 +440,286 @@ let independence ~(target : (string * string array) list)
     && List.for_all (fun (_, sub) -> sel inners sub) s.Ast.compounds
   in
   (expr [], sel [])
+
+(* A sargable conjunct of a WHERE clause for one FROM source: the
+   conjunct, the column it constrains, its static shape, and its value
+   side — an AST in the interpreter, closures in the compiler. *)
+type ('e, 's) probe_values =
+  | Pv_exprs of 'e list (* [col = e], [col IN (e, ...)] *)
+  | Pv_select of 's (* [col IN (select ...)] *)
+  | Pv_bounds of ('e * bool) option * ('e * bool) option
+      (* range bounds (value, inclusive?) *)
+  | Pv_like of 'e (* the pattern of [col LIKE p] *)
+
+type ('e, 's) sargable = {
+  sg_conjunct : Ast.expr;
+  sg_column : string;
+  sg_shape : probe_shape;
+  sg_values : ('e, 's) probe_values;
+}
+
+(* The access-path planner's candidate scan, shared by both evaluators:
+   the WHERE conjuncts of the sargable patterns — [col = e], [e = col],
+   [col IN (e, ...)], [col IN (select ...)], the range comparisons
+   [col < e] / [col <= e] / [col > e] / [col >= e] (and mirrored),
+   [col BETWEEN a AND b] and [col LIKE p] — whose column attributes
+   uniquely to the source bound as [target] in [frame] and whose other
+   side provably cannot reference the frame (see [independence]), in
+   conjunct order. *)
+let sargable_candidates ~frame ~target ~cols_of pred =
+  let ind_expr, ind_sel = independence ~target:frame ~cols_of in
+  let attributes_to_target qualifier column =
+    let has (_, cols) = Array.exists (String.equal column) cols in
+    match qualifier with
+    | Some q ->
+      String.equal q target
+      && (match List.find_opt (fun (n, _) -> String.equal n q) frame with
+         | Some src -> has src
+         | None -> false)
+    | None -> (
+      match List.filter has frame with
+      | [ (n, _) ] -> String.equal n target
+      | _ -> false)
+  in
+  let range_of op e =
+    (* the column is on the left: [col op e] *)
+    match op with
+    | Ast.Lt -> Some (Pv_bounds (None, Some (e, false)))
+    | Ast.Le -> Some (Pv_bounds (None, Some (e, true)))
+    | Ast.Gt -> Some (Pv_bounds (Some (e, false), None))
+    | Ast.Ge -> Some (Pv_bounds (Some (e, true), None))
+    | Ast.Eq | Ast.Neq -> None
+  in
+  let mirror op =
+    match op with
+    | Ast.Lt -> Ast.Gt
+    | Ast.Le -> Ast.Ge
+    | Ast.Gt -> Ast.Lt
+    | Ast.Ge -> Ast.Le
+    | (Ast.Eq | Ast.Neq) as op -> op
+  in
+  let candidate conj =
+    let found column shape values =
+      Some { sg_conjunct = conj; sg_column = column; sg_shape = shape; sg_values = values }
+    in
+    match conj with
+    | Ast.Cmp (Ast.Eq, Ast.Col { qualifier; column }, e)
+      when attributes_to_target qualifier column && ind_expr e ->
+      found column (Shape_eq (Some 1)) (Pv_exprs [ e ])
+    | Ast.Cmp (Ast.Eq, e, Ast.Col { qualifier; column })
+      when attributes_to_target qualifier column && ind_expr e ->
+      found column (Shape_eq (Some 1)) (Pv_exprs [ e ])
+    | Ast.In_list (Ast.Col { qualifier; column }, es)
+      when attributes_to_target qualifier column && List.for_all ind_expr es ->
+      found column (Shape_eq (Some (List.length es))) (Pv_exprs es)
+    | Ast.In_select (Ast.Col { qualifier; column }, sub)
+      when attributes_to_target qualifier column && ind_sel sub ->
+      found column (Shape_eq None) (Pv_select sub)
+    | Ast.Cmp (op, Ast.Col { qualifier; column }, e)
+      when attributes_to_target qualifier column && ind_expr e ->
+      Option.bind (range_of op e) (found column Shape_range)
+    | Ast.Cmp (op, e, Ast.Col { qualifier; column })
+      when attributes_to_target qualifier column && ind_expr e ->
+      Option.bind (range_of (mirror op) e) (found column Shape_range)
+    | Ast.Between (Ast.Col { qualifier; column }, lo, hi)
+      when attributes_to_target qualifier column && ind_expr lo && ind_expr hi ->
+      found column Shape_range (Pv_bounds (Some (lo, true), Some (hi, true)))
+    | Ast.Like (Ast.Col { qualifier; column }, p)
+      when attributes_to_target qualifier column && ind_expr p ->
+      found column Shape_prefix (Pv_like p)
+    | _ -> None
+  in
+  List.filter_map candidate (conjuncts pred)
+
+(* Rank [cands] with [choose_candidates] and try them cheapest first:
+   probe values are evaluated with [eval] (and an IN subquery's value
+   set with [eval_set]) and any evaluation error or unusable index falls
+   back to the next candidate and finally to [None], the scan — which
+   either reports the same error while filtering or, e.g. over an empty
+   table, never evaluates the faulty expression, exactly matching
+   unoptimized behaviour.  NULL probe values and range bounds match
+   nothing, as SQL comparison semantics require. *)
+let probe_candidates access ~table ~eval ~eval_set cands =
+  let attempt (cd, est) =
+    let column = cd.sg_column in
+    let eval_bound = Option.map (fun (e, incl) -> (eval e, incl)) in
+    let est = ref est in
+    let probe () =
+      match cd.sg_values with
+      | Pv_exprs es -> access.acc_probe ~table ~column (List.map eval es)
+      | Pv_select sub -> (
+        let values = eval_set sub in
+        match recheck_set access ~table ~column values with
+        | None -> None
+        | Some e ->
+          est := e;
+          access.acc_probe ~table ~column values)
+      | Pv_bounds (lo, hi) ->
+        access.acc_range ~table ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
+      | Pv_like p -> (
+        match eval p with
+        | Value.Null ->
+          (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
+             probe selects exactly nothing *)
+          access.acc_range ~table ~column ~lower:(Some (Value.Null, true)) ~upper:None
+        | Value.Str pat -> (
+          match Index.like_prefix pat with
+          | None -> None
+          | Some (prefix, upper) ->
+            access.acc_range ~table ~column
+              ~lower:(Some (Value.Str prefix, true))
+              ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
+        | Value.Int _ | Value.Float _ | Value.Bool _ ->
+          (* the scan path reports the type error faithfully *)
+          None)
+    in
+    match (try probe () with _ -> None) with
+    | None -> None
+    | Some pairs ->
+      let kind =
+        match cd.sg_values with
+        | Pv_exprs _ | Pv_select _ -> `Eq
+        | Pv_bounds _ | Pv_like _ -> `Range
+      in
+      Some
+        {
+          ph_column = column;
+          ph_conjunct = cd.sg_conjunct;
+          ph_kind = kind;
+          ph_est = !est;
+          ph_pairs = pairs;
+        }
+  in
+  List.map (fun cd -> (cd, cd.sg_column, cd.sg_shape)) cands
+  |> choose_candidates access ~table
+  |> List.find_map attempt
+
+(* ------------------------------------------------------------------ *)
+(* FROM-list analysis and joins                                        *)
+
+(* A hash-join link of one FROM source to an earlier one: the earlier
+   source's position and join column, this source's join column, and
+   the [col = col] conjunct that links them. *)
+type join_link = {
+  jl_with : int;
+  jl_with_col : int;
+  jl_col : int;
+  jl_conjunct : Ast.expr;
+}
+
+let col_index cols c =
+  let rec go i =
+    if i >= Array.length cols then None
+    else if String.equal cols.(i) c then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* The static analysis of a FROM list, shared by the interpreter, the
+   compiler and both planners.  [frame] is each source's (binding name,
+   columns) in FROM order.  A binding name used twice is an error:
+   unqualified references could silently pick the wrong one.  Otherwise
+   each source is linked by the first WHERE conjunct [a = b] whose two
+   column references attribute to exactly one local source each — this
+   source and an earlier one — and is hash-joined on it; a source
+   without a link is joined by nested loop. *)
+let from_links frame (where : Ast.expr option) :
+    (join_link option list, Errors.t) result =
+  let rec duplicate = function
+    | [] -> None
+    | (n, _) :: rest ->
+      if List.exists (fun (m, _) -> String.equal n m) rest then Some n
+      else duplicate rest
+  in
+  match duplicate frame with
+  | Some n ->
+    Error
+      (Errors.Semantic_error
+         (Printf.sprintf "duplicate table name %S in from clause; use an alias" n))
+  | None ->
+    let sources = List.mapi (fun i (n, cols) -> (i, n, cols)) frame in
+    (* attribute a column reference to exactly one local source:
+       (source position, column position) *)
+    let attribute qualifier column =
+      let at (i, _, cols) = Option.map (fun c -> (i, c)) (col_index cols column) in
+      match qualifier with
+      | Some q ->
+        Option.bind
+          (List.find_opt (fun (_, n, _) -> String.equal n q) sources)
+          at
+      | None -> (
+        match List.filter_map at sources with [ hit ] -> Some hit | _ -> None)
+    in
+    let pairs =
+      match where with
+      | None -> []
+      | Some pred ->
+        List.filter_map
+          (fun conj ->
+            match conj with
+            | Ast.Cmp
+                ( Ast.Eq,
+                  Ast.Col { qualifier = q1; column = c1 },
+                  Ast.Col { qualifier = q2; column = c2 } ) -> (
+              match attribute q1 c1, attribute q2 c2 with
+              | Some a, Some b when fst a <> fst b -> Some (conj, a, b)
+              | _ -> None)
+            | _ -> None)
+          (conjuncts pred)
+    in
+    let link k (conj, (i1, c1), (i2, c2)) =
+      if i2 = k && i1 < k then
+        Some { jl_with = i1; jl_with_col = c1; jl_col = c2; jl_conjunct = conj }
+      else if i1 = k && i2 < k then
+        Some { jl_with = i2; jl_with_col = c2; jl_col = c1; jl_conjunct = conj }
+      else None
+    in
+    Ok (List.mapi (fun k _ -> List.find_map (link k) pairs) frame)
+
+(* [from_links] for an executor that reports the error at once. *)
+let from_links_exn frame where =
+  match from_links frame where with
+  | Ok links -> links
+  | Error e -> Errors.raise_error e
+
+module Key_map = Map.Make (struct
+  type t = Value.t
+
+  let compare = Value.compare_total
+end)
+
+(* Extend the partial frames of a FROM list by the rows of its [k]-th
+   source, bound as [name].  A partial frame holds one entry per earlier
+   source, newest first, and [row_of] reads the row out of an entry;
+   [bind row partial] adds the new source's row.  With a link (and a
+   frame to probe it with) the rows are hashed on the join key, keeping
+   scan order within each bucket, and [access] hears the build and each
+   probe; otherwise every row extends every frame.  Both enumerate in
+   nested-loop order, and the caller still applies the full WHERE
+   predicate, so the two give identical results. *)
+let join_source access ~name ~row_of ~bind k link rows partials =
+  match link with
+  | Some l when partials <> [] ->
+    let note ev = match access with Some a -> a.acc_note ~table:name ev | None -> () in
+    note `Hash_join_build;
+    let table =
+      List.fold_left
+        (fun m row ->
+          let key = row.(l.jl_col) in
+          Key_map.add key (row :: Option.value (Key_map.find_opt key m) ~default:[]) m)
+        Key_map.empty rows
+      |> Key_map.map List.rev
+    in
+    List.concat_map
+      (fun partial ->
+        note `Hash_join_probe;
+        let bound = row_of (List.nth partial (k - 1 - l.jl_with)) in
+        match Key_map.find_opt bound.(l.jl_with_col) table with
+        | None -> []
+        | Some rows -> List.map (fun row -> bind row partial) rows)
+      partials
+  | Some _ | None ->
+    List.concat_map (fun partial -> List.map (fun row -> bind row partial) rows) partials
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -759,16 +1012,12 @@ and default_proj_name e =
 (* Materialize the from-list as row environments, each extended with
    the outer scopes.
 
-   Joining is nested-loop by default but, when the WHERE clause has an
-   equality conjunct between column references linking a new source to
-   an already-joined one, a hash join is used instead.  The hash join
-   preserves nested-loop enumeration order and the full WHERE predicate
-   is still applied afterwards, so results are identical.  The
-   [join_optimization] switch exists for the ablation benchmark.
+   Sources are joined as [from_links] and [join_source] decide: by
+   hash join on an equi-join link, by nested loop otherwise.
 
    When access-path hooks are installed, base tables are realized
    lazily: a sargable conjunct over an indexed column turns the scan
-   into an index probe (see [probe_source]).  A probe returns the
+   into an index probe (see [probe_plan]).  A probe returns the
    matching rows in handle order — an order-preserving subsequence of
    the scan — and the full WHERE predicate is still applied afterwards,
    so results are again identical.
@@ -807,63 +1056,8 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
       (named rel, rel.cols, `Rows rel.rows)
   in
   let sources = List.mapi resolve_item from in
-  (* duplicate binding names within one frame are rejected: unqualified
-     references could silently pick the wrong one *)
-  let names = List.map (fun (n, _, _) -> n) sources in
-  let rec check = function
-    | [] -> ()
-    | n :: rest ->
-      if List.exists (String.equal n) rest then
-        Errors.semantic
-          "duplicate table name %S in from clause; use an alias" n;
-      check rest
-  in
-  check names;
   let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  (* attribute a column reference to exactly one local source *)
-  let attribute qualifier column =
-    let has_col (_, cols) = Array.exists (String.equal column) cols in
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun (n, _) -> String.equal n q) frame_shape with
-      | Some src when has_col src -> Some src
-      | _ -> None)
-    | None -> (
-      match List.filter has_col frame_shape with [ src ] -> Some src | _ -> None)
-  in
-  let equi_pairs =
-    if not !join_optimization then []
-    else
-      match where with
-      | None -> []
-      | Some pred ->
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Ast.Cmp
-                ( Ast.Eq,
-                  Ast.Col { qualifier = q1; column = c1 },
-                  Ast.Col { qualifier = q2; column = c2 } ) -> (
-              match attribute q1 c1, attribute q2 c2 with
-              | Some (n1, cs1), Some (n2, cs2) when not (String.equal n1 n2) ->
-                Some ((n1, cs1, c1), (n2, cs2, c2))
-              | _ -> None)
-            | _ -> None)
-          (conjuncts pred)
-  in
-  let col_index cols c =
-    let rec go i =
-      if i >= Array.length cols then None
-      else if String.equal cols.(i) c then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let module Key_map = Map.Make (struct
-    type t = Value.t
-
-    let compare = Value.compare_total
-  end) in
+  let links = from_links_exn frame_shape where in
   (* realize a lazily-bound base table: by index (or range) probe when
      a sargable conjunct allows it, by scan otherwise *)
   let realize bind_name (tbl_name, tbl) =
@@ -882,74 +1076,19 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
       access.acc_note ~table:tbl_name `Seq_scan;
       Table.to_list tbl
   in
-  let note_join ev name =
-    match ctx.access with
-    | Some access -> access.acc_note ~table:name ev
-    | None -> ()
-  in
   (* partial frames are built in reverse binding order *)
-  let extend partials (name, cols, kind) =
+  let extend (partials, k) ((name, cols, kind), link) =
     let rows =
       match kind with
       | `Rows rows -> rows
       | `Table src -> List.map snd (realize name src)
     in
-    let already_bound n =
-      match partials with
-      | [] -> false
-      | partial :: _ -> List.exists (fun b -> String.equal b.bind_name n) partial
+    let bind row partial =
+      { bind_name = name; bind_cols = cols; bind_row = row } :: partial
     in
-    let link =
-      List.find_map
-        (fun ((n1, cs1, c1), (n2, cs2, c2)) ->
-          if String.equal n2 name && already_bound n1 then
-            Some ((n1, cs1, c1), c2)
-          else if String.equal n1 name && already_bound n2 then
-            Some ((n2, cs2, c2), c1)
-          else None)
-        equi_pairs
-    in
-    match link with
-    | Some ((bound_name, bound_cols, bound_col), new_col) ->
-      let new_ix = Option.get (col_index cols new_col) in
-      let bound_ix = Option.get (col_index bound_cols bound_col) in
-      (* hash the new source's rows by join key, preserving row order
-         within each bucket *)
-      note_join `Hash_join_build name;
-      let table =
-        List.fold_left
-          (fun m row ->
-            let key = row.(new_ix) in
-            let existing = Option.value (Key_map.find_opt key m) ~default:[] in
-            Key_map.add key (row :: existing) m)
-          Key_map.empty rows
-      in
-      let table = Key_map.map List.rev table in
-      List.concat_map
-        (fun partial ->
-          note_join `Hash_join_probe name;
-          let bound_binding =
-            List.find (fun b -> String.equal b.bind_name bound_name) partial
-          in
-          let key = bound_binding.bind_row.(bound_ix) in
-          match Key_map.find_opt key table with
-          | None -> []
-          | Some rows ->
-            List.map
-              (fun row ->
-                { bind_name = name; bind_cols = cols; bind_row = row }
-                :: partial)
-              rows)
-        partials
-    | None ->
-      List.concat_map
-        (fun partial ->
-          List.map
-            (fun row ->
-              { bind_name = name; bind_cols = cols; bind_row = row }
-              :: partial)
-            rows)
-        partials
+    ( join_source ctx.access ~name ~row_of:(fun b -> b.bind_row) ~bind k link rows
+        partials,
+      k + 1 )
   in
   match sources with
   | [ (name, cols, `Table src) ] ->
@@ -960,164 +1099,23 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
         pairs,
       Some (List.map fst pairs) )
   | _ ->
-    let frames = List.fold_left extend [ [] ] sources in
+    let frames, _ = List.fold_left extend ([ [] ], 0) (List.combine sources links) in
     (List.map (fun frame -> List.rev frame :: outer) frames, None)
 
 (* The access-path planner: try to satisfy one FROM source by an index
-   probe instead of a scan.  Scans the WHERE conjuncts for sargable
-   patterns — [col = e], [e = col], [col IN (e, ...)],
-   [col IN (select ...)], the range comparisons [col < e] / [col <= e]
-   / [col > e] / [col >= e] (and mirrored), [col BETWEEN a AND b] and
-   [col LIKE 'prefix%...'] — whose column attributes uniquely to the
-   target source and whose other side provably cannot reference the
-   frame being built (see [independence]).  [choose_candidates] ranks
-   the candidates by estimated cost (or keeps the legacy
-   first-equality-match order with the cost model off); probe values
-   are then evaluated once against the outer scopes, and any
-   evaluation error or unusable index falls back to the next candidate
-   and finally the scan, which either reports the same error while
-   filtering or — e.g. over an empty table — never evaluates the
-   faulty expression, exactly matching unoptimized behaviour.  NULL
-   probe values and range bounds match nothing, as SQL comparison
-   semantics require. *)
+   probe instead of a scan, over the candidates [sargable_candidates]
+   finds.  Probe values are evaluated once against the outer scopes. *)
 and probe_plan ctx (outer : env) ~frame ~target_name ~table
     (where : Ast.expr option) : probe_hit option =
   match ctx.access, where with
   | None, _ | _, None -> None
   | Some access, Some pred ->
-    if not !predicate_pushdown then None
-    else begin
-      let ind_expr, ind_sel =
-        independence ~target:frame ~cols_of:(fun t -> table_cols access ~table:t)
-      in
-      let attributes_to_target qualifier column =
-        let has (_, cols) = Array.exists (String.equal column) cols in
-        match qualifier with
-        | Some q ->
-          String.equal q target_name
-          && (match List.find_opt (fun (n, _) -> String.equal n q) frame with
-             | Some src -> has src
-             | None -> false)
-        | None -> (
-          match List.filter has frame with
-          | [ (n, _) ] -> String.equal n target_name
-          | _ -> false)
-      in
-      let eval_ctx = { ctx with group = None } in
-      let range_of op e =
-        (* the column is on the left: [col op e] *)
-        match op with
-        | Ast.Lt -> Some (None, Some (e, false))
-        | Ast.Le -> Some (None, Some (e, true))
-        | Ast.Gt -> Some (Some (e, false), None)
-        | Ast.Ge -> Some (Some (e, true), None)
-        | Ast.Eq | Ast.Neq -> None
-      in
-      let mirror op =
-        match op with
-        | Ast.Lt -> Ast.Gt
-        | Ast.Le -> Ast.Ge
-        | Ast.Gt -> Ast.Lt
-        | Ast.Ge -> Ast.Le
-        | (Ast.Eq | Ast.Neq) as op -> op
-      in
-      let candidate conj =
-        match conj with
-        | Ast.Cmp (Ast.Eq, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (conj, column, Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.Cmp (Ast.Eq, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (conj, column, Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.In_list (Ast.Col { qualifier; column }, es)
-          when attributes_to_target qualifier column && List.for_all ind_expr es
-          ->
-          Some (conj, column, Shape_eq (Some (List.length es)), `Exprs es)
-        | Ast.In_select (Ast.Col { qualifier; column }, sub)
-          when attributes_to_target qualifier column && ind_sel sub ->
-          Some (conj, column, Shape_eq None, `Select sub)
-        | Ast.Cmp (op, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of op e with
-          | Some bounds -> Some (conj, column, Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Cmp (op, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of (mirror op) e with
-          | Some bounds -> Some (conj, column, Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Between (Ast.Col { qualifier; column }, lo, hi)
-          when attributes_to_target qualifier column && ind_expr lo
-               && ind_expr hi ->
-          Some
-            (conj, column, Shape_range, `Bounds (Some (lo, true), Some (hi, true)))
-        | Ast.Like (Ast.Col { qualifier; column }, p)
-          when attributes_to_target qualifier column && ind_expr p ->
-          Some (conj, column, Shape_prefix, `Like p)
-        | _ -> None
-      in
-      let attempt ((conj, column, src), est) =
-        let eval_bound =
-          Option.map (fun (e, incl) -> (eval_expr eval_ctx outer e, incl))
-        in
-        let est = ref est in
-        let probe () =
-          match src with
-          | `Exprs es ->
-            access.acc_probe ~table ~column
-              (List.map (eval_expr eval_ctx outer) es)
-          | `Select sub -> (
-            let values = (subquery_in eval_ctx outer sub).in_values in
-            match recheck_set access ~table ~column values with
-            | None -> None
-            | Some e ->
-              est := e;
-              access.acc_probe ~table ~column values)
-          | `Bounds (lo, hi) ->
-            access.acc_range ~table ~column ~lower:(eval_bound lo)
-              ~upper:(eval_bound hi)
-          | `Like p -> (
-            match eval_expr eval_ctx outer p with
-            | Value.Null ->
-              (* LIKE NULL is UNKNOWN for every row: a NULL-bounded
-                 range probe selects exactly nothing *)
-              access.acc_range ~table ~column
-                ~lower:(Some (Value.Null, true))
-                ~upper:None
-            | Value.Str pat -> (
-              match Index.like_prefix pat with
-              | None -> None
-              | Some (prefix, upper) ->
-                access.acc_range ~table ~column
-                  ~lower:(Some (Value.Str prefix, true))
-                  ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
-            | Value.Int _ | Value.Float _ | Value.Bool _ ->
-              (* the scan path reports the type error faithfully *)
-              None)
-        in
-        match (try probe () with _ -> None) with
-        | None -> None
-        | Some pairs ->
-          let kind =
-            match src with
-            | `Exprs _ | `Select _ -> `Eq
-            | `Bounds _ | `Like _ -> `Range
-          in
-          Some
-            {
-              ph_column = column;
-              ph_conjunct = conj;
-              ph_kind = kind;
-              ph_est = !est;
-              ph_pairs = pairs;
-            }
-      in
-      List.filter_map candidate (conjuncts pred)
-      |> List.map (fun (conj, column, shape, src) ->
-             ((conj, column, src), column, shape))
-      |> choose_candidates access ~table
-      |> List.find_map attempt
-    end
+    let eval_ctx = { ctx with group = None } in
+    sargable_candidates ~frame ~target:target_name
+      ~cols_of:(fun t -> table_cols access ~table:t)
+      pred
+    |> probe_candidates access ~table ~eval:(eval_expr eval_ctx outer)
+         ~eval_set:(fun sub -> (subquery_in eval_ctx outer sub).in_values)
 
 and project_columns ctx (frame_env : env) (projections : Ast.proj list) =
   (* Expand stars against the local frame of [frame_env]. *)
@@ -1485,7 +1483,7 @@ type access_path =
       index : string option;
       column : string;
       conjunct : string;
-      est : int option;
+      est : int;
       matches : int;
       rows : int option;
     }
@@ -1494,7 +1492,7 @@ type access_path =
       index : string option;
       column : string;
       conjunct : string;
-      est : int option;
+      est : int;
       matches : int;
       rows : int option;
     }
@@ -1504,6 +1502,10 @@ type access_path =
    join on an equi-join conjunct (one build per statement execution,
    one probe per partial row of the frame under construction). *)
 type join_plan = { jp_with : string; jp_conjunct : string }
+
+(* The EXPLAIN annotation of a link [from_links] found in [frame]. *)
+let join_plan frame l =
+  { jp_with = fst (List.nth frame l.jl_with); jp_conjunct = Pretty.expr_str l.jl_conjunct }
 
 type source_plan = {
   sp_binding : string;
@@ -1556,79 +1558,23 @@ let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
           ("transition table " ^ Pretty.trans_table_str tt, List.length rel.rows) )
   in
   let sources = List.mapi resolve_item s.Ast.from in
-  let names = List.map (fun (n, _, _) -> n) sources in
-  let rec check = function
-    | [] -> ()
-    | n :: rest ->
-      if List.exists (String.equal n) rest then
-        Errors.semantic "duplicate table name %S in from clause; use an alias" n;
-      check rest
-  in
-  check names;
   let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  (* mirror of [from_row_envs]'s equi-join link selection: a source is
-     hash-joined to the first equi-join conjunct connecting it to an
-     earlier binding.  (Execution skips the build when an earlier
-     source turned out empty — the frame is already empty then, so the
-     join never runs; the static plan reports the join it would do.) *)
-  let attribute qualifier column =
-    let has_col (_, cols) = Array.exists (String.equal column) cols in
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun (n, _) -> String.equal n q) frame with
-      | Some src when has_col src -> Some src
-      | _ -> None)
-    | None -> (
-      match List.filter has_col frame with [ src ] -> Some src | _ -> None)
-  in
-  let equi_pairs =
-    if not !join_optimization then []
-    else
-      match s.Ast.where with
-      | None -> []
-      | Some pred ->
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Ast.Cmp
-                ( Ast.Eq,
-                  Ast.Col { qualifier = q1; column = c1 },
-                  Ast.Col { qualifier = q2; column = c2 } ) -> (
-              match attribute q1 c1, attribute q2 c2 with
-              | Some (n1, _), Some (n2, _) when not (String.equal n1 n2) ->
-                Some (conj, n1, n2)
-              | _ -> None)
-            | _ -> None)
-          (conjuncts pred)
-  in
-  let link_for prior name =
-    List.find_map
-      (fun (conj, n1, n2) ->
-        if String.equal n2 name && List.mem n1 prior then
-          Some { jp_with = n1; jp_conjunct = Pretty.expr_str conj }
-        else if String.equal n1 name && List.mem n2 prior then
-          Some { jp_with = n2; jp_conjunct = Pretty.expr_str conj }
-        else None)
-      equi_pairs
-  in
-  let _, plans =
-    List.fold_left
-      (fun (prior, acc) (name, _cols, kind) ->
-        let path =
-          match kind with
-          | `Materialized (what, n) -> Materialized { source = what; rows = n }
-          | `Lazy table -> (
-            match
-              probe_plan ctx outer ~frame ~target_name:name ~table s.Ast.where
-            with
-            | Some hit -> probed_path access ~table hit
-            | None -> Seq_scan { table; rows = table_count access ~table })
-        in
-        let sp_join = link_for prior name in
-        (name :: prior, { sp_binding = name; sp_path = path; sp_join } :: acc))
-      ([], []) sources
-  in
-  List.rev plans
+  (* the plan reports the join the executor would do, although
+     execution skips the build when an earlier source turned out empty
+     (the frame is already empty then) *)
+  let links = from_links_exn frame s.Ast.where in
+  List.map2
+    (fun (name, _cols, kind) link ->
+      let path =
+        match kind with
+        | `Materialized (what, n) -> Materialized { source = what; rows = n }
+        | `Lazy table -> (
+          match probe_plan ctx outer ~frame ~target_name:name ~table s.Ast.where with
+          | Some hit -> probed_path access ~table hit
+          | None -> Seq_scan { table; rows = table_count access ~table })
+      in
+      { sp_binding = name; sp_path = path; sp_join = Option.map (join_plan frame) link })
+    sources links
 
 let plan_select_inner ctx outer (s : Ast.select) =
   let cores = { s with Ast.compounds = [] } :: List.map snd s.Ast.compounds in
@@ -1664,14 +1610,11 @@ let plan_op ?cache ~access resolve (op : Ast.op) : source_plan list =
 
 let describe_probe what (index, column, conjunct, est, matches, rows) =
   let ix = match index with Some i -> i | None -> "<unnamed index>" in
-  let est_s =
-    match est with None -> "" | Some e -> Printf.sprintf "est ~%d, " e
-  in
   let total =
     match rows with Some n -> Printf.sprintf " of %d" n | None -> ""
   in
-  Printf.sprintf "%s via %s on %s, conjunct %s: %s%d%s rows" what ix column
-    conjunct est_s matches total
+  Printf.sprintf "%s via %s on %s, conjunct %s: est ~%d, %d%s rows" what ix column
+    conjunct est matches total
 
 let describe_access_path = function
   | Seq_scan { table; rows } ->

@@ -86,12 +86,6 @@ val in_set_mem : in_set -> Value.t -> Value.t
 (** SQL IN of a value against a set: [Bool true], [Bool false] or
     [Null] (unknown), exactly as {!in_semantics} over [in_values]. *)
 
-val join_optimization : bool ref
-(** When true (the default), an equality conjunct in the WHERE clause
-    linking two from-list sources turns the nested-loop join into an
-    order-preserving hash join.  Results are identical; the switch
-    exists for the ablation benchmark. *)
-
 (** {2 Access paths}
 
     When a caller supplies {!access} hooks, base tables in a from-list
@@ -148,21 +142,6 @@ val db_access : Database.t -> access
 val table_count : access -> table:string -> int option
 (** A base table's cardinality through {!field-acc_table}. *)
 
-val predicate_pushdown : bool ref
-(** When true (the default) and access hooks are installed, sargable
-    conjuncts are pushed down into index probes.  Results are
-    identical; the switch exists for the differential test harness and
-    the ablation benchmark. *)
-
-val cost_model : bool ref
-(** When true (the default), the planner ranks all sargable candidates
-    — equality/IN, range comparisons, BETWEEN, prefix LIKE — by
-    estimated enumerated rows from the maintained statistics and takes
-    the cheapest.  When false it degrades to the historical
-    first-equality-match planner (no range probes): the oracle the
-    differential harnesses compare against.  Results are identical
-    either way. *)
-
 (** {2 Cost model} *)
 
 type probe_shape =
@@ -175,41 +154,57 @@ type probe_shape =
     or a LIKE prefix range.  [Shape_set k] is an IN (select ...) whose
     value set has been evaluated to [k] values. *)
 
-val estimate_shape :
-  access -> table:string -> column:string -> probe_shape -> int option
-(** Estimated rows a probe of this shape would enumerate, from the
-    maintained statistics ([None] = no usable index).  Ranges are
-    guessed at selectivity 1/3 (prefixes 1/4); equality estimates are
-    keys × rows ∕ distinct. *)
-
-val choose_candidates :
-  access -> table:string -> ('a * string * probe_shape) list ->
-  ('a * int option) list
-(** The single decision procedure shared by the interpreting and
-    compiling evaluators: given [(payload, column, shape)] candidates
-    in conjunct order, the ones worth attempting, cheapest first, each
-    with its estimate.  With {!cost_model} off: equality candidates in
-    conjunct order, no estimates (the historical planner).  A
-    [Shape_set k] candidate is also dropped when probing its [k] keys
-    would cost more than scanning the table (one key probe is weighed
-    as four scanned rows). *)
-
-val recheck_set :
-  access -> table:string -> column:string -> Value.t list -> int option option
-(** Re-rank an IN (select ...) candidate once its value set is known
-    (both evaluators and EXPLAIN call this after evaluating the
-    subquery): [None] = scan instead, [Some est] = probe, reporting
-    [est]. *)
-
 type probe_hit = {
   ph_column : string;  (** indexed column satisfying the probe *)
   ph_conjunct : Ast.expr;  (** the WHERE conjunct pushed down *)
   ph_kind : [ `Eq | `Range ];
-  ph_est : int option;  (** cost-model estimate; [None] = legacy planner *)
+  ph_est : int;  (** the cost-model estimate that ranked it *)
   ph_pairs : (Handle.t * Row.t) list;  (** rows the probe enumerates *)
 }
 (** A successful probe decision, as produced by {!probe_table} and
     consumed by the DML layer and EXPLAIN. *)
+
+type ('e, 's) probe_values =
+  | Pv_exprs of 'e list  (** [col = e], [col IN (e, ...)] *)
+  | Pv_select of 's  (** [col IN (select ...)] *)
+  | Pv_bounds of ('e * bool) option * ('e * bool) option
+      (** range bounds (value, inclusive?) *)
+  | Pv_like of 'e  (** the pattern of [col LIKE p] *)
+
+type ('e, 's) sargable = {
+  sg_conjunct : Ast.expr;
+  sg_column : string;
+  sg_shape : probe_shape;
+  sg_values : ('e, 's) probe_values;
+}
+(** A sargable WHERE conjunct for one FROM source: the conjunct, the
+    column it constrains, its static shape and its value side — an
+    AST in the interpreter, closures in {!Compile}. *)
+
+val sargable_candidates :
+  frame:(string * string array) list ->
+  target:string ->
+  cols_of:(string -> string array option) ->
+  Ast.expr ->
+  (Ast.expr, Ast.select) sargable list
+(** The access-path planner's static candidate scan: the conjuncts of
+    the predicate over a column attributing uniquely to the source
+    bound as [target] in [frame] whose value side provably cannot
+    reference the frame, in conjunct order.  [cols_of] names a base
+    table's columns. *)
+
+val probe_candidates :
+  access ->
+  table:string ->
+  eval:('e -> Value.t) ->
+  eval_set:('s -> Value.t list) ->
+  ('e, 's) sargable list ->
+  probe_hit option
+(** Rank the candidates by estimated cost and try them cheapest first,
+    evaluating their values with [eval] / [eval_set]: a value
+    evaluation error or an unusable index moves on to the next one, and
+    [None] means "scan instead".  Without a usable index nothing is
+    probed. *)
 
 val probe_table :
   ?cache:cache ->
@@ -277,7 +272,7 @@ type access_path =
       index : string option;  (** probing index's name, when known *)
       column : string;  (** the indexed column *)
       conjunct : string;  (** rendered sargable conjunct *)
-      est : int option;  (** cost-model estimated rows; [None] = legacy *)
+      est : int;  (** cost-model estimated rows *)
       matches : int;  (** handles the probe returned *)
       rows : int option;  (** table cardinality, for selectivity *)
     }
@@ -286,7 +281,7 @@ type access_path =
       index : string option;
       column : string;
       conjunct : string;
-      est : int option;
+      est : int;
       matches : int;
       rows : int option;
     }  (** like [Index_probe] but over an ordered index's key range *)
@@ -332,7 +327,7 @@ val describe_source_plan : source_plan -> string
     Pieces of the interpreter reused verbatim by the compiling
     evaluator ({!Compile}), exported so the two paths cannot drift:
     three-valued-logic plumbing, IN semantics, ORDER BY comparison, the
-    sargability analysis, and the grouped-query / projection-name
+    FROM-list analysis and join, and the grouped-query / projection-name
     classification. *)
 
 val truth_value : Value.truth -> Value.t
@@ -348,15 +343,46 @@ val sort_by_keys :
   ((Value.t * [ `Asc | `Desc ]) list * 'a) list
 (** Stable sort of values tagged with ORDER BY keys. *)
 
-val conjuncts : Ast.expr -> Ast.expr list
-(** Top-level AND conjuncts of a predicate. *)
+val col_index : string array -> string -> int option
+(** Position of the first column of that name. *)
 
-val independence :
-  target:(string * string array) list ->
-  cols_of:(string -> string array option) ->
-  (Ast.expr -> bool) * (Ast.select -> bool)
-(** The conservative may-it-reference-the-target-frame test used by the
-    access-path planner; see the implementation comment. *)
+type join_link = {
+  jl_with : int;  (** position of the earlier source joined to *)
+  jl_with_col : int;  (** its join column *)
+  jl_col : int;  (** this source's join column *)
+  jl_conjunct : Ast.expr;  (** the linking [col = col] conjunct *)
+}
+
+val from_links :
+  (string * string array) list ->
+  Ast.expr option ->
+  (join_link option list, Errors.t) result
+(** The static analysis of a FROM list, given each source's (binding
+    name, columns) in FROM order and the WHERE clause: the error for a
+    binding name used twice, or else each source's hash-join link — the
+    first conjunct [a = b] whose column references attribute to exactly
+    one local source each, this one and an earlier one.  A source
+    without a link is joined by nested loop. *)
+
+val join_source :
+  access option ->
+  name:string ->
+  row_of:('b -> Row.t) ->
+  bind:(Row.t -> 'b list -> 'b list) ->
+  int ->
+  join_link option ->
+  Row.t list ->
+  'b list list ->
+  'b list list
+(** [join_source access ~name ~row_of ~bind k link rows partials]
+    extends each partial frame (one entry per earlier source, newest
+    first) by the rows of the [k]-th source, bound as [name]: a hash
+    join on [link] when there is one and a frame to probe it with, a
+    nested loop otherwise.  Both enumerate in nested-loop order.  The
+    access hooks' [acc_note] hears each build and probe. *)
+
+val join_plan : (string * string array) list -> join_link -> join_plan
+(** The plan annotation of a link {!from_links} found in the frame. *)
 
 val select_contains_agg : Ast.select -> bool
 (** Is the select grouped (GROUP BY present, or aggregates in the

@@ -6,18 +6,10 @@
 open Core
 module Durable = Durability.Durable
 module Recovery = Durability.Recovery
-module Compile = Sqlf.Compile
 
 exception Check_failed of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Check_failed m)) fmt
-
-(* The compiled path is the process default; every interpreted-twin
-   operation restores it on any exit. *)
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Building blocks                                                     *)
@@ -48,6 +40,9 @@ let build ?indexes ?config sc profile =
     (fun stmt -> ignore (System.exec_one s stmt))
     (setup_statements ?indexes sc profile);
   s
+
+(* The scenario's configuration on the interpreting evaluator. *)
+let interpreted sc = { sc.Scenario.sc_config with Engine.compiled = false }
 
 let gen_blocks sc profile =
   let sampler = Profile.Sampler.create profile in
@@ -178,13 +173,13 @@ let count_outcome rep = function
 let run_short ?(check_every = 4) sc profile =
   Profile.validate profile;
   let blocks = gen_blocks sc profile in
-  let primary = with_compile true (fun () -> build sc profile) in
-  let interp = with_compile false (fun () -> build sc profile) in
-  let scan = with_compile true (fun () -> build ~indexes:false sc profile) in
+  let primary = build sc profile in
+  let interp = build ~config:(interpreted sc) sc profile in
+  let scan = build ~indexes:false sc profile in
   let rep = ref (empty_report sc.Scenario.sc_name) in
   let compare_states context =
     let dp = state_digest sc primary in
-    let di = with_compile false (fun () -> state_digest sc interp) in
+    let di = state_digest sc interp in
     let ds = state_digest sc scan in
     if dp <> di then
       failf "[%s] %s: interpreted twin diverged from compiled"
@@ -196,9 +191,9 @@ let run_short ?(check_every = 4) sc profile =
   List.iteri
     (fun i block ->
       let context = Printf.sprintf "txn %d" (i + 1) in
-      let rp = with_compile true (fun () -> run_block primary block) in
-      let ri = with_compile false (fun () -> run_block interp block) in
-      let rs = with_compile true (fun () -> run_block scan block) in
+      let rp = run_block primary block in
+      let ri = run_block interp block in
+      let rs = run_block scan block in
       check_same_result sc ~context ~label:"compiled vs interpreted" rp ri;
       check_same_result sc ~context ~label:"probe vs scan" rp rs;
       rep := { !rep with r_txns = !rep.r_txns + 1 };
@@ -211,8 +206,7 @@ let run_short ?(check_every = 4) sc profile =
     blocks;
   compare_states "final";
   check_invariants sc ~context:"final (compiled)" primary;
-  with_compile false (fun () ->
-      check_invariants sc ~context:"final (interpreted)" interp);
+  check_invariants sc ~context:"final (interpreted)" interp;
   check_invariants sc ~context:"final (scan)" scan;
   rep := { !rep with r_checks = !rep.r_checks + (3 * n_invariants sc) };
   !rep
@@ -404,12 +398,11 @@ let recovery_differential sc profile ~context ~expected dir =
       sc.Scenario.sc_name context
   | _ -> ());
   check_invariants sc ~context:(context ^ " (probe restore)") probe;
-  with_compile false (fun () ->
-      let interp, _ = Recovery.restore ~config dir in
-      if state_digest sc interp <> dp then
-        failf "[%s] %s: interpreted recovery diverged from compiled"
-          sc.Scenario.sc_name context;
-      check_invariants sc ~context:(context ^ " (interpreted restore)") interp);
+  let interp, _ = Recovery.restore ~config:(interpreted sc) dir in
+  if state_digest sc interp <> dp then
+    failf "[%s] %s: interpreted recovery diverged from compiled"
+      sc.Scenario.sc_name context;
+  check_invariants sc ~context:(context ^ " (interpreted restore)") interp;
   let scan, _ = Recovery.restore ~config dir in
   List.iter
     (fun ix -> ignore (System.exec_one scan ("drop index " ^ ix)))

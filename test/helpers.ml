@@ -76,14 +76,10 @@ let vnull = Value.Null
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* Route DML and rule processing through the compiled path ([true]) or
-   the interpreter for the duration of [f].  Every test that flips the
-   evaluator must restore it on any exit: the compiled path is the
-   default for the rest of the suite. *)
-let with_compile flag f =
-  let saved = !Sqlf.Compile.enabled in
-  Sqlf.Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Sqlf.Compile.enabled := saved) f
+(* The engine configuration on the compiling evaluator ([true], the
+   default) or the tree-walking interpreter. *)
+let evaluator ?(config = Engine.default_config) compiled =
+  { config with Engine.compiled }
 
 (* ------------------------------------------------------------------ *)
 (* Seed plumbing for the randomized suites.
@@ -93,8 +89,9 @@ let with_compile flag f =
 
      SOPR_SEED=<n> dune runtest
 
-   The override narrows a suite's seed list to the one given seed;
-   [with_seed_reported] prints the seed of the failing iteration on any
+   The override narrows a suite's seed list to the one given seed (or,
+   via [seed_streams], replaces it with as many seeds counting up from
+   it); [with_seed_reported] prints the seed of the failing iteration on any
    exception, before re-raising it for the framework to report. *)
 
 let seed_env = "SOPR_SEED"
@@ -110,6 +107,14 @@ let seed_override () =
 
 (* A suite's deterministic seed list, narrowed by the override. *)
 let seeds ~default = match seed_override () with Some s -> [ s ] | None -> default
+
+(* A suite's seed list with the override [s] expanded to as many
+   streams [s], [s + 1], ... as the default list has, for a suite whose
+   checks bound the total work driven. *)
+let seed_streams ~default =
+  match seed_override () with
+  | Some s -> List.mapi (fun i _ -> s + i) default
+  | None -> default
 
 (* A suite's single seed, replaced by the override. *)
 let seed ~default = Option.value (seed_override ()) ~default

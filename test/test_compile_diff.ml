@@ -25,7 +25,7 @@
    - Part B: engine-level differential.  Two identical systems (the
      fault-injection harness's schema, rule set and external
      procedure) driven with the same random transaction workload, one
-     with [Compile.enabled] on and one with it off, asserting equal
+     configured with [compiled] on and one with it off, asserting equal
      per-transaction outcomes, select results, error strings, firing
      traces and final table contents.  Occasional CREATE/DROP INDEX
      between transactions exercises the DDL-generation invalidation
@@ -760,20 +760,20 @@ let firing_trace s =
     (Engine.trace (System.engine s))
 
 let engine_differential_once ~config (rule, steps) =
-  let s_compiled = with_compile true (fun () -> make_system ~config rule ()) in
-  let s_interp = with_compile false (fun () -> make_system ~config rule ()) in
+  let s_compiled = make_system ~config:(evaluator ~config true) rule () in
+  let s_interp = make_system ~config:(evaluator ~config false) rule () in
   List.iter
     (fun step ->
       match step with
       | `Ddl sql ->
-        let rc = with_compile true (fun () -> run_ddl s_compiled sql) in
-        let ri = with_compile false (fun () -> run_ddl s_interp sql) in
+        let rc = run_ddl s_compiled sql in
+        let ri = run_ddl s_interp sql in
         (match rc, ri with
         | Ok (), Ok () | Error _, Error _ -> ()
         | _ -> QCheck.Test.fail_reportf "ddl outcome differs: %s" sql)
       | `Block sql ->
-        let rc = with_compile true (fun () -> run_block s_compiled sql) in
-        let ri = with_compile false (fun () -> run_block s_interp sql) in
+        let rc = run_block s_compiled sql in
+        let ri = run_block s_interp sql in
         check_same ("block: " ^ sql) rc ri;
         let tc = firing_trace s_compiled and ti = firing_trace s_interp in
         if tc <> ti then
@@ -781,17 +781,19 @@ let engine_differential_once ~config (rule, steps) =
     steps;
   (* final states, read through the interpreter on both systems so the
      comparison itself is independent of the compiled path *)
-  with_compile false (fun () ->
-      List.iter
-        (fun tbl ->
-          let q = Printf.sprintf "select * from %s" tbl in
-          let rc = rows s_compiled q and ri = rows s_interp q in
-          if not
-               (List.length rc = List.length ri
-               && List.for_all2 Row.equal rc ri)
-          then QCheck.Test.fail_reportf "final state of %s differs" tbl)
-        harness_tables;
-      seen_logged := !seen_logged + List.length (rows s_compiled "select * from seen"))
+  let interp_rows s q =
+    let db = Engine.database (System.engine s) in
+    (Eval.eval_select (Eval.base_resolver db) (Parser.parse_select_string q)).Eval.rows
+  in
+  List.iter
+    (fun tbl ->
+      let q = Printf.sprintf "select * from %s" tbl in
+      let rc = interp_rows s_compiled q and ri = interp_rows s_interp q in
+      if not (List.length rc = List.length ri && List.for_all2 Row.equal rc ri) then
+        QCheck.Test.fail_reportf "final state of %s differs" tbl)
+    harness_tables;
+  seen_logged :=
+    !seen_logged + List.length (interp_rows s_compiled "select * from seen")
 
 let engine_differential =
   QCheck.Test.make ~count:40

@@ -222,6 +222,35 @@ let test_read_set_conservative_shapes () =
     [ ([ "b"; "a" ], all) ]
     (read_set db "select b, count(a) from t where a > 3 group by b")
 
+(* Every arm of a compound select reads its own base tables, with the
+   columns that arm references; a [when selected u] rule fires on a
+   transaction's union whose second arm reads [u], under both
+   evaluators. *)
+let test_read_set_compound_arms () =
+  let db = five_rows () in
+  let db =
+    Database.create_table db
+      (Schema.table "u" [ Schema.column "a" Schema.T_int; Schema.column "d" Schema.T_string ])
+  in
+  let db = (exec db "insert into u values (7, 'p'), (8, 'q')").Dml.db in
+  Alcotest.check read_set_testable "both arms read"
+    [ ([ "b"; "a" ], [ "1"; "2"; "3"; "4"; "5" ]); ([ "d" ], [ "7"; "8" ]) ]
+    (read_set db "select b from t where a > 3 union all select d from u");
+  List.iter
+    (fun compiled ->
+      let config = { Engine.default_config with Engine.track_selects = true; compiled } in
+      let s =
+        system ~config
+          "create table t (a int); create table u (a int); create table log (n int)"
+      in
+      run s "create rule seen_u when selected u then insert into log values (1)";
+      run s "insert into t values (1); insert into u values (2)";
+      run s "begin";
+      run s "select a from t union select a from u";
+      run s "commit";
+      Alcotest.(check int) "selected u fired" 1 (int_cell s "select count(*) from log"))
+    [ true; false ]
+
 (* A row the executor never tested is not read, even when its WHERE
    would raise: the probe on [a = 2] skips the row whose [10 / (a - 1)]
    divides by zero. *)
@@ -240,20 +269,19 @@ let test_read_set_skips_unevaluated_rows () =
 let test_read_set_prepared () =
   List.iter
     (fun compiled ->
-      with_compile compiled (fun () ->
-          let config = { Engine.default_config with Engine.track_selects = true } in
-          let s = system ~config "create table t (a int, b int); create table log (a int)" in
-          run s
-            "create rule audit when selected t then insert into log (select a from \
-             selected t)";
-          run s "insert into t values (1, 10), (2, 20), (3, 30), (4, 40)";
-          run s "prepare q as select b from t where a > ? limit 1";
-          run s "begin";
-          run s "execute q (2)";
-          run s "commit";
-          Alcotest.check rows_testable "matching rows only"
-            [ [| vi 3 |]; [| vi 4 |] ]
-            (rows s "select a from log order by a")))
+      let config = { Engine.default_config with Engine.track_selects = true; compiled } in
+      let s = system ~config "create table t (a int, b int); create table log (a int)" in
+      run s
+        "create rule audit when selected t then insert into log (select a from \
+         selected t)";
+      run s "insert into t values (1, 10), (2, 20), (3, 30), (4, 40)";
+      run s "prepare q as select b from t where a > ? limit 1";
+      run s "begin";
+      run s "execute q (2)";
+      run s "commit";
+      Alcotest.check rows_testable "matching rows only"
+        [ [| vi 3 |]; [| vi 4 |] ]
+        (rows s "select a from log order by a"))
     [ true; false ]
 
 let test_select_read_set_untracked () =
@@ -298,4 +326,6 @@ let suite =
     Alcotest.test_case "read set: rows the probe skipped" `Quick
       test_read_set_skips_unevaluated_rows;
     Alcotest.test_case "read set: prepared select" `Quick test_read_set_prepared;
+    Alcotest.test_case "read set: every compound arm" `Quick
+      test_read_set_compound_arms;
   ]

@@ -15,9 +15,9 @@ let explained s sql =
     Engine.explain_op (System.engine s) op
   | _ -> Alcotest.failf "expected an EXPLAIN statement: %s" sql
 
-let indexed_system () =
+let indexed_system ?(compiled = true) () =
   let s =
-    system
+    system ~config:(evaluator compiled)
       "create table emp (name string, emp_no int, salary float);\n\
        create table audit_log (name string);\n\
        create index emp_no_ix on emp (emp_no);\n\
@@ -69,68 +69,72 @@ let explain_statements =
    truth about the compiled executor exactly as the interpreting
    planner does about the interpreter. *)
 let explain_matches_executor ~compiled () =
-  with_compile compiled (fun () ->
-      let s = indexed_system () in
-      let eng = System.engine s in
-      List.iter
-        (fun sql ->
-          let plans = explained s ("explain " ^ sql) in
-          let count f = List.length (List.filter f plans) in
-          let planned_scans =
-            count (fun p ->
-                match p.Eval.sp_path with Eval.Seq_scan _ -> true | _ -> false)
-          in
-          let planned_probes =
-            count (fun p ->
-                match p.Eval.sp_path with
-                | Eval.Index_probe _ -> true
-                | _ -> false)
-          in
-          let planned_ranges =
-            count (fun p ->
-                match p.Eval.sp_path with
-                | Eval.Range_probe _ -> true
-                | _ -> false)
-          in
-          let planned_joins = count (fun p -> p.Eval.sp_join <> None) in
-          let st = Engine.stats eng in
-          let scans0 = st.Engine.seq_scans
-          and probes0 = st.Engine.index_probes
-          and ranges0 = st.Engine.range_probes
-          and builds0 = st.Engine.hash_join_builds in
-          run s sql;
-          Alcotest.(check int)
-            (sql ^ ": seq scans")
-            planned_scans
-            (st.Engine.seq_scans - scans0);
-          Alcotest.(check int)
-            (sql ^ ": index probes")
-            planned_probes
-            (st.Engine.index_probes - probes0);
-          Alcotest.(check int)
-            (sql ^ ": range probes")
-            planned_ranges
-            (st.Engine.range_probes - ranges0);
-          Alcotest.(check int)
-            (sql ^ ": hash join builds")
-            planned_joins
-            (st.Engine.hash_join_builds - builds0))
-        explain_statements)
+  let s = indexed_system ~compiled () in
+  let eng = System.engine s in
+  List.iter
+    (fun sql ->
+      let plans = explained s ("explain " ^ sql) in
+      let count f = List.length (List.filter f plans) in
+      let planned_scans =
+        count (fun p ->
+            match p.Eval.sp_path with Eval.Seq_scan _ -> true | _ -> false)
+      in
+      let planned_probes =
+        count (fun p ->
+            match p.Eval.sp_path with
+            | Eval.Index_probe _ -> true
+            | _ -> false)
+      in
+      let planned_ranges =
+        count (fun p ->
+            match p.Eval.sp_path with
+            | Eval.Range_probe _ -> true
+            | _ -> false)
+      in
+      let planned_joins = count (fun p -> p.Eval.sp_join <> None) in
+      let st = Engine.stats eng in
+      let scans0 = st.Engine.seq_scans
+      and probes0 = st.Engine.index_probes
+      and ranges0 = st.Engine.range_probes
+      and builds0 = st.Engine.hash_join_builds in
+      run s sql;
+      Alcotest.(check int)
+        (sql ^ ": seq scans")
+        planned_scans
+        (st.Engine.seq_scans - scans0);
+      Alcotest.(check int)
+        (sql ^ ": index probes")
+        planned_probes
+        (st.Engine.index_probes - probes0);
+      Alcotest.(check int)
+        (sql ^ ": range probes")
+        planned_ranges
+        (st.Engine.range_probes - ranges0);
+      Alcotest.(check int)
+        (sql ^ ": hash join builds")
+        planned_joins
+        (st.Engine.hash_join_builds - builds0))
+    explain_statements
 
 (* The two planners must also agree with EACH OTHER, statement by
    statement — including shapes the counter test avoids (subqueries,
-   grouping) — and on EXPLAIN RULE output. *)
+   grouping) — and on EXPLAIN RULE output: two systems built from the
+   same script, one per evaluator. *)
 let test_plans_agree_across_evaluators () =
-  let s = indexed_system () in
-  run s
-    "create rule audit when deleted from emp if exists (select * from \
-     deleted emp where salary > 100.0) then insert into audit_log select \
-     name from deleted emp";
+  let build compiled =
+    let s = indexed_system ~compiled () in
+    run s
+      "create rule audit when deleted from emp if exists (select * from \
+       deleted emp where salary > 100.0) then insert into audit_log select \
+       name from deleted emp";
+    s
+  in
+  let sc = build true and si = build false in
   let describe plans = List.map Eval.describe_source_plan plans in
   List.iter
     (fun sql ->
-      let pc = with_compile true (fun () -> explained s ("explain " ^ sql)) in
-      let pi = with_compile false (fun () -> explained s ("explain " ^ sql)) in
+      let pc = explained sc ("explain " ^ sql) in
+      let pi = explained si ("explain " ^ sql) in
       Alcotest.(check (list string)) (sql ^ ": same plan") (describe pi)
         (describe pc))
     (explain_statements
@@ -140,12 +144,8 @@ let test_plans_agree_across_evaluators () =
         "select name, count(*) from emp group by name";
         "delete from emp where salary = (select 150.0 + 50.0)";
       ]);
-  let rc =
-    with_compile true (fun () -> Engine.explain_rule (System.engine s) "audit")
-  in
-  let ri =
-    with_compile false (fun () -> Engine.explain_rule (System.engine s) "audit")
-  in
+  let rc = Engine.explain_rule (System.engine sc) "audit" in
+  let ri = Engine.explain_rule (System.engine si) "audit" in
   Alcotest.(check (list (pair string (list string))))
     "same rule plan"
     (List.map (fun (sql, ps) -> (sql, describe ps)) ri)
@@ -158,7 +158,7 @@ let test_explain_names_the_index () =
     Alcotest.(check (option string)) "index name" (Some "emp_no_ix") p.index;
     Alcotest.(check string) "column" "emp_no" p.column;
     Alcotest.(check int) "matches" 1 p.matches;
-    Alcotest.(check (option int)) "estimate" (Some 1) p.est;
+    Alcotest.(check int) "estimate" 1 p.est;
     Alcotest.(check (option int)) "cardinality" (Some 3) p.rows;
     Alcotest.(check bool) "conjunct mentions the column" true
       (String.length p.conjunct > 0)
@@ -180,7 +180,7 @@ let test_explain_range_probe () =
     Alcotest.(check string) "column" "salary" p.column;
     Alcotest.(check int) "matches" 1 p.matches;
     (* est(range) = (nrows + 2) / 3 with nrows = 3 *)
-    Alcotest.(check (option int)) "estimate" (Some 1) p.est;
+    Alcotest.(check int) "estimate" 1 p.est;
     Alcotest.(check (option int)) "cardinality" (Some 3) p.rows
   | plans ->
     Alcotest.failf "expected one range probe, got: %s"
@@ -190,32 +190,31 @@ let test_explain_range_probe () =
    one build for the joined source, one probe per partial row of the
    frame under construction. *)
 let test_hash_join_counters ~compiled () =
-  with_compile compiled (fun () ->
-      let s = indexed_system () in
-      let eng = System.engine s in
-      run s "insert into audit_log values ('ada'), ('bob')";
-      let join_sql = "select * from emp e, audit_log a where e.name = a.name" in
-      (match explained s ("explain " ^ join_sql) with
-      | [ e_plan; a_plan ] ->
-        Alcotest.(check bool)
-          "first source joins nothing" true
-          (e_plan.Eval.sp_join = None);
-        (match a_plan.Eval.sp_join with
-        | Some j ->
-          Alcotest.(check string) "joined with" "e" j.Eval.jp_with;
-          Alcotest.(check bool) "conjunct rendered" true
-            (String.length j.Eval.jp_conjunct > 0)
-        | None -> Alcotest.fail "expected a hash-join annotation")
-      | plans ->
-        Alcotest.failf "expected two source plans, got %d" (List.length plans));
-      let st = Engine.stats eng in
-      let builds0 = st.Engine.hash_join_builds
-      and probes0 = st.Engine.hash_join_probes in
-      let r = rows s join_sql in
-      Alcotest.(check int) "joined rows" 2 (List.length r);
-      Alcotest.(check int) "one build" 1 (st.Engine.hash_join_builds - builds0);
-      Alcotest.(check int) "one probe per emp row" 3
-        (st.Engine.hash_join_probes - probes0))
+  let s = indexed_system ~compiled () in
+  let eng = System.engine s in
+  run s "insert into audit_log values ('ada'), ('bob')";
+  let join_sql = "select * from emp e, audit_log a where e.name = a.name" in
+  (match explained s ("explain " ^ join_sql) with
+  | [ e_plan; a_plan ] ->
+    Alcotest.(check bool)
+      "first source joins nothing" true
+      (e_plan.Eval.sp_join = None);
+    (match a_plan.Eval.sp_join with
+    | Some j ->
+      Alcotest.(check string) "joined with" "e" j.Eval.jp_with;
+      Alcotest.(check bool) "conjunct rendered" true
+        (String.length j.Eval.jp_conjunct > 0)
+    | None -> Alcotest.fail "expected a hash-join annotation")
+  | plans ->
+    Alcotest.failf "expected two source plans, got %d" (List.length plans));
+  let st = Engine.stats eng in
+  let builds0 = st.Engine.hash_join_builds
+  and probes0 = st.Engine.hash_join_probes in
+  let r = rows s join_sql in
+  Alcotest.(check int) "joined rows" 2 (List.length r);
+  Alcotest.(check int) "one build" 1 (st.Engine.hash_join_builds - builds0);
+  Alcotest.(check int) "one probe per emp row" 3
+    (st.Engine.hash_join_probes - probes0)
 
 let test_explain_does_not_execute () =
   let s = indexed_system () in
@@ -537,14 +536,21 @@ let prop_statement_round_trip =
    to scan turns the plan into a scan, on both evaluators and in
    EXPLAIN alike. *)
 let test_in_subquery_sized_choice () =
-  let s = system "create table big (k int, v int); create index big_k on big (k)" in
-  run s
-    (Printf.sprintf "insert into big values %s"
-       (String.concat ", "
-          (List.init 40 (fun i -> Printf.sprintf "(%d, %d)" (i + 1) ((i + 1) mod 4)))));
+  let build compiled =
+    let s =
+      system ~config:(evaluator compiled)
+        "create table big (k int, v int); create index big_k on big (k)"
+    in
+    run s
+      (Printf.sprintf "insert into big values %s"
+         (String.concat ", "
+            (List.init 40 (fun i -> Printf.sprintf "(%d, %d)" (i + 1) ((i + 1) mod 4)))));
+    s
+  in
+  let sc = build true and si = build false in
   let path sql =
-    let pc = with_compile true (fun () -> explained s ("explain " ^ sql)) in
-    let pi = with_compile false (fun () -> explained s ("explain " ^ sql)) in
+    let pc = explained sc ("explain " ^ sql) in
+    let pi = explained si ("explain " ^ sql) in
     let describe = List.map Eval.describe_source_plan in
     Alcotest.(check (list string)) (sql ^ ": same plan") (describe pi) (describe pc);
     match pc with
@@ -555,15 +561,13 @@ let test_in_subquery_sized_choice () =
   in
   let probe = Alcotest.testable (fun ppf -> function
       | `Scan -> Fmt.string ppf "scan"
-      | `Probe (est, m) ->
-        Fmt.pf ppf "probe est %s, %d matches"
-          (match est with Some e -> string_of_int e | None -> "-") m)
+      | `Probe (est, m) -> Fmt.pf ppf "probe est %d, %d matches" est m)
       ( = )
   in
-  Alcotest.check probe "empty set probes" (`Probe (Some 0, 0))
+  Alcotest.check probe "empty set probes" (`Probe (0, 0))
     (path "select * from big where k in (select k from big where v = 99)");
   Alcotest.check probe "one key probes, estimated from the actual size"
-    (`Probe (Some 1, 1))
+    (`Probe (1, 1))
     (path "select * from big where k in (select k from big where k = 7)");
   Alcotest.check probe "30 keys of 40 rows scan" `Scan
     (path "select * from big where k in (select k from big where v <> 0)")
@@ -586,25 +590,24 @@ let test_probe_and_residual_share_a_slot () =
 let test_transition_subquery_probes () =
   List.iter
     (fun compiled ->
-      with_compile compiled (fun () ->
-          let s =
-            system
-              "create table acct (id int, bal int, version int); create index                acct_id on acct (id)"
-          in
-          run s
-            "create rule ver_bump when updated acct.bal then update acct set              version = version + 1 where id in (select id from new updated              acct.bal)";
-          run s
-            (Printf.sprintf "insert into acct values %s"
-               (String.concat ", "
-                  (List.init 20 (fun i -> Printf.sprintf "(%d, 0, 0)" i))));
-          let st = Engine.stats (System.engine s) in
-          let scans0 = st.Engine.seq_scans and probes0 = st.Engine.index_probes in
-          run s "update acct set bal = 5 where id = 3";
-          Alcotest.(check int) "no scans" 0 (st.Engine.seq_scans - scans0);
-          Alcotest.(check int) "statement and rule action both probe" 2
-            (st.Engine.index_probes - probes0);
-          Alcotest.(check int) "version bumped" 1
-            (int_cell s "select version from acct where id = 3")))
+      let s =
+        system ~config:(evaluator compiled)
+          "create table acct (id int, bal int, version int); create index                acct_id on acct (id)"
+      in
+      run s
+        "create rule ver_bump when updated acct.bal then update acct set              version = version + 1 where id in (select id from new updated              acct.bal)";
+      run s
+        (Printf.sprintf "insert into acct values %s"
+           (String.concat ", "
+              (List.init 20 (fun i -> Printf.sprintf "(%d, 0, 0)" i))));
+      let st = Engine.stats (System.engine s) in
+      let scans0 = st.Engine.seq_scans and probes0 = st.Engine.index_probes in
+      run s "update acct set bal = 5 where id = 3";
+      Alcotest.(check int) "no scans" 0 (st.Engine.seq_scans - scans0);
+      Alcotest.(check int) "statement and rule action both probe" 2
+        (st.Engine.index_probes - probes0);
+      Alcotest.(check int) "version bumped" 1
+        (int_cell s "select version from acct where id = 3"))
     [ true; false ]
 
 let suite =

@@ -446,7 +446,9 @@ let test_systematic_differential () =
           let st = Random.State.make [| seed |] in
           let blocks = List.init 80 (fun _ -> gen_block st) in
           differential ~config:harness_config blocks))
-    (seeds ~default:[ 7; 19; 23; 42 ])
+    (* an override drives as many streams as the default, so the
+       coverage bound below holds under any seed *)
+    (seed_streams ~default:[ 7; 19; 23; 42 ])
 
 (* Satellite: the same invariants as a qcheck property across the
    prune_info x optimize x track_selects configuration matrix. *)

@@ -12,9 +12,9 @@
    - a differential property: randomized transaction sequences — op
      blocks with equality/IN/IN-subquery predicates driving a rule set
      that inserts, deletes, updates and rolls back — executed twice,
-     once on a system with indexes and predicate pushdown and once on
-     an index-free system with pushdown disabled, asserting identical
-     outcomes, select results, rule-firing traces and final states.
+     once on a system with indexes and once on an index-free system,
+     which never probes, asserting identical outcomes, select results,
+     rule-firing traces and final states.
 
    Handles are process-global and the two systems interleave their
    allocation, so comparisons are value-based (rows, names, sizes) —
@@ -371,16 +371,6 @@ let make_system ~indexed =
   Engine.set_tracing (System.engine s) true;
   s
 
-let with_planner ~pushdown ~cost f =
-  let saved_p = !Eval.predicate_pushdown and saved_c = !Eval.cost_model in
-  Eval.predicate_pushdown := pushdown;
-  Eval.cost_model := cost;
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.predicate_pushdown := saved_p;
-      Eval.cost_model := saved_c)
-    f
-
 (* Execute one block and normalize everything observable about it:
    outcome or error string, and the produced select results. *)
 let run_block s sql =
@@ -406,28 +396,17 @@ let check_same_result label a b =
   | _ ->
     Alcotest.failf "%s: one side errored and the other did not" label
 
-(* The optimized side runs with pushdown on and the cost model either
-   on (ranking over equality/range/prefix shapes) or off (the
-   historical first-equality-match planner, the oracle the acceptance
-   criteria call for); the plain side always scans. *)
-let prop_index_equivalence ~cost =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "indexes on = indexes off (cost model %s)"
-         (if cost then "on" else "off"))
-    ~count:80 arb_txns
+(* The optimized side ranks equality/range/prefix probes by the cost
+   model; the plain side has no index, so it always scans. *)
+let prop_index_equivalence =
+  QCheck.Test.make ~name:"indexes on = indexes off" ~count:80 arb_txns
     (fun blocks ->
       let s_ix = make_system ~indexed:true in
       let s_plain = make_system ~indexed:false in
       List.iter
         (fun block ->
-          let r_ix =
-            with_planner ~pushdown:true ~cost (fun () -> run_block s_ix block)
-          in
-          let r_plain =
-            with_planner ~pushdown:false ~cost:true (fun () ->
-                run_block s_plain block)
-          in
+          let r_ix = run_block s_ix block in
+          let r_plain = run_block s_plain block in
           check_same_result "block" r_ix r_plain;
           (* the trace of each transaction must match event for event;
              events carry only rule names, sizes and booleans, so
@@ -480,8 +459,7 @@ let suite =
       test_stats_count_probes;
     Alcotest.test_case "probe = filtered scan" `Quick
       test_probe_equals_filtered_scan;
-    qtest (prop_index_equivalence ~cost:true);
-    qtest (prop_index_equivalence ~cost:false);
+    qtest prop_index_equivalence;
     Alcotest.test_case "differential run exercised probes" `Quick
       test_probes_actually_happened;
   ]

@@ -41,8 +41,8 @@ let expect_err ~name pred f =
     if not (pred e) then
       Alcotest.failf "%s: wrong error: %s" name (Errors.to_string e)
 
-let fixture () =
-  system
+let fixture ?(compiled = true) () =
+  system ~config:(evaluator compiled)
     "create table emp (name string, emp_no int, salary float);\n\
      insert into emp values ('ada', 1, 100.0);\n\
      insert into emp values ('bob', 2, 200.0);\n\
@@ -170,24 +170,6 @@ let test_cache_invalidation_on_ddl () =
   Alcotest.(check bool) "recompiled plan probes the new index" true
     (st.Engine.index_probes > probes0)
 
-let test_cache_invalidation_on_planner_flip () =
-  let s = fixture () in
-  let st = stats s in
-  run s "prepare p as select name from emp where emp_no = ?";
-  run s "execute p (1)";
-  let i0 = st.Engine.stmt_cache_invalidations in
-  let saved = !Eval.predicate_pushdown in
-  Fun.protect
-    ~finally:(fun () -> Eval.predicate_pushdown := saved)
-    (fun () ->
-      Eval.predicate_pushdown := not saved;
-      run s "execute p (1)";
-      Alcotest.(check int) "planner flip invalidated the plan" (i0 + 1)
-        st.Engine.stmt_cache_invalidations);
-  run s "execute p (1)";
-  Alcotest.(check int) "flipping back invalidates again" (i0 + 2)
-    st.Engine.stmt_cache_invalidations
-
 let test_fork_gets_fresh_namespace () =
   let s = fixture () in
   let eng = System.engine s in
@@ -230,19 +212,18 @@ let test_explain_reports_cache_state () =
 (* Run the same prepared-statement script on two fresh systems, one per
    evaluator, and compare every rendered result (including errors). *)
 let differential script =
-  let run_path flag =
-    with_compile flag (fun () ->
-        let s = fixture () in
-        run s "create table log (name string, salary float)";
-        run s
-          "create rule audit when updated emp.salary then insert into log \
-           (select name, salary from new updated emp.salary)";
-        List.map
-          (fun stmt ->
-            match System.exec_one s stmt with
-            | r -> System.render_result r
-            | exception Errors.Error e -> "error: " ^ Errors.to_string e)
-          script)
+  let run_path compiled =
+    let s = fixture ~compiled () in
+    run s "create table log (name string, salary float)";
+    run s
+      "create rule audit when updated emp.salary then insert into log \
+       (select name, salary from new updated emp.salary)";
+    List.map
+      (fun stmt ->
+        match System.exec_one s stmt with
+        | r -> System.render_result r
+        | exception Errors.Error e -> "error: " ^ Errors.to_string e)
+      script
   in
   let compiled = run_path true and interpreted = run_path false in
   Alcotest.(check (list string)) "compiled = interpreted" interpreted compiled
@@ -272,20 +253,19 @@ let test_execute_differential () =
 
 let test_execute_inside_transaction () =
   List.iter
-    (fun flag ->
-      with_compile flag (fun () ->
-          let s = fixture () in
-          run s "prepare bump as update emp set salary = salary + ? where \
-                 emp_no = ?";
-          run s "begin";
-          run s "execute bump (10.0, 1)";
-          run s "execute bump (20.0, 1)";
-          Alcotest.(check (float 0.001)) "both executes visible in-transaction"
-            130.0
-            (float_cell s "select salary from emp where emp_no = 1");
-          run s "rollback";
-          Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
-            (float_cell s "select salary from emp where emp_no = 1")))
+    (fun compiled ->
+      let s = fixture ~compiled () in
+      run s "prepare bump as update emp set salary = salary + ? where \
+             emp_no = ?";
+      run s "begin";
+      run s "execute bump (10.0, 1)";
+      run s "execute bump (20.0, 1)";
+      Alcotest.(check (float 0.001)) "both executes visible in-transaction"
+        130.0
+        (float_cell s "select salary from emp where emp_no = 1");
+      run s "rollback";
+      Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
+        (float_cell s "select salary from emp where emp_no = 1"))
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
@@ -436,8 +416,6 @@ let suite =
       test_cache_hits_on_repetition;
     Alcotest.test_case "invalidation: DDL generation bump" `Quick
       test_cache_invalidation_on_ddl;
-    Alcotest.test_case "invalidation: planner-switch flip" `Quick
-      test_cache_invalidation_on_planner_flip;
     Alcotest.test_case "fork gets a fresh statement namespace" `Quick
       test_fork_gets_fresh_namespace;
     Alcotest.test_case "EXPLAIN reports cache state" `Quick

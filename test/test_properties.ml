@@ -341,23 +341,39 @@ let prop_hash_join_equivalence =
       let db =
         List.fold_left (fun db row -> fst (Database.insert db "u" row)) db u_rows
       in
-      let sql =
+      (* the oracle writes each join conjunct [x = y] as [not (x <> y)]:
+         the same NULL and type semantics, but no hash-join link *)
+      let sql eq =
         match variant with
-        | 0 -> "select t.b, u.c from t, u where t.a = u.a"
-        | 1 -> "select t.b, u.c from t, u where t.a = u.a and t.b > u.c"
+        | 0 -> Printf.sprintf "select t.b, u.c from t, u where %s" (eq "t.a" "u.a")
+        | 1 ->
+          Printf.sprintf "select t.b, u.c from t, u where %s and t.b > u.c"
+            (eq "t.a" "u.a")
         | _ ->
           (* three-way chain join *)
-          "select t.b from t, u, t t2 where t.a = u.a and u.a = t2.a"
+          Printf.sprintf "select t.b from t, u, t t2 where %s and %s" (eq "t.a" "u.a")
+            (eq "u.a" "t2.a")
       in
-      let query = Parser.parse_select_string sql in
-      let resolve = Eval.base_resolver db in
-      Eval.join_optimization := true;
-      let fast = Eval.eval_select resolve query in
-      Eval.join_optimization := false;
-      let slow = Eval.eval_select resolve query in
-      Eval.join_optimization := true;
-      List.length fast.Eval.rows = List.length slow.Eval.rows
-      && List.for_all2 Row.equal fast.Eval.rows slow.Eval.rows)
+      let run eq =
+        let builds = ref 0 in
+        let access =
+          {
+            (Eval.db_access db) with
+            Eval.acc_note =
+              (fun ~table:_ -> function `Hash_join_build -> incr builds | _ -> ());
+          }
+        in
+        let rel =
+          Eval.eval_select ~access (Eval.base_resolver db)
+            (Parser.parse_select_string (sql eq))
+        in
+        (rel.Eval.rows, !builds)
+      in
+      let fast, fast_builds = run (Printf.sprintf "%s = %s") in
+      let slow, slow_builds = run (Printf.sprintf "not (%s <> %s)") in
+      fast_builds >= 1 && slow_builds = 0
+      && List.length fast = List.length slow
+      && List.for_all2 Row.equal fast slow)
 
 (* ------------------------------------------------------------------ *)
 (* Trace consistency.                                                  *)

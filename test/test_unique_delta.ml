@@ -195,10 +195,9 @@ let prop_delta_matches_whole_table =
         (fun compiled ->
           List.iter
             (fun prune_info ->
-              with_compile compiled (fun () ->
-                  differential
-                    ~config:{ Engine.default_config with prune_info }
-                    c))
+              differential
+                ~config:{ Engine.default_config with prune_info; compiled }
+                c)
             [ true; false ])
         [ true; false ];
       true)
