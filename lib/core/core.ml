@@ -163,7 +163,7 @@ module System = struct
 
   (* ---- statement dispatch ---- *)
 
-  (* Run a compiled DML plan through the standard routing: a bare
+  (* Run a DML plan through the standard routing: a bare
      select outside a transaction is pure retrieval; anything inside a
      transaction extends it; anything else is its own transaction with
      rule processing.  [op] is inspected only for its shape — execution
@@ -180,27 +180,6 @@ module System = struct
       end
       else begin
         let outcome, results = Engine.execute_block_cops eng ?params [ cop ] in
-        match outcome, results with
-        | Engine.Committed, [ rel ] -> Relation rel
-        | outcome, _ -> Outcome outcome
-      end
-
-  (* The interpreter routing — the differential-oracle path of an
-     engine configured with [compiled = false].  EXECUTE reaches it with
-     parameters already substituted into the tree. *)
-  let run_op_interp eng (op : Ast.op) : exec_result =
-    match op with
-    | Ast.Select_op s when not (Engine.in_transaction eng) ->
-      (* a bare query outside a transaction is pure retrieval *)
-      Relation (Engine.query eng s)
-    | _ ->
-      if Engine.in_transaction eng then begin
-        match Engine.submit_ops eng [ op ] with
-        | [ rel ] -> Relation rel
-        | _ -> Msg "ok"
-      end
-      else begin
-        let outcome, results = Engine.execute_block eng [ op ] in
         match outcome, results with
         | Engine.Committed, [ rel ] -> Relation rel
         | outcome, _ -> Outcome outcome
@@ -262,22 +241,16 @@ module System = struct
       Engine.drop_index eng name;
       Msg (Printf.sprintf "index %s dropped" name)
     | Ast.Stmt_op op ->
-      (* compiled execution enters the statement cache, so a repeated
+      (* the plan comes from the statement cache, so a repeated
          statement re-runs its plan without recompiling *)
-      if (Engine.config eng).compiled then run_cop eng op (Engine.cached_cop eng op)
-      else run_op_interp eng op
+      run_cop eng op (Engine.cached_cop eng op)
     | Ast.Stmt_prepare (name, op) ->
       Engine.prepare eng ~name op;
       Msg (Printf.sprintf "prepared %s" name)
     | Ast.Stmt_execute (name, args) ->
       let p = Engine.find_prepared eng name in
       let params = Engine.bind_params p args in
-      if (Engine.config eng).compiled then
-        run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
-      else
-        (* interpreter oracle: substitute the bound constants into the
-           tree and run it as if typed literally *)
-        run_op_interp eng (Ast.subst_params_op params (Engine.prepared_op p))
+      run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
     | Ast.Stmt_deallocate target ->
       Engine.deallocate eng target;
       Msg

@@ -15,7 +15,7 @@
 
 (** Where a fault can be injected. *)
 type site =
-  | Dml_op  (** start of [Dml.exec_op] — every data manipulation operation *)
+  | Dml_op  (** start of [Dml.exec_cop] and [Dml.exec_op] — every data manipulation operation *)
   | Query_eval
       (** top-level [Eval.eval_select] entry (queries, procedure reads) *)
   | Rule_condition  (** rule condition evaluation in the engine *)

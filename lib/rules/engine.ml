@@ -173,8 +173,8 @@ type prepared = {
 type t = {
   mutable db : Database.t;
   mutable ddl_gen : int;
-      (* bumped by every DDL statement; compiled rule forms are keyed
-         on it so schema or index changes invalidate them *)
+      (* bumped by every DDL statement; rule plans are keyed on it so
+         schema or index changes invalidate them *)
   mutable rules_rev : Rule.t list;
       (* newest first, so CREATE RULE is O(1): n creations build the
          catalog in O(n) instead of the O(n²) of appending *)
@@ -260,8 +260,8 @@ let create ?(config = default_config) db =
    transaction context over the same committed state.  The rule catalog
    (rule values, priorities, discrimination index), procedures, config
    and selection clock are shared — persistent maps make the sharing
-   safe for the catalog fields, and the mutable Rule.t compiled-form
-   caches are write-once-per-generation (a race merely recompiles).
+   safe for the catalog fields, and the mutable Rule.t plan caches are
+   write-once-per-generation (a race merely re-plans).
    Transaction state, stats, metrics and traces start fresh.  Forks
    must not execute DDL: rule DDL would mutate the *shared*
    discrimination index behind the parent's back.  The server keeps
@@ -323,38 +323,57 @@ let access_for t db : Eval.access =
           t.stats.hash_join_probes <- t.stats.hash_join_probes + 1);
   }
 
-(* Compiled forms are keyed on the DDL generation: a compiled condition,
-   action or statement is reusable only against the catalog it was
-   compiled for. *)
+(* {2 Plans}
 
-(* Fetch (or build) the compiled form of a rule's condition. *)
-let compiled_condition t (rule : Rule.t) cond =
+   The evaluator is chosen here and nowhere else: every operation the
+   engine runs — a statement, a prepared statement, a rule action — is
+   planned as a [Dml.cop] that is compiled or interpreted as
+   [config.compiled] says, and a rule condition likewise becomes a
+   compiled predicate or the interpreted expression.  Everything
+   downstream runs plans. *)
+
+let plan_op t (op : Ast.op) =
+  if t.config.compiled then Dml.compile_op t.db op else Dml.interpret op
+
+let plan_condition t cond : Rule.condition =
+  let use_cache = t.config.optimize in
+  if t.config.compiled then
+    let cp = Compile.compile_predicate t.db cond in
+    fun access resolve -> Compile.run_predicate ~access ~use_cache resolve cp
+  else fun access resolve ->
+    let cache = if use_cache then Some (Eval.make_cache ()) else None in
+    Eval.eval_predicate ?cache ~access resolve [] cond
+
+(* Rule plans are keyed on the DDL generation: a plan is reusable only
+   against the catalog it was built for. *)
+
+(* Fetch (or build) the plan of a rule's condition. *)
+let condition_plan t (rule : Rule.t) cond =
   let key = t.ddl_gen in
-  let cf = rule.Rule.compiled in
-  match cf.Rule.cf_cond with
+  let pl = rule.Rule.plans in
+  match pl.Rule.cond_plan with
   | Some (k, cp) when k = key -> cp
   | _ ->
-    let cp = Compile.compile_predicate t.db cond in
-    cf.Rule.cf_cond <- Some (key, cp);
+    let cp = plan_condition t cond in
+    pl.Rule.cond_plan <- Some (key, cp);
     cp
 
-(* Fetch (or build) the compiled form of a rule's action block, so a
-   cascade's n-th firing re-enters closures instead of re-walking the
-   AST. *)
-let compiled_action t (rule : Rule.t) ops =
+(* Fetch (or build) the plans of a rule's action block, so a cascade's
+   n-th firing re-enters them instead of re-planning. *)
+let action_plan t (rule : Rule.t) ops =
   let key = t.ddl_gen in
-  let cf = rule.Rule.compiled in
-  match cf.Rule.cf_action with
+  let pl = rule.Rule.plans in
+  match pl.Rule.action_plan with
   | Some (k, cops) when k = key -> cops
   | _ ->
-    let cops = List.map (Dml.compile_op t.db) ops in
-    cf.Rule.cf_action <- Some (key, cops);
+    let cops = List.map (plan_op t) ops in
+    pl.Rule.action_plan <- Some (key, cops);
     cops
 
 (* {2 Statement cache and prepared statements}
 
    The statement cache maps canonical statement text to a compiled
-   plan, keyed (like compiled rule forms) on the DDL generation: a hit
+   plan, keyed (like rule plans) on the DDL generation: a hit
    serves the plan without recompiling; a stale entry counts as an
    invalidation and recompiles in place.  Prepared statements reuse the
    same validity discipline but live in a separate per-name registry so
@@ -365,25 +384,36 @@ let stmt_cache_max = 512
 (* wholesale reset when the cache would exceed this; an LRU is not
    worth its bookkeeping for a cache this small *)
 
+(* Serve [op]'s plan from its validity-keyed slot, whose current
+   entry is [found]: a plan built for the current DDL generation is a
+   hit; a stale one counts as an invalidation and is re-planned and
+   [store]d; an empty slot is a miss.  An interpreted plan is the AST
+   itself, so an engine running the interpreter plans afresh and
+   leaves the slots and their counters alone. *)
+let reuse_plan t op found ~store =
+  if not t.config.compiled then plan_op t op
+  else
+    let st = t.stats in
+    let key = t.ddl_gen in
+    match found with
+    | Some (k, cop) when k = key ->
+      st.stmt_cache_hits <- st.stmt_cache_hits + 1;
+      cop
+    | _ ->
+      if Option.is_some found then
+        st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1
+      else st.stmt_cache_misses <- st.stmt_cache_misses + 1;
+      let cop = plan_op t op in
+      store (key, cop);
+      cop
+
 let cached_cop t (op : Ast.op) =
   let text = Pretty.op_str op in
-  let key = t.ddl_gen in
-  match Hashtbl.find_opt t.stmt_cache text with
-  | Some (k, cop) when k = key ->
-    t.stats.stmt_cache_hits <- t.stats.stmt_cache_hits + 1;
-    cop
-  | Some _ ->
-    t.stats.stmt_cache_invalidations <- t.stats.stmt_cache_invalidations + 1;
-    let cop = Dml.compile_op t.db op in
-    Hashtbl.replace t.stmt_cache text (key, cop);
-    cop
-  | None ->
-    t.stats.stmt_cache_misses <- t.stats.stmt_cache_misses + 1;
-    if Hashtbl.length t.stmt_cache >= stmt_cache_max then
-      Hashtbl.reset t.stmt_cache;
-    let cop = Dml.compile_op t.db op in
-    Hashtbl.replace t.stmt_cache text (key, cop);
-    cop
+  let found = Hashtbl.find_opt t.stmt_cache text in
+  reuse_plan t op found ~store:(fun entry ->
+      if Option.is_none found && Hashtbl.length t.stmt_cache >= stmt_cache_max
+      then Hashtbl.reset t.stmt_cache;
+      Hashtbl.replace t.stmt_cache text entry)
 
 (* Non-mutating probe for EXPLAIN: what would executing this statement
    find in the cache right now? *)
@@ -431,21 +461,8 @@ let prepared_op (p : prepared) = p.pr_op
 (* Fetch (or build) a prepared statement's plan — same validity
    discipline as [cached_cop], same counters. *)
 let prepared_cop t (p : prepared) =
-  let key = t.ddl_gen in
-  match p.pr_compiled with
-  | Some (k, cop) when k = key ->
-    t.stats.stmt_cache_hits <- t.stats.stmt_cache_hits + 1;
-    cop
-  | Some _ ->
-    t.stats.stmt_cache_invalidations <- t.stats.stmt_cache_invalidations + 1;
-    let cop = Dml.compile_op t.db p.pr_op in
-    p.pr_compiled <- Some (key, cop);
-    cop
-  | None ->
-    t.stats.stmt_cache_misses <- t.stats.stmt_cache_misses + 1;
-    let cop = Dml.compile_op t.db p.pr_op in
-    p.pr_compiled <- Some (key, cop);
-    cop
+  reuse_plan t p.pr_op p.pr_compiled ~store:(fun entry ->
+      p.pr_compiled <- Some entry)
 
 let bind_params (p : prepared) (args : Value.t list) =
   let got = List.length args in
@@ -697,43 +714,28 @@ let require_txn t =
   if not (in_transaction t) then
     Errors.raise_error (Errors.Transaction_error "no open transaction")
 
-(* Execute an operation block against the current state, returning the
-   composite effect and any select results.  Each operation sees the
-   state produced by its predecessors; transition tables resolve
-   through [resolver_of], which differs between external blocks (no
-   transition tables) and rule actions. *)
-let run_steps t ~resolver_of ~exec items =
+(* Execute a block of planned operations against the current state,
+   returning the composite effect and any select results.  Each
+   operation sees the state produced by its predecessors; transition
+   tables resolve through [resolver_of], which differs between external
+   blocks (no transition tables) and rule actions.  [params] is the
+   EXECUTE parameter frame (absent for rule actions). *)
+let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
   List.fold_left
-    (fun (eff, results) item ->
-      let resolve = resolver_of t.db in
-      let access = access_for t t.db in
-      let r = exec ~access resolve t.db item in
+    (fun (eff, results) cop ->
+      let r =
+        Dml.exec_cop ~track_selects:t.config.track_selects
+          ~optimize:t.config.optimize ~access:(access_for t t.db) ?params
+          (resolver_of t.db) t.db cop
+      in
       t.db <- r.Dml.db;
       let eff = Effect.compose eff (Effect.of_affected r.Dml.affected) in
       let results =
         match r.Dml.result with Some rel -> rel :: results | None -> results
       in
       (eff, results))
-    (Effect.empty, []) items
+    (Effect.empty, []) cops
   |> fun (eff, results) -> (eff, List.rev results)
-
-let run_ops t ~resolver_of (ops : Ast.op list) =
-  let exec = if t.config.compiled then Dml.exec_op else Dml.interpret_op in
-  run_steps t ~resolver_of
-    ~exec:(fun ~access resolve db op ->
-      exec ~track_selects:t.config.track_selects ~optimize:t.config.optimize ~access
-        resolve db op)
-    ops
-
-(* The compiled counterpart: same per-operation resolver/access/state
-   threading, entering cached compiled operations.  [params] is the
-   EXECUTE parameter frame (absent for rule actions). *)
-let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
-  run_steps t ~resolver_of
-    ~exec:(fun ~access resolve db cop ->
-      Dml.exec_cop ~track_selects:t.config.track_selects
-        ~optimize:t.config.optimize ~access ?params resolve db cop)
-    cops
 
 let external_resolver db : Eval.resolver = Eval.base_resolver db
 
@@ -742,20 +744,6 @@ let external_resolver db : Eval.resolver = Eval.base_resolver db
    operation blocks to execute indivisibly, so a failing operation must
    not leave its predecessors' mutations behind: the whole block's
    effects are applied and recorded in [pending], or none are. *)
-let submit_ops t (ops : Ast.op list) =
-  require_txn t;
-  let db0 = t.db in
-  match run_ops t ~resolver_of:external_resolver ops with
-  | eff, results ->
-    t.txn.pending <- Effect.compose t.txn.pending eff;
-    t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
-    results
-  | exception e ->
-    t.db <- db0;
-    raise e
-
-(* Compiled counterpart of [submit_ops]: statement-cache / prepared
-   plans entering an open transaction, with the same indivisibility. *)
 let submit_cops t ?params (cops : Dml.cop list) =
   require_txn t;
   let db0 = t.db in
@@ -767,6 +755,8 @@ let submit_cops t ?params (cops : Dml.cop list) =
   | exception e ->
     t.db <- db0;
     raise e
+
+let submit_ops t ops = submit_cops t (List.map (plan_op t) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Rule processing (Figure 1)                                          *)
@@ -809,17 +799,19 @@ let abort_txn t exn =
 let info_of t name =
   Option.value (Str_map.find_opt name t.txn.infos) ~default:Trans_info.empty
 
-(* The operation block denoted by a rule's action: either its literal
-   block or the block computed by an external procedure (Section 5.2). *)
+(* The plans of the operation block denoted by a rule's action: either
+   its literal block or the block computed by an external procedure
+   (Section 5.2). *)
 let action_block t (rule : Rule.t) resolve =
   match Rule.action rule with
   | Ast.Act_rollback -> assert false
-  | Ast.Act_block ops -> ops
+  | Ast.Act_block ops -> action_plan t rule ops
   | Ast.Act_call name ->
     Fault.hit Fault.Procedure_call;
     let fn = Procedures.find t.procedures name in
-    fn { Procedures.query = (fun s -> Eval.eval_select resolve s);
-         rule_name = rule.Rule.name }
+    List.map (plan_op t)
+      (fn { Procedures.query = (fun s -> Eval.eval_select resolve s);
+            rule_name = rule.Rule.name })
 
 let process_rules_exn t =
   require_txn t;
@@ -930,16 +922,7 @@ let process_rules_exn t =
           timed t
             (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
             (fun () ->
-              if t.config.compiled then
-                Compile.run_predicate ~access:(access_for t t.db)
-                  ~use_cache:t.config.optimize resolve
-                  (compiled_condition t rule cond)
-              else
-                let cache =
-                  if t.config.optimize then Some (Eval.make_cache ()) else None
-                in
-                Eval.eval_predicate ?cache ~access:(access_for t t.db) resolve
-                  [] cond)
+              condition_plan t rule cond (access_for t t.db) resolve)
       in
       record t (Ev_considered { rule = rule.Rule.name; condition_held = cond_holds });
       Log.debug (fun m ->
@@ -970,13 +953,9 @@ let process_rules_exn t =
           timed t
             (fun dt -> m.m_action_seconds <- m.m_action_seconds +. dt)
             (fun () ->
-              let resolver_of db = Transition_tables.resolver info db in
-              match Rule.action rule with
-              | Ast.Act_block ops when t.config.compiled ->
-                run_cops t ~resolver_of (compiled_action t rule ops)
-              | _ ->
-                let ops = action_block t rule resolve in
-                run_ops t ~resolver_of ops)
+              run_cops t
+                ~resolver_of:(fun db -> Transition_tables.resolver info db)
+                (action_block t rule resolve))
         in
         t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
         m.m_fired <- m.m_fired + 1;
@@ -1121,10 +1100,10 @@ let rollback_txn t =
 (* The paper's default behaviour: one externally-generated operation
    block, executed as one transaction with rule processing before
    commit. *)
-let execute_block t (ops : Ast.op list) =
+let execute_block_cops t ?params (cops : Dml.cop list) =
   begin_txn t;
   try
-    let results = submit_ops t ops in
+    let results = submit_cops t ?params cops in
     let outcome = commit t in
     (outcome, results)
   with e ->
@@ -1133,30 +1112,11 @@ let execute_block t (ops : Ast.op list) =
     if in_transaction t then abort_txn t e;
     raise e
 
-(* Compiled counterpart of [execute_block]: one transaction running
-   cached / prepared plans, rule processing before commit as usual. *)
-let execute_block_cops t ?params (cops : Dml.cop list) =
-  begin_txn t;
-  try
-    let results = submit_cops t ?params cops in
-    let outcome = commit t in
-    (outcome, results)
-  with e ->
-    if in_transaction t then abort_txn t e;
-    raise e
+let execute_block t ops = execute_block_cops t (List.map (plan_op t) ops)
 
-(* Evaluate a query outside any rule context.  Top-level queries are
-   one-shot, so their compiled form is built, run and discarded — the
-   win here is the positional evaluation itself, not caching. *)
-let query t (s : Ast.select) =
-  if t.config.compiled then
-    Compile.eval_select ~access:(access_for t t.db) (external_resolver t.db)
-      t.db s
-  else Eval.eval_select ~access:(access_for t t.db) (external_resolver t.db) s
-
-(* Evaluate a cached / prepared select plan outside any transaction —
-   the compiled-path counterpart of [query].  The caller guarantees the
-   compiled operation is a select. *)
+(* Evaluate a select plan outside any transaction and rule context (no
+   transition tables).  The caller guarantees the operation is a
+   select. *)
 let query_cop t ?params (cop : Dml.cop) =
   let r =
     Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize
@@ -1168,6 +1128,8 @@ let query_cop t ?params (cop : Dml.cop) =
   | Some rel -> rel
   | None -> assert false (* select operations always produce a relation *)
 
+let query t (s : Ast.select) = query_cop t (plan_op t (Ast.Select_op s))
+
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
 
@@ -1176,13 +1138,11 @@ let query_cop t ?params (cop : Dml.cop) =
 let explain_access t db : Eval.access =
   { (access_for t db) with Eval.acc_note = (fun ~table:_ _ -> ()) }
 
-(* EXPLAIN must report what the executor will actually do, so it plans
-   through whichever path execution would take. *)
+(* EXPLAIN must report what the executor will actually do.  Both
+   evaluators run the one access-path decision procedure, so one
+   planner serves either. *)
 let explain_op t (op : Ast.op) =
-  if t.config.compiled then
-    Compile.plan_op ~access:(explain_access t t.db) (external_resolver t.db)
-      t.db op
-  else Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
+  Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
 
 (* Collect the outermost embedded selects of a condition expression —
    the units the evaluator plans independently.  Sub-selects nested
@@ -1230,12 +1190,8 @@ let explain_rule t name =
   | Some cond ->
     let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Trans_info.empty t.db in
-    let plan s =
-      if t.config.compiled then Compile.plan_select ~access resolve t.db s
-      else Eval.plan_select ~access resolve s
-    in
     List.map
-      (fun s -> (Sqlf.Pretty.select_str s, plan s))
+      (fun s -> (Sqlf.Pretty.select_str s, Eval.plan_select ~access resolve s))
       (embedded_selects cond)
 
 (* DDL is not part of the transition model: it applies outside
@@ -1293,7 +1249,7 @@ let drop_index t ix_name =
 (* Durability support                                                  *)
 
 (* The checkpointable essence of an engine: the database state plus the
-   rule catalog as *data*.  Rule.t values carry compiled-closure caches
+   rule catalog as *data*.  Rule.t values carry plan caches (closures)
    that cannot be marshalled, so the image stores (definition, seq,
    active) triples and restoration rebuilds the rules — the caches
    refill lazily on first consideration.  Everything else in [t] is

@@ -45,12 +45,14 @@ type config = {
           scan over the whole catalog, retained as a differential
           oracle; semantically invisible either way. *)
   compiled : bool;
-      (** Run statements, rule conditions and rule actions through
-          compiled positional closures ({!Sqlf.Compile}), caching their
-          plans.  [false] is the tree-walking interpreter, retained as
-          the differential oracle: it bypasses the statement cache and
-          the compiled rule forms; results, plans and error
-          diagnostics are identical either way. *)
+      (** The evaluator, chosen once where each plan is built: every
+          statement, prepared statement, rule condition and rule action
+          is planned as compiled positional closures
+          ({!Sqlf.Compile}).  [false] plans them for the tree-walking
+          interpreter ({!Sqlf.Dml.interpret}), retained as the
+          differential oracle: the statement cache and the prepared
+          plans stay empty and uncounted; results, EXPLAIN plans and
+          error diagnostics are identical either way. *)
 }
 
 val default_config : config
@@ -217,15 +219,7 @@ val register_procedure : t -> string -> Procedures.procedure -> unit
 
 val begin_txn : t -> unit
 val submit_ops : t -> Ast.op list -> Eval.relation list
-(** Execute externally-generated operations inside the open
-    transaction, extending the current external transition.  Returns
-    the result rows of any select operations.
-
-    Exception safety (paper Section 2.1: blocks execute indivisibly):
-    if any operation raises, the database is restored to its state at
-    the start of the block before the error propagates — the block has
-    no effect, nothing reaches the pending transition, and the
-    transaction remains open. *)
+(** Plan the operations (uncached) and {!submit_cops} them. *)
 
 val process_rules : t -> outcome
 (** Section 5.3 triggering point: complete the current external
@@ -249,24 +243,21 @@ val rollback_txn : t -> unit
 (** Abort the open transaction, restoring its start state. *)
 
 val execute_block : t -> Ast.op list -> outcome * Eval.relation list
-(** The paper's default behaviour: one externally-generated operation
-    block executed as one transaction with rule processing before
-    commit.  Any error aborts the transaction — restoring the exact
-    pre-transaction state and recording the abort — before
-    re-raising. *)
+(** Plan the operations (uncached) and {!execute_block_cops} them. *)
 
 (** {2 Queries and DDL} *)
 
 val query : t -> Ast.select -> Eval.relation
-(** Evaluate a query outside any rule context (no transition tables). *)
+(** Plan the query (uncached) and {!query_cop} it. *)
 
-(** {2 Statement cache and prepared statements}
+(** {2 Plans, the statement cache and prepared statements}
 
-    The statement cache maps canonical statement text to a compiled
-    plan, keyed (like compiled rule forms) on the DDL generation.  A
-    hit serves the
-    plan without recompiling; a stale entry counts as an invalidation
-    and recompiles in place.  Prepared statements (PREPARE name AS
+    Every operation runs as a {!Dml.cop} plan, compiled or interpreted
+    as [config.compiled] says.  The statement cache maps
+    canonical statement text to a compiled plan, keyed (like rule
+    plans) on the DDL generation.  A hit serves the plan without
+    recompiling; a stale entry counts as an invalidation and recompiles
+    in place.  Prepared statements (PREPARE name AS
     <op>) reuse the same validity discipline in a per-name registry.
     Both structures are engine-local and start empty on {!fork}, which
     gives each server session its own statement namespace and drops
@@ -275,9 +266,11 @@ val query : t -> Ast.select -> Eval.relation
 module Dml = Sqlf.Dml
 
 val cached_cop : t -> Ast.op -> Dml.cop
-(** The compiled plan for [op], served from the statement cache when
-    valid, (re)compiled and cached otherwise.  Updates the
-    [stmt_cache_*] counters in {!stats}. *)
+(** The plan for [op].  Compiled: served from the statement cache when
+    valid, (re)compiled and cached otherwise, updating the
+    [stmt_cache_*] counters in {!stats}.  Interpreted: the
+    {!Dml.interpret} plan, with the cache and its counters left
+    alone. *)
 
 val stmt_cache_lookup : t -> Ast.op -> [ `Hit | `Stale | `Miss ]
 (** Non-mutating probe (for EXPLAIN): what would executing this
@@ -311,30 +304,44 @@ val prepared_op : prepared -> Ast.op
 
 val prepared_cop : t -> prepared -> Dml.cop
 (** The prepared statement's plan, compiled at most once per validity
-    key — same counters as {!cached_cop}. *)
+    key — same counters and same interpreted case as {!cached_cop}. *)
 
 val bind_params : prepared -> Value.t list -> Value.t array
 (** Check EXECUTE argument arity against the statement's parameter
     count (raises [Prepared_arity]) and build the parameter frame. *)
 
 val submit_cops : t -> ?params:Value.t array -> Dml.cop list -> Eval.relation list
-(** Compiled counterpart of {!submit_ops}: run cached/prepared plans
-    inside the open transaction, with the same indivisibility
-    contract. *)
+(** Execute externally-generated operations inside the open
+    transaction, extending the current external transition.  Returns
+    the result rows of any select operations.  [params] is the EXECUTE
+    parameter frame.
+
+    Exception safety (paper Section 2.1: blocks execute indivisibly):
+    if any operation raises, the database is restored to its state at
+    the start of the block before the error propagates — the block has
+    no effect, nothing reaches the pending transition, and the
+    transaction remains open. *)
 
 val execute_block_cops :
   t -> ?params:Value.t array -> Dml.cop list -> outcome * Eval.relation list
-(** Compiled counterpart of {!execute_block}. *)
+(** The paper's default behaviour: one externally-generated operation
+    block executed as one transaction with rule processing before
+    commit.  Any error aborts the transaction — restoring the exact
+    pre-transaction state and recording the abort — before
+    re-raising. *)
 
 val query_cop : t -> ?params:Value.t array -> Dml.cop -> Eval.relation
-(** Compiled counterpart of {!query} for a select plan.  The caller
-    guarantees the compiled operation is a select. *)
+(** Evaluate a select plan outside any transaction and rule context (no
+    transition tables), with uncorrelated-subquery caching as
+    [config.optimize] says.  The caller guarantees the operation
+    is a select. *)
 
 (** {2 EXPLAIN} *)
 
 val explain_op : t -> Ast.op -> Eval.source_plan list
 (** Plan a DML operation without executing it, using exactly the
-    executor's access-path decision procedure (see {!Eval.plan_op}).
+    access-path decision procedure both evaluators execute (see
+    {!Eval.plan_op}).
     Planning never mutates the database and does not perturb the
     scan/probe statistics. *)
 
@@ -393,7 +400,7 @@ val ddl_generation : t -> int
 
 (** Marshal-safe image of a quiescent engine: the database state plus
     the rule catalog as data ((definition, seq, active) triples and
-    priority pairs — compiled forms are process-local and rebuilt
+    priority pairs — rule plans are process-local and rebuilt
     lazily after restoration). *)
 type durable_image = {
   di_db : Database.t;

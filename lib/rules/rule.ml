@@ -11,16 +11,20 @@ open Relational
 module Ast = Sqlf.Ast
 module Pretty = Sqlf.Pretty
 
-(* Compiled forms of the rule's condition and action block, cached so
-   repeated firings (cascades especially) re-enter closures instead of
-   re-walking the AST.  A compiled form is valid only for the catalog
-   it was compiled against, so each entry carries the engine's DDL
-   generation; the engine recompiles on mismatch.
+(* A planned condition: evaluate under these access hooks and
+   transition-table resolver. *)
+type condition = Sqlf.Eval.access -> Sqlf.Eval.resolver -> bool
+
+(* Plans of the rule's condition and action block, cached so repeated
+   firings (cascades especially) re-enter them instead of re-planning.
+   A plan is valid only for the catalog it was built against, so each
+   entry carries the engine's DDL generation; the engine re-plans on
+   mismatch.
    The subrecord is mutable and shared structurally by any copies of
    the rule value, so the cache survives deactivate/activate cycles. *)
-type compiled_forms = {
-  mutable cf_cond : (int * Sqlf.Compile.cpred) option;
-  mutable cf_action : (int * Sqlf.Dml.cop list) option;
+type plans = {
+  mutable cond_plan : (int * condition) option;
+  mutable action_plan : (int * Sqlf.Dml.cop list) option;
 }
 
 type t = {
@@ -31,7 +35,7 @@ type t = {
       (* mutable so activation toggles update the catalog entry in
          place — the engine's by-name map, creation-order list and
          discrimination index all share the same value *)
-  compiled : compiled_forms;
+  plans : plans;
 }
 
 (* Section 3: "our syntax does not enforce the restriction that a
@@ -60,7 +64,7 @@ let create ~seq (def : Ast.rule_def) =
     def;
     seq;
     active = true;
-    compiled = { cf_cond = None; cf_action = None };
+    plans = { cond_plan = None; action_plan = None };
   }
 
 let trans_preds r = r.def.Ast.trans_preds

@@ -9,14 +9,17 @@
 
 module Ast = Sqlf.Ast
 
-(** Cached compiled forms of the condition and action block (see
-    {!Sqlf.Compile}), each keyed by the engine's catalog generation;
-    the engine fills and invalidates these.  Mutable and shared by
-    copies of the rule value, so the cache survives activation
-    toggles. *)
-type compiled_forms = {
-  mutable cf_cond : (int * Sqlf.Compile.cpred) option;
-  mutable cf_action : (int * Sqlf.Dml.cop list) option;
+type condition = Sqlf.Eval.access -> Sqlf.Eval.resolver -> bool
+(** A planned condition: evaluate it under the given access hooks and
+    transition-table resolver. *)
+
+(** Cached plans of the condition and action block, each keyed by the
+    engine's catalog generation; the engine fills and invalidates
+    these.  Mutable and shared by copies of the rule value, so the
+    cache survives activation toggles. *)
+type plans = {
+  mutable cond_plan : (int * condition) option;
+  mutable action_plan : (int * Sqlf.Dml.cop list) option;
 }
 
 type t = {
@@ -26,7 +29,7 @@ type t = {
   mutable active : bool;
       (** mutable so activation toggles update the shared catalog entry
           in place *)
-  compiled : compiled_forms;
+  plans : plans;
 }
 
 val validate_transition_references : Ast.rule_def -> unit

@@ -34,12 +34,14 @@
      and the join links ([Eval.from_links]) are static; only the probe
      *values* are evaluated at run time, by the interpreter's own
      ranking and fallback ([Eval.probe_candidates]), so the executor's
-     scan/probe counters and EXPLAIN output match the interpreter's.
+     scan/probe counters match the interpreter's and the one EXPLAIN
+     planner ([Eval.plan_op]) describes both.
 
    The interpreter stays as the differential oracle: an engine built
-   with [compiled = false] in its configuration routes the DML layer
-   and the rules engine through it, and test/test_compile_diff.ml
-   asserts that results — and error diagnostics — agree. *)
+   with [compiled = false] in its configuration plans every operation
+   as [Dml.interpret] and every rule condition as the interpreted
+   expression, and test/test_compile_diff.ml asserts that results —
+   and error diagnostics — agree. *)
 
 open Relational
 
@@ -90,7 +92,6 @@ type cselect = {
   cs_read : rt -> Eval.relation * Handle.t list option;
       (* [cs_run] with no outer scopes, with the Section 5.1 read set
          when the shape allows a precise one *)
-  cs_plan : rt -> renv -> Eval.source_plan list;
 }
 
 (* A compiled probe: the statically-selected sargable candidates for
@@ -653,11 +654,8 @@ and compile_compound ctx (s : Ast.select) : cselect =
     let rows = take limit ordered in
     { Eval.rel_name = ""; cols = headr.Eval.cols; rows }
   in
-  let cs_plan rt outer =
-    List.concat_map (fun c -> c.cs_plan rt outer) (head :: List.map snd arms)
-  in
   let cs_read rt = (cs_run rt [||], None) in
-  { cs_cols = head.cs_cols; cs_run; cs_read; cs_plan }
+  { cs_cols = head.cs_cols; cs_run; cs_read }
 
 (* The probe planner's candidate scan over the compile-time frame and
    catalog, with each candidate's value side compiled;
@@ -1055,63 +1053,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
   in
   let cs_run rt outer = fst (run_read rt outer) in
   let cs_read rt = run_read rt [||] in
-  (* ---- the planner: same phases, stopping short of joining ---- *)
-  let cs_plan rt (outer : renv) =
-    let access = match rt.rt_access with Some a -> a | None -> assert false in
-    let phase1 =
-      List.map
-        (fun (name, _cols, kind) ->
-          match kind with
-          | `Derived c ->
-            let rel = c.cs_run rt outer in
-            `Done
-              ( name,
-                Eval.Materialized
-                  { source = "derived table"; rows = List.length rel.Eval.rows } )
-          | `Eager (Ast.Transition tt as src) ->
-            let rel = rt.rt_resolve src in
-            `Done
-              ( name,
-                Eval.Materialized
-                  {
-                    source = "transition table " ^ Pretty.trans_table_str tt;
-                    rows = List.length rel.Eval.rows;
-                  } )
-          | `Eager (Ast.Base tbl as src) ->
-            let rel = rt.rt_resolve src in
-            `Done
-              ( name,
-                Eval.Materialized
-                  { source = "table " ^ tbl; rows = List.length rel.Eval.rows } )
-          | `Eager (Ast.Derived _) -> assert false
-          | `Base tbl -> `Lazy (name, tbl))
-        items
-    in
-    let links = match links with Ok l -> l | Error e -> Errors.raise_error e in
-    (* like the interpreter's planner this reports the join the executor
-       would do (execution skips the build when an earlier source turned
-       out empty — the frame is already empty then) *)
-    List.map2
-      (fun (entry, probe) link ->
-        let sp_join = Option.map (Eval.join_plan frame_shape) link in
-        match entry with
-        | `Done (name, path) -> { Eval.sp_binding = name; sp_path = path; sp_join }
-        | `Lazy (name, tbl) ->
-          let path =
-            match probe with
-            | Some cp -> (
-              match run_probe_values rt access cp outer with
-              | Some hit -> Eval.probed_path access ~table:tbl hit
-              | None ->
-                Eval.Seq_scan { table = tbl; rows = Eval.table_count access ~table:tbl })
-            | None ->
-              Eval.Seq_scan { table = tbl; rows = Eval.table_count access ~table:tbl }
-          in
-          { Eval.sp_binding = name; sp_path = path; sp_join })
-      (List.combine phase1 probes)
-      links
-  in
-  { cs_cols = sr_cols; cs_run; cs_read; cs_plan }
+  { cs_cols = sr_cols; cs_run; cs_read }
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -1151,38 +1093,3 @@ let eval_select ?access ?params ?(use_cache = false) resolve db s =
   let cs = compile_select' ctx s in
   let rt = make_rt ?access ?params ~use_cache ~slots:!(ctx.cc_slots) resolve in
   cs.cs_run rt [||]
-
-let plan_select ~access resolve db s =
-  let ctx = make db in
-  let cs = compile_select' ctx s in
-  let rt = make_rt ~access ~use_cache:false ~slots:!(ctx.cc_slots) resolve in
-  cs.cs_plan rt [||]
-
-let plan_op ~access resolve db (op : Ast.op) : Eval.source_plan list =
-  match op with
-  | Ast.Select_op s | Ast.Insert { source = `Select s; _ } ->
-    plan_select ~access resolve db s
-  | Ast.Insert { source = `Values _; _ } -> []
-  | Ast.Delete { table; where } | Ast.Update { table; where; _ } ->
-    (* mirror of the DML layer's victim selection: the table is bound
-       under its own name; resolving an unknown table raises the same
-       error execution would *)
-    let ctx = make db in
-    let cols =
-      if Database.has_table db table then
-        Table.col_names (Database.table db table)
-      else (resolve (Ast.Base table)).Eval.cols
-    in
-    let cp =
-      compile_probe_plan ctx ~frame:[ (table, cols) ] ~target:table ~table where
-    in
-    let rt = make_rt ~access ~use_cache:false ~slots:!(ctx.cc_slots) resolve in
-    let path =
-      match cp with
-      | Some cp -> (
-        match run_probe_values rt access cp [||] with
-        | Some hit -> Eval.probed_path access ~table hit
-        | None -> Eval.Seq_scan { table; rows = Eval.table_count access ~table })
-      | None -> Eval.Seq_scan { table; rows = Eval.table_count access ~table }
-    in
-    [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]

@@ -139,23 +139,3 @@ val run_probe : rt -> Eval.access -> cprobe -> Eval.probe_hit option
 (** Probe with outer scopes empty, candidates ranked by the shared cost
     model; [None] means every candidate fell through (value evaluation
     failed or no usable index): scan instead. *)
-
-(** {2 EXPLAIN} *)
-
-val plan_select :
-  access:Eval.access ->
-  Eval.resolver ->
-  Database.t ->
-  Ast.select ->
-  Eval.source_plan list
-(** Compiled counterpart of {!Eval.plan_select}: the same decision
-    procedure the compiled executor runs, stopping short of realizing
-    the planned sources. *)
-
-val plan_op :
-  access:Eval.access ->
-  Eval.resolver ->
-  Database.t ->
-  Ast.op ->
-  Eval.source_plan list
-(** Compiled counterpart of {!Eval.plan_op}. *)

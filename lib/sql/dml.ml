@@ -297,8 +297,10 @@ let run_interpreted ~track_selects ~optimize ?access resolve db (op : Ast.op) =
 
    Compilation is total: an operation the compiler cannot resolve
    against the catalog (unknown victim table, unknown SET column)
-   compiles to a fallback that runs the interpreted body, reproducing
-   the interpreter's error at the interpreter's point of raising. *)
+   compiles to the interpreted plan, reproducing the interpreter's
+   error at the interpreter's point of raising.  The same plan kind is
+   what an engine running the interpreter builds for every
+   operation. *)
 
 type cop =
   | C_insert of {
@@ -323,7 +325,9 @@ type cop =
       nslots : int;
     }
   | C_select of { s : Ast.select; csel : Compile.cselect; nslots : int }
-  | C_fallback of Ast.op
+  | C_interpreted of Ast.op
+
+let interpret op = C_interpreted op
 
 let compile_op db (op : Ast.op) : cop =
   match op with
@@ -344,7 +348,7 @@ let compile_op db (op : Ast.op) : cop =
     in
     C_insert { table; columns; csource; nslots = Compile.slot_count ctx }
   | Ast.Delete { table; where } ->
-    if not (Database.has_table db table) then C_fallback op
+    if not (Database.has_table db table) then C_interpreted op
     else begin
       let ctx = Compile.make db in
       let cols = Table.col_names (Database.table db table) in
@@ -356,7 +360,7 @@ let compile_op db (op : Ast.op) : cop =
       C_delete { table; cwhere; cprobe; nslots = Compile.slot_count ctx }
     end
   | Ast.Update { table; sets; where } ->
-    if not (Database.has_table db table) then C_fallback op
+    if not (Database.has_table db table) then C_interpreted op
     else begin
       let schema = Database.schema db table in
       if
@@ -366,7 +370,7 @@ let compile_op db (op : Ast.op) : cop =
         (* unknown SET column: the interpreted body raises the exact
            error at the exact point (after resolving the table, before
            victim selection) *)
-        C_fallback op
+        C_interpreted op
       else begin
         let ctx = Compile.make db in
         let cols = Table.col_names (Database.table db table) in
@@ -437,9 +441,8 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
     Compile.make_rt ?access ?params ~use_cache:optimize ~slots:nslots resolve
   in
   match cop with
-  | C_fallback op -> begin
-    (* the interpreter binds EXECUTE arguments by substitution, so a
-       parameterized operation that fell back still runs *)
+  | C_interpreted op -> begin
+    (* the interpreter binds EXECUTE arguments by substitution *)
     let op =
       match params with
       | None | Some [||] -> op
@@ -556,8 +559,3 @@ let exec_op ?(track_selects = false) ?(optimize = true) ?access resolve db
     (op : Ast.op) : op_result =
   Fault.hit Fault.Dml_op;
   run_cop ~track_selects ~optimize ?access resolve db (compile_op db op)
-
-let interpret_op ?(track_selects = false) ?(optimize = true) ?access resolve db
-    (op : Ast.op) : op_result =
-  Fault.hit Fault.Dml_op;
-  run_interpreted ~track_selects ~optimize ?access resolve db op

@@ -53,36 +53,29 @@ val exec_op :
     sargable predicates over indexed columns are satisfied by index
     probes instead of scans.
 
-    The operation's expressions are lowered to positional closures and
-    run; {!interpret_op} is the tree-walking counterpart. *)
+    The operation is compiled ({!compile_op}) and run ({!exec_cop}). *)
 
-val interpret_op :
-  ?track_selects:bool ->
-  ?optimize:bool ->
-  ?access:Eval.access ->
-  Eval.resolver ->
-  Database.t ->
-  Ast.op ->
-  op_result
-(** {!exec_op} through the tree-walking interpreter, the differential
-    oracle of the compiled path.  Results, affected sets and error
-    diagnostics are identical (asserted by the differential test
-    harness). *)
+(** {2 Operation plans}
 
-(** {2 Compiled operations}
-
-    The rules engine caches each rule's action block in compiled form
-    (keyed on a DDL generation counter) so cascades re-enter closures
-    instead of re-walking the AST. *)
+    The rules engine caches each rule's action block as plans (keyed
+    on a DDL generation counter) so cascades re-enter closures instead
+    of re-walking the AST. *)
 
 type cop
-(** A compiled operation.  Valid for the catalog it was compiled
-    against: any DDL invalidates it. *)
+(** A planned operation: compiled, or run by the tree-walking
+    interpreter.  Valid for the catalog it was planned against: any DDL
+    invalidates it. *)
 
 val compile_op : Database.t -> Ast.op -> cop
 (** Total: an operation the compiler cannot resolve against the
-    catalog compiles to a fallback that runs interpreted, reproducing
-    the interpreter's error exactly. *)
+    catalog compiles to the {!interpret} plan, reproducing the
+    interpreter's error exactly. *)
+
+val interpret : Ast.op -> cop
+(** The plan that runs [op] through the tree-walking interpreter, the
+    differential oracle of the compiled path.  Results, affected sets
+    and error diagnostics are identical (asserted by the differential
+    test harness). *)
 
 val exec_cop :
   ?track_selects:bool ->
@@ -93,8 +86,8 @@ val exec_cop :
   Database.t ->
   cop ->
   op_result
-(** Run a compiled operation against a (possibly different) database
+(** Run a planned operation against a (possibly different) database
     state with the same catalog.  Hits the same [Dml_op] fault site as
     {!exec_op}.  [params] is the EXECUTE parameter frame: compiled
-    [Param] closures read it positionally; the interpreter fallback
+    [Param] closures read it positionally; an {!interpret} plan
     substitutes the values into the AST instead. *)

@@ -616,7 +616,7 @@ let col_index cols c =
   go 0
 
 (* The static analysis of a FROM list, shared by the interpreter, the
-   compiler and both planners.  [frame] is each source's (binding name,
+   compiler and the planner.  [frame] is each source's (binding name,
    columns) in FROM order.  A binding name used twice is an error:
    unqualified references could silently pick the wrong one.  Otherwise
    each source is linked by the first WHERE conjunct [a = b] whose two
@@ -1513,6 +1513,8 @@ type source_plan = {
   sp_join : join_plan option;
 }
 
+(* A probe decision as a plan node: [Index_probe] or [Range_probe] by
+   the hit's kind. *)
 let probed_path access ~table hit =
   let index = access.acc_index ~table ~column:hit.ph_column in
   let column = hit.ph_column in

@@ -139,9 +139,6 @@ val db_access : Database.t -> access
 (** Hooks serving every table and index of a database state; [acc_note]
     does nothing. *)
 
-val table_count : access -> table:string -> int option
-(** A base table's cardinality through {!field-acc_table}. *)
-
 (** {2 Cost model} *)
 
 type probe_shape =
@@ -254,9 +251,10 @@ val eval_predicate :
 
 (** {2 EXPLAIN: access-path planning without execution}
 
-    The planners below run exactly the decision procedure the executor
-    uses — the same sargable-conjunct detection, independence analysis
-    and lazy-vs-eager split — but stop short of realizing the planned
+    The planners below run exactly the decision procedure both
+    executors use, interpreted and compiled alike — the same
+    sargable-conjunct detection, independence analysis and
+    lazy-vs-eager split — but stop short of realizing the planned
     sources or mutating anything.  Probing evaluates the sargable
     conjunct's value side (possibly an uncorrelated subquery), so
     planning reads — but never writes — the database.  Plans cover the
@@ -299,12 +297,6 @@ type source_plan = {
   sp_path : access_path;
   sp_join : join_plan option;
 }
-
-val probed_path : access -> table:string -> probe_hit -> access_path
-(** Render a probe decision as a plan node — [Index_probe] or
-    [Range_probe] by the hit's kind, with the same index name,
-    cardinality and estimate fields both planners report.  Shared with
-    {!Compile} so the two EXPLAIN paths cannot drift. *)
 
 val plan_select :
   ?cache:cache -> access:access -> resolver -> Ast.select -> source_plan list
@@ -380,9 +372,6 @@ val join_source :
     join on [link] when there is one and a frame to probe it with, a
     nested loop otherwise.  Both enumerate in nested-loop order.  The
     access hooks' [acc_note] hears each build and probe. *)
-
-val join_plan : (string * string array) list -> join_link -> join_plan
-(** The plan annotation of a link {!from_links} found in the frame. *)
 
 val select_contains_agg : Ast.select -> bool
 (** Is the select grouped (GROUP BY present, or aggregates in the

@@ -180,17 +180,3 @@ let next_token st : Token.located =
     | Some _ -> lex_symbol st
   in
   { Token.token; line; col = c }
-
-(* Tokenize a whole input eagerly.  The parser scans via the streaming
-   [make]/[next_token] interface; the eager list survives as the
-   differential oracle for the streaming path (the qcheck property
-   checks the two produce identical token streams). *)
-let tokenize src =
-  let st = make src in
-  let rec go acc =
-    let tok = next_token st in
-    match tok.Token.token with
-    | Token.Eof -> List.rev (tok :: acc)
-    | _ -> go (tok :: acc)
-  in
-  go []

@@ -15,8 +15,3 @@ val make : string -> state
 val next_token : state -> Token.located
 (** Scan and return the next token, advancing the cursor.  Returns
     {!Token.Eof} (repeatedly) at end of input. *)
-
-val tokenize : string -> Token.located list
-(** Tokenize a whole input eagerly; the result always ends with an
-    {!Token.Eof} token.  Retained as the differential oracle for the
-    streaming interface. *)

@@ -76,6 +76,18 @@ let vnull = Value.Null
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Every token of [src] through the lexer's streaming interface, ending
+   with the [Eof] token. *)
+let stream_tokens src =
+  let st = Sqlf.Lexer.make src in
+  let rec go acc =
+    let tok = Sqlf.Lexer.next_token st in
+    match tok.Sqlf.Token.token with
+    | Sqlf.Token.Eof -> List.rev (tok :: acc)
+    | _ -> go (tok :: acc)
+  in
+  go []
+
 (* The engine configuration on the compiling evaluator ([true], the
    default) or the tree-walking interpreter. *)
 let evaluator ?(config = Engine.default_config) compiled =

@@ -93,8 +93,9 @@ let test_example_4_2_matrix () =
 
 (* The evaluator is chosen per engine: a compiled system and an
    interpreted one run the same statements interleaved in one process
-   and agree on every result, and the interpreted engine never touches
-   its statement cache. *)
+   and agree on every result — through SQL text and through the
+   engine's plan API (statement-cache plans, a prepared statement) —
+   and the interpreted engine never touches its statement cache. *)
 let test_evaluators_interleave () =
   let compiled = paper_system () in
   let interpreted = paper_system ~config:(evaluator false) () in
@@ -102,6 +103,49 @@ let test_evaluators_interleave () =
     match System.exec s sql with
     | results -> String.concat "; " (List.map System.render_result results)
     | exception Errors.Error e -> "error: " ^ Errors.to_string e
+  in
+  let op sql =
+    match Parser.parse_statement_string sql with
+    | Ast.Stmt_op op -> op
+    | _ -> Alcotest.failf "not an operation: %s" sql
+  in
+  let via_plans s =
+    let eng = System.engine s in
+    let relation rel = System.render_result (System.Relation rel) in
+    let query sql = relation (Engine.query_cop eng (Engine.cached_cop eng (op sql))) in
+    Engine.begin_txn eng;
+    ignore
+      (Engine.submit_cops eng
+         (List.map
+            (fun sql -> Engine.cached_cop eng (op sql))
+            [
+              "insert into dept values (4, 400)";
+              "insert into emp values ('e', 5, 50000, 4)";
+            ]));
+    ignore (Engine.commit eng);
+    let before = query "select name from emp order by name" in
+    let prepare name body =
+      match Parser.parse_statement_string ("prepare " ^ name ^ " as " ^ body) with
+      | Ast.Stmt_prepare (name, op) ->
+        Engine.prepare eng ~name op;
+        Engine.find_prepared eng name
+      | _ -> Alcotest.failf "not a PREPARE: %s" body
+    in
+    let drop = prepare "drop_dept" "delete from dept where dept_no = ?"
+    and in_dept = prepare "in_dept" "select name from emp where dept_no = ? order by name" in
+    Engine.begin_txn eng;
+    ignore
+      (Engine.submit_cops eng
+         ~params:(Engine.bind_params drop [ vi 4 ])
+         [ Engine.prepared_cop eng drop ]);
+    ignore (Engine.commit eng);
+    let in_dept n =
+      relation
+        (Engine.query_cop eng
+           ~params:(Engine.bind_params in_dept [ vi n ])
+           (Engine.prepared_cop eng in_dept))
+    in
+    [ before; query "select name from emp order by name"; in_dept 3; in_dept 4 ]
   in
   List.iter
     (fun sql ->
@@ -125,6 +169,8 @@ let test_evaluators_interleave () =
       "select e.name, d.mgr_no from emp e, dept d where e.dept_no = d.dept_no \
        order by e.name";
     ];
+  Alcotest.(check (list string)) "through the plan API" (via_plans compiled)
+    (via_plans interpreted);
   let st s = Engine.stats (System.engine s) in
   Alcotest.(check int) "interpreted: no statement-cache hits" 0
     (st interpreted).Engine.stmt_cache_hits;

@@ -236,6 +236,31 @@ let test_fault_mid_transaction_keeps_it_open () =
       Alcotest.(check int) "both rows committed" 2
         (int_cell s "select count(*) from t"))
 
+(* A read-only query runs through the same plan path as a statement:
+   it passes the [Dml_op] site before the evaluator's [Query_eval], a
+   fault at either escapes without opening a transaction, and the next
+   query answers as before. *)
+let test_query_fault_sites () =
+  with_faults (fun () ->
+      let s = system "create table t (a int)" in
+      let eng = System.engine s in
+      run s "insert into t values (1), (2)";
+      List.iter
+        (fun (k, site) ->
+          Fault.arm k;
+          (match System.query s "select a from t" with
+          | _ -> Alcotest.fail "expected the injected fault to escape"
+          | exception Fault.Injected got ->
+            Alcotest.(check string)
+              (Printf.sprintf "hit %d" k)
+              (Fault.site_name site) (Fault.site_name got));
+          Fault.disarm ();
+          Alcotest.(check bool) "no transaction left open" false
+            (Engine.in_transaction eng);
+          Alcotest.(check int) "query answers afterwards" 2
+            (int_cell s "select count(*) from t"))
+        [ (1, Fault.Dml_op); (2, Fault.Query_eval) ])
+
 (* ------------------------------------------------------------------ *)
 (* The systematic differential harness                                 *)
 
@@ -542,6 +567,8 @@ let suite =
       test_single_fault_aborts_cleanly;
     Alcotest.test_case "fault mid-transaction keeps it open" `Quick
       test_fault_mid_transaction_keeps_it_open;
+    Alcotest.test_case "query passes the Dml_op and Query_eval sites" `Quick
+      test_query_fault_sites;
     Alcotest.test_case "systematic differential (faults at every site)" `Slow
       test_systematic_differential;
   ]

@@ -2,14 +2,13 @@
 
 open Helpers
 
-module Lexer = Sqlf.Lexer
 module Token = Sqlf.Token
 
 let tokens src =
   List.filter_map
     (fun { Token.token; _ } ->
       match token with Token.Eof -> None | t -> Some t)
-    (Lexer.tokenize src)
+    (stream_tokens src)
 
 let token_testable =
   Alcotest.testable
@@ -68,7 +67,7 @@ let test_comments () =
   expect_error (fun () -> tokens "/* unterminated")
 
 let test_positions () =
-  let toks = Lexer.tokenize "select\n  foo" in
+  let toks = stream_tokens "select\n  foo" in
   match toks with
   | [ sel; foo; _eof ] ->
     Alcotest.(check int) "line 1" 1 sel.Token.line;

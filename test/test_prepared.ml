@@ -5,24 +5,19 @@
    the compiled plan without re-parsing or re-compiling; DEALLOCATE
    drops one name or all of them.  Unprepared statements go through an
    engine-level statement cache keyed on (canonical text, DDL
-   generation, planner switches).  This suite covers:
+   generation).  This suite covers:
 
    - the user-visible lifecycle and its typed errors (wrong arity,
      unknown/duplicate names, parameters outside PREPARE);
    - the cache-validity matrix: hits on repetition, invalidation on
-     DDL-generation bumps and planner-switch flips, teardown on
-     DEALLOCATE and on session forks;
+     DDL-generation bumps, teardown on DEALLOCATE and on session forks;
    - the differential oracle: EXECUTE under the compiled path
      (parameter frame) equals EXECUTE under the interpreter
      (substitution into the tree);
-   - the streaming lexer against the legacy list-materializing lexer,
-     by qcheck over generated statement soup;
    - parse/print round-trips for the new statement forms. *)
 
 open Core
 open Helpers
-module Lexer = Sqlf.Lexer
-module Token = Sqlf.Token
 module Pretty = Sqlf.Pretty
 
 let stats s = Engine.stats (System.engine s)
@@ -269,54 +264,6 @@ let test_execute_inside_transaction () =
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming lexer = legacy lexer                                      *)
-
-let stream_tokens src =
-  let st = Lexer.make src in
-  let rec go acc =
-    let tok = Lexer.next_token st in
-    match tok.Token.token with
-    | Token.Eof -> List.rev (tok :: acc)
-    | _ -> go (tok :: acc)
-  in
-  go []
-
-let lex_outcome lex src =
-  match lex src with
-  | toks ->
-    Ok
-      (List.map
-         (fun { Token.token; line; col } -> (Token.to_string token, line, col))
-         toks)
-  | exception Errors.Error e -> Error (Errors.to_string e)
-
-(* Statement soup: fragments that cover every scanner state, including
-   ones that end in lex errors. *)
-let fragment =
-  QCheck.Gen.oneofl
-    [
-      "select"; "SELECT"; "from"; "where"; "prepare"; "execute"; "?"; "emp";
-      "dept_no"; "42"; "4.5"; "1e3"; "2.5e-2"; "'it''s'"; "''"; "'abc'";
-      "<="; ">="; "<>"; "!="; "||"; "="; "("; ")"; ","; ";"; "."; "*"; "+";
-      "-"; "/"; "<"; ">"; "-- line comment\n"; "/* block\ncomment */"; "\n";
-      "  "; "\t"; "selection"; "_x"; "'unterminated"; "/* unterminated";
-      "@"; "42abc"; "0.5.5"; "null"; "infinity"; "nan";
-    ]
-
-let gen_soup =
-  QCheck.Gen.(map (String.concat " ") (list_size (int_range 0 40) fragment))
-
-let prop_streaming_lexer_equals_legacy =
-  QCheck.Test.make ~name:"streaming lexer = legacy tokenize" ~count:500
-    (QCheck.make gen_soup ~print:(fun s -> s))
-    (fun src ->
-      let legacy = lex_outcome Lexer.tokenize src in
-      let streamed = lex_outcome stream_tokens src in
-      if legacy <> streamed then
-        QCheck.Test.fail_reportf "legacy and streaming disagree on %S" src;
-      true)
-
-(* ------------------------------------------------------------------ *)
 (* Parse/print round-trips                                             *)
 
 let test_round_trip () =
@@ -426,7 +373,6 @@ let suite =
       test_execute_inside_transaction;
     Alcotest.test_case "select tracking binds parameters" `Quick
       test_tracked_select_binds_params;
-    qtest prop_streaming_lexer_equals_legacy;
     Alcotest.test_case "parse/print round trips" `Quick test_round_trip;
     Alcotest.test_case "parameters number in statement order" `Quick
       test_param_numbering_is_statement_order;
