@@ -25,7 +25,7 @@
      E17 (workload corpus)   per-scenario txn/s under the generator
      E18 (discrimination)    rule-count sweep: indexed vs linear scan
      E19 (concurrency)       server commit throughput vs client count
-     E20 (cost planner)      hash join and range probes at 10^4..10^6 rows
+     E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
 
    Run with:  dune exec bench/main.exe            (all experiments)
@@ -1457,13 +1457,15 @@ let e19 () =
    prices the batch by joining the transition table against the item
    base table, a second consumes the priced rows through a range
    predicate over an ordered index.  Two ablations, each measured at
-   10^4..10^6 item rows: the pricing join under hash join vs nested
-   loops (the same rule with its join conjunct in the unlinkable form
-   of [join_conjunct]), and a 1%-selective range retrieval by
-   ordered-index range probe vs seq scan (the same query after the
-   index is dropped).  Sizes this large make bechamel's repetition
-   pointless, so arms are timed directly over a fixed iteration count,
-   as in E19.                                                          *)
+   10^4..10^6 item rows: the pricing join under an index nested-loop
+   join (one probe of item_iid per batch row, what the planner picks
+   with the index in place), under a hash join (the same rule after
+   [drop index item_iid]) and under nested loops (the same rule with
+   its join conjunct in the unlinkable form of [join_conjunct]), and a
+   1%-selective range retrieval by ordered-index range probe vs seq
+   scan (the same query after the index is dropped).  Sizes this large
+   make bechamel's repetition pointless, so arms are timed directly
+   over a fixed iteration count, as in E19.                            *)
 
 let e20_sizes = if tiny then [ 1_000 ] else [ 10_000; 100_000; 1_000_000 ]
 let e20_batch = 64
@@ -1521,16 +1523,20 @@ let e20_timed f =
   f ();
   Unix.gettimeofday () -. t0
 
-let e20_join_ms s n ~hash =
+(* The three join arms, each with its own lineitem ids. *)
+let e20_arm_base = function `Index_nl -> 0 | `Hash -> 2000 | `Nested -> 4000
+
+let e20_join_ms s n ~arm =
   (* one warm-up transaction keeps rule compilation off the clock;
      nested loops at the largest size are quadratic enough that a
      single measured pass is already seconds of work *)
-  let iters = if (not hash) && n >= 1_000_000 then 1 else e20_join_iters in
-  ignore_exec s (e20_join_txn n (1000 + if hash then 0 else 1));
+  let iters = if arm = `Nested && n >= 1_000_000 then 1 else e20_join_iters in
+  let base = e20_arm_base arm in
+  ignore_exec s (e20_join_txn n (1000 + (base / 2000)));
   let dt =
     e20_timed (fun () ->
         for iter = 0 to iters - 1 do
-          ignore_exec s (e20_join_txn n ((if hash then 0 else 4000) + iter))
+          ignore_exec s (e20_join_txn n (base + iter))
         done)
   in
   (dt *. 1e3 /. float_of_int iters, iters)
@@ -1553,9 +1559,10 @@ let write_e20_json path rows =
     (Printf.sprintf
        "{\n  \"experiment\": \"E20\",\n  \"description\": \"cost-based \
         access paths on a join-heavy rule cascade: batch pricing via a \
-        transition-table join under hash join vs nested loops, and a \
-        1%%-selective retrieval under ordered-index range probes vs seq \
-        scans\",\n  \"unit\": \"ms_per_op\",\n  \"tiny\": %b,\n  \
+        transition-table join under index nested-loop join vs hash join \
+        vs nested loops, and a 1%%-selective retrieval under \
+        ordered-index range probes vs seq scans\",\n  \"unit\": \
+        \"ms_per_op\",\n  \"tiny\": %b,\n  \
         \"results\": [\n"
        tiny);
   List.iteri
@@ -1574,25 +1581,29 @@ let write_e20_json path rows =
   Printf.printf "\nresults written to %s\n" path
 
 let e20 () =
-  print_header "E20" "cost-based planner: hash joins and range probes at scale"
-    "pricing a 64-row batch against n items is O(batch * n) under nested \
-     loops and O(n + batch) under the hash join; a 1%-selective range \
-     retrieval touches n rows by scan and ~n/100 by ordered-index probe";
+  print_header "E20" "cost-based planner: join methods and range probes at scale"
+    "pricing a 64-row batch against n items costs 64 index probes under \
+     the index nested-loop join, O(n + batch) under the hash join and \
+     O(batch * n) under nested loops; a 1%-selective range retrieval \
+     touches n rows by scan and ~n/100 by ordered-index probe";
   let results = ref [] in
   let table_rows =
     List.map
       (fun n ->
         let s = e20_system n in
-        let hash_ms, hash_iters = e20_join_ms s n ~hash:true in
+        let inl_ms, inl_iters = e20_join_ms s n ~arm:`Index_nl in
+        ignore_exec s "drop index item_iid";
+        let hash_ms, hash_iters = e20_join_ms s n ~arm:`Hash in
         ignore_exec s "drop rule e20_price;\ndrop rule e20_flush";
         ignore_exec s (e20_rules ~hash:false);
-        let nl_ms, nl_iters = e20_join_ms s n ~hash:false in
+        let nl_ms, nl_iters = e20_join_ms s n ~arm:`Nested in
         let probe_ms = e20_range_ms s in
         ignore_exec s "drop index item_price";
         let scan_ms = e20_range_ms s in
         results :=
           !results
           @ [
+              ("rule_join", "index_nested_loop", n, inl_ms, inl_iters);
               ("rule_join", "hash_join", n, hash_ms, hash_iters);
               ("rule_join", "nested_loop", n, nl_ms, nl_iters);
               ("range_select", "range_probe", n, probe_ms, e20_range_iters);
@@ -1600,8 +1611,10 @@ let e20 () =
             ];
         [
           string_of_int n;
+          Printf.sprintf "%8.2f ms" inl_ms;
           Printf.sprintf "%8.2f ms" hash_ms;
           Printf.sprintf "%8.2f ms" nl_ms;
+          ratio hash_ms inl_ms;
           ratio nl_ms hash_ms;
           Printf.sprintf "%8.3f ms" probe_ms;
           Printf.sprintf "%8.3f ms" scan_ms;
@@ -1611,8 +1624,8 @@ let e20 () =
   in
   print_table
     [
-      "items"; "join: hash"; "join: nested"; "speedup"; "range: probe";
-      "range: scan"; "speedup";
+      "items"; "join: index NL"; "join: hash"; "join: nested"; "hash/index NL";
+      "nested/hash"; "range: probe"; "range: scan"; "speedup";
     ]
     table_rows;
   write_e20_json "BENCH_PR9.json" !results

@@ -33,9 +33,16 @@
      access-path planner's candidate scan ([Eval.sargable_candidates])
      and the join links ([Eval.from_links]) are static; only the probe
      *values* are evaluated at run time, by the interpreter's own
-     ranking and fallback ([Eval.probe_candidates]), so the executor's
-     scan/probe counters match the interpreter's and the one EXPLAIN
-     planner ([Eval.plan_op]) describes both.
+     ranking and fallback ([Eval.probe_candidates]), and a linked
+     table's join method by the interpreter's rule ([Eval.index_join]),
+     so the executor's scan/probe counters match the interpreter's and
+     the one EXPLAIN planner ([Eval.plan_op]) describes both.
+
+   A compiled select runs as a push pipeline ([run_plain]): each FROM
+   source binds its rows into one reused frame and calls the next, WHERE
+   runs on the full frame, and the rows that pass are projected or
+   folded into per-group aggregate accumulators — no stage builds a
+   list of rows.
 
    The interpreter stays as the differential oracle: an engine built
    with [compiled = false] in its configuration plans every operation
@@ -80,15 +87,36 @@ let make_rt ?access ?(params = no_params) ~use_cache ~slots resolve =
     rt_params = params;
   }
 
-(* [Some envs] while evaluating inside a grouped select: aggregate
-   closures range over [envs], exactly like [Eval.context.group]. *)
-type grp = renv list option
+(* The accumulator of one aggregate call over one group, folded row by
+   row.  An error evaluating the argument or combining values is kept,
+   not raised: the interpreter evaluates aggregates only when HAVING or
+   a projection reaches them, after WHERE and the GROUP BY keys ran over
+   every row, so the error surfaces when the aggregate is finalized —
+   an argument error before a combining error, as the interpreter
+   evaluates every argument before folding. *)
+type acc = {
+  mutable a_count : int; (* rows (COUNT( * )) or non-NULL arguments *)
+  mutable a_value : Value.t; (* SUM/AVG running total, MIN/MAX so far *)
+  mutable a_arg_err : exn option;
+  mutable a_fold_err : exn option;
+}
+
+(* [Some accs] while evaluating HAVING and the projections of a grouped
+   select: aggregate closures read their accumulators, exactly where
+   [Eval.context.group] would range over the group's rows. *)
+type grp = acc array option
 
 type cexpr = rt -> grp -> renv -> Value.t
+
+(* An aggregate call of a grouped select's HAVING or projections. *)
+type agg = { ag_fn : Ast.agg_fn; ag_arg : cexpr option }
 
 type cselect = {
   cs_cols : string array; (* static output names of the non-empty path *)
   cs_run : rt -> renv -> Eval.relation;
+  cs_exists : rt -> renv -> Eval.relation;
+      (* [cs_run] stopped at its first row when the rows it would skip
+         cannot raise: only its emptiness is meaningful *)
   cs_read : rt -> Eval.relation * Handle.t list option;
       (* [cs_run] with no outer scopes, with the Section 5.1 read set
          when the shape allows a precise one *)
@@ -104,6 +132,12 @@ type cprobe = {
 (* ------------------------------------------------------------------ *)
 (* Compile-time context                                                *)
 
+(* A grouped select's aggregate calls, numbered in compile order; the
+   accumulator array of a group is indexed the same way.  [r_watch]
+   is false for the empty-group variant (see [compile_plain]), whose
+   arguments are never evaluated and so must not count as correlated. *)
+type agg_reg = { mutable r_aggs : agg list; mutable r_count : int; r_watch : bool }
+
 type ctx = {
   cc_db : Database.t;
       (* the catalog the statement is compiled against; schema changes
@@ -113,10 +147,16 @@ type ctx = {
       (* the compile-time mirror of the runtime environment: scopes
          innermost first, each frame the (binding name, columns) list
          of one select's FROM items *)
+  cc_schemas : Schema.table option list list;
+      (* parallel to [cc_shape]: each binding's schema, when it is a
+         stored or transition table, for the early-stop analysis *)
   cc_watches : (int * bool ref) list;
       (* static correlation watches, same arithmetic as the
          interpreter's: a resolution in one of the outermost
          [suffix_len] scopes raises the flag — at compile time *)
+  cc_aggs : agg_reg option;
+      (* where an aggregate call registers: set while compiling a
+         grouped select's HAVING and projections, unset elsewhere *)
   cc_slots : int ref; (* memo-slot counter for this compile unit *)
   cc_memo : (Ast.select * int) list ref;
       (* the slot of each uncorrelated subquery, by physical identity:
@@ -129,11 +169,23 @@ let make db =
   {
     cc_db = db;
     cc_shape = [];
+    cc_schemas = [];
     cc_watches = [];
+    cc_aggs = None;
     cc_slots = ref 0;
     cc_memo = ref [];
   }
 let slot_count ctx = !(ctx.cc_slots)
+
+(* [ctx] over an environment shape of untyped bindings, outside any
+   grouped select. *)
+let with_shape ctx shape =
+  {
+    ctx with
+    cc_shape = shape;
+    cc_schemas = List.map (List.map (fun _ -> None)) shape;
+    cc_aggs = None;
+  }
 
 let col_index = Eval.col_index
 
@@ -190,61 +242,11 @@ let resolve_col ctx qualifier column =
 (* ------------------------------------------------------------------ *)
 (* Shared runtime helpers (ported verbatim from the interpreter)       *)
 
-module Group_map = Map.Make (struct
-  type t = Row.t
-
-  let compare = Row.compare_total
-end)
-
 module Row_set = Set.Make (struct
   type t = Row.t
 
   let compare = Row.compare_total
 end)
-
-module Key_tbl = Hashtbl.Make (struct
-  type t = Row.t
-
-  (* only used on keys holding no Float: for those, [Row.compare_total]
-     equality is structural equality *)
-  let equal a b = Row.compare_total a b = 0
-  let hash = Hashtbl.hash
-end)
-
-(* GROUP BY: the rows' environments bucketed by key, groups in order of
-   first appearance and rows in input order.  A Float key compares
-   equal to an Int of the same value, which hashing cannot honour, so
-   any Float sends the grouping through the ordered map. *)
-let group_by_key (keyed : (Row.t * renv) list) =
-  let has_float key = Array.exists (function Value.Float _ -> true | _ -> false) key in
-  if List.exists (fun (key, _) -> has_float key) keyed then begin
-    let order = ref [] in
-    let m =
-      List.fold_left
-        (fun m (key, env) ->
-          match Group_map.find_opt key m with
-          | Some rows -> Group_map.add key (env :: rows) m
-          | None ->
-            order := key :: !order;
-            Group_map.add key [ env ] m)
-        Group_map.empty keyed
-    in
-    List.rev_map (fun key -> List.rev (Group_map.find key m)) !order |> List.rev
-  end
-  else begin
-    let tbl = Key_tbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (key, env) ->
-        match Key_tbl.find_opt tbl key with
-        | Some cell -> cell := env :: !cell
-        | None ->
-          let cell = ref [ env ] in
-          Key_tbl.add tbl key cell;
-          order := cell :: !order)
-      keyed;
-    List.rev_map (fun cell -> List.rev !cell) !order
-  end
 
 let dedupe_rows rows =
   let _, acc =
@@ -277,46 +279,528 @@ let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
     ~eval_set:(fun f -> (f rt outer).Eval.in_values)
     cp.cp_cands
 
-(* Compiled projections: stars become position lists into the local
-   frame; an unknown table-star becomes a closure raising at
-   projection time (i.e. once per projected row environment, exactly
-   when the interpreter raises). *)
-type cproj =
-  | P_pos of (string * int * int) list (* output name, binding, column *)
-  | P_err of Errors.t
-  | P_expr of string * cexpr
+(* Compiled projections: one op per output column — a position in the
+   local frame (stars expand to these) or an expression — and, for an
+   unknown table-star, an op raising at projection time (i.e. once per
+   projected row, exactly when the interpreter raises); it produces no
+   column, because it raises before any row is produced. *)
+type pop = Pop_col of int * int | Pop_expr of cexpr | Pop_err of Errors.t
+
+type cprojs = { pr_names : string array; pr_ops : pop array }
 
 (* Project one row straight into an array of the statically known
-   width; the output names are [static_proj_names cprojs], because a
-   [P_err] raises before any row is produced. *)
-let run_projs cprojs width rt g (env : renv) : Row.t =
-  let out = Array.make width Value.Null in
-  let rec go i = function
-    | [] -> ()
-    | P_pos triples :: rest ->
-      go
-        (List.fold_left
-           (fun i (_, b, c) ->
-             out.(i) <- env.(0).(b).(c);
-             i + 1)
-           i triples)
-        rest
-    | P_err e :: _ -> Errors.raise_error e
-    | P_expr (_, ce) :: rest ->
-      out.(i) <- ce rt g env;
-      go (i + 1) rest
-  in
-  go 0 cprojs;
+   width. *)
+let run_projs pr rt g (env : renv) : Row.t =
+  let out = Array.make (Array.length pr.pr_names) Value.Null in
+  let j = ref 0 in
+  for i = 0 to Array.length pr.pr_ops - 1 do
+    match pr.pr_ops.(i) with
+    | Pop_col (b, c) ->
+      out.(!j) <- env.(0).(b).(c);
+      incr j
+    | Pop_expr ce ->
+      out.(!j) <- ce rt g env;
+      incr j
+    | Pop_err e -> Errors.raise_error e
+  done;
   out
 
-let static_proj_names cprojs =
-  Array.of_list
-    (List.concat_map
-       (function
-         | P_pos triples -> List.map (fun (n, _, _) -> n) triples
-         | P_err _ -> []
-         | P_expr (name, _) -> [ name ])
-       cprojs)
+(* A group's accumulators, one per aggregate call. *)
+let new_accs n =
+  Array.init n (fun _ ->
+      { a_count = 0; a_value = Value.Null; a_arg_err = None; a_fold_err = None })
+
+(* Fold one row into an aggregate's accumulator: the interpreter's
+   [List.filter_map] over the group's non-NULL arguments and its fold
+   from [Int 0] (SUM, AVG) or from the first value (MIN, MAX), one row
+   at a time. *)
+let fold_agg rt (env : renv) ag acc =
+  match ag.ag_fn, ag.ag_arg with
+  | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
+  | _, None -> ()
+  | fn, Some ce -> (
+    if Option.is_none acc.a_arg_err then
+      match ce rt None env with
+      | exception e -> acc.a_arg_err <- Some e
+      | Value.Null -> ()
+      | v -> (
+        acc.a_count <- acc.a_count + 1;
+        match fn with
+        | Ast.Count_star | Ast.Count -> ()
+        | Ast.Sum | Ast.Avg -> (
+          if Option.is_none acc.a_fold_err then
+            let total = if acc.a_count = 1 then Value.Int 0 else acc.a_value in
+            match Value.add total v with
+            | sum -> acc.a_value <- sum
+            | exception e -> acc.a_fold_err <- Some e)
+        | Ast.Min ->
+          if acc.a_count = 1 || Value.compare_total v acc.a_value < 0 then acc.a_value <- v
+        | Ast.Max ->
+          if acc.a_count = 1 || Value.compare_total v acc.a_value > 0 then acc.a_value <- v))
+
+(* The aggregate's value over its group, or the error the interpreter
+   would raise evaluating it. *)
+let finalize ag acc =
+  match ag.ag_fn, ag.ag_arg with
+  | Ast.Count_star, _ -> Value.Int acc.a_count
+  | _, None -> Errors.semantic "aggregate function requires an argument"
+  | fn, Some _ -> (
+    Option.iter raise acc.a_arg_err;
+    Option.iter raise acc.a_fold_err;
+    match fn with
+    | Ast.Count_star | Ast.Count -> Value.Int acc.a_count
+    | Ast.Sum | Ast.Min | Ast.Max -> if acc.a_count = 0 then Value.Null else acc.a_value
+    | Ast.Avg -> (
+      if acc.a_count = 0 then Value.Null
+      else
+        match Value.to_float acc.a_value with
+        | Some f -> Value.Float (f /. float_of_int acc.a_count)
+        | None -> Errors.type_error "avg over non-numeric values"))
+
+(* One group's output row, unless HAVING drops it: HAVING and the
+   projections see the group's accumulators and [env], its first row's
+   frame. *)
+let finish_group rt chaving cprojs env accs =
+  let g = Some accs in
+  let keep =
+    match chaving with
+    | None -> true
+    | Some ch -> Value.truth_holds (Eval.value_truth (ch rt g env))
+  in
+  if keep then Some (run_projs cprojs rt g env) else None
+
+(* The early-stop analysis: the kind of value an expression yields on
+   every row, when its evaluation provably cannot raise — literals,
+   columns of stored or transition tables (whose values have their
+   column's type, or are NULL), comparisons of compatible kinds, and
+   the logic and arithmetic that cannot fail on them.  [None] means it
+   might raise (or is not analysed). *)
+let rec row_kind ctx (e : Ast.expr) =
+  let kind_of_type = function
+    | Schema.T_int | Schema.T_float -> `Num
+    | Schema.T_string -> `Str
+    | Schema.T_bool -> `Bool
+  in
+  let compatible es =
+    let kinds = List.map (row_kind ctx) es in
+    match List.filter (fun k -> k <> Some `Null) kinds with
+    | _ when List.mem None kinds -> None
+    | [] -> Some `Bool
+    | k :: rest -> if List.for_all (( = ) k) rest then Some `Bool else None
+  in
+  (* every operand safe and of one of [kinds]: the result is [kind] *)
+  let all_of kinds kind es =
+    if
+      List.for_all
+        (fun e -> match row_kind ctx e with Some k -> List.mem k kinds | None -> false)
+        es
+    then Some kind
+    else None
+  in
+  match e with
+  | Ast.Lit Value.Null -> Some `Null
+  | Ast.Lit (Value.Int _ | Value.Float _) -> Some `Num
+  | Ast.Lit (Value.Str _) -> Some `Str
+  | Ast.Lit (Value.Bool _) -> Some `Bool
+  | Ast.Col { qualifier; column } -> (
+    match resolve_col { ctx with cc_watches = [] } qualifier column with
+    | H_at (d, b, c) -> (
+      match List.nth_opt ctx.cc_schemas d with
+      | Some frame -> (
+        match List.nth_opt frame b with
+        | Some (Some schema) -> Some (kind_of_type schema.Schema.columns.(c).Schema.col_type)
+        | Some None | None -> None)
+      | None -> None)
+    | H_err _ -> None)
+  | Ast.Cmp (_, a, b) -> compatible [ a; b ]
+  | Ast.Between (a, lo, hi) -> compatible [ a; lo; hi ]
+  | Ast.In_list (a, es) -> compatible (a :: es)
+  | Ast.And (a, b) | Ast.Or (a, b) -> all_of [ `Bool; `Null ] `Bool [ a; b ]
+  | Ast.Not a -> all_of [ `Bool; `Null ] `Bool [ a ]
+  | Ast.Is_null a | Ast.Is_not_null a -> Option.map (fun _ -> `Bool) (row_kind ctx a)
+  | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul), a, b) -> all_of [ `Num; `Null ] `Num [ a; b ]
+  | Ast.Neg a -> all_of [ `Num; `Null ] `Num [ a ]
+  | _ -> None
+
+(* How one FROM source is read in one run of a compiled select: its
+   rows (materialized, probed with their handles, or scanned in place),
+   one index probe per partial frame, or hashed on its join key when the
+   first partial frame arrives ([R_deferred]: the join method waits for
+   the partial frames to be counted). *)
+type sread =
+  | R_rows of Row.t list
+  | R_pairs of (Handle.t * Row.t) list
+  | R_table of Table.t
+  | R_index_join of Eval.access * string * string (* access, table, link column *)
+  | R_hash of sread
+  | R_hashed of Eval.join_table
+  | R_deferred of Eval.access * string
+
+(* The state of one run of a compiled select's pipeline: the frame every
+   source binds its row into ([sc_env] is it over the outer scopes) and
+   what the consumer of passing rows has gathered so far. *)
+type scan = {
+  sc_rt : rt;
+  sc_outer : renv;
+  sc_local : Row.t array;
+  sc_env : renv;
+  sc_reads : sread array;
+  sc_read : bool; (* collect the handles of passing rows *)
+  sc_stop_at : int; (* stop once this many rows passed *)
+  mutable sc_cur : Handle.t; (* handle of the row just bound, if any *)
+  mutable sc_handles : Handle.t list;
+  mutable sc_passed : int;
+  mutable sc_rows : Row.t list; (* projected rows, newest first *)
+  mutable sc_keyed : ((Value.t * [ `Asc | `Desc ]) list * Row.t) list;
+  mutable sc_err : exn option; (* first projection or GROUP BY key error *)
+  mutable sc_key_err : exn option; (* first ORDER BY key error *)
+  mutable sc_groups : (renv * acc array) list; (* newest first *)
+  mutable sc_index : (renv * acc array) Eval.Row_tbl.t option;
+}
+
+exception Stop_scan
+
+(* [sc_cur] before any handle was bound; never reported *)
+let no_handle = Handle.restore ~id:0 ""
+
+let rec push_rows i next sc = function
+  | [] -> ()
+  | row :: rest ->
+    sc.sc_local.(i) <- row;
+    next sc;
+    push_rows i next sc rest
+
+let rec push_pairs i next sc = function
+  | [] -> ()
+  | (h, row) :: rest ->
+    sc.sc_cur <- h;
+    sc.sc_local.(i) <- row;
+    next sc;
+    push_pairs i next sc rest
+
+let rec iter_read f = function
+  | R_rows rows -> List.iter f rows
+  | R_pairs pairs -> List.iter (fun (_, row) -> f row) pairs
+  | R_table t -> Table.iter (fun _ row -> f row) t
+  | R_hash r -> iter_read f r
+  | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
+
+let rec read_count = function
+  | R_rows rows -> List.length rows
+  | R_pairs pairs -> List.length pairs
+  | R_table t -> Table.cardinality t
+  | R_hash r -> read_count r
+  | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
+
+let with_outer frame (outer : renv) =
+  let env = Array.make (Array.length outer + 1) frame in
+  Array.blit outer 0 env 1 (Array.length outer);
+  env
+
+(* The static plan of one select core (no compound operator), built
+   once by [compile_plain]; [run_plain] executes it.  [pl_order] is
+   over the FROM rows, or over the output rows when [pl_grouped]. *)
+type plain = {
+  pl_kinds : [ `Derived of cselect | `Eager of Ast.table_source | `Base of string ] array;
+  pl_names : string array; (* binding names *)
+  pl_cols : string array array;
+  pl_links : (Eval.join_link option array, Errors.t) result;
+  pl_probes : cprobe option array;
+  pl_where : cexpr option;
+  pl_grouped : bool;
+  pl_group_keys : cexpr array;
+  pl_having : cexpr option;
+  pl_projs : cprojs;
+  pl_aggs : agg array;
+  pl_empty_group : (cexpr option * cprojs * int) option;
+  pl_order : (cexpr * [ `Asc | `Desc ]) list;
+  pl_distinct : bool;
+  pl_limit : int option;
+  pl_read_set : bool; (* one base table and no GROUP BY: a precise read set *)
+  pl_cols_when_empty : rt -> string array;
+  mutable pl_chain : scan -> unit; (* every source, then WHERE and the consumer *)
+}
+
+let link pl i = match pl.pl_links with Ok links -> links.(i) | Error _ -> None
+let link_col pl i (l : Eval.join_link) = pl.pl_cols.(i).(l.Eval.jl_col)
+let join_key sc (l : Eval.join_link) = sc.sc_local.(l.Eval.jl_with).(l.Eval.jl_with_col)
+
+(* [extend pl i next] binds each row of source [i] matching the partial
+   frame of sources 0..i-1 in [sc_local], and calls [next]. *)
+let extend pl i next =
+  let note sc ev =
+    match sc.sc_rt.rt_access with
+    | Some a -> a.Eval.acc_note ~table:pl.pl_names.(i) ev
+    | None -> ()
+  in
+  let rec go sc =
+    match sc.sc_reads.(i), link pl i with
+    | R_rows rows, _ -> push_rows i next sc rows
+    | R_pairs pairs, _ -> push_pairs i next sc pairs
+    | R_table t, _ ->
+      Table.iter
+        (fun h row ->
+          sc.sc_cur <- h;
+          sc.sc_local.(i) <- row;
+          next sc)
+        t
+    | R_index_join (access, table, column), Some l ->
+      push_pairs i next sc (Eval.index_join_rows access ~table ~column (join_key sc l))
+    | R_hash r, Some l ->
+      note sc `Hash_join_build;
+      sc.sc_reads.(i) <-
+        R_hashed
+          (Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r));
+      go sc
+    | R_hashed table, Some l ->
+      note sc `Hash_join_probe;
+      push_rows i next sc (Eval.join_matches table (join_key sc l))
+    | (R_index_join _ | R_hash _ | R_hashed _), None | R_deferred _, _ -> assert false
+  in
+  go
+
+let rec chain pl i j last = if i = j then last else extend pl i (chain pl (i + 1) j last)
+
+let new_group pl sc =
+  let g = (with_outer (Array.copy sc.sc_local) sc.sc_outer, new_accs (Array.length pl.pl_aggs)) in
+  sc.sc_groups <- g :: sc.sc_groups;
+  g
+
+let fold pl sc accs =
+  for i = 0 to Array.length pl.pl_aggs - 1 do
+    fold_agg sc.sc_rt sc.sc_env pl.pl_aggs.(i) accs.(i)
+  done
+
+(* The consumer of a row passing WHERE: project it (and its ORDER BY
+   keys), or fold it into its group. *)
+let consume pl sc =
+  if not pl.pl_grouped then begin
+    if Option.is_none sc.sc_err then
+      match run_projs pl.pl_projs sc.sc_rt None sc.sc_env with
+      | exception e -> sc.sc_err <- Some e
+      | row -> (
+        sc.sc_rows <- row :: sc.sc_rows;
+        if pl.pl_order <> [] && Option.is_none sc.sc_key_err then
+          match List.map (fun (ce, dir) -> (ce sc.sc_rt None sc.sc_env, dir)) pl.pl_order with
+          | exception e -> sc.sc_key_err <- Some e
+          | keys -> sc.sc_keyed <- (keys, row) :: sc.sc_keyed)
+  end
+  else if Array.length pl.pl_group_keys = 0 then
+    match sc.sc_groups with
+    | (_, accs) :: _ -> fold pl sc accs
+    | [] -> fold pl sc (snd (new_group pl sc))
+  else if Option.is_none sc.sc_err then begin
+    let keys = pl.pl_group_keys in
+    let key = Array.make (Array.length keys) Value.Null in
+    match
+      for k = 0 to Array.length keys - 1 do
+        key.(k) <- keys.(k) sc.sc_rt None sc.sc_env
+      done
+    with
+    | exception e -> sc.sc_err <- Some e
+    | () ->
+      let index =
+        match sc.sc_index with
+        | Some index -> index
+        | None ->
+          let index = Eval.Row_tbl.create 16 in
+          sc.sc_index <- Some index;
+          index
+      in
+      let _, accs =
+        match Eval.Row_tbl.find_opt index key with
+        | Some g -> g
+        | None ->
+          let g = new_group pl sc in
+          Eval.Row_tbl.add index key g;
+          g
+      in
+      fold pl sc accs
+  end
+
+let emit pl sc =
+  if sc.sc_read then sc.sc_handles <- sc.sc_cur :: sc.sc_handles;
+  consume pl sc;
+  sc.sc_passed <- sc.sc_passed + 1;
+  if sc.sc_passed >= sc.sc_stop_at then raise Stop_scan
+
+(* The end of the chain: WHERE, then the consumer. *)
+let final pl =
+  match pl.pl_where with
+  | None -> emit pl
+  | Some ce ->
+    fun sc -> if Value.truth_holds (Eval.value_truth (ce sc.sc_rt None sc.sc_env)) then emit pl sc
+
+(* Reading a lazy base table: by probe when a sargable conjunct allows
+   it, by scan in place otherwise. *)
+let realize pl sc i tbl access =
+  match
+    match pl.pl_probes.(i) with
+    | Some cp -> run_probe_values sc.sc_rt access cp sc.sc_outer
+    | None -> None
+  with
+  | Some hit ->
+    access.Eval.acc_note ~table:tbl
+      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+    R_pairs hit.Eval.ph_pairs
+  | None -> (
+    access.Eval.acc_note ~table:tbl `Seq_scan;
+    match access.Eval.acc_table ~table:tbl with
+    | Some t -> R_table t
+    | None -> Errors.raise_error (Errors.Unknown_table tbl))
+
+(* A linked base table's join method, from the number of partial
+   frames — the interpreter's decision ([Eval.join_from]). *)
+let decide pl sc i tbl access l ~partials =
+  let column = link_col pl i l in
+  match Eval.index_join access ~table:tbl ~column ~partials with
+  | Some _ -> R_index_join (access, tbl, column)
+  | None -> R_hash (realize pl sc i tbl access)
+
+(* Run the sources from [j] on, over each partial frame of sources
+   0..j-1 in [partials] ([None]: the empty frame), deciding a deferred
+   join method once its partial frames are buffered and counted. *)
+let rec run_from pl sc j partials =
+  let n = Array.length pl.pl_kinds in
+  let rec next_deferred i =
+    if i >= n then n
+    else match sc.sc_reads.(i) with R_deferred _ -> i | _ -> next_deferred (i + 1)
+  in
+  let d = next_deferred (j + 1) in
+  let buffered = ref [] in
+  let run =
+    if d = n then chain pl j n (final pl)
+    else chain pl j d (fun sc -> buffered := Array.sub sc.sc_local 0 d :: !buffered)
+  in
+  (match partials with
+  | None -> run sc
+  | Some ps ->
+    List.iter
+      (fun p ->
+        Array.blit p 0 sc.sc_local 0 j;
+        run sc)
+      ps);
+  if d < n then begin
+    let ps = List.rev !buffered in
+    (match sc.sc_reads.(d), link pl d with
+    | R_deferred (access, tbl), Some l ->
+      sc.sc_reads.(d) <- decide pl sc d tbl access l ~partials:(List.length ps)
+    | _ -> assert false);
+    run_from pl sc d (Some ps)
+  end
+
+(* One run of a select core: the result and, with [read], the handles
+   of the rows passing WHERE.  The sources push rows through one frame
+   ([sc_local]): each extends the partial frame and calls the next, so
+   no stage builds a list of rows.  A base table linked to an earlier
+   source is joined by probing its index once per partial frame, or by
+   a hash table, as [Eval.index_join] decides from the number of
+   partial frames — the interpreter's decision.  The scan stops once
+   [stop_at] rows passed.  Per-row work after WHERE keeps its first
+   error instead of raising it, and the error is raised once the scan
+   is over: the interpreter raises a WHERE error on any row first, then
+   a projection (or GROUP BY key) error, then an ORDER BY key error. *)
+let run_plain pl rt (outer : renv) ~read ~stop_at =
+  let n = Array.length pl.pl_kinds in
+  let local = Array.make n [||] in
+  let sc =
+    {
+      sc_rt = rt;
+      sc_outer = outer;
+      sc_local = local;
+      sc_env = with_outer local outer;
+      sc_reads = Array.make n (R_rows []);
+      sc_read = read;
+      sc_stop_at = stop_at;
+      sc_cur = no_handle;
+      sc_handles = [];
+      sc_passed = 0;
+      sc_rows = [];
+      sc_keyed = [];
+      sc_err = None;
+      sc_key_err = None;
+      sc_groups = [];
+      sc_index = None;
+    }
+  in
+  (* phase 1: resolve the eager sources in FROM order; known base
+     tables stay lazy when access hooks are installed *)
+  for i = 0 to n - 1 do
+    match pl.pl_kinds.(i) with
+    | `Derived c -> sc.sc_reads.(i) <- R_rows (c.cs_run rt outer).Eval.rows
+    | `Eager src -> sc.sc_reads.(i) <- R_rows (rt.rt_resolve src).Eval.rows
+    | `Base tbl ->
+      if Option.is_none rt.rt_access then
+        sc.sc_reads.(i) <- R_rows (rt.rt_resolve (Ast.Base tbl)).Eval.rows
+  done;
+  (match pl.pl_links with Ok _ -> () | Error e -> Errors.raise_error e);
+  (* phase 2: read the lazy base tables in FROM order before any row
+     flows — the interpreter reads every source even when an earlier
+     one is empty — except that a linked one waits for the count of its
+     partial frames: source 0's rows for source 1, a buffer of copied
+     frames for a later one *)
+  let deferred = ref false in
+  for i = 0 to n - 1 do
+    sc.sc_reads.(i) <-
+      (match pl.pl_kinds.(i), rt.rt_access, link pl i with
+      | `Base tbl, Some access, None -> realize pl sc i tbl access
+      | `Base tbl, Some access, Some l when i = 1 ->
+        (* source 0 has no link: its rows are the partial frames *)
+        decide pl sc i tbl access l ~partials:(read_count sc.sc_reads.(0))
+      | `Base tbl, Some access, Some l ->
+        if access.Eval.acc_stats ~table:tbl ~column:(link_col pl i l) <> None then begin
+          deferred := true;
+          R_deferred (access, tbl)
+        end
+        else R_hash (realize pl sc i tbl access)
+      | _, _, Some _ -> R_hash sc.sc_reads.(i)
+      | _, _, None -> sc.sc_reads.(i))
+  done;
+  (try if !deferred then run_from pl sc 0 None else pl.pl_chain sc with Stop_scan -> ());
+  (* the output names of the rows produced: the static projection
+     names, or those of the empty-group projection when it ran *)
+  let out_cols = ref pl.pl_projs.pr_names in
+  Option.iter raise sc.sc_err;
+  let rows =
+    if not pl.pl_grouped then begin
+      Option.iter raise sc.sc_key_err;
+      if pl.pl_order = [] then List.rev sc.sc_rows
+      else List.map snd (Eval.sort_by_keys (List.rev sc.sc_keyed))
+    end
+    else begin
+      let results =
+        match List.rev sc.sc_groups, pl.pl_empty_group with
+        | [], Some (chaving0, cprojs0, naggs0) ->
+          (* only reachable with no GROUP BY key *)
+          let r = finish_group rt chaving0 cprojs0 outer (new_accs naggs0) in
+          if Option.is_some r then out_cols := cprojs0.pr_names;
+          Option.to_list r
+        | groups, _ ->
+          List.filter_map
+            (fun (rep, accs) -> finish_group rt pl.pl_having pl.pl_projs rep accs)
+            groups
+      in
+      match pl.pl_order with
+      | [] -> results
+      | okeys ->
+        let keyed =
+          List.map
+            (fun row ->
+              let env = [| [| row |] |] in
+              (List.map (fun (ce, dir) -> (ce rt None env, dir)) okeys, row))
+            results
+        in
+        List.map snd (Eval.sort_by_keys keyed)
+    end
+  in
+  let cols = match rows with _ :: _ -> !out_cols | [] -> pl.pl_cols_when_empty rt in
+  let rows = if pl.pl_distinct then dedupe_rows rows else rows in
+  let rows = take pl.pl_limit rows in
+  let read_set =
+    if read && pl.pl_read_set && Option.is_some rt.rt_access then Some (List.rev sc.sc_handles)
+    else None
+  in
+  ({ Eval.rel_name = ""; cols; rows }, read_set)
 
 (* ------------------------------------------------------------------ *)
 (* Expression and select compilation                                   *)
@@ -449,8 +933,13 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       Eval.truth_value
         (Value.truth_not (Eval.value_truth (Eval.in_set_mem (set rt env) v)))
   | Ast.Exists s ->
-    let run = compile_subquery ctx s in
-    fun rt _g env -> Value.Bool ((run rt env).Eval.rows <> [])
+    let nonempty rel = rel.Eval.rows <> [] in
+    let exists =
+      compile_subquery_with ~exists:true ctx s
+        ~memo:(fun m -> nonempty m.Eval.memo_rel)
+        ~direct:nonempty
+    in
+    fun rt _g env -> Value.Bool (exists rt env)
   | Ast.Between (a, low, high) ->
     let ca = cexpr_of ctx a in
     let cl = cexpr_of ctx low and ch = cexpr_of ctx high in
@@ -481,50 +970,21 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       | [] -> Value.Null
       | [ row ] -> row.(0)
       | _ :: _ :: _ -> Errors.semantic "scalar subquery returned more than one row")
-  | Ast.Agg (fn, arg) ->
-    let carg = Option.map (cexpr_of ctx) arg in
-    fun rt g _env -> (
-      match g with
-      | None -> Errors.semantic "aggregate function used outside a grouped query"
-      | Some group_envs -> (
-        match fn, carg with
-        | Ast.Count_star, _ -> Value.Int (List.length group_envs)
-        | _, None -> Errors.semantic "aggregate function requires an argument"
-        | fn, Some ce -> (
-          (* aggregates never nest: the argument is evaluated per group
-             row in non-grouped context *)
-          let values =
-            List.filter_map
-              (fun genv ->
-                let v = ce rt None genv in
-                if Value.is_null v then None else Some v)
-              group_envs
-          in
-          match fn with
-          | Ast.Count_star -> assert false
-          | Ast.Count -> Value.Int (List.length values)
-          | Ast.Sum ->
-            if values = [] then Value.Null
-            else List.fold_left Value.add (Value.Int 0) values
-          | Ast.Avg -> (
-            if values = [] then Value.Null
-            else
-              let sum = List.fold_left Value.add (Value.Int 0) values in
-              match Value.to_float sum with
-              | Some f -> Value.Float (f /. float_of_int (List.length values))
-              | None -> Errors.type_error "avg over non-numeric values")
-          | Ast.Min ->
-            if values = [] then Value.Null
-            else
-              List.fold_left
-                (fun acc v -> if Value.compare_total v acc < 0 then v else acc)
-                (List.hd values) values
-          | Ast.Max ->
-            if values = [] then Value.Null
-            else
-              List.fold_left
-                (fun acc v -> if Value.compare_total v acc > 0 then v else acc)
-                (List.hd values) values)))
+  | Ast.Agg (fn, arg) -> (
+    let misuse () = Errors.semantic "aggregate function used outside a grouped query" in
+    match ctx.cc_aggs with
+    | None -> fun _ _ _ -> misuse ()
+    | Some reg ->
+      (* aggregates never nest: the argument is evaluated per row in
+         non-grouped context *)
+      let actx =
+        { ctx with cc_aggs = None; cc_watches = (if reg.r_watch then ctx.cc_watches else []) }
+      in
+      let ag = { ag_fn = fn; ag_arg = Option.map (cexpr_of actx) arg } in
+      let i = reg.r_count in
+      reg.r_aggs <- ag :: reg.r_aggs;
+      reg.r_count <- i + 1;
+      fun _ g _ -> (match g with Some accs -> finalize ag accs.(i) | None -> misuse ()))
   | Ast.Fn (name, args) ->
     let cargs = List.map (cexpr_of ctx) args in
     fun rt g env -> Functions.apply name (List.map (fun ce -> ce rt g env) cargs)
@@ -551,10 +1011,13 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
    (consulted only when the runtime's [rt_use_cache] is set,
    mirroring evaluation without a cache).  Two uncorrelated copies of
    one physical select share a slot: neither reads an enclosing scope,
-   so both compute the same relation.  [memo] reads a memoized result,
-   [direct] one evaluated for this use only. *)
+   so both compute the same relation.  An EXISTS runs the select only
+   up to its first row when it may ([cs_exists]), so its slot is its
+   own.  [memo] reads a memoized result, [direct] one evaluated for
+   this use only. *)
 and compile_subquery_with :
       'a.
+      ?exists:bool ->
       ctx ->
       Ast.select ->
       memo:(Eval.memo -> 'a) ->
@@ -562,28 +1025,35 @@ and compile_subquery_with :
       rt ->
       renv ->
       'a =
- fun ctx s ~memo ~direct ->
+ fun ?(exists = false) ctx s ~memo ~direct ->
   let n0 = List.length ctx.cc_shape in
   let touched = ref false in
-  let c = compile_select' { ctx with cc_watches = (n0, touched) :: ctx.cc_watches } s in
-  if !touched then fun rt env -> direct (c.cs_run rt env)
+  let c = compile_select' ~exists { ctx with cc_watches = (n0, touched) :: ctx.cc_watches } s in
+  let run = if exists then c.cs_exists else c.cs_run in
+  if !touched then fun rt env -> direct (run rt env)
   else begin
+    let new_slot () =
+      let slot = !(ctx.cc_slots) in
+      ctx.cc_slots := slot + 1;
+      slot
+    in
     let slot =
-      match List.assq_opt s !(ctx.cc_memo) with
-      | Some slot -> slot
-      | None ->
-        let slot = !(ctx.cc_slots) in
-        ctx.cc_slots := slot + 1;
-        ctx.cc_memo := (s, slot) :: !(ctx.cc_memo);
-        slot
+      if exists then new_slot ()
+      else
+        match List.assq_opt s !(ctx.cc_memo) with
+        | Some slot -> slot
+        | None ->
+          let slot = new_slot () in
+          ctx.cc_memo := (s, slot) :: !(ctx.cc_memo);
+          slot
     in
     fun rt env ->
-      if not rt.rt_use_cache then direct (c.cs_run rt env)
+      if not rt.rt_use_cache then direct (run rt env)
       else
         match rt.rt_slots.(slot) with
         | Some m -> memo m
         | None ->
-          let m = Eval.make_memo (c.cs_run rt env) in
+          let m = Eval.make_memo (run rt env) in
           rt.rt_slots.(slot) <- Some m;
           memo m
   end
@@ -595,9 +1065,9 @@ and compile_subquery ctx s : rt -> renv -> Eval.relation =
 and compile_subquery_in ctx s : rt -> renv -> Eval.in_set =
   compile_subquery_with ctx s ~memo:Eval.memo_in_set ~direct:Eval.scan_set
 
-and compile_select' ctx (s : Ast.select) : cselect =
+and compile_select' ?exists ctx (s : Ast.select) : cselect =
   match s.Ast.compounds with
-  | [] -> compile_plain ctx s
+  | [] -> compile_plain ?exists ctx s
   | _ :: _ -> compile_compound ctx s
 
 (* Compound (set) operations: compile each core, combine at run time,
@@ -613,7 +1083,7 @@ and compile_compound ctx (s : Ast.select) : cselect =
   let okeys =
     List.map
       (fun (e, dir) ->
-        (cexpr_of { ctx with cc_shape = [ [ ("", head.cs_cols) ] ] } e, dir))
+        (cexpr_of (with_shape ctx [ [ ("", head.cs_cols) ] ]) e, dir))
       s.Ast.order_by
   in
   let limit = s.Ast.limit in
@@ -655,7 +1125,7 @@ and compile_compound ctx (s : Ast.select) : cselect =
     { Eval.rel_name = ""; cols = headr.Eval.cols; rows }
   in
   let cs_read rt = (cs_run rt [||], None) in
-  { cs_cols = head.cs_cols; cs_run; cs_read }
+  { cs_cols = head.cs_cols; cs_run; cs_exists = cs_run; cs_read }
 
 (* The probe planner's candidate scan over the compile-time frame and
    catalog, with each candidate's value side compiled;
@@ -690,35 +1160,44 @@ and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
               cands;
         })
 
-and compile_projections cctx local_shape (projs : Ast.proj list) : cproj list =
-  List.map
-    (function
-      | Ast.Star ->
-        P_pos
-          (List.concat
-             (List.mapi
-                (fun b (_, cols) ->
-                  Array.to_list (Array.mapi (fun c cname -> (cname, b, c)) cols))
-                local_shape))
-      | Ast.Table_star t -> (
-        let rec find b = function
-          | [] -> None
-          | (n, cols) :: rest ->
-            if String.equal n t then Some (b, cols) else find (b + 1) rest
-        in
-        match find 0 local_shape with
-        | None -> P_err (Errors.Unknown_table t)
-        | Some (b, cols) ->
-          P_pos (Array.to_list (Array.mapi (fun c cname -> (cname, b, c)) cols)))
-      | Ast.Proj (e, alias) ->
-        let name =
-          match alias with Some a -> a | None -> Eval.default_proj_name e
-        in
-        P_expr (name, cexpr_of cctx e))
-    projs
+and compile_projections cctx local_shape (projs : Ast.proj list) : cprojs =
+  let columns b cols =
+    Array.to_list (Array.mapi (fun c cname -> (Some cname, Pop_col (b, c))) cols)
+  in
+  let ops =
+    List.concat_map
+      (function
+        | Ast.Star -> List.concat (List.mapi columns (List.map snd local_shape))
+        | Ast.Table_star t -> (
+          let rec find b = function
+            | [] -> None
+            | (n, cols) :: rest ->
+              if String.equal n t then Some (b, cols) else find (b + 1) rest
+          in
+          match find 0 local_shape with
+          | None -> [ (None, Pop_err (Errors.Unknown_table t)) ]
+          | Some (b, cols) -> columns b cols)
+        | Ast.Proj (e, alias) ->
+          let name =
+            match alias with Some a -> a | None -> Eval.default_proj_name e
+          in
+          [ (Some name, Pop_expr (cexpr_of cctx e)) ])
+      projs
+  in
+  {
+    pr_names = Array.of_list (List.filter_map fst ops);
+    pr_ops = Array.of_list (List.map snd ops);
+  }
 
-and compile_plain ctx (s : Ast.select) : cselect =
-  (* ---- FROM items: static binding names and columns ---- *)
+and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
+  let ctx = { ctx with cc_aggs = None } in
+  (* ---- FROM items: static binding names, columns and schemas ---- *)
+  let schema_of tbl_name =
+    if Database.has_table ctx.cc_db tbl_name then
+      let tbl = Database.table ctx.cc_db tbl_name in
+      (Table.col_names tbl, Some (Table.schema tbl))
+    else ([||], None)
+  in
   let item_info ix (item : Ast.from_item) =
     match item.Ast.source with
     | Ast.Derived sub ->
@@ -728,35 +1207,37 @@ and compile_plain ctx (s : Ast.select) : cselect =
         | Some a -> a
         | None -> Printf.sprintf "$%d" ix
       in
-      (name, c.cs_cols, `Derived c)
+      (name, c.cs_cols, None, `Derived c)
     | Ast.Base tbl_name ->
       let name = Option.value item.Ast.alias ~default:tbl_name in
-      if Database.has_table ctx.cc_db tbl_name then
-        (name, Table.col_names (Database.table ctx.cc_db tbl_name), `Base tbl_name)
+      let cols, schema = schema_of tbl_name in
+      if Database.has_table ctx.cc_db tbl_name then (name, cols, schema, `Base tbl_name)
       else
         (* unknown at compile time: resolving at run time raises the
            interpreter's error during phase 1 *)
-        (name, [||], `Eager (Ast.Base tbl_name))
+        (name, cols, schema, `Eager (Ast.Base tbl_name))
     | Ast.Transition tt ->
       let base = Ast.trans_table_base tt in
       let name = Option.value item.Ast.alias ~default:base in
-      let cols =
-        if Database.has_table ctx.cc_db base then
-          Table.col_names (Database.table ctx.cc_db base)
-        else [||]
-      in
-      (name, cols, `Eager (Ast.Transition tt))
+      let cols, schema = schema_of base in
+      (name, cols, schema, `Eager (Ast.Transition tt))
   in
   let items = List.mapi item_info s.Ast.from in
-  let names = List.map (fun (n, _, _) -> n) items in
-  let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) items in
-  let inner = { ctx with cc_shape = frame_shape :: ctx.cc_shape } in
+  let items_a = Array.of_list items in
+  let frame_shape = List.map (fun (n, cols, _, _) -> (n, cols)) items in
+  let inner =
+    {
+      ctx with
+      cc_shape = frame_shape :: ctx.cc_shape;
+      cc_schemas = List.map (fun (_, _, schema, _) -> schema) items :: ctx.cc_schemas;
+    }
+  in
   (* a duplicate binding name is reported after phase-1 resolution,
      matching the interpreter's check order *)
   let links = Eval.from_links frame_shape s.Ast.where in
   let probes =
     List.map
-      (fun (name, _cols, kind) ->
+      (fun (name, _cols, _, kind) ->
         match kind with
         | `Base tbl ->
           compile_probe_plan ctx ~frame:frame_shape ~target:name ~table:tbl
@@ -768,18 +1249,27 @@ and compile_plain ctx (s : Ast.select) : cselect =
   let cwhere = Option.map (cexpr_of inner) s.Ast.where in
   let grouped = Eval.select_contains_agg s in
   let cgroup_keys = List.map (cexpr_of inner) s.Ast.group_by in
-  let chaving = Option.map (cexpr_of inner) s.Ast.having in
-  let cprojs = compile_projections inner frame_shape s.Ast.projections in
-  let sr_cols = static_proj_names cprojs in
-  let width = Array.length sr_cols in
+  (* the aggregate calls of HAVING and the projections fold into one
+     accumulator each per group *)
+  let reg = { r_aggs = []; r_count = 0; r_watch = true } in
+  let gctx = { inner with cc_aggs = Some reg } in
+  let chaving = Option.map (cexpr_of gctx) s.Ast.having in
+  let cprojs = compile_projections gctx frame_shape s.Ast.projections in
+  let aggs = Array.of_list (List.rev reg.r_aggs) in
+  let sr_cols = cprojs.pr_names in
   (* grouping with no GROUP BY key yields a single group even over zero
      rows; the interpreter then evaluates HAVING and projections in an
      environment whose local frame is empty — compile that variant
-     against the outer scopes alone *)
+     against the outer scopes alone.  Its aggregates see no row, so
+     their arguments, never evaluated, do not make the select
+     correlated. *)
   let empty_group =
     if grouped && s.Ast.group_by = [] then
-      let cprojs0 = compile_projections ctx [] s.Ast.projections in
-      Some (Option.map (cexpr_of ctx) s.Ast.having, cprojs0, static_proj_names cprojs0)
+      let reg0 = { r_aggs = []; r_count = 0; r_watch = false } in
+      let ctx0 = { ctx with cc_aggs = Some reg0 } in
+      let chaving0 = Option.map (cexpr_of ctx0) s.Ast.having in
+      let cprojs0 = compile_projections ctx0 [] s.Ast.projections in
+      Some (chaving0, cprojs0, reg0.r_count)
     else None
   in
   let corder_nongrouped =
@@ -788,10 +1278,30 @@ and compile_plain ctx (s : Ast.select) : cselect =
   in
   let corder_grouped =
     if grouped then
-      let sub = { ctx with cc_shape = [ [ ("", sr_cols) ] ] } in
+      let sub = with_shape ctx [ [ ("", sr_cols) ] ] in
       List.map (fun (e, dir) -> (cexpr_of sub e, dir)) s.Ast.order_by
     else []
   in
+  (* ---- early stop: a scan may end before its last row only when the
+     rows it skips could not have raised an error the interpreter,
+     which evaluates WHERE and the projections over every row, would
+     report ---- *)
+  let rows_cannot_raise () =
+    (not grouped)
+    && Option.fold ~none:true ~some:(fun e -> row_kind inner e <> None) s.Ast.where
+    && List.for_all
+         (function
+           | Ast.Star -> true
+           | Ast.Table_star t -> List.mem_assoc t frame_shape
+           | Ast.Proj (e, _) -> row_kind inner e <> None)
+         s.Ast.projections
+  in
+  let limit_stop =
+    match s.Ast.limit with
+    | Some n when s.Ast.order_by = [] && (not s.Ast.distinct) && rows_cannot_raise () -> n
+    | Some _ | None -> max_int
+  in
+  let exists_stop = if exists && s.Ast.order_by = [] && rows_cannot_raise () then 1 else limit_stop in
   (* ---- output columns for the zero-row case: the runtime mirror of
      [Eval.static_output_columns] ---- *)
   let empty_sources =
@@ -799,7 +1309,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
       (fun (item : Ast.from_item) ->
         match item.Ast.source with
         | Ast.Derived sub ->
-          let c0 = compile_select' { ctx with cc_shape = [] } sub in
+          let c0 = compile_select' (with_shape ctx []) sub in
           let name = match item.Ast.alias with Some a -> a | None -> "" in
           `Derived (name, c0)
         | src -> `Resolve (item.Ast.alias, src))
@@ -827,7 +1337,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
   let static_empty_cols =
     let known =
       List.for_all
-        (fun (_, cols, kind) ->
+        (fun (_, cols, _, kind) ->
           match kind with
           | `Base _ -> true
           | `Eager (Ast.Transition _) -> Array.length cols > 0
@@ -853,212 +1363,40 @@ and compile_plain ctx (s : Ast.select) : cselect =
                      rel.Eval.cols )))
            empty_sources)
   in
-  (* ---- the runner ---- *)
-  let with_outer frame (outer : renv) =
-    if Array.length outer = 0 then [| frame |] else Array.append [| frame |] outer
+  (* ---- the plan ---- *)
+  let pl =
+    {
+      pl_kinds = Array.map (fun (_, _, _, kind) -> kind) items_a;
+      pl_names = Array.map (fun (name, _, _, _) -> name) items_a;
+      pl_cols = Array.map (fun (_, cols, _, _) -> cols) items_a;
+      pl_links = Result.map Array.of_list links;
+      pl_probes = Array.of_list probes;
+      pl_where = cwhere;
+      pl_grouped = grouped;
+      pl_group_keys = Array.of_list cgroup_keys;
+      pl_having = chaving;
+      pl_projs = cprojs;
+      pl_aggs = aggs;
+      pl_empty_group = empty_group;
+      pl_order = (if grouped then corder_grouped else corder_nongrouped);
+      pl_distinct = s.Ast.distinct;
+      pl_limit = s.Ast.limit;
+      pl_read_set =
+        s.Ast.group_by = [] && (match items_a with [| (_, _, _, `Base _) |] -> true | _ -> false);
+      pl_cols_when_empty = cols_when_empty;
+      pl_chain = ignore;
+    }
   in
-  let holds rt env =
-    match cwhere with
-    | None -> true
-    | Some ce -> Value.truth_holds (Eval.value_truth (ce rt None env))
-  in
-  (* A single base table read through the access hooks: WHERE runs in
-     the probe or scan loop against one reused scratch frame, and only
-     a passing row gets an environment of its own.  Also returns the
-     handles of the passing rows, in handle order. *)
-  let single_source rt outer tbl cp access =
-    let scratch = [| [||] |] in
-    let env = with_outer scratch outer in
-    let envs = ref [] and handles = ref [] in
-    let consider h row =
-      scratch.(0) <- row;
-      if holds rt env then begin
-        envs := with_outer [| row |] outer :: !envs;
-        handles := h :: !handles
-      end
-    in
-    let scan () =
-      access.Eval.acc_note ~table:tbl `Seq_scan;
-      match access.Eval.acc_table ~table:tbl with
-      | Some t -> Table.iter consider t
-      | None -> Errors.raise_error (Errors.Unknown_table tbl)
-    in
-    (match cp with
-    | None -> scan ()
-    | Some cp -> (
-      match run_probe_values rt access cp outer with
-      | Some hit ->
-        access.Eval.acc_note ~table:tbl
-          (match hit.Eval.ph_kind with
-          | `Eq -> `Index_probe
-          | `Range -> `Range_probe);
-        List.iter (fun (h, row) -> consider h row) hit.Eval.ph_pairs
-      | None -> scan ()));
-    (List.rev !envs, List.rev !handles)
-  in
-  (* The environments of the from-list's rows, before WHERE. *)
-  let joined_envs rt (outer : renv) =
-    (* phase 1: resolve sources in FROM order; known base tables stay
-       lazy when access hooks are installed *)
-    let resolved =
-      List.map
-        (fun (_name, _cols, kind) ->
-          match kind with
-          | `Derived c -> `Rows (c.cs_run rt outer).Eval.rows
-          | `Eager src -> `Rows (rt.rt_resolve src).Eval.rows
-          | `Base tbl -> (
-            match rt.rt_access with
-            | None -> `Rows (rt.rt_resolve (Ast.Base tbl)).Eval.rows
-            | Some access -> `Lazy (tbl, access)))
-        items
-    in
-    let links = match links with Ok l -> l | Error e -> Errors.raise_error e in
-    (* phase 2: join, realizing lazy sources by probe or scan *)
-    let rec extend partials k rs ps ls ns =
-      match rs, ps, ls, ns with
-      | r :: rs, p :: ps, link :: ls, name :: ns ->
-        let rows =
-          match r with
-          | `Rows rows -> rows
-          | `Lazy (tbl, access) -> (
-            match
-              match p with Some cp -> run_probe_values rt access cp outer | None -> None
-            with
-            | Some hit ->
-              access.Eval.acc_note ~table:tbl
-                (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-              List.map snd hit.Eval.ph_pairs
-            | None ->
-              access.Eval.acc_note ~table:tbl `Seq_scan;
-              (rt.rt_resolve (Ast.Base tbl)).Eval.rows)
-        in
-        let partials =
-          Eval.join_source rt.rt_access ~name ~row_of:Fun.id ~bind:List.cons k link rows
-            partials
-        in
-        extend partials (k + 1) rs ps ls ns
-      | _ -> partials
-    in
-    let frames = extend [ [] ] 0 resolved probes links names in
-    let row_envs =
-      List.map
-        (fun partial ->
-          let frame =
-            match partial with
-            | [ row ] -> [| row |]
-            | _ -> Array.of_list (List.rev partial)
-          in
-          with_outer frame outer)
-        frames
-    in
-    row_envs
-  in
-  (* The environments of the from-list rows passing WHERE, with the
-     handles of the retrieved tuples when the from-list is a single
-     base table read through the access hooks. *)
-  let filtered_envs rt outer =
-    match items, probes, rt.rt_access with
-    | [ (_, _, `Base tbl) ], [ cp ], Some access ->
-      let envs, handles = single_source rt outer tbl cp access in
-      (envs, Some handles)
-    | _ -> (List.filter (holds rt) (joined_envs rt outer), None)
-  in
-  let run_read rt (outer : renv) =
-    let filtered, handles = filtered_envs rt outer in
-    (* the output names of the rows produced: the static projection
-       names, or those of the empty-group projection when it ran *)
-    let out_cols = ref sr_cols in
-    let result_rows =
-      if not grouped then
-        List.map (fun env -> run_projs cprojs width rt None env) filtered
-      else begin
-        let groups =
-          if s.Ast.group_by = [] then [ filtered ]
-          else
-            group_by_key
-              (List.map
-                 (fun env ->
-                   (Array.of_list (List.map (fun ce -> ce rt None env) cgroup_keys), env))
-                 filtered)
-        in
-        let eval_group group_envs =
-          match group_envs with
-          | rep :: _ ->
-            let keep =
-              match chaving with
-              | None -> true
-              | Some ch ->
-                Value.truth_holds (Eval.value_truth (ch rt (Some group_envs) rep))
-            in
-            if keep then Some (run_projs cprojs width rt (Some group_envs) rep)
-            else None
-          | [] -> (
-            (* only reachable with no GROUP BY key *)
-            match empty_group with
-            | None -> assert false
-            | Some (chav0, cprojs0, cols0) ->
-              let keep =
-                match chav0 with
-                | None -> true
-                | Some ch ->
-                  Value.truth_holds (Eval.value_truth (ch rt (Some []) outer))
-              in
-              if keep then begin
-                out_cols := cols0;
-                Some (run_projs cprojs0 (Array.length cols0) rt (Some []) outer)
-              end
-              else None)
-        in
-        List.filter_map eval_group groups
-      end
-    in
-    let ordered_rows =
-      match s.Ast.order_by with
-      | [] -> result_rows
-      | _ ->
-        if grouped then
-          let keyed =
-            List.map
-              (fun row ->
-                let env = [| [| row |] |] in
-                let keys =
-                  List.map (fun (ce, dir) -> (ce rt None env, dir)) corder_grouped
-                in
-                (keys, row))
-              result_rows
-          in
-          List.map snd (Eval.sort_by_keys keyed)
-        else
-          let keyed =
-            List.map2
-              (fun env row ->
-                let keys =
-                  List.map
-                    (fun (ce, dir) -> (ce rt None env, dir))
-                    corder_nongrouped
-                in
-                (keys, row))
-              filtered result_rows
-          in
-          List.map snd (Eval.sort_by_keys keyed)
-    in
-    let cols =
-      match ordered_rows with _ :: _ -> !out_cols | [] -> cols_when_empty rt
-    in
-    let rows = ordered_rows in
-    let rows = if s.Ast.distinct then dedupe_rows rows else rows in
-    let rows = take s.Ast.limit rows in
-    let read = if s.Ast.group_by = [] then handles else None in
-    ({ Eval.rel_name = ""; cols; rows }, read)
-  in
-  let cs_run rt outer = fst (run_read rt outer) in
-  let cs_read rt = run_read rt [||] in
-  { cs_cols = sr_cols; cs_run; cs_read }
+  pl.pl_chain <- chain pl 0 (Array.length items_a) (final pl);
+  let cs_run rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:limit_stop) in
+  let cs_exists rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:exists_stop) in
+  let cs_read rt = run_plain pl rt [||] ~read:true ~stop_at:max_int in
+  { cs_cols = sr_cols; cs_run; cs_exists; cs_read }
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
 
-let compile_expr ctx ~shape e = cexpr_of { ctx with cc_shape = shape } e
+let compile_expr ctx ~shape e = cexpr_of (with_shape ctx shape) e
 let eval_cexpr rt ce (env : renv) : Value.t = ce rt None env
 
 let cexpr_holds rt ce (env : renv) =

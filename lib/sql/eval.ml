@@ -258,16 +258,15 @@ type probe_shape = Shape_eq of int option | Shape_set of int | Shape_range | Sha
 let rows_per_probe_key = 4
 
 (* Estimated rows a probe of [shape] over [column] would enumerate,
-   from the incrementally-maintained statistics: row count and
-   per-indexed-column distinct key count.  [None] = no usable index
+   from the incrementally-maintained statistics: the row count [nrows]
+   and the per-indexed-column distinct key count.  [None] = no usable index
    (no index at all, or a range shape without an ordered index).
    Selectivity of ranges is guessed at 1/3 (1/4 for prefixes) in the
    System R tradition — no histograms are kept. *)
-let estimate_shape access ~table ~column shape =
+let estimate_shape access ~table ~nrows ~column shape =
   match access.acc_stats ~table ~column with
   | None -> None
   | Some (distinct, ordered) -> (
-    let nrows = Option.value (table_count access ~table) ~default:0 in
     match shape with
     | Shape_eq k ->
       let k = Option.value k ~default:2 in
@@ -275,6 +274,23 @@ let estimate_shape access ~table ~column shape =
     | Shape_set k -> Some (k * nrows / max 1 distinct)
     | Shape_range -> if ordered then Some ((nrows + 2) / 3) else None
     | Shape_prefix -> if ordered then Some ((nrows + 3) / 4) else None)
+
+(* The cost rule for one candidate: its estimate when a probe of
+   [shape] over [column] is worth attempting, [None] when there is no
+   usable index or the scan is no dearer.  A probe never enumerates
+   more rows than the scan, but when the estimate says it would not
+   help, the plan stays honest and scans. *)
+let admissible access ~table ~column shape =
+  let scan_cost = table_count access ~table in
+  match
+    estimate_shape access ~table ~nrows:(Option.value scan_cost ~default:0) ~column shape
+  with
+  | None -> None
+  | Some est -> (
+    match scan_cost, shape with
+    | Some n, _ when est > n -> None
+    | Some n, Shape_set k when k * rows_per_probe_key > n -> None
+    | Some _, _ | None, _ -> Some est)
 
 (* The single decision procedure shared by the interpreting and
    compiling evaluators (and hence by execution and EXPLAIN): given the
@@ -292,30 +308,11 @@ let estimate_shape access ~table ~column shape =
    Without a usable index no candidate survives, so an index-free
    system always scans. *)
 let choose_candidates access ~table cands =
-  let scan_cost = table_count access ~table in
   List.filter_map
     (fun (payload, column, shape) ->
-      match estimate_shape access ~table ~column shape with
-      | None -> None
-      | Some est -> (
-        (* a probe never enumerates more rows than the scan, but when
-           the estimate says it would not help, keep the plan honest
-           and scan *)
-        match scan_cost, shape with
-        | Some n, _ when est > n -> None
-        | Some n, Shape_set k when k * rows_per_probe_key > n -> None
-        | Some _, _ | None, _ -> Some (payload, est)))
+      Option.map (fun est -> (payload, est)) (admissible access ~table ~column shape))
     cands
   |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
-
-(* Re-rank an IN (select ...) candidate once its value set is known:
-   [None] = scan instead, else the estimate to report. *)
-let recheck_set access ~table ~column values =
-  match
-    choose_candidates access ~table [ ((), column, Shape_set (List.length values)) ]
-  with
-  | [] -> None
-  | (_, est) :: _ -> Some est
 
 (* A successful probe decision: which column and WHERE conjunct
    satisfied it, by equality or range probe, the estimate that ranked
@@ -549,7 +546,8 @@ let probe_candidates access ~table ~eval ~eval_set cands =
       | Pv_exprs es -> access.acc_probe ~table ~column (List.map eval es)
       | Pv_select sub -> (
         let values = eval_set sub in
-        match recheck_set access ~table ~column values with
+        (* re-ranked from the evaluated set's size *)
+        match admissible access ~table ~column (Shape_set (List.length values)) with
         | None -> None
         | Some e ->
           est := e;
@@ -682,44 +680,111 @@ let from_links_exn frame where =
   | Ok links -> links
   | Error e -> Errors.raise_error e
 
-module Key_map = Map.Make (struct
+(* Hashing that agrees with [Value.compare_total], under which an Int
+   equals the Float of the same value: a number is hashed as the int it
+   equals when that is exact (magnitude below 2^53), else as a float —
+   float hashing identifies -0.0 with 0.0 and all NaNs, as
+   [Float.compare] does.  Join keys and GROUP BY keys may mix Int and
+   Float, and a probe value's constructor is not known when the table
+   is built. *)
+let exact_int_bound = 9007199254740992 (* 2^53 *)
+
+let hash_value = function
+  | Value.Int n ->
+    if abs n < exact_int_bound then Hashtbl.hash n else Hashtbl.hash (Float.of_int n)
+  | Value.Float f ->
+    if Float.is_integer f && Float.abs f < Float.of_int exact_int_bound then
+      Hashtbl.hash (Float.to_int f)
+    else Hashtbl.hash f
+  | v -> Hashtbl.hash v
+
+module Value_tbl = Hashtbl.Make (struct
   type t = Value.t
 
-  let compare = Value.compare_total
+  let equal a b = Value.compare_total a b = 0
+  let hash = hash_value
 end)
 
-(* Extend the partial frames of a FROM list by the rows of its [k]-th
-   source, bound as [name].  A partial frame holds one entry per earlier
-   source, newest first, and [row_of] reads the row out of an entry;
-   [bind row partial] adds the new source's row.  With a link (and a
-   frame to probe it with) the rows are hashed on the join key, keeping
-   scan order within each bucket, and [access] hears the build and each
-   probe; otherwise every row extends every frame.  Both enumerate in
-   nested-loop order, and the caller still applies the full WHERE
-   predicate, so the two give identical results. *)
-let join_source access ~name ~row_of ~bind k link rows partials =
+module Row_tbl = Hashtbl.Make (struct
+  type t = Row.t
+
+  let equal a b = Row.compare_total a b = 0
+  let hash row = Array.fold_left (fun h v -> (h * 65599) + hash_value v) 0 row
+end)
+
+(* The build side of a hash join: rows bucketed by their key at one
+   column, each bucket in scan order. *)
+type join_table = Row.t list ref Value_tbl.t
+
+(* [build_join_table ~size col iter] hashes the [size] rows [iter]
+   enumerates in scan order. *)
+let build_join_table ~size col iter : join_table =
+  let tbl = Value_tbl.create (max 16 size) in
+  iter (fun (row : Row.t) ->
+      match Value_tbl.find_opt tbl row.(col) with
+      | Some cell -> cell := row :: !cell
+      | None -> Value_tbl.add tbl row.(col) (ref [ row ]));
+  Value_tbl.iter (fun _ cell -> cell := List.rev !cell) tbl;
+  tbl
+
+let join_matches (tbl : join_table) key =
+  match Value_tbl.find_opt tbl key with Some cell -> !cell | None -> []
+
+(* The join method of a base table read through [access] and linked to
+   an earlier source, for [partials] partial frames: [Some est] probes
+   the index over the link column once per partial frame (an index
+   nested-loop join), when the cost rule prefers [partials] key probes
+   to a scan; [None] builds the hash table. *)
+let index_join access ~table ~column ~partials =
+  admissible access ~table ~column (Shape_set partials)
+
+(* One probe of an index nested-loop join: the rows whose link column
+   equals [key], in handle (= scan) order.  A NULL or type-incompatible
+   key matches nothing; the hash table pairs NULL keys, but the link
+   conjunct in WHERE rejects every such pair, so the two joins agree. *)
+let index_join_rows access ~table ~column key =
+  access.acc_note ~table `Index_probe;
+  match access.acc_probe ~table ~column [ key ] with Some pairs -> pairs | None -> []
+
+(* Extend the partial frames of a FROM list (one binding per earlier
+   source, newest first) by the rows of its [k]-th source, bound as
+   [name]: hashed on the link's key when there is a link and a frame to
+   probe it with — [access] hears the build and each probe — else every
+   row extends every frame.  Both enumerate in nested-loop order, and
+   the caller still applies the full WHERE predicate, so the two give
+   identical results. *)
+let join_source access ~name ~cols k link rows partials =
+  let bind row partial = { bind_name = name; bind_cols = cols; bind_row = row } :: partial in
   match link with
   | Some l when partials <> [] ->
     let note ev = match access with Some a -> a.acc_note ~table:name ev | None -> () in
     note `Hash_join_build;
     let table =
-      List.fold_left
-        (fun m row ->
-          let key = row.(l.jl_col) in
-          Key_map.add key (row :: Option.value (Key_map.find_opt key m) ~default:[]) m)
-        Key_map.empty rows
-      |> Key_map.map List.rev
+      build_join_table ~size:(List.length rows) l.jl_col (fun f -> List.iter f rows)
     in
     List.concat_map
       (fun partial ->
         note `Hash_join_probe;
-        let bound = row_of (List.nth partial (k - 1 - l.jl_with)) in
-        match Key_map.find_opt bound.(l.jl_with_col) table with
-        | None -> []
-        | Some rows -> List.map (fun row -> bind row partial) rows)
+        let bound = (List.nth partial (k - 1 - l.jl_with)).bind_row in
+        List.map (fun row -> bind row partial) (join_matches table bound.(l.jl_with_col)))
       partials
   | Some _ | None ->
     List.concat_map (fun partial -> List.map (fun row -> bind row partial) rows) partials
+
+(* How one FROM source is read (see [join_from]): its materialized
+   rows, a scan or index probe of a base table, or an index nested-loop
+   join probing the table once per partial frame. *)
+type source_read =
+  | Read_rows of Row.t list
+  | Read_scan of Table.t
+  | Read_probe of probe_hit
+  | Read_index_join of { est : int; probes : int }
+
+let read_rows = function
+  | Read_rows rows -> rows
+  | Read_scan tbl -> Table.rows tbl
+  | Read_probe hit -> List.map snd hit.ph_pairs
+  | Read_index_join _ -> invalid_arg "read_rows: an index join has no rows of its own"
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -1009,97 +1074,126 @@ and default_proj_name e =
   | Ast.Col { column; _ } -> column
   | e -> Pretty.expr_str e
 
-(* Materialize the from-list as row environments, each extended with
-   the outer scopes.
-
-   Sources are joined as [from_links] and [join_source] decide: by
-   hash join on an equi-join link, by nested loop otherwise.
-
-   When access-path hooks are installed, base tables are realized
-   lazily: a sargable conjunct over an indexed column turns the scan
-   into an index probe (see [probe_plan]).  A probe returns the
-   matching rows in handle order — an order-preserving subsequence of
-   the scan — and the full WHERE predicate is still applied afterwards,
-   so results are again identical.
-
-   When the from-list is a single lazily realized base table, the
-   handles of its rows come back too, aligned with the environments:
-   the tuples the select retrieved, for the Section 5.1 read set. *)
-and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
-    env list * Handle.t list option =
+(* The FROM sources of a select in FROM order: binding name, columns,
+   and either eagerly materialized rows (a derived table, a transition
+   table, or a table the access hooks don't cover, with what EXPLAIN
+   calls it) or a base table read lazily through the access hooks. *)
+and from_sources ctx (outer : env) (from : Ast.from_item list) =
   let resolve_item ix item =
     let named rel =
       match item.Ast.alias with
       | Some a -> a
       | None -> if rel.rel_name = "" then Printf.sprintf "$%d" ix else rel.rel_name
     in
+    let eager what src =
+      let rel = ctx.resolve src in
+      (named rel, rel.cols, `Rows (what, rel.rows))
+    in
     match item.Ast.source with
     | Ast.Derived s ->
       let rel = eval_select_inner ctx outer s in
-      (named rel, rel.cols, `Rows rel.rows)
-    | Ast.Base tbl_name -> (
-      let lazy_tbl =
-        match ctx.access with
-        | None -> None
-        | Some access -> access.acc_table ~table:tbl_name
-      in
-      match lazy_tbl with
+      (named rel, rel.cols, `Rows ("derived table", rel.rows))
+    | Ast.Base tbl_name as src -> (
+      match Option.bind ctx.access (fun a -> a.acc_table ~table:tbl_name) with
       | Some tbl ->
         ( Option.value item.Ast.alias ~default:tbl_name,
           Table.col_names tbl,
           `Table (tbl_name, tbl) )
-      | None ->
-        let rel = ctx.resolve item.Ast.source in
-        (named rel, rel.cols, `Rows rel.rows))
-    | (Ast.Transition _) as src ->
-      let rel = ctx.resolve src in
-      (named rel, rel.cols, `Rows rel.rows)
+      | None -> eager ("table " ^ tbl_name) src)
+    | Ast.Transition tt as src ->
+      eager ("transition table " ^ Pretty.trans_table_str tt) src
   in
-  let sources = List.mapi resolve_item from in
-  let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  let links = from_links_exn frame_shape where in
-  (* realize a lazily-bound base table: by index (or range) probe when
-     a sargable conjunct allows it, by scan otherwise *)
-  let realize bind_name (tbl_name, tbl) =
-    let access =
-      match ctx.access with Some a -> a | None -> assert false
+  List.mapi resolve_item from
+
+(* The FROM-list join, source by source, shared by the interpreter and
+   EXPLAIN.  Each source is read as decided from the partial frames it
+   extends: a base table linked to an earlier source by an index
+   nested-loop join when [index_join] prefers probing its index once per
+   partial frame, else by index probe or scan (then hash-joined on a
+   link, nested-loop joined otherwise); eager sources by their rows.
+   Returns the partial frames (one binding per source, newest first)
+   and each source's read.  With [~extend_last:false] the last source
+   is only decided, not joined — EXPLAIN needs no more. *)
+and join_from ctx (outer : env) ~frame ~where sources links ~extend_last =
+  let n = List.length sources in
+  let step (partials, k, reads) ((name, cols, src), link) =
+    let read =
+      match src, link with
+      | `Rows (_, rows), _ -> Read_rows rows
+      | `Table (table, tbl), link -> (
+        let access = Option.get ctx.access in
+        let index_joined =
+          match link with
+          | Some l ->
+            index_join access ~table ~column:cols.(l.jl_col)
+              ~partials:(List.length partials)
+          | None -> None
+        in
+        match index_joined with
+        | Some est -> Read_index_join { est; probes = List.length partials }
+        | None -> (
+          match probe_plan ctx outer ~frame ~target_name:name ~table where with
+          | Some hit ->
+            access.acc_note ~table
+              (match hit.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+            Read_probe hit
+          | None ->
+            access.acc_note ~table `Seq_scan;
+            Read_scan tbl))
     in
-    match
-      probe_plan ctx outer ~frame:frame_shape ~target_name:bind_name
-        ~table:tbl_name where
-    with
-    | Some hit ->
-      access.acc_note ~table:tbl_name
-        (match hit.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-      hit.ph_pairs
-    | None ->
-      access.acc_note ~table:tbl_name `Seq_scan;
-      Table.to_list tbl
+    let partials =
+      if k = n - 1 && not extend_last then []
+      else
+        match read, src, link with
+        | Read_index_join _, `Table (table, _), Some l ->
+          let access = Option.get ctx.access in
+          let column = cols.(l.jl_col) in
+          List.concat_map
+            (fun partial ->
+              let bound = (List.nth partial (k - 1 - l.jl_with)).bind_row in
+              List.map
+                (fun (_, row) ->
+                  { bind_name = name; bind_cols = cols; bind_row = row } :: partial)
+                (index_join_rows access ~table ~column bound.(l.jl_with_col)))
+            partials
+        | _ -> join_source ctx.access ~name ~cols k link (read_rows read) partials
+    in
+    (partials, k + 1, read :: reads)
   in
-  (* partial frames are built in reverse binding order *)
-  let extend (partials, k) ((name, cols, kind), link) =
-    let rows =
-      match kind with
-      | `Rows rows -> rows
-      | `Table src -> List.map snd (realize name src)
-    in
-    let bind row partial =
-      { bind_name = name; bind_cols = cols; bind_row = row } :: partial
-    in
-    ( join_source ctx.access ~name ~row_of:(fun b -> b.bind_row) ~bind k link rows
-        partials,
-      k + 1 )
+  let partials, _, reads =
+    List.fold_left step ([ [] ], 0, []) (List.combine sources links)
   in
+  (partials, List.rev reads)
+
+(* Materialize the from-list as row environments, each extended with
+   the outer scopes, joined as [join_from] decides.  An index probe
+   returns the matching rows in handle order — an order-preserving
+   subsequence of the scan — and the full WHERE predicate is still
+   applied afterwards, so results are identical to a scan's.
+
+   When the from-list is a single lazily realized base table, the
+   handles of its rows come back too, aligned with the environments:
+   the tuples the select retrieved, for the Section 5.1 read set. *)
+and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
+    env list * Handle.t list option =
+  let sources = from_sources ctx outer from in
+  let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
+  let links = from_links_exn frame where in
   match sources with
-  | [ (name, cols, `Table src) ] ->
-    let pairs = realize name src in
+  | [ (name, cols, `Table _) ] ->
+    let pairs =
+      match join_from ctx outer ~frame ~where sources links ~extend_last:false with
+      | _, [ Read_probe hit ] -> hit.ph_pairs
+      | _, [ Read_scan tbl ] -> Table.to_list tbl
+      | _ -> assert false
+    in
     ( List.map
         (fun (_, row) ->
           [ { bind_name = name; bind_cols = cols; bind_row = row } ] :: outer)
         pairs,
       Some (List.map fst pairs) )
   | _ ->
-    let frames, _ = List.fold_left extend ([ [] ], 0) (List.combine sources links) in
+    let frames, _ = join_from ctx outer ~frame ~where sources links ~extend_last:true in
     (List.map (fun frame -> List.rev frame :: outer) frames, None)
 
 (* The access-path planner: try to satisfy one FROM source by an index
@@ -1465,9 +1559,11 @@ let probe_table ?cache ~access resolve ~table ~bind_name ~cols where =
 
 (* The planning functions below re-run exactly the decision procedure
    [from_row_envs] and the DML victim selection use — the same
-   [probe_plan] call with the same frame, binding name and WHERE clause
-   — but stop short of realizing the planned sources or mutating
-   anything.  [matches] counts the handles the probe returned (the rows
+   [join_from] and [probe_plan] calls with the same frame, binding name
+   and WHERE clause — but stop short of joining the last source,
+   evaluating WHERE or mutating anything.  The frames before the last
+   source are joined, because an index nested-loop join is chosen from
+   their count.  [matches] counts the handles the probe returned (the rows
    the executor would enumerate before residual filtering); [rows] is
    the table's current cardinality, i.e. what a scan would read.
    Probing evaluates the sargable conjunct's value side (possibly an
@@ -1496,16 +1592,16 @@ type access_path =
       matches : int;
       rows : int option;
     }
+  | Index_join_probes of { table : string; probes : int; est : int; rows : int option }
   | Materialized of { source : string; rows : int }
 
-(* A source joined to an earlier FROM binding by a build/probe hash
-   join on an equi-join conjunct (one build per statement execution,
-   one probe per partial row of the frame under construction). *)
-type join_plan = { jp_with : string; jp_conjunct : string }
+(* How a source is joined to an earlier FROM binding on an equi-join
+   conjunct: by a build/probe hash join (one build per statement
+   execution, one probe per partial frame), or by an index nested-loop
+   join probing the named index once per partial frame. *)
+type join_method = Hash_join | Index_nested_loop of { index : string option }
 
-(* The EXPLAIN annotation of a link [from_links] found in [frame]. *)
-let join_plan frame l =
-  { jp_with = fst (List.nth frame l.jl_with); jp_conjunct = Pretty.expr_str l.jl_conjunct }
+type join_plan = { jp_with : string; jp_conjunct : string; jp_method : join_method }
 
 type source_plan = {
   sp_binding : string;
@@ -1527,56 +1623,43 @@ let probed_path access ~table hit =
   | `Range ->
     Range_probe { table; index; column; conjunct; est; matches; rows }
 
+(* The executors' own decisions: [join_from] over the select's sources,
+   with the partial frames of every source but the last realized so the
+   join methods are decided from the same frame counts. *)
 let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
-  let access =
-    match ctx.access with Some a -> a | None -> assert false
-  in
-  (* mirror of [from_row_envs]'s [resolve_item]: same binding names,
-     same lazy-vs-eager split *)
-  let resolve_item ix item =
-    let named rel =
-      match item.Ast.alias with
-      | Some a -> a
-      | None -> if rel.rel_name = "" then Printf.sprintf "$%d" ix else rel.rel_name
-    in
-    match item.Ast.source with
-    | Ast.Derived sub ->
-      let rel = eval_select_inner ctx outer sub in
-      (named rel, rel.cols, `Materialized ("derived table", List.length rel.rows))
-    | Ast.Base tbl_name -> (
-      match table_cols access ~table:tbl_name with
-      | Some cols ->
-        (Option.value item.Ast.alias ~default:tbl_name, cols, `Lazy tbl_name)
-      | None ->
-        (* unknown table: resolving raises the same error execution
-           would *)
-        let rel = ctx.resolve item.Ast.source in
-        (named rel, rel.cols, `Materialized ("table " ^ tbl_name, List.length rel.rows)))
-    | Ast.Transition tt as src ->
-      let rel = ctx.resolve src in
-      ( named rel,
-        rel.cols,
-        `Materialized
-          ("transition table " ^ Pretty.trans_table_str tt, List.length rel.rows) )
-  in
-  let sources = List.mapi resolve_item s.Ast.from in
+  let access = Option.get ctx.access in
+  let sources = from_sources ctx outer s.Ast.from in
   let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  (* the plan reports the join the executor would do, although
-     execution skips the build when an earlier source turned out empty
-     (the frame is already empty then) *)
   let links = from_links_exn frame s.Ast.where in
+  let _, reads =
+    join_from ctx outer ~frame ~where:s.Ast.where sources links ~extend_last:false
+  in
   List.map2
-    (fun (name, _cols, kind) link ->
+    (fun ((name, cols, src), link) read ->
       let path =
-        match kind with
-        | `Materialized (what, n) -> Materialized { source = what; rows = n }
-        | `Lazy table -> (
-          match probe_plan ctx outer ~frame ~target_name:name ~table s.Ast.where with
-          | Some hit -> probed_path access ~table hit
-          | None -> Seq_scan { table; rows = table_count access ~table })
+        match src, read with
+        | `Rows (what, rows), _ -> Materialized { source = what; rows = List.length rows }
+        | `Table (table, _), Read_probe hit -> probed_path access ~table hit
+        | `Table (table, _), Read_index_join { est; probes } ->
+          Index_join_probes { table; probes; est; rows = table_count access ~table }
+        | `Table (table, _), (Read_scan _ | Read_rows _) ->
+          Seq_scan { table; rows = table_count access ~table }
       in
-      { sp_binding = name; sp_path = path; sp_join = Option.map (join_plan frame) link })
-    sources links
+      let join l =
+        let jp_method =
+          match src, read with
+          | `Table (table, _), Read_index_join _ ->
+            Index_nested_loop { index = access.acc_index ~table ~column:cols.(l.jl_col) }
+          | _ -> Hash_join
+        in
+        {
+          jp_with = fst (List.nth frame l.jl_with);
+          jp_conjunct = Pretty.expr_str l.jl_conjunct;
+          jp_method;
+        }
+      in
+      { sp_binding = name; sp_path = path; sp_join = Option.map join link })
+    (List.combine sources links) reads
 
 let plan_select_inner ctx outer (s : Ast.select) =
   let cores = { s with Ast.compounds = [] } :: List.map snd s.Ast.compounds in
@@ -1632,6 +1715,9 @@ let describe_access_path = function
     describe_probe
       (Printf.sprintf "range probe of %s" table)
       (index, column, conjunct, est, matches, rows)
+  | Index_join_probes { table; probes; est; rows } ->
+    let total = match rows with Some n -> Printf.sprintf " of %d rows" n | None -> "" in
+    Printf.sprintf "%d index probes of %s (est ~%d%s)" probes table est total
   | Materialized { source; rows } ->
     Printf.sprintf "materialized %s (%d rows)" source rows
 
@@ -1639,7 +1725,10 @@ let describe_source_plan { sp_binding; sp_path; sp_join } =
   let join =
     match sp_join with
     | None -> ""
-    | Some { jp_with; jp_conjunct } ->
+    | Some { jp_with; jp_conjunct; jp_method = Hash_join } ->
       Printf.sprintf ", hash join with %s on %s" jp_with jp_conjunct
+    | Some { jp_with; jp_conjunct; jp_method = Index_nested_loop { index } } ->
+      Printf.sprintf ", index nested-loop join with %s on %s via %s" jp_with jp_conjunct
+        (Option.value index ~default:"<unnamed index>")
   in
   Printf.sprintf "%s: %s%s" sp_binding (describe_access_path sp_path) join

@@ -283,14 +283,21 @@ type access_path =
       matches : int;
       rows : int option;
     }  (** like [Index_probe] but over an ordered index's key range *)
+  | Index_join_probes of { table : string; probes : int; est : int; rows : int option }
+      (** the inner table of an index nested-loop join: one index probe
+          per partial frame ([probes] of them), [est] rows estimated *)
   | Materialized of { source : string; rows : int }
       (** eagerly realized source: derived table, transition table, or
           a table the access hooks don't cover *)
 
-type join_plan = { jp_with : string; jp_conjunct : string }
-(** The source is hash-joined to earlier binding [jp_with] on the
-    rendered equi-join conjunct [jp_conjunct] (one build per
-    execution, one probe per partial row). *)
+type join_method =
+  | Hash_join  (** one build per execution, one probe per partial frame *)
+  | Index_nested_loop of { index : string option }
+      (** one probe of the named index per partial frame *)
+
+type join_plan = { jp_with : string; jp_conjunct : string; jp_method : join_method }
+(** The source is joined to earlier binding [jp_with] on the rendered
+    equi-join conjunct [jp_conjunct], by [jp_method]. *)
 
 type source_plan = {
   sp_binding : string;
@@ -312,7 +319,9 @@ val plan_op :
 val describe_access_path : access_path -> string
 val describe_source_plan : source_plan -> string
 (** One-line rendering, e.g.
-    ["emp: index probe of emp via emp_no_ix on emp_no, conjunct (emp_no = 2): 1 of 3 rows"]. *)
+    ["emp: index probe of emp via emp_no_ix on emp_no, conjunct (emp_no = 2): 1 of 3 rows"]
+    or ["i: 2 index probes of item (est ~2 of 16 rows), index nested-loop
+    join with l on (l.iid = i.iid) via item_iid"]. *)
 
 (** {2 Shared semantics}
 
@@ -351,27 +360,43 @@ val from_links :
   (join_link option list, Errors.t) result
 (** The static analysis of a FROM list, given each source's (binding
     name, columns) in FROM order and the WHERE clause: the error for a
-    binding name used twice, or else each source's hash-join link — the
+    binding name used twice, or else each source's equi-join link — the
     first conjunct [a = b] whose column references attribute to exactly
-    one local source each, this one and an earlier one.  A source
-    without a link is joined by nested loop. *)
+    one local source each, this one and an earlier one.  A linked source
+    is joined by hash or index nested-loop join ({!index_join}), a
+    source without a link by nested loop. *)
 
-val join_source :
-  access option ->
-  name:string ->
-  row_of:('b -> Row.t) ->
-  bind:(Row.t -> 'b list -> 'b list) ->
-  int ->
-  join_link option ->
-  Row.t list ->
-  'b list list ->
-  'b list list
-(** [join_source access ~name ~row_of ~bind k link rows partials]
-    extends each partial frame (one entry per earlier source, newest
-    first) by the rows of the [k]-th source, bound as [name]: a hash
-    join on [link] when there is one and a frame to probe it with, a
-    nested loop otherwise.  Both enumerate in nested-loop order.  The
-    access hooks' [acc_note] hears each build and probe. *)
+module Row_tbl : Hashtbl.S with type key = Row.t
+(** Rows hashed consistently with [Row.compare_total] (an Int equals
+    the Float of the same value), e.g. GROUP BY keys. *)
+
+type join_table
+(** The build side of a hash join: rows bucketed by one column's key,
+    each bucket in scan order. *)
+
+val build_join_table : size:int -> int -> ((Row.t -> unit) -> unit) -> join_table
+(** [build_join_table ~size col iter] hashes the [size] rows [iter]
+    enumerates on their key at [col]. *)
+
+val join_matches : join_table -> Value.t -> Row.t list
+(** The rows whose key equals the value under [Value.compare_total]. *)
+
+val index_join :
+  access -> table:string -> column:string -> partials:int -> int option
+(** The join method of a base table linked to an earlier FROM source,
+    decided by the cost rule ({!Shape_set} [partials]) from the number
+    of partial frames it extends: [Some est] = an index nested-loop
+    join probing the index over [column] once per partial frame,
+    [None] = a hash join (no index, or probing would cost more than
+    the scan). *)
+
+val index_join_rows :
+  access -> table:string -> column:string -> Value.t -> (Handle.t * Row.t) list
+(** One index nested-loop probe, heard by [acc_note] as an
+    [`Index_probe]: the rows whose [column] equals the key, in handle
+    order.  A NULL or type-incompatible key matches nothing; the hash
+    table may pair NULL keys, which the link conjunct in WHERE then
+    rejects, so both joins give the same rows. *)
 
 val select_contains_agg : Ast.select -> bool
 (** Is the select grouped (GROUP BY present, or aggregates in the

@@ -171,13 +171,13 @@ and gen_safe_pred cols depth st =
    grouping), HAVING, DISTINCT/LIMIT, compounds, derived tables,
    subqueries and ORDER BY expressions.  Aggregates in a non-grouped
    WHERE (shape 9) must produce the same misuse error on both paths.
-   Shapes 11+ are valid by construction. *)
+   Shapes 11-16, 18, 19, 21 and 22 are valid by construction. *)
 let gen_select st =
   let open QCheck.Gen in
   let e ?(d = 3) () = gen_expr d st in
   let t_cols = [ "a"; "b"; "t.a"; "t.b" ] in
   let join_cols = [ "t.a"; "t.b"; "u.a"; "u.c"; "b"; "c" ] in
-  match int_bound 15 st with
+  match int_bound 22 st with
   | 0 -> Printf.sprintf "select a, b, s from t where %s" (e ())
   | 1 -> Printf.sprintf "select t.a, u.c, %s from t, u where %s" (e ()) (e ())
   | 2 ->
@@ -216,9 +216,41 @@ let gen_select st =
     Printf.sprintf "select a from t where b in (select c from u where %s) \
                     order by a"
       (gen_safe_pred [ "a"; "c"; "u.a"; "u.c" ] 1 st)
-  | _ ->
+  | 15 ->
     Printf.sprintf "select distinct %s from t where %s order by 1 limit 3"
       (gen_safe_num t_cols 2 st) (gen_safe_pred t_cols 2 st)
+  (* linked joins: over the indexed fixture the inner table is read by
+     index nested-loop or hash join, as the number of partial frames
+     decides; a derived outer source of 0-2 rows falls on both sides of
+     the cost threshold *)
+  | 16 ->
+    Printf.sprintf "select u.a, t.b, u.c from u, t where u.a = t.a and %s"
+      (gen_safe_pred join_cols 1 st)
+  | 17 ->
+    Printf.sprintf
+      "select v.a, t.b from (select a from u where c > %d) v, t where v.a = \
+       t.a and %s"
+      (int_range 5 120 st) (e ~d:2 ())
+  | 18 ->
+    Printf.sprintf
+      "select t.a, count(*), sum(u.c), min(t.b) from u, t where t.a = u.a \
+       group by t.a having count(*) >= %d order by t.a"
+      (int_bound 2 st)
+  | 19 ->
+    (* the third source's join method waits for the first two's join *)
+    Printf.sprintf
+      "select x.a, y.c, t.b from (select a from u where c > %d) x, u y, t \
+       where x.a = y.a and y.a = t.a"
+      (int_range 5 120 st)
+  | 20 ->
+    Printf.sprintf "select a, s from t where %s limit %d" (e ~d:2 ()) (int_bound 3 st)
+  | 21 ->
+    Printf.sprintf "select a, b from t where %s limit %d"
+      (gen_safe_pred t_cols 1 st) (int_bound 3 st)
+  | _ ->
+    Printf.sprintf
+      "select a from t where exists (select * from u where u.a = t.a and %s)"
+      (gen_safe_pred [ "u.c"; "t.b" ] 1 st)
 
 (* Observable behaviour of one evaluation: the relation, or the
    rendered diagnostic. *)
@@ -250,6 +282,17 @@ let check_observed sql a b =
     QCheck.Test.fail_reportf "%s@.interpreter errored (%s), compiled succeeded"
       sql ea
 
+(* The fixture with indexes: hash on t.a and u.a, ordered on t.b.
+   Evaluated through its access hooks, both evaluators read base tables
+   lazily — index and range probes, index nested-loop and hash joins,
+   and the choice among them are differentiated too. *)
+let indexed_fixture_db =
+  List.fold_left
+    (fun db (ix_name, table, column, kind) ->
+      Database.create_index db ~ix_name ~table ~column ~kind)
+    fixture_db
+    [ ("t_a", "t", "a", `Hash); ("t_b", "t", "b", `Ordered); ("u_a", "u", "a", `Hash) ]
+
 let select_differential =
   QCheck.Test.make ~count:600 ~name:"compiled select = interpreted select"
     (QCheck.make ~print:Fun.id gen_select)
@@ -266,6 +309,13 @@ let select_differential =
              Eval.eval_select ~cache:(Eval.make_cache ()) resolve s))
         (observe (fun () ->
              Compile.eval_select ~use_cache:true resolve fixture_db s));
+      (* indexed pairing, through the access hooks *)
+      let db = indexed_fixture_db in
+      let resolve = Eval.base_resolver db in
+      let access = Eval.db_access db in
+      check_observed sql
+        (observe (fun () -> Eval.eval_select ~cache:(Eval.make_cache ()) ~access resolve s))
+        (observe (fun () -> Compile.eval_select ~use_cache:true ~access resolve db s));
       true)
 
 (* ------------------------------------------------------------------ *)

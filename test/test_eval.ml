@@ -267,6 +267,37 @@ let test_error_cases () =
   (* unknown qualified column *)
   expect_error (fun () -> System.query s "select e.nope from emp e")
 
+(* Hash joins and GROUP BY hash their keys; a key must find every key
+   [Value.compare_total] calls equal, across Int and Float (including
+   -0.0, NaN and the 2^53 boundary where ints stop being exact
+   floats). *)
+let gen_key_value st =
+  let open QCheck.Gen in
+  let big = 9007199254740992 in
+  match int_bound 8 st with
+  | 0 -> Value.Null
+  | 1 -> Value.Int (int_range (-3) 3 st)
+  | 2 -> Value.Float (float_of_int (int_range (-3) 3 st))
+  | 3 -> Value.Float (oneofl [ -0.0; 0.0; Float.nan; 0.5; -2.5 ] st)
+  | 4 -> Value.Int (big + int_range (-2) 2 st)
+  | 5 -> Value.Float (float_of_int (big + int_range (-2) 2 st))
+  | 6 -> Value.Str (oneofl [ "a"; "b" ] st)
+  | 7 -> Value.Bool (bool st)
+  | _ -> Value.Int (-big + int_range (-2) 2 st)
+
+let prop_hashed_keys_match_compare_total =
+  QCheck.Test.make ~count:2000 ~name:"hashed keys agree with compare_total"
+    (QCheck.make
+       ~print:(fun (a, b) -> Value.to_string a ^ " / " ^ Value.to_string b)
+       (QCheck.Gen.pair gen_key_value gen_key_value))
+    (fun (a, b) ->
+      let equal = Value.compare_total a b = 0 in
+      let groups = Eval.Row_tbl.create 4 in
+      Eval.Row_tbl.add groups [| a; Value.Int 1 |] ();
+      let joined = Eval.build_join_table ~size:1 0 (fun f -> f [| a |]) in
+      Eval.Row_tbl.mem groups [| b; Value.Int 1 |] = equal
+      && (Eval.join_matches joined b <> []) = equal)
+
 let suite =
   [
     Alcotest.test_case "scan and filter" `Quick test_scan_and_filter;
@@ -288,4 +319,5 @@ let suite =
     Alcotest.test_case "select without from" `Quick test_select_no_from;
     Alcotest.test_case "empty table headers" `Quick test_empty_table_headers;
     Alcotest.test_case "error cases" `Quick test_error_cases;
+    QCheck_alcotest.to_alcotest prop_hashed_keys_match_compare_total;
   ]

@@ -68,16 +68,38 @@ let explain_statements =
     ("delete from emp where emp_no in (2, 3)", none);
     ("insert into audit_log select name from emp where emp_no = 1", none);
     ("insert into audit_log values ('zed')", none);
+    (* an uncorrelated aggregate subquery runs once under either
+       evaluator *)
+    ("select name from emp where emp_no > (select min(emp_no) from emp)", (1, 0, 0));
+    (* linked joins on each side of the index nested-loop threshold
+       (k partial frames x 4 <= 8 emp rows): 2 badge rows probe emp_no
+       twice; 7 emp rows past the range probe hash the inner emp *)
+    ("select b.emp_no, e.name from badge b, emp e where b.emp_no = e.emp_no", none);
+    ( "select x.name, e.name from emp x, emp e where x.salary > 650.0 and \
+       x.emp_no = e.emp_no",
+      none );
+    ( "select x.name, e.name from emp x, emp e where x.salary > 150.0 and \
+       x.emp_no = e.emp_no",
+      none );
+    (* the third source's method is decided from the first two's join *)
+    ( "select e.name from badge b, emp x, emp e where b.emp_no = x.emp_no and \
+       x.emp_no = e.emp_no",
+      none );
   ]
 
 (* For each statement: EXPLAIN first, count the scan/probe/range-probe
-   entries and hash-join annotations in the plan, add the accesses of
-   the statement's subqueries, then execute the real statement and
-   compare against the deltas of the engine's own counters.  Run once
-   per evaluator: the one planner must tell the truth about the
-   compiled executor exactly as it does about the interpreter. *)
+   entries, the probes of index nested-loop joins and the hash joins in
+   the plan, add the accesses of the statement's subqueries, then
+   execute the real statement and compare against the deltas of the
+   engine's own counters.  Run once per evaluator: the one planner must
+   tell the truth about the compiled executor exactly as it does about
+   the interpreter. *)
 let explain_matches_executor ~compiled () =
   let s = indexed_system ~compiled () in
+  run s "insert into emp values ('dan', 4, 400.0), ('eve', 5, 500.0), \
+         ('fay', 6, 600.0), ('gus', 7, 700.0), ('hal', 8, 800.0)";
+  run s "create table badge (emp_no int)";
+  run s "insert into badge values (2), (5)";
   let eng = System.engine s in
   List.iter
     (fun (sql, (sub_scans, sub_probes, sub_ranges)) ->
@@ -88,10 +110,13 @@ let explain_matches_executor ~compiled () =
             match p.Eval.sp_path with Eval.Seq_scan _ -> true | _ -> false)
       in
       let planned_probes =
-        count (fun p ->
+        List.fold_left
+          (fun n p ->
             match p.Eval.sp_path with
-            | Eval.Index_probe _ -> true
-            | _ -> false)
+            | Eval.Index_probe _ -> n + 1
+            | Eval.Index_join_probes { probes; _ } -> n + probes
+            | _ -> n)
+          0 plans
       in
       let planned_ranges =
         count (fun p ->
@@ -99,7 +124,12 @@ let explain_matches_executor ~compiled () =
             | Eval.Range_probe _ -> true
             | _ -> false)
       in
-      let planned_joins = count (fun p -> p.Eval.sp_join <> None) in
+      let planned_joins =
+        count (fun p ->
+            match p.Eval.sp_join with
+            | Some { Eval.jp_method = Eval.Hash_join; _ } -> true
+            | Some { Eval.jp_method = Eval.Index_nested_loop _; _ } | None -> false)
+      in
       let st = Engine.stats eng in
       let scans0 = st.Engine.seq_scans
       and probes0 = st.Engine.index_probes

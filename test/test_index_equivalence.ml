@@ -271,11 +271,14 @@ let ranges_seen = ref 0
 
 let schema_sql =
   "create table t (a int, b int);\n\
-   create table u (a int, c int)"
+   create table u (a int, c int);\n\
+   create table w (a int, b int)"
 
 (* A terminating rule set exercising every trigger kind and action
-   shape.  Rules triggered by t act only on u; the one u-triggered
-   rule quiesces by making its own condition false; r5 rolls the
+   shape.  Rules triggered by t act only on u; the u-triggered r4
+   quiesces by making its own condition false, and r6 only logs into
+   w, joining the inserted u rows against t — by index nested-loop or
+   hash join, as the batch size and t's size decide; r5 rolls the
    transaction back when updates push b past 100. *)
 let rules_sql =
   [
@@ -290,6 +293,8 @@ let rules_sql =
      a = 99";
     "create rule r5 when updated t.b if (select count(*) from new updated \
      t.b where b > 100) > 0 then rollback";
+    "create rule r6 when inserted into u then insert into w select x.a, y.b \
+     from inserted u x, t y where x.a = y.a";
   ]
 
 let gen_small st = QCheck.Gen.int_bound 12 st
@@ -302,10 +307,13 @@ let gen_term st =
    sargable shapes the planner recognizes — equality, IN lists, IN
    subqueries, range comparisons and BETWEEN — over indexed columns
    (hash on a, ordered on b) and unindexed ones (c), and updates
-   rewrite the indexed columns themselves. *)
+   rewrite the indexed columns themselves.  Joins link on the indexed
+   a columns, and u receives batches from one row to all of t, so the
+   joins (and r6's action) fall on both sides of the index nested-loop
+   cost threshold. *)
 let gen_op st =
   let open QCheck.Gen in
-  match int_bound 14 st with
+  match int_bound 18 st with
   | 0 | 1 ->
     Printf.sprintf "insert into t values (%s, %s)" (gen_term st) (gen_term st)
   | 2 | 3 ->
@@ -340,9 +348,21 @@ let gen_op st =
        other shape *)
     Printf.sprintf "delete from t where b >= %d and a = %d" (gen_small st)
       (gen_small st)
-  | _ ->
+  | 14 ->
     Printf.sprintf "insert into u values (99, %d); insert into u values \
                     (99, %d)" (gen_small st) (gen_small st)
+  | 15 -> Printf.sprintf "insert into u select a, b from t where b < %d" (gen_small st)
+  | 16 ->
+    Printf.sprintf "select u.c, t.b from u, t where u.a = t.a and t.b > %s"
+      (gen_term st)
+  | 17 ->
+    Printf.sprintf "select t.b, u.c from t, u where t.a = u.a and t.b < %d"
+      (gen_small st)
+  | _ ->
+    Printf.sprintf
+      "select x.c, y.b, z.b from u x, t y, t z where x.a = y.a and y.a = z.a \
+       and x.c > %d"
+      (gen_small st)
 
 let gen_block st =
   let open QCheck.Gen in
@@ -422,7 +442,7 @@ let prop_index_equivalence =
           Alcotest.check rows_testable
             (Printf.sprintf "final state of %s" tbl)
             (final s_plain) (final s_ix))
-        [ "t"; "u" ];
+        [ "t"; "u"; "w" ];
       let st_ix = Engine.stats (System.engine s_ix) in
       let st_plain = Engine.stats (System.engine s_plain) in
       Alcotest.(check int)

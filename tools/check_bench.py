@@ -9,7 +9,11 @@ Every machine-readable benchmark record the harness emits must:
     lax JSON parsers some tools use);
   - when checked in (``--checked-in``), come from a full-size run
     (``tiny`` must be false — tiny-mode numbers are meaningless and
-    exist only to prove the experiments execute).
+    exist only to prove the experiments execute);
+  - when checked in, an E20 record must show its claim: at 10^6 item
+    rows the index nested-loop join beats the hash join, and it stays
+    within 2x of its own time at 10^4 rows (64 probes, not a pass over
+    the table).
 
 ``--compare`` reads the whole set of records together and checks the
 trajectory-level invariants that individual-file validation cannot:
@@ -74,7 +78,37 @@ def check_file(filename, checked_in):
                 problems.append(f"results[{i}] is not a non-empty object")
 
     walk_numbers(doc, "$", problems)
+    if checked_in and experiment == "E20" and isinstance(results, list):
+        check_e20(doc, problems)
     return problems
+
+
+def check_e20(doc, problems):
+    """The join-method claim of a full-size E20 record."""
+    join = {}
+    for row in doc.get("results", []):
+        if isinstance(row, dict) and row.get("section") == "rule_join":
+            join[(row.get("arm"), row.get("rows"))] = row.get("ms_per_op")
+    inl_small = join.get(("index_nested_loop", 10_000))
+    inl_big = join.get(("index_nested_loop", 1_000_000))
+    hash_big = join.get(("hash_join", 1_000_000))
+    numbers = (inl_small, inl_big, hash_big)
+    if not all(isinstance(x, (int, float)) for x in numbers):
+        problems.append(
+            "E20 record lacks rule_join index_nested_loop rows at 10^4 and "
+            "10^6 or a hash_join row at 10^6"
+        )
+        return
+    if not inl_big < hash_big:
+        problems.append(
+            f"E20 claim violated at 10^6 rows: index_nested_loop {inl_big:.3f} "
+            f"ms must beat hash_join {hash_big:.3f} ms"
+        )
+    if not inl_big <= 2.0 * inl_small:
+        problems.append(
+            f"E20 claim violated: index_nested_loop at 10^6 rows ({inl_big:.3f} "
+            f"ms) must stay within 2x of its 10^4-row time ({inl_small:.3f} ms)"
+        )
 
 
 def check_schema_consistency(filename, doc, problems):
