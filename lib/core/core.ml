@@ -33,9 +33,6 @@ module Procedures = Rules.Procedures
 module Selection = Rules.Selection
 module Priority = Rules.Priority
 
-(* kept for the original scaffold's smoke test *)
-let placeholder () = ()
-
 module System = struct
   type t = {
     engine : Engine.t;

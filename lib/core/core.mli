@@ -32,9 +32,6 @@ module Procedures = Rules.Procedures
 module Selection = Rules.Selection
 module Priority = Rules.Priority
 
-val placeholder : unit -> unit
-(** Kept for the original scaffold's smoke test; does nothing. *)
-
 module System : sig
   type t
 

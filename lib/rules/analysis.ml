@@ -129,60 +129,19 @@ let cycles rules =
 (* ------------------------------------------------------------------ *)
 (* Order-dependence (conflict) analysis                                *)
 
-(* Tables read by a rule's condition and action (through embedded
-   selects). *)
+(* Tables read by a rule's condition and action: every FROM source at
+   every nesting level (a transition table reads its base table), and
+   the target of a DELETE or UPDATE. *)
 let rule_reads (r : Rule.t) =
-  let add acc (s : Ast.select) =
-    List.fold_left
-      (fun acc item ->
-        match item.Ast.source with
-        | Ast.Base t -> Str_set.add t acc
-        | Ast.Transition tt -> Str_set.add (Ast.trans_table_base tt) acc
-        | Ast.Derived _ -> acc)
-      acc s.Ast.from
-  in
-  let rec expr_selects acc = function
-    | Ast.Lit _ | Ast.Param _ | Ast.Col _ -> acc
-    | Ast.Binop (_, a, b) | Ast.Cmp (_, a, b) | Ast.And (a, b) | Ast.Or (a, b)
-    | Ast.Like (a, b) -> expr_selects (expr_selects acc a) b
-    | Ast.Neg a | Ast.Not a | Ast.Is_null a | Ast.Is_not_null a ->
-      expr_selects acc a
-    | Ast.In_list (a, es) | Ast.Not_in_list (a, es) ->
-      List.fold_left expr_selects (expr_selects acc a) es
-    | Ast.In_select (a, s) | Ast.Not_in_select (a, s) ->
-      select_selects (expr_selects acc a) s
-    | Ast.Exists s | Ast.Scalar_select s -> select_selects acc s
-    | Ast.Between (a, b, c) ->
-      expr_selects (expr_selects (expr_selects acc a) b) c
-    | Ast.Agg (_, Some a) -> expr_selects acc a
-    | Ast.Agg (_, None) -> acc
-    | Ast.Fn (_, args) -> List.fold_left expr_selects acc args
-    | Ast.Case (branches, else_) ->
-      let acc =
-        List.fold_left
-          (fun acc (c, v) -> expr_selects (expr_selects acc c) v)
-          acc branches
-      in
-      Option.fold ~none:acc ~some:(expr_selects acc) else_
-  and select_selects acc s =
-    let acc = add acc s in
-    let acc =
-      List.fold_left
-        (fun acc p ->
-          match p with
-          | Ast.Star | Ast.Table_star _ -> acc
-          | Ast.Proj (e, _) -> expr_selects acc e)
-        acc s.Ast.projections
-    in
-    let fo acc = function None -> acc | Some e -> expr_selects acc e in
-    let acc = fo acc s.Ast.where in
-    let acc = List.fold_left expr_selects acc s.Ast.group_by in
-    fo acc s.Ast.having
+  let add acc = function
+    | Ast.Base t -> Str_set.add t acc
+    | Ast.Transition tt -> Str_set.add (Ast.trans_table_base tt) acc
+    | Ast.Derived _ -> acc
   in
   let acc =
-    match Rule.condition r with
-    | None -> Str_set.empty
-    | Some c -> expr_selects Str_set.empty c
+    Option.fold ~none:Str_set.empty
+      ~some:(Ast.fold_sources_expr add Str_set.empty)
+      (Rule.condition r)
   in
   match Rule.action r with
   | Ast.Act_rollback -> acc
@@ -190,20 +149,12 @@ let rule_reads (r : Rule.t) =
   | Ast.Act_block ops ->
     List.fold_left
       (fun acc op ->
-        match op with
-        | Ast.Insert { source = `Values rows; _ } ->
-          List.fold_left (List.fold_left expr_selects) acc rows
-        | Ast.Insert { source = `Select s; _ } -> select_selects acc s
-        | Ast.Delete { where; table; _ } ->
-          let acc = Str_set.add table acc in
-          Option.fold ~none:acc ~some:(expr_selects acc) where
-        | Ast.Update { table; sets; where } ->
-          let acc = Str_set.add table acc in
-          let acc =
-            List.fold_left (fun acc (_, e) -> expr_selects acc e) acc sets
-          in
-          Option.fold ~none:acc ~some:(expr_selects acc) where
-        | Ast.Select_op s -> select_selects acc s)
+        let acc =
+          match op with
+          | Ast.Delete { table; _ } | Ast.Update { table; _ } -> Str_set.add table acc
+          | Ast.Insert _ | Ast.Select_op _ -> acc
+        in
+        Ast.fold_sources_op add acc op)
       acc ops
 
 let rule_write_tables (r : Rule.t) =

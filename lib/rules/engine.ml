@@ -739,6 +739,18 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
 
 let external_resolver db : Eval.resolver = Eval.base_resolver db
 
+(* Evaluate a select plan against the current state, untracked, with
+   transition tables resolved through [resolve].  The caller guarantees
+   the operation is a select. *)
+let run_select t ?params resolve (cop : Dml.cop) =
+  let r =
+    Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize
+      ~access:(access_for t t.db) ?params resolve t.db cop
+  in
+  match r.Dml.result with
+  | Some rel -> rel
+  | None -> assert false (* select operations always produce a relation *)
+
 (* Execute externally-generated operations inside the open transaction
    (they extend the current external transition).  Section 2.1 requires
    operation blocks to execute indivisibly, so a failing operation must
@@ -809,9 +821,8 @@ let action_block t (rule : Rule.t) resolve =
   | Ast.Act_call name ->
     Fault.hit Fault.Procedure_call;
     let fn = Procedures.find t.procedures name in
-    List.map (plan_op t)
-      (fn { Procedures.query = (fun s -> Eval.eval_select resolve s);
-            rule_name = rule.Rule.name })
+    let query s = run_select t resolve (plan_op t (Ast.Select_op s)) in
+    List.map (plan_op t) (fn { Procedures.query; rule_name = rule.Rule.name })
 
 let process_rules_exn t =
   require_txn t;
@@ -1115,18 +1126,9 @@ let execute_block_cops t ?params (cops : Dml.cop list) =
 let execute_block t ops = execute_block_cops t (List.map (plan_op t) ops)
 
 (* Evaluate a select plan outside any transaction and rule context (no
-   transition tables).  The caller guarantees the operation is a
-   select. *)
+   transition tables). *)
 let query_cop t ?params (cop : Dml.cop) =
-  let r =
-    Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize
-      ~access:(access_for t t.db) ?params
-      (external_resolver t.db)
-      t.db cop
-  in
-  match r.Dml.result with
-  | Some rel -> rel
-  | None -> assert false (* select operations always produce a relation *)
+  run_select t ?params (external_resolver t.db) cop
 
 let query t (s : Ast.select) = query_cop t (plan_op t (Ast.Select_op s))
 
@@ -1144,38 +1146,6 @@ let explain_access t db : Eval.access =
 let explain_op t (op : Ast.op) =
   Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
 
-(* Collect the outermost embedded selects of a condition expression —
-   the units the evaluator plans independently.  Sub-selects nested
-   inside a collected select are planned (and shown) as part of it. *)
-let rec embedded_selects (e : Ast.expr) : Ast.select list =
-  match e with
-  | Ast.Lit _ | Ast.Param _ | Ast.Col _ -> []
-  | Ast.Neg e | Ast.Not e | Ast.Is_null e | Ast.Is_not_null e ->
-    embedded_selects e
-  | Ast.Binop (_, a, b)
-  | Ast.Cmp (_, a, b)
-  | Ast.And (a, b)
-  | Ast.Or (a, b)
-  | Ast.Like (a, b) ->
-    embedded_selects a @ embedded_selects b
-  | Ast.Between (a, b, c) ->
-    embedded_selects a @ embedded_selects b @ embedded_selects c
-  | Ast.In_list (e, es) | Ast.Not_in_list (e, es) ->
-    embedded_selects e @ List.concat_map embedded_selects es
-  | Ast.In_select (e, s) | Ast.Not_in_select (e, s) ->
-    embedded_selects e @ [ s ]
-  | Ast.Exists s | Ast.Scalar_select s -> [ s ]
-  | Ast.Agg (_, e) -> ( match e with None -> [] | Some e -> embedded_selects e)
-  | Ast.Fn (_, es) -> List.concat_map embedded_selects es
-  | Ast.Case (arms, else_) ->
-    List.concat_map (fun (c, v) -> embedded_selects c @ embedded_selects v) arms
-    @ (match else_ with None -> [] | Some e -> embedded_selects e)
-
-(* Plan a rule's condition as it would be evaluated at a rule
-   processing point.  The condition is planned under empty transition
-   information: transition tables materialize as empty relations while
-   base tables keep their current contents, so the base-table access
-   paths shown are the ones condition evaluation would actually use. *)
 (* The discrimination-index keys a rule is registered under, rendered
    for EXPLAIN RULE.  Derived from the definition, so reported for
    deactivated rules too (which are unregistered until reactivated). *)
@@ -1183,16 +1153,27 @@ let rule_index_keys t name =
   let rule = get_rule t name in
   List.map Rule_index.key_to_string (Rule_index.keys_of_rule rule)
 
+(* Plan a rule's condition as it would be evaluated at a rule
+   processing point, one plan per outermost embedded select — the
+   units the evaluator plans independently (sub-selects nested inside
+   one are planned, and shown, as part of it).  The condition is
+   planned under empty transition information: transition tables
+   materialize as empty relations while base tables keep their current
+   contents, so the base-table access paths shown are the ones
+   condition evaluation would actually use. *)
 let explain_rule t name =
   let rule = get_rule t name in
   match Rule.condition rule with
   | None -> []
   | Some cond ->
+    let rec outermost acc e =
+      Ast.fold_expr ~expr:outermost ~select:(fun acc s -> s :: acc) acc e
+    in
     let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Trans_info.empty t.db in
     List.map
       (fun s -> (Sqlf.Pretty.select_str s, Eval.plan_select ~access resolve s))
-      (embedded_selects cond)
+      (List.rev (outermost [] cond))
 
 (* DDL is not part of the transition model: it applies outside
    transactions. *)

@@ -14,7 +14,9 @@ module Eval = Sqlf.Eval
 type context = {
   query : Ast.select -> Eval.relation;
       (** Evaluate a select against the current state; it may reference
-          the triggering rule's transition tables. *)
+          the triggering rule's transition tables.  The engine plans it
+          as it plans a statement, so it uses the configured evaluator
+          and the tables' indexes. *)
   rule_name : string;  (** The rule whose action is running. *)
 }
 

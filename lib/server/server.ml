@@ -237,24 +237,19 @@ let write_tables_of (eff : Effect.t) =
    a read of the table as a whole, claimed even when the predicate
    matched nothing.  [op_touch_tables] adds the write target, seeding
    the rule-cascade closure below. *)
-let add_expr_tables acc e =
-  Ast.fold_base_tables_expr (fun a tb -> Effect.Col_set.add tb a) acc e
+let add_base acc = function
+  | Ast.Base tb -> Effect.Col_set.add tb acc
+  | Ast.Transition _ | Ast.Derived _ -> acc
 
-let add_select_tables acc sel =
-  Ast.fold_base_tables_select (fun a tb -> Effect.Col_set.add tb a) acc sel
+let add_expr_tables acc e = Ast.fold_sources_expr add_base acc e
 
-let op_scan_tables acc = function
-  | Ast.Insert { source = `Values rows; _ } ->
-    List.fold_left (List.fold_left add_expr_tables) acc rows
-  | Ast.Insert { source = `Select sel; _ } -> add_select_tables acc sel
-  | Ast.Delete { table; where } ->
-    let acc = Effect.Col_set.add table acc in
-    (match where with None -> acc | Some e -> add_expr_tables acc e)
-  | Ast.Update { table; sets; where } ->
-    let acc = Effect.Col_set.add table acc in
-    let acc = List.fold_left (fun a (_, e) -> add_expr_tables a e) acc sets in
-    (match where with None -> acc | Some e -> add_expr_tables acc e)
-  | Ast.Select_op sel -> add_select_tables acc sel
+let op_scan_tables acc op =
+  let acc =
+    match op with
+    | Ast.Delete { table; _ } | Ast.Update { table; _ } -> Effect.Col_set.add table acc
+    | Ast.Insert _ | Ast.Select_op _ -> acc
+  in
+  Ast.fold_sources_op add_base acc op
 
 let op_touch_tables acc op =
   let acc = op_scan_tables acc op in

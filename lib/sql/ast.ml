@@ -213,248 +213,206 @@ let trans_table_matches_pred tt pred =
     String.equal t t' && String.equal c c'
   | _ -> false
 
-(* Fold over every transition-table reference appearing in an
-   expression (through embedded selects). *)
-let rec fold_trans_tables_expr f acc expr =
-  let fe = fold_trans_tables_expr f in
-  match expr with
-  | Lit _ | Param _ | Col _ -> acc
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) | Like (a, b) ->
-    fe (fe acc a) b
-  | Neg a | Not a | Is_null a | Is_not_null a -> fe acc a
-  | In_list (a, es) | Not_in_list (a, es) -> List.fold_left fe (fe acc a) es
-  | In_select (a, s) | Not_in_select (a, s) ->
-    fold_trans_tables_select f (fe acc a) s
-  | Exists s | Scalar_select s -> fold_trans_tables_select f acc s
-  | Between (a, b, c) -> fe (fe (fe acc a) b) c
-  | Agg (_, Some a) -> fe acc a
-  | Agg (_, None) -> acc
-  | Fn (_, args) -> List.fold_left fe acc args
-  | Case (branches, else_) ->
-    let acc =
-      List.fold_left (fun acc (c, v) -> fe (fe acc c) v) acc branches
-    in
-    Option.fold ~none:acc ~some:(fe acc) else_
+(* ------------------------------------------------------------------ *)
+(* Traversal.                                                          *)
 
-and fold_trans_tables_select f acc (s : select) =
+(* One level of the grammar, shared by every walker over expressions
+   and selects: a walker matches only the constructors it treats
+   specially and hands every other node to [fold_*] or [map_*], passing
+   itself back as [expr] and [select].  Children are visited left to
+   right in text order; base and transition FROM items are leaves. *)
+
+let fold_opt f acc = function None -> acc | Some x -> f acc x
+
+let fold_expr ~expr ~select acc e =
+  match e with
+  | Lit _ | Param _ | Col _ | Agg (_, None) -> acc
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) | Like (a, b) ->
+    expr (expr acc a) b
+  | Neg a | Not a | Is_null a | Is_not_null a | Agg (_, Some a) -> expr acc a
+  | In_list (a, es) | Not_in_list (a, es) -> List.fold_left expr (expr acc a) es
+  | In_select (a, s) | Not_in_select (a, s) -> select (expr acc a) s
+  | Exists s | Scalar_select s -> select acc s
+  | Between (a, b, c) -> expr (expr (expr acc a) b) c
+  | Fn (_, args) -> List.fold_left expr acc args
+  | Case (branches, else_) ->
+    let acc = List.fold_left (fun acc (c, v) -> expr (expr acc c) v) acc branches in
+    fold_opt expr acc else_
+
+let fold_select ~expr ~select acc (s : select) =
   let acc =
     List.fold_left
-      (fun acc item ->
-        match item.source with
-        | Base _ -> acc
-        | Transition tt -> f acc tt
-        | Derived sub -> fold_trans_tables_select f acc sub)
-      acc s.from
-  in
-  let acc =
-    List.fold_left
-      (fun acc p ->
-        match p with
-        | Star | Table_star _ -> acc
-        | Proj (e, _) -> fold_trans_tables_expr f acc e)
+      (fun acc -> function Proj (e, _) -> expr acc e | Star | Table_star _ -> acc)
       acc s.projections
   in
-  let fo acc = function
-    | None -> acc
-    | Some e -> fold_trans_tables_expr f acc e
-  in
-  let acc = fo acc s.where in
-  let acc = List.fold_left (fold_trans_tables_expr f) acc s.group_by in
-  let acc = fo acc s.having in
   let acc =
     List.fold_left
-      (fun acc (_, sub) -> fold_trans_tables_select f acc sub)
-      acc s.compounds
+      (fun acc it ->
+        match it.source with
+        | Derived sub -> select acc sub
+        | Base _ | Transition _ -> acc)
+      acc s.from
   in
-  List.fold_left (fun acc (e, _) -> fold_trans_tables_expr f acc e) acc
-    s.order_by
+  let acc = fold_opt expr acc s.where in
+  let acc = List.fold_left expr acc s.group_by in
+  let acc = fold_opt expr acc s.having in
+  let acc = List.fold_left (fun acc (_, sub) -> select acc sub) acc s.compounds in
+  List.fold_left (fun acc (e, _) -> expr acc e) acc s.order_by
 
-let fold_trans_tables_op f acc = function
+let fold_op ~expr ~select acc = function
   | Insert { source = `Values rows; _ } ->
-    List.fold_left (List.fold_left (fold_trans_tables_expr f)) acc rows
-  | Insert { source = `Select s; _ } -> fold_trans_tables_select f acc s
-  | Delete { where; _ } | Update { where; sets = []; _ } ->
-    Option.fold ~none:acc ~some:(fold_trans_tables_expr f acc) where
+    List.fold_left (List.fold_left expr) acc rows
+  | Insert { source = `Select s; _ } | Select_op s -> select acc s
+  | Delete { where; _ } -> fold_opt expr acc where
   | Update { sets; where; _ } ->
-    let acc =
-      List.fold_left (fun acc (_, e) -> fold_trans_tables_expr f acc e) acc sets
+    fold_opt expr (List.fold_left (fun acc (_, e) -> expr acc e) acc sets) where
+
+(* The maps bind each child before building the node: constructor
+   arguments alone would evaluate right to left. *)
+let map_expr ~expr ~select e =
+  match e with
+  | Lit _ | Param _ | Col _ | Agg (_, None) -> e
+  | Binop (o, a, b) ->
+    let a = expr a in
+    Binop (o, a, expr b)
+  | Cmp (o, a, b) ->
+    let a = expr a in
+    Cmp (o, a, expr b)
+  | And (a, b) ->
+    let a = expr a in
+    And (a, expr b)
+  | Or (a, b) ->
+    let a = expr a in
+    Or (a, expr b)
+  | Like (a, b) ->
+    let a = expr a in
+    Like (a, expr b)
+  | Neg a -> Neg (expr a)
+  | Not a -> Not (expr a)
+  | Is_null a -> Is_null (expr a)
+  | Is_not_null a -> Is_not_null (expr a)
+  | Agg (fn, Some a) -> Agg (fn, Some (expr a))
+  | In_list (a, es) ->
+    let a = expr a in
+    In_list (a, List.map expr es)
+  | Not_in_list (a, es) ->
+    let a = expr a in
+    Not_in_list (a, List.map expr es)
+  | In_select (a, s) ->
+    let a = expr a in
+    In_select (a, select s)
+  | Not_in_select (a, s) ->
+    let a = expr a in
+    Not_in_select (a, select s)
+  | Exists s -> Exists (select s)
+  | Scalar_select s -> Scalar_select (select s)
+  | Between (a, b, c) ->
+    let a = expr a in
+    let b = expr b in
+    Between (a, b, expr c)
+  | Fn (name, args) -> Fn (name, List.map expr args)
+  | Case (branches, else_) ->
+    let branches =
+      List.map
+        (fun (c, v) ->
+          let c = expr c in
+          (c, expr v))
+        branches
     in
-    Option.fold ~none:acc ~some:(fold_trans_tables_expr f acc) where
-  | Select_op s -> fold_trans_tables_select f acc s
+    Case (branches, Option.map expr else_)
+
+let map_from ~select from =
+  List.map
+    (fun it ->
+      match it.source with
+      | Derived sub -> { it with source = Derived (select sub) }
+      | Base _ | Transition _ -> it)
+    from
+
+let map_select ~expr ~select (s : select) =
+  let projections =
+    List.map
+      (function Proj (e, a) -> Proj (expr e, a) | (Star | Table_star _) as p -> p)
+      s.projections
+  in
+  let from = map_from ~select s.from in
+  let where = Option.map expr s.where in
+  let group_by = List.map expr s.group_by in
+  let having = Option.map expr s.having in
+  let compounds = List.map (fun (o, sub) -> (o, select sub)) s.compounds in
+  let order_by = List.map (fun (e, d) -> (expr e, d)) s.order_by in
+  { s with projections; from; where; group_by; having; compounds; order_by }
+
+let map_op ~expr ~select = function
+  | Insert { table; columns; source = `Values rows } ->
+    Insert { table; columns; source = `Values (List.map (List.map expr) rows) }
+  | Insert { table; columns; source = `Select s } ->
+    Insert { table; columns; source = `Select (select s) }
+  | Delete { table; where } -> Delete { table; where = Option.map expr where }
+  | Update { table; sets; where } ->
+    let sets = List.map (fun (c, e) -> (c, expr e)) sets in
+    Update { table; sets; where = Option.map expr where }
+  | Select_op s -> Select_op (select s)
+
+(* Every base and transition FROM source, at every nesting level: a
+   select's own sources first, then those under its children. *)
+let fold_sources f =
+  let rec expr acc e = fold_expr ~expr ~select acc e
+  and select acc (s : select) =
+    let acc =
+      List.fold_left
+        (fun acc it ->
+          match it.source with Derived _ -> acc | src -> f acc src)
+        acc s.from
+    in
+    fold_select ~expr ~select acc s
+  in
+  (expr, select)
+
+let fold_sources_expr f acc e = fst (fold_sources f) acc e
+let fold_sources_op f acc op =
+  let expr, select = fold_sources f in
+  fold_op ~expr ~select acc op
 
 let trans_tables_of_rule (r : rule_def) =
-  let acc =
-    match r.condition with
-    | None -> []
-    | Some c -> fold_trans_tables_expr (fun acc tt -> tt :: acc) [] c
-  in
+  let add acc = function Transition tt -> tt :: acc | Base _ | Derived _ -> acc in
+  let acc = fold_opt (fold_sources_expr add) [] r.condition in
   match r.action with
   | Act_rollback | Act_call _ -> acc
-  | Act_block ops ->
-    List.fold_left (fold_trans_tables_op (fun acc tt -> tt :: acc)) acc ops
-
-(* Fold over every base-table reference in an expression or select
-   (through embedded selects); used to derive the triggering predicates
-   of compiled assertions. *)
-let rec fold_base_tables_expr f acc expr =
-  let fe = fold_base_tables_expr f in
-  match expr with
-  | Lit _ | Param _ | Col _ -> acc
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) | Like (a, b) ->
-    fe (fe acc a) b
-  | Neg a | Not a | Is_null a | Is_not_null a -> fe acc a
-  | In_list (a, es) | Not_in_list (a, es) -> List.fold_left fe (fe acc a) es
-  | In_select (a, s) | Not_in_select (a, s) ->
-    fold_base_tables_select f (fe acc a) s
-  | Exists s | Scalar_select s -> fold_base_tables_select f acc s
-  | Between (a, b, c) -> fe (fe (fe acc a) b) c
-  | Agg (_, Some a) -> fe acc a
-  | Agg (_, None) -> acc
-  | Fn (_, args) -> List.fold_left fe acc args
-  | Case (branches, else_) ->
-    let acc =
-      List.fold_left (fun acc (c, v) -> fe (fe acc c) v) acc branches
-    in
-    Option.fold ~none:acc ~some:(fe acc) else_
-
-and fold_base_tables_select f acc (s : select) =
-  let acc =
-    List.fold_left
-      (fun acc item ->
-        match item.source with
-        | Base t -> f acc t
-        | Transition _ -> acc
-        | Derived sub -> fold_base_tables_select f acc sub)
-      acc s.from
-  in
-  let acc =
-    List.fold_left
-      (fun acc p ->
-        match p with
-        | Star | Table_star _ -> acc
-        | Proj (e, _) -> fold_base_tables_expr f acc e)
-      acc s.projections
-  in
-  let fo acc = function
-    | None -> acc
-    | Some e -> fold_base_tables_expr f acc e
-  in
-  let acc = fo acc s.where in
-  let acc = List.fold_left (fold_base_tables_expr f) acc s.group_by in
-  let acc = fo acc s.having in
-  let acc =
-    List.fold_left
-      (fun acc (_, sub) -> fold_base_tables_select f acc sub)
-      acc s.compounds
-  in
-  List.fold_left (fun acc (e, _) -> fold_base_tables_expr f acc e) acc
-    s.order_by
+  | Act_block ops -> List.fold_left (fold_sources_op add) acc ops
 
 let base_tables_of_expr e =
-  List.rev (fold_base_tables_expr
-    (fun acc t -> if List.exists (String.equal t) acc then acc else t :: acc)
-    [] e)
+  List.rev
+    (fold_sources_expr
+       (fun acc -> function
+         | Base t when not (List.exists (String.equal t) acc) -> t :: acc
+         | _ -> acc)
+       [] e)
 
 (* ------------------------------------------------------------------ *)
 (* Positional parameters.                                              *)
 
-(* Map every [Param i] in an expression through [f].  The interpreter
-   path of EXECUTE substitutes argument literals into the AST with
-   this (the paper-faithful reading of "bind constants"); the compiled
-   path binds a parameter frame instead, and the differential oracle
-   proves the two agree. *)
-let rec map_params_expr f expr =
-  let fe = map_params_expr f in
-  match expr with
-  | Lit _ | Col _ -> expr
-  | Param i -> f i
-  | Binop (op, a, b) -> Binop (op, fe a, fe b)
-  | Neg a -> Neg (fe a)
-  | Cmp (op, a, b) -> Cmp (op, fe a, fe b)
-  | And (a, b) -> And (fe a, fe b)
-  | Or (a, b) -> Or (fe a, fe b)
-  | Not a -> Not (fe a)
-  | Is_null a -> Is_null (fe a)
-  | Is_not_null a -> Is_not_null (fe a)
-  | In_list (a, es) -> In_list (fe a, List.map fe es)
-  | In_select (a, s) -> In_select (fe a, map_params_select f s)
-  | Not_in_list (a, es) -> Not_in_list (fe a, List.map fe es)
-  | Not_in_select (a, s) -> Not_in_select (fe a, map_params_select f s)
-  | Exists s -> Exists (map_params_select f s)
-  | Between (a, b, c) -> Between (fe a, fe b, fe c)
-  | Like (a, b) -> Like (fe a, fe b)
-  | Scalar_select s -> Scalar_select (map_params_select f s)
-  | Agg (fn, e) -> Agg (fn, Option.map fe e)
-  | Fn (name, args) -> Fn (name, List.map fe args)
-  | Case (branches, else_) ->
-    Case
-      ( List.map (fun (c, v) -> (fe c, fe v)) branches,
-        Option.map fe else_ )
-
-and map_params_select f (s : select) =
-  let fe = map_params_expr f in
-  let item it =
-    match it.source with
-    | Base _ | Transition _ -> it
-    | Derived sub -> { it with source = Derived (map_params_select f sub) }
-  in
-  {
-    s with
-    projections =
-      List.map
-        (function
-          | (Star | Table_star _) as p -> p
-          | Proj (e, a) -> Proj (fe e, a))
-        s.projections;
-    from = List.map item s.from;
-    where = Option.map fe s.where;
-    group_by = List.map fe s.group_by;
-    having = Option.map fe s.having;
-    compounds =
-      List.map (fun (op, sub) -> (op, map_params_select f sub)) s.compounds;
-    order_by = List.map (fun (e, d) -> (fe e, d)) s.order_by;
-  }
-
-let map_params_op f = function
-  | Insert { table; columns; source = `Values rows } ->
-    Insert
-      {
-        table;
-        columns;
-        source = `Values (List.map (List.map (map_params_expr f)) rows);
-      }
-  | Insert { table; columns; source = `Select s } ->
-    Insert { table; columns; source = `Select (map_params_select f s) }
-  | Delete { table; where } ->
-    Delete { table; where = Option.map (map_params_expr f) where }
-  | Update { table; sets; where } ->
-    Update
-      {
-        table;
-        sets = List.map (fun (c, e) -> (c, map_params_expr f e)) sets;
-        where = Option.map (map_params_expr f) where;
-      }
-  | Select_op s -> Select_op (map_params_select f s)
-
 (* The parser numbers parameters 0..n-1 in statement order, so the
    count is one past the highest index. *)
 let param_count_op op =
-  let n = ref 0 in
-  ignore
-    (map_params_op
-       (fun i ->
-         if i >= !n then n := i + 1;
-         Param i)
-       op);
-  !n
+  let rec expr n = function
+    | Param i -> max n (i + 1)
+    | e -> fold_expr ~expr ~select n e
+  and select n s = fold_select ~expr ~select n s in
+  fold_op ~expr ~select 0 op
 
+(* The interpreter path of EXECUTE substitutes argument literals into
+   the AST (the paper-faithful reading of "bind constants"); the
+   compiled path binds a parameter frame instead, and the differential
+   oracle proves the two agree. *)
 let subst_params_op args op =
-  map_params_op
-    (fun i ->
-      if i < 0 || i >= Array.length args then
-        Errors.semantic "parameter %d out of range" (i + 1)
-      else Lit args.(i))
-    op
+  let rec expr = function
+    | Param i when i < 0 || i >= Array.length args ->
+      Errors.semantic "parameter %d out of range" (i + 1)
+    | Param i -> Lit args.(i)
+    | e -> map_expr ~expr ~select e
+  and select s = map_select ~expr ~select s in
+  map_op ~expr ~select op
 
 (* The dual of substitution, for the workload's prepared-statement
    mode: rewrite an operation so every literal in a bindable position
@@ -464,107 +422,23 @@ let subst_params_op args op =
    Projections, GROUP BY, HAVING and ORDER BY are left alone: a
    parameter there would change output naming, grouping structure or
    positional-ordering semantics rather than just late-bind a
-   constant.  Traversal is forced left-to-right (constructor arguments
-   alone would evaluate right-to-left), so the numbering matches the
+   constant.  The maps run left to right, so the numbering matches the
    textual `?` order and [Pretty.op_str] of the result is a valid
    PREPARE body for the same argument vector. *)
 let parameterize_op op =
   let collected = ref [] and n = ref 0 in
-  let bind v =
-    let i = !n in
-    incr n;
-    collected := v :: !collected;
-    Param i
-  in
-  let rec pe expr =
-    match expr with
-    | Lit v -> bind v
-    | Col _ | Param _ -> expr
-    | Binop (o, a, b) ->
-      let a = pe a in
-      let b = pe b in
-      Binop (o, a, b)
-    | Neg a -> Neg (pe a)
-    | Cmp (o, a, b) ->
-      let a = pe a in
-      let b = pe b in
-      Cmp (o, a, b)
-    | And (a, b) ->
-      let a = pe a in
-      let b = pe b in
-      And (a, b)
-    | Or (a, b) ->
-      let a = pe a in
-      let b = pe b in
-      Or (a, b)
-    | Not a -> Not (pe a)
-    | Is_null a -> Is_null (pe a)
-    | Is_not_null a -> Is_not_null (pe a)
-    | In_list (a, es) ->
-      let a = pe a in
-      let es = List.map pe es in
-      In_list (a, es)
-    | In_select (a, s) ->
-      let a = pe a in
-      let s = ps s in
-      In_select (a, s)
-    | Not_in_list (a, es) ->
-      let a = pe a in
-      let es = List.map pe es in
-      Not_in_list (a, es)
-    | Not_in_select (a, s) ->
-      let a = pe a in
-      let s = ps s in
-      Not_in_select (a, s)
-    | Exists s -> Exists (ps s)
-    | Between (a, lo, hi) ->
-      let a = pe a in
-      let lo = pe lo in
-      let hi = pe hi in
-      Between (a, lo, hi)
-    | Like (a, b) ->
-      let a = pe a in
-      let b = pe b in
-      Like (a, b)
-    | Scalar_select s -> Scalar_select (ps s)
-    | Agg (fn, e) -> Agg (fn, Option.map pe e)
-    | Fn (name, args) -> Fn (name, List.map pe args)
-    | Case (branches, else_) ->
-      let branches =
-        List.map
-          (fun (c, v) ->
-            let c = pe c in
-            let v = pe v in
-            (c, v))
-          branches
-      in
-      Case (branches, Option.map pe else_)
-  and ps (s : select) =
-    let from =
-      List.map
-        (fun it ->
-          match it.source with
-          | Base _ | Transition _ -> it
-          | Derived sub -> { it with source = Derived (ps sub) })
-        s.from
-    in
-    let where = Option.map pe s.where in
-    let compounds = List.map (fun (o, sub) -> (o, ps sub)) s.compounds in
+  let rec expr = function
+    | Lit v ->
+      let i = !n in
+      incr n;
+      collected := v :: !collected;
+      Param i
+    | e -> map_expr ~expr ~select e
+  and select (s : select) =
+    let from = map_from ~select s.from in
+    let where = Option.map expr s.where in
+    let compounds = List.map (fun (o, sub) -> (o, select sub)) s.compounds in
     { s with from; where; compounds }
   in
-  let op' =
-    match op with
-    | Insert { table; columns; source = `Values rows } ->
-      Insert
-        { table; columns; source = `Values (List.map (List.map pe) rows) }
-    | Insert { table; columns; source = `Select s } ->
-      Insert { table; columns; source = `Select (ps s) }
-    | Delete { table; where } ->
-      Delete { table; where = Option.map pe where }
-    | Update { table; sets; where } ->
-      let sets = List.map (fun (c, e) -> (c, pe e)) sets in
-      let where = Option.map pe where in
-      Update { table; sets; where }
-    | Select_op s -> Select_op (ps s)
-  in
+  let op' = map_op ~expr ~select op in
   (op', Array.of_list (List.rev !collected))

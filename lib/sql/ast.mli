@@ -195,35 +195,54 @@ val trans_table_matches_pred : trans_table -> basic_trans_pred -> bool
     restriction)?  A column-unspecific "updated t" licenses the
     column-specific tables too. *)
 
-val fold_trans_tables_expr : ('a -> trans_table -> 'a) -> 'a -> expr -> 'a
-(** Fold over every transition-table reference in an expression,
-    through embedded selects. *)
-
-val fold_trans_tables_select : ('a -> trans_table -> 'a) -> 'a -> select -> 'a
-val fold_trans_tables_op : ('a -> trans_table -> 'a) -> 'a -> op -> 'a
-
 val trans_tables_of_rule : rule_def -> trans_table list
 (** Every transition table referenced by a rule's condition and
     action. *)
-
-val fold_base_tables_expr : ('a -> string -> 'a) -> 'a -> expr -> 'a
-(** Fold over every base-table reference in an expression (through
-    embedded selects). *)
-
-val fold_base_tables_select : ('a -> string -> 'a) -> 'a -> select -> 'a
 
 val base_tables_of_expr : expr -> string list
 (** Distinct base tables referenced by an expression, in first-seen
     order; the triggering footprint of a compiled assertion. *)
 
+(** {2 Traversal}
+
+    One level of the grammar, shared by every walker over expressions
+    and selects.  A walker matches only the constructors it treats
+    specially and hands every other node to these, passing itself back
+    as [expr] (called on each immediate sub-expression) and [select]
+    (called on each immediate subquery); nothing here recurses on its
+    own.  Children are visited left to right in text order:
+
+    - an expression's operands, list elements, CASE arms and embedded
+      selects;
+    - a select's projection expressions, derived FROM items, WHERE,
+      GROUP BY, HAVING, compound arms and ORDER BY keys (base and
+      transition FROM items are leaves, read from [from]);
+    - an operation's VALUES rows, source select, SET right-hand sides
+      and WHERE.
+
+    The parameter rewrites below use the matching maps, which rebuild
+    a node from its mapped children. *)
+
+val fold_expr :
+  expr:('a -> expr -> 'a) -> select:('a -> select -> 'a) -> 'a -> expr -> 'a
+
+val fold_select :
+  expr:('a -> expr -> 'a) -> select:('a -> select -> 'a) -> 'a -> select -> 'a
+
+val fold_op :
+  expr:('a -> expr -> 'a) -> select:('a -> select -> 'a) -> 'a -> op -> 'a
+
+val fold_sources_expr : ('a -> table_source -> 'a) -> 'a -> expr -> 'a
+(** Fold over every base and transition FROM source at every nesting
+    level of an expression's embedded selects — a select's own sources
+    before those of its children; derived sources are descended into,
+    never passed to the function. *)
+
+val fold_sources_op : ('a -> table_source -> 'a) -> 'a -> op -> 'a
+(** {!fold_sources_expr} over an operation (its target table is not a
+    FROM source). *)
+
 (** {2 Positional parameters} *)
-
-val map_params_expr : (int -> expr) -> expr -> expr
-(** Replace every [Param i] in an expression by [f i], through embedded
-    selects. *)
-
-val map_params_select : (int -> expr) -> select -> select
-val map_params_op : (int -> expr) -> op -> op
 
 val param_count_op : op -> int
 (** Number of positional parameters in an operation (one past the

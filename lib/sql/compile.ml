@@ -239,36 +239,6 @@ let resolve_col ctx qualifier column =
   in
   go 0 ctx.cc_shape
 
-(* ------------------------------------------------------------------ *)
-(* Shared runtime helpers (ported verbatim from the interpreter)       *)
-
-module Row_set = Set.Make (struct
-  type t = Row.t
-
-  let compare = Row.compare_total
-end)
-
-let dedupe_rows rows =
-  let _, acc =
-    List.fold_left
-      (fun (seen, acc) row ->
-        if Row_set.mem row seen then (seen, acc)
-        else (Row_set.add row seen, row :: acc))
-      (Row_set.empty, []) rows
-  in
-  List.rev acc
-
-let take limit rows =
-  match limit with
-  | None -> rows
-  | Some n ->
-    let rec go k = function
-      | [] -> []
-      | _ when k <= 0 -> []
-      | x :: rest -> x :: go (k - 1) rest
-    in
-    go n rows
-
 (* Rank and try the compiled candidates with the interpreter's own
    procedure ([Eval.probe_candidates]); [None] means "scan instead".
    Probe values evaluate against the outer scopes alone (they were
@@ -794,8 +764,8 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
     end
   in
   let cols = match rows with _ :: _ -> !out_cols | [] -> pl.pl_cols_when_empty rt in
-  let rows = if pl.pl_distinct then dedupe_rows rows else rows in
-  let rows = take pl.pl_limit rows in
+  let rows = if pl.pl_distinct then Eval.dedupe_rows rows else rows in
+  let rows = Eval.take_limit pl.pl_limit rows in
   let read_set =
     if read && pl.pl_read_set && Option.is_some rt.rt_access then Some (List.rev sc.sc_handles)
     else None
@@ -1091,20 +1061,7 @@ and compile_compound ctx (s : Ast.select) : cselect =
     let headr = head.cs_run rt outer in
     let combined =
       List.fold_left
-        (fun rows (op, arm) ->
-          let part = arm.cs_run rt outer in
-          if Array.length part.Eval.cols <> Array.length headr.Eval.cols then
-            Errors.semantic
-              "compound select operands must have the same number of columns";
-          match op with
-          | Ast.Union_all -> rows @ part.Eval.rows
-          | Ast.Union -> dedupe_rows (rows @ part.Eval.rows)
-          | Ast.Except ->
-            let right = Row_set.of_list part.Eval.rows in
-            dedupe_rows (List.filter (fun row -> not (Row_set.mem row right)) rows)
-          | Ast.Intersect ->
-            let right = Row_set.of_list part.Eval.rows in
-            dedupe_rows (List.filter (fun row -> Row_set.mem row right) rows))
+        (fun rows (op, arm) -> Eval.combine_compound ~head:headr rows op (arm.cs_run rt outer))
         headr.Eval.rows arms
     in
     let ordered =
@@ -1121,8 +1078,7 @@ and compile_compound ctx (s : Ast.select) : cselect =
         in
         List.map snd (Eval.sort_by_keys keyed)
     in
-    let rows = take limit ordered in
-    { Eval.rel_name = ""; cols = headr.Eval.cols; rows }
+    { Eval.rel_name = ""; cols = headr.Eval.cols; rows = Eval.take_limit limit ordered }
   in
   let cs_read rt = (cs_run rt [||], None) in
   { cs_cols = head.cs_cols; cs_run; cs_exists = cs_run; cs_read }

@@ -171,60 +171,34 @@ let exec_update ?cache ?access resolve db table sets where =
    the binding or unqualified (an unqualified name is credited to every
    table that has the column), and all of them for a star, a star of
    the binding, or a select naming none of its columns
-   ([select count( * ) from t]). *)
+   ([select count( * ) from t]).  Nested subqueries count in full; the
+   select's own derived FROM items and compound arms do not, since each
+   arm is a read of its own. *)
 let referenced_columns (s : Ast.select) schema binding_name =
   let all = Schema.column_names schema in
   let cols = ref [] in
   let add c = if not (List.exists (String.equal c) !cols) then cols := c :: !cols in
-  let rec walk_expr = function
-    | Ast.Lit _ | Ast.Param _ -> ()
+  let stars (sub : Ast.select) =
+    List.iter
+      (function
+        | Ast.Star -> cols := List.rev all
+        | Ast.Table_star t -> if String.equal t binding_name then cols := List.rev all
+        | Ast.Proj _ -> ())
+      sub.Ast.projections
+  in
+  let rec expr () = function
     | Ast.Col { qualifier = Some q; column } ->
       if String.equal q binding_name && Schema.has_column schema column then
         add column
     | Ast.Col { qualifier = None; column } ->
       if Schema.has_column schema column then add column
-    | Ast.Binop (_, a, b)
-    | Ast.Cmp (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Like (a, b) ->
-      walk_expr a;
-      walk_expr b
-    | Ast.Neg a | Ast.Not a | Ast.Is_null a | Ast.Is_not_null a -> walk_expr a
-    | Ast.In_list (a, es) | Ast.Not_in_list (a, es) ->
-      walk_expr a;
-      List.iter walk_expr es
-    | Ast.In_select (a, sub) | Ast.Not_in_select (a, sub) ->
-      walk_expr a;
-      walk_select sub
-    | Ast.Exists sub | Ast.Scalar_select sub -> walk_select sub
-    | Ast.Between (a, b, c) ->
-      walk_expr a;
-      walk_expr b;
-      walk_expr c
-    | Ast.Agg (_, Some a) -> walk_expr a
-    | Ast.Agg (_, None) -> ()
-    | Ast.Fn (_, args) -> List.iter walk_expr args
-    | Ast.Case (branches, else_) ->
-      List.iter
-        (fun (c, v) ->
-          walk_expr c;
-          walk_expr v)
-        branches;
-      Option.iter walk_expr else_
-  and walk_select (sub : Ast.select) =
-    List.iter
-      (function
-        | Ast.Star -> cols := List.rev all
-        | Ast.Table_star t -> if String.equal t binding_name then cols := List.rev all
-        | Ast.Proj (e, _) -> walk_expr e)
-      sub.Ast.projections;
-    Option.iter walk_expr sub.Ast.where;
-    List.iter walk_expr sub.Ast.group_by;
-    Option.iter walk_expr sub.Ast.having;
-    List.iter (fun (e, _) -> walk_expr e) sub.Ast.order_by
+    | e -> Ast.fold_expr ~expr ~select () e
+  and select () sub =
+    stars sub;
+    Ast.fold_select ~expr ~select () sub
   in
-  walk_select s;
+  stars s;
+  Ast.fold_select ~expr ~select:(fun () _ -> ()) () s;
   if !cols = [] then all else List.rev !cols
 
 (* The Section 5.1 read set of a select, one entry per base table read.

@@ -355,8 +355,6 @@ let independence ~(target : (string * string array) list)
   in
   let rec expr inners (e : Ast.expr) =
     match e with
-    | Ast.Lit _ -> true
-    | Ast.Param _ -> true (* a bound parameter is a constant *)
     | Ast.Col { qualifier = Some q; _ } ->
       let resolves_inner =
         List.exists
@@ -377,35 +375,13 @@ let independence ~(target : (string * string array) list)
       (* a source with unknown columns might capture [c] — but it might
          not, so we cannot rule out fall-through to the target *)
       definitely_inner || not (target_has_col c)
-    | Ast.Binop (_, a, b)
-    | Ast.Cmp (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Like (a, b) -> expr inners a && expr inners b
-    | Ast.Neg a | Ast.Not a | Ast.Is_null a | Ast.Is_not_null a ->
-      expr inners a
-    | Ast.In_list (a, es) | Ast.Not_in_list (a, es) ->
-      expr inners a && List.for_all (expr inners) es
-    | Ast.In_select (a, s) | Ast.Not_in_select (a, s) ->
-      expr inners a && sel inners s
-    | Ast.Exists s | Ast.Scalar_select s -> sel inners s
-    | Ast.Between (a, b, c) -> expr inners a && expr inners b && expr inners c
-    | Ast.Agg (_, arg) -> Option.fold ~none:true ~some:(expr inners) arg
-    | Ast.Fn (_, args) -> List.for_all (expr inners) args
-    | Ast.Case (branches, else_) ->
-      List.for_all (fun (c, v) -> expr inners c && expr inners v) branches
-      && Option.fold ~none:true ~some:(expr inners) else_
+    | e ->
+      (* literals and bound parameters are constants *)
+      Ast.fold_expr
+        ~expr:(fun ok e -> ok && expr inners e)
+        ~select:(fun ok s -> ok && sel inners s)
+        true e
   and sel inners (s : Ast.select) =
-    (* derived FROM items evaluate against the scopes outside this
-       select, so they are walked with the enclosing stack *)
-    let derived_ok =
-      List.for_all
-        (fun item ->
-          match item.Ast.source with
-          | Ast.Derived sub -> sel inners sub
-          | Ast.Base _ | Ast.Transition _ -> true)
-        s.Ast.from
-    in
     let frame =
       List.map
         (fun item ->
@@ -424,17 +400,13 @@ let independence ~(target : (string * string array) list)
         s.Ast.from
     in
     let inners' = frame :: inners in
-    derived_ok
-    && List.for_all
-         (function
-           | Ast.Star | Ast.Table_star _ -> true
-           | Ast.Proj (e, _) -> expr inners' e)
-         s.Ast.projections
-    && Option.fold ~none:true ~some:(expr inners') s.Ast.where
-    && List.for_all (expr inners') s.Ast.group_by
-    && Option.fold ~none:true ~some:(expr inners') s.Ast.having
-    && List.for_all (fun (e, _) -> expr inners' e) s.Ast.order_by
-    && List.for_all (fun (_, sub) -> sel inners sub) s.Ast.compounds
+    (* the select's own expressions see its frame; its derived FROM
+       items and compound arms evaluate against the scopes outside it,
+       so they are walked with the enclosing stack *)
+    Ast.fold_select
+      ~expr:(fun ok e -> ok && expr inners' e)
+      ~select:(fun ok sub -> ok && sel inners sub)
+      true s
   in
   (expr [], sel [])
 
@@ -832,6 +804,50 @@ let sort_by_keys keyed =
   in
   List.stable_sort cmp keyed
 
+module Row_set = Set.Make (struct
+  type t = Row.t
+
+  let compare = Row.compare_total
+end)
+
+(* DISTINCT: the first occurrence of each row, in order. *)
+let dedupe_rows rows =
+  let _, acc =
+    List.fold_left
+      (fun (seen, acc) row ->
+        if Row_set.mem row seen then (seen, acc)
+        else (Row_set.add row seen, row :: acc))
+      (Row_set.empty, []) rows
+  in
+  List.rev acc
+
+let take_limit limit rows =
+  match limit with
+  | None -> rows
+  | Some n ->
+    let rec go k = function
+      | [] -> []
+      | _ when k <= 0 -> []
+      | x :: rest -> x :: go (k - 1) rest
+    in
+    go n rows
+
+(* One step of a compound select: the rows combined so far with the
+   next arm's result.  UNION ALL keeps duplicates; UNION, EXCEPT and
+   INTERSECT have set semantics. *)
+let combine_compound ~(head : relation) rows op (part : relation) =
+  if Array.length part.cols <> Array.length head.cols then
+    Errors.semantic "compound select operands must have the same number of columns";
+  match op with
+  | Ast.Union_all -> rows @ part.rows
+  | Ast.Union -> dedupe_rows (rows @ part.rows)
+  | Ast.Except ->
+    let right = Row_set.of_list part.rows in
+    dedupe_rows (List.filter (fun row -> not (Row_set.mem row right)) rows)
+  | Ast.Intersect ->
+    let right = Row_set.of_list part.rows in
+    dedupe_rows (List.filter (fun row -> Row_set.mem row right) rows)
+
 let rec eval_expr ctx (env : env) (e : Ast.expr) : Value.t =
   match e with
   | Ast.Lit v -> v
@@ -1040,33 +1056,17 @@ and eval_aggregate ctx _env fn arg =
 (* SELECT evaluation                                                   *)
 
 and select_contains_agg (s : Ast.select) =
-  let rec expr_has_agg = function
+  (* aggregates inside a subquery belong to the subquery *)
+  let rec has_agg found = function
     | Ast.Agg _ -> true
-    | Ast.Lit _ | Ast.Param _ | Ast.Col _ -> false
-    | Ast.Binop (_, a, b)
-    | Ast.Cmp (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Like (a, b) -> expr_has_agg a || expr_has_agg b
-    | Ast.Neg a | Ast.Not a | Ast.Is_null a | Ast.Is_not_null a -> expr_has_agg a
-    | Ast.In_list (a, es) | Ast.Not_in_list (a, es) ->
-      expr_has_agg a || List.exists expr_has_agg es
-    | Ast.In_select (a, _) | Ast.Not_in_select (a, _) -> expr_has_agg a
-    | Ast.Exists _ | Ast.Scalar_select _ ->
-      (* aggregates inside a subquery belong to the subquery *)
-      false
-    | Ast.Fn (_, args) -> List.exists expr_has_agg args
-    | Ast.Between (a, b, c) -> expr_has_agg a || expr_has_agg b || expr_has_agg c
-    | Ast.Case (branches, else_) ->
-      List.exists (fun (c, v) -> expr_has_agg c || expr_has_agg v) branches
-      || Option.fold ~none:false ~some:expr_has_agg else_
+    | e -> found || Ast.fold_expr ~expr:has_agg ~select:(fun found _ -> found) false e
   in
   s.Ast.group_by <> []
-  || Option.fold ~none:false ~some:expr_has_agg s.Ast.having
+  || Option.fold ~none:false ~some:(has_agg false) s.Ast.having
   || List.exists
        (function
          | Ast.Star | Ast.Table_star _ -> false
-         | Ast.Proj (e, _) -> expr_has_agg e)
+         | Ast.Proj (e, _) -> has_agg false e)
        s.Ast.projections
 
 and default_proj_name e =
@@ -1251,37 +1251,10 @@ and eval_compound ctx outer (s : Ast.select) : relation =
     eval_select_plain ctx outer
       { s with Ast.compounds = []; order_by = []; limit = None }
   in
-  let module Row_set = Set.Make (struct
-    type t = Row.t
-
-    let compare = Row.compare_total
-  end) in
-  let dedupe rows =
-    let _, acc =
-      List.fold_left
-        (fun (seen, acc) row ->
-          if Row_set.mem row seen then (seen, acc)
-          else (Row_set.add row seen, row :: acc))
-        (Row_set.empty, []) rows
-    in
-    List.rev acc
-  in
   let combined =
     List.fold_left
       (fun rows (op, sub) ->
-        let part = eval_select_plain ctx outer sub in
-        if Array.length part.cols <> Array.length head.cols then
-          Errors.semantic
-            "compound select operands must have the same number of columns";
-        match op with
-        | Ast.Union_all -> rows @ part.rows
-        | Ast.Union -> dedupe (rows @ part.rows)
-        | Ast.Except ->
-          let right = Row_set.of_list part.rows in
-          dedupe (List.filter (fun row -> not (Row_set.mem row right)) rows)
-        | Ast.Intersect ->
-          let right = Row_set.of_list part.rows in
-          dedupe (List.filter (fun row -> Row_set.mem row right) rows))
+        combine_compound ~head rows op (eval_select_plain ctx outer sub))
       head.rows s.Ast.compounds
   in
   (* trailing ORDER BY over the combined projected rows *)
@@ -1306,18 +1279,7 @@ and eval_compound ctx outer (s : Ast.select) : relation =
       in
       List.map snd (sort_by_keys keyed)
   in
-  let rows =
-    match s.Ast.limit with
-    | None -> ordered
-    | Some n ->
-      let rec take k = function
-        | [] -> []
-        | _ when k <= 0 -> []
-        | x :: rest -> x :: take (k - 1) rest
-      in
-      take n ordered
-  in
-  { rel_name = ""; cols = head.cols; rows }
+  { rel_name = ""; cols = head.cols; rows = take_limit s.Ast.limit ordered }
 
 and eval_select_plain ctx outer s = fst (eval_select_plain_read ctx outer s)
 
@@ -1452,35 +1414,8 @@ and eval_select_plain_read ctx (outer : env) (s : Ast.select) :
     | [] -> static_output_columns ctx s
   in
   let rows = List.map (fun pairs -> Array.of_list (List.map snd pairs)) ordered_pairs in
-  let rows =
-    if s.Ast.distinct then begin
-      let module Row_set = Set.Make (struct
-        type t = Row.t
-
-        let compare = Row.compare_total
-      end) in
-      let _, acc =
-        List.fold_left
-          (fun (seen, acc) row ->
-            if Row_set.mem row seen then (seen, acc)
-            else (Row_set.add row seen, row :: acc))
-          (Row_set.empty, []) rows
-      in
-      List.rev acc
-    end
-    else rows
-  in
-  let rows =
-    match s.Ast.limit with
-    | None -> rows
-    | Some n ->
-      let rec take k = function
-        | [] -> []
-        | _ when k <= 0 -> []
-        | x :: rest -> x :: take (k - 1) rest
-      in
-      take n rows
-  in
+  let rows = if s.Ast.distinct then dedupe_rows rows else rows in
+  let rows = take_limit s.Ast.limit rows in
   ({ rel_name = ""; cols; rows }, if s.Ast.group_by = [] then read else None)
 
 (* Output column names when the result has no rows: derive them from

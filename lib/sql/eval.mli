@@ -344,6 +344,20 @@ val sort_by_keys :
   ((Value.t * [ `Asc | `Desc ]) list * 'a) list
 (** Stable sort of values tagged with ORDER BY keys. *)
 
+(** {3 Select steps shared by both evaluators} *)
+
+val dedupe_rows : Row.t list -> Row.t list
+(** DISTINCT: the first occurrence of each row, in order. *)
+
+val take_limit : int option -> 'a list -> 'a list
+(** LIMIT: at most that many leading elements. *)
+
+val combine_compound :
+  head:relation -> Row.t list -> Ast.compound_op -> relation -> Row.t list
+(** One step of a compound select: the rows combined so far with the
+    next arm's result, whose arity must match [head]'s.  UNION ALL
+    keeps duplicates; UNION, EXCEPT and INTERSECT have set semantics. *)
+
 val col_index : string array -> string -> int option
 (** Position of the first column of that name. *)
 

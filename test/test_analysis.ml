@@ -120,6 +120,32 @@ let test_read_write_conflict () =
   Alcotest.(check int) "read/write conflict" 1
     (List.length report.Analysis.order_conflicts)
 
+(* A rule reads every table any of its selects names, wherever the
+   select sits: in a compound arm (r2), a derived FROM table (r3) or a
+   scalar subquery of ORDER BY (r4).  r1 writes [u], which all three
+   read, so each pair with r1 is order-dependent; r2 also reads the [w]
+   r3 writes. *)
+let test_reads_through_every_select () =
+  let rules =
+    rules_of
+      [
+        "create rule r1 when inserted into t then insert into u values (1)";
+        "create rule r2 when inserted into t then insert into v (select a \
+         from w union select a from u)";
+        "create rule r3 when inserted into t then insert into w (select a \
+         from (select a from u) d)";
+        "create rule r4 when inserted into t then insert into x (select a \
+         from y order by (select max(a) from u))";
+      ]
+  in
+  let report = Analysis.analyze rules in
+  Alcotest.(check (list (pair string string)))
+    "conflicting pairs"
+    [ ("r1", "r2"); ("r1", "r3"); ("r1", "r4"); ("r2", "r3") ]
+    (List.map
+       (fun c -> (c.Analysis.rule1, c.Analysis.rule2))
+       report.Analysis.order_conflicts)
+
 let test_disjoint_rules_no_conflict () =
   let rules =
     rules_of
@@ -171,6 +197,8 @@ let suite =
     Alcotest.test_case "rollback has no writes" `Quick test_rollback_breaks_cycle;
     Alcotest.test_case "order conflicts" `Quick test_order_conflicts;
     Alcotest.test_case "read/write conflict" `Quick test_read_write_conflict;
+    Alcotest.test_case "reads through every select" `Quick
+      test_reads_through_every_select;
     Alcotest.test_case "disjoint rules no conflict" `Quick
       test_disjoint_rules_no_conflict;
     Alcotest.test_case "call action conservative" `Quick

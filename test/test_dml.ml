@@ -251,6 +251,21 @@ let test_read_set_compound_arms () =
       Alcotest.(check int) "selected u fired" 1 (int_cell s "select count(*) from log"))
     [ true; false ]
 
+(* A column named only in a compound arm of a subquery is still
+   referenced: [t.c] decides which rows of [t] qualify. *)
+let test_read_set_columns_in_nested_arms () =
+  let db = five_rows () in
+  let db =
+    Database.create_table db
+      (Schema.table "u" [ Schema.column "a" Schema.T_int; Schema.column "d" Schema.T_string ])
+  in
+  let db = (exec db "insert into u values (7, 'p'), (8, 'q')").Dml.db in
+  Alcotest.check read_set_testable "column of a nested arm"
+    [ ([ "b"; "c" ], [ "5" ]) ]
+    (read_set db
+       "select b from t where exists (select d from u where u.a = 0 union \
+        select d from u where t.c > 4.5)")
+
 (* A row the executor never tested is not read, even when its WHERE
    would raise: the probe on [a = 2] skips the row whose [10 / (a - 1)]
    divides by zero. *)
@@ -328,4 +343,6 @@ let suite =
     Alcotest.test_case "read set: prepared select" `Quick test_read_set_prepared;
     Alcotest.test_case "read set: every compound arm" `Quick
       test_read_set_compound_arms;
+    Alcotest.test_case "read set: columns of nested arms" `Quick
+      test_read_set_columns_in_nested_arms;
   ]

@@ -349,6 +349,160 @@ let test_tracked_select_binds_params () =
     (after_direct_empty + (2 * fired))
     (log_count ())
 
+(* The AST traversal under the parameter rewrites, over compile-diff's
+   generated selects: bare, as the source of an INSERT, and inside the
+   WHERE of a DELETE and an UPDATE.  Lifting the bindable literals into
+   parameters and substituting them back restores the operation; the
+   parameter count is the number of literals lifted; and the printed
+   parameterized operation is a PREPARE body that parses back to it. *)
+let gen_operation st =
+  let sel = Test_compile_diff.gen_select st in
+  match QCheck.Gen.int_bound 3 st with
+  | 0 -> sel
+  | 1 -> Printf.sprintf "insert into u (%s)" sel
+  | 2 ->
+    Printf.sprintf "delete from u where a = %d or exists (%s)"
+      (QCheck.Gen.int_bound 9 st) sel
+  | _ ->
+    Printf.sprintf "update u set c = %s where exists (%s)"
+      (Test_compile_diff.gen_expr 2 st) sel
+
+let prop_parameterize_round_trip =
+  QCheck.Test.make ~count:500 ~name:"parameterize / substitute / print round trip"
+    (QCheck.make ~print:Fun.id gen_operation)
+    (fun sql ->
+      match Parser.parse_statement_string sql with
+      | Ast.Stmt_op op ->
+        let op', args = Ast.parameterize_op op in
+        if Ast.subst_params_op args op' <> op then
+          QCheck.Test.fail_reportf "substitution does not restore %s" sql;
+        if Ast.param_count_op op' <> Array.length args then
+          QCheck.Test.fail_reportf "%d parameters counted, %d lifted"
+            (Ast.param_count_op op') (Array.length args);
+        let body = Pretty.op_str op' in
+        (match Parser.parse_statement_string ("prepare p as " ^ body) with
+        | Ast.Stmt_prepare (_, op'') when op'' = op' -> true
+        | _ -> QCheck.Test.fail_reportf "%s does not parse back" body)
+      | _ -> QCheck.Test.fail_reportf "not an operation: %s" sql)
+
+(* The name of each expression constructor; the exhaustive match makes
+   a new constructor fail to compile here until the fixture below
+   covers it. *)
+let constructor_name : Ast.expr -> string = function
+  | Ast.Lit _ -> "Lit"
+  | Ast.Param _ -> "Param"
+  | Ast.Col _ -> "Col"
+  | Ast.Binop _ -> "Binop"
+  | Ast.Neg _ -> "Neg"
+  | Ast.Cmp _ -> "Cmp"
+  | Ast.And _ -> "And"
+  | Ast.Or _ -> "Or"
+  | Ast.Not _ -> "Not"
+  | Ast.Is_null _ -> "Is_null"
+  | Ast.Is_not_null _ -> "Is_not_null"
+  | Ast.In_list _ -> "In_list"
+  | Ast.In_select _ -> "In_select"
+  | Ast.Not_in_list _ -> "Not_in_list"
+  | Ast.Not_in_select _ -> "Not_in_select"
+  | Ast.Exists _ -> "Exists"
+  | Ast.Between _ -> "Between"
+  | Ast.Like _ -> "Like"
+  | Ast.Scalar_select _ -> "Scalar_select"
+  | Ast.Agg _ -> "Agg"
+  | Ast.Fn _ -> "Fn"
+  | Ast.Case _ -> "Case"
+
+let constructor_count = 22
+
+(* One select with every expression constructor and every select part,
+   each holding a select over its own base table [bK] and transition
+   table [inserted tK] with its own [?]: the table folds find every
+   table, the parameter count every [?], and substitution replaces
+   every [?] in text order. *)
+let test_traversal_reaches_every_part () =
+  let k = ref (-1) in
+  let arm () =
+    incr k;
+    Printf.sprintf "select x from b%d, inserted t%d where x = ?" !k !k
+  in
+  let sub () = "(" ^ arm () ^ ")" in
+  let conjuncts =
+    [
+      Printf.sprintf "(%s + 1) = 2" (sub ());
+      Printf.sprintf "- %s < 0" (sub ());
+      Printf.sprintf "(%s = 1 or not (%s is null))" (sub ()) (sub ());
+      Printf.sprintf "%s is not null" (sub ());
+      Printf.sprintf "y in (%s, 2)" (sub ());
+      Printf.sprintf "y in %s" (sub ());
+      Printf.sprintf "y not in (%s, 3)" (sub ());
+      Printf.sprintf "y not in %s" (sub ());
+      Printf.sprintf "exists %s" (sub ());
+      Printf.sprintf "%s between 1 and 2" (sub ());
+      Printf.sprintf "%s like 'a%%'" (sub ());
+      Printf.sprintf "abs(%s) = 1" (sub ());
+      Printf.sprintf "case when %s = 1 then 1 else 0 end = 1" (sub ());
+    ]
+  in
+  let projection = sub () in
+  let derived = sub () in
+  let where = String.concat " and " conjuncts in
+  let group_by = sub () in
+  let having = sub () in
+  let compound = arm () in
+  let order_by = sub () in
+  let sql =
+    Printf.sprintf
+      "select %s as p, max(y) from b%d, inserted t%d, %s d where %s group by %s \
+       having max(%s) > 0 union %s order by %s"
+      projection (!k + 1) (!k + 1) derived where group_by having compound order_by
+  in
+  let n = !k + 1 in
+  let prepared text =
+    match Parser.parse_statement_string ("prepare p as " ^ text) with
+    | Ast.Stmt_prepare (_, op) -> op
+    | _ -> Alcotest.fail "expected a PREPARE statement"
+  in
+  let op = prepared sql in
+  let rec expr acc e = Ast.fold_expr ~expr ~select (constructor_name e :: acc) e
+  and select acc s = Ast.fold_select ~expr ~select acc s in
+  Alcotest.(check int) "every constructor in the fixture" constructor_count
+    (List.length (List.sort_uniq compare (Ast.fold_op ~expr ~select [] op)));
+  let bases, transitions =
+    Ast.fold_sources_op
+      (fun (bs, ts) -> function
+        | Ast.Base b -> (b :: bs, ts)
+        | Ast.Transition tt -> (bs, Ast.trans_table_base tt :: ts)
+        | Ast.Derived _ -> Alcotest.fail "a derived source was passed")
+      ([], []) op
+  in
+  let names prefix = List.init (n + 1) (Printf.sprintf "%s%d" prefix) in
+  let sorted = List.sort compare in
+  Alcotest.(check (list string)) "every base table" (sorted (names "b")) (sorted bases);
+  Alcotest.(check (list string))
+    "every transition table" (sorted (names "t")) (sorted transitions);
+  (match op with
+  | Ast.Select_op s ->
+    Alcotest.(check (list string))
+      "base tables of an expression" (sorted (names "b"))
+      (sorted (Ast.base_tables_of_expr (Ast.Exists s)))
+  | _ -> Alcotest.fail "expected a select");
+  (* the text with its j-th [?] replaced by [f j] *)
+  let fill f =
+    String.split_on_char '?' sql
+    |> List.mapi (fun i piece -> if i = 0 then piece else f (i - 1) ^ piece)
+    |> String.concat ""
+  in
+  Alcotest.(check int) "every parameter" n (Ast.param_count_op op);
+  for i = 0 to n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "parameter %d alone" i)
+      1
+      (Ast.param_count_op (prepared (fill (fun j -> if j = i then "?" else "0"))))
+  done;
+  Alcotest.(check string) "substitution in text order"
+    (Pretty.op_str (prepared (fill (fun j -> string_of_int (100 + j)))))
+    (Pretty.op_str (Ast.subst_params_op (Array.init n (fun i -> Value.Int (100 + i))) op))
+
 let suite =
   [
     Alcotest.test_case "prepare/execute/deallocate lifecycle" `Quick
@@ -376,4 +530,7 @@ let suite =
     Alcotest.test_case "parse/print round trips" `Quick test_round_trip;
     Alcotest.test_case "parameters number in statement order" `Quick
       test_param_numbering_is_statement_order;
+    Alcotest.test_case "traversal reaches every part" `Quick
+      test_traversal_reaches_every_part;
+    qtest prop_parameterize_round_trip;
   ]
