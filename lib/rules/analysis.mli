@@ -22,12 +22,6 @@ type report = {
       (** unordered pairs with intersecting write/read footprints *)
 }
 
-val may_trigger : Rule.t -> Rule.t -> bool
-(** Some write of the first rule's action satisfies some basic
-    transition predicate of the second.  [call] actions are treated as
-    writing anything. *)
-
-val triggering_graph : Rule.t list -> edge list
 val cycles : Rule.t list -> string list list
 
 val analyze : ?priorities:Priority.t -> Rule.t list -> report

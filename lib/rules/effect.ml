@@ -99,27 +99,28 @@ let compose e1 e2 =
   let sel = prune (union_cols e1.sel e2.sel) in
   { ins; del; upd; sel }
 
-let of_affected_list affs =
-  List.fold_left (fun acc a -> compose acc (of_affected a)) empty affs
-
-(* Triggering test for a basic transition predicate (Section 3). *)
-let satisfies_pred e (pred : Ast.basic_trans_pred) =
-  let handle_in_table t h = String.equal (Handle.table h) t in
+(* Triggering test for a basic transition predicate (Section 3), over
+   any representation of the components: [ins]/[del] report whether
+   some handle of the component satisfies a test, [upd]/[sel] whether
+   some (handle, columns) entry does.  [Trans_info.triggered] tests its
+   own components in place through this. *)
+let satisfies_pred_with (pred : Ast.basic_trans_pred) ~ins ~del ~upd ~sel =
+  let in_table t h = String.equal (Handle.table h) t in
+  let on_column t c h cols =
+    in_table t h && match c with None -> true | Some c -> Col_set.mem c cols
+  in
   match pred with
-  | Ast.Tp_inserted t -> Handle.Set.exists (handle_in_table t) e.ins
-  | Ast.Tp_deleted t -> Handle.Set.exists (handle_in_table t) e.del
-  | Ast.Tp_updated (t, None) ->
-    Handle.Map.exists (fun h _ -> handle_in_table t h) e.upd
-  | Ast.Tp_updated (t, Some c) ->
-    Handle.Map.exists
-      (fun h cols -> handle_in_table t h && Col_set.mem c cols)
-      e.upd
-  | Ast.Tp_selected (t, None) ->
-    Handle.Map.exists (fun h _ -> handle_in_table t h) e.sel
-  | Ast.Tp_selected (t, Some c) ->
-    Handle.Map.exists
-      (fun h cols -> handle_in_table t h && Col_set.mem c cols)
-      e.sel
+  | Ast.Tp_inserted t -> ins (in_table t)
+  | Ast.Tp_deleted t -> del (in_table t)
+  | Ast.Tp_updated (t, c) -> upd (on_column t c)
+  | Ast.Tp_selected (t, c) -> sel (on_column t c)
+
+let satisfies_pred e pred =
+  satisfies_pred_with pred
+    ~ins:(fun p -> Handle.Set.exists p e.ins)
+    ~del:(fun p -> Handle.Set.exists p e.del)
+    ~upd:(fun p -> Handle.Map.exists p e.upd)
+    ~sel:(fun p -> Handle.Map.exists p e.sel)
 
 (* A rule's transition predicate is the disjunction of its basic
    predicates. *)

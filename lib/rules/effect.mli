@@ -41,9 +41,6 @@ val of_affected : Dml.affected -> t
 (** The effect of a single operation, from its affected set
     (Section 2.1). *)
 
-val of_affected_list : Dml.affected list -> t
-(** Left-to-right composition of single-operation effects. *)
-
 val union_cols : Col_set.t Handle.Map.t -> Col_set.t Handle.Map.t -> Col_set.t Handle.Map.t
 
 val compose : t -> t -> t
@@ -59,6 +56,17 @@ val restrict : t -> (string -> bool) -> t
 (** [restrict e keep] drops every component entry whose handle's table
     fails [keep]: the Section 4.3 optimization of saving, per rule,
     only the information relevant to it. *)
+
+val satisfies_pred_with :
+  Ast.basic_trans_pred ->
+  ins:((Handle.t -> bool) -> bool) ->
+  del:((Handle.t -> bool) -> bool) ->
+  upd:((Handle.t -> Col_set.t -> bool) -> bool) ->
+  sel:((Handle.t -> Col_set.t -> bool) -> bool) ->
+  bool
+(** The triggering test of {!satisfies_pred} over any representation of
+    the four components: each argument reports whether some entry of
+    its component passes the test it is given. *)
 
 val satisfies_pred : t -> Ast.basic_trans_pred -> bool
 (** Triggering test for one basic transition predicate (Section 3). *)

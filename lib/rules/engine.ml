@@ -2,13 +2,14 @@
    and the algorithm of Figure 1.
 
    A transaction consists of one externally-generated operation block
-   followed by rule processing just before commit.  Rule processing
-   repeatedly selects a triggered rule whose condition holds and
-   executes its action; the acting rule's transition information
-   restarts from its own transition while every other rule's
-   information is composed with the new effect (Figure 1's
-   init-trans-info / modify-trans-info).  A rollback action restores
-   the transaction's start state.
+   followed by rule processing just before commit.  Rule processing is
+   one loop over a persistent [processing] state: [start] wakes the
+   rules the external transition concerns (init-trans-info), and each
+   [step] considers one of the [candidates] and, if its action runs,
+   restarts the acting rule's transition information while extending
+   every other woken rule's (modify-trans-info).  The discrimination
+   index and the linear-scan oracle differ only in which rules they
+   wake.  A rollback action restores the transaction's start state.
 
    Section 5.3's rule triggering points are supported: a transaction
    may interleave several externally-generated operation sequences with
@@ -37,10 +38,10 @@ type config = {
       (* keep, per rule, only the transition information on tables its
          predicates mention (the Section 4.3 optimization remark) *)
   rule_index : bool;
-      (* consult the discrimination index so each transition touches
-         only rules registered on the affected (table, op, column)
-         keys; off = the literal Figure 1 linear scan over the whole
-         catalog, retained as a differential oracle *)
+      (* wake only the rules the discrimination index registers on a
+         touched (table, op, column) key; off = wake the whole catalog,
+         the literal Figure 1 linear scan, retained as a differential
+         oracle *)
   compiled : bool;
       (* run statements and rules through compiled positional closures;
          off = the tree-walking interpreter, the differential oracle *)
@@ -142,7 +143,6 @@ type txn_state = {
       (* composite effect of the whole transaction so far — external
          blocks and rule firings alike — maintained incrementally so
          the commit hook (WAL logging) never diffs database states *)
-  mutable infos : Trans_info.t Str_map.t;
   mutable considered0 : int Str_map.t;
       (* [last_considered] at transaction start, restored on abort so a
          faulted-then-retried transaction sees the same selection state
@@ -155,7 +155,6 @@ let fresh_txn db =
     trans_start = db;
     pending = Effect.empty;
     txn_effect = Effect.empty;
-    infos = Str_map.empty;
     considered0 = Str_map.empty;
   }
 
@@ -301,7 +300,6 @@ let database t = t.db
 let config t = t.config
 let transition_start t = t.txn.trans_start
 let stats t = t.stats
-let ddl_generation t = t.ddl_gen
 let set_commit_hook t hook = t.commit_hook <- hook
 
 (* Access-path hooks for the evaluator: column metadata and index
@@ -424,7 +422,6 @@ let stmt_cache_lookup t (op : Ast.op) =
   | None -> `Miss
 
 let stmt_cache_size t = Hashtbl.length t.stmt_cache
-let stmt_cache_clear t = Hashtbl.reset t.stmt_cache
 
 let prepare t ~name (op : Ast.op) =
   if Hashtbl.mem t.prepared name then
@@ -674,7 +671,6 @@ let drop_rule t name =
     List.filter (fun r -> not (String.equal r.Rule.name name)) t.rules_rev;
   t.rules_by_name <- Str_map.remove name t.rules_by_name;
   t.rule_count <- t.rule_count - 1;
-  t.txn.infos <- Str_map.remove name t.txn.infos;
   t.priorities <- Priority.remove_rule t.priorities name;
   t.last_considered <- Str_map.remove name t.last_considered;
   t.txn.considered0 <- Str_map.remove name t.txn.considered0;
@@ -773,13 +769,31 @@ let submit_ops t ops = submit_cops t (List.map (plan_op t) ops)
 (* ------------------------------------------------------------------ *)
 (* Rule processing (Figure 1)                                          *)
 
+(* The state of Figure 1's loop between two rule considerations.  It
+   is a persistent value: [step] returns a new one and leaves the old
+   one valid, so an explorer of selection orders branches by keeping
+   it. *)
+type processing = {
+  p_db : Database.t; (* the current state *)
+  p_woken : (Rule.t * Trans_info.t) Str_map.t;
+      (* every rule woken so far, with its transition information; a
+         rule never woken has empty information and cannot be
+         triggered *)
+  p_shared : Trans_info.t;
+      (* the composite information of the whole transition since the
+         external one began: a rule woken later starts from it *)
+  p_considered : Str_set.t; (* considered in the current state *)
+  p_steps : int; (* actions executed *)
+}
+
+type step = Next of processing | Rollback
+
 exception Rolled_back_exc
 
 (* Restore the exact transaction-start state and close the transaction:
-   database, pending effect, per-rule transition information, the
-   current-transition snapshot (a stale [trans_start] would let a later
-   inspection observe a discarded state), and the selection bookkeeping
-   a retry must not see. *)
+   database, pending effect, the current-transition snapshot (a stale
+   [trans_start] would let a later inspection observe a discarded
+   state), and the selection bookkeeping a retry must not see. *)
 let restore_txn_start t =
   (match t.txn.txn_start with
   | Some db0 ->
@@ -789,7 +803,6 @@ let restore_txn_start t =
   t.txn.txn_start <- None;
   t.txn.pending <- Effect.empty;
   t.txn.txn_effect <- Effect.empty;
-  t.txn.infos <- Str_map.empty;
   t.last_considered <- t.txn.considered0
 
 let rollback_to_txn_start t =
@@ -808,9 +821,6 @@ let abort_txn t exn =
   restore_txn_start t;
   t.stats.aborts <- t.stats.aborts + 1
 
-let info_of t name =
-  Option.value (Str_map.find_opt name t.txn.infos) ~default:Trans_info.empty
-
 (* The plans of the operation block denoted by a rule's action: either
    its literal block or the block computed by an external procedure
    (Section 5.2). *)
@@ -824,237 +834,185 @@ let action_block t (rule : Rule.t) resolve =
     let query s = run_select t resolve (plan_op t (Ast.Select_op s)) in
     List.map (plan_op t) (fn { Procedures.query; rule_name = rule.Rule.name })
 
-let process_rules_exn t =
-  require_txn t;
-  t.stats.transitions <- t.stats.transitions + 1;
-  record t (Ev_external { effect_size = Effect.cardinality t.txn.pending });
-  Log.debug (fun m ->
-      m "processing rules for external transition %a" Effect.pp t.txn.pending);
-  (* Figure 1: initialize every rule's transition information from the
-     external transition's composite effect.  With pruning on
-     (Section 4.3), a rule whose predicates mention none of the touched
-     tables gets empty information without any per-effect work, and a
-     partially relevant rule gets the restriction of the effect to its
-     tables.
+(* The one reading of [config.rule_index]: fold [f] over the rules
+   effect [e] wakes.  The discrimination index wakes exactly the rules
+   registered on a (table, op, column) key [e] touches; the linear-scan
+   oracle wakes the whole catalog.  A rule [e] does not wake cannot be
+   triggered by it, so the two differ only in the work they do. *)
+let wake t e f acc =
+  if t.config.rule_index then
+    Str_set.fold
+      (fun name acc ->
+        match find_rule t name with Some r -> f r acc | None -> acc)
+      (Rule_index.matching (live_index t) e)
+      acc
+  else List.fold_left (fun acc r -> f r acc) acc t.rules_rev
 
-     With the discrimination index on, only rules registered on a
-     (table, op, column) key the effect touches get an entry at all:
-     [info_of] defaults missing entries to empty information, a rule
-     whose keys the composite never touches can never become triggered,
-     and transition-table materialization filters by table — so the
-     omission is semantically invisible while the init cost drops from
-     O(all rules) to O(matching rules).  [shared] accumulates the full
-     composite of the transition so a rule woken later in processing
-     (by a rule firing that touches its keys) can catch up to exactly
-     the information the linear scan would have built for it. *)
-  let use_index = t.config.rule_index in
-  let all_rules = if use_index then [] else rules t in
-  let shared = ref Trans_info.empty in
-  let touched = Effect.tables t.txn.pending in
-  let relevant_to r =
-    List.exists (fun tbl -> Effect.Col_set.mem tbl touched) (Rule.relevant_tables r)
-  in
-  let initial = lazy (Trans_info.init t.txn.pending t.txn.trans_start) in
-  let init_for r =
-    if not t.config.prune_info then Lazy.force initial
-    else if not (relevant_to r) then Trans_info.empty
-    else Trans_info.init (Effect.restrict t.txn.pending (Rule.relevant r)) t.txn.trans_start
-  in
-  if use_index then begin
-    shared := Lazy.force initial;
-    let woken = Rule_index.matching (live_index t) t.txn.pending in
-    t.txn.infos <-
-      Rule_index.Str_set.fold
-        (fun name m ->
-          match find_rule t name with
-          | None -> m
-          | Some r -> Str_map.add name (init_for r) m)
-        woken Str_map.empty
-  end
+(* The one reading of [config.prune_info]: [x] restricted to the tables
+   whose information rule [r] keeps — its own (the Section 4.3
+   pruning) or every table.  [touched] holds [x]'s tables; [None] means
+   none of the rule's tables is touched, found without a pass over
+   [x]. *)
+let scoped t (r : Rule.t) ~touched restrict x =
+  if not t.config.prune_info then Some x
+  else if List.exists (fun tbl -> Effect.Col_set.mem tbl touched) r.Rule.tables
+  then Some (restrict x (Rule.relevant r))
+  else None
+
+(* Wake [r] unless it is awake already: it starts from the composite
+   [shared], restricted to its scope — the information stepwise
+   extension from the external transition would have built for it,
+   since restriction commutes with init and extend. *)
+let admit t ~touched shared (r : Rule.t) woken =
+  if Str_map.mem r.Rule.name woken then woken
   else
-    t.txn.infos <-
-      List.fold_left
-        (fun m r -> Str_map.add r.Rule.name (init_for r) m)
-        Str_map.empty all_rules;
-  t.txn.pending <- Effect.empty;
-  let steps = ref 0 in
-  let considered = ref Str_set.empty in
-  let rec loop () =
-    (* the candidate scan: with the index on, only rules holding
-       transition information (the woken set) are examined — a rule
-       with no entry has empty information and cannot be triggered *)
-    let candidates =
-      if use_index then
-        Str_map.fold
-          (fun name info acc ->
-            match find_rule t name with
-            | Some r
-              when r.Rule.active
-                   && (not (Str_set.mem name !considered))
-                   && Trans_info.triggered info (Rule.trans_preds r) ->
-              r :: acc
-            | _ -> acc)
-          t.txn.infos []
-      else
-        List.filter
-          (fun r ->
-            r.Rule.active
-            && (not (Str_set.mem r.Rule.name !considered))
-            && Trans_info.triggered (info_of t r.Rule.name) (Rule.trans_preds r))
-          all_rules
+    let info =
+      Option.value ~default:Trans_info.empty
+        (scoped t r ~touched Trans_info.restrict shared)
     in
-    let examined = if use_index then Str_map.cardinal t.txn.infos else t.rule_count in
+    Str_map.add r.Rule.name (r, info) woken
+
+(* Figure 1's init-trans-info: complete the external transition and
+   wake the rules its effect concerns. *)
+let start t =
+  require_txn t;
+  let pending = t.txn.pending in
+  t.stats.transitions <- t.stats.transitions + 1;
+  if t.tracing then
+    record t (Ev_external { effect_size = Effect.cardinality pending });
+  Log.debug (fun m ->
+      m "processing rules for external transition %a" Effect.pp pending);
+  let shared = Trans_info.init pending t.txn.trans_start in
+  let touched = Effect.tables pending in
+  t.txn.pending <- Effect.empty;
+  {
+    p_db = t.db;
+    p_woken = wake t pending (admit t ~touched shared) Str_map.empty;
+    p_shared = shared;
+    p_considered = Str_set.empty;
+    p_steps = 0;
+  }
+
+(* The triggered rules not yet considered in the current state. *)
+let candidates p =
+  Str_map.fold
+    (fun name (r, info) acc ->
+      if
+        r.Rule.active
+        && (not (Str_set.mem name p.p_considered))
+        && Trans_info.triggered info (Rule.trans_preds r)
+      then r :: acc
+      else acc)
+    p.p_woken []
+
+(* Consider [rule], one of [candidates p]: evaluate its condition and,
+   if it holds, run its action and apply Figure 1's modify-trans-info —
+   the acting rule's information restarts from its own transition,
+   every other woken rule's is extended, and rules the action's effect
+   wakes start from the composite. *)
+let step t p (rule : Rule.t) =
+  t.db <- p.p_db;
+  let name = rule.Rule.name in
+  let p = { p with p_considered = Str_set.add name p.p_considered } in
+  t.last_considered <-
+    Str_map.add name (Selection.tick t.clock) t.last_considered;
+  let info = snd (Str_map.find name p.p_woken) in
+  let resolve = Transition_tables.resolver info t.db in
+  t.stats.conditions_evaluated <- t.stats.conditions_evaluated + 1;
+  let m = metrics_for t name in
+  m.m_considered <- m.m_considered + 1;
+  let cond_holds =
+    match Rule.condition rule with
+    | None -> true
+    | Some cond ->
+      Fault.hit Fault.Rule_condition;
+      timed t
+        (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
+        (fun () -> condition_plan t rule cond (access_for t t.db) resolve)
+  in
+  record t (Ev_considered { rule = name; condition_held = cond_holds });
+  Log.debug (fun m -> m "considered %s: condition %b" name cond_holds);
+  if not cond_holds then Next p
+  else if Rule.is_rollback rule then begin
+    record t (Ev_rollback { rule = name });
+    Log.info (fun m -> m "rule %s requested rollback" name);
+    Rollback
+  end
+  else begin
+    let steps = p.p_steps + 1 in
+    if steps > t.config.max_steps then
+      (* [steps] is the true count of attempted action executions (the
+         limit check counts the action it is about to run); the abort
+         wrapper in [process_rules] restores the transaction-start
+         state *)
+      Errors.raise_error (Errors.Rule_limit_exceeded { rule = name; steps });
+    t.stats.rule_firings <- t.stats.rule_firings + 1;
+    t.stats.transitions <- t.stats.transitions + 1;
+    let old_db = t.db in
+    Fault.hit Fault.Rule_action;
+    (* the action's transition tables are based on the acting rule's
+       information and the evolving current state *)
+    let eff, _ =
+      timed t
+        (fun dt -> m.m_action_seconds <- m.m_action_seconds +. dt)
+        (fun () ->
+          run_cops t
+            ~resolver_of:(fun db -> Transition_tables.resolver info db)
+            (action_block t rule resolve))
+    in
+    t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
+    let size = Effect.cardinality eff in
+    m.m_fired <- m.m_fired + 1;
+    m.m_effect_tuples <- m.m_effect_tuples + size;
+    record t (Ev_fired { rule = name; effect_size = size });
+    Log.debug (fun m -> m "fired %s with effect %a" name Effect.pp eff);
+    let touched = Effect.tables eff in
+    let shared = Trans_info.extend p.p_shared eff old_db in
+    let woken =
+      Str_map.mapi
+        (fun n ((r, info) as entry) ->
+          match scoped t r ~touched Effect.restrict eff with
+          | Some e when String.equal n name -> (r, Trans_info.init e old_db)
+          | None when String.equal n name -> (r, Trans_info.empty)
+          | Some e -> (r, Trans_info.extend info e old_db)
+          | None -> entry)
+        p.p_woken
+    in
+    Next
+      {
+        p_db = t.db;
+        p_woken = wake t eff (admit t ~touched shared) woken;
+        p_shared = shared;
+        (* a new state: every triggered rule becomes considerable again *)
+        p_considered = Str_set.empty;
+        p_steps = steps;
+      }
+  end
+
+(* Figure 1: select an eligible rule by the configured strategy and
+   consider it, until no candidate remains (quiescence) or a rollback
+   action fires. *)
+let process_rules_exn t =
+  let last_considered name =
+    Option.value (Str_map.find_opt name t.last_considered) ~default:0
+  in
+  let rec loop p =
+    let examined = Str_map.cardinal p.p_woken in
     t.stats.candidates_considered <- t.stats.candidates_considered + examined;
     t.stats.rules_skipped <- t.stats.rules_skipped + (t.rule_count - examined);
-    let last_considered name =
-      Option.value (Str_map.find_opt name t.last_considered) ~default:0
-    in
     match
       Selection.choose t.config.strategy t.priorities ~last_considered
-        candidates
+        (candidates p)
     with
-    | None ->
-      (* quiescence: no triggered rule remains to consider *)
-      record t Ev_quiescent
-    | Some rule ->
-      considered := Str_set.add rule.Rule.name !considered;
-      t.last_considered <-
-        Str_map.add rule.Rule.name (Selection.tick t.clock) t.last_considered;
-      let info = info_of t rule.Rule.name in
-      let resolve = Transition_tables.resolver info t.db in
-      t.stats.conditions_evaluated <- t.stats.conditions_evaluated + 1;
-      let m = metrics_for t rule.Rule.name in
-      m.m_considered <- m.m_considered + 1;
-      let cond_holds =
-        match Rule.condition rule with
-        | None -> true
-        | Some cond ->
-          Fault.hit Fault.Rule_condition;
-          timed t
-            (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
-            (fun () ->
-              condition_plan t rule cond (access_for t t.db) resolve)
-      in
-      record t (Ev_considered { rule = rule.Rule.name; condition_held = cond_holds });
-      Log.debug (fun m ->
-          m "considered %s: condition %b" rule.Rule.name cond_holds);
-      if not cond_holds then loop ()
-      else if Rule.is_rollback rule then begin
-        record t (Ev_rollback { rule = rule.Rule.name });
-        Log.info (fun m -> m "rule %s requested rollback" rule.Rule.name);
+    | None -> record t Ev_quiescent
+    | Some rule -> (
+      match step t p rule with
+      | Next p -> loop p
+      | Rollback ->
         rollback_to_txn_start t;
-        raise Rolled_back_exc
-      end
-      else begin
-        incr steps;
-        if !steps > t.config.max_steps then
-          (* [!steps] is the true count of attempted action executions
-             (the limit check counts the action it is about to run);
-             the abort wrapper in [process_rules] restores the
-             transaction-start state *)
-          Errors.raise_error
-            (Errors.Rule_limit_exceeded { rule = rule.Rule.name; steps = !steps });
-        t.stats.rule_firings <- t.stats.rule_firings + 1;
-        t.stats.transitions <- t.stats.transitions + 1;
-        let old_db = t.db in
-        Fault.hit Fault.Rule_action;
-        (* the action's transition tables are based on the acting
-           rule's information and the evolving current state *)
-        let eff, _ =
-          timed t
-            (fun dt -> m.m_action_seconds <- m.m_action_seconds +. dt)
-            (fun () ->
-              run_cops t
-                ~resolver_of:(fun db -> Transition_tables.resolver info db)
-                (action_block t rule resolve))
-        in
-        t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
-        m.m_fired <- m.m_fired + 1;
-        m.m_effect_tuples <- m.m_effect_tuples + Effect.cardinality eff;
-        record t
-          (Ev_fired { rule = rule.Rule.name; effect_size = Effect.cardinality eff });
-        Log.debug (fun m ->
-            m "fired %s with effect %a" rule.Rule.name Effect.pp eff);
-        (* Figure 1: the acting rule's information restarts from its
-           own transition; every other rule's is extended.  With
-           pruning on, rules irrelevant to the touched tables keep
-           their information untouched. *)
-        let touched = Effect.tables eff in
-        let relevant_to r =
-          List.exists
-            (fun tbl -> Effect.Col_set.mem tbl touched)
-            (Rule.relevant_tables r)
-        in
-        let effect_for r =
-          if t.config.prune_info then Effect.restrict eff (Rule.relevant r)
-          else eff
-        in
-        if use_index then begin
-          (* extend the shared composite, then (1) extend every already
-             woken rule exactly as the linear scan would, (2) wake
-             rules whose keys this effect touches by restricting the
-             shared composite — the same information stepwise extension
-             from the external transition would have built, since
-             restriction commutes with init/extend — and (3) restart
-             the acting rule unconditionally: even a firing whose
-             effect misses the rule's own keys starts a new composite
-             transition for it, otherwise it would stay triggered
-             forever. *)
-          shared := Trans_info.extend !shared eff old_db;
-          t.txn.infos <-
-            Str_map.fold
-              (fun name info m ->
-                if String.equal name rule.Rule.name then m
-                else
-                  match find_rule t name with
-                  | None -> Str_map.add name info m
-                  | Some r ->
-                    if t.config.prune_info && not (relevant_to r) then
-                      Str_map.add name info m
-                    else
-                      Str_map.add name
-                        (Trans_info.extend info (effect_for r) old_db)
-                        m)
-              t.txn.infos Str_map.empty;
-          let woken = Rule_index.matching (live_index t) eff in
-          t.txn.infos <-
-            Rule_index.Str_set.fold
-              (fun name m ->
-                if Str_map.mem name m || String.equal name rule.Rule.name then m
-                else
-                  match find_rule t name with
-                  | None -> m
-                  | Some r ->
-                    let info =
-                      if t.config.prune_info then
-                        Trans_info.restrict !shared (Rule.relevant r)
-                      else !shared
-                    in
-                    Str_map.add name info m)
-              woken t.txn.infos;
-          t.txn.infos <-
-            Str_map.add rule.Rule.name
-              (Trans_info.init (effect_for rule) old_db)
-              t.txn.infos
-        end
-        else
-          t.txn.infos <-
-            List.fold_left
-              (fun m r ->
-                if String.equal r.Rule.name rule.Rule.name then
-                  Str_map.add r.Rule.name (Trans_info.init (effect_for r) old_db) m
-                else if t.config.prune_info && not (relevant_to r) then m
-                else
-                  Str_map.add r.Rule.name
-                    (Trans_info.extend (info_of t r.Rule.name) (effect_for r) old_db)
-                    m)
-              t.txn.infos all_rules;
-        (* new state: every triggered rule becomes considerable again *)
-        considered := Str_set.empty;
-        loop ()
-      end
+        raise Rolled_back_exc)
   in
-  loop ()
+  loop (start t)
 
 (* Section 5.3 rule triggering point: complete the current external
    transition, process rules, and (on success) begin a new transition
@@ -1097,7 +1055,6 @@ let commit t =
     | () ->
       t.txn.txn_start <- None;
       t.txn.txn_effect <- Effect.empty;
-      t.txn.infos <- Str_map.empty;
       Committed
     | exception e ->
       abort_txn t e;
@@ -1192,16 +1149,7 @@ let drop_table t name =
      dangling; reject if any exist *)
   List.iter
     (fun r ->
-      let mentions =
-        List.exists
-          (fun p ->
-            match p with
-            | Ast.Tp_inserted t' | Ast.Tp_deleted t'
-            | Ast.Tp_updated (t', _) | Ast.Tp_selected (t', _) ->
-              String.equal t' name)
-          (Rule.trans_preds r)
-      in
-      if mentions then
+      if Rule.relevant r name then
         Errors.semantic "cannot drop table %S: rule %S is triggered by it" name
           r.Rule.name)
     t.rules_rev;

@@ -38,12 +38,12 @@ type config = {
           predicates mention (the Section 4.3 optimization remark);
           semantically invisible. *)
   rule_index : bool;
-      (** Consult the {!Rule_index} discrimination index so each
-          transition initializes, extends and scans only rules
-          registered on the touched (table, op, column) keys — O(matching
-          rules) per transition.  [false] is the literal Figure 1 linear
-          scan over the whole catalog, retained as a differential
-          oracle; semantically invisible either way. *)
+      (** Wake only the rules the {!Rule_index} discrimination index
+          registers on a touched (table, op, column) key, so each
+          transition initializes, extends and scans O(matching rules).
+          [false] wakes the whole catalog: the literal Figure 1 linear
+          scan, retained as a differential oracle; semantically
+          invisible either way. *)
   compiled : bool;
       (** The evaluator, chosen once where each plan is built: every
           statement, prepared statement, rule condition and rule action
@@ -233,6 +233,38 @@ val process_rules : t -> outcome
     transaction-start state, an {!Ev_abort} event is recorded and the
     abort counted in {!stats} — before the error is re-raised. *)
 
+(** {3 Figure 1, one step at a time}
+
+    {!process_rules} is {!start}, then {!step} on the rule
+    {!Selection.choose} picks from {!candidates}, until none is left.
+    The state is persistent: an explorer of every selection order steps
+    one state once per choice. *)
+
+type processing = private {
+  p_db : Database.t;  (** the current state *)
+  p_woken : (Rule.t * Trans_info.t) Map.Make(String).t;
+      (** the woken rules and their transition information *)
+  p_shared : Trans_info.t;  (** the composite of the whole transition *)
+  p_considered : Set.Make(String).t;  (** considered in this state *)
+  p_steps : int;  (** actions executed *)
+}
+
+type step = Next of processing | Rollback
+
+val start : t -> processing
+(** [init-trans-info]: complete the external transition and wake the
+    rules its effect concerns. *)
+
+val candidates : processing -> Rule.t list
+(** The woken, active, triggered rules not yet considered in this
+    state. *)
+
+val step : t -> processing -> Rule.t -> step
+(** Consider one candidate: evaluate its condition and, if it holds,
+    run its action and apply [modify-trans-info].  On [Rollback] the
+    caller undoes the transaction.  Raises [Rule_limit_exceeded] past
+    [config.max_steps] actions. *)
+
 val commit : t -> outcome
 (** Process rules, then commit and close the transaction.  Shares the
     abort-on-error contract of {!process_rules}: an error anywhere
@@ -277,7 +309,6 @@ val stmt_cache_lookup : t -> Ast.op -> [ `Hit | `Stale | `Miss ]
     statement find in the cache right now? *)
 
 val stmt_cache_size : t -> int
-val stmt_cache_clear : t -> unit
 
 type prepared
 (** A prepared statement: parsed once, compiled lazily against the
@@ -393,10 +424,6 @@ val set_commit_hook : t -> (txn_log -> unit) option -> unit
     transition is in memory iff its log record was durably appended
     (modulo a crash between fsync and return, which recovery resolves
     in favour of the log). *)
-
-val ddl_generation : t -> int
-(** The catalog generation counter (bumped by every DDL statement);
-    recorded in checkpoints. *)
 
 (** Marshal-safe image of a quiescent engine: the database state plus
     the rule catalog as data ((definition, seq, active) triples and

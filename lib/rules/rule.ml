@@ -35,6 +35,9 @@ type t = {
       (* mutable so activation toggles update the catalog entry in
          place — the engine's by-name map, creation-order list and
          discrimination index all share the same value *)
+  tables : string list;
+      (* the tables of the basic transition predicates ([pred_tables]),
+         computed once at creation *)
   plans : plans;
 }
 
@@ -55,6 +58,22 @@ let validate_transition_references (def : Ast.rule_def) =
           (Errors.Invalid_transition_reference (Pretty.trans_table_str tt)))
     referenced
 
+(* The tables a rule's transition information can ever mention: the
+   tables of its basic transition predicates.  The Section 3 syntactic
+   restriction guarantees its transition-table references stay within
+   this set, so per-rule information may be pruned to it (the paper's
+   Section 4.3 optimization remark). *)
+let pred_tables (def : Ast.rule_def) =
+  List.fold_left
+    (fun acc pred ->
+      let t =
+        match pred with
+        | Ast.Tp_inserted t | Ast.Tp_deleted t
+        | Ast.Tp_updated (t, _) | Ast.Tp_selected (t, _) -> t
+      in
+      if List.exists (String.equal t) acc then acc else t :: acc)
+    [] def.Ast.trans_preds
+
 let create ~seq (def : Ast.rule_def) =
   if def.Ast.trans_preds = [] then
     Errors.semantic "rule %S has no transition predicate" def.Ast.rule_name;
@@ -64,28 +83,12 @@ let create ~seq (def : Ast.rule_def) =
     def;
     seq;
     active = true;
+    tables = pred_tables def;
     plans = { cond_plan = None; action_plan = None };
   }
 
 let trans_preds r = r.def.Ast.trans_preds
-
-(* The tables a rule's transition information can ever mention: the
-   tables of its basic transition predicates.  The Section 3 syntactic
-   restriction guarantees its transition-table references stay within
-   this set, so per-rule information may be pruned to it (the paper's
-   Section 4.3 optimization remark). *)
-let relevant_tables r =
-  List.fold_left
-    (fun acc pred ->
-      let t =
-        match pred with
-        | Ast.Tp_inserted t | Ast.Tp_deleted t
-        | Ast.Tp_updated (t, _) | Ast.Tp_selected (t, _) -> t
-      in
-      if List.exists (String.equal t) acc then acc else t :: acc)
-    [] r.def.Ast.trans_preds
-
-let relevant r table = List.exists (String.equal table) (relevant_tables r)
+let relevant r table = List.exists (String.equal table) r.tables
 let condition r = r.def.Ast.condition
 let action r = r.def.Ast.action
 let is_rollback r = match r.def.Ast.action with Ast.Act_rollback -> true | _ -> false

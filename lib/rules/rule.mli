@@ -29,13 +29,13 @@ type t = {
   mutable active : bool;
       (** mutable so activation toggles update the shared catalog entry
           in place *)
+  tables : string list;
+      (** The tables of the basic transition predicates, computed once
+          by {!create} — the only tables the rule's transition
+          information can ever mention (Section 3's restriction),
+          enabling the Section 4.3 pruning optimization. *)
   plans : plans;
 }
-
-val validate_transition_references : Ast.rule_def -> unit
-(** Raises [Invalid_transition_reference] if the condition or action
-    references a transition table not licensed by the rule's transition
-    predicates. *)
 
 val create : seq:int -> Ast.rule_def -> t
 (** Validates the definition; raises on an empty transition-predicate
@@ -43,12 +43,9 @@ val create : seq:int -> Ast.rule_def -> t
 
 val trans_preds : t -> Ast.basic_trans_pred list
 
-val relevant_tables : t -> string list
-(** The tables of the rule's basic transition predicates — the only
-    tables its transition information can ever mention (Section 3's
-    restriction), enabling the Section 4.3 pruning optimization. *)
-
 val relevant : t -> string -> bool
+(** [relevant r table]: [table] is one of [r.tables]. *)
+
 val condition : t -> Ast.expr option
 val action : t -> Ast.action
 val is_rollback : t -> bool

@@ -28,43 +28,41 @@ let tick clock =
   clock.now <- clock.now + 1;
   clock.now
 
+(* The candidates no other candidate is strictly higher than in the
+   declared partial order: the rules Section 4.4 allows to be selected
+   next. *)
+let eligible priorities candidates =
+  List.filter
+    (fun (r : Rule.t) ->
+      not
+        (List.exists
+           (fun (r' : Rule.t) ->
+             Priority.higher priorities r'.Rule.name r.Rule.name)
+           candidates))
+    candidates
+
 (* Pick from [candidates] (rules triggered and not yet considered in
    the current state).  [last_considered name] returns the clock time
    the rule was last considered, or 0 if never. *)
 let choose strategy priorities ~last_considered candidates =
-  match candidates with
-  | [] -> None
-  | _ ->
-    let undominated =
-      List.filter
-        (fun (r : Rule.t) ->
-          not
-            (List.exists
-               (fun (r' : Rule.t) ->
-                 Priority.higher priorities r'.Rule.name r.Rule.name)
-               candidates))
-        candidates
-    in
+  let better (a : Rule.t) (b : Rule.t) =
+    match strategy with
+    | Creation_order -> a.Rule.seq < b.Rule.seq
+    | Least_recently_considered ->
+      let ta = last_considered a.Rule.name
+      and tb = last_considered b.Rule.name in
+      ta < tb || (ta = tb && a.Rule.seq < b.Rule.seq)
+    | Most_recently_considered ->
+      let ta = last_considered a.Rule.name
+      and tb = last_considered b.Rule.name in
+      ta > tb || (ta = tb && a.Rule.seq < b.Rule.seq)
+  in
+  match eligible priorities candidates with
+  | first :: rest ->
+    Some
+      (List.fold_left (fun cur r -> if better r cur then r else cur) first rest)
+  | [] ->
     (* The partial order is acyclic, so a non-empty candidate set has a
        maximal element. *)
-    assert (undominated <> []);
-    let better (a : Rule.t) (b : Rule.t) =
-      match strategy with
-      | Creation_order -> a.Rule.seq < b.Rule.seq
-      | Least_recently_considered ->
-        let ta = last_considered a.Rule.name
-        and tb = last_considered b.Rule.name in
-        ta < tb || (ta = tb && a.Rule.seq < b.Rule.seq)
-      | Most_recently_considered ->
-        let ta = last_considered a.Rule.name
-        and tb = last_considered b.Rule.name in
-        ta > tb || (ta = tb && a.Rule.seq < b.Rule.seq)
-    in
-    let best =
-      List.fold_left
-        (fun acc r -> match acc with
-          | None -> Some r
-          | Some cur -> if better r cur then Some r else acc)
-        None undominated
-    in
-    best
+    assert (List.is_empty candidates);
+    None

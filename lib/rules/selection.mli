@@ -18,6 +18,11 @@ type clock
 val make_clock : unit -> clock
 val tick : clock -> int
 
+val eligible : Priority.t -> Rule.t list -> Rule.t list
+(** The candidates not dominated by another candidate in the partial
+    order: the rules that may be selected next.  Non-empty for a
+    non-empty candidate list, since the order is acyclic. *)
+
 val choose :
   strategy ->
   Priority.t ->
@@ -25,6 +30,6 @@ val choose :
   Rule.t list ->
   Rule.t option
 (** Pick from the candidates (rules triggered and not yet considered in
-    the current state): first filter to rules not dominated by another
-    candidate in the partial order, then break ties by strategy and
-    creation sequence.  [None] iff the candidate list is empty. *)
+    the current state): one of their {!eligible} rules, chosen by
+    strategy with ties broken by creation sequence.  [None] iff the
+    candidate list is empty. *)

@@ -114,9 +114,10 @@ let extend ti (e : Effect.t) old_db =
 (* Restriction to the tables satisfying [keep].  Every component keys
    on handles, and a handle belongs to exactly one table, so
    restriction commutes with [init]/[extend]: restricting a composite
-   equals composing restricted effects.  The engine's discrimination
-   path uses this to give a rule that wakes mid-processing the same
-   pruned information the linear scan would have accumulated for it. *)
+   equals composing restricted effects (property-tested).  The engine
+   gives every rule it wakes the restriction of the transition's
+   composite information to the rule's tables, which is the pruned
+   information stepwise extension would have built for it. *)
 let restrict ti keep =
   let keep_h h = keep (Handle.table h) in
   {
@@ -126,9 +127,8 @@ let restrict ti keep =
     sel = Handle.Map.filter (fun h _ -> keep_h h) ti.sel;
   }
 
-(* The effect triple this information represents; used for triggering
-   tests and by property tests relating [extend] to effect
-   composition. *)
+(* The effect triple this information represents; used for printing
+   and by property tests relating [extend] to effect composition. *)
 let to_effect ti =
   {
     Effect.ins = ti.ins;
@@ -137,6 +137,15 @@ let to_effect ti =
     sel = ti.sel;
   }
 
-let triggered ti preds = Effect.satisfies_any (to_effect ti) preds
+(* The triggering test on the components in place: no effect triple
+   is built. *)
+let triggered ti preds =
+  let ins p = Handle.Set.exists p ti.ins
+  and del p = Handle.Map.exists (fun h _ -> p h) ti.del
+  and upd p = Handle.Map.exists (fun h e -> p h e.upd_cols) ti.upd
+  and sel p = Handle.Map.exists p ti.sel in
+  List.exists
+    (fun pred -> Effect.satisfies_pred_with pred ~ins ~del ~upd ~sel)
+    preds
 
 let pp ppf ti = Effect.pp ppf (to_effect ti)

@@ -42,12 +42,15 @@ val restrict : t -> (string -> bool) -> t
 (** [restrict ti keep] drops every component entry whose handle's table
     fails [keep] (the {!Effect.restrict} counterpart).  Commutes with
     {!init}/{!extend}: restricting a composite equals composing
-    restricted effects. *)
+    restricted effects (property-tested).  The engine relies on this
+    for every rule it wakes. *)
 
 val to_effect : t -> Effect.t
 (** The effect triple this information represents; [extend] commutes
     with {!Effect.compose} through this projection (property-tested). *)
 
 val triggered : t -> Sqlf.Ast.basic_trans_pred list -> bool
+(** [Effect.satisfies_any (to_effect ti) preds], tested on the
+    components in place. *)
 
 val pp : Format.formatter -> t -> unit

@@ -276,7 +276,7 @@ let rule_closure_claims rules ~touched ~claims =
           r.Rule.active
           && List.exists
                (fun tb -> Effect.Col_set.mem tb !touched)
-               (Rule.relevant_tables r)
+               r.Rule.tables
         then begin
           let c0 = !claims and t0 = !touched in
           (match Rule.condition r with

@@ -30,6 +30,7 @@ let () =
       ("compile-diff", Test_compile_diff.suite);
       ("prepared", Test_prepared.suite);
       ("rule-index", Test_rule_index.suite);
+      ("selection-orders", Test_selection_orders.suite);
     ("fault-injection", Test_fault_injection.suite);
       ("recovery", Test_recovery.suite);
       ("config-matrix", Test_config_matrix.suite);

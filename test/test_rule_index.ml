@@ -275,6 +275,53 @@ let test_deactivate_reactivate_index () =
   Alcotest.(check int) "reactivated: registered again" 1
     (int_cell s "select count(*) from log")
 
+(* Rule DDL between two triggering points of one transaction: each
+   [process rules] wakes rules from the catalog as it stands then, so
+   the second one neither fires the dropped rule nor the deactivated
+   one — with the index on and off alike. *)
+let test_rule_ddl_between_triggering_points () =
+  let observe config =
+    let s =
+      system ?config
+        "create table t (x int);\ncreate table log (r string, n int)"
+    in
+    List.iter
+      (fun r ->
+        run s
+          (Printf.sprintf
+             "create rule %s when inserted into t then insert into log values \
+              ('%s', (select count(*) from inserted t))"
+             r r))
+      [ "r1"; "r2"; "r3" ];
+    let eng = System.engine s in
+    Engine.set_tracing eng true;
+    run s "begin";
+    run s "insert into t values (1)";
+    run s "process rules";
+    run s "drop rule r1";
+    run s "deactivate rule r2";
+    run s "insert into t values (2), (3)";
+    run s "commit";
+    ( rows s "select r, n from log order by r, n",
+      Engine.trace eng,
+      (Engine.stats eng).Engine.rule_firings )
+  in
+  let log, trace, firings = observe None in
+  let log', trace', firings' = observe (Some oracle_config) in
+  Alcotest.(check rows_testable)
+    "r3 alone fires at the second point"
+    [
+      [| vs "r1"; vi 1 |];
+      [| vs "r2"; vi 1 |];
+      [| vs "r3"; vi 1 |];
+      [| vs "r3"; vi 2 |];
+    ]
+    log;
+  Alcotest.(check rows_testable) "oracle log" log log';
+  Alcotest.(check bool) "oracle trace" true (trace = trace');
+  Alcotest.(check int) "oracle firings" firings firings';
+  Alcotest.(check int) "four firings" 4 firings
+
 (* ------------------------------------------------------------------ *)
 (* Observability counters                                              *)
 
@@ -438,6 +485,8 @@ let suite =
       test_netting_matches_oracle;
     Alcotest.test_case "acting rule state resets" `Quick
       test_acting_rule_resets;
+    Alcotest.test_case "rule DDL between triggering points" `Quick
+      test_rule_ddl_between_triggering_points;
     Alcotest.test_case "cascade wake-up matches oracle" `Quick
       test_cascade_wakeup_matches_oracle;
     Alcotest.test_case "ddl generation rebuild" `Quick

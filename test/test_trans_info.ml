@@ -101,61 +101,139 @@ let test_extend_insert_then_update () =
     (Trans_info.triggered ti [ Ast.Tp_inserted "t" ]
     && not (Trans_info.triggered ti [ Ast.Tp_updated ("t", None) ]))
 
+(* A random valid history over two tables [t] and [u] that start with
+   two rows each: each step is one single-operation effect (insert,
+   delete, update of one column, or a select of one column) paired with
+   the state it ran from.  Rows that predate the history are what
+   deletes, updates and selects of the composite can report. *)
+let gen_history st =
+  let db =
+    Database.create_table (db_with_t ())
+      (Schema.table "u"
+         [ Schema.column "a" Schema.T_int; Schema.column "b" Schema.T_string ])
+  in
+  let db0, live0 =
+    List.fold_left
+      (fun (db, live) table ->
+        let db, h = Database.insert db table [| vi 0; vs "v" |] in
+        (db, h :: live))
+      (db, []) [ "t"; "t"; "u"; "u" ]
+  in
+  let open QCheck.Gen in
+  let pick live = List.nth live (int_bound (List.length live - 1) st) in
+  let rec go db live steps acc =
+    if steps = 0 then List.rev acc
+    else
+      let choice = int_bound 3 st in
+      let col = if bool st then "a" else "b" in
+      if choice = 0 || live = [] then begin
+        let table = if bool st then "t" else "u" in
+        let db', h =
+          Database.insert db table [| vi (int_bound 100 st); vs "v" |]
+        in
+        go db' (h :: live) (steps - 1) ((db, Effect.of_inserted [ h ]) :: acc)
+      end
+      else if choice = 1 then begin
+        let h = pick live in
+        let live' = List.filter (fun h' -> not (Handle.equal h h')) live in
+        go (Database.delete db h) live' (steps - 1)
+          ((db, Effect.of_deleted [ h ]) :: acc)
+      end
+      else if choice = 2 then begin
+        let h = pick live in
+        let row = Database.get_row db h in
+        let row' =
+          if col = "a" then [| vi (int_bound 100 st); row.(1) |]
+          else [| row.(0); vs "w" |]
+        in
+        let db' = Database.update db h row' in
+        go db' live (steps - 1)
+          ((db, Effect.of_updated [ (h, [ col ]) ]) :: acc)
+      end
+      else
+        go db live (steps - 1)
+          ((db, Effect.of_selected [ ([ col ], [ pick live ]) ]) :: acc)
+  in
+  go db0 live0 (int_range 1 15 st) []
+
+let arb_history =
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "<%d transitions>" (List.length l))
+    gen_history
+
+(* Figure 1's information for a history: init on the first effect,
+   extend with the rest. *)
+let fold_info = function
+  | [] -> Trans_info.empty
+  | (db0, e0) :: rest ->
+    List.fold_left
+      (fun ti (db_before, e) -> Trans_info.extend ti e db_before)
+      (Trans_info.init e0 db0) rest
+
 (* property: over random valid histories, the effect represented by
    fold-extended trans-info equals the fold-composed effect. *)
 let prop_extend_agrees_with_compose =
-  let gen st =
-    (* build a real database history for table t *)
-    let db0 = db_with_t () in
-    let open QCheck.Gen in
-    let n = int_range 1 15 st in
-    let rec go db live steps acc =
-      if steps = 0 then List.rev acc
-      else
-        let choice = int_bound 2 st in
-        if choice = 0 || live = [] then begin
-          let db', h = Database.insert db "t" [| vi (int_bound 100 st); vs "v" |] in
-          go db' (h :: live) (steps - 1) ((db, Effect.of_inserted [ h ]) :: acc)
-        end
-        else if choice = 1 then begin
-          let i = int_bound (List.length live - 1) st in
-          let h = List.nth live i in
-          let live' = List.filteri (fun j _ -> j <> i) live in
-          let db' = Database.delete db h in
-          go db' live' (steps - 1) ((db, Effect.of_deleted [ h ]) :: acc)
-        end
-        else begin
-          let i = int_bound (List.length live - 1) st in
-          let h = List.nth live i in
-          let col = if bool st then "a" else "b" in
-          let row = Database.get_row db h in
-          let row' =
-            if col = "a" then [| vi (int_bound 100 st); row.(1) |]
-            else [| row.(0); vs "w" |]
-          in
-          let db' = Database.update db h row' in
-          go db' live (steps - 1) ((db, Effect.of_updated [ (h, [ col ]) ]) :: acc)
-        end
-    in
-    go db0 [] n []
-  in
-  let arb = QCheck.make ~print:(fun l -> Printf.sprintf "<%d transitions>" (List.length l)) gen in
   QCheck.Test.make ~name:"trans-info effect = composed effect over histories"
-    ~count:200 arb (fun history ->
-      match history with
-      | [] -> true
-      | (db0, e0) :: rest ->
-        let ti =
-          List.fold_left
-            (fun ti (db_before, e) -> Trans_info.extend ti e db_before)
-            (Trans_info.init e0 db0) rest
-        in
-        let composed =
-          List.fold_left
-            (fun acc (_, e) -> Effect.compose acc e)
-            e0 rest
-        in
-        Effect.equal (Trans_info.to_effect ti) composed)
+    ~count:200 arb_history (fun history ->
+      let composed =
+        List.fold_left
+          (fun acc (_, e) -> Effect.compose acc e)
+          Effect.empty history
+      in
+      Effect.equal (Trans_info.to_effect (fold_info history)) composed)
+
+(* property: the in-place triggering test agrees with testing the
+   effect the information represents, for every basic predicate over
+   both tables. *)
+let prop_triggered_in_place =
+  let preds =
+    List.concat_map
+      (fun t ->
+        [ Ast.Tp_inserted t; Ast.Tp_deleted t ]
+        @ List.concat_map
+            (fun c -> [ Ast.Tp_updated (t, c); Ast.Tp_selected (t, c) ])
+            [ None; Some "a"; Some "b" ])
+      [ "t"; "u" ]
+  in
+  QCheck.Test.make ~name:"triggered in place = satisfies_pred of to_effect"
+    ~count:200 arb_history (fun history ->
+      let ti = fold_info history in
+      List.for_all
+        (fun p ->
+          Trans_info.triggered ti [ p ]
+          = Effect.satisfies_pred (Trans_info.to_effect ti) p)
+        preds)
+
+(* Every component, old rows included. *)
+let info_equal (a : Trans_info.t) (b : Trans_info.t) =
+  let cols = Effect.Col_set.equal in
+  Handle.Set.equal a.ins b.ins
+  && Handle.Map.equal Row.equal a.del b.del
+  && Handle.Map.equal
+       (fun x y ->
+         cols x.Trans_info.upd_cols y.Trans_info.upd_cols
+         && Row.equal x.old_row y.old_row)
+       a.upd b.upd
+  && Handle.Map.equal cols a.sel b.sel
+
+(* property: restriction commutes with init and extend — restricting
+   the fold-extended information equals folding the restricted
+   effects.  The engine gives every woken rule the restriction of the
+   transition's composite, so this is what makes that the information
+   stepwise extension would have built for the rule. *)
+let prop_restrict_commutes =
+  let keeps = [| String.equal "t"; String.equal "u"; (fun _ -> false) |] in
+  QCheck.Test.make ~name:"restrict (fold extend) = fold extend (restrict)"
+    ~count:200
+    (QCheck.pair arb_history (QCheck.int_bound (Array.length keeps - 1)))
+    (fun (history, k) ->
+      let keep = keeps.(k) in
+      let restricted =
+        List.map (fun (db, e) -> (db, Effect.restrict e keep)) history
+      in
+      info_equal
+        (Trans_info.restrict (fold_info history) keep)
+        (fold_info restricted))
 
 let suite =
   [
@@ -173,4 +251,6 @@ let suite =
     Alcotest.test_case "extend: insert;update stays insert" `Quick
       test_extend_insert_then_update;
     qtest prop_extend_agrees_with_compose;
+    qtest prop_restrict_commutes;
+    qtest prop_triggered_in_place;
   ]
