@@ -24,7 +24,6 @@ module Parser = Sqlf.Parser
 module Pretty = Sqlf.Pretty
 module Eval = Sqlf.Eval
 module Effect = Rules.Effect
-module Trans_info = Rules.Trans_info
 module Engine = Rules.Engine
 module Instance_engine = Rules.Instance_engine
 module Analysis = Rules.Analysis

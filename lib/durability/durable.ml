@@ -80,8 +80,10 @@ let require_open t =
 (* Building the physical record of a committed transaction.            *)
 
 (* The engine hands over its composite effect (I, D, U per Definition
-   2.1) plus the before/after states; each component is grounded
-   against those states, making the record correct by construction:
+   2.1) plus the before/after states; only the effect's handles are
+   read (the old rows it carries for transition tables are not logged),
+   and each component is grounded against those states, making the
+   record correct by construction:
    - inserts: I-handles present in [after] (an I-handle absent from
      [after] was consumed inside the transaction; composition already
      removes those, this is belt and braces);
@@ -93,8 +95,8 @@ let require_open t =
 let dml_of_log (txl : Engine.txn_log) =
   let eff = txl.Engine.txl_effect in
   let deletes =
-    Handle.Set.fold
-      (fun h acc ->
+    Handle.Map.fold
+      (fun h _ acc ->
         if Database.find_row txl.Engine.txl_before h <> None then
           Wal.L_delete { table = Handle.table h; id = Handle.id h } :: acc
         else acc)
@@ -102,7 +104,7 @@ let dml_of_log (txl : Engine.txn_log) =
   in
   let updates =
     Handle.Map.fold
-      (fun h _cols acc ->
+      (fun h _ acc ->
         if Handle.Set.mem h eff.Effect.ins then acc
         else
           match Database.find_row txl.Engine.txl_after h with

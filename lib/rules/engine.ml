@@ -6,10 +6,14 @@
    one loop over a persistent [processing] state: [start] wakes the
    rules the external transition concerns (init-trans-info), and each
    [step] considers one of the [candidates] and, if its action runs,
-   restarts the acting rule's transition information while extending
-   every other woken rule's (modify-trans-info).  The discrimination
-   index and the linear-scan oracle differ only in which rules they
-   wake.  A rollback action restores the transaction's start state.
+   restarts the acting rule's transition information while composing
+   every other woken rule's with the action's effect
+   (modify-trans-info).  A rule's transition information is an
+   [Effect.t]: effects carry the old rows data manipulation returns,
+   so no earlier database state is kept for get-old-value.  The
+   discrimination index and the linear-scan oracle differ only in
+   which rules they wake.  A rollback action restores the
+   transaction's start state.
 
    Section 5.3's rule triggering points are supported: a transaction
    may interleave several externally-generated operation sequences with
@@ -137,8 +141,9 @@ type txn_log = {
    starts with a fresh copy while sharing the catalog. *)
 type txn_state = {
   mutable txn_start : Database.t option; (* Some while a transaction is open *)
-  mutable trans_start : Database.t; (* state at current external transition start *)
-  mutable pending : Effect.t; (* composite effect of the unprocessed external transition *)
+  mutable pending : Effect.t;
+      (* composite effect of the unprocessed external transition, with
+         the old rows its rules' transition tables read *)
   mutable txn_effect : Effect.t;
       (* composite effect of the whole transaction so far — external
          blocks and rule firings alike — maintained incrementally so
@@ -149,10 +154,9 @@ type txn_state = {
          as a fault-free run under every strategy *)
 }
 
-let fresh_txn db =
+let fresh_txn () =
   {
     txn_start = None;
-    trans_start = db;
     pending = Effect.empty;
     txn_effect = Effect.empty;
     considered0 = Str_map.empty;
@@ -239,7 +243,7 @@ let create ?(config = default_config) db =
     rule_count = 0;
     rule_index = Rule_index.create ~generation:0 ();
     priorities = Priority.empty;
-    txn = fresh_txn db;
+    txn = fresh_txn ();
     commit_hook = None;
     seq = 0;
     clock = Selection.make_clock ();
@@ -278,7 +282,7 @@ let fork t =
     rule_count = t.rule_count;
     rule_index = t.rule_index;
     priorities = t.priorities;
-    txn = fresh_txn t.db;
+    txn = fresh_txn ();
     commit_hook = None;
     seq = t.seq;
     clock = t.clock;
@@ -298,7 +302,6 @@ let fork t =
 
 let database t = t.db
 let config t = t.config
-let transition_start t = t.txn.trans_start
 let stats t = t.stats
 let set_commit_hook t hook = t.commit_hook <- hook
 
@@ -699,7 +702,6 @@ let begin_txn t =
   if in_transaction t then
     Errors.raise_error (Errors.Transaction_error "transaction already open");
   t.txn.txn_start <- Some t.db;
-  t.txn.trans_start <- t.db;
   t.txn.pending <- Effect.empty;
   t.txn.txn_effect <- Effect.empty;
   t.txn.considered0 <- t.last_considered;
@@ -775,12 +777,12 @@ let submit_ops t ops = submit_cops t (List.map (plan_op t) ops)
    it. *)
 type processing = {
   p_db : Database.t; (* the current state *)
-  p_woken : (Rule.t * Trans_info.t) Str_map.t;
+  p_woken : (Rule.t * Effect.t) Str_map.t;
       (* every rule woken so far, with its transition information; a
          rule never woken has empty information and cannot be
          triggered *)
-  p_shared : Trans_info.t;
-      (* the composite information of the whole transition since the
+  p_shared : Effect.t;
+      (* the composite effect of the whole transition since the
          external one began: a rule woken later starts from it *)
   p_considered : Str_set.t; (* considered in the current state *)
   p_steps : int; (* actions executed *)
@@ -791,15 +793,11 @@ type step = Next of processing | Rollback
 exception Rolled_back_exc
 
 (* Restore the exact transaction-start state and close the transaction:
-   database, pending effect, the current-transition snapshot (a stale
-   [trans_start] would let a later inspection observe a discarded
-   state), and the selection bookkeeping a retry must not see. *)
+   database, pending effect (and with it the old rows a later
+   transition's rules would read), and the selection bookkeeping a
+   retry must not see. *)
 let restore_txn_start t =
-  (match t.txn.txn_start with
-  | Some db0 ->
-    t.db <- db0;
-    t.txn.trans_start <- db0
-  | None -> assert false);
+  (match t.txn.txn_start with Some db0 -> t.db <- db0 | None -> assert false);
   t.txn.txn_start <- None;
   t.txn.pending <- Effect.empty;
   t.txn.txn_effect <- Effect.empty;
@@ -848,32 +846,32 @@ let wake t e f acc =
       acc
   else List.fold_left (fun acc r -> f r acc) acc t.rules_rev
 
-(* The one reading of [config.prune_info]: [x] restricted to the tables
+(* The one reading of [config.prune_info]: [e] restricted to the tables
    whose information rule [r] keeps — its own (the Section 4.3
-   pruning) or every table.  [touched] holds [x]'s tables; [None] means
+   pruning) or every table.  [touched] holds [e]'s tables; [None] means
    none of the rule's tables is touched, found without a pass over
-   [x]. *)
-let scoped t (r : Rule.t) ~touched restrict x =
-  if not t.config.prune_info then Some x
+   [e]. *)
+let scoped t (r : Rule.t) ~touched e =
+  if not t.config.prune_info then Some e
   else if List.exists (fun tbl -> Effect.Col_set.mem tbl touched) r.Rule.tables
-  then Some (restrict x (Rule.relevant r))
+  then Some (Effect.restrict e (Rule.relevant r))
   else None
 
 (* Wake [r] unless it is awake already: it starts from the composite
    [shared], restricted to its scope — the information stepwise
-   extension from the external transition would have built for it,
-   since restriction commutes with init and extend. *)
+   composition from the external transition would have built for it,
+   since restriction commutes with composition. *)
 let admit t ~touched shared (r : Rule.t) woken =
   if Str_map.mem r.Rule.name woken then woken
   else
     let info =
-      Option.value ~default:Trans_info.empty
-        (scoped t r ~touched Trans_info.restrict shared)
+      Option.value ~default:Effect.empty (scoped t r ~touched shared)
     in
     Str_map.add r.Rule.name (r, info) woken
 
 (* Figure 1's init-trans-info: complete the external transition and
-   wake the rules its effect concerns. *)
+   wake the rules its effect concerns.  The pending effect already
+   carries the old rows, so it is the transition information. *)
 let start t =
   require_txn t;
   let pending = t.txn.pending in
@@ -882,13 +880,12 @@ let start t =
     record t (Ev_external { effect_size = Effect.cardinality pending });
   Log.debug (fun m ->
       m "processing rules for external transition %a" Effect.pp pending);
-  let shared = Trans_info.init pending t.txn.trans_start in
   let touched = Effect.tables pending in
   t.txn.pending <- Effect.empty;
   {
     p_db = t.db;
-    p_woken = wake t pending (admit t ~touched shared) Str_map.empty;
-    p_shared = shared;
+    p_woken = wake t pending (admit t ~touched pending) Str_map.empty;
+    p_shared = pending;
     p_considered = Str_set.empty;
     p_steps = 0;
   }
@@ -900,7 +897,7 @@ let candidates p =
       if
         r.Rule.active
         && (not (Str_set.mem name p.p_considered))
-        && Trans_info.triggered info (Rule.trans_preds r)
+        && Effect.satisfies_any info (Rule.trans_preds r)
       then r :: acc
       else acc)
     p.p_woken []
@@ -908,8 +905,8 @@ let candidates p =
 (* Consider [rule], one of [candidates p]: evaluate its condition and,
    if it holds, run its action and apply Figure 1's modify-trans-info —
    the acting rule's information restarts from its own transition,
-   every other woken rule's is extended, and rules the action's effect
-   wakes start from the composite. *)
+   every other woken rule's is composed with it, and rules the
+   action's effect wakes start from the composite. *)
 let step t p (rule : Rule.t) =
   t.db <- p.p_db;
   let name = rule.Rule.name in
@@ -948,7 +945,6 @@ let step t p (rule : Rule.t) =
       Errors.raise_error (Errors.Rule_limit_exceeded { rule = name; steps });
     t.stats.rule_firings <- t.stats.rule_firings + 1;
     t.stats.transitions <- t.stats.transitions + 1;
-    let old_db = t.db in
     Fault.hit Fault.Rule_action;
     (* the action's transition tables are based on the acting rule's
        information and the evolving current state *)
@@ -967,14 +963,14 @@ let step t p (rule : Rule.t) =
     record t (Ev_fired { rule = name; effect_size = size });
     Log.debug (fun m -> m "fired %s with effect %a" name Effect.pp eff);
     let touched = Effect.tables eff in
-    let shared = Trans_info.extend p.p_shared eff old_db in
+    let shared = Effect.compose p.p_shared eff in
     let woken =
       Str_map.mapi
         (fun n ((r, info) as entry) ->
-          match scoped t r ~touched Effect.restrict eff with
-          | Some e when String.equal n name -> (r, Trans_info.init e old_db)
-          | None when String.equal n name -> (r, Trans_info.empty)
-          | Some e -> (r, Trans_info.extend info e old_db)
+          match scoped t r ~touched eff with
+          | Some e when String.equal n name -> (r, e)
+          | None when String.equal n name -> (r, Effect.empty)
+          | Some e -> (r, Effect.compose info e)
           | None -> entry)
         p.p_woken
     in
@@ -1019,14 +1015,12 @@ let process_rules_exn t =
    within the same transaction.  Any error raised during rule
    processing — a failing condition or action, a divergent rule set
    hitting the step limit, an unknown procedure — aborts the whole
-   transaction: the database, pending effect, transition information
-   and transition-start snapshot are restored to the transaction-start
-   state before the error is re-raised. *)
+   transaction: the database, pending effect and transition
+   information are restored to the transaction-start state before the
+   error is re-raised. *)
 let process_rules t =
   match process_rules_exn t with
-  | () ->
-    t.txn.trans_start <- t.db;
-    Committed
+  | () -> Committed
   | exception Rolled_back_exc -> Rolled_back
   | exception e ->
     if in_transaction t then abort_txn t e;
@@ -1127,7 +1121,7 @@ let explain_rule t name =
       Ast.fold_expr ~expr:outermost ~select:(fun acc s -> s :: acc) acc e
     in
     let access = explain_access t t.db in
-    let resolve = Transition_tables.resolver Trans_info.empty t.db in
+    let resolve = Transition_tables.resolver Effect.empty t.db in
     List.map
       (fun s -> (Sqlf.Pretty.select_str s, Eval.plan_select ~access resolve s))
       (List.rev (outermost [] cond))
@@ -1234,5 +1228,4 @@ let restore_database t db =
   if in_transaction t then
     Errors.raise_error
       (Errors.Transaction_error "cannot restore inside a transaction");
-  t.db <- db;
-  t.txn.trans_start <- db
+  t.db <- db

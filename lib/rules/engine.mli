@@ -7,7 +7,9 @@
     executes its action; the acting rule's transition information
     restarts from its own transition while every other rule's is
     composed with the new effect ([init-trans-info] /
-    [modify-trans-info]).  A [rollback] action restores the
+    [modify-trans-info]).  Transition information is an {!Effect.t},
+    whose deleted and updated entries carry the old rows the
+    transition tables read.  A [rollback] action restores the
     transaction's start state.
 
     Section 5.3 rule triggering points are supported: a transaction may
@@ -147,11 +149,6 @@ val fork : t -> t
     snapshots only.  Raises [Transaction_error] inside a
     transaction. *)
 
-val transition_start : t -> Database.t
-(** The state at the start of the current external transition (equal to
-    the current database outside a transaction and after an abort or
-    rollback — never a discarded snapshot).  Exposed for tooling and
-    the exception-safety tests. *)
 
 val stats : t -> stats
 val in_transaction : t -> bool
@@ -242,9 +239,9 @@ val process_rules : t -> outcome
 
 type processing = private {
   p_db : Database.t;  (** the current state *)
-  p_woken : (Rule.t * Trans_info.t) Map.Make(String).t;
+  p_woken : (Rule.t * Effect.t) Map.Make(String).t;
       (** the woken rules and their transition information *)
-  p_shared : Trans_info.t;  (** the composite of the whole transition *)
+  p_shared : Effect.t;  (** the composite of the whole transition *)
   p_considered : Set.Make(String).t;  (** considered in this state *)
   p_steps : int;  (** actions executed *)
 }

@@ -93,16 +93,12 @@ let instances_of_affected = function
     List.map (fun (h, cols, old) -> I_updated (h, cols, old)) triples
   | Dml.A_select _ -> []
 
-let instance_info = function
-  | I_inserted h -> Trans_info.{ empty with ins = Handle.Set.singleton h }
-  | I_deleted (h, row) ->
-    Trans_info.{ empty with del = Handle.Map.singleton h row }
-  | I_updated (h, cols, old_row) ->
-    let upd_cols =
-      List.fold_left (fun s c -> Effect.Col_set.add c s) Effect.Col_set.empty cols
-    in
-    Trans_info.
-      { empty with upd = Handle.Map.singleton h { upd_cols; old_row } }
+let instance_info inst =
+  Effect.of_affected
+    (match inst with
+    | I_inserted h -> Dml.A_insert [ h ]
+    | I_deleted (h, row) -> Dml.A_delete [ (h, row) ]
+    | I_updated (h, cols, old) -> Dml.A_update [ (h, cols, old) ])
 
 (* An instance may have been overtaken by later changes (row deleted by
    a cascading trigger before its own firing); skip firings whose
@@ -118,7 +114,7 @@ let rec fire_for_instance t inst =
       (fun rule ->
         if
           rule.Rule.active
-          && Trans_info.triggered info (Rule.trans_preds rule)
+          && Effect.satisfies_any info (Rule.trans_preds rule)
           && not (instance_stale t.db inst)
         then begin
           let resolve = Transition_tables.resolver info t.db in
@@ -165,7 +161,7 @@ let execute_block t (ops : Ast.op list) =
   t.txn_start <- Some t.db;
   t.steps <- 0;
   match
-    List.iter (exec_op_cascading t Trans_info.empty) ops
+    List.iter (exec_op_cascading t Effect.empty) ops
   with
   | () ->
     t.txn_start <- None;

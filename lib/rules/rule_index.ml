@@ -165,11 +165,13 @@ let touches (e : Effect.t) =
       t
   in
   Handle.Set.iter (fun hd -> (get (Handle.table hd)).t_ins <- true) e.Effect.ins;
-  Handle.Set.iter (fun hd -> (get (Handle.table hd)).t_del <- true) e.Effect.del;
   Handle.Map.iter
-    (fun hd cols ->
+    (fun hd _ -> (get (Handle.table hd)).t_del <- true)
+    e.Effect.del;
+  Handle.Map.iter
+    (fun hd (u : Effect.upd_entry) ->
       let t = get (Handle.table hd) in
-      t.t_upd <- Col_set.union t.t_upd cols)
+      t.t_upd <- Col_set.union t.t_upd u.upd_cols)
     e.Effect.upd;
   Handle.Map.iter
     (fun hd cols ->

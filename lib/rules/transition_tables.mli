@@ -1,5 +1,5 @@
 (** Materialization of the paper's logical transition tables
-    (Section 3) from a rule's composite transition information:
+    (Section 3) from a rule's composite transition effect:
 
     - [inserted t]: current values of inserted tuples of [t];
     - [deleted t]: previous-state values of deleted tuples of [t];
@@ -10,18 +10,18 @@
       extension).
 
     "Previous state" means the state at the start of the rule's
-    composite transition; Figure 1 records those values incrementally,
-    so materialization needs only the trans-info and the current
-    database state.  Row order is deterministic (handle order). *)
+    composite transition; the effect carries those values (Figure 1's
+    old values), so materialization needs only the effect and the
+    current database state.  Row order is deterministic (handle order). *)
 
 open Relational
 module Ast = Sqlf.Ast
 module Eval = Sqlf.Eval
 
 val materialize :
-  Trans_info.t -> current_db:Database.t -> Ast.trans_table -> Eval.relation
+  Effect.t -> current_db:Database.t -> Ast.trans_table -> Eval.relation
 
-val resolver : Trans_info.t -> Database.t -> Eval.resolver
+val resolver : Effect.t -> Database.t -> Eval.resolver
 (** A resolver serving base tables from the database and transition
-    tables from the trans-info: the evaluation environment for a rule's
+    tables from the effect: the evaluation environment for a rule's
     condition and action (Section 4.1). *)

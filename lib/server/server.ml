@@ -210,8 +210,11 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* Conflict detection                                                  *)
 
+(* Tuples the transaction deleted or updated: the keys of D and U. *)
 let writes_of (eff : Effect.t) =
-  Handle.Map.fold (fun h _ s -> Handle.Set.add h s) eff.Effect.upd eff.Effect.del
+  let add h _ s = Handle.Set.add h s in
+  Handle.Map.fold add eff.Effect.upd
+    (Handle.Map.fold add eff.Effect.del Handle.Set.empty)
 
 (* Tables the transaction READ at some granularity: a delete or update
    reached its tuples through a predicate, and a tracked select read
@@ -219,18 +222,12 @@ let writes_of (eff : Effect.t) =
    concerned.  Seeds the serializable-mode claim set alongside the
    statement footprints. *)
 let read_tables_of (eff : Effect.t) =
-  let add h acc = Effect.Col_set.add (Handle.table h) acc in
-  let acc = Handle.Set.fold add eff.Effect.del Effect.Col_set.empty in
-  let acc = Handle.Map.fold (fun h _ a -> add h a) eff.Effect.upd acc in
-  Handle.Map.fold (fun h _ a -> add h a) eff.Effect.sel acc
+  Effect.tables { eff with ins = Handle.Set.empty }
 
 (* Tables the transaction wrote — what later claimers' read claims are
    validated against. *)
 let write_tables_of (eff : Effect.t) =
-  let add h acc = Effect.Col_set.add (Handle.table h) acc in
-  let acc = Handle.Set.fold add eff.Effect.ins Effect.Col_set.empty in
-  let acc = Handle.Set.fold add eff.Effect.del acc in
-  Handle.Map.fold (fun h _ a -> add h a) eff.Effect.upd acc
+  Effect.tables { eff with sel = Handle.Map.empty }
 
 (* Statement-level footprints, from the AST.  [op_scan_tables] is the
    tables an operation's predicates and embedded selects filter over —

@@ -76,6 +76,13 @@ let vnull = Value.Null
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Single-operation effects, built as the engine builds them: from the
+   affected set an operation returns, old rows included. *)
+let eff_ins hs = Effect.of_affected (Sqlf.Dml.A_insert hs)
+let eff_del pairs = Effect.of_affected (Sqlf.Dml.A_delete pairs)
+let eff_upd triples = Effect.of_affected (Sqlf.Dml.A_update triples)
+let eff_sel reads = Effect.of_affected (Sqlf.Dml.A_select reads)
+
 (* Every token of [src] through the lexer's streaming interface, ending
    with the [Eof] token. *)
 let stream_tokens src =

@@ -12,8 +12,8 @@
 
    - regression tests for concrete atomicity bugs (partial blocks left
      behind by [submit_ops], select effects missing from
-     [Effect.cardinality], the off-by-one step-limit report, the stale
-     [trans_start] after rollback);
+     [Effect.cardinality], the off-by-one step-limit report, old rows
+     of an undone transaction reaching the next one);
 
    - unit tests for the [Fault] countdown module itself;
 
@@ -26,7 +26,7 @@
      abort the harness asserts
 
        (a) the engine state is physically the pre-transaction snapshot
-           (database, transition start, no open transaction),
+           (database, no open transaction),
        (b) the final fault-free retry produces the outcome, select
            results and firing trace of the clean system, with
            identical final states at the end of the workload,
@@ -106,7 +106,7 @@ let test_select_effect_counted () =
   let db = Database.create_table Database.empty schema in
   let _, h = Database.insert db "t" [| vi 1; vi 2 |] in
   Alcotest.(check int) "sel-only effect has cardinality" 1
-    (Effect.cardinality (Effect.of_selected [ ([ "a" ], [ h ]) ]));
+    (Effect.cardinality (eff_sel [ ([ "a" ], [ h ]) ]));
   (* and through the engine trace: with select tracking on, the
      external transition's effect_size reflects the rows read *)
   let config = { Engine.default_config with track_selects = true } in
@@ -145,23 +145,41 @@ let test_limit_reports_true_count () =
   | _ -> Alcotest.fail "expected the trace to end with an abort event")
 
 (* ------------------------------------------------------------------ *)
-(* Regression: rollback resets the transition-start snapshot.          *)
+(* Regression: an undone transaction leaves no old rows behind.        *)
 
-let test_trans_start_reset_on_rollback () =
-  let s = system "create table t (a int, b int)" in
-  let eng = System.engine s in
-  run s "insert into t values (1, 1)";
-  let db0 = Engine.database eng in
-  Engine.begin_txn eng;
-  ignore (Engine.submit_ops eng (parse_ops "insert into t values (2, 2)"));
-  (* the triggering point starts a new transition: trans_start now
-     names a mid-transaction state *)
-  ignore (Engine.process_rules eng);
-  ignore (Engine.submit_ops eng (parse_ops "insert into t values (3, 3)"));
-  Engine.rollback_txn eng;
-  Alcotest.(check bool) "database restored" true (Engine.database eng == db0);
-  Alcotest.(check bool) "transition start not a discarded snapshot" true
-    (Engine.transition_start eng == db0)
+(* Update a row 1 -> 2, reach a triggering point, update it 2 -> 3 and
+   undo the transaction.  The next transaction updates the row to 4,
+   and its rule must report the committed 1 as the old value: no
+   transition information of the undone transaction (which would
+   report 2) may reach it. *)
+let test_undone_transaction_leaves_no_old_rows () =
+  let next_sees_committed how undo =
+    let s = system "create table t (a int); create table log (a int)" in
+    run s "insert into t values (1)";
+    run s
+      "create rule keep when updated t then insert into log (select a from \
+       old updated t)";
+    let eng = System.engine s in
+    Engine.begin_txn eng;
+    ignore (Engine.submit_ops eng (parse_ops "update t set a = 2"));
+    ignore (Engine.process_rules eng);
+    ignore (Engine.submit_ops eng (parse_ops "update t set a = 3"));
+    undo eng;
+    Alcotest.(check bool) (how ^ ": transaction closed") false
+      (Engine.in_transaction eng);
+    run s "update t set a = 4";
+    Alcotest.check rows_testable (how ^ ": the rule saw the committed value")
+      [ [| vi 1 |] ]
+      (rows s "select a from log")
+  in
+  next_sees_committed "rollback" Engine.rollback_txn;
+  with_faults (fun () ->
+      next_sees_committed "injected abort" (fun eng ->
+          Fault.arm 1;
+          (match Engine.commit eng with
+          | _ -> Alcotest.fail "expected the injected fault to escape"
+          | exception Fault.Injected _ -> ());
+          Fault.disarm ()))
 
 (* ------------------------------------------------------------------ *)
 (* The Fault module's countdown semantics.                             *)
@@ -420,8 +438,6 @@ let run_with_systematic_faults s block =
         (System.database s == pre_db);
       Alcotest.(check bool) "abort closed the transaction" false
         (Engine.in_transaction eng);
-      Alcotest.(check bool) "transition start restored" true
-        (Engine.transition_start eng == pre_db);
       (* invariant (c): the abort is observable *)
       Alcotest.(check int) "abort counted in stats" (aborts0 + 1)
         (Engine.stats eng).Engine.aborts;
@@ -560,8 +576,8 @@ let suite =
       test_select_effect_counted;
     Alcotest.test_case "step limit reports the true count" `Quick
       test_limit_reports_true_count;
-    Alcotest.test_case "rollback resets transition start" `Quick
-      test_trans_start_reset_on_rollback;
+    Alcotest.test_case "undone transaction leaves no old rows" `Quick
+      test_undone_transaction_leaves_no_old_rows;
     Alcotest.test_case "fault module countdown" `Quick test_fault_module;
     Alcotest.test_case "single fault aborts cleanly" `Quick
       test_single_fault_aborts_cleanly;

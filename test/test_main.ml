@@ -10,7 +10,6 @@ let () =
       ("parser", Test_parser.suite);
       ("eval", Test_eval.suite);
       ("dml", Test_dml.suite);
-      ("trans-info", Test_trans_info.suite);
       ("transition-tables", Test_transition_tables.suite);
       ("engine", Test_engine.suite);
       ("paper-examples", Test_paper_examples.suite);

@@ -202,12 +202,16 @@ let test_example_4_3 () =
   Alcotest.(check int) "departments gone" 0
     (int_cell s "select count(*) from dept")
 
-(* The same scenario WITHOUT the priority shows order dependence: if R1
-   runs first (creation order), Mary is deleted by the cascade before
-   R2 considers her, but R2's composite new-updated table still holds
-   her updated salary only while she exists; with Mary already gone the
-   delete selects nobody over 80K. *)
-let test_example_4_3_order_matters () =
+(* The same scenario WITHOUT the priority is confluent: every order
+   ends with emp and dept empty.  Under creation order R1 fires three
+   times ({Jane}, then {Mary, Jim}, then {Bill, Sam, Sue}); once the
+   cascade has deleted Mary and Bill, their updates have netted into
+   deletes, R2 is no longer triggered, and it is never considered.  If
+   R2 acts first instead, it deletes Mary (85K; the updated salaries
+   average 62.5K) and the cascade removes the rest.  The selection-order
+   explorer finds one final state over every order
+   (test_selection_orders.ml). *)
+let test_example_4_3_confluent_without_priority () =
   let s = paper_system () in
   run s rule_41;
   run s rule_42;
@@ -216,10 +220,10 @@ let test_example_4_3_order_matters () =
     (System.exec_block s
        "delete from emp where emp_no = 100; update emp set salary = 85000 \
         where emp_no = 200; update emp set salary = 40000 where emp_no = 400");
-  (* with creation order, ex41 fires first; the final state is still
-     everyone-deleted here because the cascade covers the whole tree *)
-  Alcotest.(check int) "cascade still empties emp" 0
-    (int_cell s "select count(*) from emp")
+  Alcotest.(check int) "cascade empties emp" 0
+    (int_cell s "select count(*) from emp");
+  Alcotest.(check int) "cascade empties dept" 0
+    (int_cell s "select count(*) from dept")
 
 let suite =
   [
@@ -241,6 +245,6 @@ let suite =
       test_example_4_2_below_threshold;
     Alcotest.test_case "example 4.3 multi-rule interleaving" `Quick
       test_example_4_3;
-    Alcotest.test_case "example 4.3 without priority" `Quick
-      test_example_4_3_order_matters;
+    Alcotest.test_case "example 4.3 confluent without priority" `Quick
+      test_example_4_3_confluent_without_priority;
   ]

@@ -34,6 +34,9 @@ module Scenario = Workload.Scenario
 module Scenarios = Workload.Scenarios
 module Runner = Workload.Runner
 
+(* Matching reads handles and columns only: a placeholder old row. *)
+let old = [| vi 0 |]
+
 (* Registration normally happens in test_workload's module
    initializer; guard so this suite also runs standalone. *)
 let ensure_scenarios () =
@@ -83,20 +86,20 @@ let test_matching_posting_lists () =
   Alcotest.(check int) "registered" 5 (Rule_index.registered idx);
   let ht = Handle.fresh "t" and hu = Handle.fresh "u" in
   check_names "insert t" [ "r_ins" ]
-    (Rule_index.matching idx (Effect.of_inserted [ ht ]));
+    (Rule_index.matching idx (eff_ins [ ht ]));
   check_names "update t.a hits column and wildcard"
     [ "r_upd_a"; "r_upd_any" ]
-    (Rule_index.matching idx (Effect.of_updated [ (ht, [ "a" ]) ]));
+    (Rule_index.matching idx (eff_upd [ (ht, [ "a" ], old) ]));
   check_names "update t.b hits wildcard only" [ "r_upd_any" ]
-    (Rule_index.matching idx (Effect.of_updated [ (ht, [ "b" ]) ]));
+    (Rule_index.matching idx (eff_upd [ (ht, [ "b" ], old) ]));
   check_names "select u.b" [ "r_sel_b" ]
-    (Rule_index.matching idx (Effect.of_selected [ ([ "b" ], [ hu ]) ]));
+    (Rule_index.matching idx (eff_sel [ ([ "b" ], [ hu ]) ]));
   check_names "select u.c misses" []
-    (Rule_index.matching idx (Effect.of_selected [ ([ "c" ], [ hu ]) ]));
+    (Rule_index.matching idx (eff_sel [ ([ "c" ], [ hu ]) ]));
   let composite =
     Effect.compose
-      (Effect.of_deleted [ ht ])
-      (Effect.of_updated [ (ht, [ "a" ]) ])
+      (eff_del [ (ht, old) ])
+      (eff_upd [ (ht, [ "a" ], old) ])
   in
   check_names "composite unions per-op matches"
     [ "r_del"; "r_upd_a"; "r_upd_any" ]
@@ -106,10 +109,10 @@ let test_matching_posting_lists () =
   Alcotest.(check int) "registered after remove" 4
     (Rule_index.registered idx);
   check_names "update t.b after removing wildcard rule" []
-    (Rule_index.matching idx (Effect.of_updated [ (ht, [ "b" ]) ]));
+    (Rule_index.matching idx (eff_upd [ (ht, [ "b" ], old) ]));
   Rule_index.add idx r_upd_any;
   check_names "re-added" [ "r_upd_any" ]
-    (Rule_index.matching idx (Effect.of_updated [ (ht, [ "b" ]) ]))
+    (Rule_index.matching idx (eff_upd [ (ht, [ "b" ], old) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Soundness and completeness property                                 *)
@@ -146,10 +149,10 @@ let gen_effect st =
   let one st =
     let h = pool.(int_bound (Array.length pool - 1) st) in
     match int_bound 3 st with
-    | 0 -> Effect.of_inserted [ h ]
-    | 1 -> Effect.of_deleted [ h ]
-    | 2 -> Effect.of_updated [ (h, [ prop_cols.(int_bound 2 st) ]) ]
-    | _ -> Effect.of_selected [ ([ prop_cols.(int_bound 2 st) ], [ h ]) ]
+    | 0 -> eff_ins [ h ]
+    | 1 -> eff_del [ (h, old) ]
+    | 2 -> eff_upd [ (h, [ prop_cols.(int_bound 2 st) ], old) ]
+    | _ -> eff_sel [ ([ prop_cols.(int_bound 2 st) ], [ h ]) ]
   in
   List.fold_left
     (fun acc e -> Effect.compose acc e)

@@ -127,6 +127,63 @@ let test_reference_outside_rule_rejected () =
   let s = system "create table t (a int, b string)" in
   expect_error (fun () -> System.query s "select * from inserted t")
 
+(* Rows come out in handle (insertion) order when the composite holds
+   two tables' handles interleaved and its transitions reach them out
+   of handle order.  Within each table the values fall as the handles
+   rise, so a sort by value would reverse every pair. *)
+let test_row_order_two_tables () =
+  let table name = Schema.table name [ Schema.column "a" Schema.T_int ] in
+  let db =
+    Database.create_table
+      (Database.create_table Database.empty (table "t"))
+      (table "u")
+  in
+  let db, hs =
+    List.fold_left
+      (fun (db, hs) (tbl, a) ->
+        let db, h = Database.insert db tbl [| vi a |] in
+        (db, hs @ [ h ]))
+      (db, [])
+      [
+        ("t", 5); ("u", 50); ("t", 9); ("u", 90); ("t", 8); ("u", 80);
+        ("t", 1); ("u", 10); ("t", 2); ("u", 20); ("t", 3); ("u", 30);
+      ]
+  in
+  let h i = List.nth hs i in
+  let old i = Database.get_row db (h i) in
+  let del is = eff_del (List.map (fun i -> (h i, old i)) is) in
+  let upd is = eff_upd (List.map (fun i -> (h i, [ "a" ], old i)) is) in
+  let sel is = eff_sel [ ([ "a" ], List.map h is) ] in
+  let composite =
+    List.fold_left Effect.compose Effect.empty
+      [
+        del [ 6; 7 ]; upd [ 8; 9 ]; sel [ 10; 11 ];
+        del [ 0; 1 ]; upd [ 2; 3 ]; sel [ 4; 5 ];
+      ]
+  in
+  let db =
+    List.fold_left (fun db i -> Database.delete db (h i)) db [ 0; 1; 6; 7 ]
+  in
+  let db =
+    List.fold_left
+      (fun db i ->
+        Database.update db (h i) [| Value.add (old i).(0) (vi 100) |])
+      db [ 2; 3; 8; 9 ]
+  in
+  let check name expected tt =
+    Alcotest.check rows_testable name
+      (List.map (fun a -> [| vi a |]) expected)
+      (Rules.Transition_tables.materialize composite ~current_db:db tt)
+        .Eval.rows
+  in
+  check "deleted t" [ 5; 1 ] (Ast.Tt_deleted "t");
+  check "deleted u" [ 50; 10 ] (Ast.Tt_deleted "u");
+  check "old updated t" [ 9; 2 ] (Ast.Tt_old_updated ("t", None));
+  check "old updated u.a" [ 90; 20 ] (Ast.Tt_old_updated ("u", Some "a"));
+  check "new updated t" [ 109; 102 ] (Ast.Tt_new_updated ("t", None));
+  check "selected t" [ 8; 3 ] (Ast.Tt_selected ("t", None));
+  check "selected u.a" [ 80; 30 ] (Ast.Tt_selected ("u", Some "a"))
+
 let suite =
   [
     Alcotest.test_case "inserted" `Quick test_inserted_table;
@@ -145,4 +202,6 @@ let suite =
       test_illegal_reference_rejected;
     Alcotest.test_case "transition table outside rules rejected" `Quick
       test_reference_outside_rule_rejected;
+    Alcotest.test_case "row order across two tables" `Quick
+      test_row_order_two_tables;
   ]
