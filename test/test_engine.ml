@@ -94,6 +94,31 @@ let test_composite_effect_for_waiting_rule () =
      composite: 2 + 4 + 8 = 14 inserted rows. *)
   Alcotest.(check int) "lo saw composite" 14 (int_cell s "select total from audit")
 
+(* Figure 1's get-old-value: a waiting rule's old and new values span
+   its whole composite transition.  The user updates a to 2; [bump]
+   (first by priority) updates it on to 3; [keep] then sees the value
+   before the user's update as old and the value after bump's as new,
+   and deleted values are likewise the ones before the composite. *)
+let test_waiting_rule_sees_first_old_value () =
+  let s =
+    system
+      "create table t (a int, b int);\n\
+       create table log (kind string, a int)"
+  in
+  run s "insert into t values (1, 0), (10, 0)";
+  run s
+    "create rule bump when updated t.a if (select count(*) from t where a = \
+     2) > 0 then update t set a = 3 where a = 2; delete from t where a = 20";
+  run s
+    "create rule keep when updated t or deleted from t then insert into log \
+     (select 'old', a from old updated t); insert into log (select 'new', a \
+     from new updated t); insert into log (select 'deleted', a from deleted t)";
+  run s "create rule priority bump before keep";
+  run s "update t set a = 2 * a";
+  Alcotest.check rows_testable "keep saw the composite's first values"
+    [ [| vs "deleted"; vi 10 |]; [| vs "new"; vi 3 |]; [| vs "old"; vi 1 |] ]
+    (rows s "select kind, a from log order by kind")
+
 (* A higher-priority rule that undoes the triggering changes prevents a
    lower-priority rule from firing (trigger permanence, Section 1 /
    4.2: composite effect netting). *)
@@ -509,6 +534,8 @@ let suite =
       test_acting_rule_info_resets;
     Alcotest.test_case "waiting rule sees composite effect" `Quick
       test_composite_effect_for_waiting_rule;
+    Alcotest.test_case "waiting rule sees the first old value" `Quick
+      test_waiting_rule_sees_first_old_value;
     Alcotest.test_case "undo removes triggering" `Quick
       test_undo_removes_triggering;
     Alcotest.test_case "condition retried after new transition" `Quick
