@@ -93,42 +93,56 @@ let require_open t =
    The full row is logged for updates — U records which columns
    changed, but replay needs the values. *)
 let dml_of_log (txl : Engine.txn_log) =
-  let eff = txl.Engine.txl_effect in
+  let before = txl.Engine.txl_before and after = txl.Engine.txl_after in
+  (* One component's records over every table, in handle (= insertion)
+     order so replay re-inserts them deterministically.  [of_part]
+     folds a table's set or map, so it yields the table's records in
+     reverse handle order; the tables' runs merge in that order and one
+     reversal restores it. *)
+  let records of_part =
+    Effect.fold
+      (fun _ p acc ->
+        List.merge (fun (a, _) (b, _) -> Handle.compare b a) (of_part p) acc)
+      txl.Engine.txl_effect []
+    |> List.rev_map snd
+  in
   let deletes =
-    Handle.Map.fold
-      (fun h _ acc ->
-        if Database.find_row txl.Engine.txl_before h <> None then
-          Wal.L_delete { table = Handle.table h; id = Handle.id h } :: acc
-        else acc)
-      eff.Effect.del []
+    records (fun p ->
+        Handle.Map.fold
+          (fun h _ acc ->
+            if Database.find_row before h <> None then
+              (h, Wal.L_delete { table = Handle.table h; id = Handle.id h })
+              :: acc
+            else acc)
+          p.Effect.del [])
   in
   let updates =
-    Handle.Map.fold
-      (fun h _ acc ->
-        if Handle.Set.mem h eff.Effect.ins then acc
-        else
-          match Database.find_row txl.Engine.txl_after h with
-          | Some row ->
-            Wal.L_update { table = Handle.table h; id = Handle.id h; row }
-            :: acc
-          | None -> acc)
-      eff.Effect.upd []
+    records (fun p ->
+        Handle.Map.fold
+          (fun h _ acc ->
+            if Handle.Set.mem h p.Effect.ins then acc
+            else
+              match Database.find_row after h with
+              | Some row ->
+                ( h,
+                  Wal.L_update { table = Handle.table h; id = Handle.id h; row }
+                )
+                :: acc
+              | None -> acc)
+          p.Effect.upd [])
   in
   let inserts =
-    Handle.Set.fold
-      (fun h acc ->
-        match Database.find_row txl.Engine.txl_after h with
-        | Some row ->
-          Wal.L_insert { table = Handle.table h; id = Handle.id h; row } :: acc
-        | None -> acc)
-      eff.Effect.ins []
+    records (fun p ->
+        Handle.Set.fold
+          (fun h acc ->
+            match Database.find_row after h with
+            | Some row ->
+              (h, Wal.L_insert { table = Handle.table h; id = Handle.id h; row })
+              :: acc
+            | None -> acc)
+          p.Effect.ins [])
   in
-  (* folds over sets/maps accumulate in reverse handle order; reverse
-     back so the log lists tuples in handle (= insertion) order and
-     replay re-inserts them deterministically *)
-  List.rev_append deletes []
-  @ List.rev_append updates []
-  @ List.rev_append inserts []
+  deletes @ updates @ inserts
 
 let append_payload t payload =
   require_open t;

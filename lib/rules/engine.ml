@@ -848,25 +848,22 @@ let wake t e f acc =
 
 (* The one reading of [config.prune_info]: [e] restricted to the tables
    whose information rule [r] keeps — its own (the Section 4.3
-   pruning) or every table.  [touched] holds [e]'s tables; [None] means
-   none of the rule's tables is touched, found without a pass over
-   [e]. *)
-let scoped t (r : Rule.t) ~touched e =
+   pruning) or every table.  [None] means none of the rule's tables is
+   touched; restriction visits only [e]'s tables. *)
+let scoped t (r : Rule.t) e =
   if not t.config.prune_info then Some e
-  else if List.exists (fun tbl -> Effect.Col_set.mem tbl touched) r.Rule.tables
-  then Some (Effect.restrict e (Rule.relevant r))
-  else None
+  else
+    let e = Effect.restrict e (Rule.relevant r) in
+    if Effect.is_empty e then None else Some e
 
 (* Wake [r] unless it is awake already: it starts from the composite
    [shared], restricted to its scope — the information stepwise
    composition from the external transition would have built for it,
    since restriction commutes with composition. *)
-let admit t ~touched shared (r : Rule.t) woken =
+let admit t shared (r : Rule.t) woken =
   if Str_map.mem r.Rule.name woken then woken
   else
-    let info =
-      Option.value ~default:Effect.empty (scoped t r ~touched shared)
-    in
+    let info = Option.value ~default:Effect.empty (scoped t r shared) in
     Str_map.add r.Rule.name (r, info) woken
 
 (* Figure 1's init-trans-info: complete the external transition and
@@ -880,11 +877,10 @@ let start t =
     record t (Ev_external { effect_size = Effect.cardinality pending });
   Log.debug (fun m ->
       m "processing rules for external transition %a" Effect.pp pending);
-  let touched = Effect.tables pending in
   t.txn.pending <- Effect.empty;
   {
     p_db = t.db;
-    p_woken = wake t pending (admit t ~touched pending) Str_map.empty;
+    p_woken = wake t pending (admit t pending) Str_map.empty;
     p_shared = pending;
     p_considered = Str_set.empty;
     p_steps = 0;
@@ -962,12 +958,11 @@ let step t p (rule : Rule.t) =
     m.m_effect_tuples <- m.m_effect_tuples + size;
     record t (Ev_fired { rule = name; effect_size = size });
     Log.debug (fun m -> m "fired %s with effect %a" name Effect.pp eff);
-    let touched = Effect.tables eff in
     let shared = Effect.compose p.p_shared eff in
     let woken =
       Str_map.mapi
         (fun n ((r, info) as entry) ->
-          match scoped t r ~touched eff with
+          match scoped t r eff with
           | Some e when String.equal n name -> (r, e)
           | None when String.equal n name -> (r, Effect.empty)
           | Some e -> (r, Effect.compose info e)
@@ -977,7 +972,7 @@ let step t p (rule : Rule.t) =
     Next
       {
         p_db = t.db;
-        p_woken = wake t eff (admit t ~touched shared) woken;
+        p_woken = wake t eff (admit t shared) woken;
         p_shared = shared;
         (* a new state: every triggered rule becomes considerable again *)
         p_considered = Str_set.empty;

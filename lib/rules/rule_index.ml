@@ -139,76 +139,35 @@ let rebuild ~generation rules =
   List.iter (fun r -> add idx r) rules;
   idx
 
-(* Per-table summary of what an effect touches. *)
-type touch = {
-  mutable t_ins : bool;
-  mutable t_del : bool;
-  mutable t_upd : Col_set.t;
-  mutable t_sel : Col_set.t;
-}
-
-let touches (e : Effect.t) =
-  let h = Hashtbl.create 8 in
-  let get tbl =
-    match Hashtbl.find_opt h tbl with
-    | Some t -> t
-    | None ->
-      let t =
-        {
-          t_ins = false;
-          t_del = false;
-          t_upd = Col_set.empty;
-          t_sel = Col_set.empty;
-        }
-      in
-      Hashtbl.add h tbl t;
-      t
-  in
-  Handle.Set.iter (fun hd -> (get (Handle.table hd)).t_ins <- true) e.Effect.ins;
-  Handle.Map.iter
-    (fun hd _ -> (get (Handle.table hd)).t_del <- true)
-    e.Effect.del;
-  Handle.Map.iter
-    (fun hd (u : Effect.upd_entry) ->
-      let t = get (Handle.table hd) in
-      t.t_upd <- Col_set.union t.t_upd u.upd_cols)
-    e.Effect.upd;
-  Handle.Map.iter
-    (fun hd cols ->
-      let t = get (Handle.table hd) in
-      t.t_sel <- Col_set.union t.t_sel cols)
-    e.Effect.sel;
-  h
-
+(* One pass over the tables the effect touches: each table's
+   components name the keys it touches, and the columns come from the
+   part's updated-column counts and its reads. *)
 let matching idx (e : Effect.t) =
   let acc = ref Str_set.empty in
   let collect s = if not (Str_set.is_empty s) then acc := Str_set.union s !acc in
-  Hashtbl.iter
-    (fun table touch ->
+  let collect_col by_col c =
+    match Str_map.find_opt c by_col with Some s -> collect s | None -> ()
+  in
+  Effect.fold
+    (fun table (p : Effect.part) () ->
       match Hashtbl.find_opt idx.tbl table with
       | None -> ()
       | Some en ->
-        if touch.t_ins then collect en.e_ins;
-        if touch.t_del then collect en.e_del;
-        if not (Col_set.is_empty touch.t_upd) then begin
+        if not (Handle.Set.is_empty p.ins) then collect en.e_ins;
+        if not (Handle.Map.is_empty p.del) then collect en.e_del;
+        if not (Handle.Map.is_empty p.upd) then begin
           collect en.e_upd_any;
           if not (Str_map.is_empty en.e_upd_col) then
-            Col_set.iter
-              (fun c ->
-                match Str_map.find_opt c en.e_upd_col with
-                | Some s -> collect s
-                | None -> ())
-              touch.t_upd
+            Effect.Col_map.iter
+              (fun c _ -> collect_col en.e_upd_col c)
+              p.updated
         end;
-        if not (Col_set.is_empty touch.t_sel) then begin
+        if not (List.is_empty p.sel) then begin
           collect en.e_sel_any;
           if not (Str_map.is_empty en.e_sel_col) then
-            Col_set.iter
-              (fun c ->
-                match Str_map.find_opt c en.e_sel_col with
-                | Some s -> collect s
-                | None -> ())
-              touch.t_sel
+            List.iter
+              (fun (cols, _) -> Col_set.iter (collect_col en.e_sel_col) cols)
+              p.sel
         end)
-    (touches e);
+    e ();
   !acc

@@ -22,43 +22,42 @@ module Ast = Sqlf.Ast
 module Eval = Sqlf.Eval
 
 (* Rows come out in handle order, i.e. insertion order: the order
-   [Handle.Set] and [Handle.Map] iterate in.  Transition-table columns
-   are the base table's columns; the names array is the one cached in
-   the stored table value. *)
+   [Handle.Set] and [Handle.Map] iterate in.  Only the base table's own
+   components are visited.  Transition-table columns are the base
+   table's columns; the names array is the one cached in the stored
+   table value. *)
 let materialize (e : Effect.t) ~current_db (tt : Ast.trans_table) :
     Eval.relation =
   let t = Ast.trans_table_base tt in
   let tbl = Database.table current_db t in
-  let of_t h = String.equal (Handle.table h) t in
   let on_column col cols =
     match col with None -> true | Some c -> Effect.Col_set.mem c cols
   in
-  (* [t]'s entries of [m] for which [row_of] gives a row, reversed *)
+  (* the entries of [m] for which [row_of] gives a row, reversed *)
   let collect m row_of =
     Handle.Map.fold
-      (fun h x acc ->
-        if not (of_t h) then acc
-        else match row_of h x with Some row -> row :: acc | None -> acc)
+      (fun h x acc -> match row_of h x with Some row -> row :: acc | None -> acc)
       m []
   in
-  let updated col row_of =
-    collect e.upd (fun h (u : Effect.upd_entry) ->
-        if on_column col u.upd_cols then Some (row_of h u) else None)
-  in
-  let rev_rows =
+  let rev_rows (p : Effect.part) =
+    let updated col row_of =
+      collect p.upd (fun h (u : Effect.upd_entry) ->
+          if on_column col u.upd_cols then Some (row_of h u) else None)
+    in
     match tt with
     | Ast.Tt_inserted _ ->
-      Handle.Set.fold
-        (fun h acc -> if of_t h then Table.get tbl h :: acc else acc)
-        e.ins []
-    | Ast.Tt_deleted _ -> collect e.del (fun _ row -> Some row)
+      Handle.Set.fold (fun h acc -> Table.get tbl h :: acc) p.ins []
+    | Ast.Tt_deleted _ -> collect p.del (fun _ row -> Some row)
     | Ast.Tt_old_updated (_, col) -> updated col (fun _ u -> u.old_row)
     | Ast.Tt_new_updated (_, col) -> updated col (fun h _ -> Table.get tbl h)
     | Ast.Tt_selected (_, col) ->
-      collect e.sel (fun h cols ->
+      collect (Effect.selected p) (fun h cols ->
           if on_column col cols then Database.find_row current_db h else None)
   in
-  { Eval.rel_name = t; cols = Table.col_names tbl; rows = List.rev rev_rows }
+  let rows =
+    match Effect.find e t with Some p -> List.rev (rev_rows p) | None -> []
+  in
+  { Eval.rel_name = t; cols = Table.col_names tbl; rows }
 
 (* A resolver that serves base tables from [db] and transition tables
    from [e]; this is the evaluation environment for a rule's condition

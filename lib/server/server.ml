@@ -213,21 +213,37 @@ let close t =
 (* Tuples the transaction deleted or updated: the keys of D and U. *)
 let writes_of (eff : Effect.t) =
   let add h _ s = Handle.Set.add h s in
-  Handle.Map.fold add eff.Effect.upd
-    (Handle.Map.fold add eff.Effect.del Handle.Set.empty)
+  Effect.fold
+    (fun _ (p : Effect.part) acc ->
+      Handle.Map.fold add p.upd (Handle.Map.fold add p.del acc))
+    eff Handle.Set.empty
+
+(* The tables whose components pass [test]. *)
+let tables_where test (eff : Effect.t) =
+  Effect.fold
+    (fun tbl p acc -> if test p then Effect.Col_set.add tbl acc else acc)
+    eff Effect.Col_set.empty
 
 (* Tables the transaction READ at some granularity: a delete or update
    reached its tuples through a predicate, and a tracked select read
    them — each is a table-level read as far as concurrent writers are
    concerned.  Seeds the serializable-mode claim set alongside the
    statement footprints. *)
-let read_tables_of (eff : Effect.t) =
-  Effect.tables { eff with ins = Handle.Set.empty }
+let read_tables_of =
+  tables_where (fun p ->
+      not
+        (Handle.Map.is_empty p.Effect.del
+        && Handle.Map.is_empty p.Effect.upd
+        && List.is_empty p.Effect.sel))
 
 (* Tables the transaction wrote — what later claimers' read claims are
    validated against. *)
-let write_tables_of (eff : Effect.t) =
-  Effect.tables { eff with sel = Handle.Map.empty }
+let write_tables_of =
+  tables_where (fun p ->
+      not
+        (Handle.Set.is_empty p.Effect.ins
+        && Handle.Map.is_empty p.Effect.del
+        && Handle.Map.is_empty p.Effect.upd))
 
 (* Statement-level footprints, from the AST.  [op_scan_tables] is the
    tables an operation's predicates and embedded selects filter over —

@@ -9,9 +9,214 @@ let h table = Handle.fresh table
 let eff_testable =
   Alcotest.testable (fun ppf e -> Effect.pp ppf e) Effect.equal
 
-let upd_entry e h = Handle.Map.find h e.Effect.upd
-
 module Dml = Sqlf.Dml
+
+(* ------------------------------------------------------------------ *)
+(* The flat reference model: the effect as four handle-keyed
+   collections over all tables, every operation a pass over handles.
+   It is the representation the per-table effect replaced, kept here as
+   the oracle the properties below compare against. *)
+
+module Flat = struct
+  module Col_set = Effect.Col_set
+
+  type t = {
+    ins : Handle.Set.t;
+    del : Row.t Handle.Map.t;
+    upd : Effect.upd_entry Handle.Map.t;
+    sel : Col_set.t Handle.Map.t;
+  }
+
+  let empty =
+    {
+      ins = Handle.Set.empty;
+      del = Handle.Map.empty;
+      upd = Handle.Map.empty;
+      sel = Handle.Map.empty;
+    }
+
+  let is_empty e =
+    Handle.Set.is_empty e.ins && Handle.Map.is_empty e.del
+    && Handle.Map.is_empty e.upd && Handle.Map.is_empty e.sel
+
+  let union_cols m h cols =
+    Handle.Map.update h
+      (function None -> Some cols | Some c -> Some (Col_set.union c cols))
+      m
+
+  let of_affected = function
+    | Dml.A_insert hs -> { empty with ins = Handle.Set.of_list hs }
+    | Dml.A_delete pairs -> { empty with del = Handle.Map.of_list pairs }
+    | Dml.A_update triples ->
+      let upd =
+        List.fold_left
+          (fun m (h, cols, old_row) ->
+            Handle.Map.add h
+              { Effect.upd_cols = Col_set.of_list cols; old_row }
+              m)
+          Handle.Map.empty triples
+      in
+      { empty with upd }
+    | Dml.A_select reads ->
+      let sel =
+        List.fold_left
+          (fun m (cols, hs) ->
+            let cols = Col_set.of_list cols in
+            List.fold_left (fun m h -> union_cols m h cols) m hs)
+          Handle.Map.empty reads
+      in
+      { empty with sel }
+
+  let remove_keys keys m =
+    Handle.Map.fold (fun h _ m -> Handle.Map.remove h m) keys m
+
+  let compose e1 e2 =
+    if is_empty e1 then e2
+    else if is_empty e2 then e1
+    else
+      let fresh h _ = not (Handle.Set.mem h e1.ins) in
+      let first_old h row =
+        match Handle.Map.find_opt h e1.upd with
+        | Some u -> u.Effect.old_row
+        | None -> row
+      in
+      let merge_upd _ (u1 : Effect.upd_entry) (u2 : Effect.upd_entry) =
+        Some { u1 with upd_cols = Col_set.union u1.upd_cols u2.upd_cols }
+      in
+      {
+        ins =
+          Handle.Map.fold
+            (fun h _ s -> Handle.Set.remove h s)
+            e2.del
+            (Handle.Set.union e1.ins e2.ins);
+        del =
+          Handle.Map.fold
+            (fun h row del ->
+              if Handle.Set.mem h e1.ins then del
+              else Handle.Map.add h (first_old h row) del)
+            e2.del e1.del;
+        upd =
+          Handle.Map.union merge_upd (remove_keys e2.del e1.upd)
+            (Handle.Map.filter fresh e2.upd);
+        sel =
+          Handle.Map.union
+            (fun _ c1 c2 -> Some (Col_set.union c1 c2))
+            (remove_keys e2.del e1.sel)
+            (Handle.Map.filter fresh e2.sel);
+      }
+
+  let satisfies_pred e (pred : Ast.basic_trans_pred) =
+    let in_table t h = String.equal (Handle.table h) t in
+    let on_column c cols =
+      match c with None -> true | Some c -> Col_set.mem c cols
+    in
+    match pred with
+    | Ast.Tp_inserted t -> Handle.Set.exists (in_table t) e.ins
+    | Ast.Tp_deleted t -> Handle.Map.exists (fun h _ -> in_table t h) e.del
+    | Ast.Tp_updated (t, c) ->
+      Handle.Map.exists
+        (fun h (u : Effect.upd_entry) -> in_table t h && on_column c u.upd_cols)
+        e.upd
+    | Ast.Tp_selected (t, c) ->
+      Handle.Map.exists (fun h cols -> in_table t h && on_column c cols) e.sel
+
+  let restrict e keep =
+    let keep_key h _ = keep (Handle.table h) in
+    {
+      ins = Handle.Set.filter (fun h -> keep (Handle.table h)) e.ins;
+      del = Handle.Map.filter keep_key e.del;
+      upd = Handle.Map.filter keep_key e.upd;
+      sel = Handle.Map.filter keep_key e.sel;
+    }
+
+  let tables e =
+    let add h acc = Col_set.add (Handle.table h) acc in
+    let add_key h _ acc = add h acc in
+    Handle.Set.fold add e.ins Col_set.empty
+    |> Handle.Map.fold add_key e.del
+    |> Handle.Map.fold add_key e.upd
+    |> Handle.Map.fold add_key e.sel
+
+  let equal a b =
+    Handle.Set.equal a.ins b.ins
+    && Handle.Map.equal Row.equal a.del b.del
+    && Handle.Map.equal
+         (fun (x : Effect.upd_entry) (y : Effect.upd_entry) ->
+           Col_set.equal x.upd_cols y.upd_cols && Row.equal x.old_row y.old_row)
+         a.upd b.upd
+    && Handle.Map.equal Col_set.equal a.sel b.sel
+
+  let cardinality e =
+    Handle.Set.cardinal e.ins + Handle.Map.cardinal e.del
+    + Handle.Map.cardinal e.upd + Handle.Map.cardinal e.sel
+
+  let pp ppf e =
+    let pp_handles ppf hs = Fmt.list ~sep:Fmt.comma Handle.pp ppf hs in
+    let pp_cols ppf bindings =
+      Fmt.list ~sep:Fmt.comma
+        (fun ppf (h, cols) ->
+          Fmt.pf ppf "%a{%s}" Handle.pp h
+            (String.concat "," (Col_set.elements cols)))
+        ppf bindings
+    in
+    let keys m = List.map fst (Handle.Map.bindings m) in
+    Fmt.pf ppf "[I={%a}; D={%a}; U={%a}" pp_handles
+      (Handle.Set.elements e.ins) pp_handles (keys e.del) pp_cols
+      (List.map
+         (fun (h, (u : Effect.upd_entry)) -> (h, u.upd_cols))
+         (Handle.Map.bindings e.upd));
+    if not (Handle.Map.is_empty e.sel) then
+      Fmt.pf ppf "; S={%a}" pp_cols (Handle.Map.bindings e.sel);
+    Fmt.pf ppf "]"
+
+  (* A transition table's rows, in handle order. *)
+  let materialize e ~current_db (tt : Ast.trans_table) =
+    let t = Ast.trans_table_base tt in
+    let tbl = Database.table current_db t in
+    let of_t h = String.equal (Handle.table h) t in
+    let on_column col cols =
+      match col with None -> true | Some c -> Col_set.mem c cols
+    in
+    let collect m row_of =
+      Handle.Map.fold
+        (fun h x acc ->
+          if not (of_t h) then acc
+          else match row_of h x with Some row -> row :: acc | None -> acc)
+        m []
+    in
+    let updated col row_of =
+      collect e.upd (fun h (u : Effect.upd_entry) ->
+          if on_column col u.upd_cols then Some (row_of h u) else None)
+    in
+    List.rev
+      (match tt with
+      | Ast.Tt_inserted _ ->
+        Handle.Set.fold
+          (fun h acc -> if of_t h then Table.get tbl h :: acc else acc)
+          e.ins []
+      | Ast.Tt_deleted _ -> collect e.del (fun _ row -> Some row)
+      | Ast.Tt_old_updated (_, col) -> updated col (fun _ u -> u.old_row)
+      | Ast.Tt_new_updated (_, col) -> updated col (fun h _ -> Table.get tbl h)
+      | Ast.Tt_selected (_, col) ->
+        collect e.sel (fun h cols ->
+            if on_column col cols then Database.find_row current_db h
+            else None))
+end
+
+(* The per-table effect seen as the flat model sees it. *)
+let flat (e : Effect.t) =
+  Effect.fold
+    (fun _ (p : Effect.part) (f : Flat.t) ->
+      let union m1 m2 = Handle.Map.union (fun _ x _ -> Some x) m1 m2 in
+      {
+        Flat.ins = Handle.Set.union p.ins f.ins;
+        del = union p.del f.del;
+        upd = union p.upd f.upd;
+        sel = union (Effect.selected p) f.sel;
+      })
+    e Flat.empty
+
+let upd_entry e h = Handle.Map.find h (flat e).Flat.upd
 
 let db_with_t () =
   Database.create_table Database.empty
@@ -29,11 +234,11 @@ let exec db sql =
 let test_single_op_effects () =
   let h1 = h "t" in
   let e = eff_ins [ h1 ] in
-  Alcotest.(check bool) "ins member" true (Handle.Set.mem h1 e.Effect.ins);
+  Alcotest.(check bool) "ins member" true (Handle.Set.mem h1 (flat e).Flat.ins);
   Alcotest.(check bool) "well formed" true (Effect.well_formed e);
   let e = eff_del [ (h1, [| vi 1; vs "x" |]) ] in
   Alcotest.check row_testable "deleted value kept" [| vi 1; vs "x" |]
-    (Handle.Map.find h1 e.Effect.del);
+    (Handle.Map.find h1 (flat e).Flat.del);
   let e = eff_upd [ (h1, [ "a"; "b" ], [| vi 1; vs "x" |]) ] in
   let u = upd_entry e h1 in
   Alcotest.(check int) "upd cols" 2 (Effect.Col_set.cardinal u.Effect.upd_cols);
@@ -45,11 +250,11 @@ let test_single_op_effects () =
 let test_of_affected_insert () =
   let r = exec (db_with_t ()) "insert into t values (1, 'x'), (2, 'y')" in
   let e = Effect.of_affected r.Dml.affected in
-  Alcotest.(check int) "two inserted" 2 (Handle.Set.cardinal e.Effect.ins);
+  Alcotest.(check int) "two inserted" 2 (Handle.Set.cardinal (flat e).Flat.ins);
   Alcotest.(check bool) "stored afterwards" true
     (Handle.Set.for_all
        (fun h -> Option.is_some (Database.find_row r.Dml.db h))
-       e.Effect.ins);
+       (flat e).Flat.ins);
   Alcotest.(check bool) "triggers inserted" true
     (Effect.satisfies_pred e (Ast.Tp_inserted "t"));
   Alcotest.(check bool) "not deleted" false
@@ -60,7 +265,7 @@ let test_of_affected_delete () =
     (exec (db_with_t ()) "insert into t values (1, 'x'), (2, 'y')").Dml.db
   in
   let r = exec db "delete from t where a = 1" in
-  match Handle.Map.bindings (Effect.of_affected r.Dml.affected).Effect.del with
+  match Handle.Map.bindings (flat (Effect.of_affected r.Dml.affected)).Flat.del with
   | [ (h, row) ] ->
     Alcotest.check row_testable "value captured" [| vi 1; vs "x" |] row;
     Alcotest.check row_testable "as stored before" (Database.get_row db h) row;
@@ -71,7 +276,7 @@ let test_of_affected_delete () =
 let test_of_affected_update () =
   let db = (exec (db_with_t ()) "insert into t values (1, 'x')").Dml.db in
   let r = exec db "update t set a = 2" in
-  match Handle.Map.bindings (Effect.of_affected r.Dml.affected).Effect.upd with
+  match Handle.Map.bindings (flat (Effect.of_affected r.Dml.affected)).Flat.upd with
   | [ (h, u) ] ->
     Alcotest.check row_testable "old row captured" [| vi 1; vs "x" |]
       u.Effect.old_row;
@@ -125,20 +330,20 @@ let test_update_then_delete_first_old () =
       (eff_upd [ (h1, [ "c" ], [| vi 1; vs "x" |]) ])
       (eff_del [ (h1, [| vi 99; vs "x" |]) ])
   in
-  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty e.Effect.upd);
+  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd);
   (* the deleted value is the one at the start of the composite *)
   Alcotest.check row_testable "first old row" [| vi 1; vs "x" |]
-    (Handle.Map.find h1 e.Effect.del)
+    (Handle.Map.find h1 (flat e).Flat.del)
 
 let test_insert_then_update_stays_insert () =
   let h1 = h "t" in
   let e =
     Effect.compose (eff_ins [ h1 ]) (eff_upd [ (h1, [ "c" ], [| vi 1 |]) ])
   in
-  Alcotest.(check bool) "ins" true (Handle.Set.mem h1 e.Effect.ins);
+  Alcotest.(check bool) "ins" true (Handle.Set.mem h1 (flat e).Flat.ins);
   (* a tuple created within the composite has no old value *)
-  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty e.Effect.upd);
-  Alcotest.(check bool) "no del" true (Handle.Map.is_empty e.Effect.del);
+  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd);
+  Alcotest.(check bool) "no del" true (Handle.Map.is_empty (flat e).Flat.del);
   Alcotest.(check bool) "triggers insert only" true
     (Effect.satisfies_any e [ Ast.Tp_inserted "t" ]
     && not (Effect.satisfies_any e [ Ast.Tp_updated ("t", None) ]));
@@ -149,9 +354,9 @@ let test_insert_then_update_stays_insert () =
 let test_delete_then_insert_not_update () =
   let h1 = h "t" and h2 = h "t" in
   let e = Effect.compose (eff_del [ (h1, [| vi 1 |]) ]) (eff_ins [ h2 ]) in
-  Alcotest.(check bool) "del kept" true (Handle.Map.mem h1 e.Effect.del);
-  Alcotest.(check bool) "ins kept" true (Handle.Set.mem h2 e.Effect.ins);
-  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty e.Effect.upd)
+  Alcotest.(check bool) "del kept" true (Handle.Map.mem h1 (flat e).Flat.del);
+  Alcotest.(check bool) "ins kept" true (Handle.Set.mem h2 (flat e).Flat.ins);
+  Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd)
 
 let test_identity () =
   let h1 = h "t" in
@@ -192,6 +397,80 @@ let test_select_component () =
   Alcotest.(check bool) "pruned" false
     (Effect.satisfies_pred e2 (Ast.Tp_selected ("emp", None)))
 
+(* [S] keeps each read as data manipulation reported it; these cases
+   check where the reads are merged or filtered by handle. *)
+
+let stored_t () = Database.insert (db_with_t ()) "t" [| vi 1; vs "x" |]
+
+(* One handle read twice on different columns, in one select or in two,
+   is one selected tuple on the union of the columns. *)
+let test_select_same_handle_twice () =
+  let db, ht = stored_t () in
+  let one = eff_sel [ ([ "a" ], [ ht ]); ([ "b" ], [ ht; ht ]) ] in
+  let two =
+    Effect.compose (eff_sel [ ([ "a" ], [ ht ]) ]) (eff_sel [ ([ "b" ], [ ht ]) ])
+  in
+  Alcotest.check eff_testable "one select = two selects" one two;
+  List.iter
+    (fun (name, e) ->
+      let sat c = Effect.satisfies_pred e (Ast.Tp_selected ("t", Some c)) in
+      Alcotest.(check int) (name ^ ": one tuple") 1 (Effect.cardinality e);
+      Alcotest.(check (list string))
+        (name ^ ": both columns") [ "a"; "b" ]
+        (Effect.Col_set.elements (Handle.Map.find ht (flat e).Flat.sel));
+      Alcotest.(check (list bool))
+        (name ^ ": selected t.a, t.b, t.c")
+        [ true; true; false ]
+        [ sat "a"; sat "b"; sat "c" ];
+      Alcotest.check rows_testable (name ^ ": one selected row")
+        [ [| vi 1; vs "x" |] ]
+        (Rules.Transition_tables.materialize e ~current_db:db
+           (Ast.Tt_selected ("t", Some "b")))
+          .Eval.rows)
+    [ ("one select", one); ("two selects", two) ]
+
+(* A delete in a later step drops the deleted tuple from every read
+   that saw it; a read left with no tuple goes, and with it the
+   column it alone referenced. *)
+let test_select_then_delete () =
+  let h1 = h "t" and h2 = h "t" in
+  let e =
+    List.fold_left Effect.compose Effect.empty
+      [
+        eff_sel [ ([ "a" ], [ h1; h2 ]) ];
+        eff_sel [ ([ "b" ], [ h1 ]) ];
+        eff_ins [ h "u" ];
+        eff_del [ (h1, [| vi 1 |]) ];
+      ]
+  in
+  Alcotest.(check (list (pair int (list string))))
+    "only the survivor, on a"
+    [ (Handle.id h2, [ "a" ]) ]
+    (List.map
+       (fun (h, cols) -> (Handle.id h, Effect.Col_set.elements cols))
+       (Handle.Map.bindings (flat e).Flat.sel));
+  Alcotest.(check bool) "selected t.b gone" false
+    (Effect.satisfies_pred e (Ast.Tp_selected ("t", Some "b")));
+  Alcotest.(check int) "deleted, inserted, selected" 3 (Effect.cardinality e);
+  let e = Effect.compose e (eff_del [ (h2, [| vi 2 |]) ]) in
+  Alcotest.(check bool) "no selection left" false
+    (Effect.satisfies_pred e (Ast.Tp_selected ("t", None)));
+  Alcotest.(check bool) "well formed" true (Effect.well_formed e)
+
+(* A tuple the first effect inserted did not exist before the
+   composite: a later read of it is not reported, a read of an older
+   tuple in the same select is. *)
+let test_select_of_inserted () =
+  let h0 = h "t" and h1 = h "t" in
+  let e = Effect.compose (eff_ins [ h1 ]) (eff_sel [ ([ "a" ], [ h0; h1 ]) ]) in
+  Alcotest.(check (list int))
+    "old tuple only" [ Handle.id h0 ]
+    (List.map (fun (h, _) -> Handle.id h) (Handle.Map.bindings (flat e).Flat.sel));
+  let e = Effect.compose (eff_ins [ h1 ]) (eff_sel [ ([ "a" ], [ h1 ]) ]) in
+  Alcotest.check eff_testable "just the insert" (eff_ins [ h1 ]) e;
+  Alcotest.(check bool) "not selected" false
+    (Effect.satisfies_pred e (Ast.Tp_selected ("t", None)))
+
 (* The printer shows S only when it is non-empty, so output without
    select tracking is the plain [I; D; U] triple. *)
 let test_pp () =
@@ -208,16 +487,48 @@ let test_pp () =
     (Printf.sprintf "[I={}; D={}; U={}; S={%s{a,b}}]" (hs hu))
     (str (eff_sel [ ([ "b"; "a" ], [ hu ]) ]))
 
+(* Every component lists its handles in handle order across tables, as
+   the flat printer did, whatever order the tables' parts are held
+   in. *)
+let test_pp_two_tables () =
+  let t1 = h "t" and u1 = h "u" and t2 = h "t" and u2 = h "u" in
+  let t3 = h "t" and u3 = h "u" and t4 = h "t" and u4 = h "u" in
+  let row = [| vi 1; vs "x" |] in
+  let affected =
+    [
+      Dml.A_insert [ u1 ];
+      Dml.A_insert [ t1 ];
+      Dml.A_delete [ (u2, row); (t2, row) ];
+      Dml.A_update [ (u3, [ "b" ], row); (t3, [ "b"; "a" ], row) ];
+      Dml.A_select [ ([ "a" ], [ u4; u3 ]); ([ "b" ], [ t4 ]) ];
+    ]
+  in
+  let str pp x = Fmt.str "%a" pp x in
+  let hs x = Fmt.str "%a" Handle.pp x in
+  let e = List.fold_left Effect.compose Effect.empty (List.map Effect.of_affected affected) in
+  let f = List.fold_left Flat.compose Flat.empty (List.map Flat.of_affected affected) in
+  Alcotest.(check string) "as the flat printer" (str Flat.pp f) (str Effect.pp e);
+  (* the expected line, with the printer's line breaks taken as the
+     spaces they stand for *)
+  let unbroken = String.map (function '\n' -> ' ' | c -> c) in
+  Alcotest.(check string) "handle order"
+    (Printf.sprintf
+       "[I={%s, %s}; D={%s, %s}; U={%s{a,b}, %s{b}}; S={%s{a}, %s{b}, %s{a}}]"
+       (hs t1) (hs u1) (hs t2) (hs u2) (hs t3) (hs u3) (hs u3) (hs t4) (hs u4))
+    (unbroken (str Effect.pp e))
+
 (* ------------------------------------------------------------------ *)
 (* Property tests over random valid database histories.
 
    Two tables [t] and [u] start with two rows each; each step is one
    single-operation effect (insert, delete, update of one column, or a
-   select of one column) carrying the old rows the operation saw, as
-   data manipulation reports them.  Every update writes a value not
-   seen before, so a composite that reported a later value as the old
-   one would differ from the first state.  Rows that predate the
-   history are what deletes, updates and selects of the composite can
+   select reading up to three tuples of one table, the same one
+   possibly twice, and sometimes tuples of the other table on the other
+   column) carrying the old rows the operation saw, as data
+   manipulation reports them.  Every update writes a value not seen
+   before, so a composite that reported a later value as the old one
+   would differ from the first state.  Rows that predate the history
+   are what deletes, updates and selects of the composite can
    report. *)
 
 let two_tables () =
@@ -229,13 +540,24 @@ let two_tables () =
     (Database.create_table Database.empty (table "t"))
     (table "u")
 
-(* A history: its first state, the effects of its transitions, and
-   its last state. *)
+(* A history: its first state, each transition's affected set and the
+   state after it, the transitions' effects, and its last state. *)
 type history = {
   first : Database.t;
+  affected : Dml.affected list;
+  states : Database.t list;
   effs : Effect.t list;
   last : Database.t;
 }
+
+let history first steps =
+  {
+    first;
+    affected = List.map fst steps;
+    states = List.map snd steps;
+    effs = List.map (fun (a, _) -> Effect.of_affected a) steps;
+    last = List.fold_left (fun _ (_, db) -> db) first steps;
+  }
 
 let gen_history st =
   let db0, live0 =
@@ -248,23 +570,29 @@ let gen_history st =
   in
   let open QCheck.Gen in
   let pick live = List.nth live (int_bound (List.length live - 1) st) in
+  let read table col live =
+    match List.filter (fun h -> Handle.table h = table) live with
+    | [] -> None
+    | hs -> Some ([ col ], List.init (int_range 1 3 st) (fun _ -> pick hs))
+  in
   let rec go db live steps acc =
-    if steps = 0 then (db, List.rev acc)
+    if steps = 0 then List.rev acc
     else
       let choice = int_bound 3 st in
       let col = if bool st then "a" else "b" in
+      let table = if bool st then "t" else "u" in
+      let next db live a = go db live (steps - 1) ((a, db) :: acc) in
       if choice = 0 || live = [] then begin
-        let table = if bool st then "t" else "u" in
         let db', h =
           Database.insert db table [| vi (int_bound 100 st); vs "v" |]
         in
-        go db' (h :: live) (steps - 1) (eff_ins [ h ] :: acc)
+        next db' (h :: live) (Dml.A_insert [ h ])
       end
       else if choice = 1 then begin
         let h = pick live in
         let live' = List.filter (fun h' -> not (Handle.equal h h')) live in
-        go (Database.delete db h) live' (steps - 1)
-          (eff_del [ (h, Database.get_row db h) ] :: acc)
+        next (Database.delete db h) live'
+          (Dml.A_delete [ (h, Database.get_row db h) ])
       end
       else if choice = 2 then begin
         let h = pick live in
@@ -273,13 +601,18 @@ let gen_history st =
           if col = "a" then [| vi (1000 + steps); row.(1) |]
           else [| row.(0); vs (Printf.sprintf "w%d" steps) |]
         in
-        go (Database.update db h row') live (steps - 1)
-          (eff_upd [ (h, [ col ], row) ] :: acc)
+        next (Database.update db h row') live (Dml.A_update [ (h, [ col ], row) ])
       end
-      else go db live (steps - 1) (eff_sel [ ([ col ], [ pick live ]) ] :: acc)
+      else
+        let other = if table = "t" then "u" else "t" in
+        let other_col = if col = "a" then "b" else "a" in
+        let reads =
+          read table col live
+          :: (if bool st then [ read other other_col live ] else [])
+        in
+        next db live (Dml.A_select (List.filter_map Fun.id reads))
   in
-  let last, effs = go db0 live0 (int_range 1 15 st) [] in
-  { first = db0; effs; last }
+  history db0 (go db0 live0 (int_range 1 15 st) [])
 
 let arb_history =
   QCheck.make
@@ -322,10 +655,10 @@ let prop_split_composition =
 let prop_old_rows_from_first_state =
   QCheck.Test.make ~name:"composite old rows are the first state's rows"
     ~count:200 arb_history (fun { first = db0; effs; _ } ->
-      let e = fold_compose effs in
+      let e = flat (fold_compose effs) in
       let first h row = Row.equal row (Database.get_row db0 h) in
-      Handle.Map.for_all first e.Effect.del
-      && Handle.Map.for_all (fun h u -> first h u.Effect.old_row) e.Effect.upd)
+      Handle.Map.for_all first e.Flat.del
+      && Handle.Map.for_all (fun h u -> first h u.Effect.old_row) e.Flat.upd)
 
 (* The net change between a history's first and last states, built
    without composing: a tuple only in the last state is inserted, one
@@ -335,7 +668,7 @@ let prop_old_rows_from_first_state =
    some step selected it on.  Every update in the histories below
    writes a value not seen before, so a column an update touched always
    differs at the end. *)
-let net_change { first; effs; last } =
+let net_change { first; effs; last; _ } =
   let tuples db =
     List.concat_map
       (fun t -> Table.to_list (Database.table db t))
@@ -350,7 +683,7 @@ let net_change { first; effs; last } =
   in
   let of_first =
     List.fold_left
-      (fun (e : Effect.t) (h, row0) ->
+      (fun (e : Flat.t) (h, row0) ->
         match Database.find_row last h with
         | None -> { e with del = Handle.Map.add h row0 e.del }
         | Some row1 ->
@@ -359,7 +692,7 @@ let net_change { first; effs; last } =
           else
             let u = { Effect.upd_cols; old_row = row0 } in
             { e with upd = Handle.Map.add h u e.upd })
-      Effect.empty (tuples first)
+      Flat.empty (tuples first)
   in
   let ins =
     List.fold_left
@@ -367,16 +700,11 @@ let net_change { first; effs; last } =
       Handle.Set.empty (tuples last)
   in
   let add_sel h cols m =
-    if stored first h && stored last h then
-      Handle.Map.update h
-        (function
-          | None -> Some cols | Some c -> Some (Effect.Col_set.union c cols))
-        m
-    else m
+    if stored first h && stored last h then Flat.union_cols m h cols else m
   in
   let sel =
     List.fold_left
-      (fun m (e : Effect.t) -> Handle.Map.fold add_sel e.sel m)
+      (fun m e -> Handle.Map.fold add_sel (flat e).Flat.sel m)
       Handle.Map.empty effs
   in
   { of_first with ins; sel }
@@ -384,48 +712,54 @@ let net_change { first; effs; last } =
 let prop_net_change =
   QCheck.Test.make ~name:"composite is the net change of first to last state"
     ~count:300 arb_history (fun hist ->
-      Effect.equal (fold_compose hist.effs) (net_change hist))
+      Flat.equal (flat (fold_compose hist.effs)) (net_change hist))
 
-(* Random statement histories over [t], run through data manipulation
-   as the engine runs them, each step's effect built from the affected
-   set its statement returns.  Updates add 1000 to [a] or write a [b]
-   no earlier step wrote. *)
+(* Random statement histories over [t] and [u], run through data
+   manipulation as the engine runs them, each step's effect built from
+   the affected set its statement returns.  Updates add 1000 to [a] or
+   write a [b] no earlier step wrote; the join reads both tables in one
+   select. *)
 let gen_dml_history st =
   let open QCheck.Gen in
   let first =
     List.fold_left
-      (fun db a ->
-        (exec db (Printf.sprintf "insert into t values (%d, 'v')" a)).Dml.db)
-      (db_with_t ()) [ 0; 1; 2; 3; 4 ]
+      (fun db (x, a) ->
+        (exec db (Printf.sprintf "insert into %s values (%d, 'v')" x a)).Dml.db)
+      (two_tables ())
+      (List.concat_map (fun a -> [ ("t", a); ("u", a) ]) [ 0; 1; 2; 3; 4 ])
   in
   let statement i =
     let k = int_bound 9 st in
-    match int_bound 5 st with
-    | 0 -> Printf.sprintf "insert into t values (%d, 'n')" k
+    let x, y = if bool st then ("t", "u") else ("u", "t") in
+    match int_bound 7 st with
+    | 0 -> Printf.sprintf "insert into %s values (%d, 'n')" x k
     | 1 ->
-      Printf.sprintf "insert into t (select a + 1, b from t where a = %d)" k
-    | 2 -> Printf.sprintf "delete from t where a = %d" k
-    | 3 -> Printf.sprintf "update t set a = a + 1000 where a <= %d" k
-    | 4 -> Printf.sprintf "update t set b = 'w%d' where a >= %d" i k
-    | _ -> Printf.sprintf "select b from t where a = %d" k
+      Printf.sprintf "insert into %s (select a + 1, b from %s where a = %d)" x
+        y k
+    | 2 -> Printf.sprintf "delete from %s where a = %d" x k
+    | 3 -> Printf.sprintf "update %s set a = a + 1000 where a <= %d" x k
+    | 4 -> Printf.sprintf "update %s set b = 'w%d' where a >= %d" x i k
+    | 5 -> Printf.sprintf "select b from %s where a = %d" x k
+    | 6 -> "select t.b, u.a from t, u where t.a = u.a"
+    | _ -> Printf.sprintf "select count(*) from %s where b = 'v'" x
   in
   let n = int_range 1 12 st in
-  let rec go db i sqls effs =
-    if i = n then (List.rev sqls, { first; effs = List.rev effs; last = db })
+  let rec go db i sqls steps =
+    if i = n then (List.rev sqls, history first (List.rev steps))
     else
       let sql = statement i in
       let r = exec db sql in
-      let e = Effect.of_affected r.Dml.affected in
-      go r.Dml.db (i + 1) (sql :: sqls) (e :: effs)
+      go r.Dml.db (i + 1) (sql :: sqls) ((r.Dml.affected, r.Dml.db) :: steps)
   in
   go first 0 [] []
 
+let arb_dml_history =
+  QCheck.make ~print:(fun (sqls, _) -> String.concat "; " sqls) gen_dml_history
+
 let prop_dml_net_change =
   QCheck.Test.make ~name:"composed statement effects are the net change"
-    ~count:200
-    (QCheck.make ~print:(fun (sqls, _) -> String.concat "; " sqls)
-       gen_dml_history)
-    (fun (_, hist) -> Effect.equal (fold_compose hist.effs) (net_change hist))
+    ~count:200 arb_dml_history (fun (_, hist) ->
+      Flat.equal (flat (fold_compose hist.effs)) (net_change hist))
 
 (* Restriction keeps only the kept tables and commutes with
    composition: restricting the composite equals composing the
@@ -444,6 +778,75 @@ let prop_restrict_commutes =
       Effect.Col_set.for_all keep (Effect.tables restricted)
       && Effect.equal restricted
            (fold_compose (List.map (fun e -> Effect.restrict e keep) effs)))
+
+(* The per-table effect against the flat reference model: after every
+   composition of a history the two hold the same components, and
+   agree on every question the engine asks of an effect — its tables,
+   its restrictions, each basic transition predicate (column forms and
+   a column no step touches included), its cardinality, equality with
+   the previous composite, its printed form, and each transition
+   table's rows in order, materialized against the state after the
+   step. *)
+let all_preds =
+  List.concat_map
+    (fun t ->
+      let cols = [ None; Some "a"; Some "b"; Some "c" ] in
+      [ Ast.Tp_inserted t; Ast.Tp_deleted t ]
+      @ List.map (fun c -> Ast.Tp_updated (t, c)) cols
+      @ List.map (fun c -> Ast.Tp_selected (t, c)) cols)
+    [ "t"; "u" ]
+
+let all_trans_tables =
+  List.concat_map
+    (fun t ->
+      [ Ast.Tt_inserted t; Ast.Tt_deleted t ]
+      @ List.concat_map
+          (fun c ->
+            [ Ast.Tt_old_updated (t, c); Ast.Tt_new_updated (t, c); Ast.Tt_selected (t, c) ])
+          [ None; Some "a"; Some "b" ])
+    [ "t"; "u" ]
+
+let keeps = [ String.equal "t"; String.equal "u"; Fun.const true; Fun.const false ]
+
+let agrees ~prev:(e0, f0) (e, f) db =
+  let str pp x = Fmt.str "%a" pp x in
+  Flat.equal (flat e) f
+  && Effect.well_formed e
+  && Effect.Col_set.equal (Effect.tables e) (Flat.tables f)
+  && List.for_all
+       (fun k -> Flat.equal (flat (Effect.restrict e k)) (Flat.restrict f k))
+       keeps
+  && List.for_all
+       (fun p -> Effect.satisfies_pred e p = Flat.satisfies_pred f p)
+       all_preds
+  && Effect.cardinality e = Flat.cardinality f
+  && Effect.equal e e0 = Flat.equal f f0
+  && String.equal (str Effect.pp e) (str Flat.pp f)
+  && List.for_all
+       (fun tt ->
+         List.equal Row.equal
+           (Rules.Transition_tables.materialize e ~current_db:db tt).Eval.rows
+           (Flat.materialize f ~current_db:db tt))
+       all_trans_tables
+
+let agrees_along hist =
+  let rec go prev = function
+    | [] -> true
+    | (a, db) :: rest ->
+      let e = Effect.compose (fst prev) (Effect.of_affected a) in
+      let f = Flat.compose (snd prev) (Flat.of_affected a) in
+      agrees ~prev (e, f) db && go (e, f) rest
+  in
+  go (Effect.empty, Flat.empty) (List.combine hist.affected hist.states)
+
+let prop_agrees_with_flat =
+  QCheck.Test.make ~name:"per-table effect agrees with the flat model"
+    ~count:300 arb_history agrees_along
+
+let prop_dml_agrees_with_flat =
+  QCheck.Test.make
+    ~name:"statement effects agree with the flat model" ~count:200
+    arb_dml_history (fun (_, hist) -> agrees_along hist)
 
 let suite =
   [
@@ -469,7 +872,14 @@ let suite =
     Alcotest.test_case "empty is identity" `Quick test_identity;
     Alcotest.test_case "triggering predicates" `Quick test_triggering_predicates;
     Alcotest.test_case "select component (ext 5.1)" `Quick test_select_component;
+    Alcotest.test_case "same handle selected twice" `Quick
+      test_select_same_handle_twice;
+    Alcotest.test_case "select;delete drops the selection" `Quick
+      test_select_then_delete;
+    Alcotest.test_case "insert;select is not reported" `Quick
+      test_select_of_inserted;
     Alcotest.test_case "pp prints S when non-empty" `Quick test_pp;
+    Alcotest.test_case "pp of a two-table effect" `Quick test_pp_two_tables;
     qtest prop_composition_associative;
     qtest prop_composition_well_formed;
     qtest prop_split_composition;
@@ -477,4 +887,6 @@ let suite =
     qtest prop_net_change;
     qtest prop_dml_net_change;
     qtest prop_restrict_commutes;
+    qtest prop_agrees_with_flat;
+    qtest prop_dml_agrees_with_flat;
   ]

@@ -185,6 +185,121 @@ let prop_sound_complete =
         rules)
 
 (* ------------------------------------------------------------------ *)
+(* Select tracking: the index on statements' effects                   *)
+
+(* Under select tracking, one transaction reads column [a] of [s],
+   updates column [a] of [u] and only deletes from [d].  Rules are
+   registered on every kind of key of the three tables, matching and
+   not. *)
+let tracked_rules =
+  [
+    ("sel_s", Ast.Tp_selected ("s", None));
+    ("sel_s_a", Ast.Tp_selected ("s", Some "a"));
+    ("sel_s_b", Ast.Tp_selected ("s", Some "b"));
+    ("del_s", Ast.Tp_deleted "s");
+    ("upd_u", Ast.Tp_updated ("u", None));
+    ("upd_u_a", Ast.Tp_updated ("u", Some "a"));
+    ("upd_u_b", Ast.Tp_updated ("u", Some "b"));
+    ("ins_u", Ast.Tp_inserted "u");
+    ("sel_u", Ast.Tp_selected ("u", None));
+    ("del_d", Ast.Tp_deleted "d");
+    ("ins_d", Ast.Tp_inserted "d");
+    ("upd_d", Ast.Tp_updated ("d", None));
+    ("sel_d", Ast.Tp_selected ("d", None));
+  ]
+
+let tracked_expected = [ "del_d"; "sel_s"; "sel_s_a"; "upd_u"; "upd_u_a" ]
+
+let tracked_setup =
+  List.map
+    (fun t -> Printf.sprintf "insert into %s values (1, 10), (2, 20)" t)
+    [ "s"; "u"; "d" ]
+
+let tracked_txn =
+  [
+    "select a from s where a >= 0";
+    "update u set a = a + 1 where a >= 0";
+    "delete from d where a = 1";
+  ]
+
+let parse_op sql =
+  match Parser.parse_statement_string sql with
+  | Ast.Stmt_op op -> op
+  | _ -> Alcotest.fail "expected a DML statement"
+
+(* The transaction's effect, composed from its statements' affected
+   sets as the engine composes them. *)
+let tracked_effect () =
+  let table name =
+    Schema.table name
+      [ Schema.column "a" Schema.T_int; Schema.column "b" Schema.T_int ]
+  in
+  let exec (db, eff) sql =
+    let r =
+      Sqlf.Dml.exec_op ~track_selects:true (Eval.base_resolver db) db
+        (parse_op sql)
+    in
+    (r.Sqlf.Dml.db, Effect.compose eff (Effect.of_affected r.Sqlf.Dml.affected))
+  in
+  let db =
+    List.fold_left
+      (fun db t -> Database.create_table db (table t))
+      Database.empty [ "s"; "u"; "d" ]
+  in
+  let db, _ = List.fold_left exec (db, Effect.empty) tracked_setup in
+  snd (List.fold_left exec (db, Effect.empty) tracked_txn)
+
+let test_tracked_matching () =
+  let rules =
+    List.mapi (fun i (n, p) -> mk_rule ~seq:(i + 1) n [ p ]) tracked_rules
+  in
+  let eff = tracked_effect () in
+  let linear =
+    List.filter_map
+      (fun r ->
+        if Effect.satisfies_any eff (Rule.trans_preds r) then Some r.Rule.name
+        else None)
+      rules
+  in
+  Alcotest.(check (list string))
+    "linear scan" tracked_expected
+    (List.sort String.compare linear);
+  check_names "index wakes the same rules" tracked_expected
+    (Rule_index.matching (Rule_index.rebuild ~generation:0 rules) eff)
+
+(* The same transaction through the engine: each triggered rule logs
+   its name once, with the index and with the linear scan. *)
+let test_tracked_engine () =
+  let fired rule_index =
+    let config =
+      { Engine.default_config with Engine.track_selects = true; rule_index }
+    in
+    let s =
+      system ~config
+        "create table s (a int, b int);\n\
+         create table u (a int, b int);\n\
+         create table d (a int, b int);\n\
+         create table log (r string)"
+    in
+    let eng = System.engine s in
+    List.iter
+      (fun (name, pred) ->
+        let log = parse_op (Printf.sprintf "insert into log values ('%s')" name) in
+        ignore
+          (Engine.create_rule eng
+             (rule_def name [ pred ] (Ast.Act_block [ log ]))))
+      tracked_rules;
+    List.iter (run s) tracked_setup;
+    run s "delete from log";
+    run s "begin";
+    List.iter (run s) tracked_txn;
+    run s "commit";
+    string_list_cells s "select r from log order by r"
+  in
+  Alcotest.(check (list string)) "indexed" tracked_expected (fired true);
+  Alcotest.(check (list string)) "linear scan" tracked_expected (fired false)
+
+(* ------------------------------------------------------------------ *)
 (* Engine-level semantics under the index                              *)
 
 let oracle_config =
@@ -484,6 +599,10 @@ let suite =
     Alcotest.test_case "posting lists and maintenance" `Quick
       test_matching_posting_lists;
     qtest prop_sound_complete;
+    Alcotest.test_case "tracked selects: index = linear scan" `Quick
+      test_tracked_matching;
+    Alcotest.test_case "tracked selects: engine fires the same rules" `Quick
+      test_tracked_engine;
     Alcotest.test_case "composite netting matches oracle" `Quick
       test_netting_matches_oracle;
     Alcotest.test_case "acting rule state resets" `Quick

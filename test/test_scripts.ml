@@ -6,7 +6,14 @@
 open Core
 open Helpers
 
-let load name = In_channel.with_open_text ("scripts/" ^ name) In_channel.input_all
+(* The scripts sit beside the test binary, where dune's
+   [(deps (source_tree scripts))] copies them, so the suite finds them
+   whatever directory it is run from. *)
+let scripts_dir =
+  Filename.concat (Filename.dirname Sys.executable_name) "scripts"
+
+let load name =
+  In_channel.with_open_text (Filename.concat scripts_dir name) In_channel.input_all
 
 (* Execute a script statement by statement, tolerating the statements
    that are *meant* to fail (constraint rollbacks surface as outcomes,

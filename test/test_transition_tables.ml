@@ -153,7 +153,14 @@ let test_row_order_two_tables () =
   let old i = Database.get_row db (h i) in
   let del is = eff_del (List.map (fun i -> (h i, old i)) is) in
   let upd is = eff_upd (List.map (fun i -> (h i, [ "a" ], old i)) is) in
-  let sel is = eff_sel [ ([ "a" ], List.map h is) ] in
+  (* one read per base table, as a select reports them *)
+  let sel is =
+    eff_sel
+      (List.map
+         (fun tbl ->
+           ([ "a" ], List.filter (fun x -> Handle.table x = tbl) (List.map h is)))
+         [ "t"; "u" ])
+  in
   let composite =
     List.fold_left Effect.compose Effect.empty
       [
