@@ -271,10 +271,10 @@ let e3 () =
 (* E4: per-rule transition-information maintenance (Figure 1's
    modify-trans-info runs for EVERY rule on every transition).         *)
 
-let counter_system ?(prune_info = false) extra_rules =
+let counter_system ?(prune_info = false) ?(rule_index = true) extra_rules =
   (* pruning off by default here: E4 measures Figure 1's naive
      cost model; E10 measures the Section 4.3 optimization *)
-  let config = { Engine.default_config with prune_info } in
+  let config = { Engine.default_config with prune_info; rule_index } in
   let s = System.create ~config () in
   ignore_exec s "create table c (n int);\ncreate table unrelated (x int)";
   ignore_exec s
@@ -602,12 +602,13 @@ let e9 () =
 (* E10: ablation — per-rule pruning of transition information, the
    optimization the paper itself sketches in Section 4.3 ("we need only
    save the subset of that information relevant to the particular
-   rule").                                                              *)
+   rule").  Both arms run the linear-scan wake: the rule index alone
+   keeps dormant rules asleep, which would hide what pruning saves.   *)
 
 let e10_test_of name prune_info =
   Test.make_indexed_with_resource ~name ~fmt:"%s:r=%d" ~args:[ 64; 256 ]
     Test.multiple
-    ~allocate:(fun r -> counter_system ~prune_info r)
+    ~allocate:(fun r -> counter_system ~prune_info ~rule_index:false r)
     ~free:(fun _ -> ())
     (fun _ ->
       let ops = [ insert_op "c" [ [ vi 20 ] ] ] in
@@ -617,8 +618,9 @@ let e10 () =
   print_header "E10"
     "ablation: per-rule pruning of transition information (Section 4.3)"
     "pruning restricts each woken rule's information to its own tables; \
-     with the rule index on, dormant rules (whose predicates mention \
-     unaffected tables) are never woken, so both arms do the same work; \
+     both arms wake the whole catalog (rule index off: with it on, \
+     dormant rules are never woken and the arms do the same work), so \
+     the naive arm carries every dormant rule's copy of the transition; \
      semantics are unchanged (property-tested)";
   let pruned = run_test (e10_test_of "pruned" true) in
   let naive = run_test (e10_test_of "naive" false) in
@@ -1663,22 +1665,25 @@ let e20 () =
   write_e20_json "BENCH_PR9.json" !results
 
 (* ------------------------------------------------------------------ *)
-(* E21: the prepared-statement pipeline.  Three arms over two statement
+(* E21: the prepared-statement pipeline.  Five arms over two statement
    sizes (a ~30-byte point select and a ~1 KB select whose predicate
-   carries a large IN list): parse-only through the streaming lexer,
-   parse+compile against the fixture catalog, and end-to-end EXECUTE of
-   the prepared form — the EXECUTE text stays tiny regardless of the
+   carries a large IN list): the lexer's shape scan alone, parse-only,
+   parse+compile against the fixture catalog, end-to-end EXECUTE of the
+   prepared form — the EXECUTE text stays tiny regardless of the
    prepared body's size, and the compiled plan is served from the
    generation-keyed cache, so its cost is bind + run rather than
-   re-parse + re-compile.  Parsing is microseconds, so arms are timed
-   directly over a fixed iteration count, as in E19/E20.               *)
+   re-parse + re-compile — and the unprepared text end to end through
+   [System.exec], whose shape memo binds the text's literals into the
+   cached parameterized plan (the literals vary per call, the shape
+   does not).  Parsing is microseconds, so arms are timed directly over
+   a fixed iteration count, as in E19/E20.                             *)
 
 let e21_iters = if tiny then 500 else 20_000
 
 (* pad the body with an IN list until the statement is ~1 KB; the
    [param] variant swaps the trailing range for `?` placeholders so
    the prepared form has the same shape and length *)
-let e21_big_stmt ~param =
+let e21_big_stmt ?(lo = 10) ~param () =
   let buf = Buffer.create 1200 in
   Buffer.add_string buf
     "select a, b, (a + b) s1, (a * b) s2, (b - a) s3 from t where a in (";
@@ -1690,17 +1695,22 @@ let e21_big_stmt ~param =
   done;
   Buffer.add_string buf
     (if param then ") and b between ? and ?"
-     else ") and b between 10 and 20");
+     else Printf.sprintf ") and b between %d and %d" lo (lo + 10));
   Buffer.contents buf
 
+(* (size, literal text, prepared body, EXECUTE text, literal variants) *)
 let e21_cases =
   [
     ( "small",
       "select a from t where a = 42",
       "select a from t where a = ?",
-      "execute p21_small (42)" );
-    ("1kb", e21_big_stmt ~param:false, e21_big_stmt ~param:true,
-     "execute p21_1kb (10, 20)");
+      "execute p21_small (42)",
+      Array.init 64 (Printf.sprintf "select a from t where a = %d") );
+    ( "1kb",
+      e21_big_stmt ~param:false (),
+      e21_big_stmt ~param:true (),
+      "execute p21_1kb (10, 20)",
+      Array.init 64 (fun lo -> e21_big_stmt ~lo ~param:false ()) );
   ]
 
 let e21_system () =
@@ -1710,7 +1720,7 @@ let e21_system () =
     (Engine.execute_block (System.engine s)
        [ insert_op "t" (List.init 4 (fun i -> [ vi i; vi (10 + i) ])) ]);
   List.iter
-    (fun (name, _, prep, _) ->
+    (fun (name, _, prep, _, _) ->
       ignore_exec s (Printf.sprintf "prepare p21_%s as %s" name prep))
     e21_cases;
   s
@@ -1727,9 +1737,9 @@ let write_e21_json path rows =
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"experiment\": \"E21\",\n  \"description\": \"prepared \
-        statements: parse-only vs parse+compile vs EXECUTE against the \
-        generation-keyed statement cache, at ~30 B and ~1 KB statement \
-        sizes\",\n  \"unit\": \"ns_per_op\",\n  \"tiny\": %b,\n  \
+        statements: lex-only vs parse-only vs parse+compile vs EXECUTE \
+        against the generation-keyed statement cache vs unprepared text \
+        through the shape memo, at ~30 B and ~1 KB statement sizes\",\n  \"unit\": \"ns_per_op\",\n  \"tiny\": %b,\n  \
         \"results\": [\n"
        tiny);
   List.iteri
@@ -1750,17 +1760,21 @@ let write_e21_json path rows =
 let e21 () =
   print_header "E21" "prepared statements: PREPARE/EXECUTE vs re-parse"
     "EXECUTE of a prepared 1 KB statement costs bind + cached plan, \
-     independent of body size; unprepared execution re-pays lexing, \
-     parsing and compilation on every call";
+     independent of body size; unprepared execution that re-parsed and \
+     recompiled on every call now pays the lexer's shape scan and binds \
+     its literals into the cached parameterized plan";
   let s = e21_system () in
   let db = Engine.database (System.engine s) in
   let results = ref [] in
   let table_rows =
     List.map
-      (fun (size, literal, _, exec_sql) ->
+      (fun (size, literal, _, exec_sql, variants) ->
         let bytes = String.length literal in
-        (* warm the execute path so the cached-plan arm measures hits *)
+        (* warm the execute path so the cached-plan arm measures hits,
+           and the shape memo with every variant *)
         ignore (System.exec_one s exec_sql);
+        Array.iter (fun v -> ignore (System.exec s v)) variants;
+        let lex_ns = e21_timed_ns (fun () -> ignore (Sqlf.Lexer.shape literal)) in
         let parse_ns =
           e21_timed_ns (fun () ->
               ignore (Parser.parse_statement_string literal))
@@ -1774,27 +1788,37 @@ let e21 () =
         let exec_ns =
           e21_timed_ns (fun () -> ignore (System.exec_one s exec_sql))
         in
+        let k = ref 0 in
+        let memo_ns =
+          e21_timed_ns (fun () ->
+              incr k;
+              ignore (System.exec s variants.(!k land 63)))
+        in
         results :=
           !results
           @ [
+              (size, bytes, "lex_only", lex_ns);
               (size, bytes, "parse_only", parse_ns);
               (size, bytes, "parse_compile", compile_ns);
               (size, bytes, "execute_cached", exec_ns);
+              (size, bytes, "exec_shape_memo", memo_ns);
             ];
         [
           size;
           string_of_int bytes ^ " B";
+          Printf.sprintf "%.1f ns/B" (lex_ns /. float_of_int bytes);
           pretty_ns parse_ns;
           pretty_ns compile_ns;
           pretty_ns exec_ns;
+          pretty_ns memo_ns;
           ratio compile_ns exec_ns;
         ])
       e21_cases
   in
   print_table
     [
-      "stmt"; "bytes"; "parse only"; "parse+compile"; "execute (cached)";
-      "speedup";
+      "stmt"; "bytes"; "lex"; "parse only"; "parse+compile"; "execute (cached)";
+      "text (shape memo)"; "speedup";
     ]
     table_rows;
   write_e21_json "BENCH_PR10.json" !results

@@ -204,11 +204,33 @@ type t = {
       (* monotonic-seconds hook for trace timestamps and rule timing;
          [None] (the default) disables all timing *)
   rule_metrics : (string, metrics) Hashtbl.t;
-  stmt_cache : (string, int * Dml.cop) Hashtbl.t;
-      (* canonical SQL text -> (validity key, compiled plan): repeated
-         unprepared statements reuse compiled plans too *)
+  stmt_cache : (int * Dml.cop) Lru.t;
+      (* parameterized statement (with its parameters' kinds) ->
+         (validity key, compiled plan): repeated unprepared statements
+         reuse compiled plans too, whatever their literals *)
+  shapes : shaped Lru.t;
+      (* statement shape key -> what a statement of that shape is *)
   prepared : (string, prepared) Hashtbl.t;
 }
+
+(* A shape-memo entry: a statement of one shape (its token stream
+   with typed literal slots), up to the values of its literals. *)
+and shaped =
+  | Shaped_stmt of Ast.statement (* BEGIN, COMMIT or ROLLBACK *)
+  | Shaped_op of {
+      so_op : Ast.op; (* the parameterized operation *)
+      so_key : string; (* its plan-table key *)
+      so_frame : Value.t array;
+          (* the parameter frame it was recorded with; a parameter bound
+             to no slot (a NAN or INFINITY literal) keeps its value *)
+      so_slots : int array;
+          (* per parameter, the statement's slot bound to it, or -1 *)
+      so_pinned : (int * Value.t) array;
+          (* every other slot with the value the plan was compiled
+             with: projections, GROUP BY, HAVING, ORDER BY and LIMIT
+             keep their literals (see [Ast.parameterize_op]), so a
+             statement whose pinned slots differ is a different plan *)
+    }
 
 let log_src = Logs.Src.create "sopr.engine" ~doc:"rule engine execution"
 
@@ -234,6 +256,10 @@ let fresh_stats () =
     stmt_cache_invalidations = 0;
   }
 
+(* Entries kept by the plan table and by the shape memo, each evicting
+   its least recently used entry beyond this. *)
+let stmt_cache_max = 512
+
 let create ?(config = default_config) db =
   {
     db;
@@ -255,7 +281,8 @@ let create ?(config = default_config) db =
     trace = [];
     wall_clock = None;
     rule_metrics = Hashtbl.create 16;
-    stmt_cache = Hashtbl.create 64;
+    stmt_cache = Lru.create stmt_cache_max;
+    shapes = Lru.create stmt_cache_max;
     prepared = Hashtbl.create 16;
   }
 
@@ -296,7 +323,8 @@ let fork t =
     rule_metrics = Hashtbl.create 16;
     (* fresh per fork: each server session gets its own statement
        namespace and plan cache, and dropping the fork drops both *)
-    stmt_cache = Hashtbl.create 64;
+    stmt_cache = Lru.create stmt_cache_max;
+    shapes = Lru.create stmt_cache_max;
     prepared = Hashtbl.create 16;
   }
 
@@ -333,8 +361,9 @@ let access_for t db : Eval.access =
    compiled predicate or the interpreted expression.  Everything
    downstream runs plans. *)
 
-let plan_op t (op : Ast.op) =
-  if t.config.compiled then Dml.compile_op t.db op else Dml.interpret op
+let plan_op ?param_kinds t (op : Ast.op) =
+  if t.config.compiled then Dml.compile_op ?param_kinds t.db op
+  else Dml.interpret op
 
 let plan_condition t cond : Rule.condition =
   let use_cache = t.config.optimize in
@@ -373,17 +402,28 @@ let action_plan t (rule : Rule.t) ops =
 
 (* {2 Statement cache and prepared statements}
 
-   The statement cache maps canonical statement text to a compiled
-   plan, keyed (like rule plans) on the DDL generation: a hit
-   serves the plan without recompiling; a stale entry counts as an
-   invalidation and recompiles in place.  Prepared statements reuse the
-   same validity discipline but live in a separate per-name registry so
-   DEALLOCATE and the server's per-session namespace have something to
-   address. *)
+   The statement cache is one plan table, an LRU keyed on the
+   parameterized statement: [Ast.parameterize_op] lifts the literals
+   in bindable positions into parameters, and the key is the printed
+   result with its parameters' kinds (the early-stop analysis reads
+   them), so statements that differ only in those literals share a
+   plan and bind their literals into its parameter frame.  Plans are
+   keyed (like rule plans) on the DDL generation: a hit serves the plan
+   without recompiling; a stale entry counts as an invalidation and
+   recompiles in place.
 
-let stmt_cache_max = 512
-(* wholesale reset when the cache would exceed this; an LRU is not
-   worth its bookkeeping for a cache this small *)
+   The shape memo in front of it serves [System.exec]: it maps a
+   statement's shape (its token stream with typed literal slots, from
+   [Lexer.shape]) to the parameterized statement, its plan key, and a
+   slot map saying which slot each parameter is bound to; the other
+   slots are pinned to the values the plan was compiled with.  A hit
+   needs neither parsing nor printing nor compiling.  Both paths reach
+   the plan table the same way, so they count the same hits, misses
+   and invalidations.
+
+   Prepared statements reuse the same validity discipline but live in
+   a separate per-name registry so DEALLOCATE and the server's
+   per-session namespace have something to address. *)
 
 (* Serve [op]'s plan from its validity-keyed slot, whose current
    entry is [found]: a plan built for the current DDL generation is a
@@ -391,7 +431,7 @@ let stmt_cache_max = 512
    [store]d; an empty slot is a miss.  An interpreted plan is the AST
    itself, so an engine running the interpreter plans afresh and
    leaves the slots and their counters alone. *)
-let reuse_plan t op found ~store =
+let reuse_plan ?param_kinds t op found ~store =
   if not t.config.compiled then plan_op t op
   else
     let st = t.stats in
@@ -404,27 +444,111 @@ let reuse_plan t op found ~store =
       if Option.is_some found then
         st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1
       else st.stmt_cache_misses <- st.stmt_cache_misses + 1;
-      let cop = plan_op t op in
+      let cop = plan_op ?param_kinds t op in
       store (key, cop);
       cop
 
+(* The plan-table key of a parameterized operation bound to [args]. *)
+let plan_key op args =
+  let kinds =
+    String.init (Array.length args) (fun i ->
+        match Compile.lit_kind args.(i) with
+        | `Num -> 'n'
+        | `Str -> 's'
+        | `Bool -> 'b'
+        | `Null -> 'z')
+  in
+  kinds ^ "|" ^ Pretty.op_str op
+
+(* The compiled plan of the parameterized [op] under [key]. *)
+let table_plan t key op args =
+  reuse_plan
+    ~param_kinds:(Array.map Compile.lit_kind args)
+    t op (Lru.find t.stmt_cache key)
+    ~store:(Lru.add t.stmt_cache key)
+
 let cached_cop t (op : Ast.op) =
-  let text = Pretty.op_str op in
-  let found = Hashtbl.find_opt t.stmt_cache text in
-  reuse_plan t op found ~store:(fun entry ->
-      if Option.is_none found && Hashtbl.length t.stmt_cache >= stmt_cache_max
-      then Hashtbl.reset t.stmt_cache;
-      Hashtbl.replace t.stmt_cache text entry)
+  if not t.config.compiled then plan_op t op
+  else
+    let op, args = Ast.parameterize_op op in
+    let cop = table_plan t (plan_key op args) op args in
+    if Array.length args = 0 then cop else Dml.bind cop args
 
 (* Non-mutating probe for EXPLAIN: what would executing this statement
    find in the cache right now? *)
 let stmt_cache_lookup t (op : Ast.op) =
-  match Hashtbl.find_opt t.stmt_cache (Pretty.op_str op) with
+  let op, args = Ast.parameterize_op op in
+  match Lru.peek t.stmt_cache (plan_key op args) with
   | Some (k, _) when k = t.ddl_gen -> `Hit
   | Some _ -> `Stale
   | None -> `Miss
 
-let stmt_cache_size t = Hashtbl.length t.stmt_cache
+let stmt_cache_size t = Lru.length t.stmt_cache
+
+(* Equal literals, floats bit for bit (0.0 and -0.0 print apart). *)
+let same_literal a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Str x, Value.Str y -> String.equal x y
+  | Value.Bool x, Value.Bool y -> x = y
+  | Value.Null, Value.Null -> true
+  | (Value.Float _ | Value.Int _ | Value.Str _ | Value.Bool _ | Value.Null), _ ->
+    false
+
+(* The memo entry for [seg]'s shape, if its pinned slots hold the
+   values [literals] gives them. *)
+let find_shape t (seg : Sqlf.Lexer.segment) literals =
+  let pinned_match (j, v) = same_literal literals.(seg.first_slot + j) v in
+  match Lru.find t.shapes seg.key with
+  | Some (Shaped_op { so_pinned; _ }) when not (Array.for_all pinned_match so_pinned) ->
+    None
+  | found -> found
+
+let record_shape t (seg : Sqlf.Lexer.segment) literals stmt lits =
+  let entry =
+    match (stmt : Ast.statement) with
+    | Ast.Stmt_begin | Ast.Stmt_commit | Ast.Stmt_rollback -> Some (Shaped_stmt stmt)
+    | Ast.Stmt_op op ->
+      let op, nodes, frame = Ast.parameterize_nodes op in
+      let slots =
+        Array.map
+          (fun node ->
+            match List.assq_opt node lits with
+            | Some j -> j - seg.first_slot
+            | None -> -1)
+          nodes
+      in
+      let pinned =
+        List.init seg.nslots Fun.id
+        |> List.filter (fun j -> not (Array.mem j slots))
+        |> List.map (fun j -> (j, literals.(seg.first_slot + j)))
+        |> Array.of_list
+      in
+      Some
+        (Shaped_op
+           {
+             so_op = op;
+             so_key = plan_key op frame;
+             so_frame = frame;
+             so_slots = slots;
+             so_pinned = pinned;
+           })
+    | _ -> None
+  in
+  Option.iter (Lru.add t.shapes seg.key) entry;
+  entry
+
+let shaped_plan t shaped (seg : Sqlf.Lexer.segment) literals =
+  match shaped with
+  | Shaped_stmt stmt -> `Statement stmt
+  | Shaped_op { so_op; so_key; so_frame; so_slots; _ } ->
+    let params = Array.copy so_frame in
+    Array.iteri
+      (fun i j -> if j >= 0 then params.(i) <- literals.(seg.first_slot + j))
+      so_slots;
+    `Op (so_op, table_plan t so_key so_op params, params)
 
 let prepare t ~name (op : Ast.op) =
   if Hashtbl.mem t.prepared name then

@@ -52,8 +52,8 @@ type config = {
           is planned as compiled positional closures
           ({!Sqlf.Compile}).  [false] plans them for the tree-walking
           interpreter ({!Sqlf.Dml.interpret}), retained as the
-          differential oracle: the statement cache and the prepared
-          plans stay empty and uncounted; results, EXPLAIN plans and
+          differential oracle: the statement cache, its shape memo
+          and the prepared plans stay empty and uncounted; results, EXPLAIN plans and
           error diagnostics are identical either way. *)
 }
 
@@ -282,30 +282,79 @@ val query : t -> Ast.select -> Eval.relation
 (** {2 Plans, the statement cache and prepared statements}
 
     Every operation runs as a {!Dml.cop} plan, compiled or interpreted
-    as [config.compiled] says.  The statement cache maps
-    canonical statement text to a compiled plan, keyed (like rule
-    plans) on the DDL generation.  A hit serves the plan without
-    recompiling; a stale entry counts as an invalidation and recompiles
-    in place.  Prepared statements (PREPARE name AS
-    <op>) reuse the same validity discipline in a per-name registry.
-    Both structures are engine-local and start empty on {!fork}, which
-    gives each server session its own statement namespace and drops
-    both when the session ends. *)
+    as [config.compiled] says.  The statement cache is one plan table
+    of at most {!stmt_cache_max} plans, evicting the least recently
+    used.  It is keyed on the {e parameterized} statement
+    ({!Ast.parameterize_op}) with its parameters' kinds, so statements
+    that differ only in the literals of bindable positions share a
+    plan and bind those literals into its parameter frame.  Plans are
+    keyed (like rule plans) on the DDL generation: a hit serves the
+    plan without recompiling; a stale entry counts as an invalidation
+    and recompiles in place.
+
+    In front of the plan table sits the shape memo (also an LRU of
+    {!stmt_cache_max} entries) used by [System.exec]: it maps a
+    statement's shape ({!Sqlf.Lexer.shape}) to the parameterized
+    statement, its plan key and a slot map — each literal slot is
+    either bound to a parameter or pinned to the value the plan was
+    compiled with.  A memo hit neither parses nor prints nor compiles.
+    Both paths reach the plan table the same way and count the same
+    [stmt_cache_*] statistics.
+
+    Prepared statements (PREPARE name AS <op>) reuse the same validity
+    discipline in a per-name registry.  All three structures are
+    engine-local and start empty on {!fork}, which gives each server
+    session its own statement namespace and drops them when the
+    session ends. *)
 
 module Dml = Sqlf.Dml
 
+val stmt_cache_max : int
+
 val cached_cop : t -> Ast.op -> Dml.cop
-(** The plan for [op].  Compiled: served from the statement cache when
-    valid, (re)compiled and cached otherwise, updating the
-    [stmt_cache_*] counters in {!stats}.  Interpreted: the
-    {!Dml.interpret} plan, with the cache and its counters left
-    alone. *)
+(** The plan for [op], runnable without [params].  Compiled: the
+    parameterized plan, served from the plan table when valid,
+    (re)compiled and cached otherwise, updating the [stmt_cache_*]
+    counters in {!stats}, with [op]'s literals bound
+    ({!Dml.bind}).  Interpreted: the {!Dml.interpret} plan of [op],
+    with the cache and its counters left alone. *)
 
 val stmt_cache_lookup : t -> Ast.op -> [ `Hit | `Stale | `Miss ]
 (** Non-mutating probe (for EXPLAIN): what would executing this
-    statement find in the cache right now? *)
+    statement find in the plan table right now? *)
 
 val stmt_cache_size : t -> int
+
+type shaped
+(** A shape-memo entry. *)
+
+val find_shape : t -> Sqlf.Lexer.segment -> Value.t array -> shaped option
+(** The memo entry for the segment's shape, when its pinned slots hold
+    the same values in [literals] (the shape's literal vector).  Does
+    not touch the plan table or its counters. *)
+
+val record_shape :
+  t ->
+  Sqlf.Lexer.segment ->
+  Value.t array ->
+  Ast.statement ->
+  (Ast.expr * int) list ->
+  shaped option
+(** Memoize the statement parsed from the segment, given its literal
+    nodes and their slots ({!Sqlf.Parser.parse_script_traced}):
+    BEGIN, COMMIT, ROLLBACK and data manipulation are memoized, other
+    statements give [None]. *)
+
+val shaped_plan :
+  t ->
+  shaped ->
+  Sqlf.Lexer.segment ->
+  Value.t array ->
+  [ `Statement of Ast.statement | `Op of Ast.op * Dml.cop * Value.t array ]
+(** What to run for a statement of the entry's shape with these
+    literals: a transaction-control statement, or the parameterized
+    operation, its plan from the plan table (counted as by
+    {!cached_cop}) and the parameter frame to run it with. *)
 
 type prepared
 (** A prepared statement: parsed once, compiled lazily against the

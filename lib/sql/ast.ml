@@ -425,13 +425,13 @@ let subst_params_op args op =
    constant.  The maps run left to right, so the numbering matches the
    textual `?` order and [Pretty.op_str] of the result is a valid
    PREPARE body for the same argument vector. *)
-let parameterize_op op =
+let parameterize_nodes op =
   let collected = ref [] and n = ref 0 in
   let rec expr = function
-    | Lit v ->
+    | Lit v as e ->
       let i = !n in
       incr n;
-      collected := v :: !collected;
+      collected := (e, v) :: !collected;
       Param i
     | e -> map_expr ~expr ~select e
   and select (s : select) =
@@ -441,4 +441,9 @@ let parameterize_op op =
     { s with from; where; compounds }
   in
   let op' = map_op ~expr ~select op in
-  (op', Array.of_list (List.rev !collected))
+  let collected = Array.of_list (List.rev !collected) in
+  (op', Array.map fst collected, Array.map snd collected)
+
+let parameterize_op op =
+  let op', _, args = parameterize_nodes op in
+  (op', args)

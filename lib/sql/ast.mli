@@ -264,3 +264,7 @@ val parameterize_op : op -> op * Value.t array
     output naming, grouping and positional ordering are unchanged.
     Parameters are numbered in textual order:
     [subst_params_op args (fst (parameterize_op op))] is [op]. *)
+
+val parameterize_nodes : op -> op * expr array * Value.t array
+(** {!parameterize_op} also returning, per parameter, the [Lit] node
+    it replaced (physically the node of [op]). *)

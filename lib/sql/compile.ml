@@ -163,10 +163,23 @@ type ctx = {
          a sargable IN (select ...) is compiled twice — once for the
          probe values, once inside the residual WHERE — and both copies
          read one slot, so the subquery runs once *)
+  cc_param_kinds : lit_kind array;
+      (* the kind of each parameter when the plan is compiled for one
+         kind per parameter (the statement cache keys plans on them);
+         empty when any value may be bound, as for PREPARE *)
 }
 
-let make db =
+and lit_kind = [ `Num | `Str | `Bool | `Null ]
+
+let lit_kind : Value.t -> lit_kind = function
+  | Value.Null -> `Null
+  | Value.Int _ | Value.Float _ -> `Num
+  | Value.Str _ -> `Str
+  | Value.Bool _ -> `Bool
+
+let make ?(param_kinds = [||]) db =
   {
+    cc_param_kinds = param_kinds;
     cc_db = db;
     cc_shape = [];
     cc_schemas = [];
@@ -345,7 +358,7 @@ let finish_group rt chaving cprojs env accs =
    column's type, or are NULL), comparisons of compatible kinds, and
    the logic and arithmetic that cannot fail on them.  [None] means it
    might raise (or is not analysed). *)
-let rec row_kind ctx (e : Ast.expr) =
+let rec row_kind ctx (e : Ast.expr) : lit_kind option =
   let kind_of_type = function
     | Schema.T_int | Schema.T_float -> `Num
     | Schema.T_string -> `Str
@@ -372,6 +385,7 @@ let rec row_kind ctx (e : Ast.expr) =
   | Ast.Lit (Value.Int _ | Value.Float _) -> Some `Num
   | Ast.Lit (Value.Str _) -> Some `Str
   | Ast.Lit (Value.Bool _) -> Some `Bool
+  | Ast.Param i when i < Array.length ctx.cc_param_kinds -> Some ctx.cc_param_kinds.(i)
   | Ast.Col { qualifier; column } -> (
     match resolve_col { ctx with cc_watches = [] } qualifier column with
     | H_at (d, b, c) -> (
@@ -775,30 +789,55 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
 (* ------------------------------------------------------------------ *)
 (* Expression and select compilation                                   *)
 
-(* [Some vs] when every expression in [es] is a literal (note: a [?]
-   parameter is not — it compiles to a frame read) *)
-let lit_values es =
-  let rec go acc = function
+(* Read the EXECUTE parameter frame; arity is validated before the
+   frame is built, so an out-of-range read means the closure was run
+   outside EXECUTE. *)
+let param_read (e : Ast.expr) rt =
+  match e with
+  | Ast.Param i ->
+    if i < Array.length rt.rt_params then rt.rt_params.(i)
+    else
+      Errors.raise_error
+        (Errors.Parameter_error
+           (Printf.sprintf "parameter %d is unbound (use PREPARE/EXECUTE)" (i + 1)))
+  | _ -> invalid_arg "Compile.param_read"
+
+(* The element values of an IN list whose elements are all literals
+   or parameters, hoisted out of the per-row closure: a literal list is
+   constant at compile time; one with parameters is evaluated once per
+   parameter frame (an [rt]'s frame is never mutated), so a cached or
+   prepared plan never re-evaluates the (possibly large) list per row.
+   [None] for any other list. *)
+let hoisted_values es =
+  let rec lits acc = function
     | [] -> Some (List.rev acc)
-    | Ast.Lit v :: rest -> go (v :: acc) rest
+    | Ast.Lit v :: rest -> lits (v :: acc) rest
     | _ -> None
   in
-  go [] es
+  match lits [] es with
+  | Some vals -> Some (fun _ -> vals)
+  | None ->
+    if List.exists (function Ast.Lit _ | Ast.Param _ -> false | _ -> true) es then None
+    else
+      let ces =
+        List.map (function Ast.Lit v -> fun _ -> v | e -> param_read e) es
+      in
+      let last = ref ([||], []) in
+      Some
+        (fun rt ->
+          let frame, vals = !last in
+          if frame == rt.rt_params then vals
+          else
+            let vals = List.map (fun ce -> ce rt) ces in
+            last := (rt.rt_params, vals);
+            vals)
 
 let rec cexpr_of ctx (e : Ast.expr) : cexpr =
   match e with
   | Ast.Lit v -> fun _ _ _ -> v
-  | Ast.Param i ->
-    (* read the EXECUTE parameter frame; arity is validated before the
-       frame is built, so an out-of-range read means the closure was
-       run outside EXECUTE *)
-    fun rt _ _ ->
-      if i < Array.length rt.rt_params then rt.rt_params.(i)
-      else
-        Errors.raise_error
-          (Errors.Parameter_error
-             (Printf.sprintf "parameter %d is unbound (use PREPARE/EXECUTE)"
-                (i + 1)))
+  | Ast.Param _ ->
+    let read = param_read e in
+    fun rt _ _ -> read rt
   | Ast.Col { qualifier; column } -> (
     match resolve_col ctx qualifier column with
     | H_at (d, b, c) -> fun _ _ env -> env.(d).(b).(c)
@@ -866,11 +905,11 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
     fun rt g env -> Value.Bool (not (Value.is_null (ca rt g env)))
   | Ast.In_list (a, es) -> (
     let ca = cexpr_of ctx a in
-    (* an all-literal IN list is constant: hoist the element values out
-       of the per-row closure at compile time, so a cached or prepared
-       plan never re-evaluates the (possibly large) list *)
-    match lit_values es with
-    | Some vals -> fun rt g env -> Eval.in_semantics (ca rt g env) vals
+    match hoisted_values es with
+    | Some vals ->
+      fun rt g env ->
+        let v = ca rt g env in
+        Eval.in_semantics v (vals rt)
     | None ->
       let ces = List.map (cexpr_of ctx) es in
       fun rt g env ->
@@ -882,8 +921,11 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       Eval.truth_value
         (Value.truth_not (Eval.value_truth (Eval.in_semantics v vals)))
     in
-    match lit_values es with
-    | Some vals -> fun rt g env -> negate (ca rt g env) vals
+    match hoisted_values es with
+    | Some vals ->
+      fun rt g env ->
+        let v = ca rt g env in
+        negate v (vals rt)
     | None ->
       let ces = List.map (cexpr_of ctx) es in
       fun rt g env ->

@@ -56,7 +56,18 @@ type ctx
     shape (binding names and column names per scope), correlation
     watches, and the memo-slot counter. *)
 
-val make : Database.t -> ctx
+type lit_kind = [ `Num | `Str | `Bool | `Null ]
+(** What the early-stop analysis knows of a value: numbers (Int and
+    Float alike), strings, booleans or NULL. *)
+
+val lit_kind : Value.t -> lit_kind
+
+val make : ?param_kinds:lit_kind array -> Database.t -> ctx
+(** [param_kinds], when given, is the kind of every parameter the
+    compiled plan will ever be run with — the statement cache keys its
+    plans on them — so the early-stop analysis treats parameter [i]
+    like a literal of kind [param_kinds.(i)].  Default: nothing is
+    known, as for PREPARE. *)
 
 val slot_count : ctx -> int
 (** Memo slots allocated so far; pass to {!make_rt} after compiling

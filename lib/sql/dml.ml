@@ -300,17 +300,19 @@ type cop =
     }
   | C_select of { s : Ast.select; csel : Compile.cselect; nslots : int }
   | C_interpreted of Ast.op
+  | C_bound of cop * Value.t array
 
 let interpret op = C_interpreted op
+let bind cop args = C_bound (cop, args)
 
-let compile_op db (op : Ast.op) : cop =
+let compile_op ?param_kinds db (op : Ast.op) : cop =
   match op with
   | Ast.Insert { table; columns; source } ->
     (* the interpreter resolves the target table before evaluating the
        source; compilation of the source needs no catalog knowledge
        (VALUES expressions see an empty environment), so the unknown-
        table error stays a run-time one *)
-    let ctx = Compile.make db in
+    let ctx = Compile.make ?param_kinds db in
     let csource =
       match source with
       | `Values exprss ->
@@ -324,7 +326,7 @@ let compile_op db (op : Ast.op) : cop =
   | Ast.Delete { table; where } ->
     if not (Database.has_table db table) then C_interpreted op
     else begin
-      let ctx = Compile.make db in
+      let ctx = Compile.make ?param_kinds db in
       let cols = Table.col_names (Database.table db table) in
       let frame = [ (table, cols) ] in
       let cwhere =
@@ -346,7 +348,7 @@ let compile_op db (op : Ast.op) : cop =
            victim selection) *)
         C_interpreted op
       else begin
-        let ctx = Compile.make db in
+        let ctx = Compile.make ?param_kinds db in
         let cols = Table.col_names (Database.table db table) in
         let frame = [ (table, cols) ] in
         let csets =
@@ -374,7 +376,7 @@ let compile_op db (op : Ast.op) : cop =
       end
     end
   | Ast.Select_op s ->
-    let ctx = Compile.make db in
+    let ctx = Compile.make ?param_kinds db in
     let csel = Compile.compile_select ctx s in
     C_select { s; csel; nslots = Compile.slot_count ctx }
 
@@ -409,12 +411,14 @@ let selected_handles_c rt ?access tbl cwhere cprobe =
       access.Eval.acc_note ~table:name `Seq_scan;
       scan ())
 
-let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
+let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
     op_result =
   let rt nslots =
     Compile.make_rt ?access ?params ~use_cache:optimize ~slots:nslots resolve
   in
   match cop with
+  | C_bound (cop, args) ->
+    run_cop ~track_selects ~optimize ?access ~params:args resolve db cop
   | C_interpreted op -> begin
     (* the interpreter binds EXECUTE arguments by substitution *)
     let op =

@@ -66,10 +66,15 @@ type cop
     interpreter.  Valid for the catalog it was planned against: any DDL
     invalidates it. *)
 
-val compile_op : Database.t -> Ast.op -> cop
+val compile_op : ?param_kinds:Compile.lit_kind array -> Database.t -> Ast.op -> cop
 (** Total: an operation the compiler cannot resolve against the
     catalog compiles to the {!interpret} plan, reproducing the
-    interpreter's error exactly. *)
+    interpreter's error exactly.  [param_kinds] is passed to
+    {!Compile.make}. *)
+
+val bind : cop -> Value.t array -> cop
+(** The plan with its parameter frame bound: running it without
+    [params] runs [cop] with [params] set to the frame. *)
 
 val interpret : Ast.op -> cop
 (** The plan that runs [op] through the tree-walking interpreter, the

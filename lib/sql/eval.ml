@@ -434,7 +434,8 @@ type ('e, 's) sargable = {
    [col BETWEEN a AND b] and [col LIKE p] — whose column attributes
    uniquely to the source bound as [target] in [frame] and whose other
    side provably cannot reference the frame (see [independence]), in
-   conjunct order. *)
+   conjunct order; a lower and an upper comparison on one column make
+   one two-sided range candidate. *)
 let sargable_candidates ~frame ~target ~cols_of pred =
   let ind_expr, ind_sel = independence ~target:frame ~cols_of in
   let attributes_to_target qualifier column =
@@ -498,7 +499,29 @@ let sargable_candidates ~frame ~target ~cols_of pred =
       found column Shape_prefix (Pv_like p)
     | _ -> None
   in
-  List.filter_map candidate (conjuncts pred)
+  (* one column's lower and upper comparisons bound one range: the
+     first of each merges into a two-sided candidate at the earlier
+     one's place, whose conjunct is the pair in text order *)
+  let two_sided cd c =
+    if not (String.equal c.sg_column cd.sg_column) then None
+    else
+      match cd.sg_values, c.sg_values with
+      | Pv_bounds (Some lo, None), Pv_bounds (None, Some hi)
+      | Pv_bounds (None, Some hi), Pv_bounds (Some lo, None) ->
+        Some (c, Pv_bounds (Some lo, Some hi))
+      | _ -> None
+  in
+  let rec merge = function
+    | [] -> []
+    | cd :: rest -> (
+      match List.find_map (two_sided cd) rest with
+      | None -> cd :: merge rest
+      | Some (c, values) ->
+        let conjunct = Ast.And (cd.sg_conjunct, c.sg_conjunct) in
+        { cd with sg_conjunct = conjunct; sg_values = values }
+        :: merge (List.filter (fun x -> x != c) rest))
+  in
+  merge (List.filter_map candidate (conjuncts pred))
 
 (* Rank [cands] with [choose_candidates] and try them cheapest first:
    probe values are evaluated with [eval] (and an IN subquery's value

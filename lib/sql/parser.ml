@@ -23,6 +23,10 @@ type state = {
   mutable head : int; (* slot holding the current token *)
   mutable count : int; (* filled slots starting at [head] *)
   mutable nparams : int; (* '?' parameters seen in the current statement *)
+  mutable slots : int; (* literal-slot tokens consumed ({!Lexer.is_slot}) *)
+  mutable lits : (Ast.expr * int) list;
+      (* the [Lit] nodes of the current statement built from slot
+         tokens, each with its slot's index, newest first *)
 }
 
 let make src =
@@ -32,6 +36,8 @@ let make src =
     head = 0;
     count = 0;
     nparams = 0;
+    slots = 0;
+    lits = [];
   }
 
 let fill st n =
@@ -56,7 +62,8 @@ let advance st =
   fill st 0;
   match st.buf.(st.head).Token.token with
   | Token.Eof -> ()
-  | _ ->
+  | tok ->
+    if Lexer.is_slot tok then st.slots <- st.slots + 1;
     st.head <- (st.head + 1) mod ring;
     st.count <- st.count - 1
 
@@ -219,26 +226,21 @@ and parse_multiplicative st =
 and parse_unary st =
   if accept_symbol st "-" then Ast.Neg (parse_unary st) else parse_primary st
 
+(* A literal from the current (slot) token, recorded with its slot. *)
+and slot_lit st v =
+  let e = Ast.Lit v in
+  st.lits <- (e, st.slots) :: st.lits;
+  advance st;
+  e
+
 and parse_primary st =
   match peek st with
-  | Token.Int_lit n ->
-    advance st;
-    Ast.Lit (Value.Int n)
-  | Token.Float_lit f ->
-    advance st;
-    Ast.Lit (Value.Float f)
-  | Token.Str_lit s ->
-    advance st;
-    Ast.Lit (Value.Str s)
-  | Token.Kw "NULL" ->
-    advance st;
-    Ast.Lit Value.Null
-  | Token.Kw "TRUE" ->
-    advance st;
-    Ast.Lit (Value.Bool true)
-  | Token.Kw "FALSE" ->
-    advance st;
-    Ast.Lit (Value.Bool false)
+  | Token.Int_lit n -> slot_lit st (Value.Int n)
+  | Token.Float_lit f -> slot_lit st (Value.Float f)
+  | Token.Str_lit s -> slot_lit st (Value.Str s)
+  | Token.Kw "NULL" -> slot_lit st Value.Null
+  | Token.Kw "TRUE" -> slot_lit st (Value.Bool true)
+  | Token.Kw "FALSE" -> slot_lit st (Value.Bool false)
   | Token.Kw "NAN" ->
     advance st;
     Ast.Lit (Value.Float Float.nan)
@@ -976,8 +978,9 @@ let parse_statement st =
 
 let at_eof st = peek st = Token.Eof
 
-(* Parse a ';'-separated script. *)
-let parse_script src =
+(* Parse a ';'-separated script, each statement with the literal
+   nodes it built from slot tokens. *)
+let parse_script_traced src =
   let st = make src in
   let rec go acc =
     (* skip empty statements *)
@@ -986,12 +989,16 @@ let parse_script src =
     done;
     if at_eof st then List.rev acc
     else begin
+      st.lits <- [];
       let stmt = parse_statement st in
+      let lits = st.lits in
       if not (at_eof st) then expect_symbol st ";";
-      go (stmt :: acc)
+      go ((stmt, lits) :: acc)
     end
   in
   go []
+
+let parse_script src = List.map fst (parse_script_traced src)
 
 let parse_statement_string src =
   match parse_script src with

@@ -11,6 +11,14 @@
 val parse_script : string -> Ast.statement list
 (** Parse a [';']-separated script; empty statements are skipped. *)
 
+val parse_script_traced : string -> (Ast.statement * (Ast.expr * int) list) list
+(** {!parse_script}, each statement paired with the [Lit] nodes it
+    built from literal-slot tokens ({!Lexer.is_slot}): the node itself
+    (physically, as it sits in the statement) and the index of its
+    slot among all of the script's slots, which is its index into
+    {!Lexer.shape}'s literal vector.  Literals from [NAN] and
+    [INFINITY] are not slots. *)
+
 val parse_statement_string : string -> Ast.statement
 (** Parse exactly one statement. *)
 

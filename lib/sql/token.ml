@@ -33,13 +33,6 @@ let keywords =
     "EXPLAIN"; "NAN"; "INFINITY"; "USING"; "PREPARE"; "EXECUTE"; "DEALLOCATE";
   ]
 
-let keyword_set =
-  let tbl = Hashtbl.create 97 in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) keywords;
-  tbl
-
-let is_keyword s = Hashtbl.mem keyword_set (String.uppercase_ascii s)
-
 let to_string = function
   | Ident s -> Printf.sprintf "identifier %S" s
   | Int_lit n -> Printf.sprintf "integer %d" n

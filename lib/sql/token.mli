@@ -15,8 +15,5 @@ type located = { token : t; line : int; col : int }
 val keywords : string list
 (** Every word with special meaning anywhere in the grammar. *)
 
-val is_keyword : string -> bool
-(** Case-insensitive membership in {!keywords}. *)
-
 val to_string : t -> string
 (** Human-readable rendering for error messages. *)

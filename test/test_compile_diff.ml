@@ -31,9 +31,18 @@
      between transactions exercises the DDL-generation invalidation
      of cached compiled rule forms.
 
+   - Part C: shape-memo differential.  Two identical systems driven
+     with the same scripts — generated selects and data manipulation,
+     each repeated with its literals varied, and index DDL — one
+     through [System.exec] (the shape memo and cached parameterized
+     plans), one parsing every script and running each statement
+     through [System.exec_statement]; results, error diagnostics and
+     engine counters, the statement cache's included, must agree.
+
    Non-vacuity is asserted at the end: the corpus must have produced
-   both successful evaluations and errors, and Part B must have fired
-   rules on both paths. *)
+   both successful evaluations and errors, Part B must have fired
+   rules on both paths, and Part C must have served plans through the
+   memo. *)
 
 open Core
 open Helpers
@@ -858,6 +867,131 @@ let engine_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Part C: shape-memo differential.  [System.exec] runs a statement
+   whose shape the memo knows from its cached parameterized plan,
+   without parsing; the reference parses every script and runs each
+   statement through [System.exec_statement].  Every generated select
+   and data manipulation script runs with its literals varied (same
+   shape, other values; sometimes another kind, so another shape), on
+   two systems built alike, with index DDL in between; results, error
+   diagnostics and every engine counter — [stmt_cache_*] included —
+   must agree after each script. *)
+
+let memo_setup =
+  "create table t (a int, b int, s string);\n\
+   create table u (a int, c int);\n\
+   insert into t values (1, 10, 'x'), (2, 20, 'yy'), (2, null, 'x'), (3, 5, \
+   null), (null, 7, 'z');\n\
+   insert into u values (1, 100), (2, null), (4, 7)"
+
+let gen_memo_dml st =
+  let open QCheck.Gen in
+  let n () = int_range (-3) 12 st in
+  match int_bound 4 st with
+  | 0 -> Printf.sprintf "insert into t values (%d, %d, 'x')" (n ()) (n ())
+  | 1 -> Printf.sprintf "update t set b = b + %d where a = %d" (n ()) (n ())
+  | 2 -> Printf.sprintf "delete from u where c > %d and a in (%d, %d)" (n ()) (n ()) (n ())
+  | 3 ->
+    Printf.sprintf
+      "begin; update u set c = c - %d where a = %d; select a, c from u where \
+       a = %d; commit"
+      (n ()) (n ()) (n ())
+  | _ ->
+    Printf.sprintf "insert into u values (%d, %d); select count(*) from u where c < %d"
+      (n ()) (n ()) (n ())
+
+(* Replace each integer literal (a digit run not inside a name) by
+   another integer, or now and then by a literal of another kind. *)
+let vary st sql =
+  let open QCheck.Gen in
+  let buf = Buffer.create (String.length sql) in
+  let n = String.length sql in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_name c = c = '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+  let rec go i =
+    if i < n then
+      if is_digit sql.[i] && (i = 0 || not (is_name sql.[i - 1] || is_digit sql.[i - 1]))
+      then begin
+        let j = ref i in
+        while !j < n && is_digit sql.[!j] do
+          incr j
+        done;
+        Buffer.add_string buf
+          (match int_bound 9 st with
+          | 0 -> "null"
+          | 1 -> "'x'"
+          | 2 -> "1.5"
+          | _ -> string_of_int (int_range (-3) 12 st));
+        go !j
+      end
+      else begin
+        Buffer.add_char buf sql.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+let gen_memo_case st =
+  let open QCheck.Gen in
+  let script () =
+    match int_bound 9 st with
+    | 0 -> [ "create index tb on t (b) using ordered" ]
+    | 1 -> [ "drop index tb" ]
+    | 2 | 3 | 4 ->
+      let b = gen_memo_dml st in
+      [ b; vary st b; vary st b; b ]
+    | _ ->
+      let b = gen_select st in
+      [ b; vary st b; vary st b; b ]
+  in
+  List.concat (List.init (1 + int_bound 4 st) (fun _ -> script ()))
+
+let memo_hits = ref 0
+
+let memo_differential =
+  QCheck.Test.make ~count:150
+    ~name:"System.exec through the shape memo = parse and exec_statement"
+    (QCheck.make ~print:(String.concat "\n") gen_memo_case)
+    (fun scripts ->
+      let memo = system memo_setup and reference = system memo_setup in
+      let observe_exec f =
+        match f () with
+        | results -> Ok (List.map System.render_result results)
+        | exception Errors.Error e -> Error (Errors.to_string e)
+      in
+      List.iter
+        (fun sql ->
+          let hits0 = (Engine.stats (System.engine memo)).Engine.stmt_cache_hits in
+          let a = observe_exec (fun () -> System.exec memo sql)
+          and b =
+            observe_exec (fun () ->
+                List.map (System.exec_statement reference) (Parser.parse_script sql))
+          in
+          if a <> b then
+            QCheck.Test.fail_reportf "%s@.memo: %s@.reference: %s" sql
+              (match a with Ok r -> String.concat " / " r | Error e -> e)
+              (match b with Ok r -> String.concat " / " r | Error e -> e);
+          let sa = Engine.stats (System.engine memo)
+          and sb = Engine.stats (System.engine reference) in
+          if sa <> sb then
+            QCheck.Test.fail_reportf
+              "%s@.counters differ: hits %d/%d misses %d/%d invalidations %d/%d"
+              sql sa.Engine.stmt_cache_hits sb.Engine.stmt_cache_hits
+              sa.Engine.stmt_cache_misses sb.Engine.stmt_cache_misses
+              sa.Engine.stmt_cache_invalidations sb.Engine.stmt_cache_invalidations;
+          memo_hits := !memo_hits + sa.Engine.stmt_cache_hits - hits0;
+          (* an error inside BEGIN ... COMMIT leaves the transaction open
+             on both systems *)
+          List.iter
+            (fun s ->
+              let eng = System.engine s in
+              if Engine.in_transaction eng then Engine.rollback_txn eng)
+            [ memo; reference ])
+        scripts;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Non-vacuity: the corpus must actually have exercised both success   *)
 (* and error paths, and the engine differential must have fired rules. *)
 
@@ -885,6 +1019,7 @@ let suite =
     qtest hashed_in_matches_scan;
     Alcotest.test_case "hashed IN corpus" `Quick test_hashed_in_corpus;
     qtest engine_differential;
+    qtest memo_differential;
     Alcotest.test_case "differential corpus is not vacuous" `Quick
       test_corpus_not_vacuous;
   ]

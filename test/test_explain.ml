@@ -189,6 +189,44 @@ let test_explain_range_probe () =
     Alcotest.failf "expected one range probe, got: %s"
       (String.concat "; " (List.map Eval.describe_source_plan plans))
 
+(* One column's lower and upper comparisons make one two-sided range
+   probe in either conjunct order, for EXPLAIN and both executors:
+   [a >= 100 and a < 125] over a = 0..2499 reads the 25 rows of the
+   range, where a one-sided probe on the first conjunct read 2,400. *)
+let test_two_sided_range ~compiled () =
+  let s =
+    system ~config:(evaluator compiled)
+      "create table t (a int, b int);\n\
+       create index ia on t (a) using ordered"
+  in
+  run s
+    (Printf.sprintf "insert into t values %s"
+       (String.concat ", " (List.init 2500 (fun i -> Printf.sprintf "(%d, %d)" i (i mod 7)))));
+  let st = Engine.stats (System.engine s) in
+  List.iter
+    (fun (where, conjunct) ->
+      let sql = "select b from t where " ^ where in
+      (match System.exec s ("explain " ^ sql) with
+      | [ System.Msg text ] ->
+        let line =
+          Printf.sprintf
+            "  t: range probe of t via ia on a, conjunct %s: est ~834, 25 of 2500 rows"
+            conjunct
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "explain %s shows %S" where line)
+          true
+          (List.mem line (String.split_on_char '\n' text))
+      | _ -> Alcotest.fail "expected one explain message");
+      let ranges0 = st.Engine.range_probes and scans0 = st.Engine.seq_scans in
+      Alcotest.(check int) "range rows" 25 (List.length (rows s sql));
+      Alcotest.(check int) "one range probe" 1 (st.Engine.range_probes - ranges0);
+      Alcotest.(check int) "no scan" 0 (st.Engine.seq_scans - scans0))
+    [
+      ("a >= 100 and a < 125", "((a >= 100) and (a < 125))");
+      ("a < 125 and a >= 100", "((a < 125) and (a >= 100))");
+    ]
+
 (* The hash-join annotation and its executor counters, per evaluator:
    one build for the joined source, one probe per partial row of the
    frame under construction. *)
@@ -629,6 +667,10 @@ let suite =
     Alcotest.test_case "explain names the index" `Quick
       test_explain_names_the_index;
     Alcotest.test_case "explain range probe" `Quick test_explain_range_probe;
+    Alcotest.test_case "two-sided range probe (compiled)" `Quick
+      (test_two_sided_range ~compiled:true);
+    Alcotest.test_case "two-sided range probe (interpreted)" `Quick
+      (test_two_sided_range ~compiled:false);
     Alcotest.test_case "hash join counters (compiled)" `Quick
       (test_hash_join_counters ~compiled:true);
     Alcotest.test_case "hash join counters (interpreted)" `Quick

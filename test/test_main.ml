@@ -28,6 +28,7 @@ let () =
       ("explain", Test_explain.suite);
       ("compile-diff", Test_compile_diff.suite);
       ("prepared", Test_prepared.suite);
+      ("shape-cache", Test_shape_cache.suite);
       ("rule-index", Test_rule_index.suite);
       ("selection-orders", Test_selection_orders.suite);
     ("fault-injection", Test_fault_injection.suite);
