@@ -20,7 +20,8 @@
      E12 (ablation)           secondary hash indexes on point queries
      E13 (robustness)        abort/retry overhead under fault injection
      E14 (observability)     instrumentation overhead when off/on
-     E15 (ablation)          compiled closures vs the interpreter
+     E15 (retired)           compiled closures vs the interpreter
+                             (the interpreter is gone; EXPERIMENTS.md)
      E16 (durability)        WAL overhead, recovery time, checkpoints
      E17 (workload corpus)   per-scenario txn/s under the generator
      E18 (discrimination)    rule-count sweep: indexed vs linear scan
@@ -861,146 +862,6 @@ let e14 () =
   print_table [ "arm"; "time/txn"; "vs off" ] rows
 
 (* ------------------------------------------------------------------ *)
-(* E15: compiled positional closures vs the tree-walking interpreter.
-   Three arms, each run under both evaluators (a system configured with
-   [compiled] on and one with it off):
-
-   - where-scan: one query whose WHERE is evaluated per row of an
-     n-row table — the per-row name-resolution cost the compiler
-     removes, in isolation;
-   - conditions: a transaction considered by 32 rules whose aggregate
-     subquery conditions never fire — Figure 1's condition-evaluation
-     loop, where the engine re-enters cached compiled forms;
-   - cascade: the Example 4.1 steady-state transaction on the depth-6
-     org tree — rule actions with nested subqueries, end to end.
-
-   Equivalence of the two evaluators is enforced by
-   test/test_compile_diff.ml; this experiment records what the
-   equivalence buys.  Results are also written to BENCH_PR4.json.      *)
-
-let e15_scan_args = if tiny then [ 256 ] else [ 1024; 4096 ]
-
-let e15_config compiled = { Engine.default_config with Engine.compiled }
-
-let e15_scan_system compiled n =
-  let s = System.create ~config:(e15_config compiled) () in
-  ignore_exec s "create table t (a int, b int, s string)";
-  ignore
-    (Engine.execute_block (System.engine s)
-       [
-         insert_op "t"
-           (List.init n (fun i ->
-                [ vi (i mod 97); vi (i mod 31); vs (if i mod 2 = 0 then "x" else "y") ]));
-       ]);
-  s
-
-let e15_query =
-  Parser.parse_select_string
-    "select count(*) from t where ((a + b) * 2 > 50 and s = 'x') or b \
-     between 10 and 20"
-
-let e15_scan_test name flag =
-  Test.make_indexed_with_resource ~name ~fmt:"%s:n=%d" ~args:e15_scan_args
-    Test.multiple
-    ~allocate:(fun n -> e15_scan_system flag n)
-    ~free:(fun _ -> ())
-    (fun _ -> Staged.stage (fun s -> ignore (Engine.query (System.engine s) e15_query)))
-
-let e15_rule_count = 32
-let e15_seed_rows = if tiny then 32 else 256
-
-let e15_rule_system compiled =
-  let s = System.create ~config:(e15_config compiled) () in
-  ignore_exec s "create table c (n int);\ncreate table log (x int)";
-  for i = 1 to e15_rule_count do
-    ignore_exec s
-      (Printf.sprintf
-         "create rule watch_%d when inserted into c or updated c.n if \
-          (select count(*) from c where n = %d) > %d then insert into log \
-          values (%d)"
-         i i (e15_seed_rows + 1) i)
-  done;
-  ignore
-    (Engine.execute_block (System.engine s)
-       [ insert_op "c" (List.init e15_seed_rows (fun i -> [ vi i ])) ]);
-  s
-
-let e15_rule_ops = parse_ops "insert into c values (0); delete from c where n = 0"
-
-let e15_rules_test name flag =
-  Test.make_with_resource ~name Test.multiple
-    ~allocate:(fun () -> e15_rule_system flag)
-    ~free:(fun _ -> ())
-    (Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) e15_rule_ops)))
-
-let e15_cascade_test name flag =
-  Test.make_with_resource ~name Test.multiple
-    ~allocate:(fun () -> org_system ~config:(e15_config flag) e14_depth)
-    ~free:(fun _ -> ())
-    (Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) e14_ops)))
-
-(* Hand-rolled JSON, one object per (arm, size): the machine-readable
-   record CI parse-checks and EXPERIMENTS.md quotes. *)
-let write_bench_json path rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"E15\",\n  \"description\": \"compiled \
-        positional closures vs tree-walking interpreter\",\n  \"unit\": \
-        \"ns_per_txn\",\n  \"tiny\": %b,\n  \"results\": [\n"
-       tiny);
-  List.iteri
-    (fun i (arm, n, compiled_ns, interp_ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"arm\": \"%s\", \"n\": %d, \"compiled_ns\": %.1f, \
-            \"interpreted_ns\": %.1f, \"speedup\": %.2f}%s\n"
-           arm n compiled_ns interp_ns (interp_ns /. compiled_ns)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\nresults written to %s\n" path
-
-let e15 () =
-  print_header "E15" "compiled closures vs the tree-walking interpreter"
-    "resolving column references to positions once per statement beats \
-     per-row name lookup; rule processing re-enters cached compiled forms";
-  let arg_of name =
-    match String.split_on_char '=' name with
-    | [ _; n ] -> int_of_string n
-    | _ -> 0
-  in
-  let measure arm make =
-    let compiled = run_test (make (arm ^ "-compiled") true) in
-    let interp = run_test (make (arm ^ "-interpreted") false) in
-    List.map2
-      (fun (name, c) (_, i) -> (arm, arg_of name, c, i))
-      compiled interp
-  in
-  let scan = measure "where-scan" e15_scan_test in
-  let conditions =
-    List.map
-      (fun (a, _, c, i) -> (a, e15_rule_count, c, i))
-      (measure "conditions" e15_rules_test)
-  in
-  let cascade =
-    List.map
-      (fun (a, _, c, i) -> (a, e14_depth, c, i))
-      (measure "cascade" e15_cascade_test)
-  in
-  let all = scan @ conditions @ cascade in
-  print_table
-    [ "arm"; "n"; "compiled"; "interpreted"; "speedup" ]
-    (List.map
-       (fun (arm, n, c, i) ->
-         [ arm; string_of_int n; pretty_ns c; pretty_ns i; ratio i c ])
-       all);
-  write_bench_json "BENCH_PR4.json" all
-
-(* ------------------------------------------------------------------ *)
 (* E16: durability — per-transaction WAL overhead, recovery time as a
    function of log length, and the checkpoint ablation.  Three arms
    for the overhead question: the plain in-memory system, the durable
@@ -1827,7 +1688,7 @@ let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
-    ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
+    ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
     ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21);
   ]
 

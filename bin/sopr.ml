@@ -170,7 +170,6 @@ let help_text =
    \\clock on        timestamp traces and time rules (\\clock off disables)\n\
    \\report          per-rule metrics (considered/fired/times/effect tuples)\n\
    \\prepared        list prepared statements (name, parameter count, body)\n\
-   \\compile         show the evaluator in use (sopr --interpret: the interpreter)\n\
    \\checkpoint      write a checkpoint now (needs --data-dir)\n\
    \\wal status      show WAL/checkpoint state (needs --data-dir)\n\
    \\help            this message\n\
@@ -220,11 +219,6 @@ let interactive ?durable system =
           print_endline "clock disabled"
         | [ "report" ] -> print_report system
         | [ "prepared" ] -> print_prepared system
-        | [ "compile" ] ->
-          print_endline
-            (if (Engine.config (System.engine system)).Engine.compiled then
-               "expression compilation is on"
-             else "expression compilation is off (interpreter in use)")
         | [ "checkpoint" ] -> (
           match durable with
           | None -> print_endline "no data directory open (start with --data-dir)"
@@ -263,10 +257,8 @@ let interactive ?durable system =
   print_endline "bye."
 
 let run file expr interactive_flag track_selects max_steps data_dir
-    checkpoint_every interpret =
-  let config =
-    { Engine.default_config with track_selects; max_steps; compiled = not interpret }
-  in
+    checkpoint_every =
+  let config = { Engine.default_config with track_selects; max_steps } in
   let durable, system =
     match data_dir with
     | None -> (None, System.create ~config ())
@@ -352,15 +344,6 @@ let checkpoint_every_arg =
            records (0, the default, disables automatic checkpoints; \
            \\\\checkpoint forces one).")
 
-let interpret_arg =
-  Arg.(
-    value & flag
-    & info [ "interpret" ]
-        ~doc:
-          "Evaluate statements and rules with the tree-walking interpreter \
-           instead of compiled closures (the differential oracle; results \
-           are identical).")
-
 let cmd =
   let doc = "set-oriented production rules on a relational database" in
   let man =
@@ -377,6 +360,6 @@ let cmd =
     (Cmd.info "sopr" ~version:"1.0.0" ~doc ~man)
     Term.(
       const run $ file_arg $ expr_arg $ interactive_arg $ track_selects_arg
-      $ max_steps_arg $ data_dir_arg $ checkpoint_every_arg $ interpret_arg)
+      $ max_steps_arg $ data_dir_arg $ checkpoint_every_arg)
 
 let () = exit (Cmd.eval cmd)

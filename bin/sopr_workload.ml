@@ -6,9 +6,9 @@
      sopr-workload soak [SCENARIO...] --data-dir DIR [profile flags]
      sopr-workload bench [SCENARIO...] [--duration SECS] [profile flags]
 
-   [run] executes the generated stream on three in-memory twins
-   (compiled+indexed, interpreted, index-free) with per-transaction
-   differential checks and invariant checks.  [soak] adds durability:
+   [run] executes the generated stream on two in-memory twins
+   (indexed and index-free) with per-transaction differential checks
+   and invariant checks.  [soak] adds durability:
    a live fault-injection phase and a fork+SIGKILL crash phase over
    --data-dir, with invariants and recovery differentials checked
    after every recovery.  [bench] reports plain throughput. *)

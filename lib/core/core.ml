@@ -327,10 +327,10 @@ module System = struct
                  schema.Schema.columns);
         }
 
-  (* Execute a script of ';'-separated statements.  Compiled, its
-     shape comes first: when the shape memo knows every statement's
-     shape, the statements run from their cached plans with the
-     script's literals bound, without parsing.  Otherwise the script is
+  (* Execute a script of ';'-separated statements.  Its shape comes
+     first: when the shape memo knows every statement's shape, the
+     statements run from their cached plans with the script's literals
+     bound, without parsing.  Otherwise the script is
      parsed (as a whole, before anything runs, so a syntax error
      anywhere runs nothing) and each statement is memoized as it runs.
      A lexical error is left to the parser, which reports the first
@@ -338,31 +338,29 @@ module System = struct
   let exec t sql =
     let eng = t.engine in
     let parsed () = List.map (exec_statement t) (Parser.parse_script sql) in
-    if not (Engine.config eng).Engine.compiled then parsed ()
-    else
-      match Sqlf.Lexer.shape sql with
-      | exception Errors.Error _ -> parsed ()
-      | { Sqlf.Lexer.segments; literals } ->
-        let run seg shaped =
-          match Engine.shaped_plan eng shaped seg literals with
-          | `Statement stmt -> exec_statement t stmt
-          | `Op (op, cop, params) -> run_cop eng ~params op cop
-        in
-        let found = List.map (fun seg -> Engine.find_shape eng seg literals) segments in
-        if List.for_all Option.is_some found then
-          List.map2 (fun seg shaped -> run seg (Option.get shaped)) segments found
+    match Sqlf.Lexer.shape sql with
+    | exception Errors.Error _ -> parsed ()
+    | { Sqlf.Lexer.segments; literals } ->
+      let run seg shaped =
+        match Engine.shaped_plan eng shaped seg literals with
+        | `Statement stmt -> exec_statement t stmt
+        | `Op (op, cop, params) -> run_cop eng ~params op cop
+      in
+      let found = List.map (fun seg -> Engine.find_shape eng seg literals) segments in
+      if List.for_all Option.is_some found then
+        List.map2 (fun seg shaped -> run seg (Option.get shaped)) segments found
+      else
+        let traced = Parser.parse_script_traced sql in
+        if List.compare_lengths traced segments <> 0 then
+          (* a statement spans several segments (a rule action block) *)
+          List.map (fun (stmt, _) -> exec_statement t stmt) traced
         else
-          let traced = Parser.parse_script_traced sql in
-          if List.compare_lengths traced segments <> 0 then
-            (* a statement spans several segments (a rule action block) *)
-            List.map (fun (stmt, _) -> exec_statement t stmt) traced
-          else
-            List.map2
-              (fun seg (stmt, lits) ->
-                match Engine.record_shape eng seg literals stmt lits with
-                | Some shaped -> run seg shaped
-                | None -> exec_statement t stmt)
-              segments traced
+          List.map2
+            (fun seg (stmt, lits) ->
+              match Engine.record_shape eng seg literals stmt lits with
+              | Some shaped -> run seg shaped
+              | None -> exec_statement t stmt)
+            segments traced
 
   let exec_one t sql = exec_statement t (Parser.parse_statement_string sql)
 

@@ -23,7 +23,10 @@
 
 type site =
   | Dml_op  (** start of [Dml.exec_cop] and [Dml.exec_op] — every data manipulation operation *)
-  | Query_eval  (** top-level [Eval.eval_select] entry (queries, procedure reads) *)
+  | Query_eval
+      (** a top-level compiled select — [Compile.eval_select], a select
+          or INSERT ... SELECT plan run by [Dml] (queries, procedure
+          reads) *)
   | Rule_condition  (** rule condition evaluation in the engine *)
   | Rule_action  (** rule action execution in the engine *)
   | Procedure_call  (** external procedure invocation (Section 5.2) *)

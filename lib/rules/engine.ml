@@ -46,9 +46,6 @@ type config = {
          touched (table, op, column) key; off = wake the whole catalog,
          the literal Figure 1 linear scan, retained as a differential
          oracle *)
-  compiled : bool;
-      (* run statements and rules through compiled positional closures;
-         off = the tree-walking interpreter, the differential oracle *)
 }
 
 let default_config =
@@ -59,7 +56,6 @@ let default_config =
     optimize = true;
     prune_info = true;
     rule_index = true;
-    compiled = true;
   }
 
 type outcome = Committed | Rolled_back
@@ -354,25 +350,14 @@ let access_for t db : Eval.access =
 
 (* {2 Plans}
 
-   The evaluator is chosen here and nowhere else: every operation the
-   engine runs — a statement, a prepared statement, a rule action — is
-   planned as a [Dml.cop] that is compiled or interpreted as
-   [config.compiled] says, and a rule condition likewise becomes a
-   compiled predicate or the interpreted expression.  Everything
-   downstream runs plans. *)
-
-let plan_op ?param_kinds t (op : Ast.op) =
-  if t.config.compiled then Dml.compile_op ?param_kinds t.db op
-  else Dml.interpret op
+   Every operation the engine runs — a statement, a prepared statement,
+   a rule action — is compiled to a [Dml.cop], and a rule condition to
+   a compiled predicate.  Everything downstream runs plans. *)
 
 let plan_condition t cond : Rule.condition =
   let use_cache = t.config.optimize in
-  if t.config.compiled then
-    let cp = Compile.compile_predicate t.db cond in
-    fun access resolve -> Compile.run_predicate ~access ~use_cache resolve cp
-  else fun access resolve ->
-    let cache = if use_cache then Some (Eval.make_cache ()) else None in
-    Eval.eval_predicate ?cache ~access resolve [] cond
+  let cp = Compile.compile_predicate t.db cond in
+  fun access resolve -> Compile.run_predicate ~access ~use_cache resolve cp
 
 (* Rule plans are keyed on the DDL generation: a plan is reusable only
    against the catalog it was built for. *)
@@ -396,7 +381,7 @@ let action_plan t (rule : Rule.t) ops =
   match pl.Rule.action_plan with
   | Some (k, cops) when k = key -> cops
   | _ ->
-    let cops = List.map (plan_op t) ops in
+    let cops = List.map (Dml.compile_op t.db) ops in
     pl.Rule.action_plan <- Some (key, cops);
     cops
 
@@ -428,25 +413,21 @@ let action_plan t (rule : Rule.t) ops =
 (* Serve [op]'s plan from its validity-keyed slot, whose current
    entry is [found]: a plan built for the current DDL generation is a
    hit; a stale one counts as an invalidation and is re-planned and
-   [store]d; an empty slot is a miss.  An interpreted plan is the AST
-   itself, so an engine running the interpreter plans afresh and
-   leaves the slots and their counters alone. *)
+   [store]d; an empty slot is a miss. *)
 let reuse_plan ?param_kinds t op found ~store =
-  if not t.config.compiled then plan_op t op
-  else
-    let st = t.stats in
-    let key = t.ddl_gen in
-    match found with
-    | Some (k, cop) when k = key ->
-      st.stmt_cache_hits <- st.stmt_cache_hits + 1;
-      cop
-    | _ ->
-      if Option.is_some found then
-        st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1
-      else st.stmt_cache_misses <- st.stmt_cache_misses + 1;
-      let cop = plan_op ?param_kinds t op in
-      store (key, cop);
-      cop
+  let st = t.stats in
+  let key = t.ddl_gen in
+  match found with
+  | Some (k, cop) when k = key ->
+    st.stmt_cache_hits <- st.stmt_cache_hits + 1;
+    cop
+  | _ ->
+    if Option.is_some found then
+      st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1
+    else st.stmt_cache_misses <- st.stmt_cache_misses + 1;
+    let cop = Dml.compile_op ?param_kinds t.db op in
+    store (key, cop);
+    cop
 
 (* The plan-table key of a parameterized operation bound to [args]. *)
 let plan_key op args =
@@ -468,11 +449,9 @@ let table_plan t key op args =
     ~store:(Lru.add t.stmt_cache key)
 
 let cached_cop t (op : Ast.op) =
-  if not t.config.compiled then plan_op t op
-  else
-    let op, args = Ast.parameterize_op op in
-    let cop = table_plan t (plan_key op args) op args in
-    if Array.length args = 0 then cop else Dml.bind cop args
+  let op, args = Ast.parameterize_op op in
+  let cop = table_plan t (plan_key op args) op args in
+  if Array.length args = 0 then cop else Dml.bind cop args
 
 (* Non-mutating probe for EXPLAIN: what would executing this statement
    find in the cache right now? *)
@@ -890,7 +869,7 @@ let submit_cops t ?params (cops : Dml.cop list) =
     t.db <- db0;
     raise e
 
-let submit_ops t ops = submit_cops t (List.map (plan_op t) ops)
+let submit_ops t ops = submit_cops t (List.map (Dml.compile_op t.db) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Rule processing (Figure 1)                                          *)
@@ -953,8 +932,8 @@ let action_block t (rule : Rule.t) resolve =
   | Ast.Act_call name ->
     Fault.hit Fault.Procedure_call;
     let fn = Procedures.find t.procedures name in
-    let query s = run_select t resolve (plan_op t (Ast.Select_op s)) in
-    List.map (plan_op t) (fn { Procedures.query; rule_name = rule.Rule.name })
+    let query s = run_select t resolve (Dml.compile_op t.db (Ast.Select_op s)) in
+    List.map (Dml.compile_op t.db) (fn { Procedures.query; rule_name = rule.Rule.name })
 
 (* The one reading of [config.rule_index]: fold [f] over the rules
    effect [e] wakes.  The discrimination index wakes exactly the rules
@@ -1193,14 +1172,14 @@ let execute_block_cops t ?params (cops : Dml.cop list) =
     if in_transaction t then abort_txn t e;
     raise e
 
-let execute_block t ops = execute_block_cops t (List.map (plan_op t) ops)
+let execute_block t ops = execute_block_cops t (List.map (Dml.compile_op t.db) ops)
 
 (* Evaluate a select plan outside any transaction and rule context (no
    transition tables). *)
 let query_cop t ?params (cop : Dml.cop) =
   run_select t ?params (external_resolver t.db) cop
 
-let query t (s : Ast.select) = query_cop t (plan_op t (Ast.Select_op s))
+let query t (s : Ast.select) = query_cop t (Dml.compile_op t.db (Ast.Select_op s))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
@@ -1210,11 +1189,12 @@ let query t (s : Ast.select) = query_cop t (plan_op t (Ast.Select_op s))
 let explain_access t db : Eval.access =
   { (access_for t db) with Eval.acc_note = (fun ~table:_ _ -> ()) }
 
-(* EXPLAIN must report what the executor will actually do.  Both
-   evaluators run the one access-path decision procedure, so one
-   planner serves either. *)
+(* EXPLAIN must report what the executor will actually do: it is a
+   plan-only run of the statement's compiled plan, compiled afresh so
+   the statement cache's counters stay untouched. *)
 let explain_op t (op : Ast.op) =
-  Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
+  Dml.explain ~access:(explain_access t t.db) (external_resolver t.db)
+    (Dml.compile_op t.db op)
 
 (* The discrimination-index keys a rule is registered under, rendered
    for EXPLAIN RULE.  Derived from the definition, so reported for
@@ -1241,9 +1221,13 @@ let explain_rule t name =
     in
     let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Effect.empty t.db in
-    List.map
-      (fun s -> (Sqlf.Pretty.select_str s, Eval.plan_select ~access resolve s))
-      (List.rev (outermost [] cond))
+    let plan s =
+      let ctx = Compile.make t.db in
+      let cs = Compile.compile_select ctx s in
+      let rt = Compile.make_rt ~access ~use_cache:false ~slots:(Compile.slot_count ctx) resolve in
+      Compile.plan_select rt cs
+    in
+    List.map (fun s -> (Sqlf.Pretty.select_str s, plan s)) (List.rev (outermost [] cond))
 
 (* DDL is not part of the transition model: it applies outside
    transactions. *)

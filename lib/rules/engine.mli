@@ -46,15 +46,6 @@ type config = {
           [false] wakes the whole catalog: the literal Figure 1 linear
           scan, retained as a differential oracle; semantically
           invisible either way. *)
-  compiled : bool;
-      (** The evaluator, chosen once where each plan is built: every
-          statement, prepared statement, rule condition and rule action
-          is planned as compiled positional closures
-          ({!Sqlf.Compile}).  [false] plans them for the tree-walking
-          interpreter ({!Sqlf.Dml.interpret}), retained as the
-          differential oracle: the statement cache, its shape memo
-          and the prepared plans stay empty and uncounted; results, EXPLAIN plans and
-          error diagnostics are identical either way. *)
 }
 
 val default_config : config
@@ -281,8 +272,9 @@ val query : t -> Ast.select -> Eval.relation
 
 (** {2 Plans, the statement cache and prepared statements}
 
-    Every operation runs as a {!Dml.cop} plan, compiled or interpreted
-    as [config.compiled] says.  The statement cache is one plan table
+    Every statement, prepared statement and rule action runs as a
+    compiled {!Dml.cop} plan, and every rule condition as a compiled
+    predicate ({!Sqlf.Compile}).  The statement cache is one plan table
     of at most {!stmt_cache_max} plans, evicting the least recently
     used.  It is keyed on the {e parameterized} statement
     ({!Ast.parameterize_op}) with its parameters' kinds, so statements
@@ -312,12 +304,10 @@ module Dml = Sqlf.Dml
 val stmt_cache_max : int
 
 val cached_cop : t -> Ast.op -> Dml.cop
-(** The plan for [op], runnable without [params].  Compiled: the
-    parameterized plan, served from the plan table when valid,
-    (re)compiled and cached otherwise, updating the [stmt_cache_*]
-    counters in {!stats}, with [op]'s literals bound
-    ({!Dml.bind}).  Interpreted: the {!Dml.interpret} plan of [op],
-    with the cache and its counters left alone. *)
+(** The plan for [op], runnable without [params]: the parameterized
+    plan, served from the plan table when valid, (re)compiled and
+    cached otherwise, updating the [stmt_cache_*] counters in {!stats},
+    with [op]'s literals bound ({!Dml.bind}). *)
 
 val stmt_cache_lookup : t -> Ast.op -> [ `Hit | `Stale | `Miss ]
 (** Non-mutating probe (for EXPLAIN): what would executing this
@@ -381,7 +371,7 @@ val prepared_op : prepared -> Ast.op
 
 val prepared_cop : t -> prepared -> Dml.cop
 (** The prepared statement's plan, compiled at most once per validity
-    key — same counters and same interpreted case as {!cached_cop}. *)
+    key — same counters as {!cached_cop}. *)
 
 val bind_params : prepared -> Value.t list -> Value.t array
 (** Check EXECUTE argument arity against the statement's parameter
@@ -416,11 +406,10 @@ val query_cop : t -> ?params:Value.t array -> Dml.cop -> Eval.relation
 (** {2 EXPLAIN} *)
 
 val explain_op : t -> Ast.op -> Eval.source_plan list
-(** Plan a DML operation without executing it, using exactly the
-    access-path decision procedure both evaluators execute (see
-    {!Eval.plan_op}).
-    Planning never mutates the database and does not perturb the
-    scan/probe statistics. *)
+(** Plan a DML operation without executing it: a plan-only run of its
+    compiled plan ({!Dml.explain}), so the plan is the executor's own
+    decisions.  Planning never mutates the database and perturbs
+    neither the scan/probe statistics nor the statement cache. *)
 
 val rule_index_keys : t -> string -> string list
 (** The discrimination-index keys the rule registers under, rendered

@@ -17,6 +17,7 @@
 
 open Relational
 module Ast = Sqlf.Ast
+module Compile = Sqlf.Compile
 module Dml = Sqlf.Dml
 module Eval = Sqlf.Eval
 
@@ -122,7 +123,9 @@ let rec fire_for_instance t inst =
           let cond_holds =
             match Rule.condition rule with
             | None -> true
-            | Some cond -> Eval.eval_predicate resolve [] cond
+            | Some cond ->
+              Compile.run_predicate ~use_cache:false resolve
+                (Compile.compile_predicate t.db cond)
           in
           if cond_holds then begin
             t.steps <- t.steps + 1;
@@ -172,4 +175,4 @@ let execute_block t (ops : Ast.op list) =
     t.txn_start <- None;
     raise e
 
-let query t (s : Ast.select) = Eval.eval_select (Eval.base_resolver t.db) s
+let query t (s : Ast.select) = Compile.eval_select (Eval.base_resolver t.db) t.db s

@@ -85,6 +85,9 @@ type stats = {
   mutable sv_commits : int;  (* published transactions, DDL excluded *)
   mutable sv_conflicts : int;  (* serialization failures *)
   mutable sv_errors : int;  (* requests answered with err *)
+  mutable sv_internal_errors : int;
+      (* requests that raised outside SQL's errors, answered with
+         err internal *)
   mutable sv_disconnects : int;  (* sessions that died mid-conversation *)
   mutable sv_checkpoint_failures : int;
 }
@@ -188,6 +191,7 @@ let create ?config ?checkpoint_interval ?data_dir mode =
         sv_commits = 0;
         sv_conflicts = 0;
         sv_errors = 0;
+        sv_internal_errors = 0;
         sv_disconnects = 0;
         sv_checkpoint_failures = 0;
       };
@@ -746,9 +750,10 @@ let render_stats t =
     with_lock t (fun () ->
         Printf.sprintf
           "version: %d\nconnections: %d\nrequests: %d\ncommits: %d\n\
-           conflicts: %d\nerrors: %d\ndisconnects: %d\nopen transactions: %d"
+           conflicts: %d\nerrors: %d\ninternal errors: %d\ndisconnects: %d\n\
+           open transactions: %d"
           t.version s.sv_connections s.sv_requests s.sv_commits s.sv_conflicts
-          s.sv_errors s.sv_disconnects
+          s.sv_errors s.sv_internal_errors s.sv_disconnects
           (List.length t.active_txns))
   in
   match group_stats t with
@@ -800,6 +805,14 @@ let connection_dead = function
   | Sys_error _ -> true
   | _ -> false
 
+(* A request that raised outside SQL's errors — an injected fault, a
+   failed assertion — is a server fault, not the client's: count it and
+   log it to stderr. *)
+let internal_error t session e =
+  t.stats.sv_internal_errors <- t.stats.sv_internal_errors + 1;
+  Printf.eprintf "sopr-server: session %d: internal error: %s\n%!" session.sid
+    (Printexc.to_string e)
+
 let handle_connection t fd =
   let session = open_session t in
   let ic = Unix.in_channel_of_descr fd in
@@ -818,11 +831,15 @@ let handle_connection t fd =
          | `Reply (Error msg) ->
            t.stats.sv_errors <- t.stats.sv_errors + 1;
            Protocol.write_response fd ~ok:false msg;
+           loop ()
+         | exception e ->
+           internal_error t session e;
+           Protocol.write_response fd ~ok:false ("internal: " ^ Printexc.to_string e);
            loop ())
        | exception e when connection_dead e -> ()
      in
      loop ()
-   with _ -> ());
+   with e -> if not (connection_dead e) then internal_error t session e);
   if not !clean then t.stats.sv_disconnects <- t.stats.sv_disconnects + 1;
   close_session t session;
   try Unix.close fd with Unix.Unix_error _ -> ()

@@ -37,6 +37,10 @@ type stats = {
   mutable sv_commits : int;  (** published transactions, DDL excluded *)
   mutable sv_conflicts : int;  (** serialization failures *)
   mutable sv_errors : int;  (** requests answered with [err] *)
+  mutable sv_internal_errors : int;
+      (** requests that raised outside SQL's errors (an injected fault, a
+          failed assertion), answered with [err internal: ...] and logged
+          to stderr *)
   mutable sv_disconnects : int;  (** sessions that died mid-conversation *)
   mutable sv_checkpoint_failures : int;
 }

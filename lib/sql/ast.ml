@@ -401,10 +401,9 @@ let param_count_op op =
   and select n s = fold_select ~expr ~select n s in
   fold_op ~expr ~select 0 op
 
-(* The interpreter path of EXECUTE substitutes argument literals into
-   the AST (the paper-faithful reading of "bind constants"); the
-   compiled path binds a parameter frame instead, and the differential
-   oracle proves the two agree. *)
+(* Substituting argument literals into the AST is the paper-faithful
+   reading of "bind constants"; EXECUTE binds a parameter frame
+   instead, and the differential tests check the two agree. *)
 let subst_params_op args op =
   let rec expr = function
     | Param i when i < 0 || i >= Array.length args ->

@@ -251,8 +251,9 @@ val param_count_op : op -> int
 
 val subst_params_op : Value.t array -> op -> op
 (** Substitute argument literals for the parameters of an operation —
-    the interpreter path of EXECUTE.  Arity is validated by the caller;
-    an out-of-range index raises a semantic error. *)
+    what EXECUTE's parameter frame must be equivalent to (the
+    differential tests check it).  Arity is validated by the caller; an
+    out-of-range index raises a semantic error. *)
 
 val parameterize_op : op -> op * Value.t array
 (** The dual of {!subst_params_op}, for driving ad-hoc statements

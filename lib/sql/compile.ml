@@ -1,54 +1,41 @@
-(* Compilation of expressions and selects to positional closures.
+(* Compilation of expressions and selects to positional closures: the
+   engine's one evaluator.
 
-   The tree-walking evaluator in [Eval] resolves every column
-   reference by searching the environment — a string comparison per
-   binding per frame, repeated for every candidate row.  This module
-   performs that search ONCE per statement: an [Ast.expr] is lowered
-   to an OCaml closure in which each column reference has been
-   resolved to a (frame depth, binding index, column index) triple,
-   so per-row evaluation is three array loads.  Scope search,
-   ambiguity checking and unknown-column detection all happen at
-   compile time; their errors keep the interpreter's exact payloads
-   and — critically — its exact timing, by compiling to closures that
-   raise when (and only when) the interpreter's evaluation would have
-   reached the faulty reference.  A CASE branch never taken, a
-   projection over zero rows, a WHERE clause over an empty cross
-   product: none of these surface a compile-detected error, exactly
-   as in the interpreter.
+   An [Ast.expr] is lowered once per statement to an OCaml closure in
+   which each column reference has been resolved to a (frame depth,
+   binding index, column index) triple, so per-row evaluation is three
+   array loads.  Scope search, ambiguity checking and unknown-column
+   detection happen at compile time, but their errors are raised at run
+   time, by closures that raise when (and only when) evaluation reaches
+   the faulty reference: a CASE branch never taken, a projection over
+   zero rows or a WHERE clause over an empty cross product surfaces no
+   error, as SQL's evaluation order says.
 
    Two more per-row decisions move to compile time:
 
-   - Correlation analysis.  The interpreter's uncorrelated-subquery
-     cache watches the first evaluation of each embedded select and
-     memoizes it if no column resolved from an enclosing scope.  Here
-     the same watch arithmetic runs over the *compile-time* shape: a
-     subquery none of whose compiled references (on any branch)
-     reaches an enclosing scope is assigned a memo slot.  Static
-     correlation is a conservative superset of the dynamic kind —
-     anything the interpreter would have re-evaluated, we re-evaluate
-     too — so results are identical within the fixed database state a
-     cache/slot set is scoped to.
+   - Correlation analysis.  A subquery none of whose compiled
+     references (on any branch) reaches an enclosing scope cannot
+     depend on the outer row, so it is assigned a memo slot and runs
+     once per [rt] — one database state.
 
    - Sargable-conjunct selection and FROM-list analysis.  The
      access-path planner's candidate scan ([Eval.sargable_candidates])
      and the join links ([Eval.from_links]) are static; only the probe
-     *values* are evaluated at run time, by the interpreter's own
-     ranking and fallback ([Eval.probe_candidates]), and a linked
-     table's join method by the interpreter's rule ([Eval.index_join]),
-     so the executor's scan/probe counters match the interpreter's and
-     the one EXPLAIN planner ([Eval.plan_op]) describes both.
+     values are evaluated at run time, ranked by the shared cost model
+     ([Eval.probe_candidates]), and a linked table's join method is
+     decided from the number of partial frames ([Eval.index_join]).
 
    A compiled select runs as a push pipeline ([run_plain]): each FROM
    source binds its rows into one reused frame and calls the next, WHERE
    runs on the full frame, and the rows that pass are projected or
    folded into per-group aggregate accumulators — no stage builds a
-   list of rows.
+   list of rows.  EXPLAIN is a plan-only run of the same pipeline
+   ([plan_plain]): it takes every read decision the executor takes and
+   reports them, without running the last source or WHERE.
 
-   The interpreter stays as the differential oracle: an engine built
-   with [compiled = false] in its configuration plans every operation
-   as [Dml.interpret] and every rule condition as the interpreted
-   expression, and test/test_compile_diff.ml asserts that results —
-   and error diagnostics — agree. *)
+   The differential oracle is test/reference_eval.ml, a nested-loop
+   evaluator with no planner: test/test_compile_diff.ml asserts that
+   results and error kinds agree. *)
 
 open Relational
 
@@ -61,11 +48,10 @@ open Relational
    compile time. *)
 type renv = Row.t array array
 
-(* Per-evaluation-unit runtime state: the resolver and access hooks
-   the interpreter threads through its context, plus the memo slots
-   backing the compile-time uncorrelated-subquery analysis.  One [rt]
-   per DML operation or rule-condition evaluation — the same lifetime
-   as the interpreter's [Eval.cache]. *)
+(* Per-evaluation-unit runtime state: the resolver and access hooks,
+   plus the memo slots backing the compile-time uncorrelated-subquery
+   analysis.  One [rt] per DML operation or rule-condition evaluation:
+   a memo is sound only while the database state is fixed. *)
 type rt = {
   rt_resolve : Eval.resolver;
   rt_access : Eval.access option;
@@ -89,11 +75,11 @@ let make_rt ?access ?(params = no_params) ~use_cache ~slots resolve =
 
 (* The accumulator of one aggregate call over one group, folded row by
    row.  An error evaluating the argument or combining values is kept,
-   not raised: the interpreter evaluates aggregates only when HAVING or
-   a projection reaches them, after WHERE and the GROUP BY keys ran over
-   every row, so the error surfaces when the aggregate is finalized —
-   an argument error before a combining error, as the interpreter
-   evaluates every argument before folding. *)
+   not raised: in SQL's clause order an aggregate is evaluated only when
+   HAVING or a projection reaches it, after WHERE and the GROUP BY keys
+   ran over every row, so the error surfaces when the aggregate is
+   finalized — an argument error before a combining error, as if every
+   argument of the group were evaluated before folding. *)
 type acc = {
   mutable a_count : int; (* rows (COUNT( * )) or non-NULL arguments *)
   mutable a_value : Value.t; (* SUM/AVG running total, MIN/MAX so far *)
@@ -120,6 +106,9 @@ type cselect = {
   cs_read : rt -> Eval.relation * Handle.t list option;
       (* [cs_run] with no outer scopes, with the Section 5.1 read set
          when the shape allows a precise one *)
+  cs_plan : rt -> Eval.source_plan list;
+      (* EXPLAIN: the read decisions of each core's FROM sources, with no
+         outer scopes *)
 }
 
 (* A compiled probe: the statically-selected sargable candidates for
@@ -151,9 +140,9 @@ type ctx = {
       (* parallel to [cc_shape]: each binding's schema, when it is a
          stored or transition table, for the early-stop analysis *)
   cc_watches : (int * bool ref) list;
-      (* static correlation watches, same arithmetic as the
-         interpreter's: a resolution in one of the outermost
-         [suffix_len] scopes raises the flag — at compile time *)
+      (* static correlation watches: a resolution in one of the
+         outermost [suffix_len] scopes raises the flag — at compile
+         time *)
   cc_aggs : agg_reg option;
       (* where an aggregate call registers: set while compiling a
          grouped select's HAVING and projections, unset elsewhere *)
@@ -202,10 +191,10 @@ let with_shape ctx shape =
 
 let col_index = Eval.col_index
 
-(* Compile-time mirror of [Eval.lookup_column]: same innermost-first
-   search, same qualified/unqualified rules, same error payloads.
-   Instead of a value it yields a position — or the error the
-   interpreter would raise on every evaluation. *)
+(* Column resolution at compile time: scopes innermost first; within a
+   scope a qualified reference must match a binding name, an
+   unqualified one must be unambiguous.  It yields a position — or the
+   error every evaluation of the reference raises. *)
 type col_hit = H_at of int * int * int | H_err of Errors.t
 
 let resolve_col ctx qualifier column =
@@ -252,8 +241,8 @@ let resolve_col ctx qualifier column =
   in
   go 0 ctx.cc_shape
 
-(* Rank and try the compiled candidates with the interpreter's own
-   procedure ([Eval.probe_candidates]); [None] means "scan instead".
+(* Rank and try the compiled candidates with the planner's procedure
+   ([Eval.probe_candidates]); [None] means "scan instead".
    Probe values evaluate against the outer scopes alone (they were
    compiled under them), in non-grouped context. *)
 let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
@@ -265,7 +254,7 @@ let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
 (* Compiled projections: one op per output column — a position in the
    local frame (stars expand to these) or an expression — and, for an
    unknown table-star, an op raising at projection time (i.e. once per
-   projected row, exactly when the interpreter raises); it produces no
+   projected row, as SQL's evaluation order says); it produces no
    column, because it raises before any row is produced. *)
 type pop = Pop_col of int * int | Pop_expr of cexpr | Pop_err of Errors.t
 
@@ -293,10 +282,9 @@ let new_accs n =
   Array.init n (fun _ ->
       { a_count = 0; a_value = Value.Null; a_arg_err = None; a_fold_err = None })
 
-(* Fold one row into an aggregate's accumulator: the interpreter's
-   [List.filter_map] over the group's non-NULL arguments and its fold
-   from [Int 0] (SUM, AVG) or from the first value (MIN, MAX), one row
-   at a time. *)
+(* Fold one row into an aggregate's accumulator: the group's non-NULL
+   arguments, folded from [Int 0] (SUM, AVG) or from the first value
+   (MIN, MAX), one row at a time. *)
 let fold_agg rt (env : renv) ag acc =
   match ag.ag_fn, ag.ag_arg with
   | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
@@ -321,8 +309,8 @@ let fold_agg rt (env : renv) ag acc =
         | Ast.Max ->
           if acc.a_count = 1 || Value.compare_total v acc.a_value > 0 then acc.a_value <- v))
 
-(* The aggregate's value over its group, or the error the interpreter
-   would raise evaluating it. *)
+(* The aggregate's value over its group, or the error evaluating it
+   raises. *)
 let finalize ag acc =
   match ag.ag_fn, ag.ag_arg with
   | Ast.Count_star, _ -> Value.Int acc.a_count
@@ -408,16 +396,23 @@ let rec row_kind ctx (e : Ast.expr) : lit_kind option =
 
 (* How one FROM source is read in one run of a compiled select: its
    rows (materialized, probed with their handles, or scanned in place),
-   one index probe per partial frame, or hashed on its join key when the
-   first partial frame arrives ([R_deferred]: the join method waits for
-   the partial frames to be counted). *)
+   one index probe per partial frame ([probes] of them, [est] rows
+   estimated), or hashed on its join key when the first partial frame
+   arrives ([R_deferred]: the join method waits for the partial frames
+   to be counted).  EXPLAIN reports these decisions. *)
 type sread =
   | R_rows of Row.t list
-  | R_pairs of (Handle.t * Row.t) list
+  | R_probe of Eval.probe_hit
   | R_table of Table.t
-  | R_index_join of Eval.access * string * string (* access, table, link column *)
+  | R_index_join of {
+      access : Eval.access;
+      table : string;
+      column : string; (* the link column *)
+      est : int;
+      probes : int;
+    }
   | R_hash of sread
-  | R_hashed of Eval.join_table
+  | R_hashed of Eval.join_table * sread (* built from that read *)
   | R_deferred of Eval.access * string
 
 (* The state of one run of a compiled select's pipeline: the frame every
@@ -464,14 +459,14 @@ let rec push_pairs i next sc = function
 
 let rec iter_read f = function
   | R_rows rows -> List.iter f rows
-  | R_pairs pairs -> List.iter (fun (_, row) -> f row) pairs
+  | R_probe hit -> List.iter (fun (_, row) -> f row) hit.Eval.ph_pairs
   | R_table t -> Table.iter (fun _ row -> f row) t
   | R_hash r -> iter_read f r
   | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
 
 let rec read_count = function
   | R_rows rows -> List.length rows
-  | R_pairs pairs -> List.length pairs
+  | R_probe hit -> List.length hit.Eval.ph_pairs
   | R_table t -> Table.cardinality t
   | R_hash r -> read_count r
   | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
@@ -520,7 +515,7 @@ let extend pl i next =
   let rec go sc =
     match sc.sc_reads.(i), link pl i with
     | R_rows rows, _ -> push_rows i next sc rows
-    | R_pairs pairs, _ -> push_pairs i next sc pairs
+    | R_probe hit, _ -> push_pairs i next sc hit.Eval.ph_pairs
     | R_table t, _ ->
       Table.iter
         (fun h row ->
@@ -528,15 +523,16 @@ let extend pl i next =
           sc.sc_local.(i) <- row;
           next sc)
         t
-    | R_index_join (access, table, column), Some l ->
+    | R_index_join { access; table; column; _ }, Some l ->
       push_pairs i next sc (Eval.index_join_rows access ~table ~column (join_key sc l))
     | R_hash r, Some l ->
       note sc `Hash_join_build;
       sc.sc_reads.(i) <-
         R_hashed
-          (Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r));
+          ( Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r),
+            r );
       go sc
-    | R_hashed table, Some l ->
+    | R_hashed (table, _), Some l ->
       note sc `Hash_join_probe;
       push_rows i next sc (Eval.join_matches table (join_key sc l))
     | (R_index_join _ | R_hash _ | R_hashed _), None | R_deferred _, _ -> assert false
@@ -626,7 +622,7 @@ let realize pl sc i tbl access =
   | Some hit ->
     access.Eval.acc_note ~table:tbl
       (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-    R_pairs hit.Eval.ph_pairs
+    R_probe hit
   | None -> (
     access.Eval.acc_note ~table:tbl `Seq_scan;
     match access.Eval.acc_table ~table:tbl with
@@ -634,17 +630,20 @@ let realize pl sc i tbl access =
     | None -> Errors.raise_error (Errors.Unknown_table tbl))
 
 (* A linked base table's join method, from the number of partial
-   frames — the interpreter's decision ([Eval.join_from]). *)
+   frames it extends: probing its index once per partial frame when the
+   cost rule prefers that ([Eval.index_join]), else a hash join. *)
 let decide pl sc i tbl access l ~partials =
   let column = link_col pl i l in
   match Eval.index_join access ~table:tbl ~column ~partials with
-  | Some _ -> R_index_join (access, tbl, column)
+  | Some est -> R_index_join { access; table = tbl; column; est; probes = partials }
   | None -> R_hash (realize pl sc i tbl access)
 
 (* Run the sources from [j] on, over each partial frame of sources
    0..j-1 in [partials] ([None]: the empty frame), deciding a deferred
-   join method once its partial frames are buffered and counted. *)
-let rec run_from pl sc j partials =
+   join method once its partial frames are buffered and counted.  With
+   [plan], stop once every source is decided: the last one and WHERE
+   never run. *)
+let rec run_from ~plan pl sc j partials =
   let n = Array.length pl.pl_kinds in
   let rec next_deferred i =
     if i >= n then n
@@ -653,7 +652,7 @@ let rec run_from pl sc j partials =
   let d = next_deferred (j + 1) in
   let buffered = ref [] in
   let run =
-    if d = n then chain pl j n (final pl)
+    if d = n then if plan then ignore else chain pl j n (final pl)
     else chain pl j d (fun sc -> buffered := Array.sub sc.sc_local 0 d :: !buffered)
   in
   (match partials with
@@ -670,21 +669,15 @@ let rec run_from pl sc j partials =
     | R_deferred (access, tbl), Some l ->
       sc.sc_reads.(d) <- decide pl sc d tbl access l ~partials:(List.length ps)
     | _ -> assert false);
-    run_from pl sc d (Some ps)
+    run_from ~plan pl sc d (Some ps)
   end
 
-(* One run of a select core: the result and, with [read], the handles
-   of the rows passing WHERE.  The sources push rows through one frame
-   ([sc_local]): each extends the partial frame and calls the next, so
-   no stage builds a list of rows.  A base table linked to an earlier
-   source is joined by probing its index once per partial frame, or by
-   a hash table, as [Eval.index_join] decides from the number of
-   partial frames — the interpreter's decision.  The scan stops once
-   [stop_at] rows passed.  Per-row work after WHERE keeps its first
-   error instead of raising it, and the error is raised once the scan
-   is over: the interpreter raises a WHERE error on any row first, then
-   a projection (or GROUP BY key) error, then an ORDER BY key error. *)
-let run_plain pl rt (outer : renv) ~read ~stop_at =
+(* The sources of one run of a select core, read before any row flows:
+   the eager ones resolved and the lazy base tables realized in FROM
+   order, except that a linked table whose join method depends on the
+   number of partial frames is left [R_deferred].  Returns the scan
+   state and whether a source was deferred. *)
+let start_plain pl rt (outer : renv) ~read ~stop_at =
   let n = Array.length pl.pl_kinds in
   let local = Array.make n [||] in
   let sc =
@@ -719,10 +712,10 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
   done;
   (match pl.pl_links with Ok _ -> () | Error e -> Errors.raise_error e);
   (* phase 2: read the lazy base tables in FROM order before any row
-     flows — the interpreter reads every source even when an earlier
-     one is empty — except that a linked one waits for the count of its
-     partial frames: source 0's rows for source 1, a buffer of copied
-     frames for a later one *)
+     flows — every source is read even when an earlier one is empty —
+     except that a linked one waits for the count of its partial
+     frames: source 0's rows for source 1, a buffer of copied frames for
+     a later one *)
   let deferred = ref false in
   for i = 0 to n - 1 do
     sc.sc_reads.(i) <-
@@ -740,7 +733,23 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
       | _, _, Some _ -> R_hash sc.sc_reads.(i)
       | _, _, None -> sc.sc_reads.(i))
   done;
-  (try if !deferred then run_from pl sc 0 None else pl.pl_chain sc with Stop_scan -> ());
+  (sc, !deferred)
+
+(* One run of a select core: the result and, with [read], the handles
+   of the rows passing WHERE.  The sources push rows through one frame
+   ([sc_local]): each extends the partial frame and calls the next, so
+   no stage builds a list of rows.  A base table linked to an earlier
+   source is joined by probing its index once per partial frame, or by
+   a hash table, as [Eval.index_join] decides from the number of
+   partial frames.  The scan stops once [stop_at] rows passed.  Per-row
+   work after WHERE keeps its first error instead of raising it, and
+   the error is raised once the scan is over: a WHERE error on any row
+   comes first, then a projection (or GROUP BY key) error, then an
+   ORDER BY key error, as if each clause ran over every row in turn. *)
+let run_plain pl rt (outer : renv) ~read ~stop_at =
+  let sc, deferred = start_plain pl rt outer ~read ~stop_at in
+  (try if deferred then run_from ~plan:false pl sc 0 None else pl.pl_chain sc
+   with Stop_scan -> ());
   (* the output names of the rows produced: the static projection
      names, or those of the empty-group projection when it ran *)
   let out_cols = ref pl.pl_projs.pr_names in
@@ -785,6 +794,53 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
     else None
   in
   ({ Eval.rel_name = ""; cols; rows }, read_set)
+
+(* EXPLAIN's view of a select core: a plan-only run that takes the read
+   decisions [run_plain] takes, through the same [start_plain] and
+   [run_from] — the sources before the last are joined, because a join
+   method is chosen from the number of partial frames — and reports each
+   source's, without running the last source, WHERE or anything after
+   it.  A probe's [matches] counts the handles it returned (the rows
+   enumerated before residual filtering); [rows] is the table's current
+   cardinality, what a scan would read. *)
+let plan_plain pl rt (outer : renv) : Eval.source_plan list =
+  let sc, deferred = start_plain pl rt outer ~read:false ~stop_at:max_int in
+  if deferred then run_from ~plan:true pl sc 0 None;
+  let rec path i = function
+    | R_rows rows ->
+      let source =
+        match pl.pl_kinds.(i) with
+        | `Derived _ -> "derived table"
+        | `Eager (Ast.Transition tt) -> "transition table " ^ Pretty.trans_table_str tt
+        | `Eager (Ast.Base t) | `Base t -> "table " ^ t
+        | `Eager (Ast.Derived _) -> "derived table"
+      in
+      Eval.Materialized { source; rows = List.length rows }
+    | R_probe hit ->
+      let table = match pl.pl_kinds.(i) with `Base t -> t | _ -> assert false in
+      Eval.probed_path (Option.get rt.rt_access) ~table hit
+    | R_table t ->
+      let table = Table.name t in
+      Eval.Seq_scan { table; rows = Some (Table.cardinality t) }
+    | R_index_join { access; table; est; probes; _ } ->
+      Eval.Index_join_probes { table; probes; est; rows = Eval.table_count access ~table }
+    | R_hash r | R_hashed (_, r) -> path i r
+    | R_deferred _ -> assert false
+  in
+  List.init (Array.length pl.pl_kinds) (fun i ->
+      let read = sc.sc_reads.(i) in
+      let join (l : Eval.join_link) =
+        {
+          Eval.jp_with = pl.pl_names.(l.Eval.jl_with);
+          jp_conjunct = Pretty.expr_str l.Eval.jl_conjunct;
+          jp_method =
+            (match read with
+            | R_index_join { access; table; column; _ } ->
+              Eval.Index_nested_loop { index = access.Eval.acc_index ~table ~column }
+            | _ -> Eval.Hash_join);
+        }
+      in
+      { Eval.sp_binding = pl.pl_names.(i); sp_path = path i read; sp_join = Option.map join (link pl i) })
 
 (* ------------------------------------------------------------------ *)
 (* Expression and select compilation                                   *)
@@ -878,21 +934,18 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
         Value.Bool holds)
   | Ast.And (a, b) ->
     (* SQL three-valued AND/OR are not short-circuited: both operands
-       are always evaluated (same expression shape as the interpreter,
-       so evaluation-order effects agree) *)
+       are always evaluated, the right one first — the order decides
+       which error an expression raising on both sides reports, and the
+       reference evaluator keeps the same one *)
     let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
     fun rt g env ->
-      Eval.truth_value
-        (Value.truth_and
-           (Eval.value_truth (ca rt g env))
-           (Eval.value_truth (cb rt g env)))
+      let tb = Eval.value_truth (cb rt g env) in
+      Eval.truth_value (Value.truth_and (Eval.value_truth (ca rt g env)) tb)
   | Ast.Or (a, b) ->
     let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
     fun rt g env ->
-      Eval.truth_value
-        (Value.truth_or
-           (Eval.value_truth (ca rt g env))
-           (Eval.value_truth (cb rt g env)))
+      let tb = Eval.value_truth (cb rt g env) in
+      Eval.truth_value (Value.truth_or (Eval.value_truth (ca rt g env)) tb)
   | Ast.Not a ->
     let ca = cexpr_of ctx a in
     fun rt g env ->
@@ -970,7 +1023,10 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       Eval.truth_value (Value.truth_and ge le)
   | Ast.Like (a, p) ->
     let ca = cexpr_of ctx a and cp = cexpr_of ctx p in
-    fun rt g env -> Eval.truth_value (Value.like (ca rt g env) (cp rt g env))
+    fun rt g env ->
+      (* the pattern first, like AND's right operand *)
+      let vp = cp rt g env in
+      Eval.truth_value (Value.like (ca rt g env) vp)
   | Ast.Scalar_select s ->
     let run = compile_subquery ctx s in
     fun rt _g env -> (
@@ -1016,12 +1072,11 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       go cbranches
 
 (* Compile an embedded select and decide — statically — whether its
-   evaluation can be memoized.  The watch registered here mirrors the
-   interpreter's first-evaluation watch: if no compiled column
-   reference anywhere in the subquery reaches an enclosing scope, the
-   subquery cannot depend on the outer row and gets a memo slot
-   (consulted only when the runtime's [rt_use_cache] is set,
-   mirroring evaluation without a cache).  Two uncorrelated copies of
+   evaluation can be memoized.  The watch registered here: if no
+   compiled column reference anywhere in the subquery reaches an
+   enclosing scope, the subquery cannot depend on the outer row and
+   gets a memo slot (consulted only when the runtime's [rt_use_cache]
+   is set).  Two uncorrelated copies of
    one physical select share a slot: neither reads an enclosing scope,
    so both compute the same relation.  An EXISTS runs the select only
    up to its first row when it may ([cs_exists]), so its slot is its
@@ -1084,7 +1139,7 @@ and compile_select' ?exists ctx (s : Ast.select) : cselect =
 
 (* Compound (set) operations: compile each core, combine at run time,
    then the trailing ORDER BY keys — compiled against the head's
-   static output names, bound alone as in the interpreter. *)
+   static output names, bound alone. *)
 and compile_compound ctx (s : Ast.select) : cselect =
   let head =
     compile_plain ctx { s with Ast.compounds = []; order_by = []; limit = None }
@@ -1123,7 +1178,8 @@ and compile_compound ctx (s : Ast.select) : cselect =
     { Eval.rel_name = ""; cols = headr.Eval.cols; rows = Eval.take_limit limit ordered }
   in
   let cs_read rt = (cs_run rt [||], None) in
-  { cs_cols = head.cs_cols; cs_run; cs_exists = cs_run; cs_read }
+  let cs_plan rt = List.concat_map (fun c -> c.cs_plan rt) (head :: List.map snd arms) in
+  { cs_cols = head.cs_cols; cs_run; cs_exists = cs_run; cs_read; cs_plan }
 
 (* The probe planner's candidate scan over the compile-time frame and
    catalog, with each candidate's value side compiled;
@@ -1211,8 +1267,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       let cols, schema = schema_of tbl_name in
       if Database.has_table ctx.cc_db tbl_name then (name, cols, schema, `Base tbl_name)
       else
-        (* unknown at compile time: resolving at run time raises the
-           interpreter's error during phase 1 *)
+        (* unknown at compile time: resolving it at run time raises
+           the error during phase 1 *)
         (name, cols, schema, `Eager (Ast.Base tbl_name))
     | Ast.Transition tt ->
       let base = Ast.trans_table_base tt in
@@ -1230,8 +1286,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       cc_schemas = List.map (fun (_, _, schema, _) -> schema) items :: ctx.cc_schemas;
     }
   in
-  (* a duplicate binding name is reported after phase-1 resolution,
-     matching the interpreter's check order *)
+  (* a duplicate binding name is reported after phase-1 resolution:
+     every source is resolved first *)
   let links = Eval.from_links frame_shape s.Ast.where in
   let probes =
     List.map
@@ -1256,8 +1312,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
   let aggs = Array.of_list (List.rev reg.r_aggs) in
   let sr_cols = cprojs.pr_names in
   (* grouping with no GROUP BY key yields a single group even over zero
-     rows; the interpreter then evaluates HAVING and projections in an
-     environment whose local frame is empty — compile that variant
+     rows, whose HAVING and projections see an environment whose local
+     frame is empty — compile that variant
      against the outer scopes alone.  Its aggregates see no row, so
      their arguments, never evaluated, do not make the select
      correlated. *)
@@ -1281,9 +1337,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     else []
   in
   (* ---- early stop: a scan may end before its last row only when the
-     rows it skips could not have raised an error the interpreter,
-     which evaluates WHERE and the projections over every row, would
-     report ---- *)
+     rows it skips could not have raised an error — SQL evaluates WHERE
+     and the projections over every row ---- *)
   let rows_cannot_raise () =
     (not grouped)
     && Option.fold ~none:true ~some:(fun e -> row_kind inner e <> None) s.Ast.where
@@ -1389,7 +1444,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
   let cs_run rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:limit_stop) in
   let cs_exists rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:exists_stop) in
   let cs_read rt = run_plain pl rt [||] ~read:true ~stop_at:max_int in
-  { cs_cols = sr_cols; cs_run; cs_exists; cs_read }
+  let cs_plan rt = plan_plain pl rt [||] in
+  { cs_cols = sr_cols; cs_run; cs_exists; cs_read; cs_plan }
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -1403,6 +1459,7 @@ let cexpr_holds rt ce (env : renv) =
 let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
 let run_select_read rt cs = cs.cs_read rt
+let plan_select rt cs = cs.cs_plan rt
 let select_cols cs = cs.cs_cols
 
 let compile_probe ctx ~frame ~target ~table where =
@@ -1422,8 +1479,8 @@ let run_predicate ?access ~use_cache resolve p =
   Value.truth_holds (Eval.value_truth (p.cp_expr rt None [||]))
 
 let eval_select ?access ?params ?(use_cache = false) resolve db s =
-  (* same exception-safety injection site as [Eval.eval_select]: one
-     hit per public entry, subqueries recurse internally *)
+  (* an exception-safety injection site: one hit per public entry,
+     subqueries recurse internally *)
   Fault.hit Fault.Query_eval;
   let ctx = make db in
   let cs = compile_select' ctx s in

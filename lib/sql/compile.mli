@@ -1,20 +1,18 @@
 (** Compilation of expressions, predicates and selects to positional
-    closures.
+    closures: the engine's one evaluator.
 
-    The tree-walking evaluator ({!Eval}) resolves every column
-    reference by name for every candidate row.  This module performs
-    name resolution, ambiguity checking, correlation analysis and
-    sargable-conjunct selection ONCE per statement, producing closures
-    in which a column reference is a (frame, binding, column) triple —
-    per-row evaluation is then three array loads.  Compile-detected
-    errors (unknown table/column, ambiguity, duplicate FROM names)
-    keep the interpreter's exact payloads and raise with the
-    interpreter's exact timing: a reference on a branch never taken
-    never surfaces its error.
+    Name resolution, ambiguity checking, correlation analysis and
+    sargable-conjunct selection happen ONCE per statement, producing
+    closures in which a column reference is a (frame, binding, column)
+    triple — per-row evaluation is then three array loads.
+    Compile-detected errors (unknown table/column, ambiguity, duplicate
+    FROM names) raise at run time, when evaluation reaches them: a
+    reference on a branch never taken never surfaces its error.
 
-    The interpreter is retained as the differential oracle; the two
-    paths are asserted equivalent — results and error diagnostics — by
-    test/test_compile_diff.ml.
+    test/reference_eval.ml, a nested-loop evaluator with no index, hash
+    join, early stop or memo, is the differential oracle:
+    test/test_compile_diff.ml asserts that results and error kinds
+    agree.
 
     A compiled form is valid only for the catalog it was compiled
     against; callers caching compiled forms must key them on a DDL
@@ -25,16 +23,15 @@ open Relational
 (** {2 Runtime} *)
 
 type renv = Row.t array array
-(** Positional mirror of {!Eval.env}: scopes innermost first, each
-    frame the bound rows of one select's FROM items, in FROM order.
-    Binding and column names were consumed at compile time. *)
+(** A runtime environment: scopes innermost first, each frame the bound
+    rows of one select's FROM items, in FROM order.  Binding and column
+    names were consumed at compile time. *)
 
 type rt
 (** Per-evaluation-unit runtime state: resolver, optional access-path
     hooks, and the memo slots backing uncorrelated-subquery caching.
-    Same lifetime discipline as {!Eval.cache}: one [rt] per DML
-    operation or rule-condition evaluation, never reused across
-    database states. *)
+    One [rt] per DML operation or rule-condition evaluation, never
+    reused across database states. *)
 
 val make_rt :
   ?access:Eval.access ->
@@ -44,8 +41,7 @@ val make_rt :
   Eval.resolver ->
   rt
 (** [slots] must be at least the compile unit's {!slot_count};
-    [use_cache:false] disables subquery memoization (mirroring
-    interpreter evaluation without a cache).  [params] is the EXECUTE
+    [use_cache:false] disables subquery memoization.  [params] is the EXECUTE
     parameter frame read by compiled [Param] closures (default
     empty). *)
 
@@ -110,9 +106,21 @@ val run_select : rt -> cselect -> Eval.relation
     {!eval_select} for public query entry points. *)
 
 val run_select_read : rt -> cselect -> Eval.relation * Handle.t list option
-(** {!run_select} also returning the tuples the select retrieved, with
-    the semantics of {!Eval.eval_select_read}: precise only when the
-    [rt] has access hooks. *)
+(** {!run_select} also returning the tuples the select retrieved
+    (Section 5.1): when the from-list is exactly one base table read
+    through the [rt]'s access hooks and there is no GROUP BY or
+    compound operator, the handles of the rows that passed WHERE, in
+    handle order, taken from the index probe or scan that produced
+    them.  DISTINCT, ORDER BY and LIMIT never shrink the set.  [None]
+    for every other shape. *)
+
+val plan_select : rt -> cselect -> Eval.source_plan list
+(** EXPLAIN: one plan per FROM source of each select core (compound
+    arms included), in from-list order, by a plan-only run — the read
+    decisions {!run_select} would take, through the same calls, with
+    the sources before the last joined (a join method is chosen from
+    their number) and neither the last source nor WHERE run.  The
+    [rt]'s access hooks must be installed. *)
 
 val select_cols : cselect -> string array
 (** Static output column names (of the non-empty result path). *)
@@ -125,16 +133,17 @@ val eval_select :
   Database.t ->
   Ast.select ->
   Eval.relation
-(** Compile-and-run counterpart of {!Eval.eval_select}: hits the
-    [Query_eval] fault site once, then evaluates.  [use_cache]
-    defaults to [false]. *)
+(** Compile and run a select: cross product of the from-list, WHERE
+    filter, grouping and aggregates, HAVING, projection, DISTINCT,
+    ORDER BY, LIMIT.  Hits the [Query_eval] fault site once, then
+    evaluates.  [use_cache] defaults to [false]. *)
 
 (** {2 Victim probes (DML helper)} *)
 
 type cprobe
 (** The statically-selected sargable candidates for one base table's
-    victim selection, tried in conjunct order at run time with the
-    interpreter's fallback semantics. *)
+    victim selection, ranked by the cost model and tried at run time,
+    falling back to the scan. *)
 
 val compile_probe :
   ctx ->

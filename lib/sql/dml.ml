@@ -29,143 +29,6 @@ type op_result = {
   result : Eval.relation option; (* rows produced, for select operations *)
 }
 
-(* Build the single-row environment binding a table's row under its
-   table name, used to evaluate per-tuple predicates and SET
-   expressions. *)
-let row_env tbl row =
-  [
-    [
-      {
-        Eval.bind_name = Table.name tbl;
-        bind_cols = Table.col_names tbl;
-        bind_row = row;
-      };
-    ];
-  ]
-
-(* Victim selection: the rows of [tbl] satisfying [where], in handle
-   order.  With access-path hooks installed, a sargable conjunct over
-   an indexed column narrows the candidates by an index probe first;
-   the full predicate is still applied to each candidate, so the
-   victims are identical to the scan's. *)
-let selected_handles ?cache ?access resolve tbl where =
-  let keep row =
-    match where with
-    | None -> true
-    | Some pred ->
-      Eval.eval_predicate ?cache ?access resolve (row_env tbl row) pred
-  in
-  let scan () =
-    Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
-    |> List.rev
-  in
-  match access with
-  | None -> scan ()
-  | Some access -> (
-    let name = Table.name tbl in
-    let cols = Table.col_names tbl in
-    match
-      Eval.probe_table ?cache ~access resolve ~table:name ~bind_name:name ~cols
-        where
-    with
-    | Some hit ->
-      access.Eval.acc_note ~table:name
-        (match hit.Eval.ph_kind with
-        | `Eq -> `Index_probe
-        | `Range -> `Range_probe);
-      List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
-    | None ->
-      access.Eval.acc_note ~table:name `Seq_scan;
-      scan ())
-
-let exec_insert ?cache ?access resolve db table columns source =
-  let tbl = Database.table db table in
-  let schema = Table.schema tbl in
-  let position_row values =
-    (* With an explicit column list, scatter values into schema
-       positions; unspecified columns get their default or NULL. *)
-    match columns with
-    | None ->
-      if List.length values <> Schema.arity schema then
-        Errors.raise_error
-          (Errors.Arity_error
-             {
-               table;
-               expected = Schema.arity schema;
-               got = List.length values;
-             });
-      Array.of_list values
-    | Some cols ->
-      if List.length cols <> List.length values then
-        Errors.semantic "column list and value list have different lengths";
-      let row =
-        Array.map
-          (fun c -> match c.Schema.default with Some v -> v | None -> Value.Null)
-          schema.Schema.columns
-      in
-      List.iter2
-        (fun col v -> row.(Schema.column_index schema col) <- v)
-        cols values;
-      row
-  in
-  let rows =
-    match source with
-    | `Values exprss ->
-      List.map
-        (fun exprs ->
-          position_row
-            (List.map (Eval.eval_expr_in ?cache ?access resolve []) exprs))
-        exprss
-    | `Select s ->
-      let rel = Eval.eval_select ?cache ?access resolve s in
-      List.map (fun row -> position_row (Array.to_list row)) rel.Eval.rows
-  in
-  let db, handles =
-    List.fold_left
-      (fun (db, hs) row ->
-        let db, h = Database.insert db table row in
-        (db, h :: hs))
-      (db, []) rows
-  in
-  { db; affected = A_insert (List.rev handles); result = None }
-
-let exec_delete ?cache ?access resolve db table where =
-  let tbl = Database.table db table in
-  let victims = selected_handles ?cache ?access resolve tbl where in
-  let db =
-    List.fold_left (fun db (h, _) -> Database.delete db h) db victims
-  in
-  { db; affected = A_delete victims; result = None }
-
-let exec_update ?cache ?access resolve db table sets where =
-  let tbl = Database.table db table in
-  let schema = Table.schema tbl in
-  let set_cols = List.map fst sets in
-  List.iter (fun c -> ignore (Schema.column_index schema c)) set_cols;
-  let victims = selected_handles ?cache ?access resolve tbl where in
-  let updates =
-    List.map
-      (fun (h, old_row) ->
-        let env = row_env tbl old_row in
-        let new_row = Array.copy old_row in
-        List.iter
-          (fun (col, e) ->
-            new_row.(Schema.column_index schema col) <-
-              Eval.eval_expr_in ?cache ?access resolve env e)
-          sets;
-        (h, old_row, new_row))
-      victims
-  in
-  let db =
-    List.fold_left (fun db (h, _, new_row) -> Database.update db h new_row) db
-      updates
-  in
-  {
-    db;
-    affected = A_update (List.map (fun (h, old, _) -> (h, set_cols, old)) updates);
-    result = None;
-  }
-
 (* Which columns of base table [binding_name] a select references, for
    the column granularity of the Section 5.1 read set: those named under
    the binding or unqualified (an unqualified name is credited to every
@@ -204,7 +67,7 @@ let referenced_columns (s : Ast.select) schema binding_name =
 (* The Section 5.1 read set of a select, one entry per base table read.
    [precise] is the executor's report of the tuples it retrieved: the
    rows of a single-base-table select that passed WHERE (see
-   [Eval.eval_select_read]).  Without it, every tuple of each base table
+   [Compile.run_select_read]).  Without it, every tuple of each base table
    in a top-level from-list of any compound arm counts as read, with
    the columns that arm references (documented substitution — the paper
    leaves this granularity open). *)
@@ -235,46 +98,20 @@ let select_read_set db (s : Ast.select) precise =
 let tracking_access access db =
   match access with Some a -> a | None -> Eval.db_access db
 
-let exec_select ~track_selects ?cache ?access resolve db s =
-  if not track_selects then
-    let rel = Eval.eval_select ?cache ?access resolve s in
-    { db; affected = A_select []; result = Some rel }
-  else
-    let rel, precise =
-      Eval.eval_select_read ?cache ~access:(tracking_access access db) resolve s
-    in
-    { db; affected = A_select (select_read_set db s precise); result = Some rel }
-
-(* The tree-walking interpreter's run of one operation, with one
-   uncorrelated-subquery cache per operation: the database state is
-   fixed while the operation identifies its tuples. *)
-let run_interpreted ~track_selects ~optimize ?access resolve db (op : Ast.op) =
-  let cache = if optimize then Some (Eval.make_cache ()) else None in
-  match op with
-  | Ast.Insert { table; columns; source } ->
-    exec_insert ?cache ?access resolve db table columns source
-  | Ast.Delete { table; where } -> exec_delete ?cache ?access resolve db table where
-  | Ast.Update { table; sets; where } ->
-    exec_update ?cache ?access resolve db table sets where
-  | Ast.Select_op s -> exec_select ~track_selects ?cache ?access resolve db s
-
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
 
-   By default an operation is lowered once — the
-   WHERE predicate, SET expressions and embedded selects become
-   positional closures, and the victim-selection probe decision is
-   made statically — and then run.  The rules engine caches the
-   compiled form of each rule's action block across firings (keyed on
-   a DDL generation counter), so cascades re-enter closures instead of
-   re-walking the AST.
+   An operation is lowered once — the WHERE predicate, SET expressions
+   and embedded selects become positional closures, and the sargable
+   conjuncts of victim selection are chosen statically — and then run.
+   The rules engine caches the compiled form of each rule's action
+   block across firings (keyed on a DDL generation counter), so
+   cascades re-enter closures instead of re-walking the AST.
 
-   Compilation is total: an operation the compiler cannot resolve
-   against the catalog (unknown victim table, unknown SET column)
-   compiles to the interpreted plan, reproducing the interpreter's
-   error at the interpreter's point of raising.  The same plan kind is
-   what an engine running the interpreter builds for every
-   operation. *)
+   Compilation is total: an operation naming an unknown victim table
+   compiles to a plan raising that error when run, and an unknown SET
+   column to an UPDATE raising it after the table is resolved and
+   before any victim is selected. *)
 
 type cop =
   | C_insert of {
@@ -294,24 +131,23 @@ type cop =
       table : string;
       csets : (int * Compile.cexpr) list; (* schema position, value *)
       set_cols : string list;
+      set_err : Errors.t option; (* an unknown SET column *)
       cwhere : Compile.cexpr option;
       cprobe : Compile.cprobe option;
       nslots : int;
     }
   | C_select of { s : Ast.select; csel : Compile.cselect; nslots : int }
-  | C_interpreted of Ast.op
+  | C_error of Errors.t (* an unknown victim table *)
   | C_bound of cop * Value.t array
 
-let interpret op = C_interpreted op
 let bind cop args = C_bound (cop, args)
 
 let compile_op ?param_kinds db (op : Ast.op) : cop =
   match op with
   | Ast.Insert { table; columns; source } ->
-    (* the interpreter resolves the target table before evaluating the
-       source; compilation of the source needs no catalog knowledge
-       (VALUES expressions see an empty environment), so the unknown-
-       table error stays a run-time one *)
+    (* the target table is resolved when the plan runs, before the
+       source is evaluated; compiling the source needs no catalog
+       knowledge (VALUES expressions see an empty environment) *)
     let ctx = Compile.make ?param_kinds db in
     let csource =
       match source with
@@ -324,7 +160,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
     in
     C_insert { table; columns; csource; nslots = Compile.slot_count ctx }
   | Ast.Delete { table; where } ->
-    if not (Database.has_table db table) then C_interpreted op
+    if not (Database.has_table db table) then C_error (Errors.Unknown_table table)
     else begin
       let ctx = Compile.make ?param_kinds db in
       let cols = Table.col_names (Database.table db table) in
@@ -336,53 +172,51 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
       C_delete { table; cwhere; cprobe; nslots = Compile.slot_count ctx }
     end
   | Ast.Update { table; sets; where } ->
-    if not (Database.has_table db table) then C_interpreted op
+    if not (Database.has_table db table) then C_error (Errors.Unknown_table table)
     else begin
       let schema = Database.schema db table in
-      if
-        not
-          (List.for_all (fun (c, _) -> Schema.has_column schema c) sets)
-      then
-        (* unknown SET column: the interpreted body raises the exact
-           error at the exact point (after resolving the table, before
-           victim selection) *)
-        C_interpreted op
-      else begin
-        let ctx = Compile.make ?param_kinds db in
-        let cols = Table.col_names (Database.table db table) in
-        let frame = [ (table, cols) ] in
-        let csets =
-          List.map
-            (fun (c, e) ->
-              ( Schema.column_index schema c,
-                Compile.compile_expr ctx ~shape:[ frame ] e ))
-            sets
-        in
-        let cwhere =
-          Option.map (Compile.compile_expr ctx ~shape:[ frame ]) where
-        in
-        let cprobe =
-          Compile.compile_probe ctx ~frame ~target:table ~table where
-        in
-        C_update
-          {
-            table;
-            csets;
-            set_cols = List.map fst sets;
-            cwhere;
-            cprobe;
-            nslots = Compile.slot_count ctx;
-          }
-      end
+      let set_err =
+        List.find_map
+          (fun (c, _) ->
+            if Schema.has_column schema c then None
+            else Some (Errors.Unknown_column { table = Some table; column = c }))
+          sets
+      in
+      let ctx = Compile.make ?param_kinds db in
+      let cols = Table.col_names (Database.table db table) in
+      let frame = [ (table, cols) ] in
+      let csets =
+        List.filter_map
+          (fun (c, e) ->
+            Option.map
+              (fun ix -> (ix, Compile.compile_expr ctx ~shape:[ frame ] e))
+              (Schema.find_column schema c))
+          sets
+      in
+      let cwhere = Option.map (Compile.compile_expr ctx ~shape:[ frame ]) where in
+      let cprobe = Compile.compile_probe ctx ~frame ~target:table ~table where in
+      C_update
+        {
+          table;
+          csets;
+          set_cols = List.map fst sets;
+          set_err;
+          cwhere;
+          cprobe;
+          nslots = Compile.slot_count ctx;
+        }
     end
   | Ast.Select_op s ->
     let ctx = Compile.make ?param_kinds db in
     let csel = Compile.compile_select ctx s in
     C_select { s; csel; nslots = Compile.slot_count ctx }
 
-(* Compiled victim selection: same shape as [selected_handles], with
-   the probe decision already made. *)
-let selected_handles_c rt ?access tbl cwhere cprobe =
+(* Victim selection: the rows of [tbl] satisfying [cwhere], in handle
+   order.  With access-path hooks installed, a sargable conjunct over
+   an indexed column narrows the candidates by an index probe first;
+   the full predicate is still applied to each candidate, so the
+   victims are identical to the scan's. *)
+let selected_handles rt ?access tbl cwhere cprobe =
   let keep row =
     match cwhere with
     | None -> true
@@ -419,15 +253,7 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
   match cop with
   | C_bound (cop, args) ->
     run_cop ~track_selects ~optimize ?access ~params:args resolve db cop
-  | C_interpreted op -> begin
-    (* the interpreter binds EXECUTE arguments by substitution *)
-    let op =
-      match params with
-      | None | Some [||] -> op
-      | Some args -> Ast.subst_params_op args op
-    in
-    run_interpreted ~track_selects ~optimize ?access resolve db op
-  end
+  | C_error e -> Errors.raise_error e
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
     let schema = Table.schema tbl in
@@ -467,7 +293,7 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
               (List.map (fun ce -> Compile.eval_cexpr rt ce [||]) cexprs))
           cexprss
       | `Select cs ->
-        (* same fault site as the interpreter's embedded eval_select *)
+        (* the query fault site, as for a top-level select *)
         Fault.hit Fault.Query_eval;
         let rel = Compile.run_select rt cs in
         List.map (fun row -> position_row (Array.to_list row)) rel.Eval.rows
@@ -482,15 +308,16 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
     { db; affected = A_insert (List.rev handles); result = None }
   | C_delete { table; cwhere; cprobe; nslots } ->
     let tbl = Database.table db table in
-    let victims = selected_handles_c (rt nslots) ?access tbl cwhere cprobe in
+    let victims = selected_handles (rt nslots) ?access tbl cwhere cprobe in
     let db =
       List.fold_left (fun db (h, _) -> Database.delete db h) db victims
     in
     { db; affected = A_delete victims; result = None }
-  | C_update { table; csets; set_cols; cwhere; cprobe; nslots } ->
+  | C_update { table; csets; set_cols; set_err; cwhere; cprobe; nslots } ->
     let tbl = Database.table db table in
+    Option.iter Errors.raise_error set_err;
     let rt = rt nslots in
-    let victims = selected_handles_c rt ?access tbl cwhere cprobe in
+    let victims = selected_handles rt ?access tbl cwhere cprobe in
     let updates =
       List.map
         (fun (h, old_row) ->
@@ -524,6 +351,27 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
       in
       let rel, precise = Compile.run_select_read rt csel in
       { db; affected = A_select (select_read_set db s precise); result = Some rel }
+
+(* EXPLAIN: the access decisions running [cop] would take, read through
+   [access] — a select's plan-only run (INSERT ... SELECT plans its
+   select; INSERT ... VALUES reads no table) and a DELETE's or UPDATE's
+   victim probe, the table bound under its own name. *)
+let rec explain ~access ?params resolve cop : Eval.source_plan list =
+  let rt nslots = Compile.make_rt ~access ?params ~use_cache:false ~slots:nslots resolve in
+  match cop with
+  | C_bound (cop, args) -> explain ~access ~params:args resolve cop
+  | C_error e -> Errors.raise_error e
+  | C_insert { csource = `Values _; _ } -> []
+  | C_insert { csource = `Select cs; nslots; _ } | C_select { csel = cs; nslots; _ } ->
+    Compile.plan_select (rt nslots) cs
+  | C_delete { table; cprobe; nslots; _ } | C_update { table; cprobe; nslots; _ } ->
+    let path =
+      match Option.bind cprobe (Compile.run_probe (rt nslots) access) with
+      | Some hit -> Eval.probed_path access ~table hit
+      | None ->
+        Eval.Seq_scan { table; rows = Eval.table_count access ~table }
+    in
+    [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 
 let exec_cop ?(track_selects = false) ?(optimize = true) ?access ?params
     resolve db cop : op_result =

@@ -62,25 +62,19 @@ val exec_op :
     of re-walking the AST. *)
 
 type cop
-(** A planned operation: compiled, or run by the tree-walking
-    interpreter.  Valid for the catalog it was planned against: any DDL
-    invalidates it. *)
+(** A compiled operation.  Valid for the catalog it was compiled
+    against: any DDL invalidates it. *)
 
 val compile_op : ?param_kinds:Compile.lit_kind array -> Database.t -> Ast.op -> cop
-(** Total: an operation the compiler cannot resolve against the
-    catalog compiles to the {!interpret} plan, reproducing the
-    interpreter's error exactly.  [param_kinds] is passed to
-    {!Compile.make}. *)
+(** Total: an operation naming a table or SET column the catalog lacks
+    compiles to a plan that raises the [Unknown_table] or
+    [Unknown_column] error when run — an UPDATE's unknown SET column
+    after its table is resolved and before any victim is selected.
+    [param_kinds] is passed to {!Compile.make}. *)
 
 val bind : cop -> Value.t array -> cop
 (** The plan with its parameter frame bound: running it without
     [params] runs [cop] with [params] set to the frame. *)
-
-val interpret : Ast.op -> cop
-(** The plan that runs [op] through the tree-walking interpreter, the
-    differential oracle of the compiled path.  Results, affected sets
-    and error diagnostics are identical (asserted by the differential
-    test harness). *)
 
 val exec_cop :
   ?track_selects:bool ->
@@ -94,5 +88,17 @@ val exec_cop :
 (** Run a planned operation against a (possibly different) database
     state with the same catalog.  Hits the same [Dml_op] fault site as
     {!exec_op}.  [params] is the EXECUTE parameter frame: compiled
-    [Param] closures read it positionally; an {!interpret} plan
-    substitutes the values into the AST instead. *)
+    [Param] closures read it positionally. *)
+
+val explain :
+  access:Eval.access ->
+  ?params:Value.t array ->
+  Eval.resolver ->
+  cop ->
+  Eval.source_plan list
+(** EXPLAIN: the access decisions running the plan would take, read
+    through [access] and without running it — a select's FROM sources
+    (each core of a compound; an INSERT ... SELECT's select; none for
+    INSERT ... VALUES) by a plan-only run ({!Compile.plan_select}), a
+    DELETE's or UPDATE's victim table by its compiled probe.  Raises
+    the error of a plan over an unknown victim table. *)

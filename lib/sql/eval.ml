@@ -1,6 +1,9 @@
-(* Query evaluation.
+(* The evaluator's shared pieces: relations and resolvers, the
+   access-path planner and cost model, the FROM-list analysis and join
+   tables, SQL's three-valued logic and IN semantics, and the plan types
+   EXPLAIN renders.  [Compile] lowers statements to closures over these.
 
-   The evaluator works over [relation]s — named column lists plus rows —
+   Queries work over [relation]s — named column lists plus rows —
    rather than stored tables, so the same machinery evaluates base
    tables, derived tables and the paper's transition tables.  A
    [resolver] maps AST table sources to relations; the rules engine
@@ -28,90 +31,22 @@ let base_resolver db : resolver = function
     Errors.raise_error
       (Errors.Invalid_transition_reference (Pretty.trans_table_str tt))
   | Ast.Derived _ ->
-    (* Derived tables are evaluated by the select evaluator itself and
+    (* Derived tables are evaluated by the compiled select itself and
        never reach the resolver. *)
     assert false
 
 (* ------------------------------------------------------------------ *)
-(* Environments                                                        *)
-
-type binding = { bind_name : string; bind_cols : string array; bind_row : Row.t }
-
-(* Innermost scope first; each frame is the from-list of one select. *)
-type env = binding list list
-
-let empty_env : env = []
-
-let binding_lookup b column =
-  let rec go i =
-    if i >= Array.length b.bind_cols then None
-    else if String.equal b.bind_cols.(i) column then Some b.bind_row.(i)
-    else go (i + 1)
-  in
-  go 0
-
-(* Resolve a column reference: search scopes innermost-first; within a
-   scope a qualified reference must match a binding name, an
-   unqualified one must be unambiguous.  [watches] are correlation
-   watches (see the cache above): when a column resolves from one of
-   the outermost [len] scopes of a watch, its flag is raised. *)
-let lookup_column ?(watches = []) (env : env) qualifier column =
-  let in_frame frame =
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun b -> String.equal b.bind_name q) frame with
-      | None -> None
-      | Some b -> (
-        match binding_lookup b column with
-        | Some v -> Some v
-        | None ->
-          Errors.raise_error
-            (Errors.Unknown_column { table = Some q; column })))
-    | None -> (
-      let hits = List.filter_map (fun b -> binding_lookup b column) frame in
-      match hits with
-      | [] -> None
-      | [ v ] -> Some v
-      | _ :: _ :: _ -> Errors.raise_error (Errors.Ambiguous_column column))
-  in
-  let total = List.length env in
-  let rec go i = function
-    | [] ->
-      Errors.raise_error (Errors.Unknown_column { table = qualifier; column })
-    | frame :: rest -> (
-      match in_frame frame with
-      | Some v ->
-        List.iter
-          (fun (suffix_len, flag) -> if i >= total - suffix_len then flag := true)
-          watches;
-        v
-      | None -> go (i + 1) rest)
-  in
-  go 0 env
-
-(* ------------------------------------------------------------------ *)
-(* Uncorrelated-subquery caching                                       *)
+(* Memoized subqueries and IN value sets                               *)
 
 (* Predicates are evaluated once per candidate row, so an embedded
    select with no references to outer rows would be re-evaluated for
    every row — quadratic blowup on the nested-IN patterns of the
-   paper's rules (e.g. Example 4.1).  A [cache] shared across the rows
-   of one operation memoizes such subqueries.
-
-   Correlation is detected dynamically: the first evaluation of a
-   subquery runs with a watch on the scopes enclosing it; if no column
-   resolves from an enclosing scope, the result cannot depend on the
-   outer row and is cached for the remaining rows.  The cache is only
-   sound while the database state is fixed, i.e. within the evaluation
-   of a single operation or rule condition — callers create one cache
-   per such unit. *)
-
-type cache_entry = Cached of memo | Correlated
-and cache = (Ast.select * cache_entry) list ref
-
-(* A memoized subquery result.  Used as an IN (select ...) value set,
-   it also keeps the set's membership index, built on first use. *)
-and memo = { memo_rel : relation; mutable memo_in : in_set option }
+   paper's rules (e.g. Example 4.1).  [Compile] gives each such
+   subquery a memo slot holding a [memo]: its result, and — used as an
+   IN (select ...) value set — the set's membership index, built on
+   first use.  A memo is only sound while the database state is
+   fixed. *)
+type memo = { memo_rel : relation; mutable memo_in : in_set option }
 
 (* An IN-subquery value set.  When every non-NULL element has the same
    constructor, membership is hashed; a probe value of that constructor then cannot raise a
@@ -125,8 +60,6 @@ and in_set = { in_values : Value.t list; in_index : in_index }
 and in_index =
   | In_scan
   | In_hashed of { rep : Value.t; members : (Value.t, unit) Hashtbl.t; has_null : bool }
-
-let make_cache () : cache = ref []
 
 let same_constructor a b =
   match a, b with
@@ -236,9 +169,6 @@ let db_access db =
     acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
   }
 
-let table_cols access ~table =
-  Option.map Table.col_names (access.acc_table ~table)
-
 let table_count access ~table =
   Option.map Table.cardinality (access.acc_table ~table)
 
@@ -292,8 +222,8 @@ let admissible access ~table ~column shape =
     | Some n, Shape_set k when k * rows_per_probe_key > n -> None
     | Some _, _ | None, _ -> Some est)
 
-(* The single decision procedure shared by the interpreting and
-   compiling evaluators (and hence by execution and EXPLAIN): given the
+(* The single decision procedure of the access-path planner (shared by
+   execution and EXPLAIN, which is a plan-only execution): given the
    sargable candidates of a WHERE clause in conjunct order, return the
    ones worth attempting, cheapest first, with their estimates.  The
    caller tries them in order and falls back to the scan when none
@@ -412,7 +342,7 @@ let independence ~(target : (string * string array) list)
 
 (* A sargable conjunct of a WHERE clause for one FROM source: the
    conjunct, the column it constrains, its static shape, and its value
-   side — an AST in the interpreter, closures in the compiler. *)
+   side — an AST as found, closures once compiled. *)
 type ('e, 's) probe_values =
   | Pv_exprs of 'e list (* [col = e], [col IN (e, ...)] *)
   | Pv_select of 's (* [col IN (select ...)] *)
@@ -427,7 +357,7 @@ type ('e, 's) sargable = {
   sg_values : ('e, 's) probe_values;
 }
 
-(* The access-path planner's candidate scan, shared by both evaluators:
+(* The access-path planner's candidate scan:
    the WHERE conjuncts of the sargable patterns — [col = e], [e = col],
    [col IN (e, ...)], [col IN (select ...)], the range comparisons
    [col < e] / [col <= e] / [col > e] / [col >= e] (and mirrored),
@@ -608,9 +538,9 @@ let col_index cols c =
   in
   go 0
 
-(* The static analysis of a FROM list, shared by the interpreter, the
-   compiler and the planner.  [frame] is each source's (binding name,
-   columns) in FROM order.  A binding name used twice is an error:
+(* The static analysis of a FROM list, shared by the executor and
+   EXPLAIN.  [frame] is each source's (binding name, columns) in FROM
+   order.  A binding name used twice is an error:
    unqualified references could silently pick the wrong one.  Otherwise
    each source is linked by the first WHERE conjunct [a = b] whose two
    column references attribute to exactly one local source each — this
@@ -668,12 +598,6 @@ let from_links frame (where : Ast.expr option) :
       else None
     in
     Ok (List.mapi (fun k _ -> List.find_map (link k) pairs) frame)
-
-(* [from_links] for an executor that reports the error at once. *)
-let from_links_exn frame where =
-  match from_links frame where with
-  | Ok links -> links
-  | Error e -> Errors.raise_error e
 
 (* Hashing that agrees with [Value.compare_total], under which an Int
    equals the Float of the same value: a number is hashed as the int it
@@ -741,62 +665,8 @@ let index_join_rows access ~table ~column key =
   access.acc_note ~table `Index_probe;
   match access.acc_probe ~table ~column [ key ] with Some pairs -> pairs | None -> []
 
-(* Extend the partial frames of a FROM list (one binding per earlier
-   source, newest first) by the rows of its [k]-th source, bound as
-   [name]: hashed on the link's key when there is a link and a frame to
-   probe it with — [access] hears the build and each probe — else every
-   row extends every frame.  Both enumerate in nested-loop order, and
-   the caller still applies the full WHERE predicate, so the two give
-   identical results. *)
-let join_source access ~name ~cols k link rows partials =
-  let bind row partial = { bind_name = name; bind_cols = cols; bind_row = row } :: partial in
-  match link with
-  | Some l when partials <> [] ->
-    let note ev = match access with Some a -> a.acc_note ~table:name ev | None -> () in
-    note `Hash_join_build;
-    let table =
-      build_join_table ~size:(List.length rows) l.jl_col (fun f -> List.iter f rows)
-    in
-    List.concat_map
-      (fun partial ->
-        note `Hash_join_probe;
-        let bound = (List.nth partial (k - 1 - l.jl_with)).bind_row in
-        List.map (fun row -> bind row partial) (join_matches table bound.(l.jl_with_col)))
-      partials
-  | Some _ | None ->
-    List.concat_map (fun partial -> List.map (fun row -> bind row partial) rows) partials
-
-(* How one FROM source is read (see [join_from]): its materialized
-   rows, a scan or index probe of a base table, or an index nested-loop
-   join probing the table once per partial frame. *)
-type source_read =
-  | Read_rows of Row.t list
-  | Read_scan of Table.t
-  | Read_probe of probe_hit
-  | Read_index_join of { est : int; probes : int }
-
-let read_rows = function
-  | Read_rows rows -> rows
-  | Read_scan tbl -> Table.rows tbl
-  | Read_probe hit -> List.map snd hit.ph_pairs
-  | Read_index_join _ -> invalid_arg "read_rows: an index join has no rows of its own"
-
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
-
-type context = {
-  resolve : resolver;
-  (* [Some envs]: we are inside a grouped evaluation and aggregate
-     functions range over [envs]. *)
-  group : env list option;
-  cache : cache option;
-  (* active correlation watches: [(suffix_len, flag)] means "set flag
-     if a column resolves from one of the outermost [suffix_len]
-     scopes" *)
-  watches : (int * bool ref) list;
-  (* access-path hooks; None evaluates every base table by scan *)
-  access : access option;
-}
+(* SQL semantics shared by every select                                *)
 
 let truth_value = function
   | Value.True -> Value.Bool true
@@ -871,111 +741,9 @@ let combine_compound ~(head : relation) rows op (part : relation) =
     let right = Row_set.of_list part.rows in
     dedupe_rows (List.filter (fun row -> Row_set.mem row right) rows)
 
-let rec eval_expr ctx (env : env) (e : Ast.expr) : Value.t =
-  match e with
-  | Ast.Lit v -> v
-  | Ast.Param i ->
-    (* the interpreter runs EXECUTE by substituting argument literals
-       into the AST, so a surviving parameter is one that never bound *)
-    Errors.raise_error
-      (Errors.Parameter_error
-         (Printf.sprintf "parameter %d is unbound (use PREPARE/EXECUTE)" (i + 1)))
-  | Ast.Col { qualifier; column } ->
-    lookup_column ~watches:ctx.watches env qualifier column
-  | Ast.Binop (op, a, b) ->
-    let va = eval_expr ctx env a and vb = eval_expr ctx env b in
-    (match op with
-    | Ast.Add -> Value.add va vb
-    | Ast.Sub -> Value.sub va vb
-    | Ast.Mul -> Value.mul va vb
-    | Ast.Div -> Value.div va vb
-    | Ast.Mod -> Value.rem va vb
-    | Ast.Concat -> Value.concat va vb)
-  | Ast.Neg a -> Value.neg (eval_expr ctx env a)
-  | Ast.Cmp (op, a, b) -> (
-    let va = eval_expr ctx env a and vb = eval_expr ctx env b in
-    match Value.compare_sql va vb with
-    | None -> Value.Null
-    | Some c ->
-      let holds =
-        match op with
-        | Ast.Eq -> c = 0
-        | Ast.Neq -> c <> 0
-        | Ast.Lt -> c < 0
-        | Ast.Le -> c <= 0
-        | Ast.Gt -> c > 0
-        | Ast.Ge -> c >= 0
-      in
-      Value.Bool holds)
-  | Ast.And (a, b) ->
-    truth_value
-      (Value.truth_and
-         (value_truth (eval_expr ctx env a))
-         (value_truth (eval_expr ctx env b)))
-  | Ast.Or (a, b) ->
-    truth_value
-      (Value.truth_or
-         (value_truth (eval_expr ctx env a))
-         (value_truth (eval_expr ctx env b)))
-  | Ast.Not a -> truth_value (Value.truth_not (value_truth (eval_expr ctx env a)))
-  | Ast.Is_null a -> Value.Bool (Value.is_null (eval_expr ctx env a))
-  | Ast.Is_not_null a -> Value.Bool (not (Value.is_null (eval_expr ctx env a)))
-  | Ast.In_list (a, es) ->
-    let v = eval_expr ctx env a in
-    in_semantics v (List.map (eval_expr ctx env) es)
-  | Ast.Not_in_list (a, es) ->
-    let v = eval_expr ctx env a in
-    truth_value (Value.truth_not (value_truth (in_semantics v (List.map (eval_expr ctx env) es))))
-  | Ast.In_select (a, s) ->
-    let v = eval_expr ctx env a in
-    in_set_mem (subquery_in ctx env s) v
-  | Ast.Not_in_select (a, s) ->
-    let v = eval_expr ctx env a in
-    truth_value
-      (Value.truth_not (value_truth (in_set_mem (subquery_in ctx env s) v)))
-  | Ast.Exists s ->
-    let rel = eval_subquery ctx env s in
-    Value.Bool (rel.rows <> [])
-  | Ast.Between (a, low, high) ->
-    let v = eval_expr ctx env a in
-    let vl = eval_expr ctx env low and vh = eval_expr ctx env high in
-    let ge =
-      match Value.compare_sql v vl with
-      | None -> Value.Unknown
-      | Some c -> Value.truth_of_bool (c >= 0)
-    and le =
-      match Value.compare_sql v vh with
-      | None -> Value.Unknown
-      | Some c -> Value.truth_of_bool (c <= 0)
-    in
-    truth_value (Value.truth_and ge le)
-  | Ast.Like (a, p) ->
-    truth_value (Value.like (eval_expr ctx env a) (eval_expr ctx env p))
-  | Ast.Scalar_select s -> (
-    let rel = eval_subquery ctx env s in
-    (match rel.cols with
-    | [| _ |] -> ()
-    | _ -> Errors.semantic "scalar subquery must return a single column");
-    match rel.rows with
-    | [] -> Value.Null
-    | [ row ] -> row.(0)
-    | _ :: _ :: _ -> Errors.semantic "scalar subquery returned more than one row")
-  | Ast.Agg (fn, arg) -> eval_aggregate ctx env fn arg
-  | Ast.Fn (name, args) -> Functions.apply name (List.map (eval_expr ctx env) args)
-  | Ast.Case (branches, else_) ->
-    let rec go = function
-      | [] -> (
-        match else_ with None -> Value.Null | Some e -> eval_expr ctx env e)
-      | (c, v) :: rest ->
-        if Value.truth_holds (value_truth (eval_expr ctx env c)) then
-          eval_expr ctx env v
-        else go rest
-    in
-    go branches
-
 (* SQL IN semantics: TRUE if some element equals, UNKNOWN if no element
    equals but some comparison was unknown, FALSE otherwise. *)
-and in_semantics v values =
+let in_semantics v values =
   let result =
     List.fold_left
       (fun acc elt -> Value.truth_or acc (Value.eq_sql v elt))
@@ -987,7 +755,7 @@ and in_semantics v values =
    probe value's constructor (see [in_set]), by [in_semantics]
    otherwise.  A NULL probe value compares UNKNOWN with every element,
    and an indexed set is never empty. *)
-and in_set_mem set v =
+let in_set_mem set v =
   let verdict found with_null =
     if found then Value.Bool true else if with_null then Value.Null else Value.Bool false
   in
@@ -998,87 +766,7 @@ and in_set_mem set v =
   | Value.Null, In_hashed _ -> Value.Null
   | _, _ -> in_semantics v set.in_values
 
-(* Evaluate an embedded select, consulting the uncorrelated-subquery
-   cache when one is active; the memo is returned when the result is
-   (now) cached. *)
-and eval_subquery_memo ctx env s =
-  match ctx.cache with
-  | None -> (eval_select_inner ctx env s, None)
-  | Some cache -> (
-    match List.find_opt (fun (s', _) -> s' == s) !cache with
-    | Some (_, Cached m) -> (m.memo_rel, Some m)
-    | Some (_, Correlated) -> (eval_select_inner ctx env s, None)
-    | None ->
-      let touched = ref false in
-      let watch = (List.length env, touched) in
-      let rel = eval_select_inner { ctx with watches = watch :: ctx.watches } env s in
-      if !touched then begin
-        cache := (s, Correlated) :: !cache;
-        (rel, None)
-      end
-      else begin
-        let m = make_memo rel in
-        cache := (s, Cached m) :: !cache;
-        (rel, Some m)
-      end)
-
-and eval_subquery ctx env s = fst (eval_subquery_memo ctx env s)
-
-(* The value set of an IN subquery: indexed once when memoized, a plain
-   scan set when it must be re-evaluated per row anyway. *)
-and subquery_in ctx env s =
-  match eval_subquery_memo ctx env s with
-  | _, Some m -> memo_in_set m
-  | rel, None -> scan_set rel
-
-and eval_aggregate ctx _env fn arg =
-  match ctx.group with
-  | None -> Errors.semantic "aggregate function used outside a grouped query"
-  | Some group_envs -> (
-    (* Aggregates never nest: the argument is evaluated per group row
-       in non-grouped context. *)
-    let inner_ctx = { ctx with group = None } in
-    match fn, arg with
-    | Ast.Count_star, _ -> Value.Int (List.length group_envs)
-    | _, None -> Errors.semantic "aggregate function requires an argument"
-    | fn, Some e -> (
-      let values =
-        List.filter_map
-          (fun row_env ->
-            let v = eval_expr inner_ctx row_env e in
-            if Value.is_null v then None else Some v)
-          group_envs
-      in
-      match fn with
-      | Ast.Count_star -> assert false
-      | Ast.Count -> Value.Int (List.length values)
-      | Ast.Sum ->
-        if values = [] then Value.Null
-        else List.fold_left Value.add (Value.Int 0) values
-      | Ast.Avg -> (
-        if values = [] then Value.Null
-        else
-          let sum = List.fold_left Value.add (Value.Int 0) values in
-          match Value.to_float sum with
-          | Some f -> Value.Float (f /. float_of_int (List.length values))
-          | None -> Errors.type_error "avg over non-numeric values")
-      | Ast.Min ->
-        if values = [] then Value.Null
-        else
-          List.fold_left
-            (fun acc v -> if Value.compare_total v acc < 0 then v else acc)
-            (List.hd values) values
-      | Ast.Max ->
-        if values = [] then Value.Null
-        else
-          List.fold_left
-            (fun acc v -> if Value.compare_total v acc > 0 then v else acc)
-            (List.hd values) values))
-
-(* ------------------------------------------------------------------ *)
-(* SELECT evaluation                                                   *)
-
-and select_contains_agg (s : Ast.select) =
+let select_contains_agg (s : Ast.select) =
   (* aggregates inside a subquery belong to the subquery *)
   let rec has_agg found = function
     | Ast.Agg _ -> true
@@ -1092,443 +780,17 @@ and select_contains_agg (s : Ast.select) =
          | Ast.Proj (e, _) -> has_agg false e)
        s.Ast.projections
 
-and default_proj_name e =
+let default_proj_name e =
   match e with
   | Ast.Col { column; _ } -> column
   | e -> Pretty.expr_str e
 
-(* The FROM sources of a select in FROM order: binding name, columns,
-   and either eagerly materialized rows (a derived table, a transition
-   table, or a table the access hooks don't cover, with what EXPLAIN
-   calls it) or a base table read lazily through the access hooks. *)
-and from_sources ctx (outer : env) (from : Ast.from_item list) =
-  let resolve_item ix item =
-    let named rel =
-      match item.Ast.alias with
-      | Some a -> a
-      | None -> if rel.rel_name = "" then Printf.sprintf "$%d" ix else rel.rel_name
-    in
-    let eager what src =
-      let rel = ctx.resolve src in
-      (named rel, rel.cols, `Rows (what, rel.rows))
-    in
-    match item.Ast.source with
-    | Ast.Derived s ->
-      let rel = eval_select_inner ctx outer s in
-      (named rel, rel.cols, `Rows ("derived table", rel.rows))
-    | Ast.Base tbl_name as src -> (
-      match Option.bind ctx.access (fun a -> a.acc_table ~table:tbl_name) with
-      | Some tbl ->
-        ( Option.value item.Ast.alias ~default:tbl_name,
-          Table.col_names tbl,
-          `Table (tbl_name, tbl) )
-      | None -> eager ("table " ^ tbl_name) src)
-    | Ast.Transition tt as src ->
-      eager ("transition table " ^ Pretty.trans_table_str tt) src
-  in
-  List.mapi resolve_item from
-
-(* The FROM-list join, source by source, shared by the interpreter and
-   EXPLAIN.  Each source is read as decided from the partial frames it
-   extends: a base table linked to an earlier source by an index
-   nested-loop join when [index_join] prefers probing its index once per
-   partial frame, else by index probe or scan (then hash-joined on a
-   link, nested-loop joined otherwise); eager sources by their rows.
-   Returns the partial frames (one binding per source, newest first)
-   and each source's read.  With [~extend_last:false] the last source
-   is only decided, not joined — EXPLAIN needs no more. *)
-and join_from ctx (outer : env) ~frame ~where sources links ~extend_last =
-  let n = List.length sources in
-  let step (partials, k, reads) ((name, cols, src), link) =
-    let read =
-      match src, link with
-      | `Rows (_, rows), _ -> Read_rows rows
-      | `Table (table, tbl), link -> (
-        let access = Option.get ctx.access in
-        let index_joined =
-          match link with
-          | Some l ->
-            index_join access ~table ~column:cols.(l.jl_col)
-              ~partials:(List.length partials)
-          | None -> None
-        in
-        match index_joined with
-        | Some est -> Read_index_join { est; probes = List.length partials }
-        | None -> (
-          match probe_plan ctx outer ~frame ~target_name:name ~table where with
-          | Some hit ->
-            access.acc_note ~table
-              (match hit.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-            Read_probe hit
-          | None ->
-            access.acc_note ~table `Seq_scan;
-            Read_scan tbl))
-    in
-    let partials =
-      if k = n - 1 && not extend_last then []
-      else
-        match read, src, link with
-        | Read_index_join _, `Table (table, _), Some l ->
-          let access = Option.get ctx.access in
-          let column = cols.(l.jl_col) in
-          List.concat_map
-            (fun partial ->
-              let bound = (List.nth partial (k - 1 - l.jl_with)).bind_row in
-              List.map
-                (fun (_, row) ->
-                  { bind_name = name; bind_cols = cols; bind_row = row } :: partial)
-                (index_join_rows access ~table ~column bound.(l.jl_with_col)))
-            partials
-        | _ -> join_source ctx.access ~name ~cols k link (read_rows read) partials
-    in
-    (partials, k + 1, read :: reads)
-  in
-  let partials, _, reads =
-    List.fold_left step ([ [] ], 0, []) (List.combine sources links)
-  in
-  (partials, List.rev reads)
-
-(* Materialize the from-list as row environments, each extended with
-   the outer scopes, joined as [join_from] decides.  An index probe
-   returns the matching rows in handle order — an order-preserving
-   subsequence of the scan — and the full WHERE predicate is still
-   applied afterwards, so results are identical to a scan's.
-
-   When the from-list is a single lazily realized base table, the
-   handles of its rows come back too, aligned with the environments:
-   the tuples the select retrieved, for the Section 5.1 read set. *)
-and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
-    env list * Handle.t list option =
-  let sources = from_sources ctx outer from in
-  let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  let links = from_links_exn frame where in
-  match sources with
-  | [ (name, cols, `Table _) ] ->
-    let pairs =
-      match join_from ctx outer ~frame ~where sources links ~extend_last:false with
-      | _, [ Read_probe hit ] -> hit.ph_pairs
-      | _, [ Read_scan tbl ] -> Table.to_list tbl
-      | _ -> assert false
-    in
-    ( List.map
-        (fun (_, row) ->
-          [ { bind_name = name; bind_cols = cols; bind_row = row } ] :: outer)
-        pairs,
-      Some (List.map fst pairs) )
-  | _ ->
-    let frames, _ = join_from ctx outer ~frame ~where sources links ~extend_last:true in
-    (List.map (fun frame -> List.rev frame :: outer) frames, None)
-
-(* The access-path planner: try to satisfy one FROM source by an index
-   probe instead of a scan, over the candidates [sargable_candidates]
-   finds.  Probe values are evaluated once against the outer scopes. *)
-and probe_plan ctx (outer : env) ~frame ~target_name ~table
-    (where : Ast.expr option) : probe_hit option =
-  match ctx.access, where with
-  | None, _ | _, None -> None
-  | Some access, Some pred ->
-    let eval_ctx = { ctx with group = None } in
-    sargable_candidates ~frame ~target:target_name
-      ~cols_of:(fun t -> table_cols access ~table:t)
-      pred
-    |> probe_candidates access ~table ~eval:(eval_expr eval_ctx outer)
-         ~eval_set:(fun sub -> (subquery_in eval_ctx outer sub).in_values)
-
-and project_columns ctx (frame_env : env) (projections : Ast.proj list) =
-  (* Expand stars against the local frame of [frame_env]. *)
-  let local_frame = match frame_env with [] -> [] | f :: _ -> f in
-  List.concat_map
-    (function
-      | Ast.Star ->
-        List.concat_map
-          (fun b ->
-            Array.to_list
-              (Array.mapi
-                 (fun i c -> (c, b.bind_row.(i)))
-                 b.bind_cols))
-          local_frame
-      | Ast.Table_star t -> (
-        match List.find_opt (fun b -> String.equal b.bind_name t) local_frame with
-        | None -> Errors.raise_error (Errors.Unknown_table t)
-        | Some b ->
-          Array.to_list
-            (Array.mapi (fun i c -> (c, b.bind_row.(i))) b.bind_cols))
-      | Ast.Proj (e, alias) ->
-        let name =
-          match alias with Some a -> a | None -> default_proj_name e
-        in
-        [ (name, eval_expr ctx frame_env e) ])
-    projections
-
-and eval_select_inner ctx (outer : env) (s : Ast.select) : relation =
-  match s.Ast.compounds with
-  | _ :: _ -> eval_compound ctx outer s
-  | [] -> eval_select_plain ctx outer s
-
-(* Compound (set) operations: evaluate each core, combine the row
-   multisets, then apply the trailing ORDER BY / LIMIT over the
-   combined result (sort keys may reference the projected column
-   names). *)
-and eval_compound ctx outer (s : Ast.select) : relation =
-  let head =
-    eval_select_plain ctx outer
-      { s with Ast.compounds = []; order_by = []; limit = None }
-  in
-  let combined =
-    List.fold_left
-      (fun rows (op, sub) ->
-        combine_compound ~head rows op (eval_select_plain ctx outer sub))
-      head.rows s.Ast.compounds
-  in
-  (* trailing ORDER BY over the combined projected rows *)
-  let ordered =
-    match s.Ast.order_by with
-    | [] -> combined
-    | order_by ->
-      let keyed =
-        List.map
-          (fun row ->
-            let env =
-              [ [ { bind_name = ""; bind_cols = head.cols; bind_row = row } ] ]
-            in
-            let keys =
-              List.map
-                (fun (e, dir) ->
-                  (eval_expr { ctx with group = None } env e, dir))
-                order_by
-            in
-            (keys, row))
-          combined
-      in
-      List.map snd (sort_by_keys keyed)
-  in
-  { rel_name = ""; cols = head.cols; rows = take_limit s.Ast.limit ordered }
-
-and eval_select_plain ctx outer s = fst (eval_select_plain_read ctx outer s)
-
-(* A select core with the handles of the tuples it retrieved: those of
-   the rows passing WHERE when the from-list is a single lazily realized
-   base table and there is no GROUP BY, [None] for any other shape.
-   DISTINCT, ORDER BY and LIMIT apply to the output only. *)
-and eval_select_plain_read ctx (outer : env) (s : Ast.select) :
-    relation * Handle.t list option =
-  let row_envs, handles = from_row_envs ctx outer ?where:s.Ast.where s.Ast.from in
-  (* WHERE *)
-  let where_ctx = { ctx with group = None } in
-  let filtered, read =
-    match s.Ast.where with
-    | None -> (row_envs, handles)
-    | Some pred -> (
-      let holds env =
-        Value.truth_holds (value_truth (eval_expr where_ctx env pred))
-      in
-      match handles with
-      | None -> (List.filter holds row_envs, None)
-      | Some hs ->
-        let kept =
-          List.filter (fun (env, _) -> holds env) (List.combine row_envs hs)
-        in
-        (List.map fst kept, Some (List.map snd kept)))
-  in
-  let grouped = select_contains_agg s in
-  let result_pairs =
-    if not grouped then
-      List.map (fun env -> project_columns where_ctx env s.Ast.projections) filtered
-    else begin
-      (* group rows by the group_by key *)
-      let groups =
-        if s.Ast.group_by = [] then
-          (* single global group; present even when empty *)
-          [ filtered ]
-        else begin
-          let module Key_map = Map.Make (struct
-            type t = Row.t
-
-            let compare = Row.compare_total
-          end) in
-          let order = ref [] in
-          let m =
-            List.fold_left
-              (fun m env ->
-                let key =
-                  Array.of_list
-                    (List.map (eval_expr where_ctx env) s.Ast.group_by)
-                in
-                match Key_map.find_opt key m with
-                | Some rows -> Key_map.add key (env :: rows) m
-                | None ->
-                  order := key :: !order;
-                  Key_map.add key [ env ] m)
-              Key_map.empty filtered
-          in
-          List.rev_map (fun key -> List.rev (Key_map.find key m)) !order
-          |> List.rev
-        end
-      in
-      let eval_group group_envs =
-        let group_ctx = { ctx with group = Some group_envs } in
-        (* Non-aggregate column references use the first row of the
-           group (all rows agree on group-by columns). *)
-        let rep_env =
-          match group_envs with e :: _ -> e | [] -> [] :: outer
-        in
-        let keep =
-          match s.Ast.having with
-          | None -> true
-          | Some h -> Value.truth_holds (value_truth (eval_expr group_ctx rep_env h))
-        in
-        if keep then Some (project_columns group_ctx rep_env s.Ast.projections)
-        else None
-      in
-      List.filter_map eval_group groups
-    end
-  in
-  (* ORDER BY: evaluate sort keys in the corresponding environments.
-     For simplicity we sort the projected rows by keys computed
-     alongside projection; recompute by pairing envs with results. *)
-  let ordered_pairs =
-    match s.Ast.order_by with
-    | [] -> result_pairs
-    | order_by ->
-      let envs_for_sort =
-        if not grouped then
-          match s.Ast.where with
-          | None -> row_envs
-          | Some _ -> filtered
-        else []
-      in
-      if grouped then
-        (* Order grouped output by keys computed over the projected
-           values: only projected column names may be referenced. *)
-        let keyed =
-          List.map
-            (fun pairs ->
-              let cols = Array.of_list (List.map fst pairs) in
-              let row = Array.of_list (List.map snd pairs) in
-              let env =
-                [ [ { bind_name = ""; bind_cols = cols; bind_row = row } ] ]
-              in
-              let keys =
-                List.map
-                  (fun (e, dir) -> (eval_expr where_ctx env e, dir))
-                  order_by
-              in
-              (keys, pairs))
-            result_pairs
-        in
-        List.map snd (sort_by_keys keyed)
-      else
-        let keyed =
-          List.map2
-            (fun env pairs ->
-              let keys =
-                List.map
-                  (fun (e, dir) -> (eval_expr where_ctx env e, dir))
-                  order_by
-              in
-              (keys, pairs))
-            envs_for_sort result_pairs
-        in
-        List.map snd (sort_by_keys keyed)
-  in
-  let cols =
-    match ordered_pairs with
-    | pairs :: _ -> Array.of_list (List.map fst pairs)
-    | [] -> static_output_columns ctx s
-  in
-  let rows = List.map (fun pairs -> Array.of_list (List.map snd pairs)) ordered_pairs in
-  let rows = if s.Ast.distinct then dedupe_rows rows else rows in
-  let rows = take_limit s.Ast.limit rows in
-  ({ rel_name = ""; cols; rows }, if s.Ast.group_by = [] then read else None)
-
-(* Output column names when the result has no rows: derive them from
-   the projection list and the source schemas. *)
-and static_output_columns ctx (s : Ast.select) =
-  let source_cols item =
-    match item.Ast.source with
-    | Ast.Derived sub -> (
-      match item.Ast.alias with
-      | Some a -> Some (a, (eval_select_inner ctx [] sub).cols)
-      | None -> Some ("", (eval_select_inner ctx [] sub).cols))
-    | src -> (
-      let rel = try Some (ctx.resolve src) with _ -> None in
-      match rel with
-      | None -> None
-      | Some rel ->
-        let name =
-          match item.Ast.alias with Some a -> a | None -> rel.rel_name
-        in
-        Some (name, rel.cols))
-  in
-  let sources = List.filter_map source_cols s.Ast.from in
-  let names =
-    List.concat_map
-      (function
-        | Ast.Star -> List.concat_map (fun (_, cols) -> Array.to_list cols) sources
-        | Ast.Table_star t -> (
-          match List.find_opt (fun (n, _) -> String.equal n t) sources with
-          | Some (_, cols) -> Array.to_list cols
-          | None -> [])
-        | Ast.Proj (e, alias) ->
-          [ (match alias with Some a -> a | None -> default_proj_name e) ])
-      s.Ast.projections
-  in
-  Array.of_list names
-
-(* Public entry points *)
-
-let make_context ?cache ?access resolve =
-  { resolve; group = None; cache; watches = []; access }
-
-let eval_select ?cache ?access ?(outer = empty_env) resolve s =
-  (* exception-safety injection site: only the public entry, so the hit
-     count per operation stays bounded (subqueries recurse through
-     [eval_select_inner] directly) *)
-  Fault.hit Fault.Query_eval;
-  eval_select_inner (make_context ?cache ?access resolve) outer s
-
-let eval_expr_in ?cache ?access ?(outer = empty_env) resolve env e =
-  eval_expr (make_context ?cache ?access resolve) (env @ outer) e
-
-let eval_predicate ?cache ?access ?(outer = empty_env) resolve env e =
-  Value.truth_holds
-    (value_truth (eval_expr (make_context ?cache ?access resolve) (env @ outer) e))
-
-let eval_select_read ?cache ~access resolve s =
-  Fault.hit Fault.Query_eval;
-  let ctx = make_context ?cache ~access resolve in
-  match s.Ast.compounds with
-  | [] -> eval_select_plain_read ctx empty_env s
-  | _ :: _ -> (eval_compound ctx empty_env s, None)
-
-(* Entry point for the DML layer's victim selection: probe one base
-   table directly, using the same sargable detection, independence
-   analysis, cost ranking and fallback semantics as the FROM-list
-   planner. *)
-let probe_table ?cache ~access resolve ~table ~bind_name ~cols where =
-  probe_plan
-    { resolve; group = None; cache; watches = []; access = Some access }
-    empty_env
-    ~frame:[ (bind_name, cols) ]
-    ~target_name:bind_name ~table where
-
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN: access-path planning without execution                     *)
 
-(* The planning functions below re-run exactly the decision procedure
-   [from_row_envs] and the DML victim selection use — the same
-   [join_from] and [probe_plan] calls with the same frame, binding name
-   and WHERE clause — but stop short of joining the last source,
-   evaluating WHERE or mutating anything.  The frames before the last
-   source are joined, because an index nested-loop join is chosen from
-   their count.  [matches] counts the handles the probe returned (the rows
-   the executor would enumerate before residual filtering); [rows] is
-   the table's current cardinality, i.e. what a scan would read.
-   Probing evaluates the sargable conjunct's value side (possibly an
-   uncorrelated subquery), so planning can read — but never write —
-   the database.  Plans cover the top-level FROM sources of each select
-   core and the victim table of DELETE/UPDATE; tables touched only
-   inside predicate subqueries are not enumerated. *)
+(* The plans EXPLAIN reports.  [Compile] produces them by a plan-only
+   run of a compiled select, and [Dml] from a compiled victim probe:
+   the executor's own decisions. *)
 
 type access_path =
   | Seq_scan of { table : string; rows : int option }
@@ -1580,76 +842,6 @@ let probed_path access ~table hit =
   | `Eq -> Index_probe { table; index; column; conjunct; est; matches; rows }
   | `Range ->
     Range_probe { table; index; column; conjunct; est; matches; rows }
-
-(* The executors' own decisions: [join_from] over the select's sources,
-   with the partial frames of every source but the last realized so the
-   join methods are decided from the same frame counts. *)
-let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
-  let access = Option.get ctx.access in
-  let sources = from_sources ctx outer s.Ast.from in
-  let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  let links = from_links_exn frame s.Ast.where in
-  let _, reads =
-    join_from ctx outer ~frame ~where:s.Ast.where sources links ~extend_last:false
-  in
-  List.map2
-    (fun ((name, cols, src), link) read ->
-      let path =
-        match src, read with
-        | `Rows (what, rows), _ -> Materialized { source = what; rows = List.length rows }
-        | `Table (table, _), Read_probe hit -> probed_path access ~table hit
-        | `Table (table, _), Read_index_join { est; probes } ->
-          Index_join_probes { table; probes; est; rows = table_count access ~table }
-        | `Table (table, _), (Read_scan _ | Read_rows _) ->
-          Seq_scan { table; rows = table_count access ~table }
-      in
-      let join l =
-        let jp_method =
-          match src, read with
-          | `Table (table, _), Read_index_join _ ->
-            Index_nested_loop { index = access.acc_index ~table ~column:cols.(l.jl_col) }
-          | _ -> Hash_join
-        in
-        {
-          jp_with = fst (List.nth frame l.jl_with);
-          jp_conjunct = Pretty.expr_str l.jl_conjunct;
-          jp_method;
-        }
-      in
-      { sp_binding = name; sp_path = path; sp_join = Option.map join link })
-    (List.combine sources links) reads
-
-let plan_select_inner ctx outer (s : Ast.select) =
-  let cores = { s with Ast.compounds = [] } :: List.map snd s.Ast.compounds in
-  List.concat_map (plan_core ctx outer) cores
-
-let plan_select ?cache ~access resolve s =
-  plan_select_inner (make_context ?cache ~access resolve) empty_env s
-
-let plan_op ?cache ~access resolve (op : Ast.op) : source_plan list =
-  let ctx = make_context ?cache ~access resolve in
-  match op with
-  | Ast.Select_op s -> plan_select_inner ctx empty_env s
-  | Ast.Insert { source = `Select s; _ } -> plan_select_inner ctx empty_env s
-  | Ast.Insert { source = `Values _; _ } -> []
-  | Ast.Delete { table; where } | Ast.Update { table; where; _ } ->
-    (* mirror of the DML layer's victim selection (see
-       [Dml.selected_handles]): the table is bound under its own name *)
-    let cols =
-      match table_cols access ~table with
-      | Some cols -> cols
-      | None -> (ctx.resolve (Ast.Base table)).cols
-    in
-    let path =
-      match
-        probe_plan ctx empty_env
-          ~frame:[ (table, cols) ]
-          ~target_name:table ~table where
-      with
-      | Some hit -> probed_path access ~table hit
-      | None -> Seq_scan { table; rows = table_count access ~table }
-    in
-    [ { sp_binding = table; sp_path = path; sp_join = None } ]
 
 let describe_probe what (index, column, conjunct, est, matches, rows) =
   let ix = match index with Some i -> i | None -> "<unnamed index>" in

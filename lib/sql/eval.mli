@@ -1,8 +1,12 @@
-(** Query evaluation.
+(** The evaluator's shared pieces: relations and resolvers, the
+    access-path planner and cost model, the FROM-list analysis and join
+    tables, SQL's three-valued logic and IN semantics, and the plan
+    types EXPLAIN renders.  {!Compile} lowers statements to closures
+    over these; it is the one evaluator.
 
-    The evaluator works over {!relation}s — named column lists plus
-    rows — rather than stored tables, so the same machinery evaluates
-    base tables, derived tables and the paper's transition tables.  A
+    Queries work over {!relation}s — named column lists plus rows —
+    rather than stored tables, so the same machinery evaluates base
+    tables, derived tables and the paper's transition tables.  A
     {!resolver} maps AST table sources to relations; the rules engine
     supplies a resolver that also serves the triggering rule's
     transition tables.
@@ -23,35 +27,6 @@ val base_resolver : Database.t -> resolver
 (** A resolver over base tables only; referencing a transition table
     raises [Invalid_transition_reference]. *)
 
-(** {2 Environments} *)
-
-type binding = {
-  bind_name : string;
-  bind_cols : string array;
-  bind_row : Row.t;
-}
-
-type env = binding list list
-(** Scopes, innermost first; each frame is the from-list of one
-    select.  Column references resolve innermost-first; within a scope
-    an unqualified reference must be unambiguous. *)
-
-val empty_env : env
-
-(** {2 Uncorrelated-subquery caching}
-
-    Predicates are evaluated once per candidate row; without care an
-    embedded select that does not reference the outer row would be
-    re-evaluated for every row.  A {!cache} shared across the rows of
-    one operation memoizes such subqueries; correlation is detected
-    dynamically on the first evaluation.  A cache is only sound while
-    the database state is fixed — create one per operation or rule
-    condition. *)
-
-type cache
-
-val make_cache : unit -> cache
-
 (** {2 IN-subquery value sets}
 
     An uncorrelated IN (select ...) is evaluated once per operation;
@@ -66,9 +41,8 @@ type in_set = private { in_values : Value.t list; in_index : in_index }
 and in_index
 
 type memo = private { memo_rel : relation; mutable memo_in : in_set option }
-(** A memoized subquery result (the compiled evaluator's memo slots
-    hold these too), with the IN value set built from it on first
-    use. *)
+(** A memoized uncorrelated-subquery result (what {!Compile}'s memo
+    slots hold), with the IN value set built from it on first use. *)
 
 val make_memo : relation -> memo
 
@@ -139,6 +113,9 @@ val db_access : Database.t -> access
 (** Hooks serving every table and index of a database state; [acc_note]
     does nothing. *)
 
+val table_count : access -> table:string -> int option
+(** The current cardinality of a table the hooks serve. *)
+
 (** {2 Cost model} *)
 
 type probe_shape =
@@ -158,8 +135,8 @@ type probe_hit = {
   ph_est : int;  (** the cost-model estimate that ranked it *)
   ph_pairs : (Handle.t * Row.t) list;  (** rows the probe enumerates *)
 }
-(** A successful probe decision, as produced by {!probe_table} and
-    consumed by the DML layer and EXPLAIN. *)
+(** A successful probe decision, as produced by {!probe_candidates} and
+    consumed by the executor and EXPLAIN. *)
 
 type ('e, 's) probe_values =
   | Pv_exprs of 'e list  (** [col = e], [col IN (e, ...)] *)
@@ -176,7 +153,7 @@ type ('e, 's) sargable = {
 }
 (** A sargable WHERE conjunct for one FROM source: the conjunct, the
     column it constrains, its static shape and its value side — an
-    AST in the interpreter, closures in {!Compile}. *)
+    AST as found, closures once {!Compile} has compiled it. *)
 
 val sargable_candidates :
   frame:(string * string array) list ->
@@ -203,64 +180,17 @@ val probe_candidates :
     [None] means "scan instead".  Without a usable index nothing is
     probed. *)
 
-val probe_table :
-  ?cache:cache ->
-  access:access ->
-  resolver ->
-  table:string ->
-  bind_name:string ->
-  cols:string array ->
-  Ast.expr option ->
-  probe_hit option
-(** Entry point for the DML layer's victim selection: probe one base
-    table (bound under [bind_name] with columns [cols]) using the same
-    sargable detection, cost ranking and fallback semantics as the
-    FROM-list planner.  [None] means "scan instead". *)
+(** {2 EXPLAIN plans}
 
-(** {2 Evaluation} *)
-
-val eval_select :
-  ?cache:cache -> ?access:access -> ?outer:env -> resolver -> Ast.select ->
-  relation
-(** Evaluate a select operation: cross product of the from-list, WHERE
-    filter, grouping and aggregates, HAVING, projection, DISTINCT,
-    ORDER BY, LIMIT.  [outer] supplies enclosing scopes for correlated
-    evaluation. *)
-
-val eval_select_read :
-  ?cache:cache -> access:access -> resolver -> Ast.select ->
-  relation * Handle.t list option
-(** {!eval_select} with no outer scopes, also returning the tuples the
-    select retrieved (Section 5.1): when the from-list is exactly one
-    base table and there is no GROUP BY or compound operator, the
-    handles of the rows that passed WHERE, in handle order, taken from
-    the index probe or scan that produced them.  DISTINCT, ORDER BY and
-    LIMIT never shrink the set.  [None] for every other shape. *)
-
-val eval_expr_in :
-  ?cache:cache -> ?access:access -> ?outer:env -> resolver -> env -> Ast.expr ->
-  Value.t
-(** Evaluate an expression in the given environment (aggregates are
-    rejected outside grouped queries). *)
-
-val eval_predicate :
-  ?cache:cache -> ?access:access -> ?outer:env -> resolver -> env -> Ast.expr ->
-  bool
-(** Evaluate a predicate and collapse three-valued logic: [true] only
-    when the predicate is definitely true. *)
-
-(** {2 EXPLAIN: access-path planning without execution}
-
-    The planners below run exactly the decision procedure both
-    executors use, interpreted and compiled alike — the same
-    sargable-conjunct detection, independence analysis and
-    lazy-vs-eager split — but stop short of realizing the planned
-    sources or mutating anything.  Probing evaluates the sargable
-    conjunct's value side (possibly an uncorrelated subquery), so
-    planning reads — but never writes — the database.  Plans cover the
-    top-level FROM sources of each select core and the victim table of
-    DELETE/UPDATE; tables touched only inside predicate subqueries are
-    not enumerated. *)
+    What the executor decided for each source it reads.
+    {!Compile.plan_select} produces them by a plan-only run of a
+    compiled select, and {!Dml.explain} from a compiled victim probe,
+    so they are the executor's own decisions.  Probing evaluates the
+    sargable conjunct's value side (possibly an uncorrelated subquery),
+    so planning reads — but never writes — the database.  Plans cover
+    the top-level FROM sources of each select core and the victim table
+    of DELETE/UPDATE; tables touched only inside predicate subqueries
+    are not enumerated. *)
 
 type access_path =
   | Seq_scan of { table : string; rows : int option }
@@ -305,16 +235,9 @@ type source_plan = {
   sp_join : join_plan option;
 }
 
-val plan_select :
-  ?cache:cache -> access:access -> resolver -> Ast.select -> source_plan list
-(** One plan per FROM source of each select core (compound arms
-    included), in from-list order. *)
-
-val plan_op :
-  ?cache:cache -> access:access -> resolver -> Ast.op -> source_plan list
-(** Plan any DML operation: selects and INSERT ... SELECT plan their
-    select; INSERT ... VALUES accesses no table; DELETE/UPDATE plan
-    their victim selection. *)
+val probed_path : access -> table:string -> probe_hit -> access_path
+(** A probe decision over [table] as a plan node: [Index_probe] or
+    [Range_probe] by the hit's kind. *)
 
 val describe_access_path : access_path -> string
 val describe_source_plan : source_plan -> string
@@ -325,11 +248,9 @@ val describe_source_plan : source_plan -> string
 
 (** {2 Shared semantics}
 
-    Pieces of the interpreter reused verbatim by the compiling
-    evaluator ({!Compile}), exported so the two paths cannot drift:
-    three-valued-logic plumbing, IN semantics, ORDER BY comparison, the
-    FROM-list analysis and join, and the grouped-query / projection-name
-    classification. *)
+    Three-valued-logic plumbing, IN semantics, ORDER BY comparison, the
+    FROM-list analysis and join, and the grouped-query /
+    projection-name classification. *)
 
 val truth_value : Value.truth -> Value.t
 val value_truth : Value.t -> Value.truth
@@ -344,7 +265,7 @@ val sort_by_keys :
   ((Value.t * [ `Asc | `Desc ]) list * 'a) list
 (** Stable sort of values tagged with ORDER BY keys. *)
 
-(** {3 Select steps shared by both evaluators} *)
+(** {3 Select steps} *)
 
 val dedupe_rows : Row.t list -> Row.t list
 (** DISTINCT: the first occurrence of each row, in order. *)

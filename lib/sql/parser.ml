@@ -433,7 +433,7 @@ and parse_projections st =
         | None when st.nparams > n0 ->
           (* a parameter in an alias-free projection: pin the output
              column name to the PREPARE-time source text, so binding
-             (or the interpreter oracle's substitution) cannot rename
+             (or the tests' substitution) cannot rename
              the column per EXECUTE *)
           Some (Pretty.expr_str e)
         | _ -> alias

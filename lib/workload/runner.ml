@@ -41,9 +41,6 @@ let build ?indexes ?config sc profile =
     (setup_statements ?indexes sc profile);
   s
 
-(* The scenario's configuration on the interpreting evaluator. *)
-let interpreted sc = { sc.Scenario.sc_config with Engine.compiled = false }
-
 let gen_blocks sc profile =
   let sampler = Profile.Sampler.create profile in
   List.init profile.Profile.txns (fun _ -> sc.Scenario.sc_txn sampler)
@@ -174,16 +171,11 @@ let run_short ?(check_every = 4) sc profile =
   Profile.validate profile;
   let blocks = gen_blocks sc profile in
   let primary = build sc profile in
-  let interp = build ~config:(interpreted sc) sc profile in
   let scan = build ~indexes:false sc profile in
   let rep = ref (empty_report sc.Scenario.sc_name) in
   let compare_states context =
     let dp = state_digest sc primary in
-    let di = state_digest sc interp in
     let ds = state_digest sc scan in
-    if dp <> di then
-      failf "[%s] %s: interpreted twin diverged from compiled"
-        sc.Scenario.sc_name context;
     if dp <> ds then
       failf "[%s] %s: scan twin diverged from probe" sc.Scenario.sc_name
         context
@@ -192,9 +184,7 @@ let run_short ?(check_every = 4) sc profile =
     (fun i block ->
       let context = Printf.sprintf "txn %d" (i + 1) in
       let rp = run_block primary block in
-      let ri = run_block interp block in
       let rs = run_block scan block in
-      check_same_result sc ~context ~label:"compiled vs interpreted" rp ri;
       check_same_result sc ~context ~label:"probe vs scan" rp rs;
       rep := { !rep with r_txns = !rep.r_txns + 1 };
       count_outcome rep rp;
@@ -205,10 +195,9 @@ let run_short ?(check_every = 4) sc profile =
       end)
     blocks;
   compare_states "final";
-  check_invariants sc ~context:"final (compiled)" primary;
-  check_invariants sc ~context:"final (interpreted)" interp;
+  check_invariants sc ~context:"final (probe)" primary;
   check_invariants sc ~context:"final (scan)" scan;
-  rep := { !rep with r_checks = !rep.r_checks + (3 * n_invariants sc) };
+  rep := { !rep with r_checks = !rep.r_checks + (2 * n_invariants sc) };
   !rep
 
 (* ------------------------------------------------------------------ *)
@@ -383,10 +372,9 @@ let rec rm_rf path =
 
 (* ------------------------------------------------------------------ *)
 (* Recovery differential: after every recovery the soak checks that    *)
-(* (a) a compiled restore reproduces the expected state, (b) an        *)
-(* interpreted restore agrees (the whole WAL replay runs through the   *)
-(* tree-walking evaluator), and (c) with every index dropped the scan  *)
-(* paths still see the same state and invariants.                      *)
+(* (a) a restore reproduces the expected state and (b) with every      *)
+(* index dropped the scan paths still see the same state and           *)
+(* invariants.                                                         *)
 
 let recovery_differential sc profile ~context ~expected dir =
   let config = sc.Scenario.sc_config in
@@ -398,11 +386,6 @@ let recovery_differential sc profile ~context ~expected dir =
       sc.Scenario.sc_name context
   | _ -> ());
   check_invariants sc ~context:(context ^ " (probe restore)") probe;
-  let interp, _ = Recovery.restore ~config:(interpreted sc) dir in
-  if state_digest sc interp <> dp then
-    failf "[%s] %s: interpreted recovery diverged from compiled"
-      sc.Scenario.sc_name context;
-  check_invariants sc ~context:(context ^ " (interpreted restore)") interp;
   let scan, _ = Recovery.restore ~config dir in
   List.iter
     (fun ix -> ignore (System.exec_one scan ("drop index " ^ ix)))
@@ -411,7 +394,7 @@ let recovery_differential sc profile ~context ~expected dir =
     failf "[%s] %s: scan state diverged after dropping indexes"
       sc.Scenario.sc_name context;
   check_invariants sc ~context:(context ^ " (scan restore)") scan;
-  3 * n_invariants sc
+  2 * n_invariants sc
 
 (* ------------------------------------------------------------------ *)
 (* The durable soak: live-fault phase + fork/SIGKILL crash phase       *)

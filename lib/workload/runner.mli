@@ -5,15 +5,14 @@
     reproducible from [seed] alone):
 
     - {!run_short}: in-memory differential — the same blocks executed
-      on a compiled+indexed system, an interpreted twin and a scan
-      (index-free) twin, with per-transaction result comparison and
-      invariant checks.  This is the [dune runtest] short mode.
+      on an indexed system and a scan (index-free) twin, with
+      per-transaction result comparison and invariant checks.  This is
+      the [dune runtest] short mode.
     - {!soak}: durable — a live fault-injection phase (PR 2 sites armed
       mid-run, abort-restores-snapshot asserted, fsync-point deaths
       survived by reopening) followed by a fork+SIGKILL crash phase
-      (PR 5 harness), with invariants and scan/probe/compiled-vs-
-      interpreted differential equivalence checked after every
-      recovery.
+      (PR 5 harness), with invariants and scan/probe differential
+      equivalence checked after every recovery.
     - {!throughput}: plain timed execution for the E17 benchmark and
       the CLI.
 

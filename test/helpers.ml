@@ -95,11 +95,6 @@ let stream_tokens src =
   in
   go []
 
-(* The engine configuration on the compiling evaluator ([true], the
-   default) or the tree-walking interpreter. *)
-let evaluator ?(config = Engine.default_config) compiled =
-  { config with Engine.compiled }
-
 (* ------------------------------------------------------------------ *)
 (* Seed plumbing for the randomized suites.
 

@@ -11,9 +11,8 @@
      unknown/duplicate names, parameters outside PREPARE);
    - the cache-validity matrix: hits on repetition, invalidation on
      DDL-generation bumps, teardown on DEALLOCATE and on session forks;
-   - the differential oracle: EXECUTE under the compiled path
-     (parameter frame) equals EXECUTE under the interpreter
-     (substitution into the tree);
+   - EXECUTE (parameter frame) equals the statement with its arguments
+     substituted into the tree, and EXECUTE inside a transaction;
    - parse/print round-trips for the new statement forms. *)
 
 open Core
@@ -36,8 +35,8 @@ let expect_err ~name pred f =
     if not (pred e) then
       Alcotest.failf "%s: wrong error: %s" name (Errors.to_string e)
 
-let fixture ?(compiled = true) () =
-  system ~config:(evaluator compiled)
+let fixture () =
+  system
     "create table emp (name string, emp_no int, salary float);\n\
      insert into emp values ('ada', 1, 100.0);\n\
      insert into emp values ('bob', 2, 200.0);\n\
@@ -201,14 +200,16 @@ let test_explain_reports_cache_state () =
     (has_line "  statement cache: stale" (explain sql))
 
 (* ------------------------------------------------------------------ *)
-(* Differential oracle: compiled frame binding = interpreter           *)
-(* substitution                                                        *)
+(* Frame binding = substitution                                        *)
 
-(* Run the same prepared-statement script on two fresh systems, one per
-   evaluator, and compare every rendered result (including errors). *)
+(* Run a prepared-statement script, and beside it, on a second fresh
+   system, the same script with each EXECUTE of a statement the script
+   prepared (with matching arity) replaced by that statement's text with
+   the arguments substituted for its parameters; every rendered result
+   (including errors) must agree. *)
 let differential script =
-  let run_path compiled =
-    let s = fixture ~compiled () in
+  let run_script stmts =
+    let s = fixture () in
     run s "create table log (name string, salary float)";
     run s
       "create rule audit when updated emp.salary then insert into log \
@@ -218,10 +219,26 @@ let differential script =
         match System.exec_one s stmt with
         | r -> System.render_result r
         | exception Errors.Error e -> "error: " ^ Errors.to_string e)
+      stmts
+  in
+  let prepared = Hashtbl.create 8 in
+  let substituted =
+    List.map
+      (fun sql ->
+        match Parser.parse_statement_string sql with
+        | Ast.Stmt_prepare (name, op) ->
+          Hashtbl.replace prepared name op;
+          sql
+        | Ast.Stmt_execute (name, args) -> (
+          match Hashtbl.find_opt prepared name with
+          | Some op when Ast.param_count_op op = List.length args ->
+            Pretty.op_str (Ast.subst_params_op (Array.of_list args) op)
+          | _ -> sql)
+        | _ -> sql)
       script
   in
-  let compiled = run_path true and interpreted = run_path false in
-  Alcotest.(check (list string)) "compiled = interpreted" interpreted compiled
+  Alcotest.(check (list string))
+    "frame binding = substitution" (run_script substituted) (run_script script)
 
 let test_execute_differential () =
   differential
@@ -247,21 +264,16 @@ let test_execute_differential () =
     ]
 
 let test_execute_inside_transaction () =
-  List.iter
-    (fun compiled ->
-      let s = fixture ~compiled () in
-      run s "prepare bump as update emp set salary = salary + ? where \
-             emp_no = ?";
-      run s "begin";
-      run s "execute bump (10.0, 1)";
-      run s "execute bump (20.0, 1)";
-      Alcotest.(check (float 0.001)) "both executes visible in-transaction"
-        130.0
-        (float_cell s "select salary from emp where emp_no = 1");
-      run s "rollback";
-      Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
-        (float_cell s "select salary from emp where emp_no = 1"))
-    [ true; false ]
+  let s = fixture () in
+  run s "prepare bump as update emp set salary = salary + ? where emp_no = ?";
+  run s "begin";
+  run s "execute bump (10.0, 1)";
+  run s "execute bump (20.0, 1)";
+  Alcotest.(check (float 0.001)) "both executes visible in-transaction" 130.0
+    (float_cell s "select salary from emp where emp_no = 1");
+  run s "rollback";
+  Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
+    (float_cell s "select salary from emp where emp_no = 1")
 
 (* ------------------------------------------------------------------ *)
 (* Parse/print round-trips                                             *)
@@ -306,12 +318,11 @@ let test_param_numbering_is_statement_order () =
       (Pretty.op_str bound)
   | _ -> Alcotest.fail "expected a PREPARE statement"
 
-(* Select tracking (Section 5.1) must see the BOUND predicate: the
-   read set is computed by interpreting the select's WHERE over the
-   stored AST, and a dangling [?] would error out and conservatively
-   count every row as selected — firing selected-rules on selects
-   that matched nothing.  Found by the prepared workload
-   differential. *)
+(* Select tracking (Section 5.1) must see the BOUND predicate: a read
+   set computed from the select's WHERE over the stored AST would see
+   a dangling [?], error out and conservatively count every row as
+   selected — firing selected-rules on selects that matched nothing.
+   Found by the prepared workload differential. *)
 let test_tracked_select_binds_params () =
   let config = { Engine.default_config with Engine.track_selects = true } in
   let s = system ~config "" in

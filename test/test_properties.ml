@@ -4,6 +4,7 @@
 open Core
 open Helpers
 
+module Compile = Sqlf.Compile
 module Dml = Sqlf.Dml
 
 (* ------------------------------------------------------------------ *)
@@ -302,13 +303,11 @@ let prop_cache_equivalence =
           limit = None;
         }
       in
-      let resolve = Eval.base_resolver db in
-      let plain = Eval.eval_select resolve query in
+      let plain = (Reference_eval.select db query).Reference_eval.rows in
       let cached =
-        Eval.eval_select ~cache:(Eval.make_cache ()) resolve query
+        (Compile.eval_select ~use_cache:true (Eval.base_resolver db) db query).Eval.rows
       in
-      List.length plain.Eval.rows = List.length cached.Eval.rows
-      && List.for_all2 Row.equal plain.Eval.rows cached.Eval.rows)
+      List.length plain = List.length cached && List.for_all2 Row.equal plain cached)
 
 (* ------------------------------------------------------------------ *)
 (* The hash equi-join never changes results or row order.              *)
@@ -341,39 +340,27 @@ let prop_hash_join_equivalence =
       let db =
         List.fold_left (fun db row -> fst (Database.insert db "u" row)) db u_rows
       in
-      (* the oracle writes each join conjunct [x = y] as [not (x <> y)]:
-         the same NULL and type semantics, but no hash-join link *)
-      let sql eq =
-        match variant with
-        | 0 -> Printf.sprintf "select t.b, u.c from t, u where %s" (eq "t.a" "u.a")
-        | 1 ->
-          Printf.sprintf "select t.b, u.c from t, u where %s and t.b > u.c"
-            (eq "t.a" "u.a")
-        | _ ->
-          (* three-way chain join *)
-          Printf.sprintf "select t.b from t, u, t t2 where %s and %s" (eq "t.a" "u.a")
-            (eq "u.a" "t2.a")
+      let query =
+        Parser.parse_select_string
+          (match variant with
+          | 0 -> "select t.b, u.c from t, u where t.a = u.a"
+          | 1 -> "select t.b, u.c from t, u where t.a = u.a and t.b > u.c"
+          | _ ->
+            (* three-way chain join *)
+            "select t.b from t, u, t t2 where t.a = u.a and u.a = t2.a")
       in
-      let run eq =
-        let builds = ref 0 in
-        let access =
-          {
-            (Eval.db_access db) with
-            Eval.acc_note =
-              (fun ~table:_ -> function `Hash_join_build -> incr builds | _ -> ());
-          }
-        in
-        let rel =
-          Eval.eval_select ~access (Eval.base_resolver db)
-            (Parser.parse_select_string (sql eq))
-        in
-        (rel.Eval.rows, !builds)
+      let builds = ref 0 in
+      let access =
+        {
+          (Eval.db_access db) with
+          Eval.acc_note =
+            (fun ~table:_ -> function `Hash_join_build -> incr builds | _ -> ());
+        }
       in
-      let fast, fast_builds = run (Printf.sprintf "%s = %s") in
-      let slow, slow_builds = run (Printf.sprintf "not (%s <> %s)") in
-      fast_builds >= 1 && slow_builds = 0
-      && List.length fast = List.length slow
-      && List.for_all2 Row.equal fast slow)
+      let fast = (Compile.eval_select ~access (Eval.base_resolver db) db query).Eval.rows in
+      (* the reference joins by nested loops *)
+      let slow = (Reference_eval.select db query).Reference_eval.rows in
+      !builds >= 1 && List.length fast = List.length slow && List.for_all2 Row.equal fast slow)
 
 (* ------------------------------------------------------------------ *)
 (* Trace consistency.                                                  *)

@@ -660,6 +660,47 @@ let test_dead_client () =
   | Error e -> Alcotest.failf "select failed: %s" e);
   Client.close c1
 
+(* A request that raises outside SQL's errors — here a fault injected
+   at query evaluation — is answered with [err internal: ...] and
+   counted, and the server goes on serving: the same session and a new
+   one both still work. *)
+let test_internal_error_reply () =
+  Fault.reset ();
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  let srv = Server.create Server.Memory in
+  let listener = Server.start ~port:0 srv in
+  Fun.protect ~finally:(fun () -> Server.stop listener) @@ fun () ->
+  let port = Server.port listener in
+  let c1 = Client.connect ~port () in
+  (match Client.request c1 "create table t (a int); insert into t values (1)" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "setup failed: %s" e);
+  (* a select passes the operation site, then the query site *)
+  Fault.arm 2;
+  (match Client.request c1 "select a from t" with
+  | Ok body -> Alcotest.failf "expected an internal error, got %s" body
+  | Error e ->
+    Alcotest.(check bool) (Printf.sprintf "err internal reply (%s)" e) true
+      (String.starts_with ~prefix:"internal: " e));
+  Alcotest.(check bool) "the fault was at query evaluation" true
+    (Fault.injected () = Some Fault.Query_eval);
+  Fault.reset ();
+  (match Client.request c1 "\\stats" with
+  | Ok body ->
+    Alcotest.(check bool) "stats count one internal error" true
+      (contains body "internal errors: 1");
+    Alcotest.(check bool) "not a disconnect" true (contains body "disconnects: 0")
+  | Error e -> Alcotest.failf "stats failed: %s" e);
+  (match Client.request c1 "select a from t" with
+  | Ok body -> Alcotest.(check bool) "the session still works" true (contains body "(1 row)")
+  | Error e -> Alcotest.failf "select after the fault failed: %s" e);
+  let c2 = Client.connect ~port () in
+  (match Client.request c2 "insert into t values (2); select a from t" with
+  | Ok body -> Alcotest.(check bool) "a second session works" true (contains body "(2 rows)")
+  | Error e -> Alcotest.failf "second session failed: %s" e);
+  Client.close c1;
+  Client.close c2
+
 (* ------------------------------------------------------------------ *)
 (* Differential: concurrent sessions ≡ serial replay                   *)
 
@@ -889,6 +930,8 @@ let suite =
       test_prepared_sessions;
     Alcotest.test_case "dead clients roll back and disconnect" `Quick
       test_dead_client;
+    Alcotest.test_case "an internal error is answered and counted" `Quick
+      test_internal_error_reply;
     Alcotest.test_case "concurrent sessions equal serial replay" `Slow
       test_differential_concurrent_vs_serial;
     Alcotest.test_case "SIGKILL under group commit is all-or-none" `Slow

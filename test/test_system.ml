@@ -170,29 +170,27 @@ let test_negated_predicate () =
     (int_cell s "select count(*) from log")
 
 (* [System.query] plans its select like any other statement, so the
-   uncorrelated-subquery cache follows [config.optimize] under either
-   evaluator: with it the subquery's table is scanned once, without it
-   once per outer row. *)
+   uncorrelated-subquery cache follows [config.optimize]: with it the
+   subquery's table is scanned once, without it once per outer row. *)
 let test_query_follows_optimize () =
   List.iter
-    (fun (compiled, optimize) ->
-      let config = { (evaluator compiled) with Engine.optimize } in
+    (fun optimize ->
+      let config = { Engine.default_config with Engine.optimize } in
       let s = system ~config "create table t (a int)" in
       run s "insert into t values (1), (2), (3), (4), (5)";
       let st () = (Engine.stats (System.engine s)).Engine.seq_scans in
       let scans0 = st () in
       Alcotest.(check rows_testable)
-        (Printf.sprintf "rows (compiled %b, optimize %b)" compiled optimize)
+        (Printf.sprintf "rows (optimize %b)" optimize)
         [ [| vi 3 |]; [| vi 4 |]; [| vi 5 |] ]
         (rows s
            "select a from t where a in (select a from t where a > 2) order \
             by a");
       Alcotest.(check int)
-        (Printf.sprintf "seq scans (compiled %b, optimize %b)" compiled
-           optimize)
+        (Printf.sprintf "seq scans (optimize %b)" optimize)
         (if optimize then 2 else 6)
         (st () - scans0))
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 let suite =
   [

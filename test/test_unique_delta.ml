@@ -9,9 +9,8 @@
    re-inserts, rules whose actions insert into or re-key the
    constrained table, and [process rules] points — and must agree on
    every statement's outcome (commit, rollback or error) and on the
-   final contents of every table.  Every case runs on the compiled and
-   the interpreted path, with transition-information pruning on and
-   off. *)
+   final contents of every table.  Every case runs with
+   transition-information pruning on and off. *)
 
 open Core
 open Helpers
@@ -192,13 +191,7 @@ let prop_delta_matches_whole_table =
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
       List.iter
-        (fun compiled ->
-          List.iter
-            (fun prune_info ->
-              differential
-                ~config:{ Engine.default_config with prune_info; compiled }
-                c)
-            [ true; false ])
+        (fun prune_info -> differential ~config:{ Engine.default_config with prune_info } c)
         [ true; false ];
       true)
 

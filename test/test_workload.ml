@@ -7,8 +7,8 @@
      Zipfian skew, bounds);
    - registry tests (the five built-in scenarios, error behaviour);
    - short mode: every registered scenario through the in-memory
-     differential runner (compiled+indexed vs interpreted vs
-     index-free twins, invariants checked throughout) — this is the
+     differential runner (indexed vs index-free twins, invariants
+     checked throughout) — this is the
      [dune runtest] deterministic slice;
    - the rule-density knob: padding rules must be semantically inert;
    - soak mode: every scenario through the durable fault+crash soak.
