@@ -145,13 +145,13 @@ let print_report system =
 (* The session's prepared statements, with their parameter counts and
    bodies — the registry PREPARE/EXECUTE/DEALLOCATE manage. *)
 let print_prepared system =
-  let eng = System.engine system in
-  match Engine.prepared_names eng with
+  let stmts = Engine.statements (System.engine system) in
+  match Engine.prepared_names stmts with
   | [] -> print_endline "(no prepared statements)"
   | names ->
     List.iter
       (fun name ->
-        let p = Engine.find_prepared eng name in
+        let p = Engine.find_prepared stmts name in
         Printf.printf "%s (%d param%s): %s\n" name
           (Engine.prepared_nparams p)
           (if Engine.prepared_nparams p = 1 then "" else "s")

@@ -241,14 +241,14 @@ module System = struct
          statement re-runs its plan without recompiling *)
       run_cop eng op (Engine.cached_cop eng op)
     | Ast.Stmt_prepare (name, op) ->
-      Engine.prepare eng ~name op;
+      Engine.prepare (Engine.statements eng) ~name op;
       Msg (Printf.sprintf "prepared %s" name)
     | Ast.Stmt_execute (name, args) ->
-      let p = Engine.find_prepared eng name in
+      let p = Engine.find_prepared (Engine.statements eng) name in
       let params = Engine.bind_params p args in
       run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
     | Ast.Stmt_deallocate target ->
-      Engine.deallocate eng target;
+      Engine.deallocate (Engine.statements eng) target;
       Msg
         (match target with
         | Some name -> Printf.sprintf "deallocated %s" name
@@ -327,40 +327,42 @@ module System = struct
                  schema.Schema.columns);
         }
 
-  (* Execute a script of ';'-separated statements.  Its shape comes
-     first: when the shape memo knows every statement's shape, the
-     statements run from their cached plans with the script's literals
-     bound, without parsing.  Otherwise the script is
-     parsed (as a whole, before anything runs, so a syntax error
-     anywhere runs nothing) and each statement is memoized as it runs.
-     A lexical error is left to the parser, which reports the first
-     error in the text, lexical or not. *)
-  let exec t sql =
-    let eng = t.engine in
-    let parsed () = List.map (exec_statement t) (Parser.parse_script sql) in
+  (* Run a script of ';'-separated statements through [route], one at
+     a time, with [stmts]' shape memo.  When the memo knows every
+     statement's shape, each is routed as its memoized operation with
+     the script's literals bound, without parsing.  Otherwise the script
+     is parsed whole before anything runs (a syntax error anywhere runs
+     nothing; a lexical error is left to the parser, which reports the
+     first error, lexical or not) and each statement memoized as it runs. *)
+  let exec_with route stmts sql =
+    let parsed () = List.map (fun s -> route (`Statement s)) (Parser.parse_script sql) in
     match Sqlf.Lexer.shape sql with
     | exception Errors.Error _ -> parsed ()
     | { Sqlf.Lexer.segments; literals } ->
-      let run seg shaped =
-        match Engine.shaped_plan eng shaped seg literals with
-        | `Statement stmt -> exec_statement t stmt
-        | `Op (op, cop, params) -> run_cop eng ~params op cop
-      in
-      let found = List.map (fun seg -> Engine.find_shape eng seg literals) segments in
+      let run seg shaped = route (Engine.bind_shape shaped seg literals) in
+      let found = List.map (fun seg -> Engine.find_shape stmts seg literals) segments in
       if List.for_all Option.is_some found then
         List.map2 (fun seg shaped -> run seg (Option.get shaped)) segments found
       else
         let traced = Parser.parse_script_traced sql in
         if List.compare_lengths traced segments <> 0 then
           (* a statement spans several segments (a rule action block) *)
-          List.map (fun (stmt, _) -> exec_statement t stmt) traced
+          List.map (fun (stmt, _) -> route (`Statement stmt)) traced
         else
           List.map2
             (fun seg (stmt, lits) ->
-              match Engine.record_shape eng seg literals stmt lits with
+              match Engine.record_shape stmts seg literals stmt lits with
               | Some shaped -> run seg shaped
-              | None -> exec_statement t stmt)
+              | None -> route (`Statement stmt))
             segments traced
+
+  let exec_bound t (b : Engine.bound) =
+    run_cop t.engine ~params:b.bd_params b.bd_op (Engine.bound_cop t.engine b)
+
+  let exec t sql =
+    exec_with
+      (function `Statement stmt -> exec_statement t stmt | `Op b -> exec_bound t b)
+      (Engine.statements t.engine) sql
 
   let exec_one t sql = exec_statement t (Parser.parse_statement_string sql)
 

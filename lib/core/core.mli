@@ -65,12 +65,24 @@ module System : sig
       statements accumulate into one block.  CREATE TABLE constraints
       and CREATE ASSERTION are compiled into production rules. *)
 
+  val exec_with :
+    ([ `Statement of Ast.statement | `Op of Engine.bound ] -> 'a) ->
+    Engine.statements ->
+    string ->
+    'a list
+  (** {!exec}'s loop with the caller's routing: each statement goes to
+      [route] in turn, bound from the statement state's shape memo when
+      it knows every shape, parsed otherwise.  A syntax error anywhere
+      runs nothing; an error [route] raises ends the script. *)
+
+  val exec_bound : t -> Engine.bound -> exec_result
+  (** Run a memoized operation's plan from the plan table, as {!exec}. *)
+
   val exec_one : t -> string -> exec_result
   (** Execute exactly one statement. *)
 
   val exec_statement : t -> Ast.statement -> exec_result
-  (** Execute one already-parsed statement — the statement-granular
-      entry point the server's dispatcher builds on. *)
+  (** Execute one already-parsed statement. *)
 
   val is_ddl : Ast.statement -> bool
   (** Whether the statement changes the catalog (tables, rules,

@@ -189,7 +189,6 @@ let read ~dir ~gen =
 
 type writer = {
   fd : Unix.file_descr;
-  w_path : string;
   sync : bool;
   mutable size : int;
 }
@@ -217,7 +216,7 @@ let open_append ?(sync = true) ~dir ~gen () =
       existing.valid_len
     end
   with
-  | size -> { fd; w_path = p; sync; size }
+  | size -> { fd; sync; size }
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -232,7 +231,7 @@ let create ?(sync = true) ~dir ~gen () =
     if sync then Fileio.fsync fd;
     Fileio.fsync_dir dir
   with
-  | () -> { fd; w_path = p; sync; size = String.length file_header }
+  | () -> { fd; sync; size = String.length file_header }
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -250,8 +249,6 @@ let append w record =
   Fault.hit Fault.Wal_fsync
 
 let writer_size w = w.size
-let writer_path w = w.w_path
-
 let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -275,11 +272,6 @@ let apply_dml db op =
     Database.replace_table db (Table.update tbl (Handle.restore ~id table) row)
 
 let apply db ops = List.fold_left apply_dml db ops
-
-let payload_txns = function
-  | Ddl _ -> []
-  | Txn { ops; _ } -> [ ops ]
-  | Batch { txns; _ } -> txns
 
 let pp_dml ppf = function
   | L_insert { table; id; row } ->

@@ -93,7 +93,6 @@ val append : writer -> record -> unit
 val writer_size : writer -> int
 (** Bytes in the file, counting the header. *)
 
-val writer_path : writer -> string
 val close : writer -> unit
 
 (** {1 Replay} *)
@@ -103,11 +102,5 @@ val apply : Database.t -> dml list -> Database.t
     under their original handles.  The caller replays records in log
     order and calls {!Handle.advance_counter} with the last record's
     counter afterwards. *)
-
-val payload_txns : payload -> dml list list
-(** The per-transaction op lists a payload carries: [[ops]] for a
-    [Txn], one list per member for a [Batch], [[]] for [Ddl] — so
-    harnesses can count committed transactions uniformly across record
-    shapes. *)
 
 val pp_dml : Format.formatter -> dml -> unit

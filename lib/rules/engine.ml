@@ -159,14 +159,47 @@ let fresh_txn () =
   }
 
 (* A prepared statement (PREPARE name AS <op>): parsed once, compiled
-   lazily against the validity key, bound per EXECUTE.  The registry
-   is engine-local and starts empty on [fork], which is what gives a
-   server session its own statement namespace. *)
+   lazily against the validity key, bound per EXECUTE by any engine
+   running through the statement state that registered it. *)
 type prepared = {
   pr_name : string;
   pr_op : Ast.op;
   pr_nparams : int;
   mutable pr_compiled : (int * Dml.cop) option; (* (validity key, plan) *)
+}
+
+(* A shape-memo entry: a statement of one shape (its token stream
+   with typed literal slots), up to the values of its literals. *)
+type shaped =
+  | Shaped_stmt of Ast.statement (* BEGIN, COMMIT or ROLLBACK *)
+  | Shaped_op of {
+      so_op : Ast.op; (* the parameterized operation *)
+      so_key : string; (* its plan-table key *)
+      so_frame : Value.t array;
+          (* the parameter frame it was recorded with; a parameter bound
+             to no slot (a NAN or INFINITY literal) keeps its value *)
+      so_slots : int array;
+          (* per parameter, the statement's slot bound to it, or -1 *)
+      so_pinned : (int * Value.t) array;
+          (* every other slot with the value the plan was compiled
+             with: projections, GROUP BY, HAVING, ORDER BY and LIMIT
+             keep their literals (see [Ast.parameterize_op]), so a
+             statement whose pinned slots differ is a different plan *)
+    }
+
+(* A statement state: the plan table, the shape memo in front of it,
+   the prepared-statement registry, and the plan-table hits, misses and
+   invalidations of every engine running through it. *)
+type statements = {
+  plans : (int * Dml.cop) Lru.t;
+      (* parameterized statement (with its parameters' kinds) ->
+         (validity key, compiled plan), whatever the literals *)
+  shapes : shaped Lru.t;
+      (* statement shape key -> what a statement of that shape is *)
+  prepared : (string, prepared) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable invalidations : int;
 }
 
 type t = {
@@ -200,33 +233,8 @@ type t = {
       (* monotonic-seconds hook for trace timestamps and rule timing;
          [None] (the default) disables all timing *)
   rule_metrics : (string, metrics) Hashtbl.t;
-  stmt_cache : (int * Dml.cop) Lru.t;
-      (* parameterized statement (with its parameters' kinds) ->
-         (validity key, compiled plan): repeated unprepared statements
-         reuse compiled plans too, whatever their literals *)
-  shapes : shaped Lru.t;
-      (* statement shape key -> what a statement of that shape is *)
-  prepared : (string, prepared) Hashtbl.t;
+  stmts : statements;
 }
-
-(* A shape-memo entry: a statement of one shape (its token stream
-   with typed literal slots), up to the values of its literals. *)
-and shaped =
-  | Shaped_stmt of Ast.statement (* BEGIN, COMMIT or ROLLBACK *)
-  | Shaped_op of {
-      so_op : Ast.op; (* the parameterized operation *)
-      so_key : string; (* its plan-table key *)
-      so_frame : Value.t array;
-          (* the parameter frame it was recorded with; a parameter bound
-             to no slot (a NAN or INFINITY literal) keeps its value *)
-      so_slots : int array;
-          (* per parameter, the statement's slot bound to it, or -1 *)
-      so_pinned : (int * Value.t) array;
-          (* every other slot with the value the plan was compiled
-             with: projections, GROUP BY, HAVING, ORDER BY and LIMIT
-             keep their literals (see [Ast.parameterize_op]), so a
-             statement whose pinned slots differ is a different plan *)
-    }
 
 let log_src = Logs.Src.create "sopr.engine" ~doc:"rule engine execution"
 
@@ -256,6 +264,16 @@ let fresh_stats () =
    its least recently used entry beyond this. *)
 let stmt_cache_max = 512
 
+let new_statements () =
+  {
+    plans = Lru.create stmt_cache_max;
+    shapes = Lru.create stmt_cache_max;
+    prepared = Hashtbl.create 16;
+    hits = 0;
+    misses = 0;
+    invalidations = 0;
+  }
+
 let create ?(config = default_config) db =
   {
     db;
@@ -277,9 +295,7 @@ let create ?(config = default_config) db =
     trace = [];
     wall_clock = None;
     rule_metrics = Hashtbl.create 16;
-    stmt_cache = Lru.create stmt_cache_max;
-    shapes = Lru.create stmt_cache_max;
-    prepared = Hashtbl.create 16;
+    stmts = new_statements ();
   }
 
 (* A session engine for the concurrent server: an independent
@@ -288,12 +304,11 @@ let create ?(config = default_config) db =
    and selection clock are shared — persistent maps make the sharing
    safe for the catalog fields, and the mutable Rule.t plan caches are
    write-once-per-generation (a race merely re-plans).
-   Transaction state, stats, metrics and traces start fresh.  Forks
-   must not execute DDL: rule DDL would mutate the *shared*
-   discrimination index behind the parent's back.  The server keeps
-   DDL on the parent and forks sessions from committed snapshots
-   only. *)
-let fork t =
+   Transaction state, stats, metrics and traces start fresh; the
+   statement state is the caller's.  Forks must not execute DDL (rule
+   DDL would mutate the *shared* discrimination index), so the server
+   keeps DDL on the parent and forks only committed snapshots. *)
+let fork t stmts =
   if Option.is_some t.txn.txn_start then
     Errors.raise_error
       (Errors.Transaction_error "cannot fork inside a transaction");
@@ -317,13 +332,11 @@ let fork t =
     trace = [];
     wall_clock = None;
     rule_metrics = Hashtbl.create 16;
-    (* fresh per fork: each server session gets its own statement
-       namespace and plan cache, and dropping the fork drops both *)
-    stmt_cache = Lru.create stmt_cache_max;
-    shapes = Lru.create stmt_cache_max;
-    prepared = Hashtbl.create 16;
+    stmts;
   }
 
+let statements t = t.stmts
+let statement_counts s = (s.hits, s.misses, s.invalidations)
 let database t = t.db
 let config t = t.config
 let stats t = t.stats
@@ -387,44 +400,33 @@ let action_plan t (rule : Rule.t) ops =
 
 (* {2 Statement cache and prepared statements}
 
-   The statement cache is one plan table, an LRU keyed on the
-   parameterized statement: [Ast.parameterize_op] lifts the literals
-   in bindable positions into parameters, and the key is the printed
-   result with its parameters' kinds (the early-stop analysis reads
-   them), so statements that differ only in those literals share a
-   plan and bind their literals into its parameter frame.  Plans are
-   keyed (like rule plans) on the DDL generation: a hit serves the plan
-   without recompiling; a stale entry counts as an invalidation and
-   recompiles in place.
-
-   The shape memo in front of it serves [System.exec]: it maps a
-   statement's shape (its token stream with typed literal slots, from
-   [Lexer.shape]) to the parameterized statement, its plan key, and a
-   slot map saying which slot each parameter is bound to; the other
-   slots are pinned to the values the plan was compiled with.  A hit
-   needs neither parsing nor printing nor compiling.  Both paths reach
-   the plan table the same way, so they count the same hits, misses
-   and invalidations.
-
-   Prepared statements reuse the same validity discipline but live in
-   a separate per-name registry so DEALLOCATE and the server's
-   per-session namespace have something to address. *)
+   A statement state's plan table, shape memo and prepared registry,
+   as the interface's plans section describes them.  Every way to a
+   plan — [cached_cop], the shape memo's [bound_cop] and EXECUTE's
+   [prepared_cop] — goes through [reuse_plan], so all count the same
+   hits, misses and invalidations. *)
 
 (* Serve [op]'s plan from its validity-keyed slot, whose current
    entry is [found]: a plan built for the current DDL generation is a
    hit; a stale one counts as an invalidation and is re-planned and
    [store]d; an empty slot is a miss. *)
 let reuse_plan ?param_kinds t op found ~store =
-  let st = t.stats in
+  let st = t.stats and s = t.stmts in
   let key = t.ddl_gen in
   match found with
   | Some (k, cop) when k = key ->
     st.stmt_cache_hits <- st.stmt_cache_hits + 1;
+    s.hits <- s.hits + 1;
     cop
   | _ ->
-    if Option.is_some found then
-      st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1
-    else st.stmt_cache_misses <- st.stmt_cache_misses + 1;
+    if Option.is_some found then begin
+      st.stmt_cache_invalidations <- st.stmt_cache_invalidations + 1;
+      s.invalidations <- s.invalidations + 1
+    end
+    else begin
+      st.stmt_cache_misses <- st.stmt_cache_misses + 1;
+      s.misses <- s.misses + 1
+    end;
     let cop = Dml.compile_op ?param_kinds t.db op in
     store (key, cop);
     cop
@@ -445,8 +447,8 @@ let plan_key op args =
 let table_plan t key op args =
   reuse_plan
     ~param_kinds:(Array.map Compile.lit_kind args)
-    t op (Lru.find t.stmt_cache key)
-    ~store:(Lru.add t.stmt_cache key)
+    t op (Lru.find t.stmts.plans key)
+    ~store:(Lru.add t.stmts.plans key)
 
 let cached_cop t (op : Ast.op) =
   let op, args = Ast.parameterize_op op in
@@ -457,12 +459,12 @@ let cached_cop t (op : Ast.op) =
    find in the cache right now? *)
 let stmt_cache_lookup t (op : Ast.op) =
   let op, args = Ast.parameterize_op op in
-  match Lru.peek t.stmt_cache (plan_key op args) with
+  match Lru.peek t.stmts.plans (plan_key op args) with
   | Some (k, _) when k = t.ddl_gen -> `Hit
   | Some _ -> `Stale
   | None -> `Miss
 
-let stmt_cache_size t = Lru.length t.stmt_cache
+let stmt_cache_size s = Lru.length s.plans
 
 (* Equal literals, floats bit for bit (0.0 and -0.0 print apart). *)
 let same_literal a b =
@@ -478,14 +480,14 @@ let same_literal a b =
 
 (* The memo entry for [seg]'s shape, if its pinned slots hold the
    values [literals] gives them. *)
-let find_shape t (seg : Sqlf.Lexer.segment) literals =
+let find_shape s (seg : Sqlf.Lexer.segment) literals =
   let pinned_match (j, v) = same_literal literals.(seg.first_slot + j) v in
-  match Lru.find t.shapes seg.key with
+  match Lru.find s.shapes seg.key with
   | Some (Shaped_op { so_pinned; _ }) when not (Array.for_all pinned_match so_pinned) ->
     None
   | found -> found
 
-let record_shape t (seg : Sqlf.Lexer.segment) literals stmt lits =
+let record_shape s (seg : Sqlf.Lexer.segment) literals stmt lits =
   let entry =
     match (stmt : Ast.statement) with
     | Ast.Stmt_begin | Ast.Stmt_commit | Ast.Stmt_rollback -> Some (Shaped_stmt stmt)
@@ -516,10 +518,13 @@ let record_shape t (seg : Sqlf.Lexer.segment) literals stmt lits =
            })
     | _ -> None
   in
-  Option.iter (Lru.add t.shapes seg.key) entry;
+  Option.iter (Lru.add s.shapes seg.key) entry;
   entry
 
-let shaped_plan t shaped (seg : Sqlf.Lexer.segment) literals =
+(* A memoized operation bound to one statement's literals. *)
+type bound = { bd_op : Ast.op; bd_params : Value.t array; bd_key : string }
+
+let bind_shape shaped (seg : Sqlf.Lexer.segment) literals =
   match shaped with
   | Shaped_stmt stmt -> `Statement stmt
   | Shaped_op { so_op; so_key; so_frame; so_slots; _ } ->
@@ -527,12 +532,14 @@ let shaped_plan t shaped (seg : Sqlf.Lexer.segment) literals =
     Array.iteri
       (fun i j -> if j >= 0 then params.(i) <- literals.(seg.first_slot + j))
       so_slots;
-    `Op (so_op, table_plan t so_key so_op params, params)
+    `Op { bd_op = so_op; bd_params = params; bd_key = so_key }
 
-let prepare t ~name (op : Ast.op) =
-  if Hashtbl.mem t.prepared name then
+let bound_cop t b = table_plan t b.bd_key b.bd_op b.bd_params
+
+let prepare s ~name (op : Ast.op) =
+  if Hashtbl.mem s.prepared name then
     Errors.raise_error (Errors.Duplicate_prepared name);
-  Hashtbl.replace t.prepared name
+  Hashtbl.replace s.prepared name
     {
       pr_name = name;
       pr_op = op;
@@ -540,22 +547,20 @@ let prepare t ~name (op : Ast.op) =
       pr_compiled = None;
     }
 
-let find_prepared t name =
-  match Hashtbl.find_opt t.prepared name with
+let find_prepared s name =
+  match Hashtbl.find_opt s.prepared name with
   | Some p -> p
   | None -> Errors.raise_error (Errors.Unknown_prepared name)
 
-let has_prepared t name = Hashtbl.mem t.prepared name
-
-let deallocate t = function
+let deallocate s = function
   | Some name ->
-    if not (Hashtbl.mem t.prepared name) then
+    if not (Hashtbl.mem s.prepared name) then
       Errors.raise_error (Errors.Unknown_prepared name);
-    Hashtbl.remove t.prepared name
-  | None -> Hashtbl.reset t.prepared
+    Hashtbl.remove s.prepared name
+  | None -> Hashtbl.reset s.prepared
 
-let prepared_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.prepared []
+let prepared_names s =
+  Hashtbl.fold (fun name _ acc -> name :: acc) s.prepared []
   |> List.sort String.compare
 
 let prepared_nparams (p : prepared) = p.pr_nparams

@@ -128,18 +128,28 @@ val database : t -> Database.t
 
 val config : t -> config
 
-val fork : t -> t
+type statements
+(** A statement state ({!section-plans}); engines sharing one must run
+    on one thread. *)
+
+val new_statements : unit -> statements
+val statements : t -> statements
+
+val statement_counts : statements -> int * int * int
+(** Plan-table hits, misses and invalidations through the state. *)
+
+val fork : t -> statements -> t
 (** A session engine for the concurrent server: an independent
     transaction context (fresh transaction state, stats, metrics,
     traces) over the same committed database state, sharing the rule
     catalog, priorities, discrimination index, procedures, config and
     selection clock.  The persistent data structures make the sharing
-    copy-free.  A fork must not execute DDL (rule DDL would mutate the
-    shared discrimination index behind the parent's back) — the server
-    keeps DDL on the parent engine and forks sessions from committed
-    snapshots only.  Raises [Transaction_error] inside a
+    copy-free.  The fork runs its statements through the given
+    statement state.  A fork must not execute DDL (rule DDL would
+    mutate the shared discrimination index behind the parent's back) —
+    the server keeps DDL on the parent engine and forks sessions from
+    committed snapshots only.  Raises [Transaction_error] inside a
     transaction. *)
-
 
 val stats : t -> stats
 val in_transaction : t -> bool
@@ -270,7 +280,7 @@ val execute_block : t -> Ast.op list -> outcome * Eval.relation list
 val query : t -> Ast.select -> Eval.relation
 (** Plan the query (uncached) and {!query_cop} it. *)
 
-(** {2 Plans, the statement cache and prepared statements}
+(** {2:plans Plans, the statement cache and prepared statements}
 
     Every statement, prepared statement and rule action runs as a
     compiled {!Dml.cop} plan, and every rule condition as a compiled
@@ -285,7 +295,7 @@ val query : t -> Ast.select -> Eval.relation
     and recompiles in place.
 
     In front of the plan table sits the shape memo (also an LRU of
-    {!stmt_cache_max} entries) used by [System.exec]: it maps a
+    {!stmt_cache_max} entries) used by [System.exec_with]: it maps a
     statement's shape ({!Sqlf.Lexer.shape}) to the parameterized
     statement, its plan key and a slot map — each literal slot is
     either bound to a parameter or pinned to the value the plan was
@@ -294,10 +304,10 @@ val query : t -> Ast.select -> Eval.relation
     [stmt_cache_*] statistics.
 
     Prepared statements (PREPARE name AS <op>) reuse the same validity
-    discipline in a per-name registry.  All three structures are
-    engine-local and start empty on {!fork}, which gives each server
-    session its own statement namespace and drops them when the
-    session ends. *)
+    discipline in a per-name registry.  The three structures make one
+    {!statements} value: an engine is created with its own, and
+    {!fork} is handed one, so a server session's forks share one
+    namespace and one set of plans, dropped when the session ends. *)
 
 module Dml = Sqlf.Dml
 
@@ -313,18 +323,19 @@ val stmt_cache_lookup : t -> Ast.op -> [ `Hit | `Stale | `Miss ]
 (** Non-mutating probe (for EXPLAIN): what would executing this
     statement find in the plan table right now? *)
 
-val stmt_cache_size : t -> int
+val stmt_cache_size : statements -> int
 
 type shaped
 (** A shape-memo entry. *)
 
-val find_shape : t -> Sqlf.Lexer.segment -> Value.t array -> shaped option
+val find_shape :
+  statements -> Sqlf.Lexer.segment -> Value.t array -> shaped option
 (** The memo entry for the segment's shape, when its pinned slots hold
     the same values in [literals] (the shape's literal vector).  Does
     not touch the plan table or its counters. *)
 
 val record_shape :
-  t ->
+  statements ->
   Sqlf.Lexer.segment ->
   Value.t array ->
   Ast.statement ->
@@ -335,35 +346,39 @@ val record_shape :
     BEGIN, COMMIT, ROLLBACK and data manipulation are memoized, other
     statements give [None]. *)
 
-val shaped_plan :
-  t ->
+(** A memoized operation, its parameter frame bound from one
+    statement's literals, and its plan-table key. *)
+type bound = private { bd_op : Ast.op; bd_params : Value.t array; bd_key : string }
+
+val bind_shape :
   shaped ->
   Sqlf.Lexer.segment ->
   Value.t array ->
-  [ `Statement of Ast.statement | `Op of Ast.op * Dml.cop * Value.t array ]
-(** What to run for a statement of the entry's shape with these
-    literals: a transaction-control statement, or the parameterized
-    operation, its plan from the plan table (counted as by
-    {!cached_cop}) and the parameter frame to run it with. *)
+  [ `Statement of Ast.statement | `Op of bound ]
+(** What a statement of the entry's shape with these literals is: a
+    transaction-control statement, or the parameterized operation
+    with its parameter frame. *)
+
+val bound_cop : t -> bound -> Dml.cop
+(** The bound operation's plan from the plan table, counted as by
+    {!cached_cop}. *)
 
 type prepared
 (** A prepared statement: parsed once, compiled lazily against the
     validity key, bound per EXECUTE. *)
 
-val prepare : t -> name:string -> Ast.op -> unit
+val prepare : statements -> name:string -> Ast.op -> unit
 (** Register [op] under [name].  Raises [Duplicate_prepared] if the
     name is taken. *)
 
-val find_prepared : t -> string -> prepared
+val find_prepared : statements -> string -> prepared
 (** Raises [Unknown_prepared]. *)
 
-val has_prepared : t -> string -> bool
-
-val deallocate : t -> string option -> unit
+val deallocate : statements -> string option -> unit
 (** [Some name] drops one prepared statement (raises
     [Unknown_prepared]); [None] drops them all (DEALLOCATE ALL). *)
 
-val prepared_names : t -> string list
+val prepared_names : statements -> string list
 (** Registered names, sorted. *)
 
 val prepared_nparams : prepared -> int

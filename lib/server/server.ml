@@ -51,20 +51,25 @@
      order, WAL order and version order are one and the same — replay
      of the log reproduces exactly the published sequence.
 
-   Locking: [lock] guards version/history/in-flight/actives and every
-   primary-engine mutation; the durable layer's own I/O lock guards the
-   disk (order: state lock first, never the reverse); group-commit
-   tickets are taken (briefly, under the state lock) at claim time and
-   awaited on its private mutex/condvar with neither lock held.  Session
-   threads are systhreads — evaluation interleaves at safepoints
-   within one domain, so the shared persistent structures need no
-   further synchronization; the only shared mutable caches (compiled
-   rule forms) are write-once per generation, where a race costs a
-   recompile, not correctness. *)
+   A script runs through [System.exec_with], the embedded shape-memo
+   loop, with the server's routing; every fork a session takes runs
+   through the session's one statement state (plans, shape memo,
+   prepared registry), so a plan compiled on one fork serves the next.
+
+   Locking: [lock] guards version/history/in-flight/actives/sessions
+   and every primary-engine mutation; the durable layer's own I/O lock
+   guards the disk (order: state lock first, never the reverse);
+   group-commit tickets are taken (briefly, under the state lock) at
+   claim time and awaited on its private mutex/condvar with neither
+   lock held.  Session threads are systhreads — evaluation interleaves
+   at safepoints within one domain, so the shared persistent
+   structures need no further synchronization.  A session's statement
+   state is used by its own thread only; the one mutable cache shared
+   across sessions (compiled rule forms) is write-once per generation,
+   where a race costs a recompile, not correctness. *)
 
 open Core
 module Ast = Sqlf.Ast
-module Parser = Sqlf.Parser
 module Rule = Rules.Rule
 module Wal = Relational.Wal
 module Fileio = Relational.Fileio
@@ -111,6 +116,9 @@ type t = {
   (* txn id, write set, tables written *)
   mutable in_flight : (int * Handle.Set.t * Effect.Col_set.t) list;
   mutable active_txns : (int * int) list;  (* session id, start version *)
+  mutable sessions : Engine.statements list;  (* of the open sessions *)
+  mutable closed_counts : int * int * int;
+      (* plan-table hits, misses and invalidations of closed sessions *)
   mutable next_session : int;
   mutable next_txn : int;
   stats : stats;
@@ -131,12 +139,9 @@ type session = {
      the effect never saw it *)
   mutable scan_tables : Effect.Col_set.t;
   mutable touch_tables : Effect.Col_set.t;
-  (* the session's prepared-statement namespace.  It lives on the
-     SESSION, not on any engine fork — transaction forks and snapshot
-     readers are transient, so the server re-installs a statement into
-     whichever fork executes it.  A cached reader fork keeps its
-     compiled plan until the committed version moves. *)
-  prepared : (string, Ast.op) Hashtbl.t;
+  stmts : Engine.statements;
+      (* plans, shapes and prepared statements, shared by every fork
+         the session takes *)
 }
 
 let with_lock t f =
@@ -182,6 +187,8 @@ let create ?config ?checkpoint_interval ?data_dir mode =
     history = [];
     in_flight = [];
     active_txns = [];
+    sessions = [];
+    closed_counts = (0, 0, 0);
     next_session = 0;
     next_txn = 0;
     stats =
@@ -482,9 +489,11 @@ let session_commit_hook t session (txl : Engine.txn_log) =
 (* Sessions                                                            *)
 
 let open_session t =
+  let stmts = Engine.new_statements () in
   with_lock t (fun () ->
       t.next_session <- t.next_session + 1;
       t.stats.sv_connections <- t.stats.sv_connections + 1;
+      t.sessions <- stmts :: t.sessions;
       {
         server = t;
         sid = t.next_session;
@@ -495,7 +504,7 @@ let open_session t =
         reader = None;
         scan_tables = Effect.Col_set.empty;
         touch_tables = Effect.Col_set.empty;
-        prepared = Hashtbl.create 8;
+        stmts;
       })
 
 (* Fork a transaction context from the committed state.  The fork (a
@@ -504,7 +513,7 @@ let open_session t =
 let start_txn t session =
   let sys =
     with_lock t (fun () ->
-        let eng = Engine.fork (System.engine t.primary) in
+        let eng = Engine.fork (System.engine t.primary) session.stmts in
         session.start_version <- t.version;
         t.next_txn <- t.next_txn + 1;
         session.txn_id <- t.next_txn;
@@ -516,7 +525,8 @@ let start_txn t session =
   Engine.begin_txn (System.engine sys);
   session.scan_tables <- Effect.Col_set.empty;
   session.touch_tables <- Effect.Col_set.empty;
-  session.txn <- Some sys
+  session.txn <- Some sys;
+  sys
 
 let end_txn t session =
   session.txn <- None;
@@ -524,13 +534,22 @@ let end_txn t session =
       t.active_txns <- List.filter (fun (sid, _) -> sid <> session.sid) t.active_txns;
       prune_history t)
 
+let add_counts (h, m, i) stmts =
+  let h', m', i' = Engine.statement_counts stmts in
+  (h + h', m + m', i + i')
+
 let close_session t session =
   (match session.txn with
   | Some sys ->
     (try Engine.rollback_txn (System.engine sys) with _ -> ());
     end_txn t session
   | None -> ());
-  session.reader <- None
+  session.reader <- None;
+  with_lock t (fun () ->
+      if List.memq session.stmts t.sessions then begin
+        t.closed_counts <- add_counts t.closed_counts session.stmts;
+        t.sessions <- List.filter (( != ) session.stmts) t.sessions
+      end)
 
 (* The snapshot a non-transactional read evaluates against: cached per
    session, re-forked (under the lock, a pointer copy) whenever the
@@ -540,12 +559,14 @@ let reader_sys t session =
       match session.reader with
       | Some (v, sys) when v = t.version -> sys
       | _ ->
-        let sys = System.of_engine (Engine.fork (System.engine t.primary)) in
+        let sys =
+          System.of_engine (Engine.fork (System.engine t.primary) session.stmts)
+        in
         session.reader <- Some (t.version, sys);
         sys)
 
 (* ------------------------------------------------------------------ *)
-(* Statement dispatch                                                  *)
+(* Statement routing                                                   *)
 
 (* DDL executes on the primary, under the state lock, and publishes a
    conflicts-with-everything history entry: a session transaction
@@ -567,68 +588,34 @@ let exec_ddl t stmt =
       maybe_checkpoint_locked t;
       r)
 
-(* Run one statement inside the session's open transaction, keeping the
+(* Claim the serializable footprint of an operation the session's
+   transaction runs; an EXECUTE claims its prepared body's. *)
+let record_footprint session op =
+  if session.server.serializable then begin
+    session.scan_tables <- op_scan_tables session.scan_tables op;
+    session.touch_tables <- op_touch_tables session.touch_tables op
+  end
+
+(* Run [run] on the session's open transaction [sys], keeping the
    session's transaction bookkeeping in sync with the engine's: commit,
    rollback, a fired rollback rule, or an aborting error all close the
    engine transaction, and the session must notice whichever way the
    statement ended. *)
-let record_footprint session stmt =
-  if session.server.serializable then
-    let claim op =
-      session.scan_tables <- op_scan_tables session.scan_tables op;
-      session.touch_tables <- op_touch_tables session.touch_tables op
-    in
-    match stmt with
-    | Ast.Stmt_op op -> claim op
-    | Ast.Stmt_execute (name, _) -> (
-      (* the table footprint of an EXECUTE is its prepared body's —
-         parameters bind values, never tables *)
-      match Hashtbl.find_opt session.prepared name with
-      | Some op -> claim op
-      | None -> ())
-    | _ -> ()
-
-(* Make [name] executable on [sys]: the registry of record is the
-   session's, so a transient fork learns the statement on first use. *)
-let install_prepared session sys name =
-  match Hashtbl.find_opt session.prepared name with
-  | None -> Errors.raise_error (Errors.Unknown_prepared name)
-  | Some op ->
-    let eng = System.engine sys in
-    if not (Engine.has_prepared eng name) then Engine.prepare eng ~name op
-
-let in_txn_stmt t session sys stmt =
-  let sync () =
-    if not (Engine.in_transaction (System.engine sys)) then end_txn t session
-  in
-  record_footprint session stmt;
-  match System.exec_statement sys stmt with
-  | r ->
-    sync ();
-    (match (stmt, r) with
-    | Ast.Stmt_commit, System.Outcome Engine.Committed ->
-      (* surfacing the commit version lets clients order their commits
-         against other sessions' (the differential harness replays in
-         this order) *)
-      System.Msg (Printf.sprintf "committed at version %d" session.committed_at)
-    | _ -> r)
-  | exception e ->
-    sync ();
-    raise e
+let in_txn t session sys run =
+  Fun.protect
+    ~finally:(fun () ->
+      if not (Engine.in_transaction (System.engine sys)) then end_txn t session)
+    (fun () -> run sys)
 
 (* An operation arriving outside any transaction is an implicit
    single-operation transaction — the paper's default
    one-block-one-transaction behaviour, served through the same fork +
    conflict-check + publish path as explicit transactions. *)
-let autocommit t session stmt =
-  start_txn t session;
-  record_footprint session stmt;
-  let sys = match session.txn with Some s -> s | None -> assert false in
+let autocommit t session op run =
+  let sys = start_txn t session in
+  record_footprint session op;
   match
-    (match stmt with
-    | Ast.Stmt_execute (name, _) -> install_prepared session sys name
-    | _ -> ());
-    let r = System.exec_statement sys stmt in
+    let r = run sys in
     (r, Engine.commit (System.engine sys))
   with
   | r, Engine.Committed ->
@@ -638,107 +625,66 @@ let autocommit t session stmt =
     end_txn t session;
     System.Outcome Engine.Rolled_back
   | exception e ->
-    (match session.txn with
-    | Some sys when Engine.in_transaction (System.engine sys) ->
-      (try Engine.rollback_txn (System.engine sys) with _ -> ())
-    | _ -> ());
+    if Engine.in_transaction (System.engine sys) then
+      (try Engine.rollback_txn (System.engine sys) with _ -> ());
     end_txn t session;
     raise e
 
-let exec_stmt t session (stmt : Ast.statement) =
-  match stmt with
-  (* Prepared-statement management is SESSION state, independent of any
-     open transaction (as in SQL: PREPARE/DEALLOCATE are not undone by
-     rollback).  DEALLOCATE also drops the statement from any live fork
-     so a later re-PREPARE under the same name cannot run a stale
-     plan. *)
-  | Ast.Stmt_prepare (name, op) ->
-    if Hashtbl.mem session.prepared name then
-      Errors.raise_error (Errors.Duplicate_prepared name);
-    Hashtbl.replace session.prepared name op;
-    System.Msg (Printf.sprintf "prepared %s" name)
-  | Ast.Stmt_deallocate target ->
-    (match target with
-    | Some name ->
-      if not (Hashtbl.mem session.prepared name) then
-        Errors.raise_error (Errors.Unknown_prepared name);
-      Hashtbl.remove session.prepared name
-    | None -> Hashtbl.reset session.prepared);
-    let drop sys =
-      let eng = System.engine sys in
-      match target with
-      | Some name ->
-        if Engine.has_prepared eng name then Engine.deallocate eng (Some name)
-      | None -> Engine.deallocate eng None
-    in
-    Option.iter drop session.txn;
-    (match session.reader with Some (_, sys) -> drop sys | None -> ());
-    System.Msg
-      (match target with
-      | Some name -> Printf.sprintf "deallocated %s" name
-      | None -> "deallocated all")
-  | _ -> (
-    match session.txn with
-    | Some sys ->
-      if System.is_ddl stmt then
-        (* even rule DDL, which the engine allows mid-transaction, is
-           rejected here: on a fork it would mutate the shared
-           discrimination index behind the primary's back *)
-        Errors.raise_error
-          (Errors.Transaction_error
-             "DDL inside a server transaction is not supported")
-      else begin
-        (match stmt with
-        | Ast.Stmt_execute (name, _) -> install_prepared session sys name
-        | _ -> ());
-        in_txn_stmt t session sys stmt
-      end
-    | None -> (
-      match stmt with
-      | Ast.Stmt_begin ->
-        start_txn t session;
-        System.Msg "transaction started"
-      | Ast.Stmt_commit | Ast.Stmt_rollback | Ast.Stmt_process_rules ->
-        Errors.raise_error (Errors.Transaction_error "no open transaction")
-      | _ when System.is_ddl stmt -> exec_ddl t stmt
-      | Ast.Stmt_op (Ast.Select_op _) | Ast.Stmt_show_tables
-      | Ast.Stmt_show_rules | Ast.Stmt_explain _ | Ast.Stmt_describe _ ->
-        (* snapshot read: no locks held during evaluation *)
-        System.exec_statement (reader_sys t session) stmt
-      | Ast.Stmt_execute (name, _) -> (
-        match Hashtbl.find_opt session.prepared name with
-        | None -> Errors.raise_error (Errors.Unknown_prepared name)
-        | Some (Ast.Select_op _) ->
-          (* a prepared select is a snapshot read like any other: the
-             cached reader fork keeps its compiled plan across
-             EXECUTEs until the committed version moves *)
-          let sys = reader_sys t session in
-          install_prepared session sys name;
-          System.exec_statement sys stmt
-        | Some _ -> autocommit t session stmt)
-      | Ast.Stmt_op _ -> autocommit t session stmt
-      | _ ->
-        (* every DDL constructor is caught by the is_ddl guard above *)
-        assert false))
+(* Route one operation, which [run] executes on the fork chosen: the
+   open transaction's; outside one, a select reads the session's
+   snapshot and anything else autocommits. *)
+let exec_op t session op run =
+  match (session.txn, op) with
+  | Some sys, _ ->
+    record_footprint session op;
+    in_txn t session sys run
+  | None, Ast.Select_op _ -> run (reader_sys t session)
+  | None, (Ast.Insert _ | Ast.Delete _ | Ast.Update _) -> autocommit t session op run
 
-(* Execute a ';'-separated script, statement by statement.  Statements
-   before a failing one keep their effects (matching the embedded
-   REPL); the error is reported and the rest of the script skipped. *)
+let exec_stmt t session (stmt : Ast.statement) =
+  let run sys = System.exec_statement sys stmt in
+  match (stmt, session.txn) with
+  | Ast.Stmt_op op, _ -> exec_op t session op run
+  | Ast.Stmt_execute (name, _), _ ->
+    let p = Engine.find_prepared session.stmts name in
+    exec_op t session (Engine.prepared_op p) run
+  | _, Some _ when System.is_ddl stmt ->
+    (* even rule DDL, which the engine allows mid-transaction, is
+       rejected here: on a fork it would mutate the shared
+       discrimination index behind the primary's back *)
+    Errors.raise_error
+      (Errors.Transaction_error "DDL inside a server transaction is not supported")
+  | _, None when System.is_ddl stmt -> exec_ddl t stmt
+  | Ast.Stmt_begin, None ->
+    ignore (start_txn t session);
+    System.Msg "transaction started"
+  | (Ast.Stmt_commit | Ast.Stmt_rollback | Ast.Stmt_process_rules), None ->
+    Errors.raise_error (Errors.Transaction_error "no open transaction")
+  | Ast.Stmt_commit, Some sys -> (
+    match in_txn t session sys run with
+    | System.Outcome Engine.Committed ->
+      (* surfacing the commit version lets clients order their commits
+         against other sessions' (the differential harness replays in
+         this order) *)
+      System.Msg (Printf.sprintf "committed at version %d" session.committed_at)
+    | r -> r)
+  | _, Some sys -> in_txn t session sys run
+  | _, None ->
+    (* SHOW, DESCRIBE, EXPLAIN, PREPARE and DEALLOCATE: on the snapshot,
+       with no locks held during evaluation *)
+    run (reader_sys t session)
+
+let route t session = function
+  | `Statement stmt -> exec_stmt t session stmt
+  | `Op (b : Engine.bound) ->
+    exec_op t session b.bd_op (fun sys -> System.exec_bound sys b)
+
+(* Statements before a failing one keep their effects (matching the
+   embedded REPL); the error is reported and the rest of the script
+   skipped. *)
 let exec_script t session text =
-  match Parser.parse_script text with
-  | stmts ->
-    let buf = Buffer.create 64 in
-    let rec run = function
-      | [] -> Ok (Buffer.contents buf)
-      | stmt :: rest -> (
-        match exec_stmt t session stmt with
-        | r ->
-          if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-          Buffer.add_string buf (System.render_result r);
-          run rest
-        | exception Errors.Error e -> Error (Errors.to_string e))
-    in
-    run stmts
+  match System.exec_with (route t session) session.stmts text with
+  | results -> Ok (String.concat "\n" (List.map System.render_result results))
   | exception Errors.Error e -> Error (Errors.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -748,13 +694,17 @@ let render_stats t =
   let s = t.stats in
   let base =
     with_lock t (fun () ->
+        let hits, misses, invalidations =
+          List.fold_left add_counts t.closed_counts t.sessions
+        in
         Printf.sprintf
           "version: %d\nconnections: %d\nrequests: %d\ncommits: %d\n\
            conflicts: %d\nerrors: %d\ninternal errors: %d\ndisconnects: %d\n\
-           open transactions: %d"
+           open transactions: %d\nstmt cache hits: %d\nstmt cache misses: %d\n\
+           stmt cache invalidations: %d"
           t.version s.sv_connections s.sv_requests s.sv_commits s.sv_conflicts
           s.sv_errors s.sv_internal_errors s.sv_disconnects
-          (List.length t.active_txns))
+          (List.length t.active_txns) hits misses invalidations)
   in
   match group_stats t with
   | None -> base
@@ -779,20 +729,46 @@ let checkpoint_now t =
 (* ------------------------------------------------------------------ *)
 (* The socket front-end                                                *)
 
-(* One request line in, one framed response out.  [`Quit] closes the
-   conversation cleanly. *)
+(* The longest request line read, in bytes. *)
+let max_request = 1 lsl 20
+
+(* [input_line]'s scan of a channel's buffer, which it fills as needed:
+   [n > 0] when a newline ends the first [n] buffered bytes, [-n] when
+   [n] are buffered without one (buffer full or input ended), [0] at
+   the end of input. *)
+external scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+(* One request line through [ic]'s buffer, collected in [buf]: [None]
+   for a line over [max_request] bytes, read on to its newline and
+   dropped a buffer at a time.  As with [input_line], the last line
+   may lack its newline. *)
+let read_request ic buf =
+  Buffer.clear buf;
+  let rec scan over =
+    let n = scan_line ic in
+    if n = 0 && Buffer.length buf = 0 && not over then raise End_of_file;
+    Buffer.add_channel buf ic (abs n);
+    let len = Buffer.length buf - Bool.to_int (n > 0) in
+    let over = over || len > max_request in
+    if over then Buffer.reset buf;
+    if n < 0 then scan over else if over then None else Some (Buffer.sub buf 0 len)
+  in
+  scan false
+
+(* One request line in ([None]: over [max_request]), one framed
+   response out.  [`Quit] closes the conversation cleanly. *)
 let handle_request t session line =
   t.stats.sv_requests <- t.stats.sv_requests + 1;
-  let trimmed = String.trim line in
-  if trimmed = "" then `Reply (Ok "")
-  else if trimmed.[0] = '\\' then
-    match trimmed with
-    | "\\q" | "\\quit" -> `Quit
-    | "\\stats" -> `Reply (Ok (render_stats t))
-    | "\\version" -> `Reply (Ok (string_of_int (version t)))
-    | "\\checkpoint" -> `Reply (checkpoint_now t)
-    | other -> `Reply (Error (Printf.sprintf "unknown meta command %S" other))
-  else `Reply (exec_script t session trimmed)
+  match Option.map String.trim line with
+  | None -> `Reply (Error "request too long")
+  | Some "" -> `Reply (Ok "")
+  | Some ("\\q" | "\\quit") -> `Quit
+  | Some "\\stats" -> `Reply (Ok (render_stats t))
+  | Some "\\version" -> `Reply (Ok (string_of_int (version t)))
+  | Some "\\checkpoint" -> `Reply (checkpoint_now t)
+  | Some other when other.[0] = '\\' ->
+    `Reply (Error (Printf.sprintf "unknown meta command %S" other))
+  | Some sql -> `Reply (exec_script t session sql)
 
 (* A client that vanishes mid-conversation — closed socket, reset
    connection, broken pipe on our response — is a per-connection event:
@@ -816,10 +792,11 @@ let internal_error t session e =
 let handle_connection t fd =
   let session = open_session t in
   let ic = Unix.in_channel_of_descr fd in
+  let buf = Buffer.create 256 in
   let clean = ref false in
   (try
      let rec loop () =
-       match input_line ic with
+       match read_request ic buf with
        | line -> (
          match handle_request t session line with
          | `Quit ->

@@ -90,19 +90,26 @@ val close_session : t -> session -> unit
 (** Rolls back the session's open transaction, if any. *)
 
 val exec_stmt : t -> session -> Ast.statement -> System.exec_result
-(** Execute one statement for this session: [begin] forks a
+(** Route one parsed statement for this session: [begin] forks a
     transaction, statements inside it run on the fork, [commit]
     validates and publishes (the result is rewritten to
-    ["committed at version N"] so clients can order commits), reads
-    outside a transaction hit the session's snapshot, DML outside a
-    transaction autocommits through the same fork-validate-publish
-    path, and DDL — rejected inside server transactions — executes on
-    the primary and conflicts with every concurrent transaction. *)
+    ["committed at version N"] so clients can order commits), a select
+    or an EXECUTE of a prepared select outside a transaction reads the
+    session's snapshot, other DML outside a transaction autocommits
+    through the same fork-validate-publish path, and DDL — rejected
+    inside server transactions — executes on the primary and conflicts
+    with every concurrent transaction.  Every fork runs its statements
+    through the session's one statement state (plans, shape memo,
+    prepared statements).  {!exec_script} calls it for every statement
+    it does not run as a memoized operation. *)
 
 val exec_script : t -> session -> string -> (string, string) result
-(** Parse and run a [';']-separated script, statement by statement;
-    rendered results joined by newlines, or the first error (statements
-    before it keep their effects, as in the embedded REPL). *)
+(** Run a [';']-separated script through [System.exec_with] with the
+    session's statement state and {!exec_stmt}'s routing: statements
+    of known shapes run from the session's plans without parsing.
+    Rendered results joined by newlines, or the first error
+    (statements before it keep their effects, as in the embedded
+    REPL; a syntax error anywhere runs nothing). *)
 
 val render_stats : t -> string
 
@@ -113,9 +120,10 @@ val checkpoint_now : t -> (string, string) result
 
     Line protocol (see {!Protocol}): one request line in — a SQL script
     or a ['\']-meta command ([\q], [\stats], [\version],
-    [\checkpoint]) — one framed [ok]/[err] response out.  SIGPIPE is
-    ignored process-wide at {!start}, so a client that dies
-    mid-conversation surfaces as [EPIPE]/[ECONNRESET] on its own
+    [\checkpoint]) — one framed [ok]/[err] response out; a line over
+    1 MiB is answered [err request too long] and the connection goes
+    on.  SIGPIPE is ignored process-wide at {!start}, so a client that
+    dies mid-conversation surfaces as [EPIPE]/[ECONNRESET] on its own
     connection: the handler rolls back the session's open transaction,
     counts a disconnect, and closes — other sessions never notice. *)
 

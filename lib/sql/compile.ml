@@ -1460,8 +1460,6 @@ let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
 let run_select_read rt cs = cs.cs_read rt
 let plan_select rt cs = cs.cs_plan rt
-let select_cols cs = cs.cs_cols
-
 let compile_probe ctx ~frame ~target ~table where =
   compile_probe_plan ctx ~frame ~target ~table where
 

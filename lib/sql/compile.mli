@@ -122,9 +122,6 @@ val plan_select : rt -> cselect -> Eval.source_plan list
     their number) and neither the last source nor WHERE run.  The
     [rt]'s access hooks must be installed. *)
 
-val select_cols : cselect -> string array
-(** Static output column names (of the non-empty result path). *)
-
 val eval_select :
   ?access:Eval.access ->
   ?params:Value.t array ->

@@ -284,7 +284,7 @@ let run_prepared_block s names executed block =
             | None ->
               let n = Printf.sprintf "w%d" (Hashtbl.length names) in
               Hashtbl.add names text n;
-              Engine.prepare eng ~name:n op';
+              Engine.prepare (Engine.statements eng) ~name:n op';
               n
           in
           incr executed;
@@ -299,7 +299,7 @@ let run_prepared_block s names executed block =
        let rels =
          List.concat_map
            (fun (name, args) ->
-             let p = Engine.find_prepared eng name in
+             let p = Engine.find_prepared (Engine.statements eng) name in
              let params = Engine.bind_params p args in
              Engine.submit_cops eng ~params [ Engine.prepared_cop eng p ])
            items

@@ -37,4 +37,5 @@ let () =
       ("workload", Test_workload.suite);
       ("workload-faults", Test_workload_faults.suite);
       ("server", Test_server.suite);
+      ("server-memo", Test_server_memo.suite);
     ]

@@ -10,7 +10,8 @@
    - the user-visible lifecycle and its typed errors (wrong arity,
      unknown/duplicate names, parameters outside PREPARE);
    - the cache-validity matrix: hits on repetition, invalidation on
-     DDL-generation bumps, teardown on DEALLOCATE and on session forks;
+     DDL-generation bumps, teardown on DEALLOCATE, and the statement
+     state a fork is handed;
    - EXECUTE (parameter frame) equals the statement with its arguments
      substituted into the tree, and EXECUTE inside a transaction;
    - parse/print round-trips for the new statement forms. *)
@@ -164,20 +165,40 @@ let test_cache_invalidation_on_ddl () =
   Alcotest.(check bool) "recompiled plan probes the new index" true
     (st.Engine.index_probes > probes0)
 
-let test_fork_gets_fresh_namespace () =
+(* A fork runs its statements through the statement state it is
+   handed: a fresh state starts empty whatever its parent holds, and
+   two forks handed one state share its plans and prepared statements
+   (the server hands every fork of a session the session's). *)
+let test_fork_statement_state () =
   let s = fixture () in
   let eng = System.engine s in
   run s "prepare p as select name from emp where emp_no = ?";
   run s "select name from emp";
   Alcotest.(check bool) "parent cache is warm" true
-    (Engine.stmt_cache_size eng > 0);
-  let f = Engine.fork eng in
-  Alcotest.(check int) "fork starts with an empty statement cache" 0
-    (Engine.stmt_cache_size f);
-  Alcotest.(check (list string)) "fork starts with no prepared statements" []
-    (Engine.prepared_names f);
-  Alcotest.(check bool) "parent keeps its registry" true
-    (Engine.has_prepared eng "p")
+    (Engine.stmt_cache_size (Engine.statements eng) > 0);
+  let fresh = Engine.fork eng (Engine.new_statements ()) in
+  Alcotest.(check int) "a fork given fresh state has an empty statement cache" 0
+    (Engine.stmt_cache_size (Engine.statements fresh));
+  Alcotest.(check (list string)) "and no prepared statements" []
+    (Engine.prepared_names (Engine.statements fresh));
+  Alcotest.(check (list string)) "the parent keeps its registry" [ "p" ]
+    (Engine.prepared_names (Engine.statements eng));
+  let shared = Engine.new_statements () in
+  let a = System.of_engine (Engine.fork eng shared)
+  and b = System.of_engine (Engine.fork eng shared) in
+  run a "prepare q as select name from emp where emp_no = ?";
+  run a "select salary from emp";
+  Alcotest.(check (list (list value_testable)))
+    "b executes the statement a prepared"
+    [ [ Value.Str "ada" ] ]
+    (List.map Array.to_list (erows b "execute q (1)"));
+  let hits0 = (stats b).Engine.stmt_cache_hits in
+  run b "select salary from emp";
+  Alcotest.(check int) "b is served the plan a compiled"
+    (hits0 + 1) (stats b).Engine.stmt_cache_hits;
+  Alcotest.(check int) "the shared state counts both forks' lookups"
+    ((stats a).Engine.stmt_cache_hits + (stats b).Engine.stmt_cache_hits)
+    (let h, _, _ = Engine.statement_counts shared in h)
 
 let test_explain_reports_cache_state () =
   let s = fixture () in
@@ -528,8 +549,8 @@ let suite =
       test_cache_hits_on_repetition;
     Alcotest.test_case "invalidation: DDL generation bump" `Quick
       test_cache_invalidation_on_ddl;
-    Alcotest.test_case "fork gets a fresh statement namespace" `Quick
-      test_fork_gets_fresh_namespace;
+    Alcotest.test_case "forks share the statement state they are handed" `Quick
+      test_fork_statement_state;
     Alcotest.test_case "EXPLAIN reports cache state" `Quick
       test_explain_reports_cache_state;
     Alcotest.test_case "EXECUTE differential: frame binding = substitution"

@@ -361,6 +361,32 @@ let test_serializable_rule_reads () =
   Server.close_session srv a;
   Server.close_session srv b
 
+(* Serializable mode claims every table a statement's predicate reads,
+   from the statement itself — memoized or parsed — so a predicate that
+   matched nothing, which leaves no trace in the effect, still claims
+   its table against a concurrent writer. *)
+let test_serializable_empty_predicate () =
+  let commit_after_foreign_write config =
+    let srv = Server.create ?config Server.Memory in
+    let a = Server.open_session srv and b = Server.open_session srv in
+    ignore (sx srv a "create table p (x int); create table q (y int)");
+    ignore (sx srv a "begin; update p set x = 1 where x = 99; insert into q values (1)");
+    ignore (sx srv b "insert into p values (99)");
+    let r = Server.exec_script srv a "commit" in
+    Server.close_session srv a;
+    Server.close_session srv b;
+    r
+  in
+  (match commit_after_foreign_write None with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "snapshot isolation refused the commit: %s" e);
+  let config = { Engine.default_config with Engine.track_selects = true } in
+  match commit_after_foreign_write (Some config) with
+  | Ok body -> Alcotest.failf "serializable committed over a claimed table: %s" body
+  | Error e ->
+    Alcotest.(check bool) "the empty predicate's table is claimed" true
+      (contains e "serialization failure")
+
 let test_rules_on_sessions () =
   let srv = Server.create Server.Memory in
   let a = Server.open_session srv in
@@ -572,10 +598,11 @@ let test_batch_append_failure_fails_all () =
 (* ------------------------------------------------------------------ *)
 (* The socket layer: dead clients                                      *)
 
-(* Prepared statements over sessions: the namespace is per-session (a
-   fork's registry dies with the fork; the session re-installs), reads
-   keep their compiled plan across EXECUTEs at one version, and DDL
-   from another session invalidates — never stales — a prepared plan. *)
+(* Prepared statements over sessions: the namespace is per-session
+   (every fork a session takes shares the session's one registry, and
+   other sessions have their own), a statement keeps its compiled plan
+   across EXECUTEs and forks, and DDL from another session invalidates
+   — never stales — a prepared plan. *)
 let test_prepared_sessions () =
   let srv = Server.create Server.Memory in
   let a = Server.open_session srv in
@@ -611,6 +638,10 @@ let test_prepared_sessions () =
   ignore (sx srv a "begin; prepare tmp as select a from t; rollback");
   Alcotest.(check bool) "PREPARE is not transactional" true
     (contains (sx srv a "execute tmp") "(3 rows)");
+  ignore (sx srv a "begin; prepare kept as select b from t where a = ?; commit");
+  Alcotest.(check bool) "a statement prepared in a committed transaction runs after it"
+    true
+    (contains (sx srv a "execute kept (2)") "20");
   (* DEALLOCATE then re-PREPARE under the same name must not run the
      stale plan out of a cached fork *)
   ignore (sx srv a "deallocate by_a");
@@ -619,6 +650,102 @@ let test_prepared_sessions () =
     (contains (sx srv a "execute by_a (1)") "101");
   Server.close_session srv a;
   Server.close_session srv b
+
+(* The session's statement state over \stats: the counters are summed
+   over sessions, and repeated shapes — autocommits on a fork apiece,
+   reads on the snapshot — are served the plans the first of each
+   compiled. *)
+let stat_of body name =
+  let prefix = name ^ ": " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
+  with
+  | Some line ->
+    let n = String.length prefix in
+    int_of_string (String.sub line n (String.length line - n))
+  | None -> Alcotest.failf "no %S line in \\stats:\n%s" name body
+
+let stmt_counts srv =
+  let body = Server.render_stats srv in
+  ( stat_of body "stmt cache hits",
+    stat_of body "stmt cache misses",
+    stat_of body "stmt cache invalidations" )
+
+let test_stmt_cache_hit_ratio () =
+  let srv = Server.create Server.Memory in
+  let a = Server.open_session srv in
+  ignore (sx srv a "create table t (k int, v int)");
+  let h0, m0, i0 = stmt_counts srv in
+  for i = 1 to 100 do
+    ignore (sx srv a (Printf.sprintf "insert into t values (%d, %d)" i (i * 7)));
+    ignore (sx srv a (Printf.sprintf "select v from t where k = %d" i))
+  done;
+  let h1, m1, i1 = stmt_counts srv in
+  let hits = h1 - h0 and lookups = h1 - h0 + (m1 - m0) + (i1 - i0) in
+  Alcotest.(check int) "one plan lookup per statement" 200 lookups;
+  let ratio = float_of_int hits /. float_of_int lookups in
+  Alcotest.(check bool)
+    (Printf.sprintf "hit ratio %.3f >= 0.99" ratio)
+    true (ratio >= 0.99);
+  Server.close_session srv a;
+  Alcotest.(check bool) "a closed session's counts stay in the sum" true
+    (stmt_counts srv = (h1, m1, i1))
+
+(* A plan cached by one session is invalidated by another session's DDL
+   and re-planned against the new catalog: session A's reader snapshot
+   and its open transaction both run [select * from t] from one plan;
+   session B re-creates [t] with its columns in another order. *)
+let test_foreign_ddl_replans () =
+  let srv = Server.create Server.Memory in
+  let a = Server.open_session srv in
+  let b = Server.open_session srv in
+  ignore (sx srv a "create table t (x int, y string); insert into t values (1, 'one')");
+  let header body = List.hd (String.split_on_char '\n' body) in
+  Alcotest.(check string) "A's snapshot reads x, y" "x | y  "
+    (header (sx srv a "select * from t"));
+  ignore (sx srv a "select * from t");
+  ignore (sx srv a "begin");
+  let h0, _, _ = stmt_counts srv in
+  Alcotest.(check string) "A's transaction reads x, y" "x | y  "
+    (header (sx srv a "select * from t"));
+  let h1, _, i1 = stmt_counts srv in
+  Alcotest.(check int) "the transaction's fork is served the snapshot's plan"
+    (h0 + 1) h1;
+  ignore (sx srv a "insert into t values (2, 'two')");
+  ignore (sx srv b "drop table t; create table t (y string, x int)");
+  ignore (sx srv b "insert into t values ('three', 3)");
+  Alcotest.(check bool) "A's transaction still aborts on the DDL" true
+    (contains (sx_err srv a "commit") "serialization failure");
+  Alcotest.(check string) "A's next read shows the new columns" "y     | x"
+    (header (sx srv a "select * from t"));
+  let _, _, i2 = stmt_counts srv in
+  Alcotest.(check bool) "the cached plan was invalidated" true (i2 > i1);
+  Alcotest.(check bool) "and the re-planned read sees the new table" true
+    (contains (sx srv a "select * from t") "three");
+  Server.close_session srv a;
+  Server.close_session srv b
+
+(* A request line over the 1 MiB cap is read to its newline, answered
+   [err request too long] and counted as an error; the connection goes
+   on serving. *)
+let test_request_too_long () =
+  let srv = Server.create Server.Memory in
+  let listener = Server.start ~port:0 srv in
+  Fun.protect ~finally:(fun () -> Server.stop listener) @@ fun () ->
+  let c = Client.connect ~port:(Server.port listener) () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let huge = "select " ^ String.make (2 * 1024 * 1024) '1' in
+  (match Client.request c huge with
+  | Ok body -> Alcotest.failf "a 2 MiB request succeeded: %s" body
+  | Error e -> Alcotest.(check string) "answered" "request too long" e);
+  (match Client.request c "create table t (a int); insert into t values (7); select a from t" with
+  | Ok body -> Alcotest.(check bool) "the next request succeeds" true (contains body "7")
+  | Error e -> Alcotest.failf "request after the long line failed: %s" e);
+  match Client.request c "\\stats" with
+  | Ok body ->
+    Alcotest.(check int) "no disconnect" 0 (stat_of body "disconnects");
+    Alcotest.(check int) "the long line counted as an error" 1 (stat_of body "errors")
+  | Error e -> Alcotest.failf "stats failed: %s" e
 
 let test_dead_client () =
   let srv = Server.create Server.Memory in
@@ -917,6 +1044,8 @@ let suite =
     Alcotest.test_case "first committer wins" `Quick test_first_committer_wins;
     Alcotest.test_case "serializable mode catches stale rule reads" `Quick
       test_serializable_rule_reads;
+    Alcotest.test_case "serializable claims a predicate that matched nothing"
+      `Quick test_serializable_empty_predicate;
     Alcotest.test_case "rules fire on session transactions" `Quick
       test_rules_on_sessions;
     Alcotest.test_case "DDL fencing" `Quick test_ddl_fencing;
@@ -928,6 +1057,12 @@ let suite =
       test_batch_append_failure_fails_all;
     Alcotest.test_case "prepared statements are per-session" `Quick
       test_prepared_sessions;
+    Alcotest.test_case "repeated shapes hit the session's plans" `Quick
+      test_stmt_cache_hit_ratio;
+    Alcotest.test_case "another session's DDL re-plans a cached plan" `Quick
+      test_foreign_ddl_replans;
+    Alcotest.test_case "an over-long request line is refused" `Quick
+      test_request_too_long;
     Alcotest.test_case "dead clients roll back and disconnect" `Quick
       test_dead_client;
     Alcotest.test_case "an internal error is answered and counted" `Quick

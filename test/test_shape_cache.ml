@@ -215,7 +215,7 @@ let test_lru_eviction () =
         (let _, _, v = d in v)
   done;
   Alcotest.(check int) "plan table bounded" Engine.stmt_cache_max
-    (Engine.stmt_cache_size (System.engine s));
+    (Engine.stmt_cache_size (Engine.statements (System.engine s)));
   (* the coldest shapes were evicted: the first one misses again *)
   let _, d = delta s (fun () -> System.exec s "select a as c1 from t where b = 1") in
   Alcotest.check counters_testable "evicted plan misses" (0, 1, 0) d
