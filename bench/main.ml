@@ -28,6 +28,7 @@
      E19 (concurrency)       server commit throughput vs client count
      E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
+     E25 (scan pipeline)     fused single-table filter vs the Table.iter floor
 
    Run with:  dune exec bench/main.exe            (all experiments)
               dune exec bench/main.exe -- E2 E3   (a subset)            *)
@@ -1684,12 +1685,109 @@ let e21 () =
     table_rows;
   write_e21_json "BENCH_PR10.json" !results
 
+(* ------------------------------------------------------------------ *)
+(* E25: scans at storage speed.  A filter-count (rules-keyed's read
+   [select count( * ) from audit_log where kind = 'U']) and a
+   filter-project of the same rows, through [System.exec] (the shape
+   memo and its cached plan, as the workloads run them) over 10^3..10^5
+   rows of which a quarter pass, against the floor of [Table.iter]
+   applying the same test to the stored row.  Each arm is timed over a
+   fixed number of rows read; allocation is [Gc.minor_words] over the
+   same loop ([Gc.counters] under-reports short spans).  Both are
+   reported per row read.  Tiny mode fails when the filter-count
+   allocates more than one word per row.                               *)
+
+let e25_sizes = if tiny then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
+let e25_rows_read = if tiny then 2_000_000 else 40_000_000
+let e25_count_sql = "select count(*) from audit_log where kind = 'U'"
+let e25_project_sql = "select id, version from audit_log where kind = 'U'"
+
+let e25_system n =
+  let s = System.create () in
+  ignore_exec s "create table audit_log (kind string, id int, version int)";
+  let kinds = [| "I"; "U"; "D"; "R" |] in
+  ignore
+    (Engine.execute_block (System.engine s)
+       [
+         insert_op "audit_log"
+           (List.init n (fun i -> [ vs kinds.(i land 3); vi i; vi (i / 4) ]));
+       ]);
+  s
+
+(* ns and minor words per row read of [f], one pass over [n] rows *)
+let e25_per_row n f =
+  let iters = max 3 (e25_rows_read / n) in
+  f ();
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let rows = float_of_int (iters * n) in
+  (dt *. 1e9 /. rows, words /. rows)
+
+let e25 () =
+  print_header "E25" "scans at storage speed: a fused single-table filter"
+    "a single-table WHERE that cannot raise is tested on the stored row \
+     and count(*) folds straight into its accumulator: the filter-count \
+     costs at most 2x the Table.iter floor and allocates nothing per row";
+  let gate_failed = ref false and gate_line = ref "" in
+  let table_rows =
+    List.map
+      (fun n ->
+        let s = e25_system n in
+        let table = Database.table (Engine.database (System.engine s)) "audit_log" in
+        let passed = ref 0 in
+        let floor_ns, floor_w =
+          e25_per_row n (fun () ->
+              Table.iter
+                (fun _ row ->
+                  match row.(0) with
+                  | Value.Str k when String.equal k "U" -> incr passed
+                  | _ -> ())
+                table)
+        in
+        let count_ns, count_w = e25_per_row n (fun () -> ignore_exec s e25_count_sql) in
+        let proj_ns, proj_w = e25_per_row n (fun () -> ignore_exec s e25_project_sql) in
+        if tiny && count_w > 1.0 then gate_failed := true;
+        if n = 10_000 then
+          gate_line :=
+            Printf.sprintf
+              "at 10^4 rows the filter-count runs at %.2fx the floor (target <= 2x) and \
+               allocates %.2f words per row (target <= 0.5)"
+              (count_ns /. floor_ns) count_w;
+        [
+          string_of_int n;
+          Printf.sprintf "%.1f ns" floor_ns;
+          Printf.sprintf "%.2f" floor_w;
+          Printf.sprintf "%.1f ns" count_ns;
+          Printf.sprintf "%.2f" count_w;
+          ratio count_ns floor_ns;
+          Printf.sprintf "%.1f ns" proj_ns;
+          Printf.sprintf "%.2f" proj_w;
+        ])
+      e25_sizes
+  in
+  print_table
+    [
+      "rows"; "floor/row"; "floor w/row"; "count/row"; "count w/row"; "count/floor";
+      "project/row"; "project w/row";
+    ]
+    table_rows;
+  print_endline !gate_line;
+  if !gate_failed then begin
+    print_endline "E25 gate failed: the filter-count allocates more than 1 word per row";
+    exit 1
+  end
+
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21);
+    ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E25", e25);
   ]
 
 let () =

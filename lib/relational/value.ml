@@ -1,8 +1,8 @@
 (* SQL values with three-valued logic.
 
-   Comparisons involving [Null] are unknown rather than false, so the
-   comparison operations return ['a option] with [None] standing for
-   SQL's UNKNOWN.  Predicate evaluation in the SQL layer collapses
+   Comparisons involving [Null] are unknown rather than false: SQL's
+   UNKNOWN is [Unknown] among truth values and [unknown_cmp] among
+   comparison results.  Predicate evaluation in the SQL layer collapses
    UNKNOWN to "row not selected", as SQL does. *)
 
 type t =
@@ -55,24 +55,29 @@ let type_name = function
   | Str _ -> "string"
   | Bool _ -> "bool"
 
-(* SQL comparison: [None] when either side is NULL or the types are not
-   comparable.  Numeric values compare across int/float. *)
+(* The result of [compare_sql] when either side is NULL: SQL's
+   UNKNOWN.  No comparison of two values yields it. *)
+let unknown_cmp = min_int
+
+(* SQL comparison: [unknown_cmp] when either side is NULL, else the sign
+   of the comparison as -1, 0 or 1; an immediate either way, so a
+   per-row test allocates nothing.  Numeric values compare across
+   int/float; types that are not comparable raise. *)
 let compare_sql a b =
   match a, b with
-  | Null, _ | _, Null -> None
-  | Int x, Int y -> Some (compare x y)
-  | Float x, Float y -> Some (Float.compare x y)
-  | Int x, Float y -> Some (Float.compare (float_of_int x) y)
-  | Float x, Int y -> Some (Float.compare x (float_of_int y))
-  | Str x, Str y -> Some (String.compare x y)
-  | Bool x, Bool y -> Some (Bool.compare x y)
+  | Null, _ | _, Null -> unknown_cmp
+  | Int x, Int y -> Int.compare x y
+  | Float x, Float y -> Float.compare x y
+  | Int x, Float y -> Float.compare (float_of_int x) y
+  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Str x, Str y -> String.compare x y
+  | Bool x, Bool y -> Bool.compare x y
   | (Int _ | Float _ | Str _ | Bool _), _ ->
     Errors.type_error "cannot compare %s with %s" (type_name a) (type_name b)
 
 let eq_sql a b =
-  match compare_sql a b with
-  | None -> Unknown
-  | Some c -> truth_of_bool (c = 0)
+  let c = compare_sql a b in
+  if c = unknown_cmp then Unknown else truth_of_bool (c = 0)
 
 (* Total order used for ORDER BY, DISTINCT and deterministic output:
    NULL sorts first, then bools, ints/floats together, then strings. *)

@@ -28,9 +28,15 @@ val equal : t -> t -> bool
 
 val type_name : t -> string
 
-val compare_sql : t -> t -> int option
-(** SQL comparison: [None] when either side is NULL.  Comparing
-    incompatible types (e.g. a string with an int) is a type error. *)
+val unknown_cmp : int
+(** What {!compare_sql} returns when either side is NULL: SQL's
+    UNKNOWN.  It is none of -1, 0 and 1. *)
+
+val compare_sql : t -> t -> int
+(** SQL comparison: -1, 0 or 1, or {!unknown_cmp} when either side is
+    NULL.  Numbers compare across int/float.  Comparing incompatible
+    types (e.g. a string with an int) is a type error.  Allocates
+    nothing. *)
 
 val eq_sql : t -> t -> truth
 (** Three-valued equality. *)

@@ -33,6 +33,15 @@
    ([plan_plain]): it takes every read decision the executor takes and
    reports them, without running the last source or WHERE.
 
+   Predicates compile once, to a truth value ([truth_of]); a comparison
+   allocates nothing.  A select core over one base table read by scan,
+   whose WHERE [row_kind] proves cannot raise, runs as one fused loop
+   ([run_fused]): WHERE's column-against-value conjuncts are tested on
+   the stored row, and only a passing row is bound, recorded and
+   emitted — an ungrouped count( * ), sum, min or max folds it straight
+   into its accumulator.  A WHERE that may raise keeps the general
+   path, so the fused loop changes no error and no read set.
+
    The differential oracle is test/reference_eval.ml, a nested-loop
    evaluator with no planner: test/test_compile_diff.ml asserts that
    results and error kinds agree. *)
@@ -94,8 +103,14 @@ type grp = acc array option
 
 type cexpr = rt -> grp -> renv -> Value.t
 
-(* An aggregate call of a grouped select's HAVING or projections. *)
-type agg = { ag_fn : Ast.agg_fn; ag_arg : cexpr option }
+(* A predicate: an expression compiled to its truth value, an immediate,
+   so testing it allocates nothing. *)
+type ctruth = rt -> grp -> renv -> Value.truth
+
+(* An aggregate call of a grouped select's HAVING or projections;
+   [ag_col] is the (binding, column) its argument reads when the
+   argument is a bare column of the select's own FROM items. *)
+type agg = { ag_fn : Ast.agg_fn; ag_arg : cexpr option; ag_col : (int * int) option }
 
 type cselect = {
   cs_cols : string array; (* static output names of the non-empty path *)
@@ -282,9 +297,26 @@ let new_accs n =
   Array.init n (fun _ ->
       { a_count = 0; a_value = Value.Null; a_arg_err = None; a_fold_err = None })
 
-(* Fold one row into an aggregate's accumulator: the group's non-NULL
-   arguments, folded from [Int 0] (SUM, AVG) or from the first value
-   (MIN, MAX), one row at a time. *)
+(* Fold one argument value into an aggregate's accumulator: the group's
+   non-NULL arguments, folded from [Int 0] (SUM, AVG) or from the first
+   value (MIN, MAX), one row at a time. *)
+let fold_value fn acc (v : Value.t) =
+  match v with
+  | Value.Null -> ()
+  | v -> (
+    acc.a_count <- acc.a_count + 1;
+    match fn with
+    | Ast.Count_star | Ast.Count -> ()
+    | Ast.Sum | Ast.Avg -> (
+      if Option.is_none acc.a_fold_err then
+        let total = if acc.a_count = 1 then Value.Int 0 else acc.a_value in
+        match Value.add total v with
+        | sum -> acc.a_value <- sum
+        | exception e -> acc.a_fold_err <- Some e)
+    | Ast.Min -> if acc.a_count = 1 || Value.compare_total v acc.a_value < 0 then acc.a_value <- v
+    | Ast.Max -> if acc.a_count = 1 || Value.compare_total v acc.a_value > 0 then acc.a_value <- v)
+
+(* Fold one row into an aggregate's accumulator. *)
 let fold_agg rt (env : renv) ag acc =
   match ag.ag_fn, ag.ag_arg with
   | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
@@ -293,21 +325,19 @@ let fold_agg rt (env : renv) ag acc =
     if Option.is_none acc.a_arg_err then
       match ce rt None env with
       | exception e -> acc.a_arg_err <- Some e
-      | Value.Null -> ()
-      | v -> (
-        acc.a_count <- acc.a_count + 1;
-        match fn with
-        | Ast.Count_star | Ast.Count -> ()
-        | Ast.Sum | Ast.Avg -> (
-          if Option.is_none acc.a_fold_err then
-            let total = if acc.a_count = 1 then Value.Int 0 else acc.a_value in
-            match Value.add total v with
-            | sum -> acc.a_value <- sum
-            | exception e -> acc.a_fold_err <- Some e)
-        | Ast.Min ->
-          if acc.a_count = 1 || Value.compare_total v acc.a_value < 0 then acc.a_value <- v
-        | Ast.Max ->
-          if acc.a_count = 1 || Value.compare_total v acc.a_value > 0 then acc.a_value <- v))
+      | v -> fold_value fn acc v)
+
+(* Fold a stored row into the accumulators of aggregates that read
+   nothing but that row (a fused scan's [fu_fold]): no frame is bound,
+   and reading a column cannot raise. *)
+let fold_row aggs accs (row : Row.t) =
+  for i = 0 to Array.length aggs - 1 do
+    let ag = aggs.(i) and acc = accs.(i) in
+    match ag.ag_fn, ag.ag_col with
+    | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
+    | fn, Some (_, c) -> fold_value fn acc row.(c)
+    | _, None -> ()
+  done
 
 (* The aggregate's value over its group, or the error evaluating it
    raises. *)
@@ -336,7 +366,7 @@ let finish_group rt chaving cprojs env accs =
   let keep =
     match chaving with
     | None -> true
-    | Some ch -> Value.truth_holds (Eval.value_truth (ch rt g env))
+    | Some ch -> Value.truth_holds (ch rt g env)
   in
   if keep then Some (run_projs cprojs rt g env) else None
 
@@ -386,13 +416,41 @@ let rec row_kind ctx (e : Ast.expr) : lit_kind option =
     | H_err _ -> None)
   | Ast.Cmp (_, a, b) -> compatible [ a; b ]
   | Ast.Between (a, lo, hi) -> compatible [ a; lo; hi ]
-  | Ast.In_list (a, es) -> compatible (a :: es)
+  | Ast.In_list (a, es) | Ast.Not_in_list (a, es) -> compatible (a :: es)
   | Ast.And (a, b) | Ast.Or (a, b) -> all_of [ `Bool; `Null ] `Bool [ a; b ]
   | Ast.Not a -> all_of [ `Bool; `Null ] `Bool [ a ]
   | Ast.Is_null a | Ast.Is_not_null a -> Option.map (fun _ -> `Bool) (row_kind ctx a)
   | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul), a, b) -> all_of [ `Num; `Null ] `Num [ a; b ]
   | Ast.Neg a -> all_of [ `Num; `Null ] `Num [ a ]
   | _ -> None
+
+(* Whether comparison result [c] (not [Value.unknown_cmp]) satisfies
+   [op]. *)
+let cmp_holds op c =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Neq -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | Ast.Ge -> c >= 0
+
+let cmp_truth op c =
+  if c = Value.unknown_cmp then Value.Unknown else Value.truth_of_bool (cmp_holds op c)
+
+(* The fused scan of a select core whose one source is a base table and
+   whose WHERE cannot raise on any row ([row_kind]), run when the table
+   is read by scan.  [fu_tests] are the conjuncts tested on the stored
+   row, each handed the run's [rt] and frame once per run to read the
+   values it compares with; [fu_rest] is the conjunction of the others,
+   tested on the bound frame of a row that passed [fu_tests].  With
+   [fu_fold] the select aggregates with no GROUP BY, and its aggregates
+   read nothing but the stored row. *)
+type fused = {
+  fu_tests : (rt -> renv -> Row.t -> bool) list;
+  fu_rest : ctruth option;
+  fu_fold : bool;
+}
 
 (* How one FROM source is read in one run of a compiled select: its
    rows (materialized, probed with their handles, or scanned in place),
@@ -485,17 +543,18 @@ type plain = {
   pl_cols : string array array;
   pl_links : (Eval.join_link option array, Errors.t) result;
   pl_probes : cprobe option array;
-  pl_where : cexpr option;
+  pl_where : ctruth option;
   pl_grouped : bool;
   pl_group_keys : cexpr array;
-  pl_having : cexpr option;
+  pl_having : ctruth option;
   pl_projs : cprojs;
   pl_aggs : agg array;
-  pl_empty_group : (cexpr option * cprojs * int) option;
+  pl_empty_group : (ctruth option * cprojs * int) option;
   pl_order : (cexpr * [ `Asc | `Desc ]) list;
   pl_distinct : bool;
   pl_limit : int option;
   pl_read_set : bool; (* one base table and no GROUP BY: a precise read set *)
+  pl_fused : fused option;
   pl_cols_when_empty : rt -> string array;
   mutable pl_chain : scan -> unit; (* every source, then WHERE and the consumer *)
 }
@@ -598,18 +657,74 @@ let consume pl sc =
       fold pl sc accs
   end
 
+let passed sc =
+  sc.sc_passed <- sc.sc_passed + 1;
+  if sc.sc_passed >= sc.sc_stop_at then raise Stop_scan
+
 let emit pl sc =
   if sc.sc_read then sc.sc_handles <- sc.sc_cur :: sc.sc_handles;
   consume pl sc;
-  sc.sc_passed <- sc.sc_passed + 1;
-  if sc.sc_passed >= sc.sc_stop_at then raise Stop_scan
+  passed sc
 
 (* The end of the chain: WHERE, then the consumer. *)
 let final pl =
   match pl.pl_where with
   | None -> emit pl
-  | Some ce ->
-    fun sc -> if Value.truth_holds (Eval.value_truth (ce sc.sc_rt None sc.sc_env)) then emit pl sc
+  | Some ct -> fun sc -> if Value.truth_holds (ct sc.sc_rt None sc.sc_env) then emit pl sc
+
+let rec all_hold tests (row : Row.t) =
+  match tests with [] -> true | t :: rest -> t row && all_hold rest row
+
+(* The fused scan of [t]: the row-local conjuncts are tested on each
+   stored row before anything is written, so only a row passing them is
+   bound, tested against the rest of WHERE, has its handle recorded and
+   is emitted — or, with [fu_fold], folded straight into the one group's
+   accumulators, its first row binding the group's frame as in
+   [consume].  WHERE cannot raise, so which conjunct rejects a row first
+   changes nothing.  An empty table reads none of the run's values, as
+   the general path evaluates nothing over it. *)
+let run_fused pl fu sc t =
+  if not (Table.is_empty t) then begin
+    let test =
+      match List.map (fun f -> f sc.sc_rt sc.sc_env) fu.fu_tests with
+      | [] -> fun _ -> true
+      | [ f ] -> f
+      | tests -> all_hold tests
+    in
+    let keep =
+      match fu.fu_rest with
+      | None -> test
+      | Some ct ->
+        fun row ->
+          test row
+          && begin
+            sc.sc_local.(0) <- row;
+            Value.truth_holds (ct sc.sc_rt None sc.sc_env)
+          end
+    in
+    if fu.fu_fold then
+      Table.iter
+        (fun h row ->
+          if keep row then begin
+            if sc.sc_read then sc.sc_handles <- h :: sc.sc_handles;
+            (match sc.sc_groups with
+            | (_, accs) :: _ -> fold_row pl.pl_aggs accs row
+            | [] ->
+              sc.sc_local.(0) <- row;
+              fold_row pl.pl_aggs (snd (new_group pl sc)) row);
+            passed sc
+          end)
+        t
+    else
+      Table.iter
+        (fun h row ->
+          if keep row then begin
+            sc.sc_cur <- h;
+            sc.sc_local.(0) <- row;
+            emit pl sc
+          end)
+        t
+  end
 
 (* Reading a lazy base table: by probe when a sargable conjunct allows
    it, by scan in place otherwise. *)
@@ -748,7 +863,13 @@ let start_plain pl rt (outer : renv) ~read ~stop_at =
    ORDER BY key error, as if each clause ran over every row in turn. *)
 let run_plain pl rt (outer : renv) ~read ~stop_at =
   let sc, deferred = start_plain pl rt outer ~read ~stop_at in
-  (try if deferred then run_from ~plan:false pl sc 0 None else pl.pl_chain sc
+  (try
+     if deferred then run_from ~plan:false pl sc 0 None
+     else
+       match pl.pl_fused with
+       | Some fu -> (
+         match sc.sc_reads.(0) with R_table t -> run_fused pl fu sc t | _ -> pl.pl_chain sc)
+       | None -> pl.pl_chain sc
    with Stop_scan -> ());
   (* the output names of the rows produced: the static projection
      names, or those of the empty-group projection when it ran *)
@@ -888,6 +1009,101 @@ let hoisted_values es =
             last := (rt.rt_params, vals);
             vals)
 
+(* A conjunct of a fused scan's WHERE as a test on the stored row: a
+   comparison, BETWEEN, IS [NOT] NULL or literal/parameter IN list of a
+   column of the scanned table (the only binding of the local frame)
+   against other such columns or values fixed for the run — literals,
+   parameters and columns of enclosing scopes — which are read once per
+   run, when the test is handed the run's [rt] and frame.  [None] for any
+   other conjunct.  The caller has proved with [row_kind] that WHERE
+   cannot raise, so the test is the conjunct's truth collapsed to a
+   bool. *)
+let row_test ctx (e : Ast.expr) : (rt -> renv -> Row.t -> bool) option =
+  let ctx = { ctx with cc_watches = [] } in
+  let local = function
+    | Ast.Col { qualifier; column } -> (
+      match resolve_col ctx qualifier column with H_at (0, 0, c) -> Some c | _ -> None)
+    | _ -> None
+  in
+  let fixed (e : Ast.expr) : (rt -> renv -> Value.t) option =
+    match e with
+    | Ast.Lit v -> Some (fun _ _ -> v)
+    | Ast.Param _ ->
+      let read = param_read e in
+      Some (fun rt _ -> read rt)
+    | Ast.Col { qualifier; column } -> (
+      match resolve_col ctx qualifier column with
+      | H_at (d, b, c) when d > 0 -> Some (fun _ env -> env.(d).(b).(c))
+      | H_at _ | H_err _ -> None)
+    | _ -> None
+  in
+  let holds op c = c <> Value.unknown_cmp && cmp_holds op c in
+  (* column [c] against [v]: an int or string stored against a value of
+     its own constructor is compared directly, as [compare_sql] would *)
+  let against op c (v : Value.t) : Row.t -> bool =
+    match op, v with
+    | (Ast.Eq | Ast.Neq), Value.Str k ->
+      let eq = op = Ast.Eq in
+      fun row -> (
+        match row.(c) with
+        | Value.Str s -> String.equal s k = eq
+        | x -> holds op (Value.compare_sql x v))
+    | _, Value.Int k -> (
+      fun row ->
+        match row.(c) with
+        | Value.Int x -> cmp_holds op (Int.compare x k)
+        | x -> holds op (Value.compare_sql x v))
+    | _ -> fun row -> holds op (Value.compare_sql row.(c) v)
+  in
+  (* [v op col] is [col op' v]: comparison is antisymmetric *)
+  let flip = function
+    | Ast.Lt -> Ast.Gt
+    | Ast.Le -> Ast.Ge
+    | Ast.Gt -> Ast.Lt
+    | Ast.Ge -> Ast.Le
+    | (Ast.Eq | Ast.Neq) as op -> op
+  in
+  match e with
+  | Ast.Cmp (op, a, b) -> (
+    match local a, local b, fixed a, fixed b with
+    | Some ca, Some cb, _, _ -> Some (fun _ _ row -> holds op (Value.compare_sql row.(ca) row.(cb)))
+    | Some c, None, _, Some vb -> Some (fun rt env -> against op c (vb rt env))
+    | None, Some c, Some va, _ -> Some (fun rt env -> against (flip op) c (va rt env))
+    | _ -> None)
+  | Ast.Between (a, lo, hi) -> (
+    match local a, fixed lo, fixed hi with
+    | Some c, Some vlo, Some vhi ->
+      Some
+        (fun rt env ->
+          let lo = vlo rt env and hi = vhi rt env in
+          fun row ->
+            holds Ast.Ge (Value.compare_sql row.(c) lo) && holds Ast.Le (Value.compare_sql row.(c) hi))
+    | _ -> None)
+  | Ast.Is_null a -> Option.map (fun c _ _ row -> Value.is_null row.(c)) (local a)
+  | Ast.Is_not_null a -> Option.map (fun c _ _ row -> not (Value.is_null row.(c))) (local a)
+  | Ast.In_list (a, es) | Ast.Not_in_list (a, es) -> (
+    let negated = match e with Ast.Not_in_list _ -> true | _ -> false in
+    match local a, hoisted_values es with
+    | Some c, Some vals ->
+      (* IN holds when some element equals the value; NOT IN when every
+         element compares unequal, none UNKNOWN *)
+      let rec some_eq v = function
+        | [] -> false
+        | x :: rest -> Value.compare_sql v x = 0 || some_eq v rest
+      in
+      let rec all_ne v = function
+        | [] -> true
+        | x :: rest ->
+          let k = Value.compare_sql v x in
+          k <> Value.unknown_cmp && k <> 0 && all_ne v rest
+      in
+      Some
+        (fun rt _ ->
+          let vals = vals rt in
+          if negated then fun row -> all_ne row.(c) vals else fun row -> some_eq row.(c) vals)
+    | _ -> None)
+  | _ -> None
+
 let rec cexpr_of ctx (e : Ast.expr) : cexpr =
   match e with
   | Ast.Lit v -> fun _ _ _ -> v
@@ -915,118 +1131,11 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
   | Ast.Neg a ->
     let ca = cexpr_of ctx a in
     fun rt g env -> Value.neg (ca rt g env)
-  | Ast.Cmp (op, a, b) ->
-    let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
-    fun rt g env -> (
-      let va = ca rt g env and vb = cb rt g env in
-      match Value.compare_sql va vb with
-      | None -> Value.Null
-      | Some c ->
-        let holds =
-          match op with
-          | Ast.Eq -> c = 0
-          | Ast.Neq -> c <> 0
-          | Ast.Lt -> c < 0
-          | Ast.Le -> c <= 0
-          | Ast.Gt -> c > 0
-          | Ast.Ge -> c >= 0
-        in
-        Value.Bool holds)
-  | Ast.And (a, b) ->
-    (* SQL three-valued AND/OR are not short-circuited: both operands
-       are always evaluated, the right one first — the order decides
-       which error an expression raising on both sides reports, and the
-       reference evaluator keeps the same one *)
-    let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
-    fun rt g env ->
-      let tb = Eval.value_truth (cb rt g env) in
-      Eval.truth_value (Value.truth_and (Eval.value_truth (ca rt g env)) tb)
-  | Ast.Or (a, b) ->
-    let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
-    fun rt g env ->
-      let tb = Eval.value_truth (cb rt g env) in
-      Eval.truth_value (Value.truth_or (Eval.value_truth (ca rt g env)) tb)
-  | Ast.Not a ->
-    let ca = cexpr_of ctx a in
-    fun rt g env ->
-      Eval.truth_value (Value.truth_not (Eval.value_truth (ca rt g env)))
-  | Ast.Is_null a ->
-    let ca = cexpr_of ctx a in
-    fun rt g env -> Value.Bool (Value.is_null (ca rt g env))
-  | Ast.Is_not_null a ->
-    let ca = cexpr_of ctx a in
-    fun rt g env -> Value.Bool (not (Value.is_null (ca rt g env)))
-  | Ast.In_list (a, es) -> (
-    let ca = cexpr_of ctx a in
-    match hoisted_values es with
-    | Some vals ->
-      fun rt g env ->
-        let v = ca rt g env in
-        Eval.in_semantics v (vals rt)
-    | None ->
-      let ces = List.map (cexpr_of ctx) es in
-      fun rt g env ->
-        let v = ca rt g env in
-        Eval.in_semantics v (List.map (fun ce -> ce rt g env) ces))
-  | Ast.Not_in_list (a, es) -> (
-    let ca = cexpr_of ctx a in
-    let negate v vals =
-      Eval.truth_value
-        (Value.truth_not (Eval.value_truth (Eval.in_semantics v vals)))
-    in
-    match hoisted_values es with
-    | Some vals ->
-      fun rt g env ->
-        let v = ca rt g env in
-        negate v (vals rt)
-    | None ->
-      let ces = List.map (cexpr_of ctx) es in
-      fun rt g env ->
-        let v = ca rt g env in
-        negate v (List.map (fun ce -> ce rt g env) ces))
-  | Ast.In_select (a, s) ->
-    let ca = cexpr_of ctx a in
-    let set = compile_subquery_in ctx s in
-    fun rt g env ->
-      let v = ca rt g env in
-      Eval.in_set_mem (set rt env) v
-  | Ast.Not_in_select (a, s) ->
-    let ca = cexpr_of ctx a in
-    let set = compile_subquery_in ctx s in
-    fun rt g env ->
-      let v = ca rt g env in
-      Eval.truth_value
-        (Value.truth_not (Eval.value_truth (Eval.in_set_mem (set rt env) v)))
-  | Ast.Exists s ->
-    let nonempty rel = rel.Eval.rows <> [] in
-    let exists =
-      compile_subquery_with ~exists:true ctx s
-        ~memo:(fun m -> nonempty m.Eval.memo_rel)
-        ~direct:nonempty
-    in
-    fun rt _g env -> Value.Bool (exists rt env)
-  | Ast.Between (a, low, high) ->
-    let ca = cexpr_of ctx a in
-    let cl = cexpr_of ctx low and ch = cexpr_of ctx high in
-    fun rt g env ->
-      let v = ca rt g env in
-      let vl = cl rt g env and vh = ch rt g env in
-      let ge =
-        match Value.compare_sql v vl with
-        | None -> Value.Unknown
-        | Some c -> Value.truth_of_bool (c >= 0)
-      and le =
-        match Value.compare_sql v vh with
-        | None -> Value.Unknown
-        | Some c -> Value.truth_of_bool (c <= 0)
-      in
-      Eval.truth_value (Value.truth_and ge le)
-  | Ast.Like (a, p) ->
-    let ca = cexpr_of ctx a and cp = cexpr_of ctx p in
-    fun rt g env ->
-      (* the pattern first, like AND's right operand *)
-      let vp = cp rt g env in
-      Eval.truth_value (Value.like (ca rt g env) vp)
+  | Ast.Cmp _ | Ast.And _ | Ast.Or _ | Ast.Not _ | Ast.Is_null _ | Ast.Is_not_null _
+  | Ast.In_list _ | Ast.Not_in_list _ | Ast.In_select _ | Ast.Not_in_select _ | Ast.Exists _
+  | Ast.Between _ | Ast.Like _ ->
+    let ct = truth_of ctx e in
+    fun rt g env -> Eval.truth_value (ct rt g env)
   | Ast.Scalar_select s ->
     let run = compile_subquery ctx s in
     fun rt _g env -> (
@@ -1048,7 +1157,15 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       let actx =
         { ctx with cc_aggs = None; cc_watches = (if reg.r_watch then ctx.cc_watches else []) }
       in
-      let ag = { ag_fn = fn; ag_arg = Option.map (cexpr_of actx) arg } in
+      let ag_col =
+        match arg with
+        | Some (Ast.Col { qualifier; column }) -> (
+          match resolve_col { actx with cc_watches = [] } qualifier column with
+          | H_at (0, b, c) -> Some (b, c)
+          | H_at _ | H_err _ -> None)
+        | Some _ | None -> None
+      in
+      let ag = { ag_fn = fn; ag_arg = Option.map (cexpr_of actx) arg; ag_col } in
       let i = reg.r_count in
       reg.r_aggs <- ag :: reg.r_aggs;
       reg.r_count <- i + 1;
@@ -1058,7 +1175,7 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
     fun rt g env -> Functions.apply name (List.map (fun ce -> ce rt g env) cargs)
   | Ast.Case (branches, else_) ->
     let cbranches =
-      List.map (fun (c, v) -> (cexpr_of ctx c, cexpr_of ctx v)) branches
+      List.map (fun (c, v) -> (truth_of ctx c, cexpr_of ctx v)) branches
     in
     let celse = Option.map (cexpr_of ctx) else_ in
     fun rt g env ->
@@ -1066,10 +1183,112 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
         | [] -> (
           match celse with None -> Value.Null | Some ce -> ce rt g env)
         | (cc, cv) :: rest ->
-          if Value.truth_holds (Eval.value_truth (cc rt g env)) then cv rt g env
+          if Value.truth_holds (cc rt g env) then cv rt g env
           else go rest
       in
       go cbranches
+
+(* The one predicate compiler: an expression to its truth value.  WHERE,
+   HAVING, CASE conditions and the operands of AND, OR and NOT are
+   evaluated through it, and the [cexpr_of] of a boolean-valued
+   expression is its truth value as a shared [Value.Bool] constant or
+   NULL.  Any other expression is evaluated to a value and read as a
+   truth value, which raises unless it is a boolean or NULL. *)
+and truth_of ctx (e : Ast.expr) : ctruth =
+  match e with
+  | Ast.Cmp (op, a, b) ->
+    let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
+    fun rt g env ->
+      let va = ca rt g env and vb = cb rt g env in
+      cmp_truth op (Value.compare_sql va vb)
+  | Ast.And (a, b) ->
+    (* SQL three-valued AND/OR are not short-circuited: both operands
+       are always evaluated, the right one first — the order decides
+       which error an expression raising on both sides reports, and the
+       reference evaluator keeps the same one *)
+    let ta = truth_of ctx a and tb = truth_of ctx b in
+    fun rt g env ->
+      let vb = tb rt g env in
+      Value.truth_and (ta rt g env) vb
+  | Ast.Or (a, b) ->
+    let ta = truth_of ctx a and tb = truth_of ctx b in
+    fun rt g env ->
+      let vb = tb rt g env in
+      Value.truth_or (ta rt g env) vb
+  | Ast.Not a ->
+    let ta = truth_of ctx a in
+    fun rt g env -> Value.truth_not (ta rt g env)
+  | Ast.Is_null a ->
+    let ca = cexpr_of ctx a in
+    fun rt g env -> Value.truth_of_bool (Value.is_null (ca rt g env))
+  | Ast.Is_not_null a ->
+    let ca = cexpr_of ctx a in
+    fun rt g env -> Value.truth_of_bool (not (Value.is_null (ca rt g env)))
+  | Ast.In_list (a, es) -> (
+    let ca = cexpr_of ctx a in
+    match hoisted_values es with
+    | Some vals ->
+      fun rt g env ->
+        let v = ca rt g env in
+        Eval.value_truth (Eval.in_semantics v (vals rt))
+    | None ->
+      let ces = List.map (cexpr_of ctx) es in
+      fun rt g env ->
+        let v = ca rt g env in
+        Eval.value_truth (Eval.in_semantics v (List.map (fun ce -> ce rt g env) ces)))
+  | Ast.Not_in_list (a, es) -> (
+    let ca = cexpr_of ctx a in
+    let negate v vals = Value.truth_not (Eval.value_truth (Eval.in_semantics v vals)) in
+    match hoisted_values es with
+    | Some vals ->
+      fun rt g env ->
+        let v = ca rt g env in
+        negate v (vals rt)
+    | None ->
+      let ces = List.map (cexpr_of ctx) es in
+      fun rt g env ->
+        let v = ca rt g env in
+        negate v (List.map (fun ce -> ce rt g env) ces))
+  | Ast.In_select (a, s) ->
+    let ca = cexpr_of ctx a in
+    let set = compile_subquery_in ctx s in
+    fun rt g env ->
+      let v = ca rt g env in
+      Eval.value_truth (Eval.in_set_mem (set rt env) v)
+  | Ast.Not_in_select (a, s) ->
+    let ca = cexpr_of ctx a in
+    let set = compile_subquery_in ctx s in
+    fun rt g env ->
+      let v = ca rt g env in
+      Value.truth_not (Eval.value_truth (Eval.in_set_mem (set rt env) v))
+  | Ast.Exists s ->
+    let nonempty rel = rel.Eval.rows <> [] in
+    let exists =
+      compile_subquery_with ~exists:true ctx s
+        ~memo:(fun m -> nonempty m.Eval.memo_rel)
+        ~direct:nonempty
+    in
+    fun rt _g env -> Value.truth_of_bool (exists rt env)
+  | Ast.Between (a, low, high) ->
+    let ca = cexpr_of ctx a in
+    let cl = cexpr_of ctx low and ch = cexpr_of ctx high in
+    fun rt g env ->
+      let v = ca rt g env in
+      let vl = cl rt g env and vh = ch rt g env in
+      (* [v >= low and v <= high]: the upper bound first, like AND's
+         right operand *)
+      let le = cmp_truth Ast.Le (Value.compare_sql v vh) in
+      let ge = cmp_truth Ast.Ge (Value.compare_sql v vl) in
+      Value.truth_and ge le
+  | Ast.Like (a, p) ->
+    let ca = cexpr_of ctx a and cp = cexpr_of ctx p in
+    fun rt g env ->
+      (* the pattern first, like AND's right operand *)
+      let vp = cp rt g env in
+      Value.like (ca rt g env) vp
+  | _ ->
+    let ce = cexpr_of ctx e in
+    fun rt g env -> Eval.value_truth (ce rt g env)
 
 (* Compile an embedded select and decide — statically — whether its
    evaluation can be memoized.  The watch registered here: if no
@@ -1300,14 +1519,14 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       items
   in
   (* ---- clause compilation ---- *)
-  let cwhere = Option.map (cexpr_of inner) s.Ast.where in
+  let cwhere = Option.map (truth_of inner) s.Ast.where in
   let grouped = Eval.select_contains_agg s in
   let cgroup_keys = List.map (cexpr_of inner) s.Ast.group_by in
   (* the aggregate calls of HAVING and the projections fold into one
      accumulator each per group *)
   let reg = { r_aggs = []; r_count = 0; r_watch = true } in
   let gctx = { inner with cc_aggs = Some reg } in
-  let chaving = Option.map (cexpr_of gctx) s.Ast.having in
+  let chaving = Option.map (truth_of gctx) s.Ast.having in
   let cprojs = compile_projections gctx frame_shape s.Ast.projections in
   let aggs = Array.of_list (List.rev reg.r_aggs) in
   let sr_cols = cprojs.pr_names in
@@ -1321,7 +1540,7 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     if grouped && s.Ast.group_by = [] then
       let reg0 = { r_aggs = []; r_count = 0; r_watch = false } in
       let ctx0 = { ctx with cc_aggs = Some reg0 } in
-      let chaving0 = Option.map (cexpr_of ctx0) s.Ast.having in
+      let chaving0 = Option.map (truth_of ctx0) s.Ast.having in
       let cprojs0 = compile_projections ctx0 [] s.Ast.projections in
       Some (chaving0, cprojs0, reg0.r_count)
     else None
@@ -1355,6 +1574,32 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     | Some _ | None -> max_int
   in
   let exists_stop = if exists && s.Ast.order_by = [] && rows_cannot_raise () then 1 else limit_stop in
+  (* ---- the fused scan: one base table and a WHERE that cannot raise,
+     so its row-local conjuncts may reject a row before it is bound ---- *)
+  let fused =
+    match items_a with
+    | [| (_, _, _, `Base _) |]
+      when Option.fold ~none:true ~some:(fun e -> row_kind inner e <> None) s.Ast.where ->
+      let rec conjuncts = function Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ] in
+      let tests, rest =
+        List.partition_map
+          (fun e -> match row_test inner e with Some t -> Left t | None -> Right e)
+          (Option.fold ~none:[] ~some:conjuncts s.Ast.where)
+      in
+      let fold_from_row ag =
+        ag.ag_fn = Ast.Count_star || Option.is_none ag.ag_arg || Option.is_some ag.ag_col
+      in
+      Some
+        {
+          fu_tests = tests;
+          fu_rest =
+            (match rest with
+            | [] -> None
+            | e :: es -> Some (truth_of inner (List.fold_left (fun a b -> Ast.And (a, b)) e es)));
+          fu_fold = grouped && s.Ast.group_by = [] && Array.for_all fold_from_row aggs;
+        }
+    | _ -> None
+  in
   (* ---- output columns for the zero-row case: the runtime mirror of
      [Eval.static_output_columns] ---- *)
   let empty_sources =
@@ -1436,6 +1681,7 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       pl_limit = s.Ast.limit;
       pl_read_set =
         s.Ast.group_by = [] && (match items_a with [| (_, _, _, `Base _) |] -> true | _ -> false);
+      pl_fused = fused;
       pl_cols_when_empty = cols_when_empty;
       pl_chain = ignore;
     }
@@ -1452,9 +1698,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
 
 let compile_expr ctx ~shape e = cexpr_of (with_shape ctx shape) e
 let eval_cexpr rt ce (env : renv) : Value.t = ce rt None env
-
-let cexpr_holds rt ce (env : renv) =
-  Value.truth_holds (Eval.value_truth (ce rt None env))
+let compile_truth ctx ~shape e = truth_of (with_shape ctx shape) e
+let truth_holds rt ct (env : renv) = Value.truth_holds (ct rt None env)
 
 let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
@@ -1465,16 +1710,16 @@ let compile_probe ctx ~frame ~target ~table where =
 
 let run_probe rt access cp = run_probe_values rt access cp [||]
 
-type cpred = { cp_expr : cexpr; cp_nslots : int }
+type cpred = { cp_truth : ctruth; cp_nslots : int }
 
 let compile_predicate db e =
   let ctx = make db in
-  let ce = cexpr_of ctx e in
-  { cp_expr = ce; cp_nslots = !(ctx.cc_slots) }
+  let ct = truth_of ctx e in
+  { cp_truth = ct; cp_nslots = !(ctx.cc_slots) }
 
 let run_predicate ?access ~use_cache resolve p =
   let rt = make_rt ?access ~use_cache ~slots:p.cp_nslots resolve in
-  Value.truth_holds (Eval.value_truth (p.cp_expr rt None [||]))
+  Value.truth_holds (p.cp_truth rt None [||])
 
 let eval_select ?access ?params ?(use_cache = false) resolve db s =
   (* an exception-safety injection site: one hit per public entry,

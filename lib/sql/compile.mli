@@ -80,10 +80,20 @@ val compile_expr :
 
 val eval_cexpr : rt -> cexpr -> renv -> Value.t
 
-val cexpr_holds : rt -> cexpr -> renv -> bool
+type ctruth
+(** A predicate compiled to its SQL truth value: the one predicate
+    compiler, which WHERE, HAVING, CASE conditions, AND/OR/NOT, DML
+    victim selection and rule conditions all use.  Testing one
+    allocates nothing beyond what its operands allocate. *)
+
+val compile_truth :
+  ctx -> shape:(string * string array) list list -> Ast.expr -> ctruth
+(** Like {!compile_expr}, for a predicate. *)
+
+val truth_holds : rt -> ctruth -> renv -> bool
 (** Three-valued logic collapsed: [true] only when definitely true. *)
 
-type cpred = { cp_expr : cexpr; cp_nslots : int }
+type cpred
 (** A predicate compiled against an empty environment shape, bundled
     with its memo-slot count — the cacheable compiled form of a rule
     condition. *)

@@ -123,7 +123,7 @@ type cop =
     }
   | C_delete of {
       table : string;
-      cwhere : Compile.cexpr option;
+      cwhere : Compile.ctruth option;
       cprobe : Compile.cprobe option;
       nslots : int;
     }
@@ -132,7 +132,7 @@ type cop =
       csets : (int * Compile.cexpr) list; (* schema position, value *)
       set_cols : string list;
       set_err : Errors.t option; (* an unknown SET column *)
-      cwhere : Compile.cexpr option;
+      cwhere : Compile.ctruth option;
       cprobe : Compile.cprobe option;
       nslots : int;
     }
@@ -165,9 +165,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
       let ctx = Compile.make ?param_kinds db in
       let cols = Table.col_names (Database.table db table) in
       let frame = [ (table, cols) ] in
-      let cwhere =
-        Option.map (Compile.compile_expr ctx ~shape:[ frame ]) where
-      in
+      let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
       let cprobe = Compile.compile_probe ctx ~frame ~target:table ~table where in
       C_delete { table; cwhere; cprobe; nslots = Compile.slot_count ctx }
     end
@@ -193,7 +191,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
               (Schema.find_column schema c))
           sets
       in
-      let cwhere = Option.map (Compile.compile_expr ctx ~shape:[ frame ]) where in
+      let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
       let cprobe = Compile.compile_probe ctx ~frame ~target:table ~table where in
       C_update
         {
@@ -217,10 +215,15 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
    the full predicate is still applied to each candidate, so the
    victims are identical to the scan's. *)
 let selected_handles rt ?access tbl cwhere cprobe =
+  (* one frame, rebound to each candidate: WHERE keeps nothing of it *)
+  let frame = [| [||] |] in
+  let env = [| frame |] in
   let keep row =
     match cwhere with
     | None -> true
-    | Some ce -> Compile.cexpr_holds rt ce [| [| row |] |]
+    | Some ct ->
+      frame.(0) <- row;
+      Compile.truth_holds rt ct env
   in
   let scan () =
     Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []

@@ -139,7 +139,8 @@ let rec expr db ?group (env : env) (e : Ast.expr) : Value.t =
   | Ast.Neg a -> Value.neg (ev a)
   | Ast.Cmp (op, a, b) -> (
     let va = ev a and vb = ev b in
-    match Value.compare_sql va vb with None -> Value.Null | Some c -> Value.Bool (compare_with op c))
+    let c = Value.compare_sql va vb in
+    if c = Value.unknown_cmp then Value.Null else Value.Bool (compare_with op c))
   | Ast.And (a, b) ->
     (* both operands, the right one first, as the engine does *)
     let tb = truth (ev b) in
@@ -166,8 +167,13 @@ let rec expr db ?group (env : env) (e : Ast.expr) : Value.t =
   | Ast.Between (a, lo, hi) ->
     let v = ev a in
     let vl = ev lo and vh = ev hi in
-    let side f b = match Value.compare_sql v b with None -> Value.Unknown | Some c -> Value.truth_of_bool (f c) in
-    of_truth (Value.truth_and (side (fun c -> c >= 0) vl) (side (fun c -> c <= 0) vh))
+    let side f b =
+      let c = Value.compare_sql v b in
+      if c = Value.unknown_cmp then Value.Unknown else Value.truth_of_bool (f c)
+    in
+    (* the upper bound first, as AND's right operand *)
+    let le = side (fun c -> c <= 0) vh in
+    of_truth (Value.truth_and (side (fun c -> c >= 0) vl) le)
   | Ast.Like (a, p) ->
     let vp = ev p in
     of_truth (Value.like (ev a) vp)

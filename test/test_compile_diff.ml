@@ -512,6 +512,221 @@ let param_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Part A1c: the fused scan.  A select over one base table read by
+   scan, whose WHERE cannot raise, tests WHERE's row-local conjuncts on
+   the stored row before binding it and folds count( * ), sum, min and
+   max without a frame.  Single-table selects aimed at that path — NULL
+   values under all six comparisons, int columns against float values
+   and the reverse, string ordering, BETWEEN, IS [NOT] NULL, literal IN
+   lists, three-valued AND/OR/NOT, and the occasional kind mismatch that
+   sends WHERE down the general path — are run through the access
+   hooks of an unindexed database, so the table is scanned, and must
+   equal the reference exactly: results, error kinds and error text.
+   With one source and no index no row is skipped.  Parameterized
+   variants are compiled twice: with the bound kinds known, as the
+   statement cache compiles them, and with none known, as PREPARE does;
+   there a bound kind that mismatches the column takes the general path
+   and raises the reference's error. *)
+
+let scan_fixture_db =
+  let db =
+    Database.create_table Database.empty
+      (Schema.table "t"
+         [
+           Schema.column "a" Schema.T_int;
+           Schema.column "b" Schema.T_int;
+           Schema.column "s" Schema.T_string;
+           Schema.column "f" Schema.T_float;
+         ])
+  in
+  List.fold_left
+    (fun db row -> fst (Database.insert db "t" row))
+    db
+    [
+      [| vi 1; vi 10; vs "x"; Value.Float 1.5 |];
+      [| vi 2; vi 20; vs "yy"; Value.Float 2.0 |];
+      [| vi 2; vnull; vs "x"; vnull |];
+      [| vi 3; vi 5; vnull; Value.Float (-0.5) |];
+      [| vnull; vi 7; vs "z"; Value.Float 3.0 |];
+      [| vi 5; vi 5; vs ""; Value.Float 5.0 |];
+      [| vi 7; vi 2; vs "Y"; Value.Float 7.25 |];
+      [| vnull; vnull; vnull; vnull |];
+      [| vi 10; vi 3; vs "xa"; Value.Float 10.0 |];
+    ]
+
+let scan_cols = [| ("a", `Num); ("b", `Num); ("s", `Str); ("f", `Num); ("t.a", `Num); ("t.s", `Str) |]
+
+(* A literal for a column of [kind]; now and then NULL, and rarely one
+   of the other kind, which makes WHERE raise on the general path. *)
+let gen_scan_lit kind st =
+  let open QCheck.Gen in
+  match int_bound 24 st with
+  | 0 | 1 -> "null"
+  | 2 -> if kind = `Num then "'x'" else "2"
+  | _ -> (
+    match kind with
+    | `Num -> (
+      match int_bound 3 st with
+      | 0 -> Printf.sprintf "%d.5" (int_range 0 9 st)
+      | 1 -> Printf.sprintf "%d.0" (int_range 0 10 st)
+      | _ -> string_of_int (int_range 0 11 st))
+    | `Str -> oneofl [ "'x'"; "'yy'"; "'z'"; "''"; "'Y'"; "'xa'"; "'y'" ] st)
+
+let gen_scan_atom st =
+  let open QCheck.Gen in
+  let col, kind = oneofa scan_cols st in
+  let lit () = gen_scan_lit kind st in
+  let op () = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] st in
+  match int_bound 11 st with
+  | 0 | 1 | 2 -> Printf.sprintf "%s %s %s" col (op ()) (lit ())
+  | 3 -> Printf.sprintf "%s %s %s" (lit ()) (op ()) col
+  | 4 -> Printf.sprintf "%s between %s and %s" col (lit ()) (lit ())
+  | 5 -> Printf.sprintf "%s is %snull" col (if bool st then "not " else "")
+  | 6 ->
+    Printf.sprintf "%s %s (%s)" col
+      (oneofl [ "in"; "not in" ] st)
+      (String.concat ", " (List.init (1 + int_bound 3 st) (fun _ -> lit ())))
+  | 7 ->
+    (* two columns of one row, mostly of one kind *)
+    let other, _ =
+      oneofa (Array.of_list (List.filter (fun (_, k) -> k = kind || int_bound 9 st = 0) (Array.to_list scan_cols))) st
+    in
+    Printf.sprintf "%s %s %s" col (op ()) other
+  | 8 -> Printf.sprintf "a + 1 %s %s" (op ()) (gen_scan_lit `Num st)
+  | 9 -> Printf.sprintf "%s %s -%s" col (op ()) (gen_scan_lit kind st)
+  | _ -> Printf.sprintf "%s %s %s" col (op ()) (lit ())
+
+let rec gen_scan_pred depth st =
+  let open QCheck.Gen in
+  if depth = 0 then gen_scan_atom st
+  else
+    let sub () = gen_scan_pred (depth - 1) st in
+    match int_bound 5 st with
+    | 0 | 1 -> gen_scan_atom st
+    | 2 -> Printf.sprintf "(%s and %s)" (sub ()) (sub ())
+    | 3 -> Printf.sprintf "(%s or %s)" (sub ()) (sub ())
+    | 4 -> Printf.sprintf "not (%s)" (sub ())
+    | _ -> Printf.sprintf "%s and %s" (gen_scan_atom st) (sub ())
+
+let scan_projections =
+  [|
+    ("count(*)", false);
+    ("count(*), sum(a), min(s), max(b), sum(f)", true);
+    ("sum(b), count(b), avg(a), min(f), max(s)", true);
+    ("s, count(*)", true);
+    ("count(*), sum(a + 1)", true);
+    ("*", false);
+    ("a, s", false);
+    ("distinct s", false);
+    ("b, f", false);
+  |]
+
+let gen_scan_select st =
+  let open QCheck.Gen in
+  let proj, agg = oneofa scan_projections st in
+  let where =
+    match int_bound 9 st with
+    | 0 -> ""
+    | 1 | 2 | 3 ->
+      " where " ^ String.concat " and " (List.init (1 + int_bound 2 st) (fun _ -> gen_scan_atom st))
+    | _ -> " where " ^ gen_scan_pred 2 st
+  in
+  let tail =
+    if agg then oneofl [ ""; ""; " having count(*) > 1" ] st
+    else oneofl [ ""; ""; " order by 1"; " limit 2" ] st
+  in
+  Printf.sprintf "select %s from t%s%s" proj where tail
+
+(* Results, error kinds and error text: no row is skipped here. *)
+let observe_text = function
+  | Ok _ as r -> r
+  | Error (kind, text) -> Error (kind ^ ": " ^ text, text)
+
+let check_scan sql r c = check_observed sql (observe_text r) (observe_text c)
+
+let scan_differential =
+  QCheck.Test.make ~count:2000 ~name:"fused scan = reference select"
+    (QCheck.make ~print:Fun.id gen_scan_select)
+    (fun sql ->
+      let db = scan_fixture_db in
+      let s = Parser.parse_select_string sql in
+      let access = Eval.db_access db in
+      check_scan sql
+        (reference (fun () -> Reference_eval.select db s))
+        (observe (fun () -> Compile.eval_select ~access (Eval.base_resolver db) db s));
+      true)
+
+(* A parameterized single-table select: its WHERE compares columns with
+   parameters beside a literal conjunct, and the bound values are of
+   any kind. *)
+let gen_scan_param_case st =
+  let open QCheck.Gen in
+  let col, kind = oneofa scan_cols st in
+  let op = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] st in
+  let nparams, cond =
+    match int_bound 4 st with
+    | 0 -> (1, Printf.sprintf "%s %s ?" col op)
+    | 1 -> (1, Printf.sprintf "? %s %s" op col)
+    | 2 -> (2, Printf.sprintf "%s between ? and ?" col)
+    | 3 -> (2, Printf.sprintf "%s in (?, ?)" col)
+    | _ -> (2, Printf.sprintf "%s %s ? or a = ?" col op)
+  in
+  let proj, _ = oneofa scan_projections st in
+  let template =
+    Printf.sprintf "select %s from t where %s%s" proj cond
+      (if bool st then "" else " and " ^ gen_scan_atom st)
+  in
+  let value () =
+    match int_bound 9 st with
+    | 0 -> Value.Null
+    | 1 -> if kind = `Num then Value.Str "x" else Value.Int 2
+    | 2 | 3 -> Value.Float (float_of_int (int_bound 20 st) /. 2.0)
+    | _ -> (
+      match kind with
+      | `Num -> Value.Int (int_bound 11 st)
+      | `Str -> Value.Str (oneofl [ "x"; "yy"; "z"; ""; "Y" ] st))
+  in
+  (template, Array.init nparams (fun _ -> value ()))
+
+let scan_param_differential =
+  QCheck.Test.make ~count:600
+    ~name:"fused scan with parameters = reference (kinds known and unknown)"
+    (QCheck.make gen_scan_param_case ~print:(fun (tpl, args) ->
+         Printf.sprintf "%s / (%s)" tpl
+           (String.concat ", " (List.map Value.to_string (Array.to_list args)))))
+    (fun (template, args) ->
+      let db = scan_fixture_db in
+      let sql =
+        Printf.sprintf "%s / (%s)" template
+          (String.concat ", " (List.map Value.to_string (Array.to_list args)))
+      in
+      let s =
+        match Parser.parse_statement_string ("prepare p as " ^ template) with
+        | Ast.Stmt_prepare (_, Ast.Select_op s) -> s
+        | _ -> QCheck.Test.fail_reportf "template is not a select: %s" template
+      in
+      let substituted =
+        match Ast.subst_params_op args (Ast.Select_op s) with
+        | Ast.Select_op s' -> s'
+        | _ -> assert false
+      in
+      let expected = reference (fun () -> Reference_eval.select db substituted) in
+      let run ctx =
+        let cs = Compile.compile_select ctx s in
+        let rt =
+          Compile.make_rt ~access:(Eval.db_access db) ~params:args ~use_cache:false
+            ~slots:(Compile.slot_count ctx) (Eval.base_resolver db)
+        in
+        observe (fun () -> Compile.run_select rt cs)
+      in
+      (* the statement cache's plan: one kind per parameter *)
+      check_scan sql expected
+        (run (Compile.make ~param_kinds:(Array.map Compile.lit_kind args) db));
+      (* PREPARE's plan: any value may be bound *)
+      check_scan sql expected (run (Compile.make db));
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Part A2: rule-condition differential                                *)
 
 (* Closed predicates, the shape of rule conditions: no outer row, all
@@ -1191,6 +1406,8 @@ let suite =
   [
     qtest select_differential;
     qtest param_differential;
+    qtest scan_differential;
+    qtest scan_param_differential;
     qtest predicate_differential;
     qtest hashed_in_matches_scan;
     Alcotest.test_case "hashed IN corpus" `Quick test_hashed_in_corpus;

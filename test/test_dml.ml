@@ -336,6 +336,37 @@ let test_read_set_prepared () =
     [ [| vi 3 |]; [| vi 4 |] ]
     (rows s "select a from log order by a")
 
+(* A fused scan — one table read by scan under a WHERE that cannot
+   raise, its row-local conjuncts tested on the stored row, count( * )
+   and sum folded without a frame — records exactly the rows that
+   passed WHERE; a [when selected] rule on the table fires on exactly
+   them. *)
+let test_read_set_fused_scan () =
+  let db = five_rows () in
+  Alcotest.check read_set_testable "filter-count"
+    [ ([ "a" ], [ "3"; "4"; "5" ]) ]
+    (read_set db "select count(*) from t where a >= 3");
+  Alcotest.check read_set_testable "folded sum, two row-local conjuncts"
+    [ ([ "c"; "b"; "a" ], [ "3"; "4" ]) ]
+    (read_set db "select sum(c) from t where b <> 'w' and a between 2 and 4");
+  Alcotest.check read_set_testable "filter-project"
+    [ ([ "b"; "c" ], [ "3"; "4"; "5" ]) ]
+    (read_set db "select b from t where c > 2.5");
+  Alcotest.check read_set_testable "no row passes"
+    [ ([ "a" ], []) ]
+    (read_set db "select count(*) from t where a is null");
+  let config = { Engine.default_config with Engine.track_selects = true } in
+  let s = system ~config "create table t (kind string, id int); create table log (id int)" in
+  run s "create rule seen when selected t then insert into log (select id from selected t)";
+  run s "insert into t values ('U', 1), ('I', 2), ('U', 3), (null, 4), ('D', 5), ('U', 6)";
+  Alcotest.(check int) "count" 3 (int_cell s "select count(*) from t where kind = 'U'");
+  run s "begin";
+  run s "select count(*) from t where kind = 'U'";
+  run s "commit";
+  Alcotest.check rows_testable "fired on the passing rows"
+    [ [| vi 1 |]; [| vi 3 |]; [| vi 6 |] ]
+    (rows s "select id from log order by id")
+
 let test_select_read_set_untracked () =
   let db = setup () in
   let db = (exec db "insert into t values (1, 'x', 1.0)").Dml.db in
@@ -382,6 +413,7 @@ let suite =
     Alcotest.test_case "read set: rows the probe skipped" `Quick
       test_read_set_skips_unevaluated_rows;
     Alcotest.test_case "read set: prepared select" `Quick test_read_set_prepared;
+    Alcotest.test_case "read set: fused filter-count" `Quick test_read_set_fused_scan;
     Alcotest.test_case "read set: every compound arm" `Quick
       test_read_set_compound_arms;
     Alcotest.test_case "read set: columns of nested arms" `Quick

@@ -39,13 +39,59 @@ let test_concat () =
 
 let test_comparison () =
   let cmp a b = Value.compare_sql a b in
-  Alcotest.(check (option int)) "int lt" (Some (-1)) (cmp (vi 1) (vi 2));
-  Alcotest.(check (option int)) "mixed eq" (Some 0) (cmp (vi 2) (vf 2.0));
-  Alcotest.(check (option int)) "str" (Some 1) (cmp (vs "b") (vs "a"));
-  Alcotest.(check (option int)) "null left" None (cmp vnull (vi 1));
-  Alcotest.(check (option int)) "null right" None (cmp (vi 1) vnull);
-  Alcotest.(check (option int)) "null null" None (cmp vnull vnull);
-  expect_error (fun () -> cmp (vi 1) (vs "a"))
+  let unknown = Value.unknown_cmp in
+  Alcotest.(check int) "int lt" (-1) (cmp (vi 1) (vi 2));
+  Alcotest.(check int) "int gt" 1 (cmp (vi 7) (vi (-7)));
+  Alcotest.(check int) "mixed eq" 0 (cmp (vi 2) (vf 2.0));
+  Alcotest.(check int) "int below float" (-1) (cmp (vi 2) (vf 2.5));
+  Alcotest.(check int) "float above int" 1 (cmp (vf 2.5) (vi 2));
+  Alcotest.(check int) "float eq" 0 (cmp (vf 0.5) (vf 0.5));
+  Alcotest.(check int) "str" 1 (cmp (vs "b") (vs "a"));
+  Alcotest.(check int) "str prefix" (-1) (cmp (vs "ab") (vs "abc"));
+  Alcotest.(check int) "str eq" 0 (cmp (vs "U") (vs "U"));
+  Alcotest.(check int) "str bytewise" (-1) (cmp (vs "Z") (vs "a"));
+  Alcotest.(check int) "bool" 1 (cmp (Value.Bool true) (Value.Bool false));
+  Alcotest.(check int) "null left" unknown (cmp vnull (vi 1));
+  Alcotest.(check int) "null right" unknown (cmp (vi 1) vnull);
+  Alcotest.(check int) "null null" unknown (cmp vnull vnull);
+  Alcotest.(check int) "null beside a string" unknown (cmp (vs "a") vnull);
+  Alcotest.(check bool) "unknown is no sign" true
+    (not (List.mem unknown [ -1; 0; 1 ]));
+  (* the mismatch error, text included, is the one comparisons raised
+     when they returned an option *)
+  let type_error f =
+    match f () with
+    | _ -> Alcotest.fail "expected a type error"
+    | exception Errors.Error e -> Errors.to_string e
+  in
+  Alcotest.(check string) "string with int"
+    (type_error (fun () -> Errors.type_error "cannot compare string with int"))
+    (type_error (fun () -> cmp (vs "a") (vi 1)));
+  Alcotest.(check string) "int with string"
+    (type_error (fun () -> Errors.type_error "cannot compare int with string"))
+    (type_error (fun () -> cmp (vi 1) (vs "a")));
+  expect_error (fun () -> cmp (vi 1) (Value.Bool true));
+  (* equality's three values follow the comparison *)
+  Alcotest.(check bool) "eq unknown" true (Value.eq_sql vnull (vi 1) = Value.Unknown);
+  Alcotest.(check bool) "eq true" true (Value.eq_sql (vi 3) (vf 3.0) = Value.True);
+  Alcotest.(check bool) "eq false" true (Value.eq_sql (vs "a") (vs "b") = Value.False)
+
+(* A comparison allocates nothing: the minor heap does not grow over a
+   loop of them, NULL and mixed numbers included. *)
+let test_comparison_allocates_nothing () =
+  let pairs =
+    [| (vi 1, vi 2); (vi 2, vf 2.0); (vs "a", vs "b"); (vnull, vi 1); (vf 1.5, vnull) |]
+  in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let a, b = pairs.(i mod Array.length pairs) in
+    sum := !sum + (Value.compare_sql a b land 3)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sum);
+  Alcotest.(check bool) (Printf.sprintf "%.0f words over 10,000 comparisons" words) true
+    (words < 100.)
 
 let test_three_valued_logic () =
   let open Value in
@@ -171,6 +217,8 @@ let suite =
     Alcotest.test_case "arithmetic errors" `Quick test_arithmetic_errors;
     Alcotest.test_case "concat" `Quick test_concat;
     Alcotest.test_case "sql comparison" `Quick test_comparison;
+    Alcotest.test_case "sql comparison allocates nothing" `Quick
+      test_comparison_allocates_nothing;
     Alcotest.test_case "three-valued logic" `Quick test_three_valued_logic;
     Alcotest.test_case "like" `Quick test_like;
     Alcotest.test_case "total order" `Quick test_total_order;
