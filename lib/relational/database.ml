@@ -93,12 +93,6 @@ let drop_index db ix_name =
   | None -> Errors.semantic "unknown index %S" ix_name
   | Some tbl -> replace_table db (Table.drop_index tbl ix_name)
 
-let indexes db =
-  Str_map.fold
-    (fun name tbl acc ->
-      acc @ List.map (fun ix -> (name, ix)) (Table.index_list tbl))
-    db.tables []
-
 let probe db ~table:tbl_name ~column values =
   match Str_map.find_opt tbl_name db.tables with
   | None -> None
@@ -108,11 +102,6 @@ let range_probe db ~table:tbl_name ~column ~lower ~upper =
   match Str_map.find_opt tbl_name db.tables with
   | None -> None
   | Some tbl -> Table.range_probe tbl ~column ~lower ~upper
-
-let column_stats db ~table:tbl_name ~column =
-  match Str_map.find_opt tbl_name db.tables with
-  | None -> None
-  | Some tbl -> Table.column_stats tbl column
 
 let total_rows db =
   Str_map.fold (fun _ tbl acc -> acc + Table.cardinality tbl) db.tables 0

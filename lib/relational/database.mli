@@ -51,9 +51,6 @@ val create_index :
 val drop_index : t -> string -> t
 (** Raises [Semantic_error] if no table has an index of that name. *)
 
-val indexes : t -> (string * Index.t) list
-(** All (table, index) pairs, in table-name order. *)
-
 val probe : t -> table:string -> column:string -> Value.t list
   -> (Handle.t * Row.t) list option
 (** Probe any index over [column] of [table]: [None] when the table or
@@ -71,10 +68,6 @@ val range_probe :
     range: [None] when the table or an ordered index is absent (or a
     bound is type-incompatible), else the matching rows in handle
     order. *)
-
-val column_stats : t -> table:string -> column:string -> (int * bool) option
-(** [Some (distinct, ordered)] when an index covers the column — see
-    {!Table.column_stats}. *)
 
 val total_rows : t -> int
 val pp : Format.formatter -> t -> unit

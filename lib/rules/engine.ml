@@ -225,6 +225,9 @@ type t = {
   config : config;
   procedures : Procedures.registry;
   stats : stats;
+  note : Eval.note;
+      (* counts every scan-vs-probe decision the evaluator takes in
+         [stats] *)
   mutable tracing : bool;
   mutable trace : (float option * event) list;
       (* newest first while accumulating; stamped with the wall clock
@@ -274,7 +277,15 @@ let new_statements () =
     invalidations = 0;
   }
 
+let counting_note stats : Eval.note = function
+  | `Seq_scan -> stats.seq_scans <- stats.seq_scans + 1
+  | `Index_probe -> stats.index_probes <- stats.index_probes + 1
+  | `Range_probe -> stats.range_probes <- stats.range_probes + 1
+  | `Hash_join_build -> stats.hash_join_builds <- stats.hash_join_builds + 1
+  | `Hash_join_probe -> stats.hash_join_probes <- stats.hash_join_probes + 1
+
 let create ?(config = default_config) db =
+  let stats = fresh_stats () in
   {
     db;
     ddl_gen = 0;
@@ -290,7 +301,8 @@ let create ?(config = default_config) db =
     last_considered = Str_map.empty;
     config;
     procedures = Procedures.create ();
-    stats = fresh_stats ();
+    stats;
+    note = counting_note stats;
     tracing = false;
     trace = [];
     wall_clock = None;
@@ -312,6 +324,7 @@ let fork t stmts =
   if Option.is_some t.txn.txn_start then
     Errors.raise_error
       (Errors.Transaction_error "cannot fork inside a transaction");
+  let stats = fresh_stats () in
   {
     db = t.db;
     ddl_gen = t.ddl_gen;
@@ -327,7 +340,8 @@ let fork t stmts =
     last_considered = t.last_considered;
     config = t.config;
     procedures = t.procedures;
-    stats = fresh_stats ();
+    stats;
+    note = counting_note stats;
     tracing = false;
     trace = [];
     wall_clock = None;
@@ -342,25 +356,6 @@ let config t = t.config
 let stats t = t.stats
 let set_commit_hook t hook = t.commit_hook <- hook
 
-(* Access-path hooks for the evaluator: column metadata and index
-   probes are served from the same database state the accompanying
-   resolver reads (the snapshot at the start of the operation or
-   condition evaluation), and every scan-vs-probe decision is counted
-   in the engine statistics. *)
-let access_for t db : Eval.access =
-  {
-    (Eval.db_access db) with
-    Eval.acc_note =
-      (fun ~table:_ -> function
-        | `Seq_scan -> t.stats.seq_scans <- t.stats.seq_scans + 1
-        | `Index_probe -> t.stats.index_probes <- t.stats.index_probes + 1
-        | `Range_probe -> t.stats.range_probes <- t.stats.range_probes + 1
-        | `Hash_join_build ->
-          t.stats.hash_join_builds <- t.stats.hash_join_builds + 1
-        | `Hash_join_probe ->
-          t.stats.hash_join_probes <- t.stats.hash_join_probes + 1);
-  }
-
 (* {2 Plans}
 
    Every operation the engine runs — a statement, a prepared statement,
@@ -370,7 +365,7 @@ let access_for t db : Eval.access =
 let plan_condition t cond : Rule.condition =
   let use_cache = t.config.optimize in
   let cp = Compile.compile_predicate t.db cond in
-  fun access resolve -> Compile.run_predicate ~access ~use_cache resolve cp
+  fun ~db ~note resolve -> Compile.run_predicate ~db ~note ~use_cache resolve cp
 
 (* Rule plans are keyed on the DDL generation: a plan is reusable only
    against the catalog it was built for. *)
@@ -831,8 +826,7 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
     (fun (eff, results) cop ->
       let r =
         Dml.exec_cop ~track_selects:t.config.track_selects
-          ~optimize:t.config.optimize ~access:(access_for t t.db) ?params
-          (resolver_of t.db) t.db cop
+          ~optimize:t.config.optimize ~note:t.note ?params (resolver_of t.db) t.db cop
       in
       t.db <- r.Dml.db;
       let eff = Effect.compose eff (Effect.of_affected r.Dml.affected) in
@@ -843,15 +837,13 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
     (Effect.empty, []) cops
   |> fun (eff, results) -> (eff, List.rev results)
 
-let external_resolver db : Eval.resolver = Eval.base_resolver db
-
 (* Evaluate a select plan against the current state, untracked, with
    transition tables resolved through [resolve].  The caller guarantees
    the operation is a select. *)
 let run_select t ?params resolve (cop : Dml.cop) =
   let r =
-    Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize
-      ~access:(access_for t t.db) ?params resolve t.db cop
+    Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize ~note:t.note ?params
+      resolve t.db cop
   in
   match r.Dml.result with
   | Some rel -> rel
@@ -865,7 +857,7 @@ let run_select t ?params resolve (cop : Dml.cop) =
 let submit_cops t ?params (cops : Dml.cop list) =
   require_txn t;
   let db0 = t.db in
-  match run_cops t ~resolver_of:external_resolver ?params cops with
+  match run_cops t ~resolver_of:(fun _ -> Eval.no_transitions) ?params cops with
   | eff, results ->
     t.txn.pending <- Effect.compose t.txn.pending eff;
     t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
@@ -1029,7 +1021,7 @@ let step t p (rule : Rule.t) =
       Fault.hit Fault.Rule_condition;
       timed t
         (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
-        (fun () -> condition_plan t rule cond (access_for t t.db) resolve)
+        (fun () -> condition_plan t rule cond ~db:t.db ~note:t.note resolve)
   in
   record t (Ev_considered { rule = name; condition_held = cond_holds });
   Log.debug (fun m -> m "considered %s: condition %b" name cond_holds);
@@ -1182,24 +1174,19 @@ let execute_block t ops = execute_block_cops t (List.map (Dml.compile_op t.db) o
 (* Evaluate a select plan outside any transaction and rule context (no
    transition tables). *)
 let query_cop t ?params (cop : Dml.cop) =
-  run_select t ?params (external_resolver t.db) cop
+  run_select t ?params Eval.no_transitions cop
 
 let query t (s : Ast.select) = query_cop t (Dml.compile_op t.db (Ast.Select_op s))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
 
-(* Planning must not perturb the engine's scan/probe statistics: it is
-   the same access record with the note hook silenced. *)
-let explain_access t db : Eval.access =
-  { (access_for t db) with Eval.acc_note = (fun ~table:_ _ -> ()) }
-
 (* EXPLAIN must report what the executor will actually do: it is a
    plan-only run of the statement's compiled plan, compiled afresh so
-   the statement cache's counters stay untouched. *)
+   the statement cache's counters stay untouched, and planning leaves
+   the scan/probe statistics untouched too. *)
 let explain_op t (op : Ast.op) =
-  Dml.explain ~access:(explain_access t t.db) (external_resolver t.db)
-    (Dml.compile_op t.db op)
+  Dml.explain Eval.no_transitions t.db (Dml.compile_op t.db op)
 
 (* The discrimination-index keys a rule is registered under, rendered
    for EXPLAIN RULE.  Derived from the definition, so reported for
@@ -1224,12 +1211,13 @@ let explain_rule t name =
     let rec outermost acc e =
       Ast.fold_expr ~expr:outermost ~select:(fun acc s -> s :: acc) acc e
     in
-    let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Effect.empty t.db in
     let plan s =
       let ctx = Compile.make t.db in
       let cs = Compile.compile_select ctx s in
-      let rt = Compile.make_rt ~access ~use_cache:false ~slots:(Compile.slot_count ctx) resolve in
+      let rt =
+        Compile.make_rt ~db:t.db ~use_cache:false ~slots:(Compile.slot_count ctx) resolve
+      in
       Compile.plan_select rt cs
     in
     List.map (fun s -> (Sqlf.Pretty.select_str s, plan s)) (List.rev (outermost [] cond))

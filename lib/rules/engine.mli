@@ -195,7 +195,6 @@ val create_rule : t -> Ast.rule_def -> Rule.t
 val drop_rule : t -> string -> unit
 val set_rule_active : t -> string -> bool -> unit
 val find_rule : t -> string -> Rule.t option
-val get_rule : t -> string -> Rule.t
 
 val rules : t -> Rule.t list
 (** The catalog in creation order (materialized: O(n)). *)

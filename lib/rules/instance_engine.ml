@@ -124,7 +124,7 @@ let rec fire_for_instance t inst =
             match Rule.condition rule with
             | None -> true
             | Some cond ->
-              Compile.run_predicate ~use_cache:false resolve
+              Compile.run_predicate ~db:t.db ~use_cache:false resolve
                 (Compile.compile_predicate t.db cond)
           in
           if cond_holds then begin
@@ -175,4 +175,4 @@ let execute_block t (ops : Ast.op list) =
     t.txn_start <- None;
     raise e
 
-let query t (s : Ast.select) = Compile.eval_select (Eval.base_resolver t.db) t.db s
+let query t (s : Ast.select) = Compile.eval_select Eval.no_transitions t.db s

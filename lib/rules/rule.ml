@@ -11,9 +11,9 @@ open Relational
 module Ast = Sqlf.Ast
 module Pretty = Sqlf.Pretty
 
-(* A planned condition: evaluate under these access hooks and
-   transition-table resolver. *)
-type condition = Sqlf.Eval.access -> Sqlf.Eval.resolver -> bool
+(* A planned condition: evaluate over this database state, telling
+   [note] every read decision, with this transition-table resolver. *)
+type condition = db:Database.t -> note:Sqlf.Eval.note -> Sqlf.Eval.resolver -> bool
 
 (* Plans of the rule's condition and action block, cached so repeated
    firings (cascades especially) re-enter them instead of re-planning.

@@ -9,9 +9,14 @@
 
 module Ast = Sqlf.Ast
 
-type condition = Sqlf.Eval.access -> Sqlf.Eval.resolver -> bool
-(** A planned condition: evaluate it under the given access hooks and
-    transition-table resolver. *)
+type condition =
+  db:Relational.Database.t ->
+  note:Sqlf.Eval.note ->
+  Sqlf.Eval.resolver ->
+  bool
+(** A planned condition: evaluate it over the database state, with
+    [note] hearing every scan, probe and hash-join decision and the
+    resolver serving the transition tables. *)
 
 (** Cached plans of the condition and action block, each keyed by the
     engine's catalog generation; the engine fills and invalidates

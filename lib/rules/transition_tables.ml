@@ -59,10 +59,11 @@ let materialize (e : Effect.t) ~current_db (tt : Ast.trans_table) :
   in
   { Eval.rel_name = t; cols = Table.col_names tbl; rows }
 
-(* A resolver that serves base tables from [db] and transition tables
-   from [e]; this is the evaluation environment for a rule's condition
-   and action (Section 4.1: "evaluation of R's condition may depend on
-   E1, S1, and S0").
+(* A resolver that serves transition tables from [e] over the current
+   state [db]; with the base tables a plan reads from [db] itself, this
+   is the evaluation environment for a rule's condition and action
+   (Section 4.1: "evaluation of R's condition may depend on E1, S1, and
+   S0").
 
    Both [e] and [db] are fixed for the life of one resolver (the
    engine builds a fresh resolver per operation and per condition
@@ -70,23 +71,11 @@ let materialize (e : Effect.t) ~current_db (tt : Ast.trans_table) :
    predicate that joins against the same transition table once per
    candidate row pays for the handle-set traversal only once. *)
 let resolver (e : Effect.t) db : Eval.resolver =
-  let trans_memo : (Ast.trans_table, Eval.relation) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let base_memo : (string, Eval.relation) Hashtbl.t = Hashtbl.create 4 in
-  function
-  | Ast.Base name -> (
-    match Hashtbl.find_opt base_memo name with
-    | Some rel -> rel
-    | None ->
-      let rel = Eval.relation_of_table (Database.table db name) in
-      Hashtbl.add base_memo name rel;
-      rel)
-  | Ast.Transition tt -> (
-    match Hashtbl.find_opt trans_memo tt with
+  let memo : (Ast.trans_table, Eval.relation) Hashtbl.t = Hashtbl.create 4 in
+  fun tt ->
+    match Hashtbl.find_opt memo tt with
     | Some rel -> rel
     | None ->
       let rel = materialize e ~current_db:db tt in
-      Hashtbl.add trans_memo tt rel;
-      rel)
-  | Ast.Derived _ -> assert false
+      Hashtbl.add memo tt rel;
+      rel

@@ -22,6 +22,7 @@ val materialize :
   Effect.t -> current_db:Database.t -> Ast.trans_table -> Eval.relation
 
 val resolver : Effect.t -> Database.t -> Eval.resolver
-(** A resolver serving base tables from the database and transition
-    tables from the effect: the evaluation environment for a rule's
-    condition and action (Section 4.1). *)
+(** A resolver serving the transition tables of the effect over the
+    current database state: with the base tables a plan reads from
+    that state, the evaluation environment for a rule's condition and
+    action (Section 4.1). *)

@@ -113,9 +113,6 @@ val exec_script : t -> session -> string -> (string, string) result
 
 val render_stats : t -> string
 
-val checkpoint_now : t -> (string, string) result
-(** Checkpoint if no commit is in flight ([Error] asks to retry). *)
-
 (** {1 The socket front-end}
 
     Line protocol (see {!Protocol}): one request line in — a SQL script

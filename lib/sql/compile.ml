@@ -57,13 +57,16 @@ open Relational
    compile time. *)
 type renv = Row.t array array
 
-(* Per-evaluation-unit runtime state: the resolver and access hooks,
-   plus the memo slots backing the compile-time uncorrelated-subquery
-   analysis.  One [rt] per DML operation or rule-condition evaluation:
-   a memo is sound only while the database state is fixed. *)
+(* Per-evaluation-unit runtime state: the database state base tables
+   are read from, the callback hearing every read decision, the
+   transition-table resolver, and the memo slots backing the
+   compile-time uncorrelated-subquery analysis.  One [rt] per DML
+   operation or rule-condition evaluation: a memo is sound only while
+   the database state is fixed. *)
 type rt = {
+  rt_db : Database.t;
+  rt_note : Eval.note;
   rt_resolve : Eval.resolver;
-  rt_access : Eval.access option;
   rt_slots : Eval.memo option array;
   rt_use_cache : bool;
   rt_params : Value.t array;
@@ -73,10 +76,11 @@ type rt = {
 
 let no_params : Value.t array = [||]
 
-let make_rt ?access ?(params = no_params) ~use_cache ~slots resolve =
+let make_rt ~db ?(note = ignore) ?(params = no_params) ~use_cache ~slots resolve =
   {
+    rt_db = db;
+    rt_note = note;
     rt_resolve = resolve;
-    rt_access = access;
     rt_slots = Array.make (max slots 1) None;
     rt_use_cache = use_cache;
     rt_params = params;
@@ -128,10 +132,7 @@ type cselect = {
 
 (* A compiled probe: the statically-selected sargable candidates for
    one base table, ranked by the shared cost model at run time. *)
-type cprobe = {
-  cp_table : string;
-  cp_cands : (cexpr, rt -> renv -> Eval.in_set) Eval.sargable list;
-}
+type cprobe = (cexpr, rt -> renv -> Eval.in_set) Eval.sargable list
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time context                                                *)
@@ -260,11 +261,11 @@ let resolve_col ctx qualifier column =
    ([Eval.probe_candidates]); [None] means "scan instead".
    Probe values evaluate against the outer scopes alone (they were
    compiled under them), in non-grouped context. *)
-let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
-  Eval.probe_candidates access ~table:cp.cp_table
+let run_probe_values rt tbl (cp : cprobe) (outer : renv) : Eval.probe_hit option =
+  Eval.probe_candidates tbl
     ~eval:(fun ce -> ce rt None outer)
     ~eval_set:(fun f -> (f rt outer).Eval.in_values)
-    cp.cp_cands
+    cp
 
 (* Compiled projections: one op per output column — a position in the
    local frame (stars expand to these) or an expression — and, for an
@@ -463,15 +464,14 @@ type sread =
   | R_probe of Eval.probe_hit
   | R_table of Table.t
   | R_index_join of {
-      access : Eval.access;
-      table : string;
+      table : Table.t;
       column : string; (* the link column *)
       est : int;
       probes : int;
     }
   | R_hash of sread
   | R_hashed of Eval.join_table * sread (* built from that read *)
-  | R_deferred of Eval.access * string
+  | R_deferred of Table.t
 
 (* The state of one run of a compiled select's pipeline: the frame every
    source binds its row into ([sc_env] is it over the outer scopes) and
@@ -538,7 +538,7 @@ let with_outer frame (outer : renv) =
    once by [compile_plain]; [run_plain] executes it.  [pl_order] is
    over the FROM rows, or over the output rows when [pl_grouped]. *)
 type plain = {
-  pl_kinds : [ `Derived of cselect | `Eager of Ast.table_source | `Base of string ] array;
+  pl_kinds : [ `Derived of cselect | `Transition of Ast.trans_table | `Base of string ] array;
   pl_names : string array; (* binding names *)
   pl_cols : string array array;
   pl_links : (Eval.join_link option array, Errors.t) result;
@@ -566,11 +566,6 @@ let join_key sc (l : Eval.join_link) = sc.sc_local.(l.Eval.jl_with).(l.Eval.jl_w
 (* [extend pl i next] binds each row of source [i] matching the partial
    frame of sources 0..i-1 in [sc_local], and calls [next]. *)
 let extend pl i next =
-  let note sc ev =
-    match sc.sc_rt.rt_access with
-    | Some a -> a.Eval.acc_note ~table:pl.pl_names.(i) ev
-    | None -> ()
-  in
   let rec go sc =
     match sc.sc_reads.(i), link pl i with
     | R_rows rows, _ -> push_rows i next sc rows
@@ -582,17 +577,18 @@ let extend pl i next =
           sc.sc_local.(i) <- row;
           next sc)
         t
-    | R_index_join { access; table; column; _ }, Some l ->
-      push_pairs i next sc (Eval.index_join_rows access ~table ~column (join_key sc l))
+    | R_index_join { table; column; _ }, Some l ->
+      sc.sc_rt.rt_note `Index_probe;
+      push_pairs i next sc (Eval.index_join_rows table ~column (join_key sc l))
     | R_hash r, Some l ->
-      note sc `Hash_join_build;
+      sc.sc_rt.rt_note `Hash_join_build;
       sc.sc_reads.(i) <-
         R_hashed
           ( Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r),
             r );
       go sc
     | R_hashed (table, _), Some l ->
-      note sc `Hash_join_probe;
+      sc.sc_rt.rt_note `Hash_join_probe;
       push_rows i next sc (Eval.join_matches table (join_key sc l))
     | (R_index_join _ | R_hash _ | R_hashed _), None | R_deferred _, _ -> assert false
   in
@@ -728,30 +724,28 @@ let run_fused pl fu sc t =
 
 (* Reading a lazy base table: by probe when a sargable conjunct allows
    it, by scan in place otherwise. *)
-let realize pl sc i tbl access =
+let realize pl sc i tbl =
   match
     match pl.pl_probes.(i) with
-    | Some cp -> run_probe_values sc.sc_rt access cp sc.sc_outer
+    | Some cp -> run_probe_values sc.sc_rt tbl cp sc.sc_outer
     | None -> None
   with
   | Some hit ->
-    access.Eval.acc_note ~table:tbl
+    sc.sc_rt.rt_note
       (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
     R_probe hit
-  | None -> (
-    access.Eval.acc_note ~table:tbl `Seq_scan;
-    match access.Eval.acc_table ~table:tbl with
-    | Some t -> R_table t
-    | None -> Errors.raise_error (Errors.Unknown_table tbl))
+  | None ->
+    sc.sc_rt.rt_note `Seq_scan;
+    R_table tbl
 
 (* A linked base table's join method, from the number of partial
    frames it extends: probing its index once per partial frame when the
    cost rule prefers that ([Eval.index_join]), else a hash join. *)
-let decide pl sc i tbl access l ~partials =
+let decide pl sc i tbl l ~partials =
   let column = link_col pl i l in
-  match Eval.index_join access ~table:tbl ~column ~partials with
-  | Some est -> R_index_join { access; table = tbl; column; est; probes = partials }
-  | None -> R_hash (realize pl sc i tbl access)
+  match Eval.index_join tbl ~column ~partials with
+  | Some est -> R_index_join { table = tbl; column; est; probes = partials }
+  | None -> R_hash (realize pl sc i tbl)
 
 (* Run the sources from [j] on, over each partial frame of sources
    0..j-1 in [partials] ([None]: the empty frame), deciding a deferred
@@ -781,16 +775,17 @@ let rec run_from ~plan pl sc j partials =
   if d < n then begin
     let ps = List.rev !buffered in
     (match sc.sc_reads.(d), link pl d with
-    | R_deferred (access, tbl), Some l ->
-      sc.sc_reads.(d) <- decide pl sc d tbl access l ~partials:(List.length ps)
+    | R_deferred tbl, Some l ->
+      sc.sc_reads.(d) <- decide pl sc d tbl l ~partials:(List.length ps)
     | _ -> assert false);
     run_from ~plan pl sc d (Some ps)
   end
 
 (* The sources of one run of a select core, read before any row flows:
-   the eager ones resolved and the lazy base tables realized in FROM
-   order, except that a linked table whose join method depends on the
-   number of partial frames is left [R_deferred].  Returns the scan
+   the derived and transition tables resolved and the base tables
+   looked up, then the base tables realized in FROM order, except that
+   a linked table whose join method depends on the number of partial
+   frames is left [R_deferred].  Returns the scan
    state and whether a source was deferred. *)
 let start_plain pl rt (outer : renv) ~read ~stop_at =
   let n = Array.length pl.pl_kinds in
@@ -815,18 +810,17 @@ let start_plain pl rt (outer : renv) ~read ~stop_at =
       sc_index = None;
     }
   in
-  (* phase 1: resolve the eager sources in FROM order; known base
-     tables stay lazy when access hooks are installed *)
+  (* phase 1: resolve the sources in FROM order — an unknown base table
+     raises here, before a duplicate binding name is reported *)
   for i = 0 to n - 1 do
-    match pl.pl_kinds.(i) with
-    | `Derived c -> sc.sc_reads.(i) <- R_rows (c.cs_run rt outer).Eval.rows
-    | `Eager src -> sc.sc_reads.(i) <- R_rows (rt.rt_resolve src).Eval.rows
-    | `Base tbl ->
-      if Option.is_none rt.rt_access then
-        sc.sc_reads.(i) <- R_rows (rt.rt_resolve (Ast.Base tbl)).Eval.rows
+    sc.sc_reads.(i) <-
+      (match pl.pl_kinds.(i) with
+      | `Derived c -> R_rows (c.cs_run rt outer).Eval.rows
+      | `Transition tt -> R_rows (rt.rt_resolve tt).Eval.rows
+      | `Base tbl -> R_table (Database.table rt.rt_db tbl))
   done;
   (match pl.pl_links with Ok _ -> () | Error e -> Errors.raise_error e);
-  (* phase 2: read the lazy base tables in FROM order before any row
+  (* phase 2: read the base tables in FROM order before any row
      flows — every source is read even when an earlier one is empty —
      except that a linked one waits for the count of its partial
      frames: source 0's rows for source 1, a buffer of copied frames for
@@ -834,19 +828,19 @@ let start_plain pl rt (outer : renv) ~read ~stop_at =
   let deferred = ref false in
   for i = 0 to n - 1 do
     sc.sc_reads.(i) <-
-      (match pl.pl_kinds.(i), rt.rt_access, link pl i with
-      | `Base tbl, Some access, None -> realize pl sc i tbl access
-      | `Base tbl, Some access, Some l when i = 1 ->
+      (match sc.sc_reads.(i), link pl i with
+      | R_table tbl, None -> realize pl sc i tbl
+      | R_table tbl, Some l when i = 1 ->
         (* source 0 has no link: its rows are the partial frames *)
-        decide pl sc i tbl access l ~partials:(read_count sc.sc_reads.(0))
-      | `Base tbl, Some access, Some l ->
-        if access.Eval.acc_stats ~table:tbl ~column:(link_col pl i l) <> None then begin
+        decide pl sc i tbl l ~partials:(read_count sc.sc_reads.(0))
+      | R_table tbl, Some l ->
+        if Table.column_stats tbl (link_col pl i l) <> None then begin
           deferred := true;
-          R_deferred (access, tbl)
+          R_deferred tbl
         end
-        else R_hash (realize pl sc i tbl access)
-      | _, _, Some _ -> R_hash sc.sc_reads.(i)
-      | _, _, None -> sc.sc_reads.(i))
+        else R_hash (realize pl sc i tbl)
+      | read, Some _ -> R_hash read
+      | read, None -> read)
   done;
   (sc, !deferred)
 
@@ -911,7 +905,7 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
   let rows = if pl.pl_distinct then Eval.dedupe_rows rows else rows in
   let rows = Eval.take_limit pl.pl_limit rows in
   let read_set =
-    if read && pl.pl_read_set && Option.is_some rt.rt_access then Some (List.rev sc.sc_handles)
+    if read && pl.pl_read_set then Some (List.rev sc.sc_handles)
     else None
   in
   ({ Eval.rel_name = ""; cols; rows }, read_set)
@@ -932,19 +926,19 @@ let plan_plain pl rt (outer : renv) : Eval.source_plan list =
       let source =
         match pl.pl_kinds.(i) with
         | `Derived _ -> "derived table"
-        | `Eager (Ast.Transition tt) -> "transition table " ^ Pretty.trans_table_str tt
-        | `Eager (Ast.Base t) | `Base t -> "table " ^ t
-        | `Eager (Ast.Derived _) -> "derived table"
+        | `Transition tt -> "transition table " ^ Pretty.trans_table_str tt
+        | `Base _ -> assert false
       in
       Eval.Materialized { source; rows = List.length rows }
     | R_probe hit ->
       let table = match pl.pl_kinds.(i) with `Base t -> t | _ -> assert false in
-      Eval.probed_path (Option.get rt.rt_access) ~table hit
+      Eval.probed_path (Database.table rt.rt_db table) hit
     | R_table t ->
       let table = Table.name t in
       Eval.Seq_scan { table; rows = Some (Table.cardinality t) }
-    | R_index_join { access; table; est; probes; _ } ->
-      Eval.Index_join_probes { table; probes; est; rows = Eval.table_count access ~table }
+    | R_index_join { table; est; probes; _ } ->
+      Eval.Index_join_probes
+        { table = Table.name table; probes; est; rows = Some (Table.cardinality table) }
     | R_hash r | R_hashed (_, r) -> path i r
     | R_deferred _ -> assert false
   in
@@ -956,8 +950,9 @@ let plan_plain pl rt (outer : renv) : Eval.source_plan list =
           jp_conjunct = Pretty.expr_str l.Eval.jl_conjunct;
           jp_method =
             (match read with
-            | R_index_join { access; table; column; _ } ->
-              Eval.Index_nested_loop { index = access.Eval.acc_index ~table ~column }
+            | R_index_join { table; column; _ } ->
+              Eval.Index_nested_loop
+                { index = Option.map Index.name (Table.index_on_column table column) }
             | _ -> Eval.Hash_join);
         }
       in
@@ -1403,8 +1398,7 @@ and compile_compound ctx (s : Ast.select) : cselect =
 (* The probe planner's candidate scan over the compile-time frame and
    catalog, with each candidate's value side compiled;
    [run_probe_values] ranks and tries them at run time. *)
-and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
-    cprobe option =
+and compile_probe_plan ctx ~frame ~target (where : Ast.expr option) : cprobe option =
   let cols_of t =
     if Database.has_table ctx.cc_db t then
       Some (Table.col_names (Database.table ctx.cc_db t))
@@ -1425,13 +1419,9 @@ and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
     | [] -> None
     | cands ->
       Some
-        {
-          cp_table = table;
-          cp_cands =
-            List.map
-              (fun cd -> { cd with Eval.sg_values = compile_values cd.Eval.sg_values })
-              cands;
-        })
+        (List.map
+           (fun cd -> { cd with Eval.sg_values = compile_values cd.Eval.sg_values })
+           cands))
 
 and compile_projections cctx local_shape (projs : Ast.proj list) : cprojs =
   let columns b cols =
@@ -1484,16 +1474,13 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     | Ast.Base tbl_name ->
       let name = Option.value item.Ast.alias ~default:tbl_name in
       let cols, schema = schema_of tbl_name in
-      if Database.has_table ctx.cc_db tbl_name then (name, cols, schema, `Base tbl_name)
-      else
-        (* unknown at compile time: resolving it at run time raises
-           the error during phase 1 *)
-        (name, cols, schema, `Eager (Ast.Base tbl_name))
+      (* an unknown table raises when phase 1 looks it up *)
+      (name, cols, schema, `Base tbl_name)
     | Ast.Transition tt ->
       let base = Ast.trans_table_base tt in
       let name = Option.value item.Ast.alias ~default:base in
       let cols, schema = schema_of base in
-      (name, cols, schema, `Eager (Ast.Transition tt))
+      (name, cols, schema, `Transition tt)
   in
   let items = List.mapi item_info s.Ast.from in
   let items_a = Array.of_list items in
@@ -1512,10 +1499,8 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     List.map
       (fun (name, _cols, _, kind) ->
         match kind with
-        | `Base tbl ->
-          compile_probe_plan ctx ~frame:frame_shape ~target:name ~table:tbl
-            s.Ast.where
-        | `Derived _ | `Eager _ -> None)
+        | `Base _ -> compile_probe_plan ctx ~frame:frame_shape ~target:name s.Ast.where
+        | `Derived _ | `Transition _ -> None)
       items
   in
   (* ---- clause compilation ---- *)
@@ -1603,15 +1588,15 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
   (* ---- output columns for the zero-row case: the runtime mirror of
      [Eval.static_output_columns] ---- *)
   let empty_sources =
-    List.map
-      (fun (item : Ast.from_item) ->
+    List.map2
+      (fun (item : Ast.from_item) (name, cols, _, _) ->
         match item.Ast.source with
         | Ast.Derived sub ->
           let c0 = compile_select' (with_shape ctx []) sub in
           let name = match item.Ast.alias with Some a -> a | None -> "" in
           `Derived (name, c0)
-        | src -> `Resolve (item.Ast.alias, src))
-      s.Ast.from
+        | Ast.Base _ | Ast.Transition _ -> `Static (name, cols))
+      s.Ast.from items
   in
   let names_over sources =
     Array.of_list
@@ -1627,38 +1612,23 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
              [ (match alias with Some a -> a | None -> Eval.default_proj_name e) ])
          s.Ast.projections)
   in
-  (* Base and transition sources over tables of the compile-time
-     catalog resolve to relations named and shaped as compiled (the
-     rules engine and the statement cache recompile on any DDL), so
-     their zero-row names follow from the frame shape.  Reaching the
-     zero-row case means phase 1 resolved every eager source already. *)
+  (* Base and transition sources are named and shaped as compiled (the
+     rules engine and the statement cache recompile on any DDL): phase 1
+     raised for a table the catalog lacks before the zero-row case is
+     reached.  Only a derived source's zero-row names need a run. *)
   let static_empty_cols =
-    let known =
-      List.for_all
-        (fun (_, cols, _, kind) ->
-          match kind with
-          | `Base _ -> true
-          | `Eager (Ast.Transition _) -> Array.length cols > 0
-          | `Eager (Ast.Base _ | Ast.Derived _) | `Derived _ -> false)
-        items
-    in
-    lazy (if known then Some (names_over frame_shape) else None)
+    let derived = List.exists (function `Derived _ -> true | `Static _ -> false) empty_sources in
+    lazy (if derived then None else Some (names_over frame_shape))
   in
   let cols_when_empty rt =
     match Lazy.force static_empty_cols with
     | Some cols -> cols
     | None ->
       names_over
-        (List.filter_map
+        (List.map
            (function
-             | `Derived (name, c0) -> Some (name, (c0.cs_run rt [||]).Eval.cols)
-             | `Resolve (alias, src) -> (
-               match (try Some (rt.rt_resolve src) with _ -> None) with
-               | None -> None
-               | Some rel ->
-                 Some
-                   ( (match alias with Some a -> a | None -> rel.Eval.rel_name),
-                     rel.Eval.cols )))
+             | `Derived (name, c0) -> (name, (c0.cs_run rt [||]).Eval.cols)
+             | `Static source -> source)
            empty_sources)
   in
   (* ---- the plan ---- *)
@@ -1705,10 +1675,8 @@ let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
 let run_select_read rt cs = cs.cs_read rt
 let plan_select rt cs = cs.cs_plan rt
-let compile_probe ctx ~frame ~target ~table where =
-  compile_probe_plan ctx ~frame ~target ~table where
-
-let run_probe rt access cp = run_probe_values rt access cp [||]
+let compile_probe = compile_probe_plan
+let run_probe rt tbl cp = run_probe_values rt tbl cp [||]
 
 type cpred = { cp_truth : ctruth; cp_nslots : int }
 
@@ -1717,15 +1685,15 @@ let compile_predicate db e =
   let ct = truth_of ctx e in
   { cp_truth = ct; cp_nslots = !(ctx.cc_slots) }
 
-let run_predicate ?access ~use_cache resolve p =
-  let rt = make_rt ?access ~use_cache ~slots:p.cp_nslots resolve in
+let run_predicate ~db ?note ~use_cache resolve p =
+  let rt = make_rt ~db ?note ~use_cache ~slots:p.cp_nslots resolve in
   Value.truth_holds (p.cp_truth rt None [||])
 
-let eval_select ?access ?params ?(use_cache = false) resolve db s =
+let eval_select ?note ?params ?(use_cache = false) resolve db s =
   (* an exception-safety injection site: one hit per public entry,
      subqueries recurse internally *)
   Fault.hit Fault.Query_eval;
   let ctx = make db in
   let cs = compile_select' ctx s in
-  let rt = make_rt ?access ?params ~use_cache ~slots:!(ctx.cc_slots) resolve in
+  let rt = make_rt ~db ?note ?params ~use_cache ~slots:!(ctx.cc_slots) resolve in
   cs.cs_run rt [||]

@@ -9,6 +9,11 @@
     FROM names) raise at run time, when evaluation reaches them: a
     reference on a branch never taken never surfaces its error.
 
+    A compiled plan runs over the database state of its {!rt}: base
+    tables are read there in place, by scan or index probe as the cost
+    model decides, and the [rt]'s note hears each read decision; only
+    transition tables go through the resolver.
+
     test/reference_eval.ml, a nested-loop evaluator with no index, hash
     join, early stop or memo, is the differential oracle:
     test/test_compile_diff.ml asserts that results and error kinds
@@ -28,22 +33,25 @@ type renv = Row.t array array
     names were consumed at compile time. *)
 
 type rt
-(** Per-evaluation-unit runtime state: resolver, optional access-path
-    hooks, and the memo slots backing uncorrelated-subquery caching.
-    One [rt] per DML operation or rule-condition evaluation, never
-    reused across database states. *)
+(** Per-evaluation-unit runtime state: the database state base tables
+    are read from, the callback hearing the read decisions, the
+    transition-table resolver, and the memo slots backing
+    uncorrelated-subquery caching.  One [rt] per DML operation or
+    rule-condition evaluation, never reused across database states. *)
 
 val make_rt :
-  ?access:Eval.access ->
+  db:Database.t ->
+  ?note:Eval.note ->
   ?params:Value.t array ->
   use_cache:bool ->
   slots:int ->
   Eval.resolver ->
   rt
-(** [slots] must be at least the compile unit's {!slot_count};
-    [use_cache:false] disables subquery memoization.  [params] is the EXECUTE
-    parameter frame read by compiled [Param] closures (default
-    empty). *)
+(** Base tables are read from [db], by scan or index probe, and [note]
+    hears every read decision (default: nothing does).  [slots] must be
+    at least the compile unit's {!slot_count}; [use_cache:false]
+    disables subquery memoization.  [params] is the EXECUTE parameter
+    frame read by compiled [Param] closures (default empty). *)
 
 (** {2 Compilation context} *)
 
@@ -101,9 +109,14 @@ type cpred
 val compile_predicate : Database.t -> Ast.expr -> cpred
 
 val run_predicate :
-  ?access:Eval.access -> use_cache:bool -> Eval.resolver -> cpred -> bool
-(** Evaluate with a fresh slot array (one evaluation = one database
-    state). *)
+  db:Database.t ->
+  ?note:Eval.note ->
+  use_cache:bool ->
+  Eval.resolver ->
+  cpred ->
+  bool
+(** Evaluate over [db] with a fresh slot array (one evaluation = one
+    database state), as {!make_rt} describes. *)
 
 (** {2 Selects} *)
 
@@ -117,11 +130,10 @@ val run_select : rt -> cselect -> Eval.relation
 
 val run_select_read : rt -> cselect -> Eval.relation * Handle.t list option
 (** {!run_select} also returning the tuples the select retrieved
-    (Section 5.1): when the from-list is exactly one base table read
-    through the [rt]'s access hooks and there is no GROUP BY or
-    compound operator, the handles of the rows that passed WHERE, in
-    handle order, taken from the index probe or scan that produced
-    them.  DISTINCT, ORDER BY and LIMIT never shrink the set.  [None]
+    (Section 5.1): when the from-list is exactly one base table and
+    there is no GROUP BY or compound operator, the handles of the rows
+    that passed WHERE, in handle order, taken from the index probe or
+    scan that produced them.  DISTINCT, ORDER BY and LIMIT never shrink the set.  [None]
     for every other shape. *)
 
 val plan_select : rt -> cselect -> Eval.source_plan list
@@ -129,18 +141,18 @@ val plan_select : rt -> cselect -> Eval.source_plan list
     arms included), in from-list order, by a plan-only run — the read
     decisions {!run_select} would take, through the same calls, with
     the sources before the last joined (a join method is chosen from
-    their number) and neither the last source nor WHERE run.  The
-    [rt]'s access hooks must be installed. *)
+    their number) and neither the last source nor WHERE run. *)
 
 val eval_select :
-  ?access:Eval.access ->
+  ?note:Eval.note ->
   ?params:Value.t array ->
   ?use_cache:bool ->
   Eval.resolver ->
   Database.t ->
   Ast.select ->
   Eval.relation
-(** Compile and run a select: cross product of the from-list, WHERE
+(** Compile and run a select over the database it is given, as
+    {!make_rt} describes: cross product of the from-list, WHERE
     filter, grouping and aggregates, HAVING, projection, DISTINCT,
     ORDER BY, LIMIT.  Hits the [Query_eval] fault site once, then
     evaluates.  [use_cache] defaults to [false]. *)
@@ -156,13 +168,12 @@ val compile_probe :
   ctx ->
   frame:(string * string array) list ->
   target:string ->
-  table:string ->
   Ast.expr option ->
   cprobe option
 (** [None] when no conjunct is sargable (or pushdown is disabled at
     compile time): scan instead. *)
 
-val run_probe : rt -> Eval.access -> cprobe -> Eval.probe_hit option
-(** Probe with outer scopes empty, candidates ranked by the shared cost
-    model; [None] means every candidate fell through (value evaluation
+val run_probe : rt -> Table.t -> cprobe -> Eval.probe_hit option
+(** Probe the table with outer scopes empty, candidates ranked by the
+    shared cost model; [None] means every candidate fell through (value evaluation
     failed or no usable index): scan instead. *)

@@ -92,12 +92,6 @@ let select_read_set db (s : Ast.select) precise =
           arm.Ast.from)
       (s :: List.map snd s.Ast.compounds)
 
-(* The read set comes from the executor's own probes and scans, which
-   need access hooks to read base tables in place: without the caller's,
-   a tracked select reads through [db]'s. *)
-let tracking_access access db =
-  match access with Some a -> a | None -> Eval.db_access db
-
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
 
@@ -166,7 +160,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
       let cols = Table.col_names (Database.table db table) in
       let frame = [ (table, cols) ] in
       let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
-      let cprobe = Compile.compile_probe ctx ~frame ~target:table ~table where in
+      let cprobe = Compile.compile_probe ctx ~frame ~target:table where in
       C_delete { table; cwhere; cprobe; nslots = Compile.slot_count ctx }
     end
   | Ast.Update { table; sets; where } ->
@@ -192,7 +186,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
           sets
       in
       let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
-      let cprobe = Compile.compile_probe ctx ~frame ~target:table ~table where in
+      let cprobe = Compile.compile_probe ctx ~frame ~target:table where in
       C_update
         {
           table;
@@ -210,11 +204,11 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
     C_select { s; csel; nslots = Compile.slot_count ctx }
 
 (* Victim selection: the rows of [tbl] satisfying [cwhere], in handle
-   order.  With access-path hooks installed, a sargable conjunct over
-   an indexed column narrows the candidates by an index probe first;
-   the full predicate is still applied to each candidate, so the
-   victims are identical to the scan's. *)
-let selected_handles rt ?access tbl cwhere cprobe =
+   order.  A sargable conjunct over an indexed column narrows the
+   candidates by an index probe first; the full predicate is still
+   applied to each candidate, so the victims are identical to the
+   scan's.  [note] hears the probe-or-scan decision. *)
+let selected_handles rt ~note tbl cwhere cprobe =
   (* one frame, rebound to each candidate: WHERE keeps nothing of it *)
   let frame = [| [||] |] in
   let env = [| frame |] in
@@ -225,37 +219,23 @@ let selected_handles rt ?access tbl cwhere cprobe =
       frame.(0) <- row;
       Compile.truth_holds rt ct env
   in
-  let scan () =
+  match Option.bind cprobe (Compile.run_probe rt tbl) with
+  | Some hit ->
+    note (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+    List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
+  | None ->
+    note `Seq_scan;
     Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
     |> List.rev
-  in
-  match access with
-  | None -> scan ()
-  | Some access -> (
-    let name = Table.name tbl in
-    match
-      match cprobe with
-      | None -> None
-      | Some cp -> Compile.run_probe rt access cp
-    with
-    | Some hit ->
-      access.Eval.acc_note ~table:name
-        (match hit.Eval.ph_kind with
-        | `Eq -> `Index_probe
-        | `Range -> `Range_probe);
-      List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
-    | None ->
-      access.Eval.acc_note ~table:name `Seq_scan;
-      scan ())
 
-let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
+let rec run_cop ~track_selects ~optimize ~note ?params resolve db (cop : cop) :
     op_result =
   let rt nslots =
-    Compile.make_rt ?access ?params ~use_cache:optimize ~slots:nslots resolve
+    Compile.make_rt ~db ~note ?params ~use_cache:optimize ~slots:nslots resolve
   in
   match cop with
   | C_bound (cop, args) ->
-    run_cop ~track_selects ~optimize ?access ~params:args resolve db cop
+    run_cop ~track_selects ~optimize ~note ~params:args resolve db cop
   | C_error e -> Errors.raise_error e
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
@@ -311,7 +291,7 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
     { db; affected = A_insert (List.rev handles); result = None }
   | C_delete { table; cwhere; cprobe; nslots } ->
     let tbl = Database.table db table in
-    let victims = selected_handles (rt nslots) ?access tbl cwhere cprobe in
+    let victims = selected_handles (rt nslots) ~note tbl cwhere cprobe in
     let db =
       List.fold_left (fun db (h, _) -> Database.delete db h) db victims
     in
@@ -320,7 +300,7 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
     let tbl = Database.table db table in
     Option.iter Errors.raise_error set_err;
     let rt = rt nslots in
-    let victims = selected_handles rt ?access tbl cwhere cprobe in
+    let victims = selected_handles rt ~note tbl cwhere cprobe in
     let updates =
       List.map
         (fun (h, old_row) ->
@@ -348,43 +328,39 @@ let rec run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) 
       let rel = Compile.run_select (rt nslots) csel in
       { db; affected = A_select []; result = Some rel }
     else
-      let rt =
-        Compile.make_rt ~access:(tracking_access access db) ?params
-          ~use_cache:optimize ~slots:nslots resolve
-      in
-      let rel, precise = Compile.run_select_read rt csel in
+      let rel, precise = Compile.run_select_read (rt nslots) csel in
       { db; affected = A_select (select_read_set db s precise); result = Some rel }
 
-(* EXPLAIN: the access decisions running [cop] would take, read through
-   [access] — a select's plan-only run (INSERT ... SELECT plans its
-   select; INSERT ... VALUES reads no table) and a DELETE's or UPDATE's
-   victim probe, the table bound under its own name. *)
-let rec explain ~access ?params resolve cop : Eval.source_plan list =
-  let rt nslots = Compile.make_rt ~access ?params ~use_cache:false ~slots:nslots resolve in
+(* EXPLAIN: the access decisions running [cop] over [db] would take — a
+   select's plan-only run (INSERT ... SELECT plans its select; INSERT
+   ... VALUES reads no table) and a DELETE's or UPDATE's victim probe,
+   the table bound under its own name.  No read decision is noted. *)
+let rec explain ?params resolve db cop : Eval.source_plan list =
+  let rt nslots = Compile.make_rt ~db ?params ~use_cache:false ~slots:nslots resolve in
   match cop with
-  | C_bound (cop, args) -> explain ~access ~params:args resolve cop
+  | C_bound (cop, args) -> explain ~params:args resolve db cop
   | C_error e -> Errors.raise_error e
   | C_insert { csource = `Values _; _ } -> []
   | C_insert { csource = `Select cs; nslots; _ } | C_select { csel = cs; nslots; _ } ->
     Compile.plan_select (rt nslots) cs
   | C_delete { table; cprobe; nslots; _ } | C_update { table; cprobe; nslots; _ } ->
+    let tbl = Database.table db table in
     let path =
-      match Option.bind cprobe (Compile.run_probe (rt nslots) access) with
-      | Some hit -> Eval.probed_path access ~table hit
-      | None ->
-        Eval.Seq_scan { table; rows = Eval.table_count access ~table }
+      match Option.bind cprobe (Compile.run_probe (rt nslots) tbl) with
+      | Some hit -> Eval.probed_path tbl hit
+      | None -> Eval.Seq_scan { table; rows = Some (Table.cardinality tbl) }
     in
     [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 
-let exec_cop ?(track_selects = false) ?(optimize = true) ?access ?params
+let exec_cop ?(track_selects = false) ?(optimize = true) ?(note = ignore) ?params
     resolve db cop : op_result =
   Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~optimize ?access ?params resolve db cop
+  run_cop ~track_selects ~optimize ~note ?params resolve db cop
 
 (* Both entry points are exception-safety injection sites: an operation
    may fail before touching the database, and the caller must treat the
    containing block as indivisible either way. *)
-let exec_op ?(track_selects = false) ?(optimize = true) ?access resolve db
+let exec_op ?(track_selects = false) ?(optimize = true) ?(note = ignore) resolve db
     (op : Ast.op) : op_result =
   Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~optimize ?access resolve db (compile_op db op)
+  run_cop ~track_selects ~optimize ~note resolve db (compile_op db op)

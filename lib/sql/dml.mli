@@ -14,7 +14,9 @@
     Each operation runs against a snapshot of the state at its start:
     tuples are identified first, then changed, so a subquery in a
     predicate or SET expression never observes the operation's own
-    partial effects. *)
+    partial effects.  Base tables are read from that state in place,
+    by scan or index probe; the resolver serves only transition
+    tables. *)
 
 open Relational
 
@@ -34,7 +36,7 @@ type op_result = {
 val exec_op :
   ?track_selects:bool ->
   ?optimize:bool ->
-  ?access:Eval.access ->
+  ?note:Eval.note ->
   Eval.resolver ->
   Database.t ->
   Ast.op ->
@@ -46,12 +48,11 @@ val exec_op :
     scan produced that passed WHERE, whatever DISTINCT, ORDER BY and
     LIMIT then keep.  Otherwise it is conservative: every tuple of each
     base table in a top-level FROM list of any compound arm, with the
-    columns that arm references.  A tracked select without
-    [access] reads through hooks serving [db] itself.
+    columns that arm references.
     [optimize] (default [true]) enables uncorrelated-subquery caching
-    for the operation.  [access] installs access-path hooks so
-    sargable predicates over indexed columns are satisfied by index
-    probes instead of scans.
+    for the operation.  Sargable predicates over indexed columns are
+    satisfied by index probes instead of scans, and [note] hears every
+    scan, probe and hash-join decision (default: nothing does).
 
     The operation is compiled ({!compile_op}) and run ({!exec_cop}). *)
 
@@ -79,7 +80,7 @@ val bind : cop -> Value.t array -> cop
 val exec_cop :
   ?track_selects:bool ->
   ?optimize:bool ->
-  ?access:Eval.access ->
+  ?note:Eval.note ->
   ?params:Value.t array ->
   Eval.resolver ->
   Database.t ->
@@ -91,13 +92,13 @@ val exec_cop :
     [Param] closures read it positionally. *)
 
 val explain :
-  access:Eval.access ->
   ?params:Value.t array ->
   Eval.resolver ->
+  Database.t ->
   cop ->
   Eval.source_plan list
-(** EXPLAIN: the access decisions running the plan would take, read
-    through [access] and without running it — a select's FROM sources
+(** EXPLAIN: the access decisions running the plan over the database
+    would take, without running it or noting them — a select's FROM sources
     (each core of a compound; an INSERT ... SELECT's select; none for
     INSERT ... VALUES) by a plan-only run ({!Compile.plan_select}), a
     DELETE's or UPDATE's victim table by its compiled probe.  Raises

@@ -3,12 +3,12 @@
    tables, SQL's three-valued logic and IN semantics, and the plan types
    EXPLAIN renders.  [Compile] lowers statements to closures over these.
 
-   Queries work over [relation]s — named column lists plus rows —
-   rather than stored tables, so the same machinery evaluates base
-   tables, derived tables and the paper's transition tables.  A
-   [resolver] maps AST table sources to relations; the rules engine
-   supplies a resolver that also knows the triggering rule's transition
-   tables.
+   A compiled plan reads base tables in place, from the database state
+   it runs on.  Derived tables and the paper's transition tables are
+   [relation]s — named column lists plus rows; a [resolver] maps a
+   transition-table reference to its relation, and the rules engine
+   supplies one built from the triggering rule's transition
+   information.
 
    SQL three-valued logic: predicates evaluate to [Value.Bool _] or
    [Value.Null] (unknown); a row is selected only when the predicate is
@@ -18,22 +18,13 @@ open Relational
 
 type relation = { rel_name : string; cols : string array; rows : Row.t list }
 
-type resolver = Ast.table_source -> relation
+type resolver = Ast.trans_table -> relation
 
-let relation_of_table tbl =
-  { rel_name = Table.name tbl; cols = Table.col_names tbl; rows = Table.rows tbl }
-
-(* A resolver over base tables only; referencing a transition table
-   outside rule processing is an error. *)
-let base_resolver db : resolver = function
-  | Ast.Base name -> relation_of_table (Database.table db name)
-  | Ast.Transition tt ->
-    Errors.raise_error
-      (Errors.Invalid_transition_reference (Pretty.trans_table_str tt))
-  | Ast.Derived _ ->
-    (* Derived tables are evaluated by the compiled select itself and
-       never reach the resolver. *)
-    assert false
+(* The resolver outside rule processing, where referencing a transition
+   table is an error. *)
+let no_transitions : resolver =
+ fun tt ->
+  Errors.raise_error (Errors.Invalid_transition_reference (Pretty.trans_table_str tt))
 
 (* ------------------------------------------------------------------ *)
 (* Memoized subqueries and IN value sets                               *)
@@ -115,62 +106,14 @@ let memo_in_set m =
 (* ------------------------------------------------------------------ *)
 (* Access paths                                                        *)
 
-(* Access-path hooks.  When a caller supplies them, base tables in a
-   from-list are realized lazily, giving the planner a chance to
-   satisfy a sargable equality/IN conjunct of the WHERE clause by an
-   index probe instead of a scan.  [acc_table] serves a base table of
-   the state being read, scanned in place (None: unknown table, forcing
-   the eager path); [acc_probe] probes any index over the column (None:
-   no usable index); [acc_note] reports every scan-vs-probe decision
-   for EXPLAIN-style statistics. *)
-type access = {
-  acc_table : table:string -> Table.t option;
-  acc_probe :
-    table:string ->
-    column:string ->
-    Value.t list ->
-    (Handle.t * Row.t) list option;
-  acc_range :
-    table:string ->
-    column:string ->
-    lower:(Value.t * bool) option ->
-    upper:(Value.t * bool) option ->
-    (Handle.t * Row.t) list option;
-  acc_note :
-    table:string ->
-    [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build
-    | `Hash_join_probe ] ->
-    unit;
-  acc_index : table:string -> column:string -> string option;
-  acc_stats : table:string -> column:string -> (int * bool) option;
-}
+(* The read decisions the executor takes: one per base-table access for
+   scans and probes, one per hash-join build and one per probe into a
+   built join table or per index nested-loop probe.  A plan runs with a
+   [note] hearing each of them, e.g. to count them. *)
+type read_decision =
+  [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build | `Hash_join_probe ]
 
-(* Hooks serving every table of [db], with no statistics kept. *)
-let db_access db =
-  {
-    acc_table =
-      (fun ~table ->
-        if Database.has_table db table then Some (Database.table db table)
-        else None);
-    acc_probe =
-      (fun ~table ~column values -> Database.probe db ~table ~column values);
-    acc_range =
-      (fun ~table ~column ~lower ~upper ->
-        Database.range_probe db ~table ~column ~lower ~upper);
-    acc_note = (fun ~table:_ _ -> ());
-    acc_index =
-      (fun ~table ~column ->
-        List.find_map
-          (fun (t', ix) ->
-            if String.equal t' table && String.equal (Index.column ix) column
-            then Some (Index.name ix)
-            else None)
-          (Database.indexes db));
-    acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
-  }
-
-let table_count access ~table =
-  Option.map Table.cardinality (access.acc_table ~table)
+type note = read_decision -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)
@@ -187,16 +130,17 @@ type probe_shape = Shape_eq of int option | Shape_set of int | Shape_range | Sha
    one residual-predicate test per scanned row). *)
 let rows_per_probe_key = 4
 
-(* Estimated rows a probe of [shape] over [column] would enumerate,
-   from the incrementally-maintained statistics: the row count [nrows]
-   and the per-indexed-column distinct key count.  [None] = no usable index
-   (no index at all, or a range shape without an ordered index).
-   Selectivity of ranges is guessed at 1/3 (1/4 for prefixes) in the
-   System R tradition — no histograms are kept. *)
-let estimate_shape access ~table ~nrows ~column shape =
-  match access.acc_stats ~table ~column with
+(* Estimated rows a probe of [shape] over [column] of [tbl] would
+   enumerate, from the incrementally-maintained statistics: the row
+   count [nrows] and the per-indexed-column distinct key count.  [None]
+   = no usable index (no index at all, or a range shape without an
+   ordered index).  Selectivity of ranges is guessed at 1/3 (1/4 for
+   prefixes) in the System R tradition — no histograms are kept. *)
+let estimate_shape tbl ~column shape =
+  match Table.column_stats tbl column with
   | None -> None
   | Some (distinct, ordered) -> (
+    let nrows = Table.cardinality tbl in
     match shape with
     | Shape_eq k ->
       let k = Option.value k ~default:2 in
@@ -210,17 +154,15 @@ let estimate_shape access ~table ~nrows ~column shape =
    usable index or the scan is no dearer.  A probe never enumerates
    more rows than the scan, but when the estimate says it would not
    help, the plan stays honest and scans. *)
-let admissible access ~table ~column shape =
-  let scan_cost = table_count access ~table in
-  match
-    estimate_shape access ~table ~nrows:(Option.value scan_cost ~default:0) ~column shape
-  with
+let admissible tbl ~column shape =
+  match estimate_shape tbl ~column shape with
   | None -> None
   | Some est -> (
-    match scan_cost, shape with
-    | Some n, _ when est > n -> None
-    | Some n, Shape_set k when k * rows_per_probe_key > n -> None
-    | Some _, _ | None, _ -> Some est)
+    let n = Table.cardinality tbl in
+    match shape with
+    | _ when est > n -> None
+    | Shape_set k when k * rows_per_probe_key > n -> None
+    | _ -> Some est)
 
 (* The single decision procedure of the access-path planner (shared by
    execution and EXPLAIN, which is a plan-only execution): given the
@@ -237,10 +179,10 @@ let admissible access ~table ~column shape =
    (e.g. a constraint check whose delta is the whole table) scans.
    Without a usable index no candidate survives, so an index-free
    system always scans. *)
-let choose_candidates access ~table cands =
+let choose_candidates tbl cands =
   List.filter_map
     (fun (payload, column, shape) ->
-      Option.map (fun est -> (payload, est)) (admissible access ~table ~column shape))
+      Option.map (fun est -> (payload, est)) (admissible tbl ~column shape))
     cands
   |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
 
@@ -461,35 +403,35 @@ let sargable_candidates ~frame ~target ~cols_of pred =
    table, never evaluates the faulty expression, exactly matching
    unoptimized behaviour.  NULL probe values and range bounds match
    nothing, as SQL comparison semantics require. *)
-let probe_candidates access ~table ~eval ~eval_set cands =
+let probe_candidates tbl ~eval ~eval_set cands =
   let attempt (cd, est) =
     let column = cd.sg_column in
     let eval_bound = Option.map (fun (e, incl) -> (eval e, incl)) in
     let est = ref est in
     let probe () =
       match cd.sg_values with
-      | Pv_exprs es -> access.acc_probe ~table ~column (List.map eval es)
+      | Pv_exprs es -> Table.probe tbl ~column (List.map eval es)
       | Pv_select sub -> (
         let values = eval_set sub in
         (* re-ranked from the evaluated set's size *)
-        match admissible access ~table ~column (Shape_set (List.length values)) with
+        match admissible tbl ~column (Shape_set (List.length values)) with
         | None -> None
         | Some e ->
           est := e;
-          access.acc_probe ~table ~column values)
+          Table.probe tbl ~column values)
       | Pv_bounds (lo, hi) ->
-        access.acc_range ~table ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
+        Table.range_probe tbl ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
       | Pv_like p -> (
         match eval p with
         | Value.Null ->
           (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
              probe selects exactly nothing *)
-          access.acc_range ~table ~column ~lower:(Some (Value.Null, true)) ~upper:None
+          Table.range_probe tbl ~column ~lower:(Some (Value.Null, true)) ~upper:None
         | Value.Str pat -> (
           match Index.like_prefix pat with
           | None -> None
           | Some (prefix, upper) ->
-            access.acc_range ~table ~column
+            Table.range_probe tbl ~column
               ~lower:(Some (Value.Str prefix, true))
               ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
         | Value.Int _ | Value.Float _ | Value.Bool _ ->
@@ -514,7 +456,7 @@ let probe_candidates access ~table ~eval ~eval_set cands =
         }
   in
   List.map (fun cd -> (cd, cd.sg_column, cd.sg_shape)) cands
-  |> choose_candidates access ~table
+  |> choose_candidates tbl
   |> List.find_map attempt
 
 (* ------------------------------------------------------------------ *)
@@ -649,21 +591,19 @@ let build_join_table ~size col iter : join_table =
 let join_matches (tbl : join_table) key =
   match Value_tbl.find_opt tbl key with Some cell -> !cell | None -> []
 
-(* The join method of a base table read through [access] and linked to
-   an earlier source, for [partials] partial frames: [Some est] probes
-   the index over the link column once per partial frame (an index
-   nested-loop join), when the cost rule prefers [partials] key probes
-   to a scan; [None] builds the hash table. *)
-let index_join access ~table ~column ~partials =
-  admissible access ~table ~column (Shape_set partials)
+(* The join method of a base table linked to an earlier source, for
+   [partials] partial frames: [Some est] probes the index over the link
+   column once per partial frame (an index nested-loop join), when the
+   cost rule prefers [partials] key probes to a scan; [None] builds the
+   hash table. *)
+let index_join tbl ~column ~partials = admissible tbl ~column (Shape_set partials)
 
 (* One probe of an index nested-loop join: the rows whose link column
    equals [key], in handle (= scan) order.  A NULL or type-incompatible
    key matches nothing; the hash table pairs NULL keys, but the link
    conjunct in WHERE rejects every such pair, so the two joins agree. *)
-let index_join_rows access ~table ~column key =
-  access.acc_note ~table `Index_probe;
-  match access.acc_probe ~table ~column [ key ] with Some pairs -> pairs | None -> []
+let index_join_rows tbl ~column key =
+  match Table.probe tbl ~column [ key ] with Some pairs -> pairs | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* SQL semantics shared by every select                                *)
@@ -831,13 +771,14 @@ type source_plan = {
 
 (* A probe decision as a plan node: [Index_probe] or [Range_probe] by
    the hit's kind. *)
-let probed_path access ~table hit =
-  let index = access.acc_index ~table ~column:hit.ph_column in
+let probed_path tbl hit =
+  let table = Table.name tbl in
   let column = hit.ph_column in
+  let index = Option.map Index.name (Table.index_on_column tbl column) in
   let conjunct = Pretty.expr_str hit.ph_conjunct in
   let est = hit.ph_est in
   let matches = List.length hit.ph_pairs in
-  let rows = table_count access ~table in
+  let rows = Some (Table.cardinality tbl) in
   match hit.ph_kind with
   | `Eq -> Index_probe { table; index; column; conjunct; est; matches; rows }
   | `Range ->

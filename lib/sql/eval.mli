@@ -4,12 +4,12 @@
     types EXPLAIN renders.  {!Compile} lowers statements to closures
     over these; it is the one evaluator.
 
-    Queries work over {!relation}s — named column lists plus rows —
-    rather than stored tables, so the same machinery evaluates base
-    tables, derived tables and the paper's transition tables.  A
-    {!resolver} maps AST table sources to relations; the rules engine
-    supplies a resolver that also serves the triggering rule's
-    transition tables.
+    A compiled plan reads base tables in place, from the database state
+    it runs on, by scan or index probe.  Derived tables and the paper's
+    transition tables are {!relation}s — named column lists plus rows;
+    a {!resolver} maps a transition-table reference to its relation,
+    and the rules engine supplies one built from the triggering rule's
+    transition information.
 
     Three-valued logic: predicates evaluate to [Bool _] or [Null]
     (unknown); a row is selected only when the predicate is definitely
@@ -19,13 +19,11 @@ open Relational
 
 type relation = { rel_name : string; cols : string array; rows : Row.t list }
 
-type resolver = Ast.table_source -> relation
+type resolver = Ast.trans_table -> relation
 
-val relation_of_table : Table.t -> relation
-
-val base_resolver : Database.t -> resolver
-(** A resolver over base tables only; referencing a transition table
-    raises [Invalid_transition_reference]. *)
+val no_transitions : resolver
+(** The resolver outside rule processing: referencing a transition
+    table raises [Invalid_transition_reference]. *)
 
 (** {2 IN-subquery value sets}
 
@@ -62,59 +60,22 @@ val in_set_mem : in_set -> Value.t -> Value.t
 
 (** {2 Access paths}
 
-    When a caller supplies {!access} hooks, base tables in a from-list
-    are realized lazily: a sargable equality/IN conjunct of the WHERE
-    clause over an indexed column is satisfied by an index probe
-    instead of a scan.  A probe returns matching rows in handle
-    (insertion) order — an order-preserving subsequence of the scan —
-    and the full predicate is still applied afterwards, so results are
-    identical either way. *)
+    A base table in a from-list is read lazily: a sargable
+    equality/IN/range conjunct of the WHERE clause over an indexed
+    column is satisfied by an index probe instead of a scan.  A probe
+    returns matching rows in handle (insertion) order — an
+    order-preserving subsequence of the scan — and the full predicate
+    is still applied afterwards, so results are identical either way. *)
 
-type access = {
-  acc_table : table:string -> Table.t option;
-      (** a base table of the state being read, scanned in place
-          instead of materialized as a relation; [None] for an unknown
-          table (forcing the eager path) *)
-  acc_probe :
-    table:string ->
-    column:string ->
-    Value.t list ->
-    (Handle.t * Row.t) list option;
-      (** probe any index over the column; [None] when no usable index
-          exists *)
-  acc_range :
-    table:string ->
-    column:string ->
-    lower:(Value.t * bool) option ->
-    upper:(Value.t * bool) option ->
-    (Handle.t * Row.t) list option;
-      (** probe an ordered index over the column for a key range (bound
-          value, inclusive?); [None] when no ordered index exists or a
-          bound is type-incompatible *)
-  acc_note :
-    table:string ->
-    [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build
-    | `Hash_join_probe ] ->
-    unit;
-      (** called with every access decision the executor takes — once
-          per base-table access for scans/probes, once per hash-join
-          build and once per probe into a built join table — for
-          EXPLAIN-style statistics *)
-  acc_index : table:string -> column:string -> string option;
-      (** name of the index that [acc_probe] would use for this column,
-          if any; informational (EXPLAIN) only *)
-  acc_stats : table:string -> column:string -> (int * bool) option;
-      (** incrementally-maintained statistics for an indexed column:
-          distinct non-null key count, and whether an ordered index
-          (range capability) covers it; [None] for unindexed columns *)
-}
+type read_decision =
+  [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build | `Hash_join_probe ]
+(** A read decision of the executor: one per base-table access for
+    scans and probes, one per hash-join build and one per probe into a
+    built join table or per index nested-loop probe. *)
 
-val db_access : Database.t -> access
-(** Hooks serving every table and index of a database state; [acc_note]
-    does nothing. *)
-
-val table_count : access -> table:string -> int option
-(** The current cardinality of a table the hooks serve. *)
+type note = read_decision -> unit
+(** The callback a plan runs with, hearing each of its read decisions
+    ([ignore] for none). *)
 
 (** {2 Cost model} *)
 
@@ -168,8 +129,7 @@ val sargable_candidates :
     table's columns. *)
 
 val probe_candidates :
-  access ->
-  table:string ->
+  Table.t ->
   eval:('e -> Value.t) ->
   eval_set:('s -> Value.t list) ->
   ('e, 's) sargable list ->
@@ -217,8 +177,7 @@ type access_path =
       (** the inner table of an index nested-loop join: one index probe
           per partial frame ([probes] of them), [est] rows estimated *)
   | Materialized of { source : string; rows : int }
-      (** eagerly realized source: derived table, transition table, or
-          a table the access hooks don't cover *)
+      (** eagerly realized source: a derived or transition table *)
 
 type join_method =
   | Hash_join  (** one build per execution, one probe per partial frame *)
@@ -235,11 +194,10 @@ type source_plan = {
   sp_join : join_plan option;
 }
 
-val probed_path : access -> table:string -> probe_hit -> access_path
-(** A probe decision over [table] as a plan node: [Index_probe] or
+val probed_path : Table.t -> probe_hit -> access_path
+(** A probe decision over the table as a plan node: [Index_probe] or
     [Range_probe] by the hit's kind. *)
 
-val describe_access_path : access_path -> string
 val describe_source_plan : source_plan -> string
 (** One-line rendering, e.g.
     ["emp: index probe of emp via emp_no_ix on emp_no, conjunct (emp_no = 2): 1 of 3 rows"]
@@ -316,8 +274,7 @@ val build_join_table : size:int -> int -> ((Row.t -> unit) -> unit) -> join_tabl
 val join_matches : join_table -> Value.t -> Row.t list
 (** The rows whose key equals the value under [Value.compare_total]. *)
 
-val index_join :
-  access -> table:string -> column:string -> partials:int -> int option
+val index_join : Table.t -> column:string -> partials:int -> int option
 (** The join method of a base table linked to an earlier FROM source,
     decided by the cost rule ({!Shape_set} [partials]) from the number
     of partial frames it extends: [Some est] = an index nested-loop
@@ -325,13 +282,11 @@ val index_join :
     [None] = a hash join (no index, or probing would cost more than
     the scan). *)
 
-val index_join_rows :
-  access -> table:string -> column:string -> Value.t -> (Handle.t * Row.t) list
-(** One index nested-loop probe, heard by [acc_note] as an
-    [`Index_probe]: the rows whose [column] equals the key, in handle
-    order.  A NULL or type-incompatible key matches nothing; the hash
-    table may pair NULL keys, which the link conjunct in WHERE then
-    rejects, so both joins give the same rows. *)
+val index_join_rows : Table.t -> column:string -> Value.t -> (Handle.t * Row.t) list
+(** One index nested-loop probe: the rows whose [column] equals the
+    key, in handle order.  A NULL or type-incompatible key matches
+    nothing; the hash table may pair NULL keys, which the link conjunct
+    in WHERE then rejects, so both joins give the same rows. *)
 
 val select_contains_agg : Ast.select -> bool
 (** Is the select grouped (GROUP BY present, or aggregates in the

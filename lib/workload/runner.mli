@@ -31,10 +31,6 @@ val setup_statements : ?indexes:bool -> Scenario.t -> Profile.t -> string list
 (** The scenario's setup, optionally with [create index] statements
     filtered out ([indexes:false] builds the scan twin). *)
 
-val index_names : Scenario.t -> Profile.t -> string list
-(** Names of the indexes the setup creates (parsed from the DDL), for
-    dropping on a restored system. *)
-
 val build :
   ?indexes:bool -> ?config:Engine.config -> Scenario.t -> Profile.t ->
   System.t

@@ -21,8 +21,7 @@
      grouping, compounds, derived tables, subqueries, ORDER BY
      expressions) over a fixed database, evaluated by
      [Reference_eval.select] and [Compile.eval_select] with and
-     without subquery memos, and with indexes through the access
-     hooks.  The generator deliberately produces unknown columns,
+     without subquery memos, and over an indexed copy.  The generator deliberately produces unknown columns,
      ambiguous references, type errors and misused aggregates, so
      error kinds are compared as often as results.
 
@@ -411,10 +410,9 @@ let check_observed ?(may_skip = false) sql r c =
     if not may_skip then
       QCheck.Test.fail_reportf "%s@.reference errored (%s), compiled succeeded" sql er
 
-(* The fixture with indexes: hash on t.a and u.a, ordered on t.b.
-   Evaluated through its access hooks, the engine reads base tables
-   lazily — index and range probes, index nested-loop and hash joins,
-   and the choice among them are differentiated too. *)
+(* The fixture with indexes: hash on t.a and u.a, ordered on t.b.  Over
+   it the engine's index and range probes, index nested-loop and hash
+   joins, and the choice among them are differentiated too. *)
 let indexed_fixture_db =
   List.fold_left
     (fun db (ix_name, table, column, kind) ->
@@ -428,7 +426,7 @@ let select_differential =
          if QCheck.Gen.bool st then gen_planner_select st else gen_select st))
     (fun sql ->
       let s = Parser.parse_select_string sql in
-      let resolve = Eval.base_resolver fixture_db in
+      let resolve = Eval.no_transitions in
       let expected = reference (fun () -> Reference_eval.select fixture_db s) in
       let may_skip = may_skip_rows s in
       (* without memos, then memoizing uncorrelated subqueries *)
@@ -436,12 +434,10 @@ let select_differential =
         (observe (fun () -> Compile.eval_select resolve fixture_db s));
       check_observed ~may_skip sql expected
         (observe (fun () -> Compile.eval_select ~use_cache:true resolve fixture_db s));
-      (* indexed, through the access hooks *)
+      (* indexed: sargable conjuncts probe the indexes *)
       let db = indexed_fixture_db in
-      let resolve = Eval.base_resolver db in
-      let access = Eval.db_access db in
       check_observed ~may_skip:true sql expected
-        (observe (fun () -> Compile.eval_select ~use_cache:true ~access resolve db s));
+        (observe (fun () -> Compile.eval_select ~use_cache:true resolve db s));
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -500,7 +496,7 @@ let param_differential =
         | Ast.Stmt_prepare (_, Ast.Select_op s) -> s
         | _ -> QCheck.Test.fail_reportf "template is not a select: %s" template
       in
-      let resolve = Eval.base_resolver fixture_db in
+      let resolve = Eval.no_transitions in
       let substituted =
         match Ast.subst_params_op args (Ast.Select_op s) with
         | Ast.Select_op s' -> s'
@@ -519,9 +515,9 @@ let param_differential =
    values under all six comparisons, int columns against float values
    and the reverse, string ordering, BETWEEN, IS [NOT] NULL, literal IN
    lists, three-valued AND/OR/NOT, and the occasional kind mismatch that
-   sends WHERE down the general path — are run through the access
-   hooks of an unindexed database, so the table is scanned, and must
-   equal the reference exactly: results, error kinds and error text.
+   sends WHERE down the general path — are run over an unindexed
+   database, so the table is scanned, and must equal the reference
+   exactly: results, error kinds and error text.
    With one source and no index no row is skipped.  Parameterized
    variants are compiled twice: with the bound kinds known, as the
    statement cache compiles them, and with none known, as PREPARE does;
@@ -650,10 +646,9 @@ let scan_differential =
     (fun sql ->
       let db = scan_fixture_db in
       let s = Parser.parse_select_string sql in
-      let access = Eval.db_access db in
       check_scan sql
         (reference (fun () -> Reference_eval.select db s))
-        (observe (fun () -> Compile.eval_select ~access (Eval.base_resolver db) db s));
+        (observe (fun () -> Compile.eval_select Eval.no_transitions db s));
       true)
 
 (* A parameterized single-table select: its WHERE compares columns with
@@ -714,8 +709,8 @@ let scan_param_differential =
       let run ctx =
         let cs = Compile.compile_select ctx s in
         let rt =
-          Compile.make_rt ~access:(Eval.db_access db) ~params:args ~use_cache:false
-            ~slots:(Compile.slot_count ctx) (Eval.base_resolver db)
+          Compile.make_rt ~db ~params:args ~use_cache:false
+            ~slots:(Compile.slot_count ctx) Eval.no_transitions
         in
         observe (fun () -> Compile.run_select rt cs)
       in
@@ -765,7 +760,7 @@ let predicate_differential =
     (QCheck.make ~print:Fun.id (gen_predicate 2))
     (fun sql ->
       let e = Parser.parse_expr_string sql in
-      let resolve = Eval.base_resolver fixture_db in
+      let resolve = Eval.no_transitions in
       let may_skip =
         Ast.fold_expr ~expr:(fun f _ -> f)
           ~select:(fun f s -> f || may_skip_rows s)
@@ -775,7 +770,7 @@ let predicate_differential =
         (observe (verdict (fun () -> Reference_eval.predicate fixture_db e)))
         (observe
            (verdict (fun () ->
-                Compile.run_predicate ~use_cache:true resolve
+                Compile.run_predicate ~db:fixture_db ~use_cache:true resolve
                   (Compile.compile_predicate fixture_db e))));
       true)
 
@@ -933,7 +928,7 @@ let correlated sql =
   from 0
 
 let test_hashed_in_corpus () =
-  let resolve = Eval.base_resolver in_fixture_db in
+  let resolve = Eval.no_transitions in
   List.iter
     (fun sql ->
       let s = Parser.parse_select_string sql in
@@ -1145,7 +1140,7 @@ let reference_block_results db sql =
         | Ast.Stmt_op (Ast.Select_op s) ->
           let r = Reference_eval.select db s in
           (db, (Array.to_list r.Reference_eval.cols, r.rows) :: rels)
-        | Ast.Stmt_op op -> ((Sqlf.Dml.exec_op (Eval.base_resolver db) db op).Sqlf.Dml.db, rels)
+        | Ast.Stmt_op op -> ((Sqlf.Dml.exec_op Eval.no_transitions db op).Sqlf.Dml.db, rels)
         | _ -> QCheck.Test.fail_reportf "not an operation in: %s" sql)
       (db, []) (Parser.parse_script sql)
   in
@@ -1359,7 +1354,7 @@ let operand_order_corpus =
   ]
 
 let test_operand_order_corpus () =
-  let resolve = Eval.base_resolver fixture_db in
+  let resolve = Eval.no_transitions in
   let error_text what sql f =
     match f () with
     | _ -> Alcotest.failf "%s: %s succeeded" sql what

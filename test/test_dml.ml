@@ -20,13 +20,13 @@ let setup () =
 
 let exec db sql =
   match Parser.parse_statement_string sql with
-  | Ast.Stmt_op op -> Dml.exec_op (Eval.base_resolver db) db op
+  | Ast.Stmt_op op -> Dml.exec_op Eval.no_transitions db op
   | _ -> Alcotest.fail "expected a DML statement"
 
 let exec_tracked db sql =
   match Parser.parse_statement_string sql with
   | Ast.Stmt_op op ->
-    Dml.exec_op ~track_selects:true (Eval.base_resolver db) db op
+    Dml.exec_op ~track_selects:true Eval.no_transitions db op
   | _ -> Alcotest.fail "expected a DML statement"
 
 let test_insert_values_affected () =
@@ -157,12 +157,12 @@ let test_compile_op_unknown_table () =
         | _ -> Alcotest.fail "expected a DML statement"
       in
       let cop = Dml.compile_op db op in
-      let resolve = Eval.base_resolver db in
+      let resolve = Eval.no_transitions in
       (match Dml.exec_cop resolve db cop with
       | _ -> Alcotest.failf "%s: expected Unknown_table" sql
       | exception Errors.Error (Errors.Unknown_table "nope") -> ()
       | exception Errors.Error e -> Alcotest.failf "%s: %s" sql (Errors.to_string e));
-      match Dml.explain ~access:(Eval.db_access db) resolve cop with
+      match Dml.explain resolve db cop with
       | _ -> Alcotest.failf "%s: explain expected Unknown_table" sql
       | exception Errors.Error (Errors.Unknown_table "nope") -> ()
       | exception Errors.Error e -> Alcotest.failf "%s: %s" sql (Errors.to_string e))

@@ -163,6 +163,49 @@ let test_stale_instance_skipped () =
   (* censor (defined first) deleted the row before audit considered it *)
   Alcotest.(check int) "no audit of dead row" 0 (count ie "log")
 
+(* A rule whose condition and action look the inserted key up in an
+   indexed column reads that table in place, by index probe: it fires
+   for exactly the rows, and leaves exactly the state, it does over the
+   same table without the index. *)
+let test_indexed_lookup () =
+  let run ~indexed =
+    let lim = Schema.table "lim" [ Schema.column "k" Schema.T_int; Schema.column "cap" Schema.T_int ] in
+    let db =
+      List.fold_left
+        (fun db i -> fst (Database.insert db "lim" [| Value.Int i; Value.Int (i mod 3) |]))
+        (Database.create_table Database.empty lim)
+        (List.init 40 Fun.id)
+    in
+    let db =
+      if indexed then Database.create_index db ~ix_name:"lim_k" ~table:"lim" ~column:"k" ~kind:`Hash
+      else db
+    in
+    let ie = Instance_engine.create db in
+    Instance_engine.create_table ie (Schema.table "t" t_table);
+    Instance_engine.create_table ie (Schema.table "log" log_table);
+    ignore
+      (Instance_engine.create_rule ie
+         (parse_rule
+            "create rule spend when inserted into t if exists (select * from lim where k in \
+             (select a from inserted t) and cap > 0) then update lim set cap = cap - 1 where k \
+             in (select a from inserted t); insert into log (select a from inserted t)"));
+    ignore
+      (Instance_engine.execute_block ie
+         (parse_ops "insert into t values (1, 'a'), (1, 'b'), (3, 'c'), (4, 'd'), (50, 'e'), (4, 'f')"));
+    let rows sql = (Instance_engine.query ie (Parser.parse_select_string sql)).Eval.rows in
+    ( (Instance_engine.stats ie).Instance_engine.rule_firings,
+      rows "select n from log",
+      rows "select k, cap from lim order by k" )
+  in
+  let firings, log, lim = run ~indexed:true in
+  let firings', log', lim' = run ~indexed:false in
+  (* keys 1 and 4 have cap 1: each fires once, then is spent *)
+  Alcotest.(check int) "firings" 2 firings;
+  Alcotest.(check int) "firings without the index" firings' firings;
+  Alcotest.(check bool) "log" true (List.equal Row.equal log log');
+  Alcotest.(check int) "logged keys" 2 (List.length log);
+  Alcotest.(check bool) "final lim" true (List.equal Row.equal lim lim')
+
 let suite =
   [
     Alcotest.test_case "per-row firing" `Quick test_per_row_firing;
@@ -175,4 +218,5 @@ let suite =
     Alcotest.test_case "divergence guard" `Quick test_divergence_guard;
     Alcotest.test_case "stale instances skipped" `Quick
       test_stale_instance_skipped;
+    Alcotest.test_case "indexed lookup = unindexed" `Quick test_indexed_lookup;
   ]

@@ -76,7 +76,7 @@ let prop_engine_is_dml_without_rules =
       let db = Database.create_table Database.empty (t_schema ()) in
       let db =
         List.fold_left
-          (fun db op -> (Dml.exec_op (Eval.base_resolver db) db op).Dml.db)
+          (fun db op -> (Dml.exec_op Eval.no_transitions db op).Dml.db)
           db ops
       in
       let via_dml = Table.rows (Database.table db "t") in
@@ -305,7 +305,7 @@ let prop_cache_equivalence =
       in
       let plain = (Reference_eval.select db query).Reference_eval.rows in
       let cached =
-        (Compile.eval_select ~use_cache:true (Eval.base_resolver db) db query).Eval.rows
+        (Compile.eval_select ~use_cache:true Eval.no_transitions db query).Eval.rows
       in
       List.length plain = List.length cached && List.for_all2 Row.equal plain cached)
 
@@ -350,14 +350,8 @@ let prop_hash_join_equivalence =
             "select t.b from t, u, t t2 where t.a = u.a and u.a = t2.a")
       in
       let builds = ref 0 in
-      let access =
-        {
-          (Eval.db_access db) with
-          Eval.acc_note =
-            (fun ~table:_ -> function `Hash_join_build -> incr builds | _ -> ());
-        }
-      in
-      let fast = (Compile.eval_select ~access (Eval.base_resolver db) db query).Eval.rows in
+      let note = function `Hash_join_build -> incr builds | _ -> () in
+      let fast = (Compile.eval_select ~note Eval.no_transitions db query).Eval.rows in
       (* the reference joins by nested loops *)
       let slow = (Reference_eval.select db query).Reference_eval.rows in
       !builds >= 1 && List.length fast = List.length slow && List.for_all2 Row.equal fast slow)

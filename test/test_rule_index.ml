@@ -236,7 +236,7 @@ let tracked_effect () =
   in
   let exec (db, eff) sql =
     let r =
-      Sqlf.Dml.exec_op ~track_selects:true (Eval.base_resolver db) db
+      Sqlf.Dml.exec_op ~track_selects:true Eval.no_transitions db
         (parse_op sql)
     in
     (r.Sqlf.Dml.db, Effect.compose eff (Effect.of_affected r.Sqlf.Dml.affected))
