@@ -14,8 +14,8 @@
      E6 (Section 4.4)        rule-selection strategies
      E7 (Section 5.1 ext)    select-tracking overhead
      E8 (Section 6 / CW90)   compiled constraints vs hand-written rules
-     E9 (ablation)           uncorrelated-subquery caching
-     E10 (Section 4.3)       per-rule pruning of transition info
+     E9, E10 (retired)       subquery-memo and trans-info-pruning
+                             ablations (both always on; EXPERIMENTS.md)
      E11 (ablation)          hash equi-joins inside rule actions
      E12 (ablation)           secondary hash indexes on point queries
      E13 (robustness)        abort/retry overhead under fault injection
@@ -67,8 +67,8 @@ let rule_41 =
 
 (* Heap-numbered binary tree: employee [e] at depth < [d] manages
    department [e] containing employees [2e] and [2e+1]. *)
-let org_system ?config depth =
-  let s = System.create ?config () in
+let org_system depth =
+  let s = System.create () in
   ignore_exec s
     "create table emp (name string, emp_no int, salary float, dept_no int);\n\
      create table dept (dept_no int, mgr_no int)";
@@ -273,11 +273,8 @@ let e3 () =
 (* E4: per-rule transition-information maintenance (Figure 1's
    modify-trans-info runs for EVERY rule on every transition).         *)
 
-let counter_system ?(prune_info = false) ?(rule_index = true) extra_rules =
-  (* pruning off by default here: E4 measures Figure 1's naive
-     cost model; E10 measures the Section 4.3 optimization *)
-  let config = { Engine.default_config with prune_info; rule_index } in
-  let s = System.create ~config () in
+let counter_system extra_rules =
+  let s = System.create () in
   ignore_exec s "create table c (n int);\ncreate table unrelated (x int)";
   ignore_exec s
     "create rule dec when updated c.n or inserted into c if exists (select * \
@@ -302,10 +299,11 @@ let e4_test =
 
 let e4 () =
   print_header "E4"
-    "trans-info maintenance: 20-step cascade with r dormant rules (naive)"
-    "cost grows with the number of defined rules (Figure 1 maintains \
-     composite info per rule); the workload itself is constant.  E10 \
-     measures the paper's own Section 4.3 remedy";
+    "trans-info maintenance: 20-step cascade with r dormant rules"
+    "Figure 1 maintains composite info per rule; the rule index wakes, and \
+     the Section 4.3 pruning keeps information for, only the rules a \
+     transition concerns, so dormant rules should add little; the \
+     workload itself is constant";
   let rows =
     List.map
       (fun (name, ns) ->
@@ -559,81 +557,6 @@ let e8 () =
       hand compiled
   in
   print_table [ "hand-written rule"; "compiled constraints"; "compiled/hand" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E9: ablation — uncorrelated-subquery caching in the evaluator.
-   Section 1 argues that set-oriented rules keep the door open for
-   query optimization "directly applicable to the rules themselves";
-   this measures one such optimization on the Example 4.1 cascade.     *)
-
-let e9_test_of name optimize =
-  let config = { Engine.default_config with optimize } in
-  Test.make_indexed_with_resource ~name ~fmt:"%s:depth=%d" ~args:[ 4; 6 ]
-    Test.multiple
-    ~allocate:(fun depth -> org_system ~config depth)
-    ~free:(fun _ -> ())
-    (fun _depth ->
-      Staged.stage (fun s ->
-          ignore
-            (Engine.execute_block (System.engine s)
-               (parse_ops "delete from emp where emp_no = 1"))))
-
-let e9 () =
-  print_header "E9"
-    "ablation: uncorrelated-subquery caching (set-oriented optimization)"
-    "without the cache, the nested IN-subqueries of Example 4.1 are \
-     re-evaluated per candidate tuple and the cascade goes quadratic; the \
-     optimization restores near-linear behaviour";
-  let on = run_test (e9_test_of "optimized" true) in
-  let off = run_test (e9_test_of "naive" false) in
-  let rows =
-    List.map2
-      (fun (name, on_ns) (_, off_ns) ->
-        let depth = int_of_string (List.nth (String.split_on_char '=' name) 1) in
-        [
-          string_of_int depth;
-          pretty_ns on_ns;
-          pretty_ns off_ns;
-          ratio off_ns on_ns;
-        ])
-      on off
-  in
-  print_table [ "depth"; "with caching"; "without"; "speedup" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E10: ablation — per-rule pruning of transition information, the
-   optimization the paper itself sketches in Section 4.3 ("we need only
-   save the subset of that information relevant to the particular
-   rule").  Both arms run the linear-scan wake: the rule index alone
-   keeps dormant rules asleep, which would hide what pruning saves.   *)
-
-let e10_test_of name prune_info =
-  Test.make_indexed_with_resource ~name ~fmt:"%s:r=%d" ~args:[ 64; 256 ]
-    Test.multiple
-    ~allocate:(fun r -> counter_system ~prune_info ~rule_index:false r)
-    ~free:(fun _ -> ())
-    (fun _ ->
-      let ops = [ insert_op "c" [ [ vi 20 ] ] ] in
-      Staged.stage (fun s -> ignore (Engine.execute_block (System.engine s) ops)))
-
-let e10 () =
-  print_header "E10"
-    "ablation: per-rule pruning of transition information (Section 4.3)"
-    "pruning restricts each woken rule's information to its own tables; \
-     both arms wake the whole catalog (rule index off: with it on, \
-     dormant rules are never woken and the arms do the same work), so \
-     the naive arm carries every dormant rule's copy of the transition; \
-     semantics are unchanged (property-tested)";
-  let pruned = run_test (e10_test_of "pruned" true) in
-  let naive = run_test (e10_test_of "naive" false) in
-  let rows =
-    List.map2
-      (fun (name, p) (_, n) ->
-        let r = int_of_string (List.nth (String.split_on_char '=' name) 1) in
-        [ string_of_int r; pretty_ns p; pretty_ns n; ratio n p ])
-      pruned naive
-  in
-  print_table [ "dormant rules"; "pruned"; "naive"; "speedup" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* E11: ablation — hash equi-joins vs nested loops, on the rule
@@ -1235,12 +1158,12 @@ let e18 () =
 
 (* ------------------------------------------------------------------ *)
 (* E19: server commit throughput — txn/s vs concurrent client count
-   over real loopback TCP, one arm per durability mode.  Every client
-   commits single-row transactions against its own key (no conflicts),
-   so the experiment prices the commit path itself: nosync is the
-   wire-plus-validation ceiling, sync pays one fsync per commit, and
-   group commit amortizes the fsync across whatever commits pile up
-   while the previous round's flush is in flight.                      *)
+   over real loopback TCP, one arm per WAL mode.  Every client commits
+   single-row transactions against its own key (no conflicts), so the
+   experiment prices the commit path itself.  Both arms group-commit:
+   nosync is the wire-plus-validation ceiling, and sync pays one fsync
+   per round, amortized across whatever commits pile up while the
+   previous round's flush is in flight.                                *)
 
 module Server = Sopr_server.Server
 module Client = Sopr_server.Client
@@ -1248,12 +1171,7 @@ module Client = Sopr_server.Client
 let e19_clients = if tiny then [ 1; 2 ] else [ 1; 2; 4; 8; 16 ]
 let e19_duration = if tiny then 0.05 else 2.0
 
-let e19_arms =
-  [
-    ("nosync", Server.Wal_nosync);
-    ("sync", Server.Wal_sync);
-    ("group", Server.Wal_group);
-  ]
+let e19_arms = [ ("nosync", Server.Wal_nosync); ("sync", Server.Wal_sync) ]
 
 let e19_run mode clients =
   let dir = fresh_dir "e19" in
@@ -1300,8 +1218,8 @@ let write_e19_json path rows =
     (Printf.sprintf
        "{\n  \"experiment\": \"E19\",\n  \"description\": \
         \"concurrent-session server over loopback TCP: sustained commit \
-        throughput vs client count for per-commit fsync, no fsync, and \
-        group commit\",\n  \"unit\": \"txn_per_s\",\n  \"tiny\": %b,\n  \
+        throughput vs client count for group commit with and without \
+        fsync\",\n  \"unit\": \"txn_per_s\",\n  \"tiny\": %b,\n  \
         \"results\": [\n"
        tiny);
   List.iteri
@@ -1785,7 +1703,7 @@ let e25 () =
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
-    ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
+    ("E7", e7); ("E8", e8); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
     ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E25", e25);
   ]

@@ -2,14 +2,15 @@
    line-protocol client.
 
    Usage:
-     sopr-server serve  --port 7654 --data-dir DIR [--nosync|--group]
+     sopr-server serve  --port 7654 --data-dir DIR [--nosync]
      sopr-server client --port 7654 [-f script.txt]
 
    [serve] listens until SIGINT/SIGTERM.  Each connection is a session:
    one request line in (a ';'-separated SQL script, or \q \stats
    \version \checkpoint), one framed ok/err response out.  Reads run
-   against snapshots; commits are validated first-committer-wins;
-   --group batches concurrent commits into one WAL record and fsync.
+   against snapshots; commits are validated first-committer-wins and
+   group-committed: concurrent commits share one WAL record and, unless
+   --nosync, one fsync.
 
    [client] connects and bridges stdin lines to requests, printing each
    response body (errors as "error: ..."), which makes transcripts
@@ -22,14 +23,13 @@ module Client = Sopr_server.Client
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
-let serve port host data_dir nosync group checkpoint_every track_selects =
+let serve port host data_dir nosync checkpoint_every track_selects =
   let config = { Engine.default_config with track_selects } in
   let mode =
-    match (data_dir, nosync, group) with
-    | None, _, _ -> Server.Memory
-    | Some _, _, true -> Server.Wal_group
-    | Some _, true, false -> Server.Wal_nosync
-    | Some _, false, false -> Server.Wal_sync
+    match (data_dir, nosync) with
+    | None, _ -> Server.Memory
+    | Some _, true -> Server.Wal_nosync
+    | Some _, false -> Server.Wal_sync
   in
   let checkpoint_interval =
     if checkpoint_every > 0 then Some checkpoint_every else None
@@ -128,15 +128,9 @@ let nosync_arg =
   Arg.(
     value & flag
     & info [ "nosync" ]
-        ~doc:"Skip the fsync per commit (benchmarking, not durability).")
-
-let group_arg =
-  Arg.(
-    value & flag
-    & info [ "group" ]
         ~doc:
-          "Group commit: concurrent commits are batched into one WAL record \
-           and one fsync.")
+          "Skip the fsync per group-commit round (benchmarking, not \
+           durability).")
 
 let checkpoint_every_arg =
   Arg.(
@@ -167,7 +161,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"run the server (default command)")
     Term.(
-      const serve $ port_arg $ host_arg $ data_dir_arg $ nosync_arg $ group_arg
+      const serve $ port_arg $ host_arg $ data_dir_arg $ nosync_arg
       $ checkpoint_every_arg $ track_selects_arg)
 
 let client_cmd =
@@ -181,7 +175,7 @@ let cmd =
     ~default:
       Term.(
         const serve $ port_arg $ host_arg $ data_dir_arg $ nosync_arg
-        $ group_arg $ checkpoint_every_arg $ track_selects_arg)
+        $ checkpoint_every_arg $ track_selects_arg)
     (Cmd.info "sopr-server" ~version:"1.0.0" ~doc)
     [ serve_cmd; client_cmd ]
 

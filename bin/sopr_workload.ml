@@ -235,7 +235,6 @@ let server_mode_arg =
       ("memory", Sopr_server.Server.Memory);
       ("sync", Sopr_server.Server.Wal_sync);
       ("nosync", Sopr_server.Server.Wal_nosync);
-      ("group", Sopr_server.Server.Wal_group);
     ]
   in
   Arg.(
@@ -243,8 +242,8 @@ let server_mode_arg =
     & opt (enum modes) Sopr_server.Server.Memory
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
-          "Durability mode: $(b,memory), $(b,sync), $(b,nosync) or \
-           $(b,group).  The WAL modes require --data-dir.")
+          "Durability mode: $(b,memory), $(b,sync) or $(b,nosync).  The \
+           WAL modes require --data-dir and group-commit every commit.")
 
 let opt_data_dir_arg =
   Arg.(

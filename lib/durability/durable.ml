@@ -151,9 +151,6 @@ let append_payload t payload =
       t.next_seq <- t.next_seq + 1;
       t.records_since_ckpt <- t.records_since_ckpt + 1)
 
-let append_txn t ops =
-  append_payload t (Wal.Txn { handle_ctr = Handle.counter_value (); ops })
-
 let append_txn_batch t txns =
   append_payload t (Wal.Batch { handle_ctr = Handle.counter_value (); txns })
 

@@ -63,14 +63,11 @@ val dml_of_log : Engine.txn_log -> Relational.Wal.dml list
     updates with their after images, inserts present in the after
     state — the exact op list a [Txn]/[Batch] record carries. *)
 
-val append_txn : t -> Relational.Wal.dml list -> unit
-(** Append (and, unless [sync:false], fsync) one transaction record
-    carrying the current global handle counter. *)
-
 val append_txn_batch : t -> Relational.Wal.dml list list -> unit
-(** Append a whole group-commit batch as ONE record — one frame, one
-    CRC, one fsync.  Recovery therefore replays all member transactions
-    or none: a torn frame discards the entire batch. *)
+(** Append a whole group-commit batch as ONE record carrying the
+    current global handle counter — one frame, one CRC and, unless
+    [sync:false], one fsync.  Recovery therefore replays all member
+    transactions or none: a torn frame discards the entire batch. *)
 
 (** Observability for the REPL's [.wal status]. *)
 type status = {

@@ -66,12 +66,12 @@ type ticket = entry
    while holding whatever lock defines its commit order (the server
    enqueues under its state lock, making WAL batch order identical to
    claim — and hence publish — order), then block in {!await} with
-   that lock released. *)
+   that lock released.  No waiter is woken: waiters wait for a round
+   to end or for a pause to lift, and a new entry is neither. *)
 let enqueue t ops =
   let e = { e_ops = ops; e_outcome = Pending } in
   Mutex.lock t.lock;
   t.queue <- e :: t.queue;
-  Condition.broadcast t.cond;
   Mutex.unlock t.lock;
   e
 

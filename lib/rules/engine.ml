@@ -37,10 +37,6 @@ type config = {
          run-time guard the paper suggests for divergent rule sets *)
   strategy : Selection.strategy;
   track_selects : bool; (* Section 5.1: maintain the S component *)
-  optimize : bool; (* uncorrelated-subquery caching in the evaluator *)
-  prune_info : bool;
-      (* keep, per rule, only the transition information on tables its
-         predicates mention (the Section 4.3 optimization remark) *)
   rule_index : bool;
       (* wake only the rules the discrimination index registers on a
          touched (table, op, column) key; off = wake the whole catalog,
@@ -53,8 +49,6 @@ let default_config =
     max_steps = 10_000;
     strategy = Selection.Creation_order;
     track_selects = false;
-    optimize = true;
-    prune_info = true;
     rule_index = true;
   }
 
@@ -363,9 +357,8 @@ let set_commit_hook t hook = t.commit_hook <- hook
    a compiled predicate.  Everything downstream runs plans. *)
 
 let plan_condition t cond : Rule.condition =
-  let use_cache = t.config.optimize in
   let cp = Compile.compile_predicate t.db cond in
-  fun ~db ~note resolve -> Compile.run_predicate ~db ~note ~use_cache resolve cp
+  fun ~db ~note resolve -> Compile.run_predicate ~db ~note resolve cp
 
 (* Rule plans are keyed on the DDL generation: a plan is reusable only
    against the catalog it was built for. *)
@@ -825,8 +818,8 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
   List.fold_left
     (fun (eff, results) cop ->
       let r =
-        Dml.exec_cop ~track_selects:t.config.track_selects
-          ~optimize:t.config.optimize ~note:t.note ?params (resolver_of t.db) t.db cop
+        Dml.exec_cop ~track_selects:t.config.track_selects ~note:t.note ?params
+          (resolver_of t.db) t.db cop
       in
       t.db <- r.Dml.db;
       let eff = Effect.compose eff (Effect.of_affected r.Dml.affected) in
@@ -842,8 +835,7 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
    the operation is a select. *)
 let run_select t ?params resolve (cop : Dml.cop) =
   let r =
-    Dml.exec_cop ~track_selects:false ~optimize:t.config.optimize ~note:t.note ?params
-      resolve t.db cop
+    Dml.exec_cop ~track_selects:false ~note:t.note ?params resolve t.db cop
   in
   match r.Dml.result with
   | Some rel -> rel
@@ -946,24 +938,23 @@ let wake t e f acc =
       acc
   else List.fold_left (fun acc r -> f r acc) acc t.rules_rev
 
-(* The one reading of [config.prune_info]: [e] restricted to the tables
-   whose information rule [r] keeps — its own (the Section 4.3
-   pruning) or every table.  [None] means none of the rule's tables is
-   touched; restriction visits only [e]'s tables. *)
-let scoped t (r : Rule.t) e =
-  if not t.config.prune_info then Some e
-  else
-    let e = Effect.restrict e (Rule.relevant r) in
-    if Effect.is_empty e then None else Some e
+(* [e] restricted to the tables whose information rule [r] keeps: its
+   own (the Section 4.3 pruning, "we need only save the subset of that
+   information relevant to the particular rule").  [None] means none of
+   the rule's tables is touched; restriction visits only [e]'s
+   tables. *)
+let scoped (r : Rule.t) e =
+  let e = Effect.restrict e (Rule.relevant r) in
+  if Effect.is_empty e then None else Some e
 
 (* Wake [r] unless it is awake already: it starts from the composite
    [shared], restricted to its scope — the information stepwise
    composition from the external transition would have built for it,
    since restriction commutes with composition. *)
-let admit t shared (r : Rule.t) woken =
+let admit shared (r : Rule.t) woken =
   if Str_map.mem r.Rule.name woken then woken
   else
-    let info = Option.value ~default:Effect.empty (scoped t r shared) in
+    let info = Option.value ~default:Effect.empty (scoped r shared) in
     Str_map.add r.Rule.name (r, info) woken
 
 (* Figure 1's init-trans-info: complete the external transition and
@@ -980,7 +971,7 @@ let start t =
   t.txn.pending <- Effect.empty;
   {
     p_db = t.db;
-    p_woken = wake t pending (admit t pending) Str_map.empty;
+    p_woken = wake t pending (admit pending) Str_map.empty;
     p_shared = pending;
     p_considered = Str_set.empty;
     p_steps = 0;
@@ -1062,7 +1053,7 @@ let step t p (rule : Rule.t) =
     let woken =
       Str_map.mapi
         (fun n ((r, info) as entry) ->
-          match scoped t r eff with
+          match scoped r eff with
           | Some e when String.equal n name -> (r, e)
           | None when String.equal n name -> (r, Effect.empty)
           | Some e -> (r, Effect.compose info e)
@@ -1072,7 +1063,7 @@ let step t p (rule : Rule.t) =
     Next
       {
         p_db = t.db;
-        p_woken = wake t eff (admit t shared) woken;
+        p_woken = wake t eff (admit shared) woken;
         p_shared = shared;
         (* a new state: every triggered rule becomes considerable again *)
         p_considered = Str_set.empty;
@@ -1216,7 +1207,7 @@ let explain_rule t name =
       let ctx = Compile.make t.db in
       let cs = Compile.compile_select ctx s in
       let rt =
-        Compile.make_rt ~db:t.db ~use_cache:false ~slots:(Compile.slot_count ctx) resolve
+        Compile.make_rt ~db:t.db ~slots:(Compile.slot_count ctx) resolve
       in
       Compile.plan_select rt cs
     in

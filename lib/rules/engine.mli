@@ -33,12 +33,6 @@ type config = {
   track_selects : bool;
       (** Section 5.1: maintain the [S] effect component so rules can
           be triggered by data retrieval. *)
-  optimize : bool;
-      (** Uncorrelated-subquery caching in the evaluator. *)
-  prune_info : bool;
-      (** Keep, per rule, only the transition information on tables its
-          predicates mention (the Section 4.3 optimization remark);
-          semantically invisible. *)
   rule_index : bool;
       (** Wake only the rules the {!Rule_index} discrimination index
           registers on a touched (table, op, column) key, so each
@@ -49,8 +43,8 @@ type config = {
 }
 
 val default_config : config
-(** 10000 steps, creation-order selection, no select tracking,
-    optimizations, the discrimination index and compilation on. *)
+(** 10000 steps, creation-order selection, no select tracking, the
+    discrimination index on. *)
 
 type outcome = Committed | Rolled_back
 
@@ -413,9 +407,8 @@ val execute_block_cops :
 
 val query_cop : t -> ?params:Value.t array -> Dml.cop -> Eval.relation
 (** Evaluate a select plan outside any transaction and rule context (no
-    transition tables), with uncorrelated-subquery caching as
-    [config.optimize] says.  The caller guarantees the operation
-    is a select. *)
+    transition tables).  The caller guarantees the operation is a
+    select. *)
 
 (** {2 EXPLAIN} *)
 

@@ -124,7 +124,7 @@ let rec fire_for_instance t inst =
             match Rule.condition rule with
             | None -> true
             | Some cond ->
-              Compile.run_predicate ~db:t.db ~use_cache:false resolve
+              Compile.run_predicate ~db:t.db resolve
                 (Compile.compile_predicate t.db cond)
           in
           if cond_holds then begin

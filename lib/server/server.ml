@@ -41,8 +41,8 @@
      reads will conflict and retry — which costs throughput under
      contention, never correctness.
 
-   - A winning transaction becomes durable (WAL append — direct or via
-     group commit), and only THEN is applied to the primary and
+   - A winning transaction becomes durable (a group-commit round's WAL
+     append), and only THEN is applied to the primary and
      published under the next version.  The claim-to-publish window is
      tracked in [in_flight], so a concurrent committer conflicts with a
      transaction that is durable (or flushing) but not yet published.
@@ -76,13 +76,12 @@ module Fileio = Relational.Fileio
 module Durable = Durability.Durable
 module Group_commit = Durability.Group_commit
 
-type mode = Memory | Wal_sync | Wal_nosync | Wal_group
+type mode = Memory | Wal_sync | Wal_nosync
 
 let mode_name = function
   | Memory -> "memory"
   | Wal_sync -> "sync"
   | Wal_nosync -> "nosync"
-  | Wal_group -> "group"
 
 type stats = {
   mutable sv_connections : int;
@@ -104,12 +103,16 @@ type history_entry = {
   h_ddl : bool;  (* DDL conflicts with every concurrent transaction *)
 }
 
+(* The WAL modes' log and the group commit that is its one writer of
+   transaction records: every commit joins a round, and a round is one
+   [Wal.Batch] record, fsynced unless the mode is [Wal_nosync]. *)
+type wal = { store : Durable.t; rounds : Group_commit.t }
+
 type t = {
   lock : Mutex.t;
   commit_cond : Condition.t;  (* signalled whenever in_flight shrinks *)
   primary : System.t;
-  durable : Durable.t option;
-  group : Group_commit.t option;
+  wal : wal option;  (* [None] in [Memory] mode *)
   serializable : bool;  (* table-granularity read claims (track_selects) *)
   mutable version : int;
   mutable history : history_entry list;  (* newest first, pruned *)
@@ -152,10 +155,10 @@ let with_lock t f =
 (* Construction                                                        *)
 
 let create ?config ?checkpoint_interval ?data_dir mode =
-  let durable, primary =
+  let wal, primary =
     match mode with
     | Memory -> (None, System.create ?config ())
-    | Wal_sync | Wal_nosync | Wal_group ->
+    | Wal_sync | Wal_nosync ->
       let dir =
         match data_dir with
         | Some d -> d
@@ -165,20 +168,14 @@ let create ?config ?checkpoint_interval ?data_dir mode =
       in
       let sync = mode <> Wal_nosync in
       let d, _info = Durable.open_dir ?config ?checkpoint_interval ~sync dir in
-      (Some d, Durable.system d)
-  in
-  let group =
-    match (mode, durable) with
-    | Wal_group, Some d ->
-      Some (Group_commit.create ~flush:(fun txns -> Durable.append_txn_batch d txns))
-    | _ -> None
+      let rounds = Group_commit.create ~flush:(Durable.append_txn_batch d) in
+      (Some { store = d; rounds }, Durable.system d)
   in
   {
     lock = Mutex.create ();
     commit_cond = Condition.create ();
     primary;
-    durable;
-    group;
+    wal;
     serializable =
       (match config with
       | Some c -> c.Engine.track_selects
@@ -207,16 +204,13 @@ let create ?config ?checkpoint_interval ?data_dir mode =
 let system t = t.primary
 let version t = with_lock t (fun () -> t.version)
 let stats t = t.stats
-let group_stats t = Option.map Group_commit.stats t.group
-let group_pending t = Option.map Group_commit.pending t.group
+let group_stats t = Option.map (fun w -> Group_commit.stats w.rounds) t.wal
+let group_pending t = Option.map (fun w -> Group_commit.pending w.rounds) t.wal
 
 let set_group_paused t paused =
-  match t.group with
-  | Some g -> Group_commit.set_paused g paused
-  | None -> ()
+  Option.iter (fun w -> Group_commit.set_paused w.rounds paused) t.wal
 
-let close t =
-  match t.durable with Some d -> Durable.close d | None -> ()
+let close t = Option.iter (fun w -> Durable.close w.store) t.wal
 
 (* ------------------------------------------------------------------ *)
 (* Conflict detection                                                  *)
@@ -397,8 +391,8 @@ let await_publish_turn t txn_id =
    unapplied transaction).  Holding the state lock with [in_flight]
    empty is exactly that moment. *)
 let maybe_checkpoint_locked t =
-  match t.durable with
-  | Some d when Durable.checkpoint_due d && t.in_flight = [] -> (
+  match t.wal with
+  | Some { store = d; _ } when Durable.checkpoint_due d && t.in_flight = [] -> (
     try Durable.checkpoint d
     with _ ->
       (* the committed transaction is already durable and published;
@@ -446,25 +440,19 @@ let session_commit_hook t session (txl : Engine.txn_log) =
         let ops = Durable.dml_of_log txl in
         t.in_flight <- (session.txn_id, writes, wtables) :: t.in_flight;
         let ticket =
-          Option.map (fun g -> Group_commit.enqueue g ops) t.group
+          Option.map (fun w -> (w.rounds, Group_commit.enqueue w.rounds ops)) t.wal
         in
         (ops, ticket))
   in
-  (* make it durable — outside the state lock, so the fsync (direct or
-     via a group-commit round) never blocks readers or other claims *)
-  (match (t.durable, t.group, ticket) with
-  | None, _, _ -> ()
-  | Some d, None, _ -> (
-    try Durable.append_txn d ops
-    with e ->
-      with_lock t (fun () -> unclaim t session.txn_id);
-      raise e)
-  | Some _, Some g, Some tk -> (
-    try Group_commit.await g tk
-    with e ->
-      with_lock t (fun () -> unclaim t session.txn_id);
-      raise e)
-  | Some _, Some _, None -> assert false);
+  (* make it durable — outside the state lock, so the round's append
+     and fsync never block readers or other claims *)
+  Option.iter
+    (fun (rounds, tk) ->
+      try Group_commit.await rounds tk
+      with e ->
+        with_lock t (fun () -> unclaim t session.txn_id);
+        raise e)
+    ticket;
   (* publish: apply to the primary and expose the new version, strictly
      in claim order *)
   with_lock t (fun () ->
@@ -714,9 +702,9 @@ let render_stats t =
       g.Group_commit.gc_batches g.Group_commit.gc_txns g.Group_commit.gc_max_batch
 
 let checkpoint_now t =
-  match t.durable with
+  match t.wal with
   | None -> Error "no data directory (in-memory server)"
-  | Some d ->
+  | Some { store = d; _ } ->
     with_lock t (fun () ->
         if t.in_flight <> [] then
           Error "commits in flight; retry"

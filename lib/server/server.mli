@@ -16,18 +16,16 @@
     over the rule catalog so reads inside rule conditions and actions
     are claimed too — and conflicts with any concurrent transition
     that wrote a claimed table.  A winning transaction is made durable
-    — directly, or through a group-commit round that batches
-    concurrent commits into one WAL record and one fsync — and then
-    applied to the primary under the next version, strictly in claim
-    order. *)
+    by a group-commit round, which writes the commits that piled up
+    meanwhile as one WAL record, and then applied to the primary under
+    the next version, strictly in claim order. *)
 
 open Core
 
 type mode =
   | Memory  (** no durability; for tests and pure-concurrency runs *)
-  | Wal_sync  (** one WAL record + fsync per commit *)
-  | Wal_nosync  (** WAL records without fsync *)
-  | Wal_group  (** concurrent commits share one WAL record + fsync *)
+  | Wal_sync  (** each group-commit round is one WAL record + fsync *)
+  | Wal_nosync  (** each group-commit round is one WAL record, no fsync *)
 
 val mode_name : mode -> string
 
@@ -66,13 +64,13 @@ val stats : t -> stats
 val group_stats : t -> Durability.Group_commit.stats option
 
 val group_pending : t -> int option
-(** Commits queued for the next group round ([None] outside
-    [Wal_group]) — test synchronization for paused rounds. *)
+(** Commits queued for the next group round ([None] in [Memory]) —
+    test synchronization for paused rounds. *)
 
 val set_group_paused : t -> bool -> unit
 (** Hold the group-commit leader before it collects a round — lets
     tests deterministically build batches bigger than one.  No effect
-    outside [Wal_group] mode. *)
+    in [Memory] mode. *)
 
 val close : t -> unit
 (** Close the durable store (WAL modes).  Stop any listener first. *)

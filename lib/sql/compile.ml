@@ -68,7 +68,6 @@ type rt = {
   rt_note : Eval.note;
   rt_resolve : Eval.resolver;
   rt_slots : Eval.memo option array;
-  rt_use_cache : bool;
   rt_params : Value.t array;
       (* the EXECUTE parameter frame: [Param i] closures read slot [i].
          Empty for unparameterized statements. *)
@@ -76,13 +75,12 @@ type rt = {
 
 let no_params : Value.t array = [||]
 
-let make_rt ~db ?(note = ignore) ?(params = no_params) ~use_cache ~slots resolve =
+let make_rt ~db ?(note = ignore) ?(params = no_params) ~slots resolve =
   {
     rt_db = db;
     rt_note = note;
     rt_resolve = resolve;
     rt_slots = Array.make (max slots 1) None;
-    rt_use_cache = use_cache;
     rt_params = params;
   }
 
@@ -1289,13 +1287,12 @@ and truth_of ctx (e : Ast.expr) : ctruth =
    evaluation can be memoized.  The watch registered here: if no
    compiled column reference anywhere in the subquery reaches an
    enclosing scope, the subquery cannot depend on the outer row and
-   gets a memo slot (consulted only when the runtime's [rt_use_cache]
-   is set).  Two uncorrelated copies of
-   one physical select share a slot: neither reads an enclosing scope,
-   so both compute the same relation.  An EXISTS runs the select only
-   up to its first row when it may ([cs_exists]), so its slot is its
-   own.  [memo] reads a memoized result, [direct] one evaluated for
-   this use only. *)
+   gets a memo slot: it runs once per [rt], at its first use.  Two
+   uncorrelated copies of one physical select share a slot: neither
+   reads an enclosing scope, so both compute the same relation.  An
+   EXISTS runs the select only up to its first row when it may
+   ([cs_exists]), so its slot is its own.  [memo] reads a memoized
+   result, [direct] one evaluated for this (correlated) use only. *)
 and compile_subquery_with :
       'a.
       ?exists:bool ->
@@ -1329,14 +1326,12 @@ and compile_subquery_with :
           slot
     in
     fun rt env ->
-      if not rt.rt_use_cache then direct (run rt env)
-      else
-        match rt.rt_slots.(slot) with
-        | Some m -> memo m
-        | None ->
-          let m = Eval.make_memo (run rt env) in
-          rt.rt_slots.(slot) <- Some m;
-          memo m
+      match rt.rt_slots.(slot) with
+      | Some m -> memo m
+      | None ->
+        let m = Eval.make_memo (run rt env) in
+        rt.rt_slots.(slot) <- Some m;
+        memo m
   end
 
 and compile_subquery ctx s : rt -> renv -> Eval.relation =
@@ -1685,15 +1680,15 @@ let compile_predicate db e =
   let ct = truth_of ctx e in
   { cp_truth = ct; cp_nslots = !(ctx.cc_slots) }
 
-let run_predicate ~db ?note ~use_cache resolve p =
-  let rt = make_rt ~db ?note ~use_cache ~slots:p.cp_nslots resolve in
+let run_predicate ~db ?note resolve p =
+  let rt = make_rt ~db ?note ~slots:p.cp_nslots resolve in
   Value.truth_holds (p.cp_truth rt None [||])
 
-let eval_select ?note ?params ?(use_cache = false) resolve db s =
+let eval_select ?note ?params resolve db s =
   (* an exception-safety injection site: one hit per public entry,
      subqueries recurse internally *)
   Fault.hit Fault.Query_eval;
   let ctx = make db in
   let cs = compile_select' ctx s in
-  let rt = make_rt ~db ?note ?params ~use_cache ~slots:!(ctx.cc_slots) resolve in
+  let rt = make_rt ~db ?note ?params ~slots:!(ctx.cc_slots) resolve in
   cs.cs_run rt [||]

@@ -43,15 +43,15 @@ val make_rt :
   db:Database.t ->
   ?note:Eval.note ->
   ?params:Value.t array ->
-  use_cache:bool ->
   slots:int ->
   Eval.resolver ->
   rt
 (** Base tables are read from [db], by scan or index probe, and [note]
     hears every read decision (default: nothing does).  [slots] must be
-    at least the compile unit's {!slot_count}; [use_cache:false]
-    disables subquery memoization.  [params] is the EXECUTE parameter
-    frame read by compiled [Param] closures (default empty). *)
+    at least the compile unit's {!slot_count}: each uncorrelated
+    subquery runs at most once per [rt].  [params] is the EXECUTE
+    parameter frame read by compiled [Param] closures (default
+    empty). *)
 
 (** {2 Compilation context} *)
 
@@ -111,7 +111,6 @@ val compile_predicate : Database.t -> Ast.expr -> cpred
 val run_predicate :
   db:Database.t ->
   ?note:Eval.note ->
-  use_cache:bool ->
   Eval.resolver ->
   cpred ->
   bool
@@ -146,7 +145,6 @@ val plan_select : rt -> cselect -> Eval.source_plan list
 val eval_select :
   ?note:Eval.note ->
   ?params:Value.t array ->
-  ?use_cache:bool ->
   Eval.resolver ->
   Database.t ->
   Ast.select ->
@@ -155,7 +153,7 @@ val eval_select :
     {!make_rt} describes: cross product of the from-list, WHERE
     filter, grouping and aggregates, HAVING, projection, DISTINCT,
     ORDER BY, LIMIT.  Hits the [Query_eval] fault site once, then
-    evaluates.  [use_cache] defaults to [false]. *)
+    evaluates. *)
 
 (** {2 Victim probes (DML helper)} *)
 

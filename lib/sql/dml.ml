@@ -228,14 +228,10 @@ let selected_handles rt ~note tbl cwhere cprobe =
     Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
     |> List.rev
 
-let rec run_cop ~track_selects ~optimize ~note ?params resolve db (cop : cop) :
-    op_result =
-  let rt nslots =
-    Compile.make_rt ~db ~note ?params ~use_cache:optimize ~slots:nslots resolve
-  in
+let rec run_cop ~track_selects ~note ?params resolve db (cop : cop) : op_result =
+  let rt nslots = Compile.make_rt ~db ~note ?params ~slots:nslots resolve in
   match cop with
-  | C_bound (cop, args) ->
-    run_cop ~track_selects ~optimize ~note ~params:args resolve db cop
+  | C_bound (cop, args) -> run_cop ~track_selects ~note ~params:args resolve db cop
   | C_error e -> Errors.raise_error e
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
@@ -336,7 +332,7 @@ let rec run_cop ~track_selects ~optimize ~note ?params resolve db (cop : cop) :
    ... VALUES reads no table) and a DELETE's or UPDATE's victim probe,
    the table bound under its own name.  No read decision is noted. *)
 let rec explain ?params resolve db cop : Eval.source_plan list =
-  let rt nslots = Compile.make_rt ~db ?params ~use_cache:false ~slots:nslots resolve in
+  let rt nslots = Compile.make_rt ~db ?params ~slots:nslots resolve in
   match cop with
   | C_bound (cop, args) -> explain ~params:args resolve db cop
   | C_error e -> Errors.raise_error e
@@ -352,15 +348,15 @@ let rec explain ?params resolve db cop : Eval.source_plan list =
     in
     [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 
-let exec_cop ?(track_selects = false) ?(optimize = true) ?(note = ignore) ?params
-    resolve db cop : op_result =
+let exec_cop ?(track_selects = false) ?(note = ignore) ?params resolve db cop :
+    op_result =
   Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~optimize ~note ?params resolve db cop
+  run_cop ~track_selects ~note ?params resolve db cop
 
 (* Both entry points are exception-safety injection sites: an operation
    may fail before touching the database, and the caller must treat the
    containing block as indivisible either way. *)
-let exec_op ?(track_selects = false) ?(optimize = true) ?(note = ignore) resolve db
-    (op : Ast.op) : op_result =
+let exec_op ?(track_selects = false) ?(note = ignore) resolve db (op : Ast.op) :
+    op_result =
   Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~optimize ~note resolve db (compile_op db op)
+  run_cop ~track_selects ~note resolve db (compile_op db op)

@@ -35,7 +35,6 @@ type op_result = {
 
 val exec_op :
   ?track_selects:bool ->
-  ?optimize:bool ->
   ?note:Eval.note ->
   Eval.resolver ->
   Database.t ->
@@ -48,9 +47,8 @@ val exec_op :
     scan produced that passed WHERE, whatever DISTINCT, ORDER BY and
     LIMIT then keep.  Otherwise it is conservative: every tuple of each
     base table in a top-level FROM list of any compound arm, with the
-    columns that arm references.
-    [optimize] (default [true]) enables uncorrelated-subquery caching
-    for the operation.  Sargable predicates over indexed columns are
+    columns that arm references.  An uncorrelated subquery runs at most
+    once per operation.  Sargable predicates over indexed columns are
     satisfied by index probes instead of scans, and [note] hears every
     scan, probe and hash-join decision (default: nothing does).
 
@@ -79,7 +77,6 @@ val bind : cop -> Value.t array -> cop
 
 val exec_cop :
   ?track_selects:bool ->
-  ?optimize:bool ->
   ?note:Eval.note ->
   ?params:Value.t array ->
   Eval.resolver ->

@@ -770,11 +770,18 @@ type source_plan = {
 }
 
 (* A probe decision as a plan node: [Index_probe] or [Range_probe] by
-   the hit's kind. *)
+   the hit's kind, naming the index the probe reads — any index over
+   the column for equality ([Table.probe]), an ordered one for a range
+   ([Table.range_probe]). *)
 let probed_path tbl hit =
   let table = Table.name tbl in
   let column = hit.ph_column in
-  let index = Option.map Index.name (Table.index_on_column tbl column) in
+  let index_of =
+    match hit.ph_kind with
+    | `Eq -> Table.index_on_column
+    | `Range -> Table.ordered_index_on_column
+  in
+  let index = Option.map Index.name (index_of tbl column) in
   let conjunct = Pretty.expr_str hit.ph_conjunct in
   let est = hit.ph_est in
   let matches = List.length hit.ph_pairs in

@@ -32,7 +32,7 @@
    - Part B: engine-level differential.  Two identical systems (the
      fault-injection harness's schema, rule set and external
      procedure) driven with the same random transaction workload, one
-     as configured and one index-free with [optimize] off, asserting
+     as configured and one index-free, asserting
      equal per-transaction outcomes, select results, error strings,
      firing traces and final table contents.  Every top-level select of
      the index-free twin's stream is also evaluated by the reference
@@ -429,15 +429,13 @@ let select_differential =
       let resolve = Eval.no_transitions in
       let expected = reference (fun () -> Reference_eval.select fixture_db s) in
       let may_skip = may_skip_rows s in
-      (* without memos, then memoizing uncorrelated subqueries *)
+      (* uncorrelated subqueries memoized, as always *)
       check_observed ~may_skip sql expected
         (observe (fun () -> Compile.eval_select resolve fixture_db s));
-      check_observed ~may_skip sql expected
-        (observe (fun () -> Compile.eval_select ~use_cache:true resolve fixture_db s));
       (* indexed: sargable conjuncts probe the indexes *)
       let db = indexed_fixture_db in
       check_observed ~may_skip:true sql expected
-        (observe (fun () -> Compile.eval_select ~use_cache:true resolve db s));
+        (observe (fun () -> Compile.eval_select resolve db s));
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -709,8 +707,8 @@ let scan_param_differential =
       let run ctx =
         let cs = Compile.compile_select ctx s in
         let rt =
-          Compile.make_rt ~db ~params:args ~use_cache:false
-            ~slots:(Compile.slot_count ctx) Eval.no_transitions
+          Compile.make_rt ~db ~params:args ~slots:(Compile.slot_count ctx)
+            Eval.no_transitions
         in
         observe (fun () -> Compile.run_select rt cs)
       in
@@ -770,7 +768,7 @@ let predicate_differential =
         (observe (verdict (fun () -> Reference_eval.predicate fixture_db e)))
         (observe
            (verdict (fun () ->
-                Compile.run_predicate ~db:fixture_db ~use_cache:true resolve
+                Compile.run_predicate ~db:fixture_db resolve
                   (Compile.compile_predicate fixture_db e))));
       true)
 
@@ -933,12 +931,8 @@ let test_hashed_in_corpus () =
     (fun sql ->
       let s = Parser.parse_select_string sql in
       let expected = reference (fun () -> Reference_eval.select in_fixture_db s) in
-      let cached =
-        observe (fun () -> Compile.eval_select ~use_cache:true resolve in_fixture_db s)
-      in
+      let cached = observe (fun () -> Compile.eval_select resolve in_fixture_db s) in
       check_observed sql expected cached;
-      check_observed sql expected
-        (observe (fun () -> Compile.eval_select resolve in_fixture_db s));
       if not (correlated sql) then
         check_observed (sql ^ " (literal-list oracle)")
           (reference (fun () ->
@@ -1148,7 +1142,7 @@ let reference_block_results db sql =
 
 let engine_differential_once ~config (rule, steps) =
   let s_main = make_system ~config rule () in
-  let s_twin = make_system ~config:{ config with Engine.optimize = false } rule () in
+  let s_twin = make_system ~config rule () in
   List.iter
     (fun step ->
       match step with
@@ -1193,13 +1187,12 @@ let engine_differential_once ~config (rule, steps) =
 
 let engine_differential =
   QCheck.Test.make ~count:40
-    ~name:"engine = index-free unoptimized twin, selects = reference"
+    ~name:"engine = index-free twin, selects = reference"
     (QCheck.make ~print:print_workload gen_workload)
     (fun workload ->
       engine_differential_once ~config:Engine.default_config workload;
       engine_differential_once
-        ~config:
-          { Engine.default_config with optimize = true; track_selects = true }
+        ~config:{ Engine.default_config with track_selects = true }
         workload;
       true)
 

@@ -187,6 +187,35 @@ let test_explain_range_probe () =
     Alcotest.failf "expected one range probe, got: %s"
       (String.concat "; " (List.map Eval.describe_source_plan plans))
 
+(* With a hash and an ordered index over one column, EXPLAIN names the
+   index each probe reads: the ordered one for a range, whose name
+   sorts after the hash index's, and any (the first by name) for an
+   equality. *)
+let test_range_probe_names_ordered_index () =
+  let s =
+    system
+      "create table t (a int);\n\
+       create index a_hash on t (a);\n\
+       create index b_ord on t (a) using ordered"
+  in
+  run s
+    ("insert into t values "
+    ^ String.concat ", " (List.init 20 (fun i -> Printf.sprintf "(%d)" i)));
+  let index_of sql =
+    match explained s sql with
+    | [ { Eval.sp_path = Eval.Range_probe p; _ } ] -> ("range", p.index)
+    | [ { Eval.sp_path = Eval.Index_probe p; _ } ] -> ("eq", p.index)
+    | plans ->
+      Alcotest.failf "expected one probe, got: %s"
+        (String.concat "; " (List.map Eval.describe_source_plan plans))
+  in
+  Alcotest.(check (pair string (option string)))
+    "range probe" ("range", Some "b_ord")
+    (index_of "explain select * from t where a > 7");
+  Alcotest.(check (pair string (option string)))
+    "equality probe" ("eq", Some "a_hash")
+    (index_of "explain select * from t where a = 7")
+
 (* One column's lower and upper comparisons make one two-sided range
    probe in either conjunct order, for EXPLAIN and the executor:
    [a >= 100 and a < 125] over a = 0..2499 reads the 25 rows of the
@@ -671,6 +700,8 @@ let suite =
     Alcotest.test_case "explain names the index" `Quick
       test_explain_names_the_index;
     Alcotest.test_case "explain range probe" `Quick test_explain_range_probe;
+    Alcotest.test_case "range probe names the ordered index" `Quick
+      test_range_probe_names_ordered_index;
     Alcotest.test_case "two-sided range probe (compiled)" `Quick
       test_two_sided_range;
     Alcotest.test_case "hash join counters (compiled)" `Quick

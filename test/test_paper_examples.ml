@@ -48,6 +48,8 @@ let test_example_3_1 () =
   ignore (System.exec_block s "delete from dept where dept_no in (1, 2)");
   Alcotest.(check (list string)) "only dept 3 employees remain" [ "d" ]
     (string_list_cells s "select name from emp");
+  Alcotest.(check int) "one department left" 1
+    (int_cell s "select count(*) from dept");
   let st = Engine.stats (System.engine s) in
   Alcotest.(check int) "single set-oriented firing" 1 st.Engine.rule_firings
 
@@ -168,7 +170,10 @@ let test_example_4_2 () =
        "update emp set salary = 30000 where emp_no = 1; update emp set salary \
         = 85000 where emp_no = 2");
   Alcotest.(check (list string)) "Mary deleted" [ "Bill" ]
-    (string_list_cells s "select name from emp")
+    (string_list_cells s "select name from emp");
+  (* the delete is not an update of salary: no second firing *)
+  let st = Engine.stats (System.engine s) in
+  Alcotest.(check int) "one firing" 1 st.Engine.rule_firings
 
 let test_example_4_2_below_threshold () =
   let s = paper_system () in

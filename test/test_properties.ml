@@ -305,7 +305,7 @@ let prop_cache_equivalence =
       in
       let plain = (Reference_eval.select db query).Reference_eval.rows in
       let cached =
-        (Compile.eval_select ~use_cache:true Eval.no_transitions db query).Eval.rows
+        (Compile.eval_select Eval.no_transitions db query).Eval.rows
       in
       List.length plain = List.length cached && List.for_all2 Row.equal plain cached)
 

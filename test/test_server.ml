@@ -449,7 +449,7 @@ let three_queued srv =
 
 let test_group_commit_one_record () =
   in_dir "group-batch" @@ fun dir ->
-  let srv = Server.create ~data_dir:dir Server.Wal_group in
+  let srv = Server.create ~data_dir:dir Server.Wal_sync in
   let a = Server.open_session srv in
   ignore (sx srv a "create table t (a int, b int)");
   Server.set_group_paused srv true;
@@ -496,11 +496,41 @@ let test_group_commit_one_record () =
   let _cols, rows = System.query sys "select * from t" in
   Alcotest.(check int) "all three transactions recovered" 3 (List.length rows)
 
+(* Without fsync, commits still go through group-commit rounds: two
+   sessions' commits land as [Wal.Batch] records (no [Wal.Txn]), and the
+   directory recovers to the state the server published. *)
+let test_nosync_batches () =
+  in_dir "nosync-batch" @@ fun dir ->
+  let srv = Server.create ~data_dir:dir Server.Wal_nosync in
+  let a = Server.open_session srv and b = Server.open_session srv in
+  ignore (sx srv a "create table t (a int, b int)");
+  ignore (sx srv a "begin; insert into t values (1, 10); commit");
+  ignore
+    (sx srv b
+       "begin; insert into t values (2, 20); update t set b = 11 where a = 1; \
+        commit");
+  let digest = Recovery.fingerprint (Server.system srv) in
+  Server.close srv;
+  let kinds =
+    List.map
+      (fun r ->
+        match r.Wal.payload with
+        | Wal.Batch { txns; _ } -> Printf.sprintf "batch of %d" (List.length txns)
+        | Wal.Txn _ -> "txn"
+        | Wal.Ddl _ -> "ddl")
+      (Wal.read ~dir ~gen:0).Wal.records
+  in
+  Alcotest.(check (list string)) "each commit is a batch record"
+    [ "ddl"; "batch of 1"; "batch of 1" ] kinds;
+  let sys, _info = Recovery.restore dir in
+  Alcotest.(check string) "recovers to the published state" digest
+    (Recovery.fingerprint sys)
+
 let test_batch_fsync_failure_fails_all () =
   in_dir "batch-fsync" @@ fun dir ->
   Fault.reset ();
   Fun.protect ~finally:Fault.reset @@ fun () ->
-  let srv = Server.create ~data_dir:dir Server.Wal_group in
+  let srv = Server.create ~data_dir:dir Server.Wal_sync in
   let a = Server.open_session srv in
   ignore (sx srv a "create table t (a int); insert into t values (0)");
   let digest_before = Recovery.fingerprint (Server.system srv) in
@@ -549,7 +579,7 @@ let test_batch_append_failure_fails_all () =
   in_dir "batch-append" @@ fun dir ->
   Fault.reset ();
   Fun.protect ~finally:Fault.reset @@ fun () ->
-  let srv = Server.create ~data_dir:dir Server.Wal_group in
+  let srv = Server.create ~data_dir:dir Server.Wal_sync in
   let a = Server.open_session srv in
   ignore (sx srv a "create table t (a int); insert into t values (0)");
   let digest_before = Recovery.fingerprint (Server.system srv) in
@@ -946,11 +976,12 @@ let test_differential_concurrent_vs_serial () =
 (* ------------------------------------------------------------------ *)
 (* Crash: SIGKILL under group commit — per-batch all-or-none           *)
 
-(* A forked child serves concurrent writers in group-commit mode and is
-   SIGKILLed mid-stream; each transaction inserts K rows under one tag.
-   Whatever prefix survived, recovery must show every tag with 0 or K
-   rows: a batch is one frame under one CRC, so no member transaction —
-   and no prefix of one — can surface alone. *)
+(* A forked child serves concurrent writers in sync WAL mode (every
+   commit group-committed) and is SIGKILLed mid-stream; each
+   transaction inserts K rows under one tag.  Whatever prefix survived,
+   recovery must show every tag with 0 or K rows: a batch is one frame
+   under one CRC, so no member transaction — and no prefix of one — can
+   surface alone. *)
 let test_sigkill_group_commit () =
   in_dir "crash-group" @@ fun root ->
   let dir = Filename.concat root "data" in
@@ -960,7 +991,7 @@ let test_sigkill_group_commit () =
   match Unix.fork () with
   | 0 ->
     (try
-       let srv = Server.create ~data_dir:dir Server.Wal_group in
+       let srv = Server.create ~data_dir:dir Server.Wal_sync in
        let s = Server.open_session srv in
        ignore (sx srv s "create table m (tag int, seq int)");
        let worker w =
@@ -1051,6 +1082,8 @@ let suite =
     Alcotest.test_case "DDL fencing" `Quick test_ddl_fencing;
     Alcotest.test_case "a group round is one WAL record" `Quick
       test_group_commit_one_record;
+    Alcotest.test_case "nosync commits are batch records" `Quick
+      test_nosync_batches;
     Alcotest.test_case "batch fsync failure fails every member" `Quick
       test_batch_fsync_failure_fails_all;
     Alcotest.test_case "batch append failure leaves nothing durable" `Quick

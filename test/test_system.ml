@@ -169,28 +169,18 @@ let test_negated_predicate () =
   Alcotest.(check int) "a-update does not" 1
     (int_cell s "select count(*) from log")
 
-(* [System.query] plans its select like any other statement, so the
-   uncorrelated-subquery cache follows [config.optimize]: with it the
-   subquery's table is scanned once, without it once per outer row. *)
-let test_query_follows_optimize () =
-  List.iter
-    (fun optimize ->
-      let config = { Engine.default_config with Engine.optimize } in
-      let s = system ~config "create table t (a int)" in
-      run s "insert into t values (1), (2), (3), (4), (5)";
-      let st () = (Engine.stats (System.engine s)).Engine.seq_scans in
-      let scans0 = st () in
-      Alcotest.(check rows_testable)
-        (Printf.sprintf "rows (optimize %b)" optimize)
-        [ [| vi 3 |]; [| vi 4 |]; [| vi 5 |] ]
-        (rows s
-           "select a from t where a in (select a from t where a > 2) order \
-            by a");
-      Alcotest.(check int)
-        (Printf.sprintf "seq scans (optimize %b)" optimize)
-        (if optimize then 2 else 6)
-        (st () - scans0))
-    [ true; false ]
+(* [System.query] plans its select like any other statement, so its
+   uncorrelated subquery runs once: the subquery's table is scanned
+   once, not once per outer row. *)
+let test_query_memoizes_subquery () =
+  let s = system "create table t (a int)" in
+  run s "insert into t values (1), (2), (3), (4), (5)";
+  let st () = (Engine.stats (System.engine s)).Engine.seq_scans in
+  let scans0 = st () in
+  Alcotest.(check rows_testable) "rows"
+    [ [| vi 3 |]; [| vi 4 |]; [| vi 5 |] ]
+    (rows s "select a from t where a in (select a from t where a > 2) order by a");
+  Alcotest.(check int) "seq scans" 2 (st () - scans0)
 
 let suite =
   [
@@ -199,8 +189,8 @@ let suite =
     Alcotest.test_case "render messages" `Quick test_render_messages;
     Alcotest.test_case "show and describe" `Quick test_show_and_describe;
     Alcotest.test_case "query_value" `Quick test_query_value;
-    Alcotest.test_case "query follows optimize" `Quick
-      test_query_follows_optimize;
+    Alcotest.test_case "query memoizes uncorrelated subquery" `Quick
+      test_query_memoizes_subquery;
     Alcotest.test_case "exec_block rejects DDL" `Quick
       test_exec_block_rejects_ddl;
     Alcotest.test_case "transaction statement errors" `Quick

@@ -36,7 +36,7 @@ trap '[ -n "$srv_pid" ] && kill "$srv_pid" 2>/dev/null; rm -rf "$dir"' EXIT
 
 start_server() {
   : >"$dir/server.log"
-  "$server" serve --port 0 --data-dir "$dir/data" --group \
+  "$server" serve --port 0 --data-dir "$dir/data" \
     >"$dir/server.log" 2>&1 &
   srv_pid=$!
   port=""

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Server smoke: boot sopr-server with group commit over a scratch data
+# Server smoke: boot a durable sopr-server (sync WAL mode) over a scratch data
 # directory, run a scripted multi-client conversation against it,
 # restart the server to prove the conversation was durable, and diff
 # the combined client transcript against the checked-in golden.
@@ -27,7 +27,7 @@ trap '[ -n "$srv_pid" ] && kill "$srv_pid" 2>/dev/null; rm -rf "$dir"' EXIT
 
 start_server() {
   : >"$dir/server.log"
-  "$server" serve --port 0 --data-dir "$dir/data" --group \
+  "$server" serve --port 0 --data-dir "$dir/data" \
     >"$dir/server.log" 2>&1 &
   srv_pid=$!
   port=""
