@@ -24,7 +24,7 @@
                              (the interpreter is gone; EXPERIMENTS.md)
      E16 (durability)        WAL overhead, recovery time, checkpoints
      E17 (workload corpus)   per-scenario txn/s under the generator
-     E18 (discrimination)    rule-count sweep: indexed vs linear scan
+     E18 (discrimination)    rule-count sweep: indexed vs instance engine
      E19 (concurrency)       server commit throughput vs client count
      E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
@@ -1027,12 +1027,10 @@ let e17 () =
 (* E18: rule discrimination — per-transaction cost as the rule catalog
    grows from 10 to 10k while the set of rules the transaction can
    trigger stays constant (one firing audit rule; every padding rule
-   is registered on a table the transaction never touches).  Three
-   arms: the discrimination index (default), the linear scan it
-   replaced ([rule_index = false] — the differential oracle), and the
-   instance-oriented engine as the non-set-oriented baseline.  The
-   claim: indexed cost is flat in the catalog size, both scans
-   degrade linearly.                                                   *)
+   is registered on a table the transaction never touches).  Two arms:
+   the discrimination index and the instance-oriented engine as the
+   non-set-oriented baseline.  The claim: indexed cost is flat in the
+   catalog size, the instance engine's scan degrades linearly.        *)
 
 let e18_args = if tiny then [ 10; 100 ] else [ 10; 100; 1_000; 10_000 ]
 
@@ -1050,8 +1048,8 @@ let e18_pad_def i =
     action = Ast.Act_rollback;
   }
 
-let e18_system ?config n =
-  let s = System.create ?config () in
+let e18_system n =
+  let s = System.create () in
   ignore_exec s
     "create table hot (a int);\ncreate table log (n int);\n\
      create table cold (a int)";
@@ -1079,10 +1077,10 @@ let e18_instance_system n =
 
 let e18_txn_ops = parse_ops "insert into hot values (0)"
 
-let e18_engine_test name config =
-  Test.make_indexed_with_resource ~name ~fmt:"%s:n=%d" ~args:e18_args
+let e18_engine_test =
+  Test.make_indexed_with_resource ~name:"e18-indexed" ~fmt:"%s:n=%d" ~args:e18_args
     Test.multiple
-    ~allocate:(fun n -> e18_system ?config n)
+    ~allocate:(fun n -> e18_system n)
     ~free:(fun _ -> ())
     (fun _ ->
       Staged.stage (fun s ->
@@ -1102,8 +1100,8 @@ let write_e18_json path rows =
     (Printf.sprintf
        "{\n  \"experiment\": \"E18\",\n  \"description\": \"rule \
         discrimination index: per-transaction cost vs rule-catalog size at \
-        a constant fired fraction — indexed vs linear scan vs \
-        instance-oriented baseline\",\n  \"unit\": \"ns_per_txn\",\n  \
+        a constant fired fraction — indexed vs instance-oriented \
+        baseline\",\n  \"unit\": \"ns_per_txn\",\n  \
         \"tiny\": %b,\n  \"results\": [\n"
        tiny);
   List.iteri
@@ -1122,36 +1120,23 @@ let write_e18_json path rows =
 let e18 () =
   print_header "E18" "rule discrimination: cost vs rule-catalog size"
     "with (table, op, column) discrimination the per-transition cost tracks \
-     the rules the transition can wake, not the catalog; the linear scan \
-     and the instance engine degrade with every rule defined";
+     the rules the transition can wake, not the catalog; the instance \
+     engine degrades with every rule defined";
   let arg_of name =
     match String.split_on_char '=' name with
     | [ _; n ] -> int_of_string n
     | _ -> 0
   in
-  let indexed = run_test (e18_engine_test "e18-indexed" None) in
-  let linear =
-    run_test
-      (e18_engine_test "e18-linear"
-         (Some { Engine.default_config with Engine.rule_index = false }))
-  in
+  let indexed = run_test e18_engine_test in
   let instance = run_test e18_instance_test in
   print_table
-    [ "rules"; "indexed"; "linear scan"; "instance"; "linear/indexed" ]
+    [ "rules"; "indexed"; "instance"; "instance/indexed" ]
     (List.map2
-       (fun ((name, ins), (_, lns)) (_, bns) ->
-         [
-           string_of_int (arg_of name);
-           pretty_ns ins;
-           pretty_ns lns;
-           pretty_ns bns;
-           ratio lns ins;
-         ])
-       (List.combine indexed linear)
-       instance);
+       (fun (name, ins) (_, bns) ->
+         [ string_of_int (arg_of name); pretty_ns ins; pretty_ns bns; ratio bns ins ])
+       indexed instance);
   let rows =
     List.map (fun (name, ns) -> ("indexed", arg_of name, ns)) indexed
-    @ List.map (fun (name, ns) -> ("linear-scan", arg_of name, ns)) linear
     @ List.map (fun (name, ns) -> ("instance", arg_of name, ns)) instance
   in
   write_e18_json "BENCH_PR7.json" rows

@@ -250,7 +250,9 @@ let opt_data_dir_arg =
     value
     & opt (some string) None
     & info [ "data-dir" ] ~docv:"DIR"
-        ~doc:"Data directory for the WAL modes (created if absent).")
+        ~doc:
+          "Scratch root for the WAL modes: each scenario runs in its own \
+           subdirectory, emptied first (created if absent).")
 
 let server_cmd =
   let run names profile clients mode data_dir =

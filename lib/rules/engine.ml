@@ -11,9 +11,8 @@
    (modify-trans-info).  A rule's transition information is an
    [Effect.t]: effects carry the old rows data manipulation returns,
    so no earlier database state is kept for get-old-value.  The
-   discrimination index and the linear-scan oracle differ only in
-   which rules they wake.  A rollback action restores the
-   transaction's start state.
+   discrimination index decides which rules a transition wakes.  A
+   rollback action restores the transaction's start state.
 
    Section 5.3's rule triggering points are supported: a transaction
    may interleave several externally-generated operation sequences with
@@ -37,11 +36,6 @@ type config = {
          run-time guard the paper suggests for divergent rule sets *)
   strategy : Selection.strategy;
   track_selects : bool; (* Section 5.1: maintain the S component *)
-  rule_index : bool;
-      (* wake only the rules the discrimination index registers on a
-         touched (table, op, column) key; off = wake the whole catalog,
-         the literal Figure 1 linear scan, retained as a differential
-         oracle *)
 }
 
 let default_config =
@@ -49,7 +43,6 @@ let default_config =
     max_steps = 10_000;
     strategy = Selection.Creation_order;
     track_selects = false;
-    rule_index = true;
   }
 
 type outcome = Committed | Rolled_back
@@ -70,8 +63,7 @@ type stats = {
   mutable candidates_considered : int;
       (* rules examined for triggering across candidate scans *)
   mutable rules_skipped : int;
-      (* rules the discrimination index excluded from candidate scans;
-         always 0 under the linear-scan oracle *)
+      (* rules the discrimination index excluded from candidate scans *)
   mutable stmt_cache_hits : int;
       (* statement/prepared plans served without recompiling *)
   mutable stmt_cache_misses : int; (* first-time compilations *)
@@ -206,7 +198,7 @@ type t = {
          catalog in O(n) instead of the O(n²) of appending *)
   mutable rules_by_name : Rule.t Str_map.t;
   mutable rule_count : int;
-  mutable rule_index : Rule_index.t;
+  mutable index : Rule_index.t;
       (* discrimination index over the active rules, maintained
          incrementally on rule DDL; [live_index] rebuilds it when its
          generation disagrees with [ddl_gen] (table/index DDL) *)
@@ -286,7 +278,7 @@ let create ?(config = default_config) db =
     rules_rev = [];
     rules_by_name = Str_map.empty;
     rule_count = 0;
-    rule_index = Rule_index.create ~generation:0 ();
+    index = Rule_index.create ~generation:0 ();
     priorities = Priority.empty;
     txn = fresh_txn ();
     commit_hook = None;
@@ -325,7 +317,7 @@ let fork t stmts =
     rules_rev = t.rules_rev;
     rules_by_name = t.rules_by_name;
     rule_count = t.rule_count;
-    rule_index = t.rule_index;
+    index = t.index;
     priorities = t.priorities;
     txn = fresh_txn ();
     commit_hook = None;
@@ -723,11 +715,11 @@ let priorities t = t.priorities
    Rule DDL maintains it incrementally without touching the
    generation. *)
 let live_index t =
-  if Rule_index.generation t.rule_index <> t.ddl_gen then
-    t.rule_index <-
+  if Rule_index.generation t.index <> t.ddl_gen then
+    t.index <-
       Rule_index.rebuild ~generation:t.ddl_gen
         (List.filter (fun r -> r.Rule.active) t.rules_rev);
-  t.rule_index
+  t.index
 
 (* Rules defined mid-transaction start with empty transition
    information: they have seen no transition yet. *)
@@ -924,19 +916,15 @@ let action_block t (rule : Rule.t) resolve =
     let query s = run_select t resolve (Dml.compile_op t.db (Ast.Select_op s)) in
     List.map (Dml.compile_op t.db) (fn { Procedures.query; rule_name = rule.Rule.name })
 
-(* The one reading of [config.rule_index]: fold [f] over the rules
-   effect [e] wakes.  The discrimination index wakes exactly the rules
-   registered on a (table, op, column) key [e] touches; the linear-scan
-   oracle wakes the whole catalog.  A rule [e] does not wake cannot be
-   triggered by it, so the two differ only in the work they do. *)
+(* Fold [f] over the rules effect [e] wakes: the rules the
+   discrimination index registers on a (table, op, column) key [e]
+   touches.  A rule [e] does not wake cannot be triggered by it. *)
 let wake t e f acc =
-  if t.config.rule_index then
-    Str_set.fold
-      (fun name acc ->
-        match find_rule t name with Some r -> f r acc | None -> acc)
-      (Rule_index.matching (live_index t) e)
-      acc
-  else List.fold_left (fun acc r -> f r acc) acc t.rules_rev
+  Str_set.fold
+    (fun name acc ->
+      match find_rule t name with Some r -> f r acc | None -> acc)
+    (Rule_index.matching (live_index t) e)
+    acc
 
 (* [e] restricted to the tables whose information rule [r] keeps: its
    own (the Section 4.3 pruning, "we need only save the subset of that
@@ -1303,7 +1291,7 @@ let of_durable_image ?config img =
       Priority.empty img.di_priorities;
   t.seq <- img.di_seq;
   t.ddl_gen <- img.di_ddl_gen;
-  t.rule_index <-
+  t.index <-
     Rule_index.rebuild ~generation:t.ddl_gen
       (List.filter (fun r -> r.Rule.active) t.rules_rev);
   t

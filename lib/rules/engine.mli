@@ -33,18 +33,14 @@ type config = {
   track_selects : bool;
       (** Section 5.1: maintain the [S] effect component so rules can
           be triggered by data retrieval. *)
-  rule_index : bool;
-      (** Wake only the rules the {!Rule_index} discrimination index
-          registers on a touched (table, op, column) key, so each
-          transition initializes, extends and scans O(matching rules).
-          [false] wakes the whole catalog: the literal Figure 1 linear
-          scan, retained as a differential oracle; semantically
-          invisible either way. *)
 }
+(** A transition wakes only the rules the {!Rule_index}
+    discrimination index registers on a (table, op, column) key it
+    touches, so each transition initializes, extends and scans
+    O(matching rules). *)
 
 val default_config : config
-(** 10000 steps, creation-order selection, no select tracking, the
-    discrimination index on. *)
+(** 10000 steps, creation-order selection, no select tracking. *)
 
 type outcome = Committed | Rolled_back
 
@@ -70,8 +66,7 @@ type stats = {
   mutable candidates_considered : int;
       (** rules examined for triggering across candidate scans *)
   mutable rules_skipped : int;
-      (** rules the discrimination index excluded from candidate scans
-          (always 0 under the linear-scan oracle) *)
+      (** rules the discrimination index excluded from candidate scans *)
   mutable stmt_cache_hits : int;
       (** statement/prepared plans served without recompiling *)
   mutable stmt_cache_misses : int;  (** first-time statement compilations *)

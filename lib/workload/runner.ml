@@ -165,99 +165,51 @@ let count_outcome rep = function
     failf "genuine engine error in generated workload: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* The in-memory differential run                                      *)
+(* Twin differentials                                                  *)
 
-let run_short ?(check_every = 4) sc profile =
-  Profile.validate profile;
+(* The stream on [primary] and, through [run_twin], on [twin]: each
+   block's result compared, the value digests compared and the
+   invariants checked on the twin every [check_every] blocks, and at
+   the end the digests and both systems' invariants.  [names] labels
+   the two sides; [diverged] is the digest mismatch's message. *)
+let run_twins ~check_every sc profile ~names:(p_name, t_name) ~diverged
+    ~primary ~twin run_twin =
   let blocks = gen_blocks sc profile in
-  let primary = build sc profile in
-  let scan = build ~indexes:false sc profile in
   let rep = ref (empty_report sc.Scenario.sc_name) in
   let compare_states context =
-    let dp = state_digest sc primary in
-    let ds = state_digest sc scan in
-    if dp <> ds then
-      failf "[%s] %s: scan twin diverged from probe" sc.Scenario.sc_name
-        context
+    if state_digest sc primary <> state_digest sc twin then
+      failf "[%s] %s: %s" sc.Scenario.sc_name context diverged
   in
+  let label = p_name ^ " vs " ^ t_name in
   List.iteri
     (fun i block ->
       let context = Printf.sprintf "txn %d" (i + 1) in
       let rp = run_block primary block in
-      let rs = run_block scan block in
-      check_same_result sc ~context ~label:"probe vs scan" rp rs;
+      let rt = run_twin twin block in
+      check_same_result sc ~context ~label rp rt;
       rep := { !rep with r_txns = !rep.r_txns + 1 };
       count_outcome rep rp;
       if (i + 1) mod check_every = 0 then begin
         compare_states context;
-        check_invariants sc ~context primary;
+        check_invariants sc ~context twin;
         rep := { !rep with r_checks = !rep.r_checks + n_invariants sc }
       end)
     blocks;
   compare_states "final";
-  check_invariants sc ~context:"final (probe)" primary;
-  check_invariants sc ~context:"final (scan)" scan;
+  let final name = Printf.sprintf "final (%s)" name in
+  check_invariants sc ~context:(final p_name) primary;
+  check_invariants sc ~context:(final t_name) twin;
   rep := { !rep with r_checks = !rep.r_checks + (2 * n_invariants sc) };
   !rep
 
-(* ------------------------------------------------------------------ *)
-(* Discrimination-index differential: the same stream on a system with
-   the rule index on and on the linear-scan oracle.  Selection is
-   order-independent over equal candidate sets, so the two must agree
-   on everything observable: per-transaction results, full execution
-   traces (consideration and firing order included), value digests,
-   lifetime firing counts.                                             *)
-
-let run_index_differential ?(check_every = 4) sc profile =
+(* The in-memory differential run: a probing system against its
+   index-free scan twin. *)
+let run_short ?(check_every = 4) sc profile =
   Profile.validate profile;
-  let blocks = gen_blocks sc profile in
-  let indexed = build sc profile in
-  let oracle =
-    build
-      ~config:{ sc.Scenario.sc_config with Engine.rule_index = false }
-      sc profile
-  in
-  Engine.set_tracing (System.engine indexed) true;
-  Engine.set_tracing (System.engine oracle) true;
-  let rep = ref (empty_report sc.Scenario.sc_name) in
-  let compare_states context =
-    if state_digest sc indexed <> state_digest sc oracle then
-      failf "[%s] %s: indexed state diverged from the linear oracle"
-        sc.Scenario.sc_name context
-  in
-  List.iteri
-    (fun i block ->
-      let context = Printf.sprintf "txn %d" (i + 1) in
-      let ri = run_block indexed block in
-      let ro = run_block oracle block in
-      check_same_result sc ~context ~label:"indexed vs linear oracle" ri ro;
-      let trace_i = Engine.trace (System.engine indexed) in
-      let trace_o = Engine.trace (System.engine oracle) in
-      if trace_i <> trace_o then
-        failf
-          "[%s] %s: indexed trace (considerations, firing order) diverged \
-           from the linear oracle"
-          sc.Scenario.sc_name context;
-      rep := { !rep with r_txns = !rep.r_txns + 1 };
-      count_outcome rep ri;
-      if (i + 1) mod check_every = 0 then begin
-        compare_states context;
-        check_invariants sc ~context indexed;
-        rep := { !rep with r_checks = !rep.r_checks + n_invariants sc }
-      end)
-    blocks;
-  compare_states "final";
-  check_invariants sc ~context:"final (indexed)" indexed;
-  check_invariants sc ~context:"final (oracle)" oracle;
-  rep := { !rep with r_checks = !rep.r_checks + (2 * n_invariants sc) };
-  let si = Engine.stats (System.engine indexed) in
-  let so = Engine.stats (System.engine oracle) in
-  if si.Engine.rule_firings <> so.Engine.rule_firings then
-    failf "[%s] firing counts diverged: indexed %d, oracle %d"
-      sc.Scenario.sc_name si.Engine.rule_firings so.Engine.rule_firings;
-  if so.Engine.rules_skipped <> 0 then
-    failf "[%s] the linear oracle reported skipped rules" sc.Scenario.sc_name;
-  !rep
+  let primary = build sc profile in
+  let twin = build ~indexes:false sc profile in
+  run_twins ~check_every sc profile ~names:("probe", "scan")
+    ~diverged:"scan twin diverged from probe" ~primary ~twin run_block
 
 (* ------------------------------------------------------------------ *)
 (* Prepared-statement differential: the same stream executed directly
@@ -315,43 +267,24 @@ let run_prepared_block s names executed block =
 
 let run_prepared_differential ?(check_every = 4) sc profile =
   Profile.validate profile;
-  let blocks = gen_blocks sc profile in
-  let direct = build sc profile in
-  let prepared = build sc profile in
+  let primary = build sc profile in
+  let twin = build sc profile in
   let names = Hashtbl.create 64 in
   let executed = ref 0 in
-  let rep = ref (empty_report sc.Scenario.sc_name) in
-  let compare_states context =
-    if state_digest sc direct <> state_digest sc prepared then
-      failf "[%s] %s: prepared-statement twin diverged from direct execution"
-        sc.Scenario.sc_name context
+  let rep =
+    run_twins ~check_every sc profile ~names:("direct", "prepared")
+      ~diverged:"prepared-statement twin diverged from direct execution"
+      ~primary ~twin
+      (fun s block -> run_prepared_block s names executed block)
   in
-  List.iteri
-    (fun i block ->
-      let context = Printf.sprintf "txn %d" (i + 1) in
-      let rd = run_block direct block in
-      let rp = run_prepared_block prepared names executed block in
-      check_same_result sc ~context ~label:"direct vs prepared" rd rp;
-      rep := { !rep with r_txns = !rep.r_txns + 1 };
-      count_outcome rep rd;
-      if (i + 1) mod check_every = 0 then begin
-        compare_states context;
-        check_invariants sc ~context prepared;
-        rep := { !rep with r_checks = !rep.r_checks + n_invariants sc }
-      end)
-    blocks;
-  compare_states "final";
-  check_invariants sc ~context:"final (direct)" direct;
-  check_invariants sc ~context:"final (prepared)" prepared;
-  rep := { !rep with r_checks = !rep.r_checks + (2 * n_invariants sc) };
-  let st = Engine.stats (System.engine prepared) in
+  let st = Engine.stats (System.engine twin) in
   let distinct = Hashtbl.length names in
   if !executed > distinct && st.Engine.stmt_cache_hits = 0 then
     failf
       "[%s] prepared plans never hit the cache (%d statements over %d \
        distinct shapes)"
       sc.Scenario.sc_name !executed distinct;
-  !rep
+  rep
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem scratch helpers                                          *)
@@ -369,6 +302,12 @@ let rec rm_rf path =
     Unix.rmdir path
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let scenario_dir root sc =
+  let dir = Filename.concat root sc.Scenario.sc_name in
+  rm_rf dir;
+  mkdir_p dir;
+  dir
 
 (* ------------------------------------------------------------------ *)
 (* Recovery differential: after every recovery the soak checks that    *)
@@ -613,9 +552,7 @@ let crash_phase sc profile ~kills ~root rep blocks =
 let soak ~dir ?(kills = 3) ?(fault_every = 5) sc profile =
   Profile.validate profile;
   let rep = ref (empty_report sc.Scenario.sc_name) in
-  let root = Filename.concat dir sc.Scenario.sc_name in
-  rm_rf root;
-  mkdir_p root;
+  let root = scenario_dir dir sc in
   Fun.protect ~finally:Fault.reset (fun () ->
       let blocks = gen_blocks sc profile in
       live_fault_phase sc profile ~fault_every

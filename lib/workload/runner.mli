@@ -37,7 +37,7 @@ val build :
 (** A fresh in-memory system with the scenario's setup applied (one
     statement at a time — rule DDL must never share a script string
     with a following statement).  [config] overrides the scenario's
-    engine configuration (e.g. to build the linear-scan oracle). *)
+    engine configuration. *)
 
 val gen_blocks : Scenario.t -> Profile.t -> string list
 (** The profile's whole transaction stream: [txns] blocks from a fresh
@@ -66,6 +66,11 @@ val run_block : System.t -> string -> block_result
     not an engine error); genuine engine errors normalize to
     [Failed]. *)
 
+val scenario_dir : string -> Scenario.t -> string
+(** [scenario_dir root sc] is [root/<scenario name>], created empty:
+    the scratch directory of one scenario's run, whatever an earlier
+    run left there. *)
+
 (** {2 Reports} *)
 
 type report = {
@@ -88,14 +93,6 @@ val run_short : ?check_every:int -> Scenario.t -> Profile.t -> report
 (** The in-memory differential run described above.  [check_every]
     (default 4) sets how often digests and invariants are compared
     between per-transaction result checks. *)
-
-val run_index_differential :
-  ?check_every:int -> Scenario.t -> Profile.t -> report
-(** The same stream on a system with the rule discrimination index on
-    and on the linear-scan oracle ([rule_index = false]), asserting
-    identical per-transaction results, execution traces (consideration
-    and firing order included), value digests, invariants and lifetime
-    firing counts. *)
 
 val run_prepared_differential :
   ?check_every:int -> Scenario.t -> Profile.t -> report

@@ -71,6 +71,9 @@ let run ?(clients = 4) ?(mode = Server.Memory) ?data_dir sc profile =
      read claims join the commit validation — which is what makes the
      serial-replay check sound. *)
   let config = { sc.Scenario.sc_config with Engine.track_selects = true } in
+  let data_dir =
+    Option.map (fun root -> Runner.scenario_dir root sc) data_dir
+  in
   let srv = Server.create ~config ?data_dir mode in
   let listener = Server.start srv in
   let port = Server.port listener in

@@ -37,5 +37,6 @@ val run :
   Profile.t ->
   report
 (** Defaults: 4 clients, {!Sopr_server.Server.Memory} (no [data_dir]
-    needed).  WAL modes require [data_dir], as in
-    {!Sopr_server.Server.create}. *)
+    needed).  WAL modes require [data_dir]: each scenario runs in its
+    own directory [data_dir/<scenario>], emptied first, so it starts
+    from no tables and rules whatever an earlier run left. *)

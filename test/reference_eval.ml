@@ -8,7 +8,10 @@
    memo: every subquery is re-evaluated wherever it is reached.  Only
    [Ast], [Value], [Functions], [Errors] and table iteration are used —
    nothing from [Eval], [Compile] or [Dml] — so a bug in the planner or
-   join code the engine shares shows up as a difference.
+   join code the engine shares shows up as a difference.  Transition
+   tables come from a resolver the caller passes (the rule reference,
+   test/reference_rules.ml, materializes them); without one a
+   transition table is an [Invalid_transition_reference].
 
    Evaluation order is SQL's clause order, each clause over every row
    before the next: FROM sources resolved in order, then the duplicate
@@ -20,6 +23,10 @@
 open Core
 
 type relation = { cols : string array; rows : Row.t list }
+
+(* Where FROM items are read: base tables from a database state,
+   transition tables through a resolver. *)
+type tables = { base : Database.t; transition : Ast.trans_table -> relation }
 
 (* One FROM binding: its name, columns and current row. *)
 type binding = { name : string; bcols : string array; row : Row.t }
@@ -255,10 +262,11 @@ and sources db outer (s : Ast.select) =
         let rel = select_in db outer sub in
         (name (Printf.sprintf "$%d" i), rel.cols, rel.rows)
       | Ast.Base t ->
-        let tbl = Database.table db t in
+        let tbl = Database.table db.base t in
         (name t, Table.col_names tbl, Table.rows tbl)
       | Ast.Transition tt ->
-        Errors.raise_error (Errors.Invalid_transition_reference (Pretty.trans_table_str tt)))
+        let rel = db.transition tt in
+        (name (Ast.trans_table_base tt), rel.cols, rel.rows))
     s.Ast.from
 
 and core db (outer : env) (s : Ast.select) : relation =
@@ -346,8 +354,9 @@ and empty_cols db (s : Ast.select) =
         let name default = Option.value item.Ast.alias ~default in
         match item.Ast.source with
         | Ast.Derived sub -> Some (name "", (select_in db [] sub).cols)
-        | Ast.Base t when Database.has_table db t -> Some (name t, Table.col_names (Database.table db t))
-        | Ast.Base _ | Ast.Transition _ -> None)
+        | Ast.Base t when Database.has_table db.base t -> Some (name t, Table.col_names (Database.table db.base t))
+        | Ast.Transition tt -> Some (name (Ast.trans_table_base tt), (db.transition tt).cols)
+        | Ast.Base _ -> None)
       s.Ast.from
   in
   Array.of_list
@@ -359,5 +368,8 @@ and empty_cols db (s : Ast.select) =
          | Ast.Proj (e, alias) -> [ Option.value alias ~default:(proj_name e) ])
        s.Ast.projections)
 
-let select db s = select_in db [] s
-let predicate db e = holds (expr db [] e)
+let no_transitions tt =
+  Errors.raise_error (Errors.Invalid_transition_reference (Pretty.trans_table_str tt))
+
+let select ?(transition = no_transitions) db s = select_in { base = db; transition } [] s
+let predicate ?(transition = no_transitions) db e = holds (expr { base = db; transition } [] e)

@@ -11,212 +11,39 @@ let eff_testable =
 
 module Dml = Sqlf.Dml
 
-(* ------------------------------------------------------------------ *)
-(* The flat reference model: the effect as four handle-keyed
-   collections over all tables, every operation a pass over handles.
-   It is the representation the per-table effect replaced, kept here as
-   the oracle the properties below compare against. *)
+(* The flat model of test/reference_rules.ml: the effect as four
+   handle-keyed collections over all tables, every operation a pass over
+   handles, old values read from the state a composite started from.
+   The properties below compare the per-table effect against it. *)
+module Flat = Reference_rules.Flat
 
-module Flat = struct
-  module Col_set = Effect.Col_set
+(* The effect of one operation in the flat model. *)
+let flat_of_affected = function
+  | Dml.A_insert hs -> Flat.inserted hs
+  | Dml.A_delete pairs -> Flat.deleted (List.map fst pairs)
+  | Dml.A_update triples -> Flat.updated (List.map (fun (h, cols, _) -> (h, cols)) triples)
+  | Dml.A_select reads -> Flat.selected reads
 
-  type t = {
-    ins : Handle.Set.t;
-    del : Row.t Handle.Map.t;
-    upd : Effect.upd_entry Handle.Map.t;
-    sel : Col_set.t Handle.Map.t;
-  }
-
-  let empty =
-    {
-      ins = Handle.Set.empty;
-      del = Handle.Map.empty;
-      upd = Handle.Map.empty;
-      sel = Handle.Map.empty;
-    }
-
-  let is_empty e =
-    Handle.Set.is_empty e.ins && Handle.Map.is_empty e.del
-    && Handle.Map.is_empty e.upd && Handle.Map.is_empty e.sel
-
-  let union_cols m h cols =
-    Handle.Map.update h
-      (function None -> Some cols | Some c -> Some (Col_set.union c cols))
-      m
-
-  let of_affected = function
-    | Dml.A_insert hs -> { empty with ins = Handle.Set.of_list hs }
-    | Dml.A_delete pairs -> { empty with del = Handle.Map.of_list pairs }
-    | Dml.A_update triples ->
-      let upd =
-        List.fold_left
-          (fun m (h, cols, old_row) ->
-            Handle.Map.add h
-              { Effect.upd_cols = Col_set.of_list cols; old_row }
-              m)
-          Handle.Map.empty triples
-      in
-      { empty with upd }
-    | Dml.A_select reads ->
-      let sel =
-        List.fold_left
-          (fun m (cols, hs) ->
-            let cols = Col_set.of_list cols in
-            List.fold_left (fun m h -> union_cols m h cols) m hs)
-          Handle.Map.empty reads
-      in
-      { empty with sel }
-
-  let remove_keys keys m =
-    Handle.Map.fold (fun h _ m -> Handle.Map.remove h m) keys m
-
-  let compose e1 e2 =
-    if is_empty e1 then e2
-    else if is_empty e2 then e1
-    else
-      let fresh h _ = not (Handle.Set.mem h e1.ins) in
-      let first_old h row =
-        match Handle.Map.find_opt h e1.upd with
-        | Some u -> u.Effect.old_row
-        | None -> row
-      in
-      let merge_upd _ (u1 : Effect.upd_entry) (u2 : Effect.upd_entry) =
-        Some { u1 with upd_cols = Col_set.union u1.upd_cols u2.upd_cols }
-      in
-      {
-        ins =
-          Handle.Map.fold
-            (fun h _ s -> Handle.Set.remove h s)
-            e2.del
-            (Handle.Set.union e1.ins e2.ins);
-        del =
-          Handle.Map.fold
-            (fun h row del ->
-              if Handle.Set.mem h e1.ins then del
-              else Handle.Map.add h (first_old h row) del)
-            e2.del e1.del;
-        upd =
-          Handle.Map.union merge_upd (remove_keys e2.del e1.upd)
-            (Handle.Map.filter fresh e2.upd);
-        sel =
-          Handle.Map.union
-            (fun _ c1 c2 -> Some (Col_set.union c1 c2))
-            (remove_keys e2.del e1.sel)
-            (Handle.Map.filter fresh e2.sel);
-      }
-
-  let satisfies_pred e (pred : Ast.basic_trans_pred) =
-    let in_table t h = String.equal (Handle.table h) t in
-    let on_column c cols =
-      match c with None -> true | Some c -> Col_set.mem c cols
-    in
-    match pred with
-    | Ast.Tp_inserted t -> Handle.Set.exists (in_table t) e.ins
-    | Ast.Tp_deleted t -> Handle.Map.exists (fun h _ -> in_table t h) e.del
-    | Ast.Tp_updated (t, c) ->
-      Handle.Map.exists
-        (fun h (u : Effect.upd_entry) -> in_table t h && on_column c u.upd_cols)
-        e.upd
-    | Ast.Tp_selected (t, c) ->
-      Handle.Map.exists (fun h cols -> in_table t h && on_column c cols) e.sel
-
-  let restrict e keep =
-    let keep_key h _ = keep (Handle.table h) in
-    {
-      ins = Handle.Set.filter (fun h -> keep (Handle.table h)) e.ins;
-      del = Handle.Map.filter keep_key e.del;
-      upd = Handle.Map.filter keep_key e.upd;
-      sel = Handle.Map.filter keep_key e.sel;
-    }
-
-  let tables e =
-    let add h acc = Col_set.add (Handle.table h) acc in
-    let add_key h _ acc = add h acc in
-    Handle.Set.fold add e.ins Col_set.empty
-    |> Handle.Map.fold add_key e.del
-    |> Handle.Map.fold add_key e.upd
-    |> Handle.Map.fold add_key e.sel
-
-  let equal a b =
-    Handle.Set.equal a.ins b.ins
-    && Handle.Map.equal Row.equal a.del b.del
-    && Handle.Map.equal
-         (fun (x : Effect.upd_entry) (y : Effect.upd_entry) ->
-           Col_set.equal x.upd_cols y.upd_cols && Row.equal x.old_row y.old_row)
-         a.upd b.upd
-    && Handle.Map.equal Col_set.equal a.sel b.sel
-
-  let cardinality e =
-    Handle.Set.cardinal e.ins + Handle.Map.cardinal e.del
-    + Handle.Map.cardinal e.upd + Handle.Map.cardinal e.sel
-
-  let pp ppf e =
-    let pp_handles ppf hs = Fmt.list ~sep:Fmt.comma Handle.pp ppf hs in
-    let pp_cols ppf bindings =
-      Fmt.list ~sep:Fmt.comma
-        (fun ppf (h, cols) ->
-          Fmt.pf ppf "%a{%s}" Handle.pp h
-            (String.concat "," (Col_set.elements cols)))
-        ppf bindings
-    in
-    let keys m = List.map fst (Handle.Map.bindings m) in
-    Fmt.pf ppf "[I={%a}; D={%a}; U={%a}" pp_handles
-      (Handle.Set.elements e.ins) pp_handles (keys e.del) pp_cols
-      (List.map
-         (fun (h, (u : Effect.upd_entry)) -> (h, u.upd_cols))
-         (Handle.Map.bindings e.upd));
-    if not (Handle.Map.is_empty e.sel) then
-      Fmt.pf ppf "; S={%a}" pp_cols (Handle.Map.bindings e.sel);
-    Fmt.pf ppf "]"
-
-  (* A transition table's rows, in handle order. *)
-  let materialize e ~current_db (tt : Ast.trans_table) =
-    let t = Ast.trans_table_base tt in
-    let tbl = Database.table current_db t in
-    let of_t h = String.equal (Handle.table h) t in
-    let on_column col cols =
-      match col with None -> true | Some c -> Col_set.mem c cols
-    in
-    let collect m row_of =
-      Handle.Map.fold
-        (fun h x acc ->
-          if not (of_t h) then acc
-          else match row_of h x with Some row -> row :: acc | None -> acc)
-        m []
-    in
-    let updated col row_of =
-      collect e.upd (fun h (u : Effect.upd_entry) ->
-          if on_column col u.upd_cols then Some (row_of h u) else None)
-    in
-    List.rev
-      (match tt with
-      | Ast.Tt_inserted _ ->
-        Handle.Set.fold
-          (fun h acc -> if of_t h then Table.get tbl h :: acc else acc)
-          e.ins []
-      | Ast.Tt_deleted _ -> collect e.del (fun _ row -> Some row)
-      | Ast.Tt_old_updated (_, col) -> updated col (fun _ u -> u.old_row)
-      | Ast.Tt_new_updated (_, col) -> updated col (fun h _ -> Table.get tbl h)
-      | Ast.Tt_selected (_, col) ->
-        collect e.sel (fun h cols ->
-            if on_column col cols then Database.find_row current_db h
-            else None))
-end
-
-(* The per-table effect seen as the flat model sees it. *)
+(* The per-table effect seen as the flat model sees it: the one
+   conversion the properties compare through. *)
 let flat (e : Effect.t) =
   Effect.fold
     (fun _ (p : Effect.part) (f : Flat.t) ->
+      let keys m = Handle.Map.fold (fun h _ s -> Handle.Set.add h s) m Handle.Set.empty in
       let union m1 m2 = Handle.Map.union (fun _ x _ -> Some x) m1 m2 in
+      let cols m = Handle.Map.map (fun c -> Reference_rules.Cols.of_list (Effect.Col_set.elements c)) m in
       {
         Flat.ins = Handle.Set.union p.ins f.ins;
-        del = union p.del f.del;
-        upd = union p.upd f.upd;
-        sel = union (Effect.selected p) f.sel;
+        del = Handle.Set.union (keys p.del) f.del;
+        upd = union (cols (Handle.Map.map (fun (u : Effect.upd_entry) -> u.upd_cols) p.upd)) f.upd;
+        sel = union (cols (Effect.selected p)) f.sel;
       })
     e Flat.empty
 
-let upd_entry e h = Handle.Map.find h (flat e).Flat.upd
+(* A table's part of the per-table effect, and a handle's entries. *)
+let part e table = Option.get (Effect.find e table)
+let upd_entry e h = Handle.Map.find h (part e (Handle.table h)).Effect.upd
+let deleted_row e h = Handle.Map.find h (part e (Handle.table h)).Effect.del
 
 let db_with_t () =
   Database.create_table Database.empty
@@ -238,7 +65,7 @@ let test_single_op_effects () =
   Alcotest.(check bool) "well formed" true (Effect.well_formed e);
   let e = eff_del [ (h1, [| vi 1; vs "x" |]) ] in
   Alcotest.check row_testable "deleted value kept" [| vi 1; vs "x" |]
-    (Handle.Map.find h1 (flat e).Flat.del);
+    (deleted_row e h1);
   let e = eff_upd [ (h1, [ "a"; "b" ], [| vi 1; vs "x" |]) ] in
   let u = upd_entry e h1 in
   Alcotest.(check int) "upd cols" 2 (Effect.Col_set.cardinal u.Effect.upd_cols);
@@ -265,7 +92,7 @@ let test_of_affected_delete () =
     (exec (db_with_t ()) "insert into t values (1, 'x'), (2, 'y')").Dml.db
   in
   let r = exec db "delete from t where a = 1" in
-  match Handle.Map.bindings (flat (Effect.of_affected r.Dml.affected)).Flat.del with
+  match Handle.Map.bindings (part (Effect.of_affected r.Dml.affected) "t").Effect.del with
   | [ (h, row) ] ->
     Alcotest.check row_testable "value captured" [| vi 1; vs "x" |] row;
     Alcotest.check row_testable "as stored before" (Database.get_row db h) row;
@@ -276,7 +103,7 @@ let test_of_affected_delete () =
 let test_of_affected_update () =
   let db = (exec (db_with_t ()) "insert into t values (1, 'x')").Dml.db in
   let r = exec db "update t set a = 2" in
-  match Handle.Map.bindings (flat (Effect.of_affected r.Dml.affected)).Flat.upd with
+  match Handle.Map.bindings (part (Effect.of_affected r.Dml.affected) "t").Effect.upd with
   | [ (h, u) ] ->
     Alcotest.check row_testable "old row captured" [| vi 1; vs "x" |]
       u.Effect.old_row;
@@ -333,7 +160,7 @@ let test_update_then_delete_first_old () =
   Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd);
   (* the deleted value is the one at the start of the composite *)
   Alcotest.check row_testable "first old row" [| vi 1; vs "x" |]
-    (Handle.Map.find h1 (flat e).Flat.del)
+    (deleted_row e h1)
 
 let test_insert_then_update_stays_insert () =
   let h1 = h "t" in
@@ -343,7 +170,7 @@ let test_insert_then_update_stays_insert () =
   Alcotest.(check bool) "ins" true (Handle.Set.mem h1 (flat e).Flat.ins);
   (* a tuple created within the composite has no old value *)
   Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd);
-  Alcotest.(check bool) "no del" true (Handle.Map.is_empty (flat e).Flat.del);
+  Alcotest.(check bool) "no del" true (Handle.Set.is_empty (flat e).Flat.del);
   Alcotest.(check bool) "triggers insert only" true
     (Effect.satisfies_any e [ Ast.Tp_inserted "t" ]
     && not (Effect.satisfies_any e [ Ast.Tp_updated ("t", None) ]));
@@ -354,7 +181,7 @@ let test_insert_then_update_stays_insert () =
 let test_delete_then_insert_not_update () =
   let h1 = h "t" and h2 = h "t" in
   let e = Effect.compose (eff_del [ (h1, [| vi 1 |]) ]) (eff_ins [ h2 ]) in
-  Alcotest.(check bool) "del kept" true (Handle.Map.mem h1 (flat e).Flat.del);
+  Alcotest.(check bool) "del kept" true (Handle.Set.mem h1 (flat e).Flat.del);
   Alcotest.(check bool) "ins kept" true (Handle.Set.mem h2 (flat e).Flat.ins);
   Alcotest.(check bool) "no upd" true (Handle.Map.is_empty (flat e).Flat.upd)
 
@@ -417,7 +244,7 @@ let test_select_same_handle_twice () =
       Alcotest.(check int) (name ^ ": one tuple") 1 (Effect.cardinality e);
       Alcotest.(check (list string))
         (name ^ ": both columns") [ "a"; "b" ]
-        (Effect.Col_set.elements (Handle.Map.find ht (flat e).Flat.sel));
+        (Reference_rules.Cols.elements (Handle.Map.find ht (flat e).Flat.sel));
       Alcotest.(check (list bool))
         (name ^ ": selected t.a, t.b, t.c")
         [ true; true; false ]
@@ -447,7 +274,7 @@ let test_select_then_delete () =
     "only the survivor, on a"
     [ (Handle.id h2, [ "a" ]) ]
     (List.map
-       (fun (h, cols) -> (Handle.id h, Effect.Col_set.elements cols))
+       (fun (h, cols) -> (Handle.id h, Reference_rules.Cols.elements cols))
        (Handle.Map.bindings (flat e).Flat.sel));
   Alcotest.(check bool) "selected t.b gone" false
     (Effect.satisfies_pred e (Ast.Tp_selected ("t", Some "b")));
@@ -506,7 +333,7 @@ let test_pp_two_tables () =
   let str pp x = Fmt.str "%a" pp x in
   let hs x = Fmt.str "%a" Handle.pp x in
   let e = List.fold_left Effect.compose Effect.empty (List.map Effect.of_affected affected) in
-  let f = List.fold_left Flat.compose Flat.empty (List.map Flat.of_affected affected) in
+  let f = List.fold_left Flat.compose Flat.empty (List.map flat_of_affected affected) in
   Alcotest.(check string) "as the flat printer" (str Flat.pp f) (str Effect.pp e);
   (* the expected line, with the printer's line breaks taken as the
      spaces they stand for *)
@@ -655,16 +482,18 @@ let prop_split_composition =
 let prop_old_rows_from_first_state =
   QCheck.Test.make ~name:"composite old rows are the first state's rows"
     ~count:200 arb_history (fun { first = db0; effs; _ } ->
-      let e = flat (fold_compose effs) in
       let first h row = Row.equal row (Database.get_row db0 h) in
-      Handle.Map.for_all first e.Flat.del
-      && Handle.Map.for_all (fun h u -> first h u.Effect.old_row) e.Flat.upd)
+      Effect.fold
+        (fun _ (p : Effect.part) ok ->
+          ok
+          && Handle.Map.for_all first p.del
+          && Handle.Map.for_all (fun h (u : Effect.upd_entry) -> first h u.old_row) p.upd)
+        (fold_compose effs) true)
 
 (* The net change between a history's first and last states, built
    without composing: a tuple only in the last state is inserted, one
-   only in the first is deleted with its first value, and one in both
-   is updated on the columns whose values differ, with its first value
-   as the old row.  A tuple in both states is selected on every column
+   only in the first is deleted, and one in both is updated on the
+   columns whose values differ.  A tuple in both states is selected on every column
    some step selected it on.  Every update in the histories below
    writes a value not seen before, so a column an update touched always
    differs at the end. *)
@@ -679,19 +508,17 @@ let net_change { first; effs; last; _ } =
     Table.col_names (Database.table first (Handle.table h))
     |> Array.to_list
     |> List.filteri (fun i _ -> not (Value.equal row0.(i) row1.(i)))
-    |> Effect.Col_set.of_list
+    |> Reference_rules.Cols.of_list
   in
   let of_first =
     List.fold_left
       (fun (e : Flat.t) (h, row0) ->
         match Database.find_row last h with
-        | None -> { e with del = Handle.Map.add h row0 e.del }
+        | None -> { e with del = Handle.Set.add h e.del }
         | Some row1 ->
-          let upd_cols = changed_cols h row0 row1 in
-          if Effect.Col_set.is_empty upd_cols then e
-          else
-            let u = { Effect.upd_cols; old_row = row0 } in
-            { e with upd = Handle.Map.add h u e.upd })
+          let cols = changed_cols h row0 row1 in
+          if Reference_rules.Cols.is_empty cols then e
+          else { e with upd = Handle.Map.add h cols e.upd })
       Flat.empty (tuples first)
   in
   let ins =
@@ -700,7 +527,7 @@ let net_change { first; effs; last; _ } =
       Handle.Set.empty (tuples last)
   in
   let add_sel h cols m =
-    if stored first h && stored last h then Flat.union_cols m h cols else m
+    if stored first h && stored last h then Flat.add_cols m h cols else m
   in
   let sel =
     List.fold_left
@@ -786,7 +613,8 @@ let prop_restrict_commutes =
    a column no step touches included), its cardinality, equality with
    the previous composite, its printed form, and each transition
    table's rows in order, materialized against the state after the
-   step. *)
+   step (the flat model reads old values from the history's first
+   state, the per-table effect from its old rows). *)
 let all_preds =
   List.concat_map
     (fun t ->
@@ -808,11 +636,11 @@ let all_trans_tables =
 
 let keeps = [ String.equal "t"; String.equal "u"; Fun.const true; Fun.const false ]
 
-let agrees ~prev:(e0, f0) (e, f) db =
+let agrees ~first ~prev:(e0, f0) (e, f) db =
   let str pp x = Fmt.str "%a" pp x in
   Flat.equal (flat e) f
   && Effect.well_formed e
-  && Effect.Col_set.equal (Effect.tables e) (Flat.tables f)
+  && Effect.Col_set.elements (Effect.tables e) = Reference_rules.Cols.elements (Flat.tables f)
   && List.for_all
        (fun k -> Flat.equal (flat (Effect.restrict e k)) (Flat.restrict f k))
        keeps
@@ -826,7 +654,7 @@ let agrees ~prev:(e0, f0) (e, f) db =
        (fun tt ->
          List.equal Row.equal
            (Rules.Transition_tables.materialize e ~current_db:db tt).Eval.rows
-           (Flat.materialize f ~current_db:db tt))
+           (Flat.materialize f ~start:first ~current:db tt))
        all_trans_tables
 
 let agrees_along hist =
@@ -834,8 +662,8 @@ let agrees_along hist =
     | [] -> true
     | (a, db) :: rest ->
       let e = Effect.compose (fst prev) (Effect.of_affected a) in
-      let f = Flat.compose (snd prev) (Flat.of_affected a) in
-      agrees ~prev (e, f) db && go (e, f) rest
+      let f = Flat.compose (snd prev) (flat_of_affected a) in
+      agrees ~first:hist.first ~prev (e, f) db && go (e, f) rest
   in
   go (Effect.empty, Flat.empty) (List.combine hist.affected hist.states)
 

@@ -34,8 +34,8 @@
            [aborts] statistic.
 
      The harness runs under the default configuration and, as a qcheck
-     property, across the track_selects x rule_index x selection-order
-     configuration matrix.  Global counters prove the run was not
+     property, across the track_selects x selection-order configuration
+     matrix.  Global counters prove the run was not
      vacuous: >= 500 transactions driven and every injection site
      actually faulted at least once. *)
 
@@ -492,22 +492,17 @@ let test_systematic_differential () =
     (seed_streams ~default:[ 7; 19; 23; 42 ])
 
 (* Satellite: the same invariants as a qcheck property across the
-   track_selects x rule_index x selection-order configuration matrix.
-   The harness's rule set has several rules, so the linear wake scan
-   and a depth-first selection order drive different rule orders
-   through the same injection sites.  The defaults (index on, creation
-   order) come first and keep their short labels. *)
+   track_selects x selection-order configuration matrix.  The
+   harness's rule set has several rules, so the three selection orders
+   drive different rule orders through the same injection sites.  The
+   default (creation order) comes first and keeps its short labels. *)
 let config_matrix =
   List.concat_map
-    (fun (rule_index, strategy) ->
-      List.map
-        (fun track_selects -> (rule_index, strategy, track_selects))
-        [ true; false ])
+    (fun strategy -> List.map (fun track_selects -> (strategy, track_selects)) [ true; false ])
     [
-      (true, Selection.Creation_order);
-      (false, Selection.Creation_order);
-      (true, Selection.Most_recently_considered);
-      (false, Selection.Most_recently_considered);
+      Selection.Creation_order;
+      Selection.Least_recently_considered;
+      Selection.Most_recently_considered;
     ]
 
 let arb_blocks =
@@ -515,26 +510,23 @@ let arb_blocks =
     ~print:(fun blocks -> String.concat ";\n-- block --\n" blocks)
     QCheck.Gen.(list_size (int_range 6 10) gen_block)
 
-let combo_label (rule_index, strategy, track_selects) =
+let combo_label (strategy, track_selects) =
   String.concat " "
     (Printf.sprintf "sel=%b" track_selects
-     :: (if rule_index then [] else [ "scan" ])
-    @
+    ::
     match strategy with
     | Selection.Creation_order -> []
     | Selection.Least_recently_considered -> [ "lrc" ]
     | Selection.Most_recently_considered -> [ "mrc" ])
 
-(* 4 cases per setting, 32 in all, so the harness drives the
+(* 6 cases per setting, 36 in all, so the harness drives the
    transactions [test_coverage] requires. *)
-let prop_matrix ((rule_index, strategy, track_selects) as combo) =
+let prop_matrix ((strategy, track_selects) as combo) =
   let label =
     Printf.sprintf "abort/retry invariants (%s)" (combo_label combo)
   in
-  QCheck.Test.make ~name:label ~count:4 arb_blocks (fun blocks ->
-      let config =
-        { harness_config with Engine.rule_index; strategy; track_selects }
-      in
+  QCheck.Test.make ~name:label ~count:6 arb_blocks (fun blocks ->
+      let config = { harness_config with Engine.strategy; track_selects } in
       differential ~config blocks;
       true)
 

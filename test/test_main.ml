@@ -31,6 +31,7 @@ let () =
       ("shape-cache", Test_shape_cache.suite);
       ("rule-index", Test_rule_index.suite);
       ("selection-orders", Test_selection_orders.suite);
+      ("reference-rules", Test_reference_rules.suite);
     ("fault-injection", Test_fault_injection.suite);
       ("recovery", Test_recovery.suite);
       ("config-matrix", Test_config_matrix.suite);

@@ -10,37 +10,27 @@
      composed effects, membership in the matched set coincides exactly
      with [Effect.satisfies_any];
    - engine-level regressions for the subtle paths the index rewiring
-     introduced: rules woken mid-processing by a rule firing catch up
-     on the composite transition (insert-then-delete netting must
-     still cancel), the acting rule's per-rule state always restarts,
-     and DDL-generation mismatches rebuild the index;
+     introduced, each also run against the Section 4 reference
+     (test/reference_rules.ml): rules woken mid-processing by a rule
+     firing catch up on the composite transition (insert-then-delete
+     netting must still cancel), the acting rule's per-rule state
+     always restarts, and DDL-generation mismatches rebuild the index;
    - the two stale-state bugfixes: dropping and recreating a rule
      resets its consideration recency (fair selection under
      least-recently-considered), and bulk rule creation is linear — a
      structural sharing assertion, not a wall-clock one;
-   - the observability counters ([rules skipped] stays zero on the
-     linear oracle and is exactly the non-woken remainder indexed);
-   - the PR 6 workload scenarios run differentially: index on vs the
-     linear-scan oracle, asserting identical results, traces, digests,
-     invariants and firing counts ({!Runner.run_index_differential}). *)
+   - the observability counters ([rules skipped] is exactly the
+     non-woken remainder, per candidate scan the reference's trace
+     counts). *)
 
 open Helpers
 open Core
 module Rule = Rules.Rule
 module Rule_index = Rules.Rule_index
 module Selection = Rules.Selection
-module Profile = Workload.Profile
-module Scenario = Workload.Scenario
-module Scenarios = Workload.Scenarios
-module Runner = Workload.Runner
 
 (* Matching reads handles and columns only: a placeholder old row. *)
 let old = [| vi 0 |]
-
-(* Registration normally happens in test_workload's module
-   initializer; guard so this suite also runs standalone. *)
-let ensure_scenarios () =
-  if Scenario.names () = [] then Scenarios.register_all ()
 
 let rule_def ?condition name preds action =
   { Ast.rule_name = name; trans_preds = preds; condition; action }
@@ -267,43 +257,46 @@ let test_tracked_matching () =
   check_names "index wakes the same rules" tracked_expected
     (Rule_index.matching (Rule_index.rebuild ~generation:0 rules) eff)
 
+(* The engine agrees with the Section 4 reference on [case]. *)
+let reference_agrees ?(config = Engine.default_config) case =
+  match Test_reference_rules.differential ~config case with
+  | Ok db -> db
+  | Error diff -> Alcotest.failf "engine and reference differ: %s" diff
+
 (* The same transaction through the engine: each triggered rule logs
-   its name once, with the index and with the linear scan. *)
+   its name once, as in the reference. *)
 let test_tracked_engine () =
-  let fired rule_index =
-    let config =
-      { Engine.default_config with Engine.track_selects = true; rule_index }
-    in
-    let s =
-      system ~config
-        "create table s (a int, b int);\n\
-         create table u (a int, b int);\n\
-         create table d (a int, b int);\n\
-         create table log (r string)"
-    in
-    let eng = System.engine s in
-    List.iter
-      (fun (name, pred) ->
-        let log = parse_op (Printf.sprintf "insert into log values ('%s')" name) in
-        ignore
-          (Engine.create_rule eng
-             (rule_def name [ pred ] (Ast.Act_block [ log ]))))
-      tracked_rules;
-    List.iter (run s) tracked_setup;
-    run s "delete from log";
-    run s "begin";
-    List.iter (run s) tracked_txn;
-    run s "commit";
-    string_list_cells s "select r from log order by r"
+  let db =
+    reference_agrees
+      ~config:{ Engine.default_config with Engine.track_selects = true }
+      {
+        setup =
+          String.concat ";\n"
+            ([
+               "create table s (a int, b int)";
+               "create table u (a int, b int)";
+               "create table d (a int, b int)";
+               "create table log (r string)";
+             ]
+            @ tracked_setup);
+        ddl =
+          List.map
+            (fun (name, pred) ->
+              Printf.sprintf "create rule %s when %s then insert into log values ('%s')" name
+                (Pretty.trans_pred_str pred) name)
+            tracked_rules;
+        txns = [ [ String.concat "; " tracked_txn ] ];
+      }
   in
-  Alcotest.(check (list string)) "indexed" tracked_expected (fired true);
-  Alcotest.(check (list string)) "linear scan" tracked_expected (fired false)
+  Alcotest.(check (list string))
+    "each triggered rule logged once" tracked_expected
+    (List.sort String.compare
+       (List.map
+          (fun row -> match row.(0) with Value.Str r -> r | v -> Value.to_string v)
+          (Table.rows (Database.table db "log"))))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level semantics under the index                              *)
-
-let oracle_config =
-  { Engine.default_config with Engine.rule_index = false }
 
 (* A rule woken mid-processing must catch up on the whole composite
    transition: rows inserted by the external statement and deleted by
@@ -314,24 +307,26 @@ let netting_script =
   "create table a (x int);\n\
    create table b (x int)"
 
-let netting_setup s =
-  run s "create rule purge when inserted into a then delete from a where x >= 0";
-  run s
+let netting_rules =
+  [
+    "create rule purge when inserted into a then delete from a where x >= 0";
     "create rule watcher when deleted from a then insert into b values (99)";
-  run s "insert into a values (1), (2)"
+  ]
 
-let test_netting_matches_oracle () =
-  let check config =
-    let s = system ?config netting_script in
-    netting_setup s;
-    Alcotest.(check int) "purged" 0 (int_cell s "select count(*) from a");
-    (* the deleted rows never existed before the transition: the
-       delete-triggered watcher must not fire *)
-    Alcotest.(check int) "watcher inert" 0
-      (int_cell s "select count(*) from b")
-  in
-  check None;
-  check (Some oracle_config)
+let netting_block = "insert into a values (1), (2)"
+
+let test_netting_matches_reference () =
+  let s = system netting_script in
+  List.iter (run s) netting_rules;
+  run s netting_block;
+  Alcotest.(check int) "purged" 0 (int_cell s "select count(*) from a");
+  (* the deleted rows never existed before the transition: the
+     delete-triggered watcher must not fire *)
+  Alcotest.(check int) "watcher inert" 0
+    (int_cell s "select count(*) from b");
+  ignore
+    (reference_agrees
+       { setup = netting_script; ddl = netting_rules; txns = [ [ netting_block ] ] })
 
 (* The acting rule's per-rule state restarts after it fires even when
    its own firing touches none of its registration keys — otherwise it
@@ -346,26 +341,24 @@ let test_acting_rule_resets () =
     (Engine.stats (System.engine s)).Engine.rule_firings
 
 (* A cascade wakes a rule that matched nothing at the external
-   transition; the chain must run identically with and without the
-   index. *)
-let test_cascade_wakeup_matches_oracle () =
-  let counts config =
-    let s =
-      system ?config
-        "create table a (x int);\ncreate table b (x int);\n\
-         create table c (x int)"
-    in
-    run s "create rule ab when inserted into a then insert into b values (1)";
-    run s "create rule bc when inserted into b then insert into c values (2)";
-    run s "insert into a values (0)";
+   transition; the chain must run as the reference runs it. *)
+let test_cascade_wakeup_matches_reference () =
+  let setup = "create table a (x int);\ncreate table b (x int);\ncreate table c (x int)" in
+  let rules =
+    [
+      "create rule ab when inserted into a then insert into b values (1)";
+      "create rule bc when inserted into b then insert into c values (2)";
+    ]
+  in
+  let s = system setup in
+  List.iter (run s) rules;
+  run s "insert into a values (0)";
+  Alcotest.(check (triple int int int))
+    "cascade ran" (1, 1, 2)
     ( int_cell s "select count(*) from b",
       int_cell s "select count(*) from c",
-      (Engine.stats (System.engine s)).Engine.rule_firings )
-  in
-  let indexed = counts None and oracle = counts (Some oracle_config) in
-  Alcotest.(check (triple int int int)) "cascade equal" oracle indexed;
-  let b, c, firings = indexed in
-  Alcotest.(check (triple int int int)) "cascade ran" (1, 1, 2) (b, c, firings)
+      (Engine.stats (System.engine s)).Engine.rule_firings );
+  ignore (reference_agrees { setup; ddl = rules; txns = [ [ "insert into a values (0)" ] ] })
 
 (* Table/index DDL bumps the engine's DDL generation; the discrimination
    index must rebuild on the mismatch instead of serving stale keys. *)
@@ -396,13 +389,10 @@ let test_deactivate_reactivate_index () =
 (* Rule DDL between two triggering points of one transaction: each
    [process rules] wakes rules from the catalog as it stands then, so
    the second one neither fires the dropped rule nor the deactivated
-   one — with the index on and off alike. *)
+   one. *)
 let test_rule_ddl_between_triggering_points () =
-  let observe config =
-    let s =
-      system ?config
-        "create table t (x int);\ncreate table log (r string, n int)"
-    in
+  let observe () =
+    let s = system "create table t (x int);\ncreate table log (r string, n int)" in
     List.iter
       (fun r ->
         run s
@@ -412,7 +402,6 @@ let test_rule_ddl_between_triggering_points () =
              r r))
       [ "r1"; "r2"; "r3" ];
     let eng = System.engine s in
-    Engine.set_tracing eng true;
     run s "begin";
     run s "insert into t values (1)";
     run s "process rules";
@@ -420,12 +409,9 @@ let test_rule_ddl_between_triggering_points () =
     run s "deactivate rule r2";
     run s "insert into t values (2), (3)";
     run s "commit";
-    ( rows s "select r, n from log order by r, n",
-      Engine.trace eng,
-      (Engine.stats eng).Engine.rule_firings )
+    (rows s "select r, n from log order by r, n", (Engine.stats eng).Engine.rule_firings)
   in
-  let log, trace, firings = observe None in
-  let log', trace', firings' = observe (Some oracle_config) in
+  let log, firings = observe () in
   Alcotest.(check rows_testable)
     "r3 alone fires at the second point"
     [
@@ -435,9 +421,6 @@ let test_rule_ddl_between_triggering_points () =
       [| vs "r3"; vi 2 |];
     ]
     log;
-  Alcotest.(check rows_testable) "oracle log" log log';
-  Alcotest.(check bool) "oracle trace" true (trace = trace');
-  Alcotest.(check int) "oracle firings" firings firings';
   Alcotest.(check int) "four firings" 4 firings
 
 (* ------------------------------------------------------------------ *)
@@ -445,35 +428,41 @@ let test_rule_ddl_between_triggering_points () =
 
 (* Three rules, one on the touched table.  Under the index every
    candidate scan examines exactly the woken rule and skips the other
-   two, so [rules_skipped] is exactly twice [candidates_considered]
-   whatever the scan count; the linear oracle skips nothing. *)
-let stats_system config =
-  let s =
-    system ?config "create table t (x int);\ncreate table u (x int)"
-  in
-  run s
-    "create rule rt when inserted into t if (select count(*) from t) < 0 \
-     then rollback";
-  run s
-    "create rule ru1 when inserted into u if (select count(*) from u) < 0 \
-     then rollback";
-  run s
-    "create rule ru2 when deleted from u if (select count(*) from u) < 0 \
-     then rollback";
-  run s "insert into t values (1)";
-  Engine.stats (System.engine s)
-
+   two.  A candidate scan either considers a rule or ends in
+   quiescence, so the reference's trace counts the scans: the engine
+   examines one rule and skips two per scan. *)
 let test_stats_counters () =
-  let st = stats_system None in
-  Alcotest.(check bool) "considered some" true
-    (st.Engine.candidates_considered > 0);
-  Alcotest.(check int) "skips = 2 x examined"
-    (2 * st.Engine.candidates_considered)
-    st.Engine.rules_skipped;
-  let so = stats_system (Some oracle_config) in
-  Alcotest.(check int) "oracle skips nothing" 0 so.Engine.rules_skipped;
-  Alcotest.(check bool) "oracle examines the catalog" true
-    (so.Engine.candidates_considered >= 3)
+  let setup = "create table t (x int);\ncreate table u (x int)" in
+  let rules =
+    List.map
+      (fun (name, pred, t) ->
+        Printf.sprintf "create rule %s when %s if (select count(*) from %s) < 0 then rollback" name
+          pred t)
+      [
+        ("rt", "inserted into t", "t");
+        ("ru1", "inserted into u", "u");
+        ("ru2", "deleted from u", "u");
+      ]
+  in
+  let block = "insert into t values (1)" in
+  let s = system setup in
+  List.iter (run s) rules;
+  run s block;
+  let st = Engine.stats (System.engine s) in
+  let r =
+    Reference_rules.create
+      (Test_reference_rules.catalog Engine.default_config rules)
+      (System.database (system setup))
+  in
+  let _, _, trace = Reference_rules.run_txn r [ Test_reference_rules.parse_ops block ] in
+  let scans =
+    List.length
+      (List.filter
+         (function Reference_rules.Considered _ | Reference_rules.Quiescent -> true | _ -> false)
+         trace)
+  in
+  Alcotest.(check int) "one rule examined per scan" scans st.Engine.candidates_considered;
+  Alcotest.(check int) "two skipped per scan" (2 * scans) st.Engine.rules_skipped
 
 let test_explain_rule_keys () =
   let s = system "create table t (a int, b int)" in
@@ -565,34 +554,6 @@ let test_create_rule_structural_append () =
   Alcotest.(check string) "last created is last" "bulk2000"
     (List.nth all (n + 1)).Rule.name
 
-(* ------------------------------------------------------------------ *)
-(* Workload differential: index on vs linear oracle                    *)
-
-let test_scenario_differential name () =
-  ensure_scenarios ();
-  let sc = Scenario.get name in
-  let sd = seed ~default:Profile.default.Profile.seed in
-  with_seed_reported sd (fun () ->
-      let profile =
-        {
-          Profile.default with
-          Profile.seed = sd;
-          txns = 30;
-          rule_density = 8;
-        }
-      in
-      ignore (Runner.run_index_differential ~check_every:4 sc profile))
-
-let differential_cases () =
-  ensure_scenarios ();
-  List.map
-    (fun name ->
-      Alcotest.test_case
-        (Printf.sprintf "differential vs linear oracle: %s" name)
-        `Quick
-        (test_scenario_differential name))
-    (Scenario.names ())
-
 let suite =
   [
     Alcotest.test_case "registration keys" `Quick test_keys_of_rule;
@@ -603,14 +564,14 @@ let suite =
       test_tracked_matching;
     Alcotest.test_case "tracked selects: engine fires the same rules" `Quick
       test_tracked_engine;
-    Alcotest.test_case "composite netting matches oracle" `Quick
-      test_netting_matches_oracle;
+    Alcotest.test_case "composite netting matches the reference" `Quick
+      test_netting_matches_reference;
     Alcotest.test_case "acting rule state resets" `Quick
       test_acting_rule_resets;
     Alcotest.test_case "rule DDL between triggering points" `Quick
       test_rule_ddl_between_triggering_points;
-    Alcotest.test_case "cascade wake-up matches oracle" `Quick
-      test_cascade_wakeup_matches_oracle;
+    Alcotest.test_case "cascade wake-up matches the reference" `Quick
+      test_cascade_wakeup_matches_reference;
     Alcotest.test_case "ddl generation rebuild" `Quick
       test_ddl_generation_rebuild;
     Alcotest.test_case "deactivate unregisters, activate restores" `Quick
@@ -623,4 +584,3 @@ let suite =
     Alcotest.test_case "rule creation is a structural prepend" `Quick
       test_create_rule_structural_append;
   ]
-  @ differential_cases ()

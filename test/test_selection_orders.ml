@@ -7,7 +7,7 @@
    eligible rule ([Selection.eligible]).  The processing state is
    persistent, so a branch keeps its parent state as it is and costs
    no copy.  The search reports the final states every order reaches
-   (a rollback counts as one) and every path that runs more than
+   (a rollback counts as one, and so does an error) and every path that runs more than
    [config.max_steps] actions.
 
    The cases pin the worked examples' confluence (Example 4.3 with and
@@ -31,10 +31,11 @@ let digest db =
          name ^ ":" ^ String.concat ";" rows)
   |> String.concat "\n"
 
-type final = Final of Database.t | Rolled_back
+type final = Final of Database.t | Rolled_back | Failed
 
 type exploration = {
-  finals : final Str_map.t;  (** by digest; ["rollback"] for a rollback *)
+  finals : final Str_map.t;
+      (** by digest; ["rollback"] for a rollback, ["error"] for an error *)
   over_limit : string list list;  (** considered rules, in order *)
   orders : int;  (** complete orders explored *)
   steps_taken : int;  (** calls of [Engine.step], for a work budget *)
@@ -73,7 +74,8 @@ let explore ?(budget = max_int) s sql =
             | Engine.Rollback -> final "rollback" Rolled_back
             | exception Errors.Error (Errors.Rule_limit_exceeded _) ->
               incr orders;
-              over := List.rev path :: !over)
+              over := List.rev path :: !over
+            | exception Errors.Error _ -> final "error" Failed)
         eligible
   in
   go [] (Engine.start eng);
@@ -125,7 +127,7 @@ let test_ex43_every_order_empties () =
   Alcotest.(check (list (list string))) "no divergence" [] x.over_limit;
   Str_map.iter
     (fun _ -> function
-      | Rolled_back -> Alcotest.fail "no rule rolls back"
+      | Rolled_back | Failed -> Alcotest.fail "no rule rolls back or fails"
       | Final db ->
         Alcotest.(check (pair int int))
           "emp and dept empty" (0, 0)
@@ -155,9 +157,11 @@ let test_ping_pong_over_limit () =
 
 let tables = [| "t0"; "t1"; "t2" |]
 
-(* Rule [g<i>]: triggered by one operation on one table, with an
-   optional count condition, writing one table (possibly from its
-   transition table) or rolling back. *)
+(* Rule [g<i>]: triggered by one operation on one table (a third of
+   the time, or by an insert into another), with an optional condition
+   on a table's count or on its transition table, writing one table
+   (possibly from its transition table, old or new values of updated
+   rows alike) or rolling back. *)
 let gen_rule st i =
   let open QCheck.Gen in
   let sp = Printf.sprintf in
@@ -165,14 +169,22 @@ let gen_rule st i =
   let src = tbl () and dst = tbl () in
   let n () = int_bound 5 st in
   let pred, trans =
-    match int_bound 2 st with
+    match int_bound 4 st with
     | 0 -> (sp "inserted into %s" src, sp "inserted %s" src)
     | 1 -> (sp "deleted from %s" src, sp "deleted %s" src)
-    | _ -> (sp "updated %s.x" src, sp "new updated %s.x" src)
+    | 2 | 3 ->
+      let on = if bool st then sp "%s.x" src else src in
+      (sp "updated %s" on, sp "%s updated %s" (if bool st then "old" else "new") on)
+    | _ ->
+      let on = if bool st then sp "%s.x" src else src in
+      (sp "selected %s" on, sp "selected %s" on)
   in
+  let pred = if int_bound 2 st = 0 then sp "%s or inserted into %s" pred (tbl ()) else pred in
   let cond =
-    if bool st then ""
-    else sp " if (select count(*) from %s) < %d" (tbl ()) (1 + n ())
+    match int_bound 3 st with
+    | 0 | 1 -> ""
+    | 2 -> sp " if (select count(*) from %s) < %d" (tbl ()) (1 + n ())
+    | _ -> sp " if exists (select * from %s where x > %d)" trans (n ())
   in
   let action =
     match int_bound 4 st with
@@ -180,15 +192,25 @@ let gen_rule st i =
     | 1 -> sp "insert into %s (select x + 1 from %s)" dst trans
     | 2 -> sp "delete from %s where x = %d" dst (n ())
     | 3 -> sp "update %s set x = x + 1 where x < %d" dst (n ())
-    | _ -> if int_bound 3 st = 0 then "rollback" else sp "delete from %s" dst
+    | _ -> (
+      match int_bound 5 st with
+      | 0 -> "rollback"
+      | 1 -> sp "update %s set x = 10 / (x - %d) where x < 6" dst (n ())
+      | _ -> sp "delete from %s" dst)
   in
   sp "create rule g%d when %s%s then %s" i pred cond action
 
-(* Two to four rules, and half the time a priority between two. *)
-let gen_case st =
+(* Two to [max_rules] (by default four) rules, and half the time a
+   priority between two (with three or more rules, sometimes a chain of
+   two). *)
+let gen_case ?(max_rules = 4) st =
   let open QCheck.Gen in
-  let rules = List.init (int_range 2 4 st) (gen_rule st) in
-  if bool st then rules @ [ "create rule priority g1 before g0" ] else rules
+  let rules = List.init (int_range 2 max_rules st) (gen_rule st) in
+  let priorities =
+    (if bool st then [ "create rule priority g1 before g0" ] else [])
+    @ if List.length rules > 2 && bool st then [ "create rule priority g2 before g1" ] else []
+  in
+  rules @ priorities
 
 let setup_sql =
   String.concat ";\n"
@@ -232,7 +254,8 @@ let prop_engine_order_explored =
         Str_map.mem (digest (System.database s)) x.finals
       | Engine.Rolled_back, _ -> Str_map.mem "rollback" x.finals
       | exception Errors.Error (Errors.Rule_limit_exceeded _) ->
-        x.over_limit <> [])
+        x.over_limit <> []
+      | exception Errors.Error _ -> Str_map.mem "error" x.finals)
 
 let suite =
   [

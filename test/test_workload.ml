@@ -13,7 +13,10 @@
    - the rule-density knob: padding rules must be semantically inert;
    - soak mode: every scenario through the durable fault+crash soak.
      The default drives >= 500 transactions per scenario; setting
-     SOPR_SOAK=<n> multiplies the stream length for long runs.
+     SOPR_SOAK=<n> multiplies the stream length for long runs;
+   - [Server_driver.run] in a WAL mode: every scenario of a run starts
+     from its own empty data directory, on the first run over a
+     directory and on the next.
 
    Reproduction: all streams derive from the profile seed, overridable
    with SOPR_SEED (printed on failure by [with_seed_reported]). *)
@@ -293,6 +296,27 @@ let test_soak_site_coverage () =
     (Option.value (Hashtbl.find_opt soak_hits Fault.Procedure_call) ~default:0)
 
 (* ------------------------------------------------------------------ *)
+(* Server runs over one data directory                                *)
+
+(* Two WAL-mode runs of two scenarios over one data directory: each
+   scenario sets up its tables and rules from nothing, however many
+   runs and scenarios came before it. *)
+let test_server_reruns () =
+  let profile = { Profile.default with Profile.seed = base_seed; txns = 12 } in
+  let names = [ "tenant-quota"; "audit-trail" ] in
+  TR.in_dir "server-reruns" (fun dir ->
+      for round = 1 to 2 do
+        List.iter
+          (fun name ->
+            let r =
+              Workload.Server_driver.run ~clients:2 ~mode:Sopr_server.Server.Wal_nosync
+                ~data_dir:dir (Scenario.get name) profile
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "run %d, %s: every block driven" round name)
+              profile.Profile.txns r.Workload.Server_driver.sd_txns)
+          names
+      done)
 
 let suite =
   [
@@ -316,6 +340,8 @@ let suite =
         test_enforcement_not_vacuous;
       Alcotest.test_case "rule-density knob inert" `Quick
         test_rule_density_inert;
+      Alcotest.test_case "server runs: two WAL runs over one data directory" `Quick
+        test_server_reruns;
     ]
   @ List.map
       (fun name ->
