@@ -134,6 +134,9 @@ type txn_state = {
       (* [last_considered] at transaction start, restored on abort so a
          faulted-then-retried transaction sees the same selection state
          as a fault-free run under every strategy *)
+  mutable tables_read : Effect.Col_set.t;
+      (* every base table a plan of the transaction scanned or probed,
+         its failed statements' and rule processing's included *)
 }
 
 let fresh_txn () =
@@ -142,6 +145,7 @@ let fresh_txn () =
     pending = Effect.empty;
     txn_effect = Effect.empty;
     considered0 = Str_map.empty;
+    tables_read = Effect.Col_set.empty;
   }
 
 (* A prepared statement (PREPARE name AS <op>): parsed once, compiled
@@ -213,7 +217,7 @@ type t = {
   stats : stats;
   note : Eval.note;
       (* counts every scan-vs-probe decision the evaluator takes in
-         [stats] *)
+         [stats] and adds the table read to [txn.tables_read] *)
   mutable tracing : bool;
   mutable trace : (float option * event) list;
       (* newest first while accumulating; stamped with the wall clock
@@ -263,15 +267,28 @@ let new_statements () =
     invalidations = 0;
   }
 
-let counting_note stats : Eval.note = function
-  | `Seq_scan -> stats.seq_scans <- stats.seq_scans + 1
-  | `Index_probe -> stats.index_probes <- stats.index_probes + 1
-  | `Range_probe -> stats.range_probes <- stats.range_probes + 1
-  | `Hash_join_build -> stats.hash_join_builds <- stats.hash_join_builds + 1
-  | `Hash_join_probe -> stats.hash_join_probes <- stats.hash_join_probes + 1
+(* The engine's note.  A table already read leaves the set physically
+   unchanged, so a read allocates only the first time its table is
+   heard in a transaction. *)
+let engine_note stats txn : Eval.note =
+  let read table = txn.tables_read <- Effect.Col_set.add table txn.tables_read in
+  fun decision table ->
+    match decision with
+    | `Seq_scan ->
+      stats.seq_scans <- stats.seq_scans + 1;
+      read table
+    | `Index_probe ->
+      stats.index_probes <- stats.index_probes + 1;
+      read table
+    | `Range_probe ->
+      stats.range_probes <- stats.range_probes + 1;
+      read table
+    | `Hash_join_build -> stats.hash_join_builds <- stats.hash_join_builds + 1
+    | `Hash_join_probe -> stats.hash_join_probes <- stats.hash_join_probes + 1
 
 let create ?(config = default_config) db =
   let stats = fresh_stats () in
+  let txn = fresh_txn () in
   {
     db;
     ddl_gen = 0;
@@ -280,7 +297,7 @@ let create ?(config = default_config) db =
     rule_count = 0;
     index = Rule_index.create ~generation:0 ();
     priorities = Priority.empty;
-    txn = fresh_txn ();
+    txn;
     commit_hook = None;
     seq = 0;
     clock = Selection.make_clock ();
@@ -288,7 +305,7 @@ let create ?(config = default_config) db =
     config;
     procedures = Procedures.create ();
     stats;
-    note = counting_note stats;
+    note = engine_note stats txn;
     tracing = false;
     trace = [];
     wall_clock = None;
@@ -311,6 +328,7 @@ let fork t stmts =
     Errors.raise_error
       (Errors.Transaction_error "cannot fork inside a transaction");
   let stats = fresh_stats () in
+  let txn = fresh_txn () in
   {
     db = t.db;
     ddl_gen = t.ddl_gen;
@@ -319,7 +337,7 @@ let fork t stmts =
     rule_count = t.rule_count;
     index = t.index;
     priorities = t.priorities;
-    txn = fresh_txn ();
+    txn;
     commit_hook = None;
     seq = t.seq;
     clock = t.clock;
@@ -327,7 +345,7 @@ let fork t stmts =
     config = t.config;
     procedures = t.procedures;
     stats;
-    note = counting_note stats;
+    note = engine_note stats txn;
     tracing = false;
     trace = [];
     wall_clock = None;
@@ -561,6 +579,7 @@ let bind_params (p : prepared) (args : Value.t list) =
   Array.of_list args
 
 let in_transaction t = Option.is_some t.txn.txn_start
+let tables_read t = t.txn.tables_read
 let set_tracing t on = t.tracing <- on
 let set_clock t clock = t.wall_clock <- clock
 let has_clock t = Option.is_some t.wall_clock
@@ -793,6 +812,7 @@ let begin_txn t =
   t.txn.pending <- Effect.empty;
   t.txn.txn_effect <- Effect.empty;
   t.txn.considered0 <- t.last_considered;
+  t.txn.tables_read <- Effect.Col_set.empty;
   t.trace <- [];
   t.stats.transactions <- t.stats.transactions + 1
 

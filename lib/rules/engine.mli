@@ -143,6 +143,13 @@ val fork : t -> statements -> t
 val stats : t -> stats
 val in_transaction : t -> bool
 
+val tables_read : t -> Effect.Col_set.t
+(** The base tables the engine's plans scanned or probed since the last
+    {!begin_txn}: statements, rule conditions and actions, subqueries
+    and procedure queries, failed statements and aborted rule
+    processing included.  EXPLAIN reads none.  The server's
+    serializable read claims. *)
+
 val set_tracing : t -> bool -> unit
 (** Enable per-transaction execution traces (off by default). *)
 

@@ -25,21 +25,22 @@
      can never create the same handle.
 
      Write-write validation alone is SNAPSHOT ISOLATION: write skew
-     and phantoms are possible, because nothing records what a
-     transaction READ — in particular a scalar subquery or a rule
-     condition evaluated during rule processing leaves no trace in the
-     effect at all.  When the engine is configured with
-     [track_selects] the server escalates to SERIALIZABLE: every
-     transaction also claims, at table granularity, the set of base
-     tables its statements could have read — collected statically from
-     the statement ASTs (so a predicate that matched nothing still
-     claims its table) and closed over the rule catalog (so reads
-     performed by any rule the transaction could have woken are
-     claimed too).  A commit conflicts if its read claims intersect
-     the tables WRITTEN by any transition after v.  Table granularity
-     over-approximates — disjoint-row writers to a table one of them
-     reads will conflict and retry — which costs throughput under
-     contention, never correctness.
+     and phantoms are possible, because the effect does not record
+     what a transaction READ — in particular a scalar subquery or a
+     rule condition evaluated during rule processing leaves no trace in
+     it at all.  When the engine is configured with [track_selects]
+     the server escalates to SERIALIZABLE: every transaction also
+     claims, at table granularity, the base tables its plans actually
+     scanned or probed ([Engine.tables_read]) — its statements, failed
+     ones included, and its rule processing: conditions, actions,
+     subqueries and procedure queries.  A predicate that matched
+     nothing still read its table, so it is claimed; a table the
+     transaction never read cannot have shaped what it did.  A commit
+     conflicts if its read claims intersect the tables WRITTEN by any
+     transition after v.  Table granularity over-approximates —
+     disjoint-row writers to a table one of them reads will conflict
+     and retry — which costs throughput under contention, never
+     correctness.
 
    - A winning transaction becomes durable (a group-commit round's WAL
      append), and only THEN is applied to the primary and
@@ -70,7 +71,6 @@
 
 open Core
 module Ast = Sqlf.Ast
-module Rule = Rules.Rule
 module Wal = Relational.Wal
 module Fileio = Relational.Fileio
 module Durable = Durability.Durable
@@ -128,20 +128,12 @@ type t = {
 }
 
 type session = {
-  server : t;
   sid : int;
   mutable txn : System.t option;  (* the open transaction's fork *)
   mutable txn_id : int;
   mutable start_version : int;
   mutable committed_at : int;  (* version of this session's last commit *)
   mutable reader : (int * System.t) option;  (* cached snapshot fork *)
-  (* statement-level predicate footprint of the open transaction: the
-     base tables its statements filter over (scan) and every table they
-     reference at all (touch), collected from the ASTs — a predicate
-     that matched zero tuples in the snapshot appears here even though
-     the effect never saw it *)
-  mutable scan_tables : Effect.Col_set.t;
-  mutable touch_tables : Effect.Col_set.t;
   stmts : Engine.statements;
       (* plans, shapes and prepared statements, shared by every fork
          the session takes *)
@@ -223,102 +215,17 @@ let writes_of (eff : Effect.t) =
       Handle.Map.fold add p.upd (Handle.Map.fold add p.del acc))
     eff Handle.Set.empty
 
-(* The tables whose components pass [test]. *)
-let tables_where test (eff : Effect.t) =
-  Effect.fold
-    (fun tbl p acc -> if test p then Effect.Col_set.add tbl acc else acc)
-    eff Effect.Col_set.empty
-
-(* Tables the transaction READ at some granularity: a delete or update
-   reached its tuples through a predicate, and a tracked select read
-   them — each is a table-level read as far as concurrent writers are
-   concerned.  Seeds the serializable-mode claim set alongside the
-   statement footprints. *)
-let read_tables_of =
-  tables_where (fun p ->
-      not
-        (Handle.Map.is_empty p.Effect.del
-        && Handle.Map.is_empty p.Effect.upd
-        && List.is_empty p.Effect.sel))
-
 (* Tables the transaction wrote — what later claimers' read claims are
    validated against. *)
-let write_tables_of =
-  tables_where (fun p ->
-      not
-        (Handle.Set.is_empty p.Effect.ins
-        && Handle.Map.is_empty p.Effect.del
-        && Handle.Map.is_empty p.Effect.upd))
-
-(* Statement-level footprints, from the AST.  [op_scan_tables] is the
-   tables an operation's predicates and embedded selects filter over —
-   a read of the table as a whole, claimed even when the predicate
-   matched nothing.  [op_touch_tables] adds the write target, seeding
-   the rule-cascade closure below. *)
-let add_base acc = function
-  | Ast.Base tb -> Effect.Col_set.add tb acc
-  | Ast.Transition _ | Ast.Derived _ -> acc
-
-let add_expr_tables acc e = Ast.fold_sources_expr add_base acc e
-
-let op_scan_tables acc op =
-  let acc =
-    match op with
-    | Ast.Delete { table; _ } | Ast.Update { table; _ } -> Effect.Col_set.add table acc
-    | Ast.Insert _ | Ast.Select_op _ -> acc
-  in
-  Ast.fold_sources_op add_base acc op
-
-let op_touch_tables acc op =
-  let acc = op_scan_tables acc op in
-  match op with
-  | Ast.Insert { table; _ } | Ast.Delete { table; _ } | Ast.Update { table; _ } ->
-    Effect.Col_set.add table acc
-  | Ast.Select_op _ -> acc
-
-(* Close the claim set over the rule catalog: any active rule the
-   transaction's footprint could have woken — directly or through a
-   cascade of rule actions — contributes the tables its condition and
-   action predicates read, because those reads happened (or would have
-   happened serially) during rule processing.  A static fixpoint over
-   rule definitions: it over-approximates what actually fired, which
-   only costs spurious conflicts, never misses. *)
-let rule_closure_claims rules ~touched ~claims =
-  let claims = ref claims and touched = ref touched in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (r : Rule.t) ->
-        if
-          r.Rule.active
-          && List.exists
-               (fun tb -> Effect.Col_set.mem tb !touched)
-               r.Rule.tables
-        then begin
-          let c0 = !claims and t0 = !touched in
-          (match Rule.condition r with
-          | Some e ->
-            claims := add_expr_tables !claims e;
-            touched := add_expr_tables !touched e
-          | None -> ());
-          (match Rule.action r with
-          | Ast.Act_block ops ->
-            List.iter
-              (fun op ->
-                claims := op_scan_tables !claims op;
-                touched := op_touch_tables !touched op)
-              ops
-          | Ast.Act_rollback | Ast.Act_call _ -> ());
-          if
-            not
-              (Effect.Col_set.equal c0 !claims
-              && Effect.Col_set.equal t0 !touched)
-          then changed := true
-        end)
-      rules
-  done;
-  !claims
+let write_tables_of (eff : Effect.t) =
+  Effect.fold
+    (fun tbl (p : Effect.part) acc ->
+      if
+        Handle.Set.is_empty p.ins && Handle.Map.is_empty p.del
+        && Handle.Map.is_empty p.upd
+      then acc
+      else Effect.Col_set.add tbl acc)
+    eff Effect.Col_set.empty
 
 let overlap a b =
   (not (Handle.Set.is_empty a))
@@ -404,23 +311,12 @@ let maybe_checkpoint_locked t =
    engine's commit point: a raise here makes the engine abort with its
    exact snapshot restore, which is how both serialization failures and
    failed WAL flushes surface to the session. *)
-let session_commit_hook t session (txl : Engine.txn_log) =
+let session_commit_hook t session fork (txl : Engine.txn_log) =
   let eff = txl.Engine.txl_effect in
   let writes = writes_of eff in
   let wtables = write_tables_of eff in
   let claims =
-    if not t.serializable then Effect.Col_set.empty
-    else
-      let eng =
-        match session.txn with
-        | Some sys -> System.engine sys
-        | None -> System.engine t.primary
-      in
-      rule_closure_claims (Engine.rules eng)
-        ~touched:
-          (Effect.Col_set.union session.touch_tables (Effect.tables eff))
-        ~claims:
-          (Effect.Col_set.union session.scan_tables (read_tables_of eff))
+    if t.serializable then Engine.tables_read fork else Effect.Col_set.empty
   in
   (* claim: conflict-check against published history and the
      claim-to-publish window, then enter that window.  A group-commit
@@ -483,15 +379,12 @@ let open_session t =
       t.stats.sv_connections <- t.stats.sv_connections + 1;
       t.sessions <- stmts :: t.sessions;
       {
-        server = t;
         sid = t.next_session;
         txn = None;
         txn_id = 0;
         start_version = 0;
         committed_at = 0;
         reader = None;
-        scan_tables = Effect.Col_set.empty;
-        touch_tables = Effect.Col_set.empty;
         stmts;
       })
 
@@ -508,11 +401,9 @@ let start_txn t session =
         t.active_txns <- (session.sid, t.version) :: t.active_txns;
         System.of_engine eng)
   in
-  Engine.set_commit_hook (System.engine sys)
-    (Some (session_commit_hook t session));
-  Engine.begin_txn (System.engine sys);
-  session.scan_tables <- Effect.Col_set.empty;
-  session.touch_tables <- Effect.Col_set.empty;
+  let eng = System.engine sys in
+  Engine.set_commit_hook eng (Some (session_commit_hook t session eng));
+  Engine.begin_txn eng;
   session.txn <- Some sys;
   sys
 
@@ -576,14 +467,6 @@ let exec_ddl t stmt =
       maybe_checkpoint_locked t;
       r)
 
-(* Claim the serializable footprint of an operation the session's
-   transaction runs; an EXECUTE claims its prepared body's. *)
-let record_footprint session op =
-  if session.server.serializable then begin
-    session.scan_tables <- op_scan_tables session.scan_tables op;
-    session.touch_tables <- op_touch_tables session.touch_tables op
-  end
-
 (* Run [run] on the session's open transaction [sys], keeping the
    session's transaction bookkeeping in sync with the engine's: commit,
    rollback, a fired rollback rule, or an aborting error all close the
@@ -599,9 +482,8 @@ let in_txn t session sys run =
    single-operation transaction — the paper's default
    one-block-one-transaction behaviour, served through the same fork +
    conflict-check + publish path as explicit transactions. *)
-let autocommit t session op run =
+let autocommit t session run =
   let sys = start_txn t session in
-  record_footprint session op;
   match
     let r = run sys in
     (r, Engine.commit (System.engine sys))
@@ -623,11 +505,9 @@ let autocommit t session op run =
    snapshot and anything else autocommits. *)
 let exec_op t session op run =
   match (session.txn, op) with
-  | Some sys, _ ->
-    record_footprint session op;
-    in_txn t session sys run
+  | Some sys, _ -> in_txn t session sys run
   | None, Ast.Select_op _ -> run (reader_sys t session)
-  | None, (Ast.Insert _ | Ast.Delete _ | Ast.Update _) -> autocommit t session op run
+  | None, (Ast.Insert _ | Ast.Delete _ | Ast.Update _) -> autocommit t session run
 
 let exec_stmt t session (stmt : Ast.statement) =
   let run sys = System.exec_statement sys stmt in

@@ -12,10 +12,10 @@
     write-write validation is SNAPSHOT ISOLATION.  With
     [config.track_selects] on, the server runs SERIALIZABLE: each
     commit additionally claims, at table granularity, the base tables
-    its statements could have read — from the statement ASTs, closed
-    over the rule catalog so reads inside rule conditions and actions
-    are claimed too — and conflicts with any concurrent transition
-    that wrote a claimed table.  A winning transaction is made durable
+    its plans actually scanned or probed ({!Core.Engine.tables_read}:
+    statements, failed ones included, and rule conditions, actions,
+    subqueries and procedure queries) and conflicts with any
+    concurrent transition that wrote a claimed table.  A winning transaction is made durable
     by a group-commit round, which writes the commits that piled up
     meanwhile as one WAL record, and then applied to the primary under
     the next version, strictly in claim order. *)

@@ -75,7 +75,7 @@ type rt = {
 
 let no_params : Value.t array = [||]
 
-let make_rt ~db ?(note = ignore) ?(params = no_params) ~slots resolve =
+let make_rt ~db ?(note = Eval.no_note) ?(params = no_params) ~slots resolve =
   {
     rt_db = db;
     rt_note = note;
@@ -576,17 +576,17 @@ let extend pl i next =
           next sc)
         t
     | R_index_join { table; column; _ }, Some l ->
-      sc.sc_rt.rt_note `Index_probe;
+      sc.sc_rt.rt_note `Index_probe (Table.name table);
       push_pairs i next sc (Eval.index_join_rows table ~column (join_key sc l))
     | R_hash r, Some l ->
-      sc.sc_rt.rt_note `Hash_join_build;
+      sc.sc_rt.rt_note `Hash_join_build "";
       sc.sc_reads.(i) <-
         R_hashed
           ( Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r),
             r );
       go sc
     | R_hashed (table, _), Some l ->
-      sc.sc_rt.rt_note `Hash_join_probe;
+      sc.sc_rt.rt_note `Hash_join_probe "";
       push_rows i next sc (Eval.join_matches table (join_key sc l))
     | (R_index_join _ | R_hash _ | R_hashed _), None | R_deferred _, _ -> assert false
   in
@@ -730,10 +730,11 @@ let realize pl sc i tbl =
   with
   | Some hit ->
     sc.sc_rt.rt_note
-      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe)
+      (Table.name tbl);
     R_probe hit
   | None ->
-    sc.sc_rt.rt_note `Seq_scan;
+    sc.sc_rt.rt_note `Seq_scan (Table.name tbl);
     R_table tbl
 
 (* A linked base table's join method, from the number of partial

@@ -207,7 +207,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
    order.  A sargable conjunct over an indexed column narrows the
    candidates by an index probe first; the full predicate is still
    applied to each candidate, so the victims are identical to the
-   scan's.  [note] hears the probe-or-scan decision. *)
+   scan's.  [note] hears the probe-or-scan decision and [tbl]'s name. *)
 let selected_handles rt ~note tbl cwhere cprobe =
   (* one frame, rebound to each candidate: WHERE keeps nothing of it *)
   let frame = [| [||] |] in
@@ -221,10 +221,12 @@ let selected_handles rt ~note tbl cwhere cprobe =
   in
   match Option.bind cprobe (Compile.run_probe rt tbl) with
   | Some hit ->
-    note (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+    note
+      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe)
+      (Table.name tbl);
     List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
   | None ->
-    note `Seq_scan;
+    note `Seq_scan (Table.name tbl);
     Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
     |> List.rev
 
@@ -348,7 +350,7 @@ let rec explain ?params resolve db cop : Eval.source_plan list =
     in
     [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 
-let exec_cop ?(track_selects = false) ?(note = ignore) ?params resolve db cop :
+let exec_cop ?(track_selects = false) ?(note = Eval.no_note) ?params resolve db cop :
     op_result =
   Fault.hit Fault.Dml_op;
   run_cop ~track_selects ~note ?params resolve db cop
@@ -356,7 +358,7 @@ let exec_cop ?(track_selects = false) ?(note = ignore) ?params resolve db cop :
 (* Both entry points are exception-safety injection sites: an operation
    may fail before touching the database, and the caller must treat the
    containing block as indivisible either way. *)
-let exec_op ?(track_selects = false) ?(note = ignore) resolve db (op : Ast.op) :
+let exec_op ?(track_selects = false) ?(note = Eval.no_note) resolve db (op : Ast.op) :
     op_result =
   Fault.hit Fault.Dml_op;
   run_cop ~track_selects ~note resolve db (compile_op db op)

@@ -109,11 +109,14 @@ let memo_in_set m =
 (* The read decisions the executor takes: one per base-table access for
    scans and probes, one per hash-join build and one per probe into a
    built join table or per index nested-loop probe.  A plan runs with a
-   [note] hearing each of them, e.g. to count them. *)
+   [note] hearing each of them and the base table a scan or probe reads
+   ([""] for the hash-join events), e.g. to count them. *)
 type read_decision =
   [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build | `Hash_join_probe ]
 
-type note = read_decision -> unit
+type note = read_decision -> string -> unit
+
+let no_note : note = fun _ _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)

@@ -73,9 +73,13 @@ type read_decision =
     scans and probes, one per hash-join build and one per probe into a
     built join table or per index nested-loop probe. *)
 
-type note = read_decision -> unit
+type note = read_decision -> string -> unit
 (** The callback a plan runs with, hearing each of its read decisions
-    ([ignore] for none). *)
+    and the base table a scan or probe reads ([""] for the hash-join
+    events, whose build side was heard when it was read). *)
+
+val no_note : note
+(** Hears nothing. *)
 
 (** {2 Cost model} *)
 

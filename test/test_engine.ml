@@ -374,6 +374,64 @@ let test_procedure_query_is_planned () =
     "the count" [ [| "2" |] ]
     (List.map (Array.map Value.to_string) !answer)
 
+(* [Engine.tables_read] is every base table a plan of the transaction
+   scanned or probed, whatever the read found and whoever ran it: the
+   server's serializable read claims. *)
+let test_tables_read () =
+  let s =
+    system
+      "create table dv (a int); create table uv (a int); create table ix (a \
+       int); create table rx (a int); create table trig (n int); create \
+       table cs (a int); create table act (a int); create table pq (a int); \
+       create table fl (a int); create table ex (a int); create index ix_a \
+       on ix (a); create index rx_a on rx (a) using ordered"
+  in
+  run s "insert into ix values (1), (2), (3), (4), (5), (6), (7), (8)";
+  run s "insert into rx values (1), (2), (3), (4), (5), (6), (7), (8)";
+  run s "insert into fl values (0)";
+  System.register_procedure s "p" (fun ctx ->
+      ignore (ctx.Procedures.query (Parser.parse_select_string "select * from pq"));
+      []);
+  run s
+    "create rule r1 when inserted into trig if (select count(*) from cs) = 0 \
+     then update trig set n = (select count(*) from act)";
+  run s "create rule r2 when inserted into trig then call p";
+  let eng = System.engine s in
+  let read () = Effect.Col_set.elements (Engine.tables_read eng) in
+  let check what expected =
+    Alcotest.(check (list string)) what (List.sort compare expected) (read ())
+  in
+  run s "begin";
+  check "begin clears the set" [];
+  run s "explain select * from ex where a > 2";
+  run s "explain delete from ex where a = 1";
+  run s "explain rule r1";
+  check "EXPLAIN reads nothing" [];
+  run s "delete from dv where a = 99";
+  run s "update uv set a = 1 where a = 99";
+  check "victim scans that matched nothing" [ "dv"; "uv" ];
+  let st = Engine.stats eng in
+  let probes = st.Engine.index_probes and ranges = st.Engine.range_probes in
+  run s "select * from ix where a = 3";
+  run s "select * from rx where a > 6";
+  Alcotest.(check (pair int int)) "one index and one range probe" (1, 1)
+    (st.Engine.index_probes - probes, st.Engine.range_probes - ranges);
+  check "probed tables" [ "dv"; "uv"; "ix"; "rx" ];
+  run s "insert into trig values (1)";
+  check "an insert reads nothing" [ "dv"; "uv"; "ix"; "rx" ];
+  run s "process rules";
+  check "condition, action and procedure reads"
+    [ "dv"; "uv"; "ix"; "rx"; "trig"; "cs"; "act"; "pq" ];
+  expect_error (fun () -> System.exec s "select 1 / a from fl");
+  Alcotest.(check bool) "the transaction survives the error" true
+    (Engine.in_transaction eng);
+  check "a failed statement's read stays"
+    [ "dv"; "uv"; "ix"; "rx"; "trig"; "cs"; "act"; "pq"; "fl" ];
+  run s "commit";
+  run s "begin";
+  check "the next transaction starts empty" [];
+  run s "rollback"
+
 let test_unknown_procedure () =
   let s = counter_system () in
   run s "create rule r when inserted into c then call ghost";
@@ -555,6 +613,7 @@ let suite =
       test_external_procedure_action;
     Alcotest.test_case "procedure query is planned" `Quick
       test_procedure_query_is_planned;
+    Alcotest.test_case "tables read by a transaction" `Quick test_tables_read;
     Alcotest.test_case "unknown procedure" `Quick test_unknown_procedure;
     Alcotest.test_case "error mid-block aborts" `Quick test_error_mid_block_aborts;
     Alcotest.test_case "stats counting" `Quick test_stats_counting;

@@ -505,10 +505,14 @@ let config_matrix =
       Selection.Most_recently_considered;
     ]
 
-let arb_blocks =
+(* The combination's index salts the generator, so the six properties
+   draw different block lists from one QCheck seed. *)
+let arb_blocks i =
   QCheck.make
     ~print:(fun blocks -> String.concat ";\n-- block --\n" blocks)
-    QCheck.Gen.(list_size (int_range 6 10) gen_block)
+    (fun st ->
+      QCheck.Gen.(list_size (int_range 6 10) gen_block)
+        (Random.State.make [| Random.State.bits st; i |]))
 
 let combo_label (strategy, track_selects) =
   String.concat " "
@@ -521,11 +525,11 @@ let combo_label (strategy, track_selects) =
 
 (* 6 cases per setting, 36 in all, so the harness drives the
    transactions [test_coverage] requires. *)
-let prop_matrix ((strategy, track_selects) as combo) =
+let prop_matrix i ((strategy, track_selects) as combo) =
   let label =
     Printf.sprintf "abort/retry invariants (%s)" (combo_label combo)
   in
-  QCheck.Test.make ~name:label ~count:6 arb_blocks (fun blocks ->
+  QCheck.Test.make ~name:label ~count:6 (arb_blocks i) (fun blocks ->
       let config = { harness_config with Engine.strategy; track_selects } in
       differential ~config blocks;
       true)
@@ -599,7 +603,7 @@ let suite =
     Alcotest.test_case "systematic differential (faults at every site)" `Slow
       test_systematic_differential;
   ]
-  @ List.map (fun combo -> qtest (prop_matrix combo)) config_matrix
+  @ List.mapi (fun i combo -> qtest (prop_matrix i combo)) config_matrix
   @ [
       Alcotest.test_case "harness coverage" `Slow test_coverage;
       Alcotest.test_case "no armed-countdown leak on aborted harness" `Quick

@@ -350,7 +350,7 @@ let prop_hash_join_equivalence =
             "select t.b from t, u, t t2 where t.a = u.a and u.a = t2.a")
       in
       let builds = ref 0 in
-      let note = function `Hash_join_build -> incr builds | _ -> () in
+      let note d _ = match d with `Hash_join_build -> incr builds | _ -> () in
       let fast = (Compile.eval_select ~note Eval.no_transitions db query).Eval.rows in
       (* the reference joins by nested loops *)
       let slow = (Reference_eval.select db query).Reference_eval.rows in

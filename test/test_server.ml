@@ -320,8 +320,8 @@ let test_first_committer_wins () =
    validation: the read leaves no trace in the effect, and the updated
    row is not in the reader's write set.  Under plain snapshot
    isolation the commit below goes through against a stale bound
-   (write skew); with [track_selects] the server claims the tables any
-   rule the transaction could have woken reads, and must retry. *)
+   (write skew); with [track_selects] the server claims the tables the
+   transaction's rule processing read, and must retry. *)
 let skew_setup =
   "create table bounds (lo int); insert into bounds values (10); create \
    table staff (sid int, sal int); create rule clamp when inserted into \
@@ -361,10 +361,10 @@ let test_serializable_rule_reads () =
   Server.close_session srv a;
   Server.close_session srv b
 
-(* Serializable mode claims every table a statement's predicate reads,
-   from the statement itself — memoized or parsed — so a predicate that
-   matched nothing, which leaves no trace in the effect, still claims
-   its table against a concurrent writer. *)
+(* Serializable mode claims every table the transaction's plans
+   scanned or probed, so a predicate that matched nothing, which leaves
+   no trace in the effect, still claims its table against a concurrent
+   writer. *)
 let test_serializable_empty_predicate () =
   let commit_after_foreign_write config =
     let srv = Server.create ?config Server.Memory in
@@ -386,6 +386,40 @@ let test_serializable_empty_predicate () =
   | Error e ->
     Alcotest.(check bool) "the empty predicate's table is claimed" true
       (contains e "serialization failure")
+
+(* Write skew through an external procedure (Section 5.2): T1's rule
+   calls [p], whose query reads b and whose block writes c, while T2
+   reads c and writes b.  Serially one of them sees the other's row;
+   committed side by side over one snapshot, b = 0 and c = 0.  The
+   procedure's query is a read of b like any other, so T1 must
+   retry. *)
+let test_serializable_procedure_reads () =
+  let config = { Engine.default_config with Engine.track_selects = true } in
+  let srv = Server.create ~config Server.Memory in
+  System.register_procedure (Server.system srv) "p" (fun ctx ->
+      let rel =
+        ctx.Procedures.query (Parser.parse_select_string "select count(*) from b")
+      in
+      let n = match rel.Eval.rows with [ [| Value.Int n |] ] -> n | _ -> -1 in
+      List.map
+        (function Ast.Stmt_op op -> op | _ -> Alcotest.fail "expected DML")
+        (Parser.parse_script (Printf.sprintf "insert into c values (%d)" n)));
+  let a = Server.open_session srv and b = Server.open_session srv in
+  ignore
+    (sx srv a
+       "create table a (x int); create table b (y int); create table c (z \
+        int); create rule r when inserted into a then call p");
+  ignore (sx srv a "begin; insert into a values (1)");
+  ignore (sx srv b "begin; insert into b (select count(*) from c); commit");
+  Alcotest.(check bool) "the procedure's read of b is a conflict" true
+    (contains (sx_err srv a "commit") "serialization failure");
+  ignore (sx srv a "begin; insert into a values (1); commit");
+  Alcotest.(check bool) "the retry counts T2's row" true
+    (contains (sx srv a "select * from c where z = 1") "(1 row)");
+  Alcotest.(check bool) "T2 counted no row of c" true
+    (contains (sx srv a "select * from b where y = 0") "(1 row)");
+  Server.close_session srv a;
+  Server.close_session srv b
 
 let test_rules_on_sessions () =
   let srv = Server.create Server.Memory in
@@ -1077,6 +1111,8 @@ let suite =
       test_serializable_rule_reads;
     Alcotest.test_case "serializable claims a predicate that matched nothing"
       `Quick test_serializable_empty_predicate;
+    Alcotest.test_case "serializable claims a procedure's query" `Quick
+      test_serializable_procedure_reads;
     Alcotest.test_case "rules fire on session transactions" `Quick
       test_rules_on_sessions;
     Alcotest.test_case "DDL fencing" `Quick test_ddl_fencing;

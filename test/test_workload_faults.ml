@@ -53,13 +53,19 @@ let sweep_scenario sc =
         (Runner.setup_statements sc matrix_profile);
       let blocks = Runner.gen_blocks sc matrix_profile in
       let digest () = Runner.state_digest sc (Durable.system !d) in
+      (* the fsync-death window is sampled on the first block at or
+         after each sixth whose sweep reaches Wal_append: a block that
+         never commits (a rule rolled it back) never reaches the WAL,
+         so a fixed every-sixth sample would miss the site whenever the
+         traffic drawn makes each sixth block roll back *)
+      let fsync_due = ref false in
       List.iteri
         (fun i block ->
-          (* sample the fsync-death window on a few blocks; otherwise
-             stop the sweep at the Wal_append abort and finish with a
-             clean, comparable commit (a committed block's hit sequence
-             always ends ..., Wal_append, Wal_fsync) *)
-          let kill_fsync = (i + 1) mod 6 = 0 in
+          (* otherwise stop the sweep at the Wal_append abort and finish
+             with a clean, comparable commit (a committed block's hit
+             sequence always ends ..., Wal_append, Wal_fsync) *)
+          if (i + 1) mod 6 = 0 then fsync_due := true;
+          let kill_fsync = !fsync_due in
           let rec attempt k =
             let pre = digest () in
             Fault.arm k;
@@ -68,6 +74,7 @@ let sweep_scenario sc =
             | exception Fault.Injected Fault.Wal_fsync ->
               Fault.disarm ();
               note Fault.Wal_fsync;
+              fsync_due := false;
               (* the record is durable; the writer died: reopen, do NOT
                  retry — the transaction is committed *)
               Durable.close !d;
