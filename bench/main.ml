@@ -29,6 +29,7 @@
      E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
      E25 (scan pipeline)     fused single-table filter vs the Table.iter floor
+     E28 (access paths)      range probe vs scan by selectivity
 
    Run with:  dune exec bench/main.exe            (all experiments)
               dune exec bench/main.exe -- E2 E3   (a subset)            *)
@@ -1685,12 +1686,109 @@ let e25 () =
     exit 1
   end
 
+(* ------------------------------------------------------------------ *)
+(* E28: index probes at storage speed.  A range count and a range
+   projection ([select count( * ) from t where k > x], [select id from t
+   where k > x]) through [System.exec], over 10^3 and 10^4 rows whose
+   keys are a permutation of 0..n-1, at selectivities 0.1% to 90%: with
+   an ordered index on k, a range probe that gathers at most
+   max 1 (n / max 4 (log2 n)) handles and otherwise gives up for the
+   scan, against the unindexed twin, which scans.  Each arm is timed
+   over a fixed number of rows, best of five passes interleaved with
+   the other arm's.  Tiny mode fails when the
+   indexed statement costs more than 1.5x the scan at any selectivity,
+   or does not beat it at 1%.                                          *)
+
+let e28_sizes = [ 1_000; 10_000 ]
+let e28_selectivities = [ 0.001; 0.01; 0.10; 0.33; 0.90 ]
+let e28_rows_read = if tiny then 1_000_000 else 10_000_000
+
+let e28_system ~indexed n =
+  let s = System.create () in
+  ignore_exec s "create table t (id int, k int)";
+  if indexed then ignore_exec s "create index t_k on t (k) using ordered";
+  ignore
+    (Engine.execute_block (System.engine s)
+       [ insert_op "t" (List.init n (fun i -> [ vi i; vi (i * 7919 mod n) ])) ]);
+  s
+
+(* ns per statement of [sql] over [n] rows on each system: best of
+   five passes, the two systems' passes interleaved so that both see
+   the host in the same state *)
+let e28_ns s_ix s_scan n sql =
+  let iters = max 3 (e28_rows_read / n) in
+  let pass s =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      ignore_exec s sql
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+  in
+  ignore_exec s_ix sql;
+  ignore_exec s_scan sql;
+  let best = ref (infinity, infinity) in
+  for _ = 1 to 5 do
+    let ix = pass s_ix in
+    let scan = pass s_scan in
+    best := (min ix (fst !best), min scan (snd !best))
+  done;
+  !best
+
+(* the read decision the statement takes on [s]: "probe" or "scan" *)
+let e28_path s sql =
+  let st = Engine.stats (System.engine s) in
+  let ranges = st.Engine.range_probes in
+  ignore_exec s sql;
+  if st.Engine.range_probes > ranges then "probe" else "scan"
+
+let e28 () =
+  print_header "E28" "index probes at storage speed: range probe vs scan by selectivity"
+    "a range probe gathers at most max 1 (n / max 4 (log2 n)) handles and \
+     otherwise scans: it never costs more than 1.5x the scan and beats it at 1%";
+  let gate = ref [] in
+  let table_rows =
+    List.concat_map
+      (fun n ->
+        let s_ix = e28_system ~indexed:true n and s_scan = e28_system ~indexed:false n in
+        List.concat_map
+          (fun sel ->
+            let x = n - 1 - int_of_float (sel *. float_of_int n) in
+            List.map
+              (fun (what, fmt) ->
+                let sql = Printf.sprintf fmt x in
+                let ix_ns, scan_ns = e28_ns s_ix s_scan n sql in
+                let r = ix_ns /. scan_ns in
+                if r > 1.5 || (sel = 0.01 && r >= 1.0) then
+                  gate := Printf.sprintf "%s at %g%% of %d rows: %.2fx the scan" what (sel *. 100.) n r :: !gate;
+                [
+                  string_of_int n;
+                  Printf.sprintf "%g%%" (sel *. 100.);
+                  what;
+                  e28_path s_ix sql;
+                  Printf.sprintf "%.0f ns" ix_ns;
+                  Printf.sprintf "%.0f ns" scan_ns;
+                  ratio ix_ns scan_ns;
+                ])
+              [
+                ("count", "select count(*) from t where k > %d");
+                ("ids", "select id from t where k > %d");
+              ])
+          e28_selectivities)
+      e28_sizes
+  in
+  print_table [ "rows"; "selected"; "statement"; "path"; "indexed"; "scan"; "indexed/scan" ] table_rows;
+  if tiny && !gate <> [] then begin
+    List.iter (fun line -> print_endline ("E28 gate failed: " ^ line)) (List.rev !gate);
+    exit 1
+  end
+
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
     ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E25", e25);
+    ("E28", e28);
   ]
 
 let () =

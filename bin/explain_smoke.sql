@@ -18,7 +18,7 @@ explain rule uq_emp_emp_no;
 .stats audit_log
 .stats missing
 explain select name from emp where salary between 100.0 and 250.0;
-explain select name from emp where salary > 150.0;
+explain select name from emp where salary > 250.0;
 explain select * from emp e, audit_log a where e.name = a.name;
 insert into audit_log values ('ada', 1.0), ('bob', 2.0);
 select e.name, a.salary from emp e, audit_log a where e.name = a.name order by e.name;

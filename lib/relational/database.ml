@@ -98,10 +98,10 @@ let probe db ~table:tbl_name ~column values =
   | None -> None
   | Some tbl -> Table.probe tbl ~column values
 
-let range_probe db ~table:tbl_name ~column ~lower ~upper =
+let range_probe db ~table:tbl_name ~column ~lower ~upper ~budget =
   match Str_map.find_opt tbl_name db.tables with
   | None -> None
-  | Some tbl -> Table.range_probe tbl ~column ~lower ~upper
+  | Some tbl -> Table.range_probe tbl ~column ~lower ~upper ~budget
 
 let total_rows db =
   Str_map.fold (fun _ tbl acc -> acc + Table.cardinality tbl) db.tables 0

@@ -63,11 +63,13 @@ val range_probe :
   column:string ->
   lower:Index.bound option ->
   upper:Index.bound option ->
-  (Handle.t * Row.t) list option
+  budget:int ->
+  [ `Rows of (Handle.t * Row.t) list | `Over_budget ] option
 (** Probe an ordered index over [column] of [table] for rows in the key
-    range: [None] when the table or an ordered index is absent (or a
-    bound is type-incompatible), else the matching rows in handle
-    order. *)
+    range, as {!Table.range_probe}: [None] when the table or an ordered
+    index is absent (or a bound is type-incompatible), [`Over_budget]
+    when the range holds more than [budget] rows, else the matching
+    rows in handle order. *)
 
 val total_rows : t -> int
 val pp : Format.formatter -> t -> unit

@@ -91,20 +91,21 @@ let probe t v =
 (* A range bound: the key value and whether the bound is inclusive. *)
 type bound = Value.t * bool
 
-let range t ~lower ~upper =
+exception Over_budget
+exception Past_upper
+
+(* The handles in the key range, in handle order, gathered in one walk
+   over the range and sorted once — or [None] as soon as the walk holds
+   more than [budget] of them, so an unselective range costs about
+   [budget] steps before the caller scans instead.  The walk starts at
+   the lower bound ([Value_map.split]) and iterates the map in place up
+   to the upper one. *)
+let range t ~lower ~upper ~budget =
   let null_bound = function Some (v, _) -> Value.is_null v | None -> false in
   (* A comparison against NULL is UNKNOWN for every row, so the range
      selects nothing — mirroring the scan path faithfully. *)
-  if null_bound lower || null_bound upper then Handle.Set.empty
+  if null_bound lower || null_bound upper then Some []
   else
-    let from_lower =
-      match lower with
-      | None -> Value_map.to_seq t.entries
-      | Some (lv, incl) ->
-        let s = Value_map.to_seq_from lv t.entries in
-        if incl then s
-        else Seq.drop_while (fun (k, _) -> Value.compare_total k lv = 0) s
-    in
     let below_upper k =
       match upper with
       | None -> true
@@ -112,10 +113,26 @@ let range t ~lower ~upper =
         let c = Value.compare_total k uv in
         if incl then c <= 0 else c < 0
     in
-    Seq.fold_left
-      (fun acc (_, set) -> Handle.Set.union set acc)
-      Handle.Set.empty
-      (Seq.take_while (fun (k, _) -> below_upper k) from_lower)
+    let held = ref 0 and hits = ref [] in
+    let hold h =
+      incr held;
+      if !held > budget then raise_notrace Over_budget;
+      hits := h :: !hits
+    in
+    let gather k set =
+      if not (below_upper k) then raise_notrace Past_upper;
+      Handle.Set.iter hold set
+    in
+    match
+      match lower with
+      | None -> Value_map.iter gather t.entries
+      | Some (lv, incl) ->
+        let _, at, above = Value_map.split lv t.entries in
+        (match at with Some set when incl -> gather lv set | Some _ | None -> ());
+        Value_map.iter gather above
+    with
+    | () | (exception Past_upper) -> Some (List.sort Handle.compare !hits)
+    | exception Over_budget -> None
 
 (* The literal prefix of a LIKE pattern (the characters before the
    first wildcard), and the smallest string greater than every string
@@ -142,6 +159,13 @@ let like_prefix pattern =
     Some (prefix, succ_of (len - 1))
 
 let cardinality t = t.ix_distinct
+
+let equal a b =
+  String.equal a.ix_name b.ix_name
+  && a.ix_pos = b.ix_pos
+  && a.ix_kind = b.ix_kind
+  && a.ix_distinct = b.ix_distinct
+  && Value_map.equal Handle.Set.equal a.entries b.entries
 
 (* May [v] be used as a probe key against a column of type [ty]?
    Comparable kinds only: probing silently returns the empty set for

@@ -42,9 +42,12 @@ val probe : t -> Value.t -> Handle.Set.t
 type bound = Value.t * bool
 (** A range endpoint: the key value and whether it is inclusive. *)
 
-val range : t -> lower:bound option -> upper:bound option -> Handle.Set.t
+val range :
+  t -> lower:bound option -> upper:bound option -> budget:int -> Handle.t list option
 (** The handles of rows whose indexed key falls within the bounds
-    (missing bound = unbounded on that side).  A NULL bound selects
+    (missing bound = unbounded on that side), in handle order, gathered
+    in one walk over the key range — or [None] once the walk holds more
+    than [budget] handles, which it then abandons.  A NULL bound selects
     nothing, as SQL comparison against NULL is never TRUE.  Callers
     must gate bound values with [compatible], exactly as for [probe]. *)
 
@@ -57,6 +60,9 @@ val like_prefix : string -> (string * string option) option
 
 val cardinality : t -> int
 (** Number of distinct (non-null) keys, maintained incrementally — O(1). *)
+
+val equal : t -> t -> bool
+(** Same name, column position, kind and key-to-handles entries. *)
 
 val compatible : Schema.col_type -> Value.t -> bool
 (** May a value be used as a probe key against a column of this type?

@@ -84,15 +84,22 @@ let delete t handle =
       indexes = index_remove t handle old_row;
     }
 
+(* An index whose column holds the physically same value in the old and
+   the new row keeps its entry: an update of other columns re-indexes
+   nothing there. *)
 let update t handle row =
   match Int_map.find_opt (Handle.id handle) t.rows with
   | None -> assert false
   | Some (_, old_row) ->
-    let t = { t with indexes = index_remove t handle old_row } in
+    let reindex ix =
+      let pos = Index.pos ix in
+      if old_row.(pos) == row.(pos) then ix
+      else Index.add (Index.remove ix old_row.(pos) handle) row.(pos) handle
+    in
     {
       t with
       rows = Int_map.add (Handle.id handle) (handle, row) t.rows;
-      indexes = index_add t handle row;
+      indexes = Str_map.map reindex t.indexes;
     }
 
 (* Enumeration is in handle order, i.e. insertion order, which keeps
@@ -141,23 +148,24 @@ let drop_index t ix_name =
     Errors.semantic "unknown index %S" ix_name;
   { t with indexes = Str_map.remove ix_name t.indexes }
 
-(* Materialize a handle set as rows of this state, in handle
-   (= insertion) order — probe results are order-preserving
-   subsequences of the scan. *)
+(* Materialize handles, in handle (= insertion) order, as rows of this
+   state — probe results are order-preserving subsequences of the
+   scan. *)
 let realize_handles t handles =
   List.filter_map
     (fun h ->
       Option.map
         (fun (_, row) -> (h, row))
         (Int_map.find_opt (Handle.id h) t.rows))
-    (Handle.Set.elements handles)
+    handles
 
 (* Probe any index over [column] for rows matching one of [values].
    Returns [None] when no such index exists, or when some probe value
    is type-incompatible with the column (the scan path must report that
    error faithfully).  NULL probe values match nothing, as SQL
    requires.  Results are in handle (= insertion) order, so a probe is
-   an order-preserving subsequence of the scan. *)
+   an order-preserving subsequence of the scan: one key's handles are
+   already in order, several keys' are gathered and sorted once. *)
 let probe t ~column values =
   match index_on_column t column with
   | None -> None
@@ -166,17 +174,23 @@ let probe t ~column values =
     if not (List.for_all (Index.compatible ty) values) then None
     else
       let handles =
-        List.fold_left
-          (fun acc v -> Handle.Set.union acc (Index.probe ix v))
-          Handle.Set.empty values
+        match values with
+        | [ v ] -> Handle.Set.elements (Index.probe ix v)
+        | values ->
+          List.fold_left
+            (fun acc v -> Handle.Set.fold List.cons (Index.probe ix v) acc)
+            [] values
+          |> List.sort_uniq Handle.compare
       in
       Some (realize_handles t handles)
 
 (* Probe an ordered index over [column] for rows whose key falls in the
-   given range.  [None] when no ordered index covers the column or a
-   bound value is type-incompatible (fall back to the scan, which
-   reports type errors faithfully).  NULL bounds select nothing. *)
-let range_probe t ~column ~lower ~upper =
+   given range, giving up ([`Over_budget]) once the gather holds more
+   than [budget] handles.  [None] when no ordered index covers the
+   column or a bound value is type-incompatible (fall back to the scan,
+   which reports type errors faithfully).  NULL bounds select
+   nothing. *)
+let range_probe t ~column ~lower ~upper ~budget =
   match ordered_index_on_column t column with
   | None -> None
   | Some ix ->
@@ -186,7 +200,10 @@ let range_probe t ~column ~lower ~upper =
       | Some (v, _) -> Index.compatible ty v
     in
     if not (bound_ok lower && bound_ok upper) then None
-    else Some (realize_handles t (Index.range ix ~lower ~upper))
+    else
+      match Index.range ix ~lower ~upper ~budget with
+      | Some handles -> Some (`Rows (realize_handles t handles))
+      | None -> Some `Over_budget
 
 (* {2 Statistics} *)
 

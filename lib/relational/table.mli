@@ -85,13 +85,15 @@ val range_probe :
   column:string ->
   lower:Index.bound option ->
   upper:Index.bound option ->
-  (Handle.t * Row.t) list option
-(** [range_probe t ~column ~lower ~upper] returns the rows whose
+  budget:int ->
+  [ `Rows of (Handle.t * Row.t) list | `Over_budget ] option
+(** [range_probe t ~column ~lower ~upper ~budget] returns the rows whose
     [column] falls within the bounds, using an ordered index over that
     column — or [None] when no ordered index covers the column or a
     bound value is type-incompatible (the caller falls back to a scan).
-    NULL bounds select nothing.  Results are in handle order, like
-    [probe]. *)
+    The index walk gives up as soon as it holds more than [budget]
+    handles: [`Over_budget], and the caller scans instead.  NULL bounds
+    select nothing.  Results are in handle order, like [probe]. *)
 
 (** {2 Statistics}
 

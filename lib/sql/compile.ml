@@ -34,13 +34,13 @@
    reports them, without running the last source or WHERE.
 
    Predicates compile once, to a truth value ([truth_of]); a comparison
-   allocates nothing.  A select core over one base table read by scan,
-   whose WHERE [row_kind] proves cannot raise, runs as one fused loop
-   ([run_fused]): WHERE's column-against-value conjuncts are tested on
-   the stored row, and only a passing row is bound, recorded and
-   emitted — an ungrouped count( * ), sum, min or max folds it straight
-   into its accumulator.  A WHERE that may raise keeps the general
-   path, so the fused loop changes no error and no read set.
+   allocates nothing.  A select core over one base table read by scan
+   or probe, whose WHERE [row_kind] proves cannot raise, runs as one
+   fused loop ([run_fused]): WHERE's column-against-value conjuncts are
+   tested on the stored row, and only a passing row is bound, recorded
+   and emitted — an ungrouped count( * ), sum, min or max folds it
+   straight into its accumulator.  A WHERE that may raise keeps the
+   general path, so the fused loop changes no error and no read set.
 
    The differential oracle is test/reference_eval.ml, a nested-loop
    evaluator with no planner: test/test_compile_diff.ml asserts that
@@ -256,10 +256,10 @@ let resolve_col ctx qualifier column =
   go 0 ctx.cc_shape
 
 (* Rank and try the compiled candidates with the planner's procedure
-   ([Eval.probe_candidates]); [None] means "scan instead".
+   ([Eval.probe_candidates]), which probes or says "scan instead".
    Probe values evaluate against the outer scopes alone (they were
    compiled under them), in non-grouped context. *)
-let run_probe_values rt tbl (cp : cprobe) (outer : renv) : Eval.probe_hit option =
+let run_probe_values rt tbl (cp : cprobe) (outer : renv) : Eval.probe_outcome =
   Eval.probe_candidates tbl
     ~eval:(fun ce -> ce rt None outer)
     ~eval_set:(fun f -> (f rt outer).Eval.in_values)
@@ -437,14 +437,14 @@ let cmp_holds op c =
 let cmp_truth op c =
   if c = Value.unknown_cmp then Value.Unknown else Value.truth_of_bool (cmp_holds op c)
 
-(* The fused scan of a select core whose one source is a base table and
-   whose WHERE cannot raise on any row ([row_kind]), run when the table
-   is read by scan.  [fu_tests] are the conjuncts tested on the stored
-   row, each handed the run's [rt] and frame once per run to read the
-   values it compares with; [fu_rest] is the conjunction of the others,
-   tested on the bound frame of a row that passed [fu_tests].  With
-   [fu_fold] the select aggregates with no GROUP BY, and its aggregates
-   read nothing but the stored row. *)
+(* The fused loop of a select core whose one source is a base table and
+   whose WHERE cannot raise on any row ([row_kind]), run over the rows
+   of its scan or its probe.  [fu_tests] are the conjuncts tested on
+   the stored row, each handed the run's [rt] and frame once per run to
+   read the values it compares with; [fu_rest] is the conjunction of
+   the others, tested on the bound frame of a row that passed
+   [fu_tests].  With [fu_fold] the select aggregates with no GROUP BY,
+   and its aggregates read nothing but the stored row. *)
 type fused = {
   fu_tests : (rt -> renv -> Row.t -> bool) list;
   fu_rest : ctruth option;
@@ -452,7 +452,8 @@ type fused = {
 }
 
 (* How one FROM source is read in one run of a compiled select: its
-   rows (materialized, probed with their handles, or scanned in place),
+   rows (materialized, probed with their handles, or scanned in place,
+   [R_abandoned] when a range probe was given up for the scan),
    one index probe per partial frame ([probes] of them, [est] rows
    estimated), or hashed on its join key when the first partial frame
    arrives ([R_deferred]: the join method waits for the partial frames
@@ -461,6 +462,7 @@ type sread =
   | R_rows of Row.t list
   | R_probe of Eval.probe_hit
   | R_table of Table.t
+  | R_abandoned of Table.t * Eval.abandoned
   | R_index_join of {
       table : Table.t;
       column : string; (* the link column *)
@@ -516,14 +518,14 @@ let rec push_pairs i next sc = function
 let rec iter_read f = function
   | R_rows rows -> List.iter f rows
   | R_probe hit -> List.iter (fun (_, row) -> f row) hit.Eval.ph_pairs
-  | R_table t -> Table.iter (fun _ row -> f row) t
+  | R_table t | R_abandoned (t, _) -> Table.iter (fun _ row -> f row) t
   | R_hash r -> iter_read f r
   | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
 
 let rec read_count = function
   | R_rows rows -> List.length rows
   | R_probe hit -> List.length hit.Eval.ph_pairs
-  | R_table t -> Table.cardinality t
+  | R_table t | R_abandoned (t, _) -> Table.cardinality t
   | R_hash r -> read_count r
   | R_index_join _ | R_hashed _ | R_deferred _ -> assert false
 
@@ -568,7 +570,7 @@ let extend pl i next =
     match sc.sc_reads.(i), link pl i with
     | R_rows rows, _ -> push_rows i next sc rows
     | R_probe hit, _ -> push_pairs i next sc hit.Eval.ph_pairs
-    | R_table t, _ ->
+    | (R_table t | R_abandoned (t, _)), _ ->
       Table.iter
         (fun h row ->
           sc.sc_cur <- h;
@@ -669,56 +671,56 @@ let final pl =
 let rec all_hold tests (row : Row.t) =
   match tests with [] -> true | t :: rest -> t row && all_hold rest row
 
-(* The fused scan of [t]: the row-local conjuncts are tested on each
-   stored row before anything is written, so only a row passing them is
-   bound, tested against the rest of WHERE, has its handle recorded and
-   is emitted — or, with [fu_fold], folded straight into the one group's
+(* The fused loop over the rows of [read], a scan's or a probe's, in
+   handle order: the row-local conjuncts are tested on each stored row
+   before anything is written, so only a row passing them is bound,
+   tested against the rest of WHERE, has its handle recorded and is
+   emitted — or, with [fu_fold], folded straight into the one group's
    accumulators, its first row binding the group's frame as in
    [consume].  WHERE cannot raise, so which conjunct rejects a row first
-   changes nothing.  An empty table reads none of the run's values, as
-   the general path evaluates nothing over it. *)
-let run_fused pl fu sc t =
-  if not (Table.is_empty t) then begin
-    let test =
-      match List.map (fun f -> f sc.sc_rt sc.sc_env) fu.fu_tests with
-      | [] -> fun _ -> true
-      | [ f ] -> f
-      | tests -> all_hold tests
-    in
-    let keep =
-      match fu.fu_rest with
-      | None -> test
-      | Some ct ->
-        fun row ->
-          test row
-          && begin
+   changes nothing.  The caller runs it over at least one row: an empty
+   read reads none of the run's values, as the general path evaluates
+   nothing over it. *)
+let run_fused pl fu sc read =
+  let test =
+    match List.map (fun f -> f sc.sc_rt sc.sc_env) fu.fu_tests with
+    | [] -> fun _ -> true
+    | [ f ] -> f
+    | tests -> all_hold tests
+  in
+  let keep =
+    match fu.fu_rest with
+    | None -> test
+    | Some ct ->
+      fun row ->
+        test row
+        && begin
+          sc.sc_local.(0) <- row;
+          Value.truth_holds (ct sc.sc_rt None sc.sc_env)
+        end
+  in
+  let each =
+    if fu.fu_fold then (fun h row ->
+        if keep row then begin
+          if sc.sc_read then sc.sc_handles <- h :: sc.sc_handles;
+          (match sc.sc_groups with
+          | (_, accs) :: _ -> fold_row pl.pl_aggs accs row
+          | [] ->
             sc.sc_local.(0) <- row;
-            Value.truth_holds (ct sc.sc_rt None sc.sc_env)
-          end
-    in
-    if fu.fu_fold then
-      Table.iter
-        (fun h row ->
-          if keep row then begin
-            if sc.sc_read then sc.sc_handles <- h :: sc.sc_handles;
-            (match sc.sc_groups with
-            | (_, accs) :: _ -> fold_row pl.pl_aggs accs row
-            | [] ->
-              sc.sc_local.(0) <- row;
-              fold_row pl.pl_aggs (snd (new_group pl sc)) row);
-            passed sc
-          end)
-        t
-    else
-      Table.iter
-        (fun h row ->
-          if keep row then begin
-            sc.sc_cur <- h;
-            sc.sc_local.(0) <- row;
-            emit pl sc
-          end)
-        t
-  end
+            fold_row pl.pl_aggs (snd (new_group pl sc)) row);
+          passed sc
+        end)
+    else fun h row ->
+      if keep row then begin
+        sc.sc_cur <- h;
+        sc.sc_local.(0) <- row;
+        emit pl sc
+      end
+  in
+  match read with
+  | R_table t | R_abandoned (t, _) -> Table.iter each t
+  | R_probe hit -> List.iter (fun (h, row) -> each h row) hit.Eval.ph_pairs
+  | R_rows _ | R_index_join _ | R_hash _ | R_hashed _ | R_deferred _ -> assert false
 
 (* Reading a lazy base table: by probe when a sargable conjunct allows
    it, by scan in place otherwise. *)
@@ -726,16 +728,16 @@ let realize pl sc i tbl =
   match
     match pl.pl_probes.(i) with
     | Some cp -> run_probe_values sc.sc_rt tbl cp sc.sc_outer
-    | None -> None
+    | None -> Eval.Scan None
   with
-  | Some hit ->
+  | Eval.Probed hit ->
     sc.sc_rt.rt_note
       (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe)
       (Table.name tbl);
     R_probe hit
-  | None ->
+  | Eval.Scan abandoned -> (
     sc.sc_rt.rt_note `Seq_scan (Table.name tbl);
-    R_table tbl
+    match abandoned with None -> R_table tbl | Some ab -> R_abandoned (tbl, ab))
 
 (* A linked base table's join method, from the number of partial
    frames it extends: probing its index once per partial frame when the
@@ -860,9 +862,13 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
      if deferred then run_from ~plan:false pl sc 0 None
      else
        match pl.pl_fused with
-       | Some fu -> (
-         match sc.sc_reads.(0) with R_table t -> run_fused pl fu sc t | _ -> pl.pl_chain sc)
        | None -> pl.pl_chain sc
+       | Some fu -> (
+         match sc.sc_reads.(0) with
+         | (R_table t | R_abandoned (t, _)) when Table.is_empty t -> ()
+         | R_probe { Eval.ph_pairs = []; _ } -> ()
+         | (R_table _ | R_abandoned _ | R_probe _) as read -> run_fused pl fu sc read
+         | _ -> pl.pl_chain sc)
    with Stop_scan -> ());
   (* the output names of the rows produced: the static projection
      names, or those of the empty-group projection when it ran *)
@@ -920,6 +926,9 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
 let plan_plain pl rt (outer : renv) : Eval.source_plan list =
   let sc, deferred = start_plain pl rt outer ~read:false ~stop_at:max_int in
   if deferred then run_from ~plan:true pl sc 0 None;
+  let scan t abandoned =
+    Eval.Seq_scan { table = Table.name t; rows = Some (Table.cardinality t); abandoned }
+  in
   let rec path i = function
     | R_rows rows ->
       let source =
@@ -932,9 +941,8 @@ let plan_plain pl rt (outer : renv) : Eval.source_plan list =
     | R_probe hit ->
       let table = match pl.pl_kinds.(i) with `Base t -> t | _ -> assert false in
       Eval.probed_path (Database.table rt.rt_db table) hit
-    | R_table t ->
-      let table = Table.name t in
-      Eval.Seq_scan { table; rows = Some (Table.cardinality t) }
+    | R_table t -> scan t None
+    | R_abandoned (t, ab) -> scan t (Some ab)
     | R_index_join { table; est; probes; _ } ->
       Eval.Index_join_probes
         { table = Table.name table; probes; est; rows = Some (Table.cardinality table) }

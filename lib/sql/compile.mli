@@ -171,7 +171,8 @@ val compile_probe :
 (** [None] when no conjunct is sargable (or pushdown is disabled at
     compile time): scan instead. *)
 
-val run_probe : rt -> Table.t -> cprobe -> Eval.probe_hit option
+val run_probe : rt -> Table.t -> cprobe -> Eval.probe_outcome
 (** Probe the table with outer scopes empty, candidates ranked by the
-    shared cost model; [None] means every candidate fell through (value evaluation
-    failed or no usable index): scan instead. *)
+    shared cost model; [Scan] means every candidate fell through (value
+    evaluation failed, no usable index, or a range probe passed its
+    budget): scan instead. *)

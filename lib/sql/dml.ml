@@ -203,6 +203,10 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
     let csel = Compile.compile_select ctx s in
     C_select { s; csel; nslots = Compile.slot_count ctx }
 
+let probe rt tbl = function
+  | Some cp -> Compile.run_probe rt tbl cp
+  | None -> Eval.Scan None
+
 (* Victim selection: the rows of [tbl] satisfying [cwhere], in handle
    order.  A sargable conjunct over an indexed column narrows the
    candidates by an index probe first; the full predicate is still
@@ -219,13 +223,13 @@ let selected_handles rt ~note tbl cwhere cprobe =
       frame.(0) <- row;
       Compile.truth_holds rt ct env
   in
-  match Option.bind cprobe (Compile.run_probe rt tbl) with
-  | Some hit ->
+  match probe rt tbl cprobe with
+  | Eval.Probed hit ->
     note
       (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe)
       (Table.name tbl);
     List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
-  | None ->
+  | Eval.Scan _ ->
     note `Seq_scan (Table.name tbl);
     Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
     |> List.rev
@@ -344,9 +348,10 @@ let rec explain ?params resolve db cop : Eval.source_plan list =
   | C_delete { table; cprobe; nslots; _ } | C_update { table; cprobe; nslots; _ } ->
     let tbl = Database.table db table in
     let path =
-      match Option.bind cprobe (Compile.run_probe (rt nslots) tbl) with
-      | Some hit -> Eval.probed_path tbl hit
-      | None -> Eval.Seq_scan { table; rows = Some (Table.cardinality tbl) }
+      match probe (rt nslots) tbl cprobe with
+      | Eval.Probed hit -> Eval.probed_path tbl hit
+      | Eval.Scan abandoned ->
+        Eval.Seq_scan { table; rows = Some (Table.cardinality tbl); abandoned }
     in
     [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 

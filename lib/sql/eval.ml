@@ -138,7 +138,10 @@ let rows_per_probe_key = 4
    count [nrows] and the per-indexed-column distinct key count.  [None]
    = no usable index (no index at all, or a range shape without an
    ordered index).  Selectivity of ranges is guessed at 1/3 (1/4 for
-   prefixes) in the System R tradition — no histograms are kept. *)
+   prefixes) in the System R tradition — no histograms are kept — and
+   only ranks the candidates: a range probe checks the guess while it
+   gathers, giving up for the scan once it holds more handles than the
+   scan's cost buys ([range_budget]). *)
 let estimate_shape tbl ~column shape =
   match Table.column_stats tbl column with
   | None -> None
@@ -151,6 +154,17 @@ let estimate_shape tbl ~column shape =
     | Shape_set k -> Some (k * nrows / max 1 distinct)
     | Shape_range -> if ordered then Some ((nrows + 2) / 3) else None
     | Shape_prefix -> if ordered then Some ((nrows + 3) / 4) else None)
+
+(* The most handles a range probe of [tbl] may gather: past this many,
+   probing costs more than scanning the table, and the probe is
+   abandoned for the scan.  Each hit of a range is sorted into handle
+   order and looked up in the table's row map, a descent of log2 n
+   levels where a scan step reads one row; a small table costs what an
+   equality key does ([rows_per_probe_key]). *)
+let range_budget tbl =
+  let n = Table.cardinality tbl in
+  let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2) in
+  max 1 (n / max rows_per_probe_key (log2 n))
 
 (* The cost rule for one candidate: its estimate when a probe of
    [shape] over [column] is worth attempting, [None] when there is no
@@ -199,6 +213,31 @@ type probe_hit = {
   ph_est : int;
   ph_pairs : (Handle.t * Row.t) list;
 }
+
+(* A range probe given up during its gather, for the scan: the index it
+   walked and the budget it passed. *)
+type abandoned = { ab_index : string option; ab_budget : int }
+
+(* How the access-path planner reads a base table: by a probe, or by
+   scan — naming the range probe abandoned for it, if any. *)
+type probe_outcome = Probed of probe_hit | Scan of abandoned option
+
+exception Abandoned of abandoned
+
+(* The rows of a range probe of [column], or [None] when it cannot run;
+   past its [range_budget] the probe is abandoned. *)
+let range_rows tbl ~column ~lower ~upper =
+  let budget = range_budget tbl in
+  match Table.range_probe tbl ~column ~lower ~upper ~budget with
+  | None -> None
+  | Some (`Rows pairs) -> Some pairs
+  | Some `Over_budget ->
+    raise
+      (Abandoned
+         {
+           ab_index = Option.map Index.name (Table.ordered_index_on_column tbl column);
+           ab_budget = budget;
+         })
 
 (* Split a predicate into its top-level AND conjuncts. *)
 let rec conjuncts e =
@@ -398,14 +437,26 @@ let sargable_candidates ~frame ~target ~cols_of pred =
   in
   merge (List.filter_map candidate (conjuncts pred))
 
+(* The first candidate [attempt] probes, else [scan]: the scan naming
+   the first range probe abandoned. *)
+let rec first_probed attempt scan = function
+  | [] -> scan
+  | cand :: rest -> (
+    match attempt cand, scan with
+    | (Probed _ as probed), _ -> probed
+    | (Scan (Some _) as abandoned), Scan None -> first_probed attempt abandoned rest
+    | Scan _, _ -> first_probed attempt scan rest)
+
 (* Rank [cands] with [choose_candidates] and try them cheapest first:
    probe values are evaluated with [eval] (and an IN subquery's value
    set with [eval_set]) and any evaluation error or unusable index falls
-   back to the next candidate and finally to [None], the scan — which
+   back to the next candidate and finally to [Scan] — which
    either reports the same error while filtering or, e.g. over an empty
    table, never evaluates the faulty expression, exactly matching
    unoptimized behaviour.  NULL probe values and range bounds match
-   nothing, as SQL comparison semantics require. *)
+   nothing, as SQL comparison semantics require.  A range probe past
+   its [range_budget] is abandoned like a failed one, and a scan names
+   the first abandoned probe. *)
 let probe_candidates tbl ~eval ~eval_set cands =
   let attempt (cd, est) =
     let column = cd.sg_column in
@@ -423,33 +474,34 @@ let probe_candidates tbl ~eval ~eval_set cands =
           est := e;
           Table.probe tbl ~column values)
       | Pv_bounds (lo, hi) ->
-        Table.range_probe tbl ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
+        range_rows tbl ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
       | Pv_like p -> (
         match eval p with
         | Value.Null ->
           (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
              probe selects exactly nothing *)
-          Table.range_probe tbl ~column ~lower:(Some (Value.Null, true)) ~upper:None
+          range_rows tbl ~column ~lower:(Some (Value.Null, true)) ~upper:None
         | Value.Str pat -> (
           match Index.like_prefix pat with
           | None -> None
           | Some (prefix, upper) ->
-            Table.range_probe tbl ~column
+            range_rows tbl ~column
               ~lower:(Some (Value.Str prefix, true))
               ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
         | Value.Int _ | Value.Float _ | Value.Bool _ ->
           (* the scan path reports the type error faithfully *)
           None)
     in
-    match (try probe () with _ -> None) with
-    | None -> None
+    match probe () with
+    | exception Abandoned ab -> Scan (Some ab)
+    | exception _ | None -> Scan None
     | Some pairs ->
       let kind =
         match cd.sg_values with
         | Pv_exprs _ | Pv_select _ -> `Eq
         | Pv_bounds _ | Pv_like _ -> `Range
       in
-      Some
+      Probed
         {
           ph_column = column;
           ph_conjunct = cd.sg_conjunct;
@@ -460,7 +512,7 @@ let probe_candidates tbl ~eval ~eval_set cands =
   in
   List.map (fun cd -> (cd, cd.sg_column, cd.sg_shape)) cands
   |> choose_candidates tbl
-  |> List.find_map attempt
+  |> first_probed attempt (Scan None)
 
 (* ------------------------------------------------------------------ *)
 (* FROM-list analysis and joins                                        *)
@@ -736,7 +788,7 @@ let default_proj_name e =
    the executor's own decisions. *)
 
 type access_path =
-  | Seq_scan of { table : string; rows : int option }
+  | Seq_scan of { table : string; rows : int option; abandoned : abandoned option }
   | Index_probe of {
       table : string;
       index : string option;
@@ -803,11 +855,19 @@ let describe_probe what (index, column, conjunct, est, matches, rows) =
     conjunct est matches total
 
 let describe_access_path = function
-  | Seq_scan { table; rows } ->
+  | Seq_scan { table; rows; abandoned } ->
     let r =
       match rows with Some n -> Printf.sprintf " (%d rows)" n | None -> ""
     in
-    Printf.sprintf "seq scan of %s%s" table r
+    let why =
+      match abandoned with
+      | None -> ""
+      | Some { ab_index; ab_budget } ->
+        Printf.sprintf ": range probe via %s passed its budget of %d"
+          (Option.value ab_index ~default:"<unnamed index>")
+          ab_budget
+    in
+    Printf.sprintf "seq scan of %s%s%s" table r why
   | Index_probe { table; index; column; conjunct; est; matches; rows } ->
     describe_probe
       (Printf.sprintf "index probe of %s" table)

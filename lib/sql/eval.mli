@@ -103,6 +103,21 @@ type probe_hit = {
 (** A successful probe decision, as produced by {!probe_candidates} and
     consumed by the executor and EXPLAIN. *)
 
+type abandoned = {
+  ab_index : string option;  (** the ordered index the probe walked *)
+  ab_budget : int;  (** the most handles it could gather *)
+}
+(** A range probe given up during its gather because the range held
+    more rows than probing them is worth: over [n] rows, more than
+    [max 1 (n / max 4 (log2 n))], since each hit costs a lookup of
+    [log2 n] levels in the row map, and probing one key at least as
+    much as scanning four rows. *)
+
+type probe_outcome =
+  | Probed of probe_hit
+  | Scan of abandoned option  (** the first range probe abandoned, if any *)
+(** The planner's decision for one base table: probe or scan. *)
+
 type ('e, 's) probe_values =
   | Pv_exprs of 'e list  (** [col = e], [col IN (e, ...)] *)
   | Pv_select of 's  (** [col IN (select ...)] *)
@@ -137,12 +152,12 @@ val probe_candidates :
   eval:('e -> Value.t) ->
   eval_set:('s -> Value.t list) ->
   ('e, 's) sargable list ->
-  probe_hit option
+  probe_outcome
 (** Rank the candidates by estimated cost and try them cheapest first,
     evaluating their values with [eval] / [eval_set]: a value
-    evaluation error or an unusable index moves on to the next one, and
-    [None] means "scan instead".  Without a usable index nothing is
-    probed. *)
+    evaluation error, an unusable index or a range probe gathering more
+    handles than its budget ({!abandoned}) moves on to the next one, and [Scan]
+    means "scan instead".  Without a usable index nothing is probed. *)
 
 (** {2 EXPLAIN plans}
 
@@ -157,8 +172,9 @@ val probe_candidates :
     are not enumerated. *)
 
 type access_path =
-  | Seq_scan of { table : string; rows : int option }
-      (** full scan; [rows] is the table's current cardinality *)
+  | Seq_scan of { table : string; rows : int option; abandoned : abandoned option }
+      (** full scan; [rows] is the table's current cardinality,
+          [abandoned] the range probe given up for it *)
   | Index_probe of {
       table : string;
       index : string option;  (** probing index's name, when known *)

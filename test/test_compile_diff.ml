@@ -720,6 +720,111 @@ let scan_param_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Part A1d: the fused loop over probed rows.  With ordered indexes on
+   b and s and a hash index on a, a single-table select whose WHERE has
+   a range over b or s (comparison, BETWEEN, two-sided pair, LIKE
+   prefix, NULL bound) reads that range by probe when it holds at most
+   8 of the 40 rows (its budget), and runs the fused loop over the
+   probed rows: count( * ), sum, min and max folded from them,
+   projections, exists and LIMIT stopping early, a WHERE whose
+   non-row-local rest is tested on the bound frame, and an empty probe
+   under projections and aggregates that would raise on any row.  A
+   wider range is abandoned for the scan.  The reference evaluates
+   every row, so where the probe ran a row the probe skipped may have
+   raised there; where the table was scanned, results, error kinds and
+   text must be equal. *)
+
+let probe_fixture_db =
+  let db =
+    Database.create_table scan_fixture_db
+      (Schema.table "one" [ Schema.column "x" Schema.T_int ])
+  in
+  let db = fst (Database.insert db "one" [| vi 1 |]) in
+  let db =
+    List.fold_left
+      (fun db i ->
+        let nth_null k v = if i mod k = 0 then vnull else v in
+        fst
+          (Database.insert db "t"
+             [|
+               nth_null 11 (vi (i mod 9));
+               nth_null 13 (vi i);
+               nth_null 17 (vs (String.make 1 "pqr".[i mod 3] ^ string_of_int (i mod 5)));
+               Value.Float (float_of_int i /. 4.0);
+             |]))
+      db (List.init 40 (fun i -> i + 1))
+  in
+  List.fold_left
+    (fun db (ix_name, column, kind) -> Database.create_index db ~ix_name ~table:"t" ~column ~kind)
+    db
+    [ ("pt_a", "a", `Hash); ("pt_b", "b", `Ordered); ("pt_s", "s", `Ordered) ]
+
+let gen_probe_range st =
+  let open QCheck.Gen in
+  let n () = string_of_int (int_range (-2) 52 st) in
+  let op () = oneofl [ "<"; "<="; ">"; ">=" ] st in
+  match int_bound 9 st with
+  | 0 | 1 -> Printf.sprintf "b %s %s" (op ()) (n ())
+  | 2 -> Printf.sprintf "%s %s b" (n ()) (op ())
+  | 3 -> Printf.sprintf "b between %s and %s" (n ()) (n ())
+  | 4 -> Printf.sprintf "b >= %s and b < %s" (n ()) (n ())
+  | 5 | 6 -> Printf.sprintf "s like '%c%s%%'" (oneofl [ 'p'; 'q'; 'r' ] st) (oneofl [ ""; "1"; "3" ] st)
+  | 7 -> Printf.sprintf "s >= '%s'" (oneofl [ "p"; "q3"; "r"; "r4"; "s" ] st)
+  | _ -> oneofl [ "b > null"; "b between null and 9"; "s like null" ] st
+
+let gen_probe_select st =
+  let open QCheck.Gen in
+  let where =
+    gen_probe_range st
+    ^ match int_bound 4 st with
+      | 0 | 1 -> ""
+      | 2 -> " and " ^ gen_scan_atom st
+      | 3 -> " and " ^ gen_scan_pred 2 st
+      | _ -> oneofl [ " and a + 1 > 3"; " and (a = 2 or s = 'p1')"; " and not (f < 2.0)" ] st
+  in
+  match int_bound 9 st with
+  | 0 -> Printf.sprintf "select count(*) from one where exists (select * from t where %s)" where
+  | 1 -> Printf.sprintf "select a, b, s from t where %s limit %d" where (1 + int_bound 2 st)
+  | 2 ->
+    Printf.sprintf "select %s from t where %s"
+      (oneofl [ "a / 0"; "sum(a / 0)"; "count(*), max(1 / 0)" ] st)
+      where
+  | _ ->
+    let proj, agg = oneofa scan_projections st in
+    let tail =
+      if agg then oneofl [ ""; ""; " having count(*) > 1" ] st
+      else oneofl [ ""; ""; " order by 1" ] st
+    in
+    Printf.sprintf "select %s from t where %s%s" proj where tail
+
+(* Reads of t by range probe and by scan across the property: both
+   paths must have run. *)
+let probed_reads = ref 0
+let scanned_reads = ref 0
+
+let probe_differential =
+  QCheck.Test.make ~count:2000 ~name:"fused loop over probed rows = reference select"
+    (QCheck.make ~print:Fun.id gen_probe_select)
+    (fun sql ->
+      let db = probe_fixture_db in
+      let s = Parser.parse_select_string sql in
+      let probed = ref false in
+      let note decision table =
+        if String.equal table "t" then
+          match decision with
+          | `Range_probe | `Index_probe ->
+            probed := true;
+            incr probed_reads
+          | `Seq_scan -> incr scanned_reads
+          | `Hash_join_build | `Hash_join_probe -> ()
+      in
+      let compiled = observe (fun () -> Compile.eval_select ~note Eval.no_transitions db s) in
+      let expected = reference (fun () -> Reference_eval.select db s) in
+      if !probed then check_observed ~may_skip:true sql expected compiled
+      else check_scan sql expected compiled;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Part A2: rule-condition differential                                *)
 
 (* Closed predicates, the shape of rule conditions: no outer row, all
@@ -1388,7 +1493,12 @@ let test_corpus_not_vacuous () =
     true (!seen_logged > 0);
   Alcotest.(check bool)
     (Printf.sprintf "engine selects checked against the reference (%d)" !reference_selects)
-    true (!reference_selects > 0)
+    true (!reference_selects > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "probed (%d) and scanned (%d) reads of the probe fixture"
+       !probed_reads !scanned_reads)
+    true
+    (!probed_reads > 100 && !scanned_reads > 100)
 
 let suite =
   [
@@ -1396,6 +1506,7 @@ let suite =
     qtest param_differential;
     qtest scan_differential;
     qtest scan_param_differential;
+    qtest probe_differential;
     qtest predicate_differential;
     qtest hashed_in_matches_scan;
     Alcotest.test_case "hashed IN corpus" `Quick test_hashed_in_corpus;

@@ -61,8 +61,12 @@ let explain_statements =
     ("select * from emp e, audit_log a where e.name = a.name", none);
     ("select name, count(*) from emp group by name", none);
     ( "select * from emp where emp_no in (select emp_no from emp where \
-       salary > 150.0)",
+       salary > 650.0)",
       (0, 0, 1) );
+    (* 7 of 8 rows pass the subquery's range, past its budget of 2 *)
+    ( "select * from emp where emp_no in (select emp_no from emp where \
+       salary > 150.0)",
+      (1, 0, 0) );
     ("update emp set salary = salary + 1.0 where emp_no = 1", none);
     ("delete from emp where salary = (select 150.0 + 50.0)", none);
     ("delete from emp where emp_no in (2, 3)", none);
@@ -211,10 +215,52 @@ let test_range_probe_names_ordered_index () =
   in
   Alcotest.(check (pair string (option string)))
     "range probe" ("range", Some "b_ord")
-    (index_of "explain select * from t where a > 7");
+    (index_of "explain select * from t where a > 16");
   Alcotest.(check (pair string (option string)))
     "equality probe" ("eq", Some "a_hash")
     (index_of "explain select * from t where a = 7")
+
+(* A range probe gathers at most max 1 (n / max 4 (log2 n)) handles of
+   n rows: over 20 rows, a range of 5 rows is probed and one of 6 is
+   abandoned for the scan, which EXPLAIN names with the budget the
+   probe passed and the engine counts as a scan. *)
+let test_range_probe_budget () =
+  let s =
+    system "create table t (a int);\ncreate index t_ord on t (a) using ordered"
+  in
+  run s
+    ("insert into t values "
+    ^ String.concat ", " (List.init 20 (fun i -> Printf.sprintf "(%d)" i)));
+  let st = Engine.stats (System.engine s) in
+  let shows sql line =
+    match System.exec s ("explain " ^ sql) with
+    | [ System.Msg text ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "explain %s shows %S" sql line)
+        true
+        (List.mem line (String.split_on_char '\n' text))
+    | _ -> Alcotest.fail "expected one explain message"
+  in
+  let abandoned = "  t: seq scan of t (20 rows): range probe via t_ord passed its budget of 5" in
+  List.iter
+    (fun (where, line, hits, (scans, ranges)) ->
+      let sql = "select a from t where " ^ where in
+      shows sql line;
+      let scans0 = st.Engine.seq_scans and ranges0 = st.Engine.range_probes in
+      Alcotest.(check int) (where ^ ": rows") hits (List.length (rows s sql));
+      Alcotest.(check (pair int int))
+        (where ^ ": seq scans, range probes")
+        (scans, ranges)
+        (st.Engine.seq_scans - scans0, st.Engine.range_probes - ranges0))
+    [
+      ( "a > 14",
+        "  t: range probe of t via t_ord on a, conjunct (a > 14): est ~7, 5 of 20 rows",
+        5,
+        (0, 1) );
+      ("a > 13", abandoned, 6, (1, 0));
+    ];
+  (* a victim selection gives up the same way *)
+  shows "delete from t where a > 13" abandoned
 
 (* One column's lower and upper comparisons make one two-sided range
    probe in either conjunct order, for EXPLAIN and the executor:
@@ -702,6 +748,8 @@ let suite =
     Alcotest.test_case "explain range probe" `Quick test_explain_range_probe;
     Alcotest.test_case "range probe names the ordered index" `Quick
       test_range_probe_names_ordered_index;
+    Alcotest.test_case "range probe budget: the last probe and the first scan" `Quick
+      test_range_probe_budget;
     Alcotest.test_case "two-sided range probe (compiled)" `Quick
       test_two_sided_range;
     Alcotest.test_case "hash join counters (compiled)" `Quick

@@ -68,9 +68,11 @@ let test_ordered_range_maintenance () =
   let db, h3 = Database.insert db "t" [| vi 5; vi 30 |] in
   let db, _ = Database.insert db "t" [| vnull; vi 40 |] in
   let range db ~lower ~upper =
-    match Database.range_probe db ~table:"t" ~column:"a" ~lower ~upper with
-    | Some pairs -> List.map fst pairs
-    | None -> Alcotest.fail "expected an ordered index"
+    match
+      Database.range_probe db ~table:"t" ~column:"a" ~lower ~upper ~budget:max_int
+    with
+    | Some (`Rows pairs) -> List.map fst pairs
+    | Some `Over_budget | None -> Alcotest.fail "expected an ordered index"
   in
   let check msg expected got =
     Alcotest.(check bool) msg true (got = expected)
@@ -86,6 +88,14 @@ let test_ordered_range_maintenance () =
     (range db ~lower:(Some (vi 2, true)) ~upper:(Some (vi 5, true)));
   check "unbounded = all non-null keys" [ h1; h2; h3 ]
     (range db ~lower:None ~upper:None);
+  (* the walk gives up once it holds more handles than its budget *)
+  Alcotest.(check bool) "three rows pass a budget of two" true
+    (Database.range_probe db ~table:"t" ~column:"a" ~lower:None ~upper:None ~budget:2
+    = Some `Over_budget);
+  check "three rows fit a budget of three" [ h1; h2; h3 ]
+    (match Database.range_probe db ~table:"t" ~column:"a" ~lower:None ~upper:None ~budget:3 with
+    | Some (`Rows pairs) -> List.map fst pairs
+    | Some `Over_budget | None -> []);
   (* NULL keys are never indexed and NULL bounds select nothing *)
   check "null bound selects nothing" []
     (range db ~lower:(Some (vnull, true)) ~upper:None);
@@ -96,7 +106,7 @@ let test_ordered_range_maintenance () =
   Alcotest.(check bool) "string bound refused" true
     (Database.range_probe db ~table:"t" ~column:"a"
        ~lower:(Some (vs "x", true))
-       ~upper:None
+       ~upper:None ~budget:max_int
     = None);
   (* equality probes still work over the ordered representation *)
   (match Database.probe db ~table:"t" ~column:"a" [ vi 3 ] with
@@ -109,7 +119,7 @@ let test_ordered_range_maintenance () =
   Alcotest.(check bool) "hash index has no range capability" true
     (Database.range_probe db ~table:"t" ~column:"b"
        ~lower:(Some (vi 0, true))
-       ~upper:None
+       ~upper:None ~budget:max_int
     = None);
   (* maintenance: delete and update keep the ordered index current *)
   let db = Database.delete db h2 in
@@ -259,6 +269,215 @@ let test_probe_equals_filtered_scan () =
     (fun q ->
       Alcotest.check rows_testable q (rows s_plain q) (rows s_ix q))
     queries
+
+(* ------------------------------------------------------------------ *)
+(* Index maintenance under updates                                     *)
+
+(* An update leaves an index alone when the old and new rows hold the
+   physically same value at its column.  After generated inserts,
+   deletes and updates — of the indexed columns and of the unindexed
+   one, to new values, to NULL, to the same value and to an equal value
+   of a fresh allocation — every index must equal the one [create_index]
+   builds over the final rows. *)
+let gen_maintenance_case st =
+  let open QCheck.Gen in
+  let value () =
+    match int_bound 7 st with 0 -> None | _ -> Some (int_bound 9 st)
+  in
+  let rows = List.init (int_bound 30 st) (fun _ -> (value (), value (), value ())) in
+  let op () =
+    match int_bound 9 st with
+    | 0 -> `Insert (value (), value (), value ())
+    | 1 -> `Delete (int_bound 40 st)
+    | 2 -> `Copy (int_bound 40 st)
+    | 3 -> `Refresh (int_bound 40 st, int_bound 2 st)
+    | _ -> `Set (int_bound 40 st, int_bound 2 st, value ())
+  in
+  (rows, List.init (int_bound 40 st) (fun _ -> op ()))
+
+let prop_update_maintenance =
+  QCheck.Test.make ~name:"updates keep every index equal to a fresh build" ~count:300
+    (QCheck.make gen_maintenance_case)
+    (fun (rows, ops) ->
+      let v = function None -> vnull | Some n -> vi n in
+      let schema =
+        Schema.table "m"
+          [
+            Schema.column "a" Schema.T_int;
+            Schema.column "b" Schema.T_int;
+            Schema.column "c" Schema.T_int;
+          ]
+      in
+      let with_indexes tbl =
+        let tbl = Table.create_index tbl ~ix_name:"m_a" ~column:"a" ~kind:`Hash in
+        Table.create_index tbl ~ix_name:"m_b" ~column:"b" ~kind:`Ordered
+      in
+      let insert tbl (a, b, c) = Table.insert tbl (Handle.fresh "m") [| v a; v b; v c |] in
+      let tbl = List.fold_left insert (with_indexes (Table.create schema)) rows in
+      let nth tbl i =
+        match Table.to_list tbl with
+        | [] -> None
+        | pairs -> Some (List.nth pairs (i mod List.length pairs))
+      in
+      let update tbl i f =
+        match nth tbl i with
+        | None -> tbl
+        | Some (h, row) ->
+          let row' = Array.copy row in
+          f row';
+          Table.update tbl h row'
+      in
+      let apply tbl = function
+        | `Insert r -> insert tbl r
+        | `Delete i -> (
+          match nth tbl i with None -> tbl | Some (h, _) -> Table.delete tbl h)
+        | `Copy i -> update tbl i ignore
+        | `Refresh (i, col) ->
+          (* an equal value in a new block *)
+          update tbl i (fun row ->
+              match row.(col) with
+              | Value.Int n -> row.(col) <- Value.Int (Sys.opaque_identity n)
+              | _ -> ())
+        | `Set (i, col, x) -> update tbl i (fun row -> row.(col) <- v x)
+      in
+      let final = List.fold_left apply tbl ops in
+      let rebuilt =
+        with_indexes
+          (Table.fold (fun h row fresh -> Table.insert fresh h row) final (Table.create schema))
+      in
+      List.iter2
+        (fun ix fresh ->
+          if not (Index.equal ix fresh) then
+            QCheck.Test.fail_reportf "index %s differs from a fresh build: %a vs %a"
+              (Index.name ix) Index.pp ix Index.pp fresh)
+        (Table.index_list final) (Table.index_list rebuilt);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Range probes against the unindexed twin                             *)
+
+(* A range probe's budget over [n] rows: max 1 (n / max 4 (log2 n))
+   handles. *)
+let range_budget n =
+  let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2) in
+  max 1 (n / max 4 (log2 n))
+
+(* Tables of 0 to 200 rows and ranges of every selectivity, in every
+   form the planner probes — comparisons either way round, BETWEEN,
+   two-sided pairs, LIKE prefixes and NULL bounds.  Whether the range
+   probe runs or is abandoned past its budget, the indexed system
+   returns the unindexed twin's rows in the same order, and its
+   counters name the path that ran: one range probe when the range
+   holds at most the budget's rows, one seq scan otherwise. *)
+let gen_range_case st =
+  let open QCheck.Gen in
+  let n = int_bound 200 st in
+  let key () = if int_bound 9 st = 0 then None else Some (int_bound 99 st) in
+  let str () =
+    if int_bound 9 st = 0 then None
+    else Some (String.init (1 + int_bound 2 st) (fun _ -> oneofl [ 'a'; 'b'; 'c' ] st))
+  in
+  let rows = List.init n (fun _ -> (key (), str ())) in
+  let bound () = string_of_int (int_range (-5) 105 st) in
+  let op () = oneofl [ "<"; "<="; ">"; ">=" ] st in
+  let pred =
+    match int_bound 9 st with
+    | 0 | 1 -> Printf.sprintf "a %s %s" (op ()) (bound ())
+    | 2 -> Printf.sprintf "%s %s a" (bound ()) (op ())
+    | 3 -> Printf.sprintf "a between %s and %s" (bound ()) (bound ())
+    | 4 -> Printf.sprintf "a >= %s and a < %s" (bound ()) (bound ())
+    | 5 -> Printf.sprintf "a < %s and %s < a" (bound ()) (bound ())
+    | 6 | 7 ->
+      Printf.sprintf "s like '%s%%'"
+        (String.init (1 + int_bound 1 st) (fun _ -> oneofl [ 'a'; 'b'; 'c' ] st))
+    | 8 -> oneofl [ "a > null"; "a between null and 50"; "null <= a" ] st
+    | _ -> "s like null"
+  in
+  (rows, pred)
+
+let print_range_case (rows, pred) =
+  Printf.sprintf "%d rows, where %s" (List.length rows) pred
+
+let range_system ~indexed keys =
+  let s = system "create table t (a int, s string)" in
+  if indexed then begin
+    run s "create index t_a on t (a) using ordered";
+    run s "create index t_s on t (s) using ordered"
+  end;
+  if keys <> [] then
+    run s
+      ("insert into t values "
+      ^ String.concat ", "
+          (List.map
+             (fun (a, str) ->
+               Printf.sprintf "(%s, %s)"
+                 (match a with Some n -> string_of_int n | None -> "null")
+                 (match str with Some x -> "'" ^ x ^ "'" | None -> "null"))
+             keys));
+  s
+
+let prop_range_probe_budget =
+  QCheck.Test.make ~name:"range probe or abandoned: the twin's rows, the path counted"
+    ~count:200
+    (QCheck.make ~print:print_range_case gen_range_case)
+    (fun (keys, pred) ->
+      let s_ix = range_system ~indexed:true keys in
+      let s_plain = range_system ~indexed:false keys in
+      let budget = range_budget (List.length keys) in
+      let st = Engine.stats (System.engine s_ix) in
+      let hits = List.length (rows s_plain ("select a from t where " ^ pred)) in
+      List.iter
+        (fun q ->
+          let sql = q ^ " where " ^ pred in
+          let scans0 = st.Engine.seq_scans and ranges0 = st.Engine.range_probes in
+          Alcotest.check rows_testable sql (rows s_plain sql) (rows s_ix sql);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: %d hits, budget %d: seq scans, range probes" sql hits budget)
+            (if hits <= budget then (0, 1) else (1, 0))
+            (st.Engine.seq_scans - scans0, st.Engine.range_probes - ranges0))
+        [ "select a, s from t"; "select count(*), min(a), max(s) from t" ];
+      true)
+
+(* Under select tracking, the rows a select reads are its [selected t]
+   rows, and its table is among the transaction's reads: a probed
+   select must log the same rows and claim the same tables as the scan,
+   at every selectivity. *)
+let test_probe_selected_rows () =
+  let config = { Engine.default_config with track_selects = true } in
+  let make ~indexed =
+    let s = system ~config "create table t (a int, b int); create table seen (a int, b int)" in
+    if indexed then run s "create index t_a on t (a) using ordered";
+    run s
+      ("insert into t values "
+      ^ String.concat ", " (List.init 40 (fun i -> Printf.sprintf "(%d, %d)" (i * 7 mod 40) i)));
+    run s "create rule log when selected t then insert into seen select a, b from selected t";
+    s
+  in
+  let s_ix = make ~indexed:true and s_plain = make ~indexed:false in
+  let st = Engine.stats (System.engine s_ix) in
+  List.iter
+    (fun pred ->
+      let sql = "select b from t where " ^ pred in
+      let ranges0 = st.Engine.range_probes in
+      let tables s =
+        run s "begin";
+        let r = rows s sql in
+        let read = Effect.Col_set.elements (Engine.tables_read (System.engine s)) in
+        run s "commit";
+        (r, read)
+      in
+      let r_plain, read_plain = tables s_plain in
+      let r_ix, read_ix = tables s_ix in
+      Alcotest.check rows_testable (sql ^ ": rows") r_plain r_ix;
+      Alcotest.(check (list string)) (sql ^ ": tables read") read_plain read_ix;
+      Alcotest.check rows_testable (sql ^ ": selected t rows")
+        (rows s_plain "select a, b from seen")
+        (rows s_ix "select a, b from seen");
+      Alcotest.(check int)
+        (sql ^ ": range probes")
+        (if List.length r_ix <= range_budget 40 then 1 else 0)
+        (st.Engine.range_probes - ranges0))
+    [ "a > 35"; "a < 3 and b > 1"; "a between 10 and 12"; "a >= 5"; "a > 100" ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential property                                           *)
@@ -479,6 +698,10 @@ let suite =
       test_stats_count_probes;
     Alcotest.test_case "probe = filtered scan" `Quick
       test_probe_equals_filtered_scan;
+    qtest prop_update_maintenance;
+    qtest prop_range_probe_budget;
+    Alcotest.test_case "probed selects log the scan's selected rows" `Quick
+      test_probe_selected_rows;
     qtest prop_index_equivalence;
     Alcotest.test_case "differential run exercised probes" `Quick
       test_probes_actually_happened;
