@@ -29,6 +29,7 @@
      E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
      E25 (scan pipeline)     fused single-table filter vs the Table.iter floor
+     E27 (commit validation) server commit cost as commits accumulate
      E28 (access paths)      range probe vs scan by selectivity
 
    Run with:  dune exec bench/main.exe            (all experiments)
@@ -1687,6 +1688,88 @@ let e25 () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* E27: commit validation does not grow with the committed past.  One
+   in-process [Memory] server session commits [begin; update kv set v =
+   v + 1 where id = k; commit] over a 64-row table, k cycling, in four
+   chunks, alone and while a second session holds an idle transaction
+   open ([begin; select ...]).  Validation looks at the committed state
+   itself, so every chunk costs about what the first did in both arms;
+   the tiny run fails when an arm's last chunk costs more than twice its
+   first.  A chunk's cost is the median of its ten slices, so one
+   stall of the host does not decide the gate.                        *)
+
+let e27_chunks = 4
+let e27_chunk = if tiny then 1_500 else 5_000
+let e27_slices = 10
+
+(* µs per commit of each chunk *)
+let e27_run ~idle =
+  let srv = Server.create Server.Memory in
+  let w = Server.open_session srv and reader = Server.open_session srv in
+  let exec sess sql =
+    match Server.exec_script srv sess sql with
+    | Ok _ -> ()
+    | Error e -> failwith e
+  in
+  exec w "create table kv (id int, v int)";
+  for k = 0 to 63 do
+    exec w (Printf.sprintf "insert into kv values (%d, 0)" k)
+  done;
+  if idle then exec reader "begin; select v from kv where id = 0";
+  let txns =
+    Array.init 64 (Printf.sprintf "begin; update kv set v = v + 1 where id = %d; commit")
+  in
+  let slice = e27_chunk / e27_slices in
+  let chunks =
+    Array.init e27_chunks (fun c ->
+        let times =
+          Array.init e27_slices (fun sl ->
+              let t0 = Unix.gettimeofday () in
+              for i = 0 to slice - 1 do
+                exec w txns.(((c * e27_chunk) + (sl * slice) + i) mod 64)
+              done;
+              (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int slice)
+        in
+        Array.sort compare times;
+        times.(e27_slices / 2))
+  in
+  Server.close_session srv reader;
+  Server.close_session srv w;
+  chunks
+
+let e27 () =
+  print_header "E27" "server commit validation as commits accumulate"
+    "a commit is validated against the committed state, not a history of \
+     write sets, so an idle open transaction does not make later commits \
+     slower: every chunk costs about what the first did";
+  let arms = [ ("alone", false); ("idle txn open", true) ] in
+  let rows = List.map (fun (arm, idle) -> (arm, e27_run ~idle)) arms in
+  let first_last chunks = (chunks.(0), chunks.(e27_chunks - 1)) in
+  print_table
+    ("arm" :: List.init e27_chunks (fun c -> Printf.sprintf "chunk %d (us/commit)" (c + 1))
+    @ [ "last/first" ])
+    (List.map
+       (fun (arm, chunks) ->
+         let first, last = first_last chunks in
+         (arm :: Array.to_list (Array.map (Printf.sprintf "%.1f") chunks))
+         @ [ ratio last first ])
+       rows);
+  let failed =
+    List.filter
+      (fun (_, chunks) ->
+        let first, last = first_last chunks in
+        last > 2.0 *. first)
+      rows
+  in
+  if tiny && failed <> [] then begin
+    List.iter
+      (fun (arm, _) ->
+        Printf.printf "E27 gate failed: %s: the last chunk costs more than twice the first\n" arm)
+      failed;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* E28: index probes at storage speed.  A range count and a range
    projection ([select count( * ) from t where k > x], [select id from t
    where k > x]) through [System.exec], over 10^3 and 10^4 rows whose
@@ -1788,7 +1871,7 @@ let experiments =
     ("E7", e7); ("E8", e8); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
     ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E25", e25);
-    ("E28", e28);
+    ("E27", e27); ("E28", e28);
   ]
 
 let () =

@@ -52,7 +52,7 @@ val checkpoint_due : t -> bool
 (** {1 Server write path}
 
     The concurrent server manages commits itself — conflict-checking
-    session transactions against the committed history and applying
+    session transactions against the committed state and applying
     winners to its primary engine — so it appends records directly
     instead of going through the engine commit hook.  All appends and
     checkpoints serialize on an internal I/O lock. *)

@@ -5,9 +5,10 @@
    one transaction's net effect — never required a single session; it
    only requires that the committed sequence LOOKS serial.  The server
    keeps exactly that: a PRIMARY engine holding the committed state
-   (it never runs transactions itself), a monotone version counter,
-   and a history of committed transitions' write sets.  Sessions work
-   on [Engine.fork]s of the committed state:
+   (it never runs transactions itself), a monotone version counter
+   and the version of the last DDL.  The committed database itself
+   shows what changed since a transaction began.  Sessions work on
+   [Engine.fork]s of the committed state:
 
    - Reads outside a transaction evaluate against a per-session
      snapshot fork, refreshed when the committed version moves.  The
@@ -15,14 +16,13 @@
      never block writers and hold no locks while evaluating.
 
    - A transaction is a fork taken at some version v.  Its operations
-     and rule processing run entirely on the fork.  At commit, the
-     transaction's composite [Effect]'s write set (D ∪ U handles) is
-     intersected with the write sets of transitions committed after v:
-     any overlap, or any DDL after v, is a serialization failure and
-     the transaction aborts with its exact snapshot restore (the PR2
-     abort path).  First committer wins.  Inserts never collide —
-     handles are minted from a process-global counter, so two sessions
-     can never create the same handle.
+     and rule processing run entirely on the fork.  At commit, a handle
+     of the transaction's composite [Effect]'s write set (D ∪ U) whose
+     committed row is gone, or is not physically the row of the fork's
+     start state, was written after v.  Any such row, or any DDL after
+     v, is a serialization failure and the transaction aborts with its
+     exact snapshot restore.  First committer wins.  Inserts never
+     collide — handles are minted from a process-global counter.
 
      Write-write validation alone is SNAPSHOT ISOLATION: write skew
      and phantoms are possible, because the effect does not record
@@ -36,8 +36,9 @@
      subqueries and procedure queries.  A predicate that matched
      nothing still read its table, so it is claimed; a table the
      transaction never read cannot have shaped what it did.  A commit
-     conflicts if its read claims intersect the tables WRITTEN by any
-     transition after v.  Table granularity over-approximates —
+     conflicts if a claimed table is no longer physically the table of
+     the fork's start state: a transition after v WROTE it.  Table
+     granularity over-approximates —
      disjoint-row writers to a table one of them reads will conflict
      and retry — which costs throughput under contention, never
      correctness.
@@ -57,7 +58,7 @@
    through the session's one statement state (plans, shape memo,
    prepared registry), so a plan compiled on one fork serves the next.
 
-   Locking: [lock] guards version/history/in-flight/actives/sessions
+   Locking: [lock] guards version/last_ddl/in-flight/open_txns/sessions
    and every primary-engine mutation; the durable layer's own I/O lock
    guards the disk (order: state lock first, never the reverse);
    group-commit tickets are taken (briefly, under the state lock) at
@@ -96,13 +97,6 @@ type stats = {
   mutable sv_checkpoint_failures : int;
 }
 
-type history_entry = {
-  h_version : int;
-  h_writes : Handle.Set.t;  (* deleted ∪ updated handles *)
-  h_tables : Effect.Col_set.t;  (* tables written: inserted ∪ deleted ∪ updated *)
-  h_ddl : bool;  (* DDL conflicts with every concurrent transaction *)
-}
-
 (* The WAL modes' log and the group commit that is its one writer of
    transaction records: every commit joins a round, and a round is one
    [Wal.Batch] record, fsynced unless the mode is [Wal_nosync]. *)
@@ -115,10 +109,12 @@ type t = {
   wal : wal option;  (* [None] in [Memory] mode *)
   serializable : bool;  (* table-granularity read claims (track_selects) *)
   mutable version : int;
-  mutable history : history_entry list;  (* newest first, pruned *)
+  mutable last_ddl : int;
+      (* version of the newest DDL, which conflicts with every
+         transaction started before it *)
   (* txn id, write set, tables written *)
   mutable in_flight : (int * Handle.Set.t * Effect.Col_set.t) list;
-  mutable active_txns : (int * int) list;  (* session id, start version *)
+  mutable open_txns : int;  (* sessions with a transaction open *)
   mutable sessions : Engine.statements list;  (* of the open sessions *)
   mutable closed_counts : int * int * int;
       (* plan-table hits, misses and invalidations of closed sessions *)
@@ -173,9 +169,9 @@ let create ?config ?checkpoint_interval ?data_dir mode =
       | Some c -> c.Engine.track_selects
       | None -> false);
     version = 0;
-    history = [];
+    last_ddl = 0;
     in_flight = [];
-    active_txns = [];
+    open_txns = 0;
     sessions = [];
     closed_counts = (0, 0, 0);
     next_session = 0;
@@ -227,41 +223,37 @@ let write_tables_of (eff : Effect.t) =
       else Effect.Col_set.add tbl acc)
     eff Effect.Col_set.empty
 
-let overlap a b =
-  (not (Handle.Set.is_empty a))
-  && (not (Handle.Set.is_empty b))
-  && Handle.Set.exists (fun h -> Handle.Set.mem h b) a
-
-let overlap_tables a b = not (Effect.Col_set.disjoint a b)
-
-(* Called with the state lock held.  History is pruned to entries newer
-   than the oldest active transaction's start, so the scan covers the
-   concurrency window, not the whole run.  Handle-granularity
-   write-write overlap gives snapshot isolation.  [claims] (empty
-   unless the server is serializable) is the transaction's
-   table-granularity read set, validated against the tables every
-   concurrent transition wrote: a read claim over a written table means
-   the snapshot the transaction computed from may be stale, so it must
-   retry.  The check is one-directional — a claimer checks transactions
-   claimed before it, never the reverse — which is sound because
-   publishes happen in claim order ({!await_publish_turn}): reads
-   serialized BEFORE a write never needed to see it. *)
-let conflicts t ~start_version ~writes ~claims =
-  List.exists
-    (fun e ->
-      e.h_version > start_version
-      && (e.h_ddl || overlap writes e.h_writes
-          || overlap_tables claims e.h_tables))
-    t.history
-  || List.exists
-       (fun (_, w, wt) -> overlap writes w || overlap_tables claims wt)
-       t.in_flight
-
-let prune_history t =
-  let min_start =
-    List.fold_left (fun acc (_, sv) -> min acc sv) t.version t.active_txns
+(* Called with the state lock held.  What was published since the
+   transaction forked [before] is told apart from the committed state
+   now; what is claimed but not yet published is [in_flight].
+   Handle-granularity write-write overlap gives snapshot isolation.
+   [claims] (empty unless the server is serializable) is the
+   transaction's table-granularity read set: a claimed table some
+   concurrent transition wrote means the snapshot the transaction
+   computed from may be stale, so it must retry.  The check is
+   one-directional — a claimer checks transactions claimed before it,
+   never the reverse — which is sound because publishes happen in claim
+   order ({!await_publish_turn}): reads serialized BEFORE a write never
+   needed to see it.  The cost is O(|writes| log n + |claims| +
+   |in_flight|), however many commits or idle sessions there are. *)
+let conflicts t ~start_version ~before ~writes ~claims =
+  let now = Engine.database (System.engine t.primary) in
+  (* Row identity is sound: every published write installs a new row. *)
+  let written h =
+    match (Database.find_row before h, Database.find_row now h) with
+    | Some a, Some b -> a != b
+    | None, None -> false
+    | _ -> true
   in
-  t.history <- List.filter (fun e -> e.h_version > min_start) t.history
+  t.last_ddl > start_version
+  || Handle.Set.exists written writes
+  || Effect.Col_set.exists
+       (fun tb -> Database.table now tb != Database.table before tb)
+       claims
+  || List.exists
+       (fun (_, w, wt) ->
+         not (Handle.Set.disjoint writes w && Effect.Col_set.disjoint claims wt))
+       t.in_flight
 
 (* ------------------------------------------------------------------ *)
 (* The commit protocol                                                 *)
@@ -318,7 +310,7 @@ let session_commit_hook t session fork (txl : Engine.txn_log) =
   let claims =
     if t.serializable then Engine.tables_read fork else Effect.Col_set.empty
   in
-  (* claim: conflict-check against published history and the
+  (* claim: conflict-check against the committed state and the
      claim-to-publish window, then enter that window.  A group-commit
      ticket is taken inside the same critical section, so WAL batch
      order is identical to claim order — and hence to publish/version
@@ -328,7 +320,9 @@ let session_commit_hook t session fork (txl : Engine.txn_log) =
      behind a second fsync. *)
   let ops, ticket =
     with_lock t (fun () ->
-        if conflicts t ~start_version:session.start_version ~writes ~claims
+        if
+          conflicts t ~start_version:session.start_version
+            ~before:txl.Engine.txl_before ~writes ~claims
         then begin
           t.stats.sv_conflicts <- t.stats.sv_conflicts + 1;
           serialization_failure ()
@@ -357,14 +351,6 @@ let session_commit_hook t session fork (txl : Engine.txn_log) =
       let eng = System.engine t.primary in
       Engine.restore_database eng (Wal.apply (Engine.database eng) ops);
       t.version <- t.version + 1;
-      t.history <-
-        {
-          h_version = t.version;
-          h_writes = writes;
-          h_tables = wtables;
-          h_ddl = false;
-        }
-        :: t.history;
       session.committed_at <- t.version;
       t.stats.sv_commits <- t.stats.sv_commits + 1;
       maybe_checkpoint_locked t)
@@ -398,7 +384,7 @@ let start_txn t session =
         session.start_version <- t.version;
         t.next_txn <- t.next_txn + 1;
         session.txn_id <- t.next_txn;
-        t.active_txns <- (session.sid, t.version) :: t.active_txns;
+        t.open_txns <- t.open_txns + 1;
         System.of_engine eng)
   in
   let eng = System.engine sys in
@@ -408,10 +394,10 @@ let start_txn t session =
   sys
 
 let end_txn t session =
-  session.txn <- None;
-  with_lock t (fun () ->
-      t.active_txns <- List.filter (fun (sid, _) -> sid <> session.sid) t.active_txns;
-      prune_history t)
+  if Option.is_some session.txn then begin
+    session.txn <- None;
+    with_lock t (fun () -> t.open_txns <- t.open_txns - 1)
+  end
 
 let add_counts (h, m, i) stmts =
   let h', m', i' = Engine.statement_counts stmts in
@@ -447,8 +433,8 @@ let reader_sys t session =
 (* ------------------------------------------------------------------ *)
 (* Statement routing                                                   *)
 
-(* DDL executes on the primary, under the state lock, and publishes a
-   conflicts-with-everything history entry: a session transaction
+(* DDL executes on the primary, under the state lock, and moves
+   [last_ddl], which conflicts with everything: a session transaction
    forked before the DDL carries the old catalog and must not commit
    over the new one.  The durable layer's DDL hook logs the statement
    write-ahead as in the embedded system. *)
@@ -456,14 +442,7 @@ let exec_ddl t stmt =
   with_lock t (fun () ->
       let r = System.exec_statement t.primary stmt in
       t.version <- t.version + 1;
-      t.history <-
-        {
-          h_version = t.version;
-          h_writes = Handle.Set.empty;
-          h_tables = Effect.Col_set.empty;
-          h_ddl = true;
-        }
-        :: t.history;
+      t.last_ddl <- t.version;
       maybe_checkpoint_locked t;
       r)
 
@@ -572,7 +551,7 @@ let render_stats t =
            stmt cache invalidations: %d"
           t.version s.sv_connections s.sv_requests s.sv_commits s.sv_conflicts
           s.sv_errors s.sv_internal_errors s.sv_disconnects
-          (List.length t.active_txns) hits misses invalidations)
+          t.open_txns hits misses invalidations)
   in
   match group_stats t with
   | None -> base

@@ -5,17 +5,18 @@
     transactions itself.  Sessions work on {!Core.Engine.fork}s — pointer
     copies thanks to the persistent storage: reads evaluate against a
     cached snapshot fork with no locks held, and a transaction runs
-    entirely on its own fork, validated at commit by intersecting its
-    composite [Effect]'s write set with the write sets of concurrently
-    committed transitions (first committer wins; inserts never collide
-    because handles come from a process-global counter).  That
-    write-write validation is SNAPSHOT ISOLATION.  With
+    entirely on its own fork, validated at commit against the committed
+    state: a handle it deleted or updated must still hold the very row
+    its fork started from, as every published write installs a new row
+    (first committer wins; inserts never collide because handles come
+    from a process-global counter).  That is SNAPSHOT ISOLATION.  With
     [config.track_selects] on, the server runs SERIALIZABLE: each
     commit additionally claims, at table granularity, the base tables
     its plans actually scanned or probed ({!Core.Engine.tables_read}:
     statements, failed ones included, and rule conditions, actions,
-    subqueries and procedure queries) and conflicts with any
-    concurrent transition that wrote a claimed table.  A winning transaction is made durable
+    subqueries and procedure queries) and conflicts when a concurrent
+    transition wrote a claimed table.  DDL conflicts with every
+    transaction open across it.  A winning transaction is made durable
     by a group-commit round, which writes the commits that piled up
     meanwhile as one WAL record, and then applied to the primary under
     the next version, strictly in claim order. *)

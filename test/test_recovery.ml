@@ -716,7 +716,7 @@ let test_systematic_sweep () =
           in_dir
             (Printf.sprintf "sweep-%d" seed)
             (run_recovery_sweep ~seed ~blocks_n:80)))
-    (seeds ~default:[ 11; 29; 63; 101 ])
+    (seed_streams ~default:[ 11; 29; 63; 101 ])
 
 (* ------------------------------------------------------------------ *)
 (* The crash harness: SIGKILL at fault sites, truncated-log corpus.     *)

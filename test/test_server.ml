@@ -7,7 +7,9 @@
      group-commit leader/follower protocol (batching, collective
      failure);
    - session semantics over an in-memory server: snapshot isolation,
-     conflict detection, rules on session transactions, DDL fencing;
+     conflict detection, rules on session transactions, DDL fencing,
+     and generated schedules whose commit verdicts must equal the
+     write-set history rule's;
    - durability: batches as single WAL records, fsync/append failures
      failing every member with exact snapshot restore, and recovery;
    - the socket layer: dead clients, and the two concurrency harnesses
@@ -459,6 +461,46 @@ let test_ddl_fencing () =
   Server.close_session srv a;
   Server.close_session srv b
 
+(* First committer wins even when the winner's write leaves the value
+   as it was: validation compares row identity, and every published
+   write installs a new row. *)
+let test_unchanged_value_conflicts () =
+  let srv = Server.create Server.Memory in
+  let a = Server.open_session srv and b = Server.open_session srv in
+  ignore (sx srv a "create table kv (id int, v int); insert into kv values (1, 10)");
+  ignore (sx srv b "begin; select v from kv where id = 1");
+  ignore (sx srv a "begin; update kv set v = v where id = 1; commit");
+  ignore (sx srv b "update kv set v = v + 1 where id = 1");
+  Alcotest.(check bool) "the concurrent update of the same row loses" true
+    (contains (sx_err srv b "commit") "serialization failure");
+  Server.close_session srv a;
+  Server.close_session srv b
+
+(* Validation needs no record of past commits: a transaction opened
+   before 10,000 others still loses on a row one of them updated, and
+   still commits a row none of them touched. *)
+let test_long_open_transaction () =
+  let srv = Server.create Server.Memory in
+  let w = Server.open_session srv in
+  ignore (sx srv w "create table kv (id int, v int)");
+  for k = 1 to 64 do
+    ignore (sx srv w (Printf.sprintf "insert into kv values (%d, 0)" k))
+  done;
+  let loser = Server.open_session srv and winner = Server.open_session srv in
+  ignore (sx srv loser "begin; update kv set v = v + 1 where id = 1");
+  ignore (sx srv winner "begin; update kv set v = v + 1 where id = 2");
+  for i = 0 to 9_999 do
+    let k = if i = 5_000 then 1 else 3 + (i mod 62) in
+    ignore (sx srv w (Printf.sprintf "update kv set v = v + 1 where id = %d" k))
+  done;
+  Alcotest.(check bool) "the row another commit updated loses" true
+    (contains (sx_err srv loser "commit") "serialization failure");
+  Alcotest.(check bool) "the untouched row commits" true
+    (contains (sx srv winner "commit") "committed at version");
+  Alcotest.(check bool) "the winner's update is published" true
+    (contains (sx srv w "select v from kv where id = 2") "1");
+  List.iter (Server.close_session srv) [ w; loser; winner ]
+
 (* ------------------------------------------------------------------ *)
 (* Durable group commit                                                *)
 
@@ -851,6 +893,30 @@ let test_dead_client () =
   | Error e -> Alcotest.failf "select failed: %s" e);
   Client.close c1
 
+(* [\stats]' open-transaction count follows begin, rollback and a
+   client that disconnects mid-transaction. *)
+let test_open_transactions_stat () =
+  let srv = Server.create Server.Memory in
+  let listener = Server.start ~port:0 srv in
+  Fun.protect ~finally:(fun () -> Server.stop listener) @@ fun () ->
+  let open_txns () = stat_of (Server.render_stats srv) "open transactions" in
+  let a = Server.open_session srv in
+  ignore (sx srv a "create table kv (id int, v int); insert into kv values (1, 0)");
+  Alcotest.(check int) "none open" 0 (open_txns ());
+  ignore (sx srv a "begin; select v from kv where id = 1");
+  Alcotest.(check int) "an idle transaction is open" 1 (open_txns ());
+  ignore (sx srv a "rollback");
+  Alcotest.(check int) "rollback closes it" 0 (open_txns ());
+  let c = Client.connect ~port:(Server.port listener) () in
+  (match Client.request c "begin; update kv set v = 1 where id = 1" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "begin/update failed: %s" e);
+  Alcotest.(check int) "the client's transaction is open" 1 (open_txns ());
+  Client.close c;
+  eventually "the disconnect rolled the transaction back" (fun () ->
+      (Server.stats srv).Server.sv_disconnects = 1 && open_txns () = 0);
+  Server.close_session srv a
+
 (* A request that raises outside SQL's errors — here a fault injected
    at query evaluation — is answered with [err internal: ...] and
    counted, and the server goes on serving: the same session and a new
@@ -891,6 +957,259 @@ let test_internal_error_reply () =
   | Error e -> Alcotest.failf "second session failed: %s" e);
   Client.close c1;
   Client.close c2
+
+(* ------------------------------------------------------------------ *)
+(* Differential: row-identity validation ≡ the write-set history rule  *)
+
+(* Generated schedules interleave 2–4 sessions over two small tables;
+   each commit's verdict on the server must equal a model that keeps
+   every committed transition's write set — never pruned — and
+   validates a commit against the transitions published after its
+   start: any DDL, a shared deleted-or-updated handle, or (serializable)
+   a claimed table that one of them wrote.  The model runs the same
+   statements on its own embedded system, so its reads must equal the
+   server's too. *)
+
+type sched_op =
+  | S_begin
+  | S_read of string * int
+  | S_update of string * int * bool  (* true: set v = v, value unchanged *)
+  | S_delete of string * int
+  | S_insert of string * int
+  | S_commit
+  | S_rollback
+  | S_index
+
+let sched_tables = [ "kv"; "kw" ]
+
+let sched_setup =
+  "create table kv (id int, v int); create table kw (id int, v int); insert \
+   into kv values (1, 10), (2, 20), (3, 30), (4, 40); insert into kw values \
+   (1, 10), (2, 20), (3, 30), (4, 40)"
+
+let sched_sql step = function
+  | S_begin -> "begin"
+  | S_read (tb, k) -> Printf.sprintf "select v from %s where id = %d" tb k
+  | S_update (tb, k, same) ->
+    Printf.sprintf "update %s set v = %s where id = %d" tb
+      (if same then "v" else "v + 1") k
+  | S_delete (tb, k) -> Printf.sprintf "delete from %s where id = %d" tb k
+  | S_insert (tb, k) -> Printf.sprintf "insert into %s values (%d, %d)" tb k step
+  | S_commit -> "commit"
+  | S_rollback -> "rollback"
+  | S_index -> Printf.sprintf "create index ix%d on kv (id)" step
+
+let gen_schedule st =
+  let open QCheck.Gen in
+  let n = int_range 2 4 st in
+  let key = int_range 1 3 and tbl = oneofl sched_tables in
+  let op =
+    frequency
+      [
+        (6, return S_begin);
+        (3, map2 (fun t k -> S_read (t, k)) tbl key);
+        (4, map3 (fun t k same -> S_update (t, k, same)) tbl key bool);
+        (1, map2 (fun t k -> S_delete (t, k)) tbl key);
+        (1, map2 (fun t k -> S_insert (t, k)) tbl key);
+        (4, return S_commit);
+        (1, return S_rollback);
+        (1, map (fun i -> if i = 0 then S_index else S_begin) (int_bound 3));
+      ]
+  in
+  (n, list_size (int_range 20 50) (pair (int_bound (n - 1)) op) st)
+
+let print_schedule (n, steps) =
+  String.concat "\n"
+    (Printf.sprintf "%d sessions" n
+    :: List.mapi
+         (fun i (s, op) -> Printf.sprintf "s%d: %s" s (sched_sql i op))
+         steps)
+
+(* The model's committed transitions, newest first. *)
+type transition = {
+  tr_version : int;
+  tr_writes : Handle.Set.t;  (* deleted ∪ updated handles *)
+  tr_tables : Effect.Col_set.t;  (* tables inserted, deleted or updated *)
+  tr_ddl : bool;
+}
+
+exception Model_conflict of { after_ddl : bool }
+
+type model = {
+  m_sys : System.t;  (* the committed state *)
+  m_serializable : bool;
+  mutable m_version : int;
+  mutable m_history : transition list;
+}
+
+let model_publish m txl ~start ~claims =
+  let eff = txl.Engine.txl_effect in
+  let add h _ acc = Handle.Set.add h acc in
+  let writes =
+    Effect.fold
+      (fun _ p acc ->
+        Handle.Map.fold add p.Effect.upd (Handle.Map.fold add p.Effect.del acc))
+      eff Handle.Set.empty
+  and tables =
+    Effect.fold
+      (fun tb p acc ->
+        (* a part holding only reads ([track_selects]) wrote nothing *)
+        if Handle.Set.is_empty p.Effect.ins && Handle.Map.is_empty p.Effect.del
+           && Handle.Map.is_empty p.Effect.upd
+        then acc
+        else Effect.Col_set.add tb acc)
+      eff Effect.Col_set.empty
+  in
+  let concurrent = List.filter (fun tr -> tr.tr_version > start) m.m_history in
+  if
+    List.exists
+      (fun tr ->
+        tr.tr_ddl
+        || (not (Handle.Set.disjoint writes tr.tr_writes))
+        || not (Effect.Col_set.disjoint claims tr.tr_tables))
+      concurrent
+  then
+    raise (Model_conflict { after_ddl = List.exists (fun tr -> tr.tr_ddl) concurrent });
+  let eng = System.engine m.m_sys in
+  Engine.restore_database eng
+    (Wal.apply (Engine.database eng) (Durable.dml_of_log txl));
+  m.m_version <- m.m_version + 1;
+  m.m_history <-
+    { tr_version = m.m_version; tr_writes = writes; tr_tables = tables; tr_ddl = false }
+    :: m.m_history
+
+(* A model transaction: a fork of the committed state whose commit hook
+   applies the history rule. *)
+let model_begin m stmts =
+  let fork = Engine.fork (System.engine m.m_sys) stmts in
+  let start = m.m_version in
+  Engine.set_commit_hook fork
+    (Some
+       (fun txl ->
+         let claims =
+           if m.m_serializable then Engine.tables_read fork else Effect.Col_set.empty
+         in
+         model_publish m txl ~start ~claims));
+  Engine.begin_txn fork;
+  System.of_engine fork
+
+let render_all results = String.concat "\n" (List.map System.render_result results)
+
+type sched_tally = {
+  mutable sc_commits : int;
+  mutable sc_conflicts : int;
+  mutable sc_ddl_conflicts : int;  (* of them, with DDL among the concurrent *)
+}
+
+let sched_tally = { sc_commits = 0; sc_conflicts = 0; sc_ddl_conflicts = 0 }
+
+let run_schedule ~serializable (n, steps) =
+  let config = { Engine.default_config with Engine.track_selects = serializable } in
+  let srv = Server.create ~config Server.Memory in
+  let m =
+    {
+      m_sys = System.create ~config ();
+      m_serializable = serializable;
+      m_version = 0;
+      m_history = [];
+    }
+  in
+  let sessions = Array.init n (fun _ -> Server.open_session srv) in
+  let stmts = Array.init n (fun _ -> Engine.new_statements ()) in
+  (* each session's open model transaction *)
+  let txns = Array.make n None in
+  ignore (sx srv sessions.(0) sched_setup);
+  ignore (System.exec m.m_sys sched_setup);
+  let fail step what server model =
+    QCheck.Test.fail_reportf "step %d (%s): server %s, model %s" step what server model
+  in
+  let show = function Ok body -> body | Error e -> "error " ^ e in
+  (* the server's verdict on a commit must equal the model's *)
+  let commit step s sql sys =
+    let server = Server.exec_script srv sessions.(s) sql in
+    let model =
+      match Engine.commit (System.engine sys) with
+      | Engine.Committed -> `Committed
+      | Engine.Rolled_back -> `Rolled_back
+      | exception Model_conflict { after_ddl } -> `Conflict after_ddl
+    in
+    txns.(s) <- None;
+    match (server, model) with
+    | Ok _, `Committed -> sched_tally.sc_commits <- sched_tally.sc_commits + 1
+    | Error e, `Conflict after_ddl when contains e "serialization failure" ->
+      sched_tally.sc_conflicts <- sched_tally.sc_conflicts + 1;
+      if after_ddl then sched_tally.sc_ddl_conflicts <- sched_tally.sc_ddl_conflicts + 1
+    | _ ->
+      fail step sql (show server)
+        (match model with
+        | `Committed -> "committed"
+        | `Rolled_back -> "rolled back"
+        | `Conflict _ -> "serialization failure")
+  in
+  List.iteri
+    (fun step (s, op) ->
+      let sql = sched_sql step op in
+      match (op, txns.(s)) with
+      | S_begin, None ->
+        ignore (sx srv sessions.(s) sql);
+        txns.(s) <- Some (model_begin m stmts.(s))
+      | (S_begin | S_index), Some _ | (S_commit | S_rollback), None -> ()
+      | S_commit, Some sys -> commit step s sql sys
+      | S_rollback, Some sys ->
+        ignore (sx srv sessions.(s) sql);
+        Engine.rollback_txn (System.engine sys);
+        txns.(s) <- None
+      | S_index, None ->
+        ignore (sx srv sessions.(s) sql);
+        ignore (System.exec m.m_sys sql);
+        m.m_version <- m.m_version + 1;
+        m.m_history <-
+          {
+            tr_version = m.m_version;
+            tr_writes = Handle.Set.empty;
+            tr_tables = Effect.Col_set.empty;
+            tr_ddl = true;
+          }
+          :: m.m_history
+      | S_read _, None ->
+        let server = Server.exec_script srv sessions.(s) sql
+        and model = Ok (render_all (System.exec m.m_sys sql)) in
+        if server <> model then fail step sql (show server) (show model)
+      | (S_read _ | S_update _ | S_delete _ | S_insert _), Some sys ->
+        let server = Server.exec_script srv sessions.(s) sql
+        and model = Ok (render_all (System.exec sys sql)) in
+        if server <> model then fail step sql (show server) (show model)
+      | (S_update _ | S_delete _ | S_insert _), None ->
+        (* autocommit: one operation through the same validation *)
+        let sys = model_begin m stmts.(s) in
+        ignore (System.exec sys sql);
+        commit step s sql sys)
+    steps;
+  let server = value_digest (Server.system srv) sched_tables
+  and model = value_digest m.m_sys sched_tables in
+  if server <> model then fail (List.length steps) "final state" server model;
+  Array.iter (Server.close_session srv) sessions;
+  true
+
+(* 300 schedules per isolation level; the level's index salts the
+   generator, so the two properties draw different schedules from one
+   QCheck seed. *)
+let prop_history_rule i serializable =
+  QCheck.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "row-identity verdicts = history rule (%s)"
+         (if serializable then "serializable" else "snapshot"))
+    (QCheck.make ~print:print_schedule (fun st ->
+         gen_schedule (Random.State.make [| Random.State.bits st; i |])))
+    (run_schedule ~serializable)
+
+let test_history_rule_not_vacuous () =
+  let at_least what n got =
+    Alcotest.(check bool) (Printf.sprintf "%s: %d >= %d" what got n) true (got >= n)
+  in
+  at_least "commits" 2000 sched_tally.sc_commits;
+  at_least "serialization failures" 200 sched_tally.sc_conflicts;
+  at_least "failures after DDL" 20 sched_tally.sc_ddl_conflicts
 
 (* ------------------------------------------------------------------ *)
 (* Differential: concurrent sessions ≡ serial replay                   *)
@@ -1116,6 +1435,14 @@ let suite =
     Alcotest.test_case "rules fire on session transactions" `Quick
       test_rules_on_sessions;
     Alcotest.test_case "DDL fencing" `Quick test_ddl_fencing;
+    Alcotest.test_case "an update that keeps the value still wins first" `Quick
+      test_unchanged_value_conflicts;
+    Alcotest.test_case "a transaction open across 10,000 commits" `Quick
+      test_long_open_transaction;
+    Helpers.qtest (prop_history_rule 0 false);
+    Helpers.qtest (prop_history_rule 1 true);
+    Alcotest.test_case "the history-rule differential is not vacuous" `Quick
+      test_history_rule_not_vacuous;
     Alcotest.test_case "a group round is one WAL record" `Quick
       test_group_commit_one_record;
     Alcotest.test_case "nosync commits are batch records" `Quick
@@ -1134,6 +1461,8 @@ let suite =
       test_request_too_long;
     Alcotest.test_case "dead clients roll back and disconnect" `Quick
       test_dead_client;
+    Alcotest.test_case "\\stats counts open transactions" `Quick
+      test_open_transactions_stat;
     Alcotest.test_case "an internal error is answered and counted" `Quick
       test_internal_error_reply;
     Alcotest.test_case "concurrent sessions equal serial replay" `Slow
