@@ -30,7 +30,7 @@
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
      E25 (scan pipeline)     fused single-table filter vs the Table.iter floor
      E27 (commit validation) server commit cost as commits accumulate
-     E28 (access paths)      range probe vs scan by selectivity
+     E28 (access paths)      range and equality probes vs scan by selectivity
 
    Run with:  dune exec bench/main.exe            (all experiments)
               dune exec bench/main.exe -- E2 E3   (a subset)            *)
@@ -1776,23 +1776,31 @@ let e27 () =
    keys are a permutation of 0..n-1, at selectivities 0.1% to 90%: with
    an ordered index on k, a range probe that gathers at most
    max 1 (n / max 4 (log2 n)) handles and otherwise gives up for the
-   scan, against the unindexed twin, which scans.  Each arm is timed
+   scan, against the unindexed twin, which scans.  The equality arm
+   counts and projects [where grp = x] over the same sizes with a hash
+   index on grp, every key held by 1, 10, 100, 1,000 or 5,000 rows: the
+   probe spends the same budget, one per row held.  Each arm is timed
    over a fixed number of rows, best of five passes interleaved with
-   the other arm's.  Tiny mode fails when the
-   indexed statement costs more than 1.5x the scan at any selectivity,
-   or does not beat it at 1%.                                          *)
+   the other arm's.  Tiny mode fails when the indexed statement costs
+   more than 1.5x the scan at any selectivity or multiplicity, or when
+   a range does not beat the scan at 1%.                               *)
 
 let e28_sizes = [ 1_000; 10_000 ]
 let e28_selectivities = [ 0.001; 0.01; 0.10; 0.33; 0.90 ]
+let e28_multiplicities = [ 1; 10; 100; 1_000; 5_000 ]
 let e28_rows_read = if tiny then 1_000_000 else 10_000_000
 
-let e28_system ~indexed n =
+(* a table [t (id, col)] of [n] rows whose [col] is [key id], indexed
+   by [index] (the DDL's tail after [on t (col)]) when given *)
+let e28_system ?index ~col n key =
   let s = System.create () in
-  ignore_exec s "create table t (id int, k int)";
-  if indexed then ignore_exec s "create index t_k on t (k) using ordered";
+  ignore_exec s (Printf.sprintf "create table t (id int, %s int)" col);
+  Option.iter
+    (fun using -> ignore_exec s (Printf.sprintf "create index t_%s on t (%s)%s" col col using))
+    index;
   ignore
     (Engine.execute_block (System.engine s)
-       [ insert_op "t" (List.init n (fun i -> [ vi i; vi (i * 7919 mod n) ])) ]);
+       [ insert_op "t" (List.init n (fun i -> [ vi i; vi (key i) ])) ]);
   s
 
 (* ns per statement of [sql] over [n] rows on each system: best of
@@ -1820,46 +1828,70 @@ let e28_ns s_ix s_scan n sql =
 (* the read decision the statement takes on [s]: "probe" or "scan" *)
 let e28_path s sql =
   let st = Engine.stats (System.engine s) in
-  let ranges = st.Engine.range_probes in
+  let scans = st.Engine.seq_scans in
   ignore_exec s sql;
-  if st.Engine.range_probes > ranges then "probe" else "scan"
+  if st.Engine.seq_scans > scans then "scan" else "probe"
+
+(* one row of an arm's table per statement, timed on both systems; a
+   statement whose indexed/scan ratio [fails] joins the gate's
+   failures *)
+let e28_rows gate s_ix s_scan n ~what ~at ~fails statements =
+  List.map
+    (fun (stmt, sql) ->
+      let ix_ns, scan_ns = e28_ns s_ix s_scan n sql in
+      let r = ix_ns /. scan_ns in
+      if fails r then
+        gate := Printf.sprintf "%s at %s of %d rows: %.2fx the scan" stmt what n r :: !gate;
+      [
+        string_of_int n; at; stmt; e28_path s_ix sql;
+        Printf.sprintf "%.0f ns" ix_ns; Printf.sprintf "%.0f ns" scan_ns; ratio ix_ns scan_ns;
+      ])
+    statements
 
 let e28 () =
-  print_header "E28" "index probes at storage speed: range probe vs scan by selectivity"
-    "a range probe gathers at most max 1 (n / max 4 (log2 n)) handles and \
-     otherwise scans: it never costs more than 1.5x the scan and beats it at 1%";
+  print_header "E28" "index probes at storage speed: range and equality probes vs scan"
+    "a probe spends at most max 1 (n / max 4 (log2 n)) and otherwise scans: it \
+     never costs more than 1.5x the scan, and a range beats it at 1%";
   let gate = ref [] in
-  let table_rows =
+  let range_rows =
     List.concat_map
       (fun n ->
-        let s_ix = e28_system ~indexed:true n and s_scan = e28_system ~indexed:false n in
+        let range index = e28_system ?index ~col:"k" n (fun i -> i * 7919 mod n) in
+        let s_ix = range (Some " using ordered") and s_scan = range None in
         List.concat_map
           (fun sel ->
             let x = n - 1 - int_of_float (sel *. float_of_int n) in
-            List.map
-              (fun (what, fmt) ->
-                let sql = Printf.sprintf fmt x in
-                let ix_ns, scan_ns = e28_ns s_ix s_scan n sql in
-                let r = ix_ns /. scan_ns in
-                if r > 1.5 || (sel = 0.01 && r >= 1.0) then
-                  gate := Printf.sprintf "%s at %g%% of %d rows: %.2fx the scan" what (sel *. 100.) n r :: !gate;
-                [
-                  string_of_int n;
-                  Printf.sprintf "%g%%" (sel *. 100.);
-                  what;
-                  e28_path s_ix sql;
-                  Printf.sprintf "%.0f ns" ix_ns;
-                  Printf.sprintf "%.0f ns" scan_ns;
-                  ratio ix_ns scan_ns;
-                ])
+            let what = Printf.sprintf "%g%%" (sel *. 100.) in
+            e28_rows gate s_ix s_scan n ~what ~at:what
+              ~fails:(fun r -> r > 1.5 || (sel = 0.01 && r >= 1.0))
               [
-                ("count", "select count(*) from t where k > %d");
-                ("ids", "select id from t where k > %d");
+                ("count", Printf.sprintf "select count(*) from t where k > %d" x);
+                ("ids", Printf.sprintf "select id from t where k > %d" x);
               ])
           e28_selectivities)
       e28_sizes
   in
-  print_table [ "rows"; "selected"; "statement"; "path"; "indexed"; "scan"; "indexed/scan" ] table_rows;
+  print_table [ "rows"; "selected"; "statement"; "path"; "indexed"; "scan"; "indexed/scan" ] range_rows;
+  let eq_rows =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun m ->
+            if m > n then []
+            else
+              let eq index = e28_system ?index ~col:"grp" n (fun i -> i mod (n / m)) in
+              let s_ix = eq (Some "") and s_scan = eq None in
+              e28_rows gate s_ix s_scan n
+                ~what:(Printf.sprintf "%d hits per key" m)
+                ~at:(string_of_int m) ~fails:(fun r -> r > 1.5)
+                [
+                  ("count", "select count(*) from t where grp = 0");
+                  ("ids", "select id from t where grp = 0");
+                ])
+          e28_multiplicities)
+      e28_sizes
+  in
+  print_table [ "rows"; "hits per key"; "statement"; "path"; "indexed"; "scan"; "indexed/scan" ] eq_rows;
   if tiny && !gate <> [] then begin
     List.iter (fun line -> print_endline ("E28 gate failed: " ^ line)) (List.rev !gate);
     exit 1

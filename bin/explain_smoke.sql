@@ -29,4 +29,8 @@ delete from emp where emp_no = 3;
 .trace dump -
 .report
 select name from emp order by emp_no;
+create table badge (emp_no int, floor int);
+create index badge_no_ix on badge (emp_no);
+insert into badge values (1, 1), (2, 2), (3, 3), (4, 0), (5, 1), (6, 2), (7, 3), (8, 0), (9, 1), (10, 2), (11, 3), (12, 0), (13, 1), (14, 2), (15, 3), (16, 0);
+explain select floor from badge where emp_no in (3, 7);
 .q

@@ -93,16 +93,6 @@ let drop_index db ix_name =
   | None -> Errors.semantic "unknown index %S" ix_name
   | Some tbl -> replace_table db (Table.drop_index tbl ix_name)
 
-let probe db ~table:tbl_name ~column values =
-  match Str_map.find_opt tbl_name db.tables with
-  | None -> None
-  | Some tbl -> Table.probe tbl ~column values
-
-let range_probe db ~table:tbl_name ~column ~lower ~upper ~budget =
-  match Str_map.find_opt tbl_name db.tables with
-  | None -> None
-  | Some tbl -> Table.range_probe tbl ~column ~lower ~upper ~budget
-
 let total_rows db =
   Str_map.fold (fun _ tbl acc -> acc + Table.cardinality tbl) db.tables 0
 

@@ -51,25 +51,5 @@ val create_index :
 val drop_index : t -> string -> t
 (** Raises [Semantic_error] if no table has an index of that name. *)
 
-val probe : t -> table:string -> column:string -> Value.t list
-  -> (Handle.t * Row.t) list option
-(** Probe any index over [column] of [table]: [None] when the table or
-    a usable index is absent (or a value is type-incompatible), else
-    the matching rows in handle (= insertion) order. *)
-
-val range_probe :
-  t ->
-  table:string ->
-  column:string ->
-  lower:Index.bound option ->
-  upper:Index.bound option ->
-  budget:int ->
-  [ `Rows of (Handle.t * Row.t) list | `Over_budget ] option
-(** Probe an ordered index over [column] of [table] for rows in the key
-    range, as {!Table.range_probe}: [None] when the table or an ordered
-    index is absent (or a bound is type-incompatible), [`Over_budget]
-    when the range holds more than [budget] rows, else the matching
-    rows in handle order. *)
-
 val total_rows : t -> int
 val pp : Format.formatter -> t -> unit

@@ -84,28 +84,38 @@ let remove t v h =
         }
       else { t with entries = Value_map.add v set t.entries }
 
-let probe t v =
-  if Value.is_null v then Handle.Set.empty
-  else Option.value (Value_map.find_opt v t.entries) ~default:Handle.Set.empty
-
 (* A range bound: the key value and whether the bound is inclusive. *)
 type bound = Value.t * bool
+
+type keys = [ `Keys of Value.t list | `Range of bound option * bound option ]
 
 exception Over_budget
 exception Past_upper
 
-(* The handles in the key range, in handle order, gathered in one walk
-   over the range and sorted once — or [None] as soon as the walk holds
-   more than [budget] of them, so an unselective range costs about
-   [budget] steps before the caller scans instead.  The walk starts at
-   the lower bound ([Value_map.split]) and iterates the map in place up
-   to the upper one. *)
-let range t ~lower ~upper ~budget =
-  let null_bound = function Some (v, _) -> Value.is_null v | None -> false in
-  (* A comparison against NULL is UNKNOWN for every row, so the range
-     selects nothing — mirroring the scan path faithfully. *)
-  if null_bound lower || null_bound upper then Some []
-  else
+(* The handles [keys] select, newest first, or [None] once the gather
+   has spent more than [budget]: each handle held costs one, and each
+   key looked up at least one, so a key list longer than the budget is
+   refused before any lookup and an unselective read costs about
+   [budget] steps before the caller scans instead.  One key's handles
+   come out of its set in order; several keys' and a range's are sorted
+   once.  A range walk starts at the lower bound ([Value_map.split])
+   and iterates the map in place up to the upper one. *)
+let gather t (keys : keys) ~budget =
+  let spent = ref 0 and hits = ref [] in
+  let spend () =
+    incr spent;
+    if !spent > budget then raise_notrace Over_budget
+  in
+  let hold h =
+    spend ();
+    hits := h :: !hits
+  in
+  let look v =
+    match if Value.is_null v then None else Value_map.find_opt v t.entries with
+    | Some set -> Handle.Set.iter hold set
+    | None -> spend ()
+  in
+  let walk lower upper =
     let below_upper k =
       match upper with
       | None -> true
@@ -113,26 +123,33 @@ let range t ~lower ~upper ~budget =
         let c = Value.compare_total k uv in
         if incl then c <= 0 else c < 0
     in
-    let held = ref 0 and hits = ref [] in
-    let hold h =
-      incr held;
-      if !held > budget then raise_notrace Over_budget;
-      hits := h :: !hits
-    in
-    let gather k set =
+    let gather_key k set =
       if not (below_upper k) then raise_notrace Past_upper;
       Handle.Set.iter hold set
     in
-    match
-      match lower with
-      | None -> Value_map.iter gather t.entries
-      | Some (lv, incl) ->
-        let _, at, above = Value_map.split lv t.entries in
-        (match at with Some set when incl -> gather lv set | Some _ | None -> ());
-        Value_map.iter gather above
-    with
-    | () | (exception Past_upper) -> Some (List.sort Handle.compare !hits)
-    | exception Over_budget -> None
+    match lower with
+    | None -> Value_map.iter gather_key t.entries
+    | Some (lv, incl) ->
+      let _, at, above = Value_map.split lv t.entries in
+      (match at with Some set when incl -> gather_key lv set | Some _ | None -> ());
+      Value_map.iter gather_key above
+  in
+  let null_bound = function Some (v, _) -> Value.is_null v | None -> false in
+  match
+    match keys with
+    | `Keys vs ->
+      if List.compare_length_with vs budget > 0 then raise_notrace Over_budget;
+      List.iter look vs
+    | `Range (lower, upper) ->
+      (* a comparison against NULL is UNKNOWN for every row, so the
+         range selects nothing — mirroring the scan path faithfully *)
+      if not (null_bound lower || null_bound upper) then walk lower upper
+  with
+  | () | (exception Past_upper) -> (
+    match keys with
+    | `Keys [ _ ] -> Some !hits
+    | `Keys _ | `Range _ -> Some (List.sort_uniq (fun a b -> Handle.compare b a) !hits))
+  | exception Over_budget -> None
 
 (* The literal prefix of a LIKE pattern (the characters before the
    first wildcard), and the smallest string greater than every string

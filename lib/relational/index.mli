@@ -35,21 +35,22 @@ val remove : t -> Value.t -> Handle.t -> t
 (** Unregister a row's column value.  Removing NULL or an absent
     binding is a no-op. *)
 
-val probe : t -> Value.t -> Handle.Set.t
-(** The handles of rows whose indexed column equals the given value;
-    empty for NULL. *)
-
 type bound = Value.t * bool
 (** A range endpoint: the key value and whether it is inclusive. *)
 
-val range :
-  t -> lower:bound option -> upper:bound option -> budget:int -> Handle.t list option
-(** The handles of rows whose indexed key falls within the bounds
-    (missing bound = unbounded on that side), in handle order, gathered
-    in one walk over the key range — or [None] once the walk holds more
-    than [budget] handles, which it then abandons.  A NULL bound selects
-    nothing, as SQL comparison against NULL is never TRUE.  Callers
-    must gate bound values with [compatible], exactly as for [probe]. *)
+type keys = [ `Keys of Value.t list | `Range of bound option * bound option ]
+(** What a probe reads: the rows holding one of the keys, or those
+    whose key falls within the bounds (missing bound = unbounded on
+    that side).  A NULL key or bound selects nothing, as SQL
+    comparison against NULL is never TRUE. *)
+
+val gather : t -> keys -> budget:int -> Handle.t list option
+(** The handles of the rows [keys] selects, in descending handle order,
+    gathered in one pass — or [None] once the gather has spent more
+    than [budget], which it then abandons: each handle held costs one
+    and each key looked up at least one, so a key list longer than
+    [budget] is refused before any lookup.  Callers must gate key and
+    bound values with [compatible]. *)
 
 val like_prefix : string -> (string * string option) option
 (** [like_prefix pat] is the literal prefix of LIKE pattern [pat]

@@ -148,61 +148,41 @@ let drop_index t ix_name =
     Errors.semantic "unknown index %S" ix_name;
   { t with indexes = Str_map.remove ix_name t.indexes }
 
-(* Materialize handles, in handle (= insertion) order, as rows of this
-   state — probe results are order-preserving subsequences of the
-   scan. *)
-let realize_handles t handles =
-  List.filter_map
-    (fun h ->
-      Option.map
-        (fun (_, row) -> (h, row))
-        (Int_map.find_opt (Handle.id h) t.rows))
-    handles
-
-(* Probe any index over [column] for rows matching one of [values].
-   Returns [None] when no such index exists, or when some probe value
-   is type-incompatible with the column (the scan path must report that
-   error faithfully).  NULL probe values match nothing, as SQL
-   requires.  Results are in handle (= insertion) order, so a probe is
-   an order-preserving subsequence of the scan: one key's handles are
-   already in order, several keys' are gathered and sorted once. *)
-let probe t ~column values =
-  match index_on_column t column with
+(* Gather the rows [keys] selects through an index over [column] — any
+   index for keys, an ordered one for a range — giving up
+   ([`Over_budget]) once the gather has spent more than [budget].
+   [None] when no such index exists or a key or bound value is
+   type-incompatible with the column (fall back to the scan, which
+   reports type errors faithfully).  The rows come in handle
+   (= insertion) order, so a probe is an order-preserving subsequence
+   of the scan. *)
+let probe t ~column ~budget (keys : Index.keys) =
+  match
+    match keys with
+    | `Keys _ -> index_on_column t column
+    | `Range _ -> ordered_index_on_column t column
+  with
   | None -> None
   | Some ix ->
     let ty = t.schema.Schema.columns.(Index.pos ix).Schema.col_type in
-    if not (List.for_all (Index.compatible ty) values) then None
-    else
-      let handles =
-        match values with
-        | [ v ] -> Handle.Set.elements (Index.probe ix v)
-        | values ->
-          List.fold_left
-            (fun acc v -> Handle.Set.fold List.cons (Index.probe ix v) acc)
-            [] values
-          |> List.sort_uniq Handle.compare
-      in
-      Some (realize_handles t handles)
-
-(* Probe an ordered index over [column] for rows whose key falls in the
-   given range, giving up ([`Over_budget]) once the gather holds more
-   than [budget] handles.  [None] when no ordered index covers the
-   column or a bound value is type-incompatible (fall back to the scan,
-   which reports type errors faithfully).  NULL bounds select
-   nothing. *)
-let range_probe t ~column ~lower ~upper ~budget =
-  match ordered_index_on_column t column with
-  | None -> None
-  | Some ix ->
-    let ty = t.schema.Schema.columns.(Index.pos ix).Schema.col_type in
-    let bound_ok = function
-      | None -> true
-      | Some (v, _) -> Index.compatible ty v
+    let bound_ok = function None -> true | Some (v, _) -> Index.compatible ty v in
+    let usable =
+      match keys with
+      | `Keys vs -> List.for_all (Index.compatible ty) vs
+      | `Range (lower, upper) -> bound_ok lower && bound_ok upper
     in
-    if not (bound_ok lower && bound_ok upper) then None
+    if not usable then None
     else
-      match Index.range ix ~lower ~upper ~budget with
-      | Some handles -> Some (`Rows (realize_handles t handles))
+      match Index.gather ix keys ~budget with
+      | Some newest_first ->
+        Some
+          (`Rows
+            (List.fold_left
+               (fun acc h ->
+                 match Int_map.find_opt (Handle.id h) t.rows with
+                 | Some (_, row) -> (h, row) :: acc
+                 | None -> acc)
+               [] newest_first))
       | None -> Some `Over_budget
 
 (* {2 Statistics} *)

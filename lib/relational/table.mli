@@ -71,29 +71,23 @@ val index_on_column : t -> string -> Index.t option
 val ordered_index_on_column : t -> string -> Index.t option
 (** Any [`Ordered] index whose key is the given column. *)
 
-val probe : t -> column:string -> Value.t list -> (Handle.t * Row.t) list option
-(** [probe t ~column values] returns the rows whose [column] equals one
-    of [values], using an index over that column — or [None] when no
-    such index exists or some value is type-incompatible with the
-    column (so the caller falls back to a scan and any type error
-    surfaces there).  NULL values match nothing.  Results are in handle
-    (= insertion) order: a probe result is an order-preserving
-    subsequence of the scan. *)
-
-val range_probe :
+val probe :
   t ->
   column:string ->
-  lower:Index.bound option ->
-  upper:Index.bound option ->
   budget:int ->
+  Index.keys ->
   [ `Rows of (Handle.t * Row.t) list | `Over_budget ] option
-(** [range_probe t ~column ~lower ~upper ~budget] returns the rows whose
-    [column] falls within the bounds, using an ordered index over that
-    column — or [None] when no ordered index covers the column or a
-    bound value is type-incompatible (the caller falls back to a scan).
-    The index walk gives up as soon as it holds more than [budget]
-    handles: [`Over_budget], and the caller scans instead.  NULL bounds
-    select nothing.  Results are in handle order, like [probe]. *)
+(** [probe t ~column ~budget keys] returns the rows [keys] selects:
+    those whose [column] equals one of the keys, through any index over
+    [column], or falls within the bounds, through an ordered one.
+    [None] when no such index exists or some key or bound value is
+    type-incompatible with the column (so the caller falls back to a
+    scan and any type error surfaces there).  The gather gives up as
+    soon as it has spent more than [budget] — one per handle held, at
+    least one per key looked up ({!Index.gather}) — with
+    [`Over_budget], and the caller scans instead.  NULL keys and bounds
+    select nothing.  Results are in handle (= insertion) order: a probe
+    result is an order-preserving subsequence of the scan. *)
 
 (** {2 Statistics}
 

@@ -453,7 +453,7 @@ type fused = {
 
 (* How one FROM source is read in one run of a compiled select: its
    rows (materialized, probed with their handles, or scanned in place,
-   [R_abandoned] when a range probe was given up for the scan),
+   [R_abandoned] when a probe was given up for the scan),
    one index probe per partial frame ([probes] of them, [est] rows
    estimated), or hashed on its join key when the first partial frame
    arrives ([R_deferred]: the join method waits for the partial frames

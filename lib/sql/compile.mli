@@ -174,5 +174,5 @@ val compile_probe :
 val run_probe : rt -> Table.t -> cprobe -> Eval.probe_outcome
 (** Probe the table with outer scopes empty, candidates ranked by the
     shared cost model; [Scan] means every candidate fell through (value
-    evaluation failed, no usable index, or a range probe passed its
-    budget): scan instead. *)
+    evaluation failed, no usable index, or a probe passed its budget):
+    scan instead. *)

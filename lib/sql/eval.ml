@@ -123,85 +123,42 @@ let no_note : note = fun _ _ -> ()
 
 (* The shape of a sargable conjunct, as much of it as is known without
    evaluating the value side: the key count of an equality/IN probe
-   ([None] for IN (select ...)), a range, or a LIKE prefix range.
-   [Shape_set k] is an IN (select ...) whose value set has been
-   evaluated to [k] values. *)
-type probe_shape = Shape_eq of int option | Shape_set of int | Shape_range | Shape_prefix
-
-(* Probing one key costs about as much as scanning this many rows
-   (hash-index lookup plus the handle-order merge of the hits, against
-   one residual-predicate test per scanned row). *)
-let rows_per_probe_key = 4
+   ([None] for IN (select ...)), a range, or a LIKE prefix range. *)
+type probe_shape = Shape_eq of int option | Shape_range | Shape_prefix
 
 (* Estimated rows a probe of [shape] over [column] of [tbl] would
    enumerate, from the incrementally-maintained statistics: the row
    count [nrows] and the per-indexed-column distinct key count.  [None]
    = no usable index (no index at all, or a range shape without an
-   ordered index).  Selectivity of ranges is guessed at 1/3 (1/4 for
-   prefixes) in the System R tradition — no histograms are kept — and
-   only ranks the candidates: a range probe checks the guess while it
-   gathers, giving up for the scan once it holds more handles than the
-   scan's cost buys ([range_budget]). *)
+   ordered index).  An IN (select ...) is guessed at two keys, and the
+   selectivity of ranges at 1/3 (1/4 for prefixes) in the System R
+   tradition — no histograms are kept.  The estimate only ranks the
+   candidates: a probe checks what it reads while it gathers, against
+   [probe_budget]. *)
 let estimate_shape tbl ~column shape =
   match Table.column_stats tbl column with
   | None -> None
   | Some (distinct, ordered) -> (
     let nrows = Table.cardinality tbl in
     match shape with
-    | Shape_eq k ->
-      let k = Option.value k ~default:2 in
-      Some (k * nrows / max 1 distinct)
-    | Shape_set k -> Some (k * nrows / max 1 distinct)
+    | Shape_eq k -> Some (Option.value k ~default:2 * nrows / max 1 distinct)
     | Shape_range -> if ordered then Some ((nrows + 2) / 3) else None
     | Shape_prefix -> if ordered then Some ((nrows + 3) / 4) else None)
 
-(* The most handles a range probe of [tbl] may gather: past this many,
-   probing costs more than scanning the table, and the probe is
-   abandoned for the scan.  Each hit of a range is sorted into handle
-   order and looked up in the table's row map, a descent of log2 n
-   levels where a scan step reads one row; a small table costs what an
-   equality key does ([rows_per_probe_key]). *)
-let range_budget tbl =
+(* Probing one key costs about as much as scanning this many rows
+   (an index lookup plus the handle-order merge of the hits, against
+   one residual-predicate test per scanned row). *)
+let rows_per_probe_key = 4
+
+(* The most an index read of [tbl] may spend before probing costs more
+   than scanning the table: each handle gathered costs one and each key
+   probed at least one.  Each hit is looked up in the table's row map,
+   a descent of log2 n levels where a scan step reads one row; a small
+   table costs what a key does ([rows_per_probe_key]). *)
+let probe_budget tbl =
   let n = Table.cardinality tbl in
   let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2) in
   max 1 (n / max rows_per_probe_key (log2 n))
-
-(* The cost rule for one candidate: its estimate when a probe of
-   [shape] over [column] is worth attempting, [None] when there is no
-   usable index or the scan is no dearer.  A probe never enumerates
-   more rows than the scan, but when the estimate says it would not
-   help, the plan stays honest and scans. *)
-let admissible tbl ~column shape =
-  match estimate_shape tbl ~column shape with
-  | None -> None
-  | Some est -> (
-    let n = Table.cardinality tbl in
-    match shape with
-    | _ when est > n -> None
-    | Shape_set k when k * rows_per_probe_key > n -> None
-    | _ -> Some est)
-
-(* The single decision procedure of the access-path planner (shared by
-   execution and EXPLAIN, which is a plan-only execution): given the
-   sargable candidates of a WHERE clause in conjunct order, return the
-   ones worth attempting, cheapest first, with their estimates.  The
-   caller tries them in order and falls back to the scan when none
-   probes successfully (no index after all, type-incompatible values,
-   value evaluation error).
-
-   An IN (select ...) candidate is ranked before its subquery runs;
-   once the value set is known the caller asks again with [Shape_set],
-   which also weighs the per-key probe cost against the scan: a set
-   whose keys would cost more to probe than the table costs to scan
-   (e.g. a constraint check whose delta is the whole table) scans.
-   Without a usable index no candidate survives, so an index-free
-   system always scans. *)
-let choose_candidates tbl cands =
-  List.filter_map
-    (fun (payload, column, shape) ->
-      Option.map (fun est -> (payload, est)) (admissible tbl ~column shape))
-    cands
-  |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
 
 (* A successful probe decision: which column and WHERE conjunct
    satisfied it, by equality or range probe, the estimate that ranked
@@ -214,30 +171,19 @@ type probe_hit = {
   ph_pairs : (Handle.t * Row.t) list;
 }
 
-(* A range probe given up during its gather, for the scan: the index it
-   walked and the budget it passed. *)
-type abandoned = { ab_index : string option; ab_budget : int }
+(* A probe given up for the scan: its kind, the index it read and the
+   budget it passed. *)
+type abandoned = { ab_kind : [ `Eq | `Range ]; ab_index : string option; ab_budget : int }
 
 (* How the access-path planner reads a base table: by a probe, or by
-   scan — naming the range probe abandoned for it, if any. *)
+   scan — naming the probe abandoned for it, if any. *)
 type probe_outcome = Probed of probe_hit | Scan of abandoned option
 
-exception Abandoned of abandoned
-
-(* The rows of a range probe of [column], or [None] when it cannot run;
-   past its [range_budget] the probe is abandoned. *)
-let range_rows tbl ~column ~lower ~upper =
-  let budget = range_budget tbl in
-  match Table.range_probe tbl ~column ~lower ~upper ~budget with
-  | None -> None
-  | Some (`Rows pairs) -> Some pairs
-  | Some `Over_budget ->
-    raise
-      (Abandoned
-         {
-           ab_index = Option.map Index.name (Table.ordered_index_on_column tbl column);
-           ab_budget = budget;
-         })
+(* The index a probe of [kind] over [column] reads ([Table.probe]): any
+   index over the column for equality, an ordered one for a range. *)
+let probe_index tbl column = function
+  | `Eq -> Table.index_on_column tbl column
+  | `Range -> Table.ordered_index_on_column tbl column
 
 (* Split a predicate into its top-level AND conjuncts. *)
 let rec conjuncts e =
@@ -438,7 +384,7 @@ let sargable_candidates ~frame ~target ~cols_of pred =
   merge (List.filter_map candidate (conjuncts pred))
 
 (* The first candidate [attempt] probes, else [scan]: the scan naming
-   the first range probe abandoned. *)
+   the first probe abandoned. *)
 let rec first_probed attempt scan = function
   | [] -> scan
   | cand :: rest -> (
@@ -447,71 +393,73 @@ let rec first_probed attempt scan = function
     | (Scan (Some _) as abandoned), Scan None -> first_probed attempt abandoned rest
     | Scan _, _ -> first_probed attempt scan rest)
 
-(* Rank [cands] with [choose_candidates] and try them cheapest first:
-   probe values are evaluated with [eval] (and an IN subquery's value
-   set with [eval_set]) and any evaluation error or unusable index falls
-   back to the next candidate and finally to [Scan] — which
-   either reports the same error while filtering or, e.g. over an empty
-   table, never evaluates the faulty expression, exactly matching
-   unoptimized behaviour.  NULL probe values and range bounds match
-   nothing, as SQL comparison semantics require.  A range probe past
-   its [range_budget] is abandoned like a failed one, and a scan names
-   the first abandoned probe. *)
+(* Rank [cands] by their estimates and try them cheapest first: probe
+   values are evaluated with [eval] (and an IN subquery's value set
+   with [eval_set]) and any evaluation error or unusable index falls
+   back to the next candidate and finally to [Scan] — which either
+   reports the same error while filtering or, e.g. over an empty table,
+   never evaluates the faulty expression, exactly matching unoptimized
+   behaviour.  NULL probe values and range bounds match nothing, as SQL
+   comparison semantics require.  Every probe gathers under
+   [probe_budget]; one past it is abandoned like a failed one, and a
+   scan names the first abandoned probe.  Without a usable index no
+   candidate survives, so an index-free system always scans. *)
 let probe_candidates tbl ~eval ~eval_set cands =
   let attempt (cd, est) =
     let column = cd.sg_column in
     let eval_bound = Option.map (fun (e, incl) -> (eval e, incl)) in
-    let est = ref est in
-    let probe () =
+    let keys () =
       match cd.sg_values with
-      | Pv_exprs es -> Table.probe tbl ~column (List.map eval es)
-      | Pv_select sub -> (
-        let values = eval_set sub in
-        (* re-ranked from the evaluated set's size *)
-        match admissible tbl ~column (Shape_set (List.length values)) with
-        | None -> None
-        | Some e ->
-          est := e;
-          Table.probe tbl ~column values)
-      | Pv_bounds (lo, hi) ->
-        range_rows tbl ~column ~lower:(eval_bound lo) ~upper:(eval_bound hi)
+      | Pv_exprs es -> Some (`Keys (List.map eval es))
+      | Pv_select sub -> Some (`Keys (eval_set sub))
+      | Pv_bounds (lo, hi) -> Some (`Range (eval_bound lo, eval_bound hi))
       | Pv_like p -> (
         match eval p with
         | Value.Null ->
           (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
              probe selects exactly nothing *)
-          range_rows tbl ~column ~lower:(Some (Value.Null, true)) ~upper:None
-        | Value.Str pat -> (
-          match Index.like_prefix pat with
-          | None -> None
-          | Some (prefix, upper) ->
-            range_rows tbl ~column
-              ~lower:(Some (Value.Str prefix, true))
-              ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
+          Some (`Range (Some (Value.Null, true), None))
+        | Value.Str pat ->
+          Option.map
+            (fun (prefix, upper) ->
+              `Range
+                ( Some (Value.Str prefix, true),
+                  Option.map (fun u -> (Value.Str u, false)) upper ))
+            (Index.like_prefix pat)
         | Value.Int _ | Value.Float _ | Value.Bool _ ->
           (* the scan path reports the type error faithfully *)
           None)
     in
-    match probe () with
-    | exception Abandoned ab -> Scan (Some ab)
+    match keys () with
     | exception _ | None -> Scan None
-    | Some pairs ->
-      let kind =
-        match cd.sg_values with
-        | Pv_exprs _ | Pv_select _ -> `Eq
-        | Pv_bounds _ | Pv_like _ -> `Range
-      in
-      Probed
-        {
-          ph_column = column;
-          ph_conjunct = cd.sg_conjunct;
-          ph_kind = kind;
-          ph_est = !est;
-          ph_pairs = pairs;
-        }
+    | Some keys -> (
+      let kind = match keys with `Keys _ -> `Eq | `Range _ -> `Range in
+      let budget = probe_budget tbl in
+      match Table.probe tbl ~column ~budget keys with
+      | None -> Scan None
+      | Some `Over_budget ->
+        Scan
+          (Some
+             {
+               ab_kind = kind;
+               ab_index = Option.map Index.name (probe_index tbl column kind);
+               ab_budget = budget;
+             })
+      | Some (`Rows pairs) ->
+        Probed
+          {
+            ph_column = column;
+            ph_conjunct = cd.sg_conjunct;
+            ph_kind = kind;
+            ph_est = est;
+            ph_pairs = pairs;
+          })
   in
-  List.map (fun cd -> (cd, cd.sg_column, cd.sg_shape)) cands
-  |> choose_candidates tbl
+  List.filter_map
+    (fun cd ->
+      Option.map (fun est -> (cd, est)) (estimate_shape tbl ~column:cd.sg_column cd.sg_shape))
+    cands
+  |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
   |> first_probed attempt (Scan None)
 
 (* ------------------------------------------------------------------ *)
@@ -649,16 +597,21 @@ let join_matches (tbl : join_table) key =
 (* The join method of a base table linked to an earlier source, for
    [partials] partial frames: [Some est] probes the index over the link
    column once per partial frame (an index nested-loop join), when the
-   cost rule prefers [partials] key probes to a scan; [None] builds the
-   hash table. *)
-let index_join tbl ~column ~partials = admissible tbl ~column (Shape_set partials)
+   estimated rows of those probes, and their key count, are within the
+   table's [probe_budget]; [None] builds the hash table. *)
+let index_join tbl ~column ~partials =
+  match estimate_shape tbl ~column (Shape_eq (Some partials)) with
+  | Some est when max partials est <= probe_budget tbl -> Some est
+  | Some _ | None -> None
 
 (* One probe of an index nested-loop join: the rows whose link column
    equals [key], in handle (= scan) order.  A NULL or type-incompatible
    key matches nothing; the hash table pairs NULL keys, but the link
    conjunct in WHERE rejects every such pair, so the two joins agree. *)
 let index_join_rows tbl ~column key =
-  match Table.probe tbl ~column [ key ] with Some pairs -> pairs | None -> []
+  match Table.probe tbl ~column ~budget:max_int (`Keys [ key ]) with
+  | Some (`Rows pairs) -> pairs
+  | Some `Over_budget | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* SQL semantics shared by every select                                *)
@@ -825,18 +778,11 @@ type source_plan = {
 }
 
 (* A probe decision as a plan node: [Index_probe] or [Range_probe] by
-   the hit's kind, naming the index the probe reads — any index over
-   the column for equality ([Table.probe]), an ordered one for a range
-   ([Table.range_probe]). *)
+   the hit's kind, naming the index the probe read. *)
 let probed_path tbl hit =
   let table = Table.name tbl in
   let column = hit.ph_column in
-  let index_of =
-    match hit.ph_kind with
-    | `Eq -> Table.index_on_column
-    | `Range -> Table.ordered_index_on_column
-  in
-  let index = Option.map Index.name (index_of tbl column) in
+  let index = Option.map Index.name (probe_index tbl column hit.ph_kind) in
   let conjunct = Pretty.expr_str hit.ph_conjunct in
   let est = hit.ph_est in
   let matches = List.length hit.ph_pairs in
@@ -862,8 +808,9 @@ let describe_access_path = function
     let why =
       match abandoned with
       | None -> ""
-      | Some { ab_index; ab_budget } ->
-        Printf.sprintf ": range probe via %s passed its budget of %d"
+      | Some { ab_kind; ab_index; ab_budget } ->
+        Printf.sprintf ": %s probe via %s passed its budget of %d"
+          (match ab_kind with `Eq -> "index" | `Range -> "range")
           (Option.value ab_index ~default:"<unnamed index>")
           ab_budget
     in

@@ -83,15 +83,12 @@ val no_note : note
 
 (** {2 Cost model} *)
 
-type probe_shape =
-  | Shape_eq of int option
-  | Shape_set of int
-  | Shape_range
-  | Shape_prefix
+type probe_shape = Shape_eq of int option | Shape_range | Shape_prefix
 (** The statically-known shape of a sargable conjunct: an equality/IN
-    probe with the given key count ([None] = IN (select ...)), a range,
-    or a LIKE prefix range.  [Shape_set k] is an IN (select ...) whose
-    value set has been evaluated to [k] values. *)
+    probe with the given key count ([None] = IN (select ...), ranked as
+    two keys), a range, or a LIKE prefix range.  It only ranks the
+    candidates: what a probe may read is checked while it gathers
+    ({!abandoned}). *)
 
 type probe_hit = {
   ph_column : string;  (** indexed column satisfying the probe *)
@@ -104,18 +101,21 @@ type probe_hit = {
     consumed by the executor and EXPLAIN. *)
 
 type abandoned = {
-  ab_index : string option;  (** the ordered index the probe walked *)
-  ab_budget : int;  (** the most handles it could gather *)
+  ab_kind : [ `Eq | `Range ];  (** an equality/IN or a range probe *)
+  ab_index : string option;  (** the index the probe read *)
+  ab_budget : int;  (** the most it could spend *)
 }
-(** A range probe given up during its gather because the range held
-    more rows than probing them is worth: over [n] rows, more than
-    [max 1 (n / max 4 (log2 n))], since each hit costs a lookup of
-    [log2 n] levels in the row map, and probing one key at least as
-    much as scanning four rows. *)
+(** A probe given up during its gather because it would read more than
+    probing is worth.  Over [n] rows an index read may spend
+    [max 1 (n / max 4 (log2 n))]: each handle gathered costs one, since
+    each hit costs a lookup of [log2 n] levels in the row map, and each
+    key probed at least one, since probing one key costs at least as
+    much as scanning four rows.  A key list longer than that is refused
+    before any lookup. *)
 
 type probe_outcome =
   | Probed of probe_hit
-  | Scan of abandoned option  (** the first range probe abandoned, if any *)
+  | Scan of abandoned option  (** the first probe abandoned, if any *)
 (** The planner's decision for one base table: probe or scan. *)
 
 type ('e, 's) probe_values =
@@ -155,8 +155,8 @@ val probe_candidates :
   probe_outcome
 (** Rank the candidates by estimated cost and try them cheapest first,
     evaluating their values with [eval] / [eval_set]: a value
-    evaluation error, an unusable index or a range probe gathering more
-    handles than its budget ({!abandoned}) moves on to the next one, and [Scan]
+    evaluation error, an unusable index or a probe spending more than
+    its budget ({!abandoned}) moves on to the next one, and [Scan]
     means "scan instead".  Without a usable index nothing is probed. *)
 
 (** {2 EXPLAIN plans}
@@ -174,7 +174,7 @@ val probe_candidates :
 type access_path =
   | Seq_scan of { table : string; rows : int option; abandoned : abandoned option }
       (** full scan; [rows] is the table's current cardinality,
-          [abandoned] the range probe given up for it *)
+          [abandoned] the probe given up for it *)
   | Index_probe of {
       table : string;
       index : string option;  (** probing index's name, when known *)
@@ -296,11 +296,12 @@ val join_matches : join_table -> Value.t -> Row.t list
 
 val index_join : Table.t -> column:string -> partials:int -> int option
 (** The join method of a base table linked to an earlier FROM source,
-    decided by the cost rule ({!Shape_set} [partials]) from the number
-    of partial frames it extends: [Some est] = an index nested-loop
-    join probing the index over [column] once per partial frame,
-    [None] = a hash join (no index, or probing would cost more than
-    the scan). *)
+    from the number of partial frames it extends: [Some est] = an index
+    nested-loop join probing the index over [column] once per partial
+    frame, when those probes' estimated rows [partials * n / distinct]
+    and their key count are within the table's probe budget
+    ({!abandoned}); [None] = a hash join (no index, or probing would
+    cost more than the scan). *)
 
 val index_join_rows : Table.t -> column:string -> Value.t -> (Handle.t * Row.t) list
 (** One index nested-loop probe: the rows whose [column] equals the

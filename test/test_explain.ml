@@ -75,8 +75,9 @@ let explain_statements =
     (* an uncorrelated aggregate subquery runs once *)
     ("select name from emp where emp_no > (select min(emp_no) from emp)", (1, 0, 0));
     (* linked joins on each side of the index nested-loop threshold
-       (k partial frames x 4 <= 8 emp rows): 2 badge rows probe emp_no
-       twice; 7 emp rows past the range probe hash the inner emp *)
+       (k partial frames within the budget of 2 of 8 emp rows): 2 badge
+       rows probe emp_no twice; 7 emp rows past the range probe hash
+       the inner emp *)
     ("select b.emp_no, e.name from badge b, emp e where b.emp_no = e.emp_no", none);
     ( "select x.name, e.name from emp x, emp e where x.salary > 650.0 and \
        x.emp_no = e.emp_no",
@@ -667,10 +668,10 @@ let prop_statement_round_trip =
         QCheck.Test.fail_reportf "printed %S\nfailed to parse: %s" printed
           (Errors.to_string e))
 
-(* An IN (select ...) probe is decided again once the subquery has
-   run: a set whose keys would cost more to probe than the table costs
-   to scan turns the plan into a scan, in the executor and in EXPLAIN
-   alike. *)
+(* An IN (select ...) probe is ranked as two keys and sized by its set
+   once the subquery has run: over 40 rows a probe may spend 8, one per
+   key at least, so a set of 8 keys probes and one of 9 is refused
+   before any lookup, in the executor and in EXPLAIN alike. *)
 let test_in_subquery_sized_choice () =
   let sc = system "create table big (k int, v int); create index big_k on big (k)" in
   run sc
@@ -681,20 +682,24 @@ let test_in_subquery_sized_choice () =
     match explained sc ("explain " ^ sql) with
     | [ { Eval.sp_path = Eval.Index_probe { est; matches; _ }; _ } ] ->
       `Probe (est, matches)
-    | [ { Eval.sp_path = Eval.Seq_scan _; _ } ] -> `Scan
+    | [ { Eval.sp_path = Eval.Seq_scan { abandoned; _ }; _ } ] ->
+      `Scan (Option.map (fun ab -> ab.Eval.ab_budget) abandoned)
     | _ -> Alcotest.failf "%s: unexpected plan shape" sql
   in
   let probe = Alcotest.testable (fun ppf -> function
-      | `Scan -> Fmt.string ppf "scan"
+      | `Scan b -> Fmt.pf ppf "scan past %a" Fmt.(option int) b
       | `Probe (est, m) -> Fmt.pf ppf "probe est %d, %d matches" est m)
       ( = )
   in
-  Alcotest.check probe "empty set probes" (`Probe (0, 0))
+  Alcotest.check probe "empty set probes" (`Probe (2, 0))
     (path "select * from big where k in (select k from big where v = 99)");
-  Alcotest.check probe "one key probes, estimated from the actual size"
-    (`Probe (1, 1))
+  Alcotest.check probe "one key probes" (`Probe (2, 1))
     (path "select * from big where k in (select k from big where k = 7)");
-  Alcotest.check probe "30 keys of 40 rows scan" `Scan
+  Alcotest.check probe "8 keys of 40 rows probe" (`Probe (2, 8))
+    (path "select * from big where k in (select k from big where k <= 8)");
+  Alcotest.check probe "9 keys of 40 rows scan" (`Scan (Some 8))
+    (path "select * from big where k in (select k from big where k <= 9)");
+  Alcotest.check probe "30 keys of 40 rows scan" (`Scan (Some 8))
     (path "select * from big where k in (select k from big where v <> 0)")
 
 (* The probe-value copy and the residual-filter copy of one sargable

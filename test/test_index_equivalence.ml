@@ -29,6 +29,11 @@ open Helpers
 let two_col_schema name a b =
   Schema.table name [ Schema.column a Schema.T_int; Schema.column b Schema.T_int ]
 
+(* One index read of table t's [column] ([a] by default), as the
+   planner makes it. *)
+let probe_t ?(column = "a") ?(budget = max_int) db keys =
+  Table.probe (Database.table db "t") ~column ~budget keys
+
 let test_maintenance () =
   let db = Database.create_table Database.empty (two_col_schema "t" "a" "b") in
   let db =
@@ -39,9 +44,9 @@ let test_maintenance () =
   let db, h3 = Database.insert db "t" [| vi 2; vi 30 |] in
   let db, _h4 = Database.insert db "t" [| vnull; vi 40 |] in
   let probe db v =
-    match Database.probe db ~table:"t" ~column:"a" [ v ] with
-    | Some pairs -> List.map fst pairs
-    | None -> Alcotest.fail "expected a usable index"
+    match probe_t db (`Keys [ v ]) with
+    | Some (`Rows pairs) -> List.map fst pairs
+    | Some `Over_budget | None -> Alcotest.fail "expected a usable index"
   in
   Alcotest.(check int) "two rows with a=1" 2 (List.length (probe db (vi 1)));
   Alcotest.(check bool) "handle order" true (probe db (vi 1) = [ h1; h2 ]);
@@ -68,9 +73,7 @@ let test_ordered_range_maintenance () =
   let db, h3 = Database.insert db "t" [| vi 5; vi 30 |] in
   let db, _ = Database.insert db "t" [| vnull; vi 40 |] in
   let range db ~lower ~upper =
-    match
-      Database.range_probe db ~table:"t" ~column:"a" ~lower ~upper ~budget:max_int
-    with
+    match probe_t db (`Range (lower, upper)) with
     | Some (`Rows pairs) -> List.map fst pairs
     | Some `Over_budget | None -> Alcotest.fail "expected an ordered index"
   in
@@ -90,10 +93,9 @@ let test_ordered_range_maintenance () =
     (range db ~lower:None ~upper:None);
   (* the walk gives up once it holds more handles than its budget *)
   Alcotest.(check bool) "three rows pass a budget of two" true
-    (Database.range_probe db ~table:"t" ~column:"a" ~lower:None ~upper:None ~budget:2
-    = Some `Over_budget);
+    (probe_t db ~budget:2 (`Range (None, None)) = Some `Over_budget);
   check "three rows fit a budget of three" [ h1; h2; h3 ]
-    (match Database.range_probe db ~table:"t" ~column:"a" ~lower:None ~upper:None ~budget:3 with
+    (match probe_t db ~budget:3 (`Range (None, None)) with
     | Some (`Rows pairs) -> List.map fst pairs
     | Some `Over_budget | None -> []);
   (* NULL keys are never indexed and NULL bounds select nothing *)
@@ -104,23 +106,17 @@ let test_ordered_range_maintenance () =
     (range db ~lower:(Some (vf 2.5, false)) ~upper:None);
   (* a type-incompatible bound refuses, so the scan raises the error *)
   Alcotest.(check bool) "string bound refused" true
-    (Database.range_probe db ~table:"t" ~column:"a"
-       ~lower:(Some (vs "x", true))
-       ~upper:None ~budget:max_int
-    = None);
+    (probe_t db (`Range (Some (vs "x", true), None)) = None);
   (* equality probes still work over the ordered representation *)
-  (match Database.probe db ~table:"t" ~column:"a" [ vi 3 ] with
-  | Some pairs -> check "equality probe" [ h2 ] (List.map fst pairs)
-  | None -> Alcotest.fail "expected a usable index");
+  (match probe_t db (`Keys [ vi 3 ]) with
+  | Some (`Rows pairs) -> check "equality probe" [ h2 ] (List.map fst pairs)
+  | Some `Over_budget | None -> Alcotest.fail "expected a usable index");
   (* a hash index over the other column answers no range probes *)
   let db =
     Database.create_index db ~ix_name:"t_b" ~table:"t" ~column:"b" ~kind:`Hash
   in
   Alcotest.(check bool) "hash index has no range capability" true
-    (Database.range_probe db ~table:"t" ~column:"b"
-       ~lower:(Some (vi 0, true))
-       ~upper:None ~budget:max_int
-    = None);
+    (probe_t db ~column:"b" (`Range (Some (vi 0, true), None)) = None);
   (* maintenance: delete and update keep the ordered index current *)
   let db = Database.delete db h2 in
   let db = Database.update db h3 [| vi 2; vi 30 |] in
@@ -155,9 +151,9 @@ let test_snapshot_consistency () =
   let db, _ = Database.insert db "t" [| vi 5; vi 1 |] in
   let db = Database.update db h1 [| vi 6; vi 0 |] in
   let count st v =
-    match Database.probe st ~table:"t" ~column:"a" [ vi v ] with
-    | Some pairs -> List.length pairs
-    | None -> Alcotest.fail "expected a usable index"
+    match probe_t st (`Keys [ vi v ]) with
+    | Some (`Rows pairs) -> List.length pairs
+    | Some `Over_budget | None -> Alcotest.fail "expected a usable index"
   in
   Alcotest.(check int) "snapshot still sees a=5 once" 1 (count snapshot 5);
   Alcotest.(check int) "snapshot sees no a=6" 0 (count snapshot 6);
@@ -173,9 +169,9 @@ let test_probe_incompatible_type () =
   (* a string probe against an int column must refuse (None), so the
      scan path gets to raise its type error *)
   Alcotest.(check bool) "string probe refused" true
-    (Database.probe db ~table:"t" ~column:"a" [ vs "x" ] = None);
+    (probe_t db (`Keys [ vs "x" ]) = None);
   Alcotest.(check bool) "no index on b" true
-    (Database.probe db ~table:"t" ~column:"b" [ vi 2 ] = None)
+    (probe_t db ~column:"b" (`Keys [ vi 2 ]) = None)
 
 let test_ddl_statements () =
   let s = system "create table emp (name string, dno int)" in
@@ -356,9 +352,10 @@ let prop_update_maintenance =
 (* ------------------------------------------------------------------ *)
 (* Range probes against the unindexed twin                             *)
 
-(* A range probe's budget over [n] rows: max 1 (n / max 4 (log2 n))
-   handles. *)
-let range_budget n =
+(* What an index read of [n] rows may spend, [Eval.probe_budget]:
+   max 1 (n / max 4 (log2 n)), each handle gathered costing one and each
+   key probed at least one. *)
+let probe_budget n =
   let rec log2 n = if n < 2 then 0 else 1 + log2 (n / 2) in
   max 1 (n / max 4 (log2 n))
 
@@ -423,7 +420,7 @@ let prop_range_probe_budget =
     (fun (keys, pred) ->
       let s_ix = range_system ~indexed:true keys in
       let s_plain = range_system ~indexed:false keys in
-      let budget = range_budget (List.length keys) in
+      let budget = probe_budget (List.length keys) in
       let st = Engine.stats (System.engine s_ix) in
       let hits = List.length (rows s_plain ("select a from t where " ^ pred)) in
       List.iter
@@ -436,6 +433,162 @@ let prop_range_probe_budget =
             (if hits <= budget then (0, 1) else (1, 0))
             (st.Engine.seq_scans - scans0, st.Engine.range_probes - ranges0))
         [ "select a, s from t"; "select count(*), min(a), max(s) from t" ];
+      true)
+
+(* Equality, IN-list, IN-subquery and index-join reads of tables of 0
+   to 200 rows whose keys are skewed from one key for every row to all
+   rows distinct, with NULL keys, probed by Int and Float keys over an
+   int column under a hash index and a float column under an ordered
+   one.  Whatever the path, the indexed system returns the unindexed
+   twin's rows in the same order, and its counters name the path the
+   budget says: a probe while its keys cost at most the budget, each
+   key the rows it holds and at least one, else a scan; an index
+   nested-loop join while its partial frames and their estimated rows
+   [frames * n / distinct] are within the budget, else a hash join. *)
+type eq_key = K_int of int | K_float of int | K_half of int | K_null
+
+let key_sql = function
+  | K_int k -> string_of_int k
+  | K_float k -> string_of_int k ^ ".0"
+  | K_half k -> string_of_int k ^ ".5"
+  | K_null -> "null"
+
+type eq_read = Eq of eq_key | In_list of eq_key list | In_select of eq_key list | Join of eq_key list
+
+let gen_eq_case st =
+  let open QCheck.Gen in
+  let n = int_bound 200 st in
+  let distinct =
+    match int_bound 3 st with
+    | 0 -> 1
+    | 1 -> 1 + int_bound 9 st
+    | 2 -> 1 + int_bound n st
+    | _ -> max 1 n
+  in
+  let nulls = oneofl [ 0; 0; 10; 50 ] st in
+  let skewed = bool st in
+  let draw () =
+    let k = int_bound (distinct - 1) st in
+    if skewed then min k (int_bound (distinct - 1) st) else k
+  in
+  let rows = List.init n (fun _ -> if int_bound 99 st < nulls then None else Some (draw ())) in
+  let key () =
+    match int_bound 9 st with
+    | 0 -> K_null
+    | 1 -> K_half (draw ())
+    | 2 -> K_int (distinct + int_bound 3 st)
+    | 3 | 4 -> K_float (draw ())
+    | _ -> K_int (draw ())
+  in
+  (* key counts around the budget, where one more key or hit flips the
+     path *)
+  let count () =
+    match int_bound 2 st with
+    | 0 -> 1 + int_bound 3 st
+    | _ -> max 1 (probe_budget n + int_range (-2) 2 st)
+  in
+  let keys () = List.init (count ()) (fun _ -> key ()) in
+  let read =
+    match int_bound 3 st with
+    | 0 -> Eq (key ())
+    | 1 -> In_list (keys ())
+    | 2 -> In_select (if int_bound 9 st = 0 then [] else keys ())
+    | _ -> Join (if int_bound 9 st = 0 then [] else keys ())
+  in
+  (rows, bool st, read)
+
+let print_eq_case (rows, float_col, read) =
+  let keys ks = String.concat ", " (List.map key_sql ks) in
+  Printf.sprintf "%d rows [%s] on %s: %s" (List.length rows)
+    (String.concat "; "
+       (List.map (function Some k -> string_of_int k | None -> "null") rows))
+    (if float_col then "f" else "a")
+    (match read with
+    | Eq k -> "= " ^ key_sql k
+    | In_list ks -> "in (" ^ keys ks ^ ")"
+    | In_select ks -> "in (select k from s) with s = " ^ keys ks
+    | Join ks -> "join with s = " ^ keys ks)
+
+let eq_system ~indexed rows s_keys =
+  let s = system "create table t (id int, a int, f float); create table s (k float)" in
+  if indexed then begin
+    run s "create index t_a on t (a)";
+    run s "create index t_f on t (f) using ordered"
+  end;
+  if rows <> [] then
+    run s
+      ("insert into t values "
+      ^ String.concat ", "
+          (List.mapi
+             (fun i r ->
+               match r with
+               | Some k -> Printf.sprintf "(%d, %d, %d.0)" i k k
+               | None -> Printf.sprintf "(%d, null, null)" i)
+             rows));
+  if s_keys <> [] then
+    run s
+      ("insert into s values "
+      ^ String.concat ", " (List.map (fun k -> "(" ^ key_sql k ^ ")") s_keys));
+  s
+
+let prop_eq_probe_budget =
+  QCheck.Test.make
+    ~name:"equality, IN and join probes or abandoned: the twin's rows, the path counted"
+    ~count:300
+    (QCheck.make ~print:print_eq_case gen_eq_case)
+    (fun (keys, float_col, read) ->
+      let s_keys = match read with In_select ks | Join ks -> ks | Eq _ | In_list _ -> [] in
+      let s_ix = eq_system ~indexed:true keys s_keys in
+      let s_plain = eq_system ~indexed:false keys s_keys in
+      let n = List.length keys in
+      let budget = probe_budget n in
+      let col = if float_col then "f" else "a" in
+      (* the rows holding a key, by SQL equality *)
+      let hits = function
+        | K_int k | K_float k -> List.length (List.filter (( = ) (Some k)) keys)
+        | K_half _ | K_null -> 0
+      in
+      let cost ks = List.fold_left (fun c k -> c + max 1 (hits k)) 0 ks in
+      let st = Engine.stats (System.engine s_ix) in
+      let check sql expected =
+        let scans0 = st.Engine.seq_scans
+        and probes0 = st.Engine.index_probes
+        and builds0 = st.Engine.hash_join_builds in
+        Alcotest.check rows_testable sql (rows s_plain sql) (rows s_ix sql);
+        Alcotest.(check (triple int int int))
+          (Printf.sprintf "%s: budget %d: seq scans, index probes, hash join builds" sql budget)
+          expected
+          ( st.Engine.seq_scans - scans0,
+            st.Engine.index_probes - probes0,
+            st.Engine.hash_join_builds - builds0 )
+      in
+      let filtered pred ks ~subquery_scans =
+        let path = if cost ks <= budget then (subquery_scans, 1, 0) else (subquery_scans + 1, 0, 0) in
+        List.iter
+          (fun q -> check (q ^ " where " ^ pred) path)
+          [ "select id, a, f from t"; "select count(*), min(id) from t" ]
+      in
+      (match read with
+      | Eq k ->
+        filtered (Printf.sprintf "%s = %s" col (key_sql k)) [ k ] ~subquery_scans:0;
+        filtered (Printf.sprintf "%s = %s" (key_sql k) col) [ k ] ~subquery_scans:0
+      | In_list ks ->
+        filtered
+          (Printf.sprintf "%s in (%s)" col (String.concat ", " (List.map key_sql ks)))
+          ks ~subquery_scans:0
+      | In_select ks ->
+        (* the subquery runs once, over s *)
+        filtered (Printf.sprintf "%s in (select k from s)" col) ks ~subquery_scans:1
+      | Join ks ->
+        let frames = List.length ks in
+        let distinct =
+          List.length (List.sort_uniq compare (List.filter_map Fun.id keys))
+        in
+        let est = frames * n / max 1 distinct in
+        check
+          (Printf.sprintf "select s.k, t.id from s, t where s.k = t.%s" col)
+          (if max frames est <= budget then (1, frames, 0)
+           else (2, 0, if frames > 0 then 1 else 0)));
       true)
 
 (* Under select tracking, the rows a select reads are its [selected t]
@@ -475,7 +628,7 @@ let test_probe_selected_rows () =
         (rows s_ix "select a, b from seen");
       Alcotest.(check int)
         (sql ^ ": range probes")
-        (if List.length r_ix <= range_budget 40 then 1 else 0)
+        (if List.length r_ix <= probe_budget 40 then 1 else 0)
         (st.Engine.range_probes - ranges0))
     [ "a > 35"; "a < 3 and b > 1"; "a between 10 and 12"; "a >= 5"; "a > 100" ]
 
@@ -700,6 +853,7 @@ let suite =
       test_probe_equals_filtered_scan;
     qtest prop_update_maintenance;
     qtest prop_range_probe_budget;
+    qtest prop_eq_probe_budget;
     Alcotest.test_case "probed selects log the scan's selected rows" `Quick
       test_probe_selected_rows;
     qtest prop_index_equivalence;
