@@ -28,7 +28,7 @@
      E19 (concurrency)       server commit throughput vs client count
      E20 (cost planner)      join methods and range probes at 10^4..10^6 rows
      E21 (prepared stmts)    PREPARE/EXECUTE vs re-parse + re-compile
-     E25 (scan pipeline)     fused single-table filter vs the Table.iter floor
+     E25 (scan pipeline)     single-table filter with row tests vs the Table.iter floor
      E27 (commit validation) server commit cost as commits accumulate
      E28 (access paths)      range and equality probes vs scan by selectivity
 
@@ -1634,7 +1634,7 @@ let e25_per_row n f =
   (dt *. 1e9 /. rows, words /. rows)
 
 let e25 () =
-  print_header "E25" "scans at storage speed: a fused single-table filter"
+  print_header "E25" "scans at storage speed: a single-table filter tested on the stored row"
     "a single-table WHERE that cannot raise is tested on the stored row \
      and count(*) folds straight into its accumulator: the filter-count \
      costs at most 2x the Table.iter floor and allocates nothing per row";

@@ -33,4 +33,12 @@ create table badge (emp_no int, floor int);
 create index badge_no_ix on badge (emp_no);
 insert into badge values (1, 1), (2, 2), (3, 3), (4, 0), (5, 1), (6, 2), (7, 3), (8, 0), (9, 1), (10, 2), (11, 3), (12, 0), (13, 1), (14, 2), (15, 3), (16, 0);
 explain select floor from badge where emp_no in (3, 7);
+create table lineitem (oid int, iid int, qty int);
+create table item (iid int, price int);
+create index li_oid on lineitem (oid);
+create index item_iid on item (iid);
+insert into lineitem values (7, 1, 1), (7, 2, 2), (7, 3, 3), (7, 4, 4), (1, 5, 1), (2, 6, 1), (3, 7, 1), (4, 8, 1), (5, 9, 1), (6, 10, 1), (8, 11, 1), (9, 12, 1);
+insert into item values (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60), (7, 70), (8, 80), (9, 90), (10, 100), (11, 110), (12, 120), (13, 130), (14, 140), (15, 150), (16, 160);
+explain select sum(l.qty * i.price) from lineitem l, item i where l.iid = i.iid and l.oid = 7;
+select sum(l.qty * i.price) from lineitem l, item i where l.iid = i.iid and l.oid = 7;
 .q

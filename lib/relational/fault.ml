@@ -22,7 +22,7 @@
    disarmed [hit] is a single ref read. *)
 
 type site =
-  | Dml_op  (** start of [Dml.exec_cop] and [Dml.exec_op] — every data manipulation operation *)
+  | Dml_op  (** start of [Dml.exec_cop], the one entry point of every data manipulation operation *)
   | Query_eval
       (** a top-level compiled select — [Compile.eval_select], a select
           or INSERT ... SELECT plan run by [Dml] (queries, procedure

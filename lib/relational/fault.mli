@@ -15,7 +15,7 @@
 
 (** Where a fault can be injected. *)
 type site =
-  | Dml_op  (** start of [Dml.exec_cop] and [Dml.exec_op] — every data manipulation operation *)
+  | Dml_op  (** start of [Dml.exec_cop], the one entry point of every data manipulation operation *)
   | Query_eval
       (** a top-level compiled select — [Compile.eval_select], a select
           or INSERT ... SELECT plan run by [Dml] (queries, procedure

@@ -156,7 +156,7 @@ let rec fire_for_instance t inst =
    triggers for each affected tuple. *)
 and exec_op_cascading t info op =
   let resolve = Transition_tables.resolver info t.db in
-  let r = Dml.exec_op resolve t.db op in
+  let r = Dml.exec_cop resolve t.db (Dml.compile_op t.db op) in
   t.db <- r.Dml.db;
   List.iter (fire_for_instance t) (instances_of_affected r.Dml.affected)
 

@@ -34,13 +34,16 @@
    reports them, without running the last source or WHERE.
 
    Predicates compile once, to a truth value ([truth_of]); a comparison
-   allocates nothing.  A select core over one base table read by scan
-   or probe, whose WHERE [row_kind] proves cannot raise, runs as one
-   fused loop ([run_fused]): WHERE's column-against-value conjuncts are
-   tested on the stored row, and only a passing row is bound, recorded
-   and emitted — an ungrouped count( * ), sum, min or max folds it
-   straight into its accumulator.  A WHERE that may raise keeps the
-   general path, so the fused loop changes no error and no read set.
+   allocates nothing.  When [row_kind] proves WHERE cannot raise, each
+   source tests the conjuncts that compare one of its columns with
+   values fixed for the run ([row_test]) on its stored row, before the
+   row is bound or hashed: a rejected row costs no frame write, no join
+   probe and no partial frame, and a linked source's join method is
+   decided from the rows that passed.  WHERE's other conjuncts run on
+   the full frame.  A WHERE that may raise is tested whole on the full
+   frame, so pushing conjuncts down changes no error and no read set.
+   DELETE's and UPDATE's victims are the rows of a single-source select
+   core ([compile_victims]), so they are read by the same loop.
 
    The differential oracle is test/reference_eval.ml, a nested-loop
    evaluator with no planner: test/test_compile_diff.ml asserts that
@@ -120,16 +123,17 @@ type cselect = {
   cs_exists : rt -> renv -> Eval.relation;
       (* [cs_run] stopped at its first row when the rows it would skip
          cannot raise: only its emptiness is meaningful *)
-  cs_read : rt -> Eval.relation * Handle.t list option;
+  cs_read : rt -> Eval.relation * (Handle.t * Row.t) list option;
       (* [cs_run] with no outer scopes, with the Section 5.1 read set
-         when the shape allows a precise one *)
+         — the handles and stored rows of the rows passing WHERE — when
+         the shape allows a precise one *)
   cs_plan : rt -> Eval.source_plan list;
       (* EXPLAIN: the read decisions of each core's FROM sources, with no
          outer scopes *)
 }
 
-(* A compiled probe: the statically-selected sargable candidates for
-   one base table, ranked by the shared cost model at run time. *)
+(* The statically-selected sargable candidates for one base table,
+   ranked by the shared cost model at run time. *)
 type cprobe = (cexpr, rt -> renv -> Eval.in_set) Eval.sargable list
 
 (* ------------------------------------------------------------------ *)
@@ -326,18 +330,6 @@ let fold_agg rt (env : renv) ag acc =
       | exception e -> acc.a_arg_err <- Some e
       | v -> fold_value fn acc v)
 
-(* Fold a stored row into the accumulators of aggregates that read
-   nothing but that row (a fused scan's [fu_fold]): no frame is bound,
-   and reading a column cannot raise. *)
-let fold_row aggs accs (row : Row.t) =
-  for i = 0 to Array.length aggs - 1 do
-    let ag = aggs.(i) and acc = accs.(i) in
-    match ag.ag_fn, ag.ag_col with
-    | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
-    | fn, Some (_, c) -> fold_value fn acc row.(c)
-    | _, None -> ()
-  done
-
 (* The aggregate's value over its group, or the error evaluating it
    raises. *)
 let finalize ag acc =
@@ -437,19 +429,10 @@ let cmp_holds op c =
 let cmp_truth op c =
   if c = Value.unknown_cmp then Value.Unknown else Value.truth_of_bool (cmp_holds op c)
 
-(* The fused loop of a select core whose one source is a base table and
-   whose WHERE cannot raise on any row ([row_kind]), run over the rows
-   of its scan or its probe.  [fu_tests] are the conjuncts tested on
-   the stored row, each handed the run's [rt] and frame once per run to
-   read the values it compares with; [fu_rest] is the conjunction of
-   the others, tested on the bound frame of a row that passed
-   [fu_tests].  With [fu_fold] the select aggregates with no GROUP BY,
-   and its aggregates read nothing but the stored row. *)
-type fused = {
-  fu_tests : (rt -> renv -> Row.t -> bool) list;
-  fu_rest : ctruth option;
-  fu_fold : bool;
-}
+(* A WHERE conjunct tested on one source's stored row ([row_test]),
+   handed the run's [rt] and frame once per run to read the values it
+   compares with. *)
+type row_test = { tc_conjunct : Ast.expr; tc_test : rt -> renv -> Row.t -> bool }
 
 (* How one FROM source is read in one run of a compiled select: its
    rows (materialized, probed with their handles, or scanned in place,
@@ -474,18 +457,21 @@ type sread =
   | R_deferred of Table.t
 
 (* The state of one run of a compiled select's pipeline: the frame every
-   source binds its row into ([sc_env] is it over the outer scopes) and
-   what the consumer of passing rows has gathered so far. *)
+   source binds its row into ([sc_env] is it over the outer scopes), each
+   source's row filter once built, and what the consumer of passing rows
+   has gathered so far. *)
 type scan = {
   sc_rt : rt;
   sc_outer : renv;
   sc_local : Row.t array;
   sc_env : renv;
   sc_reads : sread array;
-  sc_read : bool; (* collect the handles of passing rows *)
+  sc_filters : (Row.t -> bool) option array;
+  sc_read : bool; (* collect the handles and stored rows of passing rows *)
   sc_stop_at : int; (* stop once this many rows passed *)
-  mutable sc_cur : Handle.t; (* handle of the row just bound, if any *)
-  mutable sc_handles : Handle.t list;
+  mutable sc_cur : Handle.t; (* with [sc_read], the handle of the row just bound *)
+  mutable sc_pairs : (Handle.t * Row.t) list;
+  mutable sc_buffer : Row.t array list; (* partial frames awaiting a deferred join, newest first *)
   mutable sc_passed : int;
   mutable sc_rows : Row.t list; (* projected rows, newest first *)
   mutable sc_keyed : ((Value.t * [ `Asc | `Desc ]) list * Row.t) list;
@@ -500,20 +486,8 @@ exception Stop_scan
 (* [sc_cur] before any handle was bound; never reported *)
 let no_handle = Handle.restore ~id:0 ""
 
-let rec push_rows i next sc = function
-  | [] -> ()
-  | row :: rest ->
-    sc.sc_local.(i) <- row;
-    next sc;
-    push_rows i next sc rest
-
-let rec push_pairs i next sc = function
-  | [] -> ()
-  | (h, row) :: rest ->
-    sc.sc_cur <- h;
-    sc.sc_local.(i) <- row;
-    next sc;
-    push_pairs i next sc rest
+(* The row handed to the first stage of a chain, whose frame is empty *)
+let no_row : Row.t = [||]
 
 let rec iter_read f = function
   | R_rows rows -> List.iter f rows
@@ -543,7 +517,12 @@ type plain = {
   pl_cols : string array array;
   pl_links : (Eval.join_link option array, Errors.t) result;
   pl_probes : cprobe option array;
-  pl_where : ctruth option;
+  pl_tests : row_test list array; (* each source's, in conjunct order *)
+  pl_deferred : bool array;
+      (* a linked base table indexed on its link column: its join method
+         waits for the count of its partial frames *)
+  pl_where : ctruth option; (* WHERE's conjuncts no source tests *)
+  pl_consume : bool; (* false for a victim select: passing rows are only collected *)
   pl_grouped : bool;
   pl_group_keys : cexpr array;
   pl_having : ctruth option;
@@ -554,47 +533,111 @@ type plain = {
   pl_distinct : bool;
   pl_limit : int option;
   pl_read_set : bool; (* one base table and no GROUP BY: a precise read set *)
-  pl_fused : fused option;
   pl_cols_when_empty : rt -> string array;
-  mutable pl_chain : scan -> unit; (* every source, then WHERE and the consumer *)
+  mutable pl_segments : (int * (scan -> Row.t -> unit)) array;
+      (* from source 0 and from each deferred source [j]: the next
+         deferred source [d] (or the source count) and the chain of
+         sources [j..d-1], ending in the partial-frame buffer or in WHERE
+         and the consumer *)
 }
 
 let link pl i = match pl.pl_links with Ok links -> links.(i) | Error _ -> None
 let link_col pl i (l : Eval.join_link) = pl.pl_cols.(i).(l.Eval.jl_col)
 let join_key sc (l : Eval.join_link) = sc.sc_local.(l.Eval.jl_with).(l.Eval.jl_with_col)
 
-(* [extend pl i next] binds each row of source [i] matching the partial
-   frame of sources 0..i-1 in [sc_local], and calls [next]. *)
-let extend pl i next =
-  let rec go sc =
+let always (_ : Row.t) = true
+
+let rec all_hold tests (row : Row.t) =
+  match tests with [] -> true | t :: rest -> t row && all_hold rest row
+
+(* Source [i]'s row filter for this run, built at its first use: its
+   tests read their literals, parameters and outer-scope columns, none
+   of which raises (a parameter is tested only when the plan was
+   compiled for the kinds of its bound values). *)
+let row_filter pl sc i =
+  match pl.pl_tests.(i) with
+  | [] -> always
+  | tests -> (
+    match sc.sc_filters.(i) with
+    | Some f -> f
+    | None ->
+      let f =
+        match tests with
+        | [ tc ] -> tc.tc_test sc.sc_rt sc.sc_env
+        | tests -> all_hold (List.map (fun tc -> tc.tc_test sc.sc_rt sc.sc_env) tests)
+      in
+      sc.sc_filters.(i) <- Some f;
+      f)
+
+(* A stage of the pipeline: what is done with a row of the source before
+   it, once the row passed that source's tests and joins, and — when the
+   stage reads the frame — was bound into [sc_local]. *)
+type stage = scan -> Row.t -> unit
+
+(* [extend pl i ~bind next] hands each row of source [i] that passes its
+   tests and matches the partial frame of sources 0..i-1 in [sc_local]
+   to [next], binding it first when [bind]; a hash join builds on the
+   rows that pass. *)
+let extend pl i ~bind (next : stage) : stage =
+  let pairs sc keep l =
+    List.iter
+      (fun (h, row) ->
+        if keep row then begin
+          if sc.sc_read then sc.sc_cur <- h;
+          if bind then sc.sc_local.(i) <- row;
+          next sc row
+        end)
+      l
+  in
+  let rec go sc (_ : Row.t) =
     match sc.sc_reads.(i), link pl i with
-    | R_rows rows, _ -> push_rows i next sc rows
-    | R_probe hit, _ -> push_pairs i next sc hit.Eval.ph_pairs
+    | R_rows rows, _ ->
+      let keep = row_filter pl sc i in
+      List.iter
+        (fun row ->
+          if keep row then begin
+            if bind then sc.sc_local.(i) <- row;
+            next sc row
+          end)
+        rows
+    | R_probe hit, _ -> pairs sc (row_filter pl sc i) hit.Eval.ph_pairs
     | (R_table t | R_abandoned (t, _)), _ ->
+      let keep = row_filter pl sc i in
       Table.iter
         (fun h row ->
-          sc.sc_cur <- h;
-          sc.sc_local.(i) <- row;
-          next sc)
+          if keep row then begin
+            if sc.sc_read then sc.sc_cur <- h;
+            if bind then sc.sc_local.(i) <- row;
+            next sc row
+          end)
         t
     | R_index_join { table; column; _ }, Some l ->
       sc.sc_rt.rt_note `Index_probe (Table.name table);
-      push_pairs i next sc (Eval.index_join_rows table ~column (join_key sc l))
+      pairs sc (row_filter pl sc i) (Eval.index_join_rows table ~column (join_key sc l))
     | R_hash r, Some l ->
       sc.sc_rt.rt_note `Hash_join_build "";
+      let keep = row_filter pl sc i in
       sc.sc_reads.(i) <-
         R_hashed
-          ( Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f -> iter_read f r),
+          ( Eval.build_join_table ~size:(read_count r) l.Eval.jl_col (fun f ->
+                iter_read (fun row -> if keep row then f row) r),
             r );
-      go sc
+      go sc no_row
     | R_hashed (table, _), Some l ->
       sc.sc_rt.rt_note `Hash_join_probe "";
-      push_rows i next sc (Eval.join_matches table (join_key sc l))
+      List.iter
+        (fun row ->
+          if bind then sc.sc_local.(i) <- row;
+          next sc row)
+        (Eval.join_matches table (join_key sc l))
     | (R_index_join _ | R_hash _ | R_hashed _), None | R_deferred _, _ -> assert false
   in
   go
 
-let rec chain pl i j last = if i = j then last else extend pl i (chain pl (i + 1) j last)
+(* Sources [i..j-1] chained in front of [last], which reads the frame
+   when [frame]: the last source binds its rows only then. *)
+let rec chain pl i j ~frame last =
+  if i = j then last else extend pl i ~bind:(frame || i < j - 1) (chain pl (i + 1) j ~frame last)
 
 let new_group pl sc =
   let g = (with_outer (Array.copy sc.sc_local) sc.sc_outer, new_accs (Array.length pl.pl_aggs)) in
@@ -606,121 +649,118 @@ let fold pl sc accs =
     fold_agg sc.sc_rt sc.sc_env pl.pl_aggs.(i) accs.(i)
   done
 
-(* The consumer of a row passing WHERE: project it (and its ORDER BY
-   keys), or fold it into its group. *)
-let consume pl sc =
-  if not pl.pl_grouped then begin
-    if Option.is_none sc.sc_err then
-      match run_projs pl.pl_projs sc.sc_rt None sc.sc_env with
-      | exception e -> sc.sc_err <- Some e
-      | row -> (
-        sc.sc_rows <- row :: sc.sc_rows;
-        if pl.pl_order <> [] && Option.is_none sc.sc_key_err then
-          match List.map (fun (ce, dir) -> (ce sc.sc_rt None sc.sc_env, dir)) pl.pl_order with
-          | exception e -> sc.sc_key_err <- Some e
-          | keys -> sc.sc_keyed <- (keys, row) :: sc.sc_keyed)
-  end
-  else if Array.length pl.pl_group_keys = 0 then
-    match sc.sc_groups with
-    | (_, accs) :: _ -> fold pl sc accs
-    | [] -> fold pl sc (snd (new_group pl sc))
-  else if Option.is_none sc.sc_err then begin
-    let keys = pl.pl_group_keys in
-    let key = Array.make (Array.length keys) Value.Null in
-    match
-      for k = 0 to Array.length keys - 1 do
-        key.(k) <- keys.(k) sc.sc_rt None sc.sc_env
-      done
-    with
-    | exception e -> sc.sc_err <- Some e
-    | () ->
-      let index =
-        match sc.sc_index with
-        | Some index -> index
-        | None ->
-          let index = Eval.Row_tbl.create 16 in
-          sc.sc_index <- Some index;
-          index
-      in
-      let _, accs =
-        match Eval.Row_tbl.find_opt index key with
-        | Some g -> g
-        | None ->
-          let g = new_group pl sc in
-          Eval.Row_tbl.add index key g;
-          g
-      in
-      fold pl sc accs
-  end
+(* Fold the stored row of the last source into the accumulators of
+   aggregates that read nothing else: reading a column cannot raise. *)
+let fold_row aggs accs (row : Row.t) =
+  for i = 0 to Array.length aggs - 1 do
+    let ag = aggs.(i) and acc = accs.(i) in
+    match ag.ag_fn, ag.ag_col with
+    | Ast.Count_star, _ -> acc.a_count <- acc.a_count + 1
+    | fn, Some (_, c) -> fold_value fn acc row.(c)
+    | _, None -> ()
+  done
 
-let passed sc =
+(* With [sc_read] (one source), keep the handle and stored row of a
+   passing row. *)
+let[@inline] record sc row = if sc.sc_read then sc.sc_pairs <- (sc.sc_cur, row) :: sc.sc_pairs
+
+let[@inline] passed sc =
   sc.sc_passed <- sc.sc_passed + 1;
   if sc.sc_passed >= sc.sc_stop_at then raise Stop_scan
 
-let emit pl sc =
-  if sc.sc_read then sc.sc_handles <- sc.sc_cur :: sc.sc_handles;
-  consume pl sc;
-  passed sc
+(* What becomes of a row passing WHERE, chosen once per plan, and
+   whether that reads the frame: a victim select only collects it; a
+   select with no GROUP BY whose aggregates read nothing but the last
+   source's columns folds its stored row straight into the one group
+   (binding only the group's first row, which HAVING and the
+   projections see); otherwise the row is projected (with its ORDER BY
+   keys), folded into the one group, or folded into its group. *)
+let emitter pl : bool * stage =
+  let last = Array.length pl.pl_kinds - 1 in
+  let from_row ag =
+    match ag.ag_fn, ag.ag_col with
+    | Ast.Count_star, _ -> true
+    | _, Some (b, _) -> b = last
+    | _, None -> Option.is_none ag.ag_arg
+  in
+  if not pl.pl_consume then
+    ( false,
+      fun sc row ->
+        record sc row;
+        passed sc )
+  else if not pl.pl_grouped then
+    ( true,
+      fun sc row ->
+        record sc row;
+        (if Option.is_none sc.sc_err then
+           match run_projs pl.pl_projs sc.sc_rt None sc.sc_env with
+           | exception e -> sc.sc_err <- Some e
+           | out -> (
+             sc.sc_rows <- out :: sc.sc_rows;
+             if pl.pl_order <> [] && Option.is_none sc.sc_key_err then
+               match List.map (fun (ce, dir) -> (ce sc.sc_rt None sc.sc_env, dir)) pl.pl_order with
+               | exception e -> sc.sc_key_err <- Some e
+               | keys -> sc.sc_keyed <- (keys, out) :: sc.sc_keyed));
+        passed sc )
+  else if Array.length pl.pl_group_keys = 0 && last >= 0 && Array.for_all from_row pl.pl_aggs then
+    ( false,
+      fun sc row ->
+        record sc row;
+        (match sc.sc_groups with
+        | (_, accs) :: _ -> fold_row pl.pl_aggs accs row
+        | [] ->
+          sc.sc_local.(last) <- row;
+          fold_row pl.pl_aggs (snd (new_group pl sc)) row);
+        passed sc )
+  else if Array.length pl.pl_group_keys = 0 then
+    ( true,
+      fun sc row ->
+        record sc row;
+        (match sc.sc_groups with
+        | (_, accs) :: _ -> fold pl sc accs
+        | [] -> fold pl sc (snd (new_group pl sc)));
+        passed sc )
+  else
+    ( true,
+      fun sc row ->
+        record sc row;
+        (if Option.is_none sc.sc_err then
+           let keys = pl.pl_group_keys in
+           let key = Array.make (Array.length keys) Value.Null in
+           match
+             for k = 0 to Array.length keys - 1 do
+               key.(k) <- keys.(k) sc.sc_rt None sc.sc_env
+             done
+           with
+           | exception e -> sc.sc_err <- Some e
+           | () ->
+             let index =
+               match sc.sc_index with
+               | Some index -> index
+               | None ->
+                 let index = Eval.Row_tbl.create 16 in
+                 sc.sc_index <- Some index;
+                 index
+             in
+             let _, accs =
+               match Eval.Row_tbl.find_opt index key with
+               | Some g -> g
+               | None ->
+                 let g = new_group pl sc in
+                 Eval.Row_tbl.add index key g;
+                 g
+             in
+             fold pl sc accs);
+        passed sc )
 
-(* The end of the chain: WHERE, then the consumer. *)
-let final pl =
+(* The end of the chain and whether it reads the frame: the rest of
+   WHERE, then the row's emitter. *)
+let final pl : bool * stage =
+  let frame, emit = emitter pl in
   match pl.pl_where with
-  | None -> emit pl
-  | Some ct -> fun sc -> if Value.truth_holds (ct sc.sc_rt None sc.sc_env) then emit pl sc
-
-let rec all_hold tests (row : Row.t) =
-  match tests with [] -> true | t :: rest -> t row && all_hold rest row
-
-(* The fused loop over the rows of [read], a scan's or a probe's, in
-   handle order: the row-local conjuncts are tested on each stored row
-   before anything is written, so only a row passing them is bound,
-   tested against the rest of WHERE, has its handle recorded and is
-   emitted — or, with [fu_fold], folded straight into the one group's
-   accumulators, its first row binding the group's frame as in
-   [consume].  WHERE cannot raise, so which conjunct rejects a row first
-   changes nothing.  The caller runs it over at least one row: an empty
-   read reads none of the run's values, as the general path evaluates
-   nothing over it. *)
-let run_fused pl fu sc read =
-  let test =
-    match List.map (fun f -> f sc.sc_rt sc.sc_env) fu.fu_tests with
-    | [] -> fun _ -> true
-    | [ f ] -> f
-    | tests -> all_hold tests
-  in
-  let keep =
-    match fu.fu_rest with
-    | None -> test
-    | Some ct ->
-      fun row ->
-        test row
-        && begin
-          sc.sc_local.(0) <- row;
-          Value.truth_holds (ct sc.sc_rt None sc.sc_env)
-        end
-  in
-  let each =
-    if fu.fu_fold then (fun h row ->
-        if keep row then begin
-          if sc.sc_read then sc.sc_handles <- h :: sc.sc_handles;
-          (match sc.sc_groups with
-          | (_, accs) :: _ -> fold_row pl.pl_aggs accs row
-          | [] ->
-            sc.sc_local.(0) <- row;
-            fold_row pl.pl_aggs (snd (new_group pl sc)) row);
-          passed sc
-        end)
-    else fun h row ->
-      if keep row then begin
-        sc.sc_cur <- h;
-        sc.sc_local.(0) <- row;
-        emit pl sc
-      end
-  in
-  match read with
-  | R_table t | R_abandoned (t, _) -> Table.iter each t
-  | R_probe hit -> List.iter (fun (h, row) -> each h row) hit.Eval.ph_pairs
-  | R_rows _ | R_index_join _ | R_hash _ | R_hashed _ | R_deferred _ -> assert false
+  | None -> (frame, emit)
+  | Some ct ->
+    (true, fun sc row -> if Value.truth_holds (ct sc.sc_rt None sc.sc_env) then emit sc row)
 
 (* Reading a lazy base table: by probe when a sargable conjunct allows
    it, by scan in place otherwise. *)
@@ -748,33 +788,43 @@ let decide pl sc i tbl l ~partials =
   | Some est -> R_index_join { table = tbl; column; est; probes = partials }
   | None -> R_hash (realize pl sc i tbl)
 
+(* The chains of a plan's segments ([pl_segments]), built once. *)
+let segments pl =
+  let n = Array.length pl.pl_kinds in
+  let rec next_deferred i =
+    if i >= n then n else if pl.pl_deferred.(i) then i else next_deferred (i + 1)
+  in
+  Array.init (max n 1) (fun j ->
+      if j > 0 && not pl.pl_deferred.(j) then (n, fun _ _ -> ())
+      else
+        let d = next_deferred (j + 1) in
+        let frame, last =
+          if d = n then final pl
+          else (true, fun sc _ -> sc.sc_buffer <- Array.sub sc.sc_local 0 d :: sc.sc_buffer)
+        in
+        (d, chain pl j d ~frame last))
+
 (* Run the sources from [j] on, over each partial frame of sources
    0..j-1 in [partials] ([None]: the empty frame), deciding a deferred
-   join method once its partial frames are buffered and counted.  With
+   join method once its partial frames — the rows that passed the
+   earlier sources' tests and joins — are buffered and counted.  With
    [plan], stop once every source is decided: the last one and WHERE
    never run. *)
 let rec run_from ~plan pl sc j partials =
   let n = Array.length pl.pl_kinds in
-  let rec next_deferred i =
-    if i >= n then n
-    else match sc.sc_reads.(i) with R_deferred _ -> i | _ -> next_deferred (i + 1)
-  in
-  let d = next_deferred (j + 1) in
-  let buffered = ref [] in
-  let run =
-    if d = n then if plan then ignore else chain pl j n (final pl)
-    else chain pl j d (fun sc -> buffered := Array.sub sc.sc_local 0 d :: !buffered)
-  in
-  (match partials with
-  | None -> run sc
-  | Some ps ->
-    List.iter
-      (fun p ->
-        Array.blit p 0 sc.sc_local 0 j;
-        run sc)
-      ps);
+  let d, run = pl.pl_segments.(j) in
+  (if d < n || not plan then
+     match partials with
+     | None -> run sc no_row
+     | Some ps ->
+       List.iter
+         (fun p ->
+           Array.blit p 0 sc.sc_local 0 j;
+           run sc no_row)
+         ps);
   if d < n then begin
-    let ps = List.rev !buffered in
+    let ps = List.rev sc.sc_buffer in
+    sc.sc_buffer <- [];
     (match sc.sc_reads.(d), link pl d with
     | R_deferred tbl, Some l ->
       sc.sc_reads.(d) <- decide pl sc d tbl l ~partials:(List.length ps)
@@ -786,8 +836,7 @@ let rec run_from ~plan pl sc j partials =
    the derived and transition tables resolved and the base tables
    looked up, then the base tables realized in FROM order, except that
    a linked table whose join method depends on the number of partial
-   frames is left [R_deferred].  Returns the scan
-   state and whether a source was deferred. *)
+   frames is left [R_deferred]. *)
 let start_plain pl rt (outer : renv) ~read ~stop_at =
   let n = Array.length pl.pl_kinds in
   let local = Array.make n [||] in
@@ -798,10 +847,14 @@ let start_plain pl rt (outer : renv) ~read ~stop_at =
       sc_local = local;
       sc_env = with_outer local outer;
       sc_reads = Array.make n (R_rows []);
-      sc_read = read;
+      sc_filters =
+        (if Array.exists (function [] -> false | _ :: _ -> true) pl.pl_tests then Array.make n None
+         else [||]);
+      sc_read = read && pl.pl_read_set;
       sc_stop_at = stop_at;
       sc_cur = no_handle;
-      sc_handles = [];
+      sc_pairs = [];
+      sc_buffer = [];
       sc_passed = 0;
       sc_rows = [];
       sc_keyed = [];
@@ -823,53 +876,34 @@ let start_plain pl rt (outer : renv) ~read ~stop_at =
   (match pl.pl_links with Ok _ -> () | Error e -> Errors.raise_error e);
   (* phase 2: read the base tables in FROM order before any row
      flows — every source is read even when an earlier one is empty —
-     except that a linked one waits for the count of its partial
-     frames: source 0's rows for source 1, a buffer of copied frames for
-     a later one *)
-  let deferred = ref false in
+     except that a deferred one waits for the count of its partial
+     frames *)
   for i = 0 to n - 1 do
     sc.sc_reads.(i) <-
       (match sc.sc_reads.(i), link pl i with
       | R_table tbl, None -> realize pl sc i tbl
-      | R_table tbl, Some l when i = 1 ->
-        (* source 0 has no link: its rows are the partial frames *)
-        decide pl sc i tbl l ~partials:(read_count sc.sc_reads.(0))
-      | R_table tbl, Some l ->
-        if Table.column_stats tbl (link_col pl i l) <> None then begin
-          deferred := true;
-          R_deferred tbl
-        end
-        else R_hash (realize pl sc i tbl)
+      | R_table tbl, Some _ when pl.pl_deferred.(i) -> R_deferred tbl
+      | R_table tbl, Some _ -> R_hash (realize pl sc i tbl)
       | read, Some _ -> R_hash read
       | read, None -> read)
   done;
-  (sc, !deferred)
+  sc
 
 (* One run of a select core: the result and, with [read], the handles
-   of the rows passing WHERE.  The sources push rows through one frame
-   ([sc_local]): each extends the partial frame and calls the next, so
-   no stage builds a list of rows.  A base table linked to an earlier
-   source is joined by probing its index once per partial frame, or by
-   a hash table, as [Eval.index_join] decides from the number of
-   partial frames.  The scan stops once [stop_at] rows passed.  Per-row
-   work after WHERE keeps its first error instead of raising it, and
-   the error is raised once the scan is over: a WHERE error on any row
-   comes first, then a projection (or GROUP BY key) error, then an
-   ORDER BY key error, as if each clause ran over every row in turn. *)
+   and stored rows of the rows passing WHERE.  The sources push rows
+   through one frame ([sc_local]): each extends the partial frame and
+   calls the next, so no stage builds a list of rows.  A base table
+   linked to an earlier source is joined by probing its index once per
+   partial frame, or by a hash table, as [Eval.index_join] decides from
+   the number of partial frames.  The scan stops once [stop_at] rows
+   passed.  Per-row work after WHERE keeps its first error instead of
+   raising it, and the error is raised once the scan is over: a WHERE
+   error on any row comes first, then a projection (or GROUP BY key)
+   error, then an ORDER BY key error, as if each clause ran over every
+   row in turn. *)
 let run_plain pl rt (outer : renv) ~read ~stop_at =
-  let sc, deferred = start_plain pl rt outer ~read ~stop_at in
-  (try
-     if deferred then run_from ~plan:false pl sc 0 None
-     else
-       match pl.pl_fused with
-       | None -> pl.pl_chain sc
-       | Some fu -> (
-         match sc.sc_reads.(0) with
-         | (R_table t | R_abandoned (t, _)) when Table.is_empty t -> ()
-         | R_probe { Eval.ph_pairs = []; _ } -> ()
-         | (R_table _ | R_abandoned _ | R_probe _) as read -> run_fused pl fu sc read
-         | _ -> pl.pl_chain sc)
-   with Stop_scan -> ());
+  let sc = start_plain pl rt outer ~read ~stop_at in
+  (try run_from ~plan:false pl sc 0 None with Stop_scan -> ());
   (* the output names of the rows produced: the static projection
      names, or those of the empty-group projection when it ran *)
   let out_cols = ref pl.pl_projs.pr_names in
@@ -909,10 +943,7 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
   let cols = match rows with _ :: _ -> !out_cols | [] -> pl.pl_cols_when_empty rt in
   let rows = if pl.pl_distinct then Eval.dedupe_rows rows else rows in
   let rows = Eval.take_limit pl.pl_limit rows in
-  let read_set =
-    if read && pl.pl_read_set then Some (List.rev sc.sc_handles)
-    else None
-  in
+  let read_set = if sc.sc_read then Some (List.rev sc.sc_pairs) else None in
   ({ Eval.rel_name = ""; cols; rows }, read_set)
 
 (* EXPLAIN's view of a select core: a plan-only run that takes the read
@@ -921,11 +952,11 @@ let run_plain pl rt (outer : renv) ~read ~stop_at =
    method is chosen from the number of partial frames — and reports each
    source's, without running the last source, WHERE or anything after
    it.  A probe's [matches] counts the handles it returned (the rows
-   enumerated before residual filtering); [rows] is the table's current
+   enumerated before any test); [rows] is the table's current
    cardinality, what a scan would read. *)
 let plan_plain pl rt (outer : renv) : Eval.source_plan list =
-  let sc, deferred = start_plain pl rt outer ~read:false ~stop_at:max_int in
-  if deferred then run_from ~plan:true pl sc 0 None;
+  let sc = start_plain pl rt outer ~read:false ~stop_at:max_int in
+  run_from ~plan:true pl sc 0 None;
   let scan t abandoned =
     Eval.Seq_scan { table = Table.name t; rows = Some (Table.cardinality t); abandoned }
   in
@@ -963,7 +994,12 @@ let plan_plain pl rt (outer : renv) : Eval.source_plan list =
             | _ -> Eval.Hash_join);
         }
       in
-      { Eval.sp_binding = pl.pl_names.(i); sp_path = path i read; sp_join = Option.map join (link pl i) })
+      {
+        Eval.sp_binding = pl.pl_names.(i);
+        sp_path = path i read;
+        sp_join = Option.map join (link pl i);
+        sp_tests = List.map (fun tc -> Pretty.expr_str tc.tc_conjunct) pl.pl_tests.(i);
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Expression and select compilation                                   *)
@@ -1011,20 +1047,20 @@ let hoisted_values es =
             last := (rt.rt_params, vals);
             vals)
 
-(* A conjunct of a fused scan's WHERE as a test on the stored row: a
-   comparison, BETWEEN, IS [NOT] NULL or literal/parameter IN list of a
-   column of the scanned table (the only binding of the local frame)
-   against other such columns or values fixed for the run — literals,
-   parameters and columns of enclosing scopes — which are read once per
-   run, when the test is handed the run's [rt] and frame.  [None] for any
-   other conjunct.  The caller has proved with [row_kind] that WHERE
-   cannot raise, so the test is the conjunct's truth collapsed to a
-   bool. *)
-let row_test ctx (e : Ast.expr) : (rt -> renv -> Row.t -> bool) option =
-  let ctx = { ctx with cc_watches = [] } in
+(* A conjunct of WHERE as a test on the stored row of FROM source [i]:
+   a comparison, BETWEEN, IS [NOT] NULL or literal/parameter IN list of
+   a column of source [i] against other such columns or values fixed
+   for the run — literals, parameters and columns of enclosing scopes —
+   which are read once per run, when the test is handed the run's [rt]
+   and frame.  [None] for any other conjunct.  The caller has proved
+   with [row_kind] that WHERE cannot raise, so the test is the
+   conjunct's truth collapsed to a bool.  Resolving a column of an
+   enclosing scope marks the select correlated, as compiling the
+   conjunct would. *)
+let row_test ctx i (e : Ast.expr) : (rt -> renv -> Row.t -> bool) option =
   let local = function
     | Ast.Col { qualifier; column } -> (
-      match resolve_col ctx qualifier column with H_at (0, 0, c) -> Some c | _ -> None)
+      match resolve_col ctx qualifier column with H_at (0, b, c) when b = i -> Some c | _ -> None)
     | _ -> None
   in
   let fixed (e : Ast.expr) : (rt -> renv -> Value.t) option =
@@ -1456,7 +1492,7 @@ and compile_projections cctx local_shape (projs : Ast.proj list) : cprojs =
     pr_ops = Array.of_list (List.map snd ops);
   }
 
-and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
+and compile_plain ?(exists = false) ?(victims = false) ctx (s : Ast.select) : cselect =
   let ctx = { ctx with cc_aggs = None } in
   (* ---- FROM items: static binding names, columns and schemas ---- *)
   let schema_of tbl_name =
@@ -1507,8 +1543,40 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
         | `Derived _ | `Transition _ -> None)
       items
   in
+  (* ---- per-source row tests: when WHERE cannot raise, a conjunct
+     comparing one source's column with values fixed for the run is
+     tested on that source's stored row, before the row is bound; the
+     other conjuncts are tested on the full frame ---- *)
+  let tests = Array.make (Array.length items_a) [] in
+  let residual =
+    match s.Ast.where with
+    | Some w when row_kind inner w <> None -> (
+      let rec conjuncts = function Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ] in
+      let rec pushed e i =
+        i < Array.length tests
+        &&
+        match row_test inner i e with
+        | Some t ->
+          tests.(i) <- { tc_conjunct = e; tc_test = t } :: tests.(i);
+          true
+        | None -> pushed e (i + 1)
+      in
+      match List.filter (fun e -> not (pushed e 0)) (conjuncts w) with
+      | [] -> None
+      | e :: es -> Some (List.fold_left (fun a b -> Ast.And (a, b)) e es))
+    | where -> where
+  in
+  let deferred =
+    Array.mapi
+      (fun i (_, cols, _, kind) ->
+        match kind, Result.fold ~ok:(fun ls -> List.nth ls i) ~error:(fun _ -> None) links with
+        | `Base t, Some (l : Eval.join_link) when Database.has_table ctx.cc_db t ->
+          Table.column_stats (Database.table ctx.cc_db t) cols.(l.Eval.jl_col) <> None
+        | _ -> false)
+      items_a
+  in
   (* ---- clause compilation ---- *)
-  let cwhere = Option.map (truth_of inner) s.Ast.where in
+  let cwhere = Option.map (truth_of inner) residual in
   let grouped = Eval.select_contains_agg s in
   let cgroup_keys = List.map (cexpr_of inner) s.Ast.group_by in
   (* the aggregate calls of HAVING and the projections fold into one
@@ -1563,32 +1631,6 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
     | Some _ | None -> max_int
   in
   let exists_stop = if exists && s.Ast.order_by = [] && rows_cannot_raise () then 1 else limit_stop in
-  (* ---- the fused scan: one base table and a WHERE that cannot raise,
-     so its row-local conjuncts may reject a row before it is bound ---- *)
-  let fused =
-    match items_a with
-    | [| (_, _, _, `Base _) |]
-      when Option.fold ~none:true ~some:(fun e -> row_kind inner e <> None) s.Ast.where ->
-      let rec conjuncts = function Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ] in
-      let tests, rest =
-        List.partition_map
-          (fun e -> match row_test inner e with Some t -> Left t | None -> Right e)
-          (Option.fold ~none:[] ~some:conjuncts s.Ast.where)
-      in
-      let fold_from_row ag =
-        ag.ag_fn = Ast.Count_star || Option.is_none ag.ag_arg || Option.is_some ag.ag_col
-      in
-      Some
-        {
-          fu_tests = tests;
-          fu_rest =
-            (match rest with
-            | [] -> None
-            | e :: es -> Some (truth_of inner (List.fold_left (fun a b -> Ast.And (a, b)) e es)));
-          fu_fold = grouped && s.Ast.group_by = [] && Array.for_all fold_from_row aggs;
-        }
-    | _ -> None
-  in
   (* ---- output columns for the zero-row case: the runtime mirror of
      [Eval.static_output_columns] ---- *)
   let empty_sources =
@@ -1643,7 +1685,10 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       pl_cols = Array.map (fun (_, cols, _, _) -> cols) items_a;
       pl_links = Result.map Array.of_list links;
       pl_probes = Array.of_list probes;
+      pl_tests = Array.map List.rev tests;
+      pl_deferred = deferred;
       pl_where = cwhere;
+      pl_consume = not victims;
       pl_grouped = grouped;
       pl_group_keys = Array.of_list cgroup_keys;
       pl_having = chaving;
@@ -1655,12 +1700,11 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
       pl_limit = s.Ast.limit;
       pl_read_set =
         s.Ast.group_by = [] && (match items_a with [| (_, _, _, `Base _) |] -> true | _ -> false);
-      pl_fused = fused;
       pl_cols_when_empty = cols_when_empty;
-      pl_chain = ignore;
+      pl_segments = [||];
     }
   in
-  pl.pl_chain <- chain pl 0 (Array.length items_a) (final pl);
+  pl.pl_segments <- segments pl;
   let cs_run rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:limit_stop) in
   let cs_exists rt outer = fst (run_plain pl rt outer ~read:false ~stop_at:exists_stop) in
   let cs_read rt = run_plain pl rt [||] ~read:true ~stop_at:max_int in
@@ -1670,17 +1714,33 @@ and compile_plain ?(exists = false) ctx (s : Ast.select) : cselect =
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
 
-let compile_expr ctx ~shape e = cexpr_of (with_shape ctx shape) e
-let eval_cexpr rt ce (env : renv) : Value.t = ce rt None env
-let compile_truth ctx ~shape e = truth_of (with_shape ctx shape) e
-let truth_holds rt ct (env : renv) = Value.truth_holds (ct rt None env)
+let compile_expr ?table ctx e =
+  match table with
+  | None -> cexpr_of (with_shape ctx []) e
+  | Some t ->
+    let tbl = Database.table ctx.cc_db t in
+    let shaped = with_shape ctx [ [ (t, Table.col_names tbl) ] ] in
+    cexpr_of { shaped with cc_schemas = [ [ Some (Table.schema tbl) ] ] } e
 
+let eval_cexpr rt ce (env : renv) : Value.t = ce rt None env
 let compile_select ctx s = compile_select' ctx s
 let run_select rt cs = cs.cs_run rt [||]
 let run_select_read rt cs = cs.cs_read rt
 let plan_select rt cs = cs.cs_plan rt
-let compile_probe = compile_probe_plan
-let run_probe rt tbl cp = run_probe_values rt tbl cp [||]
+
+let compile_victims ctx ~table where =
+  compile_plain ~victims:true ctx
+    {
+      Ast.distinct = false;
+      projections = [ Ast.Star ];
+      from = [ { Ast.source = Ast.Base table; alias = None } ];
+      where;
+      group_by = [];
+      having = None;
+      order_by = [];
+      limit = None;
+      compounds = [];
+    }
 
 type cpred = { cp_truth : ctruth; cp_nslots : int }
 

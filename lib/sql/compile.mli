@@ -81,25 +81,15 @@ val slot_count : ctx -> int
 
 type cexpr
 
-val compile_expr :
-  ctx -> shape:(string * string array) list list -> Ast.expr -> cexpr
-(** Compile under the given environment shape (innermost scope first,
-    matching the {!renv} the closure will receive). *)
+val compile_expr : ?table:string -> ctx -> Ast.expr -> cexpr
+(** An expression over no row (an INSERT's VALUES; run with the
+    environment [[||]]) or over one stored row of base table [table]
+    bound under its own name (an UPDATE's SET expression; run with
+    [[| [| row |] |]]).  The table's column types are known, as in a
+    select over it, so a subquery correlated on its columns may test
+    its own conjuncts on its rows. *)
 
 val eval_cexpr : rt -> cexpr -> renv -> Value.t
-
-type ctruth
-(** A predicate compiled to its SQL truth value: the one predicate
-    compiler, which WHERE, HAVING, CASE conditions, AND/OR/NOT, DML
-    victim selection and rule conditions all use.  Testing one
-    allocates nothing beyond what its operands allocate. *)
-
-val compile_truth :
-  ctx -> shape:(string * string array) list list -> Ast.expr -> ctruth
-(** Like {!compile_expr}, for a predicate. *)
-
-val truth_holds : rt -> ctruth -> renv -> bool
-(** Three-valued logic collapsed: [true] only when definitely true. *)
 
 type cpred
 (** A predicate compiled against an empty environment shape, bundled
@@ -127,13 +117,21 @@ val run_select : rt -> cselect -> Eval.relation
 (** Evaluate with no outer scopes.  Does not hit a fault site — use
     {!eval_select} for public query entry points. *)
 
-val run_select_read : rt -> cselect -> Eval.relation * Handle.t list option
+val run_select_read : rt -> cselect -> Eval.relation * (Handle.t * Row.t) list option
 (** {!run_select} also returning the tuples the select retrieved
     (Section 5.1): when the from-list is exactly one base table and
-    there is no GROUP BY or compound operator, the handles of the rows
-    that passed WHERE, in handle order, taken from the index probe or
-    scan that produced them.  DISTINCT, ORDER BY and LIMIT never shrink the set.  [None]
+    there is no GROUP BY or compound operator, the rows that passed
+    WHERE, each with its handle, in handle order, taken from the index
+    probe or scan that produced them — the table's own stored rows, not
+    copies.  DISTINCT, ORDER BY and LIMIT never shrink the set.  [None]
     for every other shape. *)
+
+val compile_victims : ctx -> table:string -> Ast.expr option -> cselect
+(** DELETE's and UPDATE's victim selection: the select core
+    [select * from table where ...], read by index probe or scan as any
+    select is, whose passing rows are collected and not projected: its
+    {!run_select_read} yields an empty relation and the victims, and
+    its {!plan_select} the victim table's plan. *)
 
 val plan_select : rt -> cselect -> Eval.source_plan list
 (** EXPLAIN: one plan per FROM source of each select core (compound
@@ -154,25 +152,3 @@ val eval_select :
     filter, grouping and aggregates, HAVING, projection, DISTINCT,
     ORDER BY, LIMIT.  Hits the [Query_eval] fault site once, then
     evaluates. *)
-
-(** {2 Victim probes (DML helper)} *)
-
-type cprobe
-(** The statically-selected sargable candidates for one base table's
-    victim selection, ranked by the cost model and tried at run time,
-    falling back to the scan. *)
-
-val compile_probe :
-  ctx ->
-  frame:(string * string array) list ->
-  target:string ->
-  Ast.expr option ->
-  cprobe option
-(** [None] when no conjunct is sargable (or pushdown is disabled at
-    compile time): scan instead. *)
-
-val run_probe : rt -> Table.t -> cprobe -> Eval.probe_outcome
-(** Probe the table with outer scopes empty, candidates ranked by the
-    shared cost model; [Scan] means every candidate fell through (value
-    evaluation failed, no usable index, or a probe passed its budget):
-    scan instead. *)

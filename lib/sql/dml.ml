@@ -78,8 +78,8 @@ let select_read_set db (s : Ast.select) precise =
     (referenced_columns arm (Table.schema tbl) binding, handles_of tbl)
   in
   match precise, s.Ast.from with
-  | Some handles, [ { Ast.source = Ast.Base t; alias } ] ->
-    [ entry s t alias (fun _ -> handles) ]
+  | Some read, [ { Ast.source = Ast.Base t; alias } ] ->
+    [ entry s t alias (fun _ -> List.map fst read) ]
   | _ ->
     let every tbl = List.rev (Table.fold (fun h _ acc -> h :: acc) tbl []) in
     List.concat_map
@@ -95,9 +95,10 @@ let select_read_set db (s : Ast.select) precise =
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
 
-   An operation is lowered once — the WHERE predicate, SET expressions
-   and embedded selects become positional closures, and the sargable
-   conjuncts of victim selection are chosen statically — and then run.
+   An operation is lowered once — the SET expressions and embedded
+   selects become positional closures, and a DELETE's or UPDATE's
+   victims a select core over the victim table ([Compile.compile_victims]),
+   read by probe or scan as any select is — and then run.
    The rules engine caches the compiled form of each rule's action
    block across firings (keyed on a DDL generation counter), so
    cascades re-enter closures instead of re-walking the AST.
@@ -115,19 +116,13 @@ type cop =
         [ `Values of Compile.cexpr list list | `Select of Compile.cselect ];
       nslots : int;
     }
-  | C_delete of {
-      table : string;
-      cwhere : Compile.ctruth option;
-      cprobe : Compile.cprobe option;
-      nslots : int;
-    }
+  | C_delete of { victims : Compile.cselect; nslots : int }
   | C_update of {
       table : string;
       csets : (int * Compile.cexpr) list; (* schema position, value *)
       set_cols : string list;
       set_err : Errors.t option; (* an unknown SET column *)
-      cwhere : Compile.ctruth option;
-      cprobe : Compile.cprobe option;
+      victims : Compile.cselect;
       nslots : int;
     }
   | C_select of { s : Ast.select; csel : Compile.cselect; nslots : int }
@@ -148,7 +143,7 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
       | `Values exprss ->
         `Values
           (List.map
-             (List.map (fun e -> Compile.compile_expr ctx ~shape:[] e))
+             (List.map (Compile.compile_expr ctx))
              exprss)
       | `Select s -> `Select (Compile.compile_select ctx s)
     in
@@ -157,11 +152,8 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
     if not (Database.has_table db table) then C_error (Errors.Unknown_table table)
     else begin
       let ctx = Compile.make ?param_kinds db in
-      let cols = Table.col_names (Database.table db table) in
-      let frame = [ (table, cols) ] in
-      let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
-      let cprobe = Compile.compile_probe ctx ~frame ~target:table where in
-      C_delete { table; cwhere; cprobe; nslots = Compile.slot_count ctx }
+      let victims = Compile.compile_victims ctx ~table where in
+      C_delete { victims; nslots = Compile.slot_count ctx }
     end
   | Ast.Update { table; sets; where } ->
     if not (Database.has_table db table) then C_error (Errors.Unknown_table table)
@@ -175,26 +167,22 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
           sets
       in
       let ctx = Compile.make ?param_kinds db in
-      let cols = Table.col_names (Database.table db table) in
-      let frame = [ (table, cols) ] in
       let csets =
         List.filter_map
           (fun (c, e) ->
             Option.map
-              (fun ix -> (ix, Compile.compile_expr ctx ~shape:[ frame ] e))
+              (fun ix -> (ix, Compile.compile_expr ~table ctx e))
               (Schema.find_column schema c))
           sets
       in
-      let cwhere = Option.map (Compile.compile_truth ctx ~shape:[ frame ]) where in
-      let cprobe = Compile.compile_probe ctx ~frame ~target:table where in
+      let victims = Compile.compile_victims ctx ~table where in
       C_update
         {
           table;
           csets;
           set_cols = List.map fst sets;
           set_err;
-          cwhere;
-          cprobe;
+          victims;
           nslots = Compile.slot_count ctx;
         }
     end
@@ -203,36 +191,8 @@ let compile_op ?param_kinds db (op : Ast.op) : cop =
     let csel = Compile.compile_select ctx s in
     C_select { s; csel; nslots = Compile.slot_count ctx }
 
-let probe rt tbl = function
-  | Some cp -> Compile.run_probe rt tbl cp
-  | None -> Eval.Scan None
-
-(* Victim selection: the rows of [tbl] satisfying [cwhere], in handle
-   order.  A sargable conjunct over an indexed column narrows the
-   candidates by an index probe first; the full predicate is still
-   applied to each candidate, so the victims are identical to the
-   scan's.  [note] hears the probe-or-scan decision and [tbl]'s name. *)
-let selected_handles rt ~note tbl cwhere cprobe =
-  (* one frame, rebound to each candidate: WHERE keeps nothing of it *)
-  let frame = [| [||] |] in
-  let env = [| frame |] in
-  let keep row =
-    match cwhere with
-    | None -> true
-    | Some ct ->
-      frame.(0) <- row;
-      Compile.truth_holds rt ct env
-  in
-  match probe rt tbl cprobe with
-  | Eval.Probed hit ->
-    note
-      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe)
-      (Table.name tbl);
-    List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
-  | Eval.Scan _ ->
-    note `Seq_scan (Table.name tbl);
-    Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
-    |> List.rev
+(* The victims of a DELETE or UPDATE, the rows of its victim select. *)
+let victims_of rt cv = Option.value (snd (Compile.run_select_read rt cv)) ~default:[]
 
 let rec run_cop ~track_selects ~note ?params resolve db (cop : cop) : op_result =
   let rt nslots = Compile.make_rt ~db ~note ?params ~slots:nslots resolve in
@@ -291,18 +251,18 @@ let rec run_cop ~track_selects ~note ?params resolve db (cop : cop) : op_result 
         (db, []) rows
     in
     { db; affected = A_insert (List.rev handles); result = None }
-  | C_delete { table; cwhere; cprobe; nslots } ->
-    let tbl = Database.table db table in
-    let victims = selected_handles (rt nslots) ~note tbl cwhere cprobe in
+  | C_delete { victims; nslots; _ } ->
+    let victims = victims_of (rt nslots) victims in
     let db =
       List.fold_left (fun db (h, _) -> Database.delete db h) db victims
     in
     { db; affected = A_delete victims; result = None }
-  | C_update { table; csets; set_cols; set_err; cwhere; cprobe; nslots } ->
-    let tbl = Database.table db table in
+  | C_update { table; csets; set_cols; set_err; victims; nslots } ->
+    (* the table is resolved before an unknown SET column is reported *)
+    ignore (Database.table db table);
     Option.iter Errors.raise_error set_err;
     let rt = rt nslots in
-    let victims = selected_handles rt ~note tbl cwhere cprobe in
+    let victims = victims_of rt victims in
     let updates =
       List.map
         (fun (h, old_row) ->
@@ -335,35 +295,25 @@ let rec run_cop ~track_selects ~note ?params resolve db (cop : cop) : op_result 
 
 (* EXPLAIN: the access decisions running [cop] over [db] would take — a
    select's plan-only run (INSERT ... SELECT plans its select; INSERT
-   ... VALUES reads no table) and a DELETE's or UPDATE's victim probe,
-   the table bound under its own name.  No read decision is noted. *)
+   ... VALUES reads no table; a DELETE's or UPDATE's victims are a
+   select over the victim table, bound under its own name).  No read
+   decision is noted. *)
 let rec explain ?params resolve db cop : Eval.source_plan list =
   let rt nslots = Compile.make_rt ~db ?params ~slots:nslots resolve in
   match cop with
   | C_bound (cop, args) -> explain ~params:args resolve db cop
   | C_error e -> Errors.raise_error e
   | C_insert { csource = `Values _; _ } -> []
-  | C_insert { csource = `Select cs; nslots; _ } | C_select { csel = cs; nslots; _ } ->
+  | C_insert { csource = `Select cs; nslots; _ }
+  | C_select { csel = cs; nslots; _ }
+  | C_delete { victims = cs; nslots; _ }
+  | C_update { victims = cs; nslots; _ } ->
     Compile.plan_select (rt nslots) cs
-  | C_delete { table; cprobe; nslots; _ } | C_update { table; cprobe; nslots; _ } ->
-    let tbl = Database.table db table in
-    let path =
-      match probe (rt nslots) tbl cprobe with
-      | Eval.Probed hit -> Eval.probed_path tbl hit
-      | Eval.Scan abandoned ->
-        Eval.Seq_scan { table; rows = Some (Table.cardinality tbl); abandoned }
-    in
-    [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
 
+(* An exception-safety injection site: an operation may fail before
+   touching the database, and the caller must treat the containing
+   block as indivisible either way. *)
 let exec_cop ?(track_selects = false) ?(note = Eval.no_note) ?params resolve db cop :
     op_result =
   Fault.hit Fault.Dml_op;
   run_cop ~track_selects ~note ?params resolve db cop
-
-(* Both entry points are exception-safety injection sites: an operation
-   may fail before touching the database, and the caller must treat the
-   containing block as indivisible either way. *)
-let exec_op ?(track_selects = false) ?(note = Eval.no_note) resolve db (op : Ast.op) :
-    op_result =
-  Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~note resolve db (compile_op db op)

@@ -33,27 +33,6 @@ type op_result = {
   result : Eval.relation option;  (** rows produced, for select operations *)
 }
 
-val exec_op :
-  ?track_selects:bool ->
-  ?note:Eval.note ->
-  Eval.resolver ->
-  Database.t ->
-  Ast.op ->
-  op_result
-(** Execute one operation.  [track_selects] (default [false]) computes
-    the Section 5.1 read set for select operations.  When the FROM list
-    is exactly one base table and there is no GROUP BY (or compound
-    operator) it is precise: the tuples the executor's index probe or
-    scan produced that passed WHERE, whatever DISTINCT, ORDER BY and
-    LIMIT then keep.  Otherwise it is conservative: every tuple of each
-    base table in a top-level FROM list of any compound arm, with the
-    columns that arm references.  An uncorrelated subquery runs at most
-    once per operation.  Sargable predicates over indexed columns are
-    satisfied by index probes instead of scans, and [note] hears every
-    scan, probe and hash-join decision (default: nothing does).
-
-    The operation is compiled ({!compile_op}) and run ({!exec_cop}). *)
-
 (** {2 Operation plans}
 
     The rules engine caches each rule's action block as plans (keyed
@@ -84,9 +63,24 @@ val exec_cop :
   cop ->
   op_result
 (** Run a planned operation against a (possibly different) database
-    state with the same catalog.  Hits the same [Dml_op] fault site as
-    {!exec_op}.  [params] is the EXECUTE parameter frame: compiled
-    [Param] closures read it positionally. *)
+    state with the same catalog; every data manipulation operation
+    enters here, at the [Dml_op] fault site.  [params] is the EXECUTE
+    parameter frame: compiled [Param] closures read it positionally.
+
+    [track_selects] (default [false]) computes the Section 5.1 read set
+    for select operations.  When the FROM list is exactly one base
+    table and there is no GROUP BY (or compound operator) it is
+    precise: the tuples the executor's index probe or scan produced
+    that passed WHERE, whatever DISTINCT, ORDER BY and LIMIT then keep.
+    Otherwise it is conservative: every tuple of each base table in a
+    top-level FROM list of any compound arm, with the columns that arm
+    references.  An uncorrelated subquery runs at most once per
+    operation.  Sargable predicates over indexed columns are satisfied
+    by index probes instead of scans, and [note] hears every scan,
+    probe and hash-join decision (default: nothing does).  A DELETE's
+    or UPDATE's victims are read as a select over the victim table is
+    ({!Compile.compile_victims}); its affected set holds the table's
+    own stored rows. *)
 
 val explain :
   ?params:Value.t array ->
@@ -95,8 +89,8 @@ val explain :
   cop ->
   Eval.source_plan list
 (** EXPLAIN: the access decisions running the plan over the database
-    would take, without running it or noting them — a select's FROM sources
-    (each core of a compound; an INSERT ... SELECT's select; none for
-    INSERT ... VALUES) by a plan-only run ({!Compile.plan_select}), a
-    DELETE's or UPDATE's victim table by its compiled probe.  Raises
-    the error of a plan over an unknown victim table. *)
+    would take, without running it or noting them — by a plan-only run
+    ({!Compile.plan_select}) of a select's FROM sources (each core of a
+    compound; an INSERT ... SELECT's select; none for INSERT ...
+    VALUES) or of a DELETE's or UPDATE's victim table.  Raises the
+    error of a plan over an unknown victim table. *)

@@ -737,7 +737,7 @@ let default_proj_name e =
 (* EXPLAIN: access-path planning without execution                     *)
 
 (* The plans EXPLAIN reports.  [Compile] produces them by a plan-only
-   run of a compiled select, and [Dml] from a compiled victim probe:
+   run of a compiled select (a DELETE's or UPDATE's victims are one):
    the executor's own decisions. *)
 
 type access_path =
@@ -775,6 +775,7 @@ type source_plan = {
   sp_binding : string;
   sp_path : access_path;
   sp_join : join_plan option;
+  sp_tests : string list;
 }
 
 (* A probe decision as a plan node: [Index_probe] or [Range_probe] by
@@ -829,7 +830,7 @@ let describe_access_path = function
   | Materialized { source; rows } ->
     Printf.sprintf "materialized %s (%d rows)" source rows
 
-let describe_source_plan { sp_binding; sp_path; sp_join } =
+let describe_source_plan { sp_binding; sp_path; sp_join; _ } =
   let join =
     match sp_join with
     | None -> ""

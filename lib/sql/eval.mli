@@ -163,7 +163,7 @@ val probe_candidates :
 
     What the executor decided for each source it reads.
     {!Compile.plan_select} produces them by a plan-only run of a
-    compiled select, and {!Dml.explain} from a compiled victim probe,
+    compiled select (a DELETE's or UPDATE's victim selection is one),
     so they are the executor's own decisions.  Probing evaluates the
     sargable conjunct's value side (possibly an uncorrelated subquery),
     so planning reads — but never writes — the database.  Plans cover
@@ -212,6 +212,10 @@ type source_plan = {
   sp_binding : string;
   sp_path : access_path;
   sp_join : join_plan option;
+  sp_tests : string list;
+      (** the rendered WHERE conjuncts tested on this source's stored
+          rows before they are bound or hashed; EXPLAIN does not print
+          them *)
 }
 
 val probed_path : Table.t -> probe_hit -> access_path

@@ -506,21 +506,25 @@ let param_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Part A1c: the fused scan.  A select over one base table read by
-   scan, whose WHERE cannot raise, tests WHERE's row-local conjuncts on
-   the stored row before binding it and folds count( * ), sum, min and
-   max without a frame.  Single-table selects aimed at that path — NULL
-   values under all six comparisons, int columns against float values
-   and the reverse, string ordering, BETWEEN, IS [NOT] NULL, literal IN
-   lists, three-valued AND/OR/NOT, and the occasional kind mismatch that
-   sends WHERE down the general path — are run over an unindexed
-   database, so the table is scanned, and must equal the reference
-   exactly: results, error kinds and error text.
-   With one source and no index no row is skipped.  Parameterized
-   variants are compiled twice: with the bound kinds known, as the
-   statement cache compiles them, and with none known, as PREPARE does;
-   there a bound kind that mismatches the column takes the general path
-   and raises the reference's error. *)
+(* Part A1c: per-source row tests.  When WHERE cannot raise, each FROM
+   source tests the conjuncts comparing one of its columns with values
+   fixed for the run on its stored row before binding it, and count( * ),
+   sum, min and max fold the last source's stored row.  Selects aimed at
+   that path — NULL values under all six comparisons, int columns
+   against float values and the reverse, string ordering, BETWEEN, IS
+   [NOT] NULL, literal IN lists, three-valued AND/OR/NOT, and the
+   occasional kind mismatch that makes WHERE tested whole on the frame —
+   are run over an unindexed database: over t alone, over t and a second
+   stored table u, and over those and a transition table [inserted u v]
+   served by a resolver, each source with conjuncts of its own.  They
+   must equal the reference exactly: results, error kinds and error
+   text.  Without an index or a [col = col] link no row is skipped;
+   with a link the hash join may skip a frame whose WHERE would raise,
+   and only there an error of the reference allows another outcome.
+   Parameterized variants are compiled twice: with the bound kinds
+   known, as the statement cache compiles them, and with none known, as
+   PREPARE does; there a bound kind that mismatches the column makes
+   WHERE tested whole and raises the reference's error. *)
 
 let scan_fixture_db =
   let db =
@@ -550,6 +554,53 @@ let scan_fixture_db =
 
 let scan_cols = [| ("a", `Num); ("b", `Num); ("s", `Str); ("f", `Num); ("t.a", `Num); ("t.s", `Str) |]
 
+(* The second and third sources: u (k int, c int, s string), whose [s]
+   makes a bare [s] ambiguous beside t, and [inserted u v], whose bare
+   [k] and [c] are ambiguous beside u. *)
+let u_cols = [| ("u.k", `Num); ("u.c", `Num); ("u.s", `Str); ("k", `Num); ("c", `Num) |]
+let v_cols = [| ("v.k", `Num); ("v.c", `Num); ("v.s", `Str) |]
+
+let join_fixture_db =
+  let db =
+    Database.create_table scan_fixture_db
+      (Schema.table "u"
+         [
+           Schema.column "k" Schema.T_int;
+           Schema.column "c" Schema.T_int;
+           Schema.column "s" Schema.T_string;
+         ])
+  in
+  List.fold_left
+    (fun db row -> fst (Database.insert db "u" row))
+    db
+    [
+      [| vi 1; vi 10; vs "x" |];
+      [| vi 2; vnull; vs "yy" |];
+      [| vnull; vi 5; vs "z" |];
+      [| vi 7; vi 2; vnull |];
+      [| vi 3; vi 3; vs "x" |];
+      [| vi 10; vi 7; vs "" |];
+    ]
+
+let inserted_u_rows =
+  [
+    [| vi 2; vi 20; vs "x" |];
+    [| vi 5; vi 5; vnull |];
+    [| vnull; vi 3; vs "yy" |];
+    [| vi 10; vi 2; vs "z" |];
+  ]
+
+(* [inserted u] for both evaluators; any other transition table is
+   refused as outside rule processing *)
+let join_resolve : Eval.resolver = function
+  | Ast.Tt_inserted "u" ->
+    { Eval.rel_name = "u"; cols = [| "k"; "c"; "s" |]; rows = inserted_u_rows }
+  | tt -> Eval.no_transitions tt
+
+let join_transition = function
+  | Ast.Tt_inserted "u" -> { Reference_eval.cols = [| "k"; "c"; "s" |]; rows = inserted_u_rows }
+  | tt -> Reference_eval.no_transitions tt
+
 (* A literal for a column of [kind]; now and then NULL, and rarely one
    of the other kind, which makes WHERE raise on the general path. *)
 let gen_scan_lit kind st =
@@ -566,9 +617,9 @@ let gen_scan_lit kind st =
       | _ -> string_of_int (int_range 0 11 st))
     | `Str -> oneofl [ "'x'"; "'yy'"; "'z'"; "''"; "'Y'"; "'xa'"; "'y'" ] st)
 
-let gen_scan_atom st =
+let gen_atom cols st =
   let open QCheck.Gen in
-  let col, kind = oneofa scan_cols st in
+  let col, kind = oneofa cols st in
   let lit () = gen_scan_lit kind st in
   let op () = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] st in
   match int_bound 11 st with
@@ -583,12 +634,14 @@ let gen_scan_atom st =
   | 7 ->
     (* two columns of one row, mostly of one kind *)
     let other, _ =
-      oneofa (Array.of_list (List.filter (fun (_, k) -> k = kind || int_bound 9 st = 0) (Array.to_list scan_cols))) st
+      oneofa (Array.of_list (List.filter (fun (_, k) -> k = kind || int_bound 9 st = 0) (Array.to_list cols))) st
     in
     Printf.sprintf "%s %s %s" col (op ()) other
-  | 8 -> Printf.sprintf "a + 1 %s %s" (op ()) (gen_scan_lit `Num st)
+  | 8 -> Printf.sprintf "%s + 1 %s %s" (fst cols.(0)) (op ()) (gen_scan_lit `Num st)
   | 9 -> Printf.sprintf "%s %s -%s" col (op ()) (gen_scan_lit kind st)
   | _ -> Printf.sprintf "%s %s %s" col (op ()) (lit ())
+
+let gen_scan_atom st = gen_atom scan_cols st
 
 let rec gen_scan_pred depth st =
   let open QCheck.Gen in
@@ -615,21 +668,49 @@ let scan_projections =
     ("b, f", false);
   |]
 
+let join_projections =
+  [|
+    ("count(*)", false);
+    ("count(*), sum(u.c), min(u.s), max(u.k)", true);
+    ("count(*), sum(t.a), max(u.c)", true);
+    ("t.a, u.k, u.s", false);
+    ("*", false);
+    ("u.s, count(*)", true);
+    ("sum(t.a + u.c)", true);
+  |]
+
+(* A select over t alone, or t and u, or t, u and [inserted u v]: each
+   source's atoms compare its own columns, a [col = col] link between
+   two sources or a disjunction across them now and then. *)
 let gen_scan_select st =
   let open QCheck.Gen in
-  let proj, agg = oneofa scan_projections st in
+  let sources = match int_bound 5 st with 0 | 1 | 2 -> 1 | 3 | 4 -> 2 | _ -> 3 in
+  let cols = Array.sub [| scan_cols; u_cols; v_cols |] 0 sources in
+  let atom () = gen_atom (oneofa cols st) st in
+  let proj, agg = oneofa (if sources = 1 then scan_projections else join_projections) st in
+  let extra () =
+    match int_bound 5 st with
+    | 0 when sources > 1 -> [ oneofl [ "t.a = u.k"; "u.c = t.b"; "u.k = t.b" ] st ]
+    | 1 when sources > 1 -> [ Printf.sprintf "(%s or %s)" (atom ()) (atom ()) ]
+    | 2 when sources = 3 -> [ oneofl [ "v.k = u.k"; "u.c = v.c"; "v.c = t.a" ] st ]
+    | _ -> []
+  in
   let where =
     match int_bound 9 st with
     | 0 -> ""
-    | 1 | 2 | 3 ->
-      " where " ^ String.concat " and " (List.init (1 + int_bound 2 st) (fun _ -> gen_scan_atom st))
-    | _ -> " where " ^ gen_scan_pred 2 st
+    | 1 | 2 | 3 | 4 ->
+      " where "
+      ^ String.concat " and " (List.init (1 + int_bound (sources + 1) st) (fun _ -> atom ()) @ extra ())
+    | _ when sources = 1 -> " where " ^ gen_scan_pred 2 st
+    | _ -> " where " ^ String.concat " and " (gen_scan_pred 1 st :: atom () :: extra ())
   in
   let tail =
     if agg then oneofl [ ""; ""; " having count(*) > 1" ] st
     else oneofl [ ""; ""; " order by 1"; " limit 2" ] st
   in
-  Printf.sprintf "select %s from t%s%s" proj where tail
+  Printf.sprintf "select %s from %s%s%s" proj
+    (String.concat ", " (List.filteri (fun i _ -> i < sources) [ "t"; "u"; "inserted u v" ]))
+    where tail
 
 (* Results, error kinds and error text: no row is skipped here. *)
 let observe_text = function
@@ -638,15 +719,25 @@ let observe_text = function
 
 let check_scan sql r c = check_observed sql (observe_text r) (observe_text c)
 
+(* Runs in which a source after the first tested conjuncts of its own *)
+let later_source_tests = ref 0
+
 let scan_differential =
   QCheck.Test.make ~count:2000 ~name:"fused scan = reference select"
     (QCheck.make ~print:Fun.id gen_scan_select)
     (fun sql ->
-      let db = scan_fixture_db in
+      let db = join_fixture_db in
       let s = Parser.parse_select_string sql in
-      check_scan sql
-        (reference (fun () -> Reference_eval.select db s))
-        (observe (fun () -> Compile.eval_select Eval.no_transitions db s));
+      let expected = reference (fun () -> Reference_eval.select ~transition:join_transition db s) in
+      let compiled = observe (fun () -> Compile.eval_select join_resolve db s) in
+      if may_skip_rows s then check_observed ~may_skip:true sql expected compiled
+      else check_scan sql expected compiled;
+      (let ctx = Compile.make db in
+       let cs = Compile.compile_select ctx s in
+       let rt = Compile.make_rt ~db ~slots:(Compile.slot_count ctx) join_resolve in
+       match Compile.plan_select rt cs with
+       | _ :: later when List.exists (fun p -> p.Eval.sp_tests <> []) later -> incr later_source_tests
+       | _ | (exception Errors.Error _) -> ());
       true)
 
 (* A parameterized single-table select: its WHERE compares columns with
@@ -720,12 +811,12 @@ let scan_param_differential =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Part A1d: the fused loop over probed rows.  With ordered indexes on
+(* Part A1d: row tests over probed rows.  With ordered indexes on
    b and s and a hash index on a, a single-table select whose WHERE has
    a range over b or s (comparison, BETWEEN, two-sided pair, LIKE
    prefix, NULL bound) reads that range by probe when it holds at most
-   8 of the 40 rows (its budget), and runs the fused loop over the
-   probed rows: count( * ), sum, min and max folded from them,
+   8 of the 40 rows (its budget), and tests its row-local conjuncts on
+   the probed rows: count( * ), sum, min and max folded from them,
    projections, exists and LIMIT stopping early, a WHERE whose
    non-row-local rest is tested on the bound frame, and an empty probe
    under projections and aggregates that would raise on any row.  A
@@ -1239,7 +1330,7 @@ let reference_block_results db sql =
         | Ast.Stmt_op (Ast.Select_op s) ->
           let r = Reference_eval.select db s in
           (db, (Array.to_list r.Reference_eval.cols, r.rows) :: rels)
-        | Ast.Stmt_op op -> ((Sqlf.Dml.exec_op Eval.no_transitions db op).Sqlf.Dml.db, rels)
+        | Ast.Stmt_op op -> ((Sqlf.Dml.exec_cop Eval.no_transitions db (Sqlf.Dml.compile_op db op)).Sqlf.Dml.db, rels)
         | _ -> QCheck.Test.fail_reportf "not an operation in: %s" sql)
       (db, []) (Parser.parse_script sql)
   in
@@ -1498,7 +1589,11 @@ let test_corpus_not_vacuous () =
     (Printf.sprintf "probed (%d) and scanned (%d) reads of the probe fixture"
        !probed_reads !scanned_reads)
     true
-    (!probed_reads > 100 && !scanned_reads > 100)
+    (!probed_reads > 100 && !scanned_reads > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "runs where a source after the first tested its own conjuncts (%d)"
+       !later_source_tests)
+    true (!later_source_tests > 100)
 
 let suite =
   [

@@ -20,13 +20,13 @@ let setup () =
 
 let exec db sql =
   match Parser.parse_statement_string sql with
-  | Ast.Stmt_op op -> Dml.exec_op Eval.no_transitions db op
+  | Ast.Stmt_op op -> Dml.exec_cop Eval.no_transitions db (Dml.compile_op db op)
   | _ -> Alcotest.fail "expected a DML statement"
 
 let exec_tracked db sql =
   match Parser.parse_statement_string sql with
   | Ast.Stmt_op op ->
-    Dml.exec_op ~track_selects:true Eval.no_transitions db op
+    Dml.exec_cop ~track_selects:true Eval.no_transitions db (Dml.compile_op db op)
   | _ -> Alcotest.fail "expected a DML statement"
 
 let test_insert_values_affected () =
@@ -336,11 +336,11 @@ let test_read_set_prepared () =
     [ [| vi 3 |]; [| vi 4 |] ]
     (rows s "select a from log order by a")
 
-(* A fused scan — one table read by scan under a WHERE that cannot
-   raise, its row-local conjuncts tested on the stored row, count( * )
-   and sum folded without a frame — records exactly the rows that
-   passed WHERE; a [when selected] rule on the table fires on exactly
-   them. *)
+(* One table read by scan under a WHERE that cannot raise — its
+   row-local conjuncts tested on the stored row, count( * ) and sum
+   folded from the stored row without binding it — records exactly the
+   rows that passed WHERE; a [when selected] rule on the table fires on
+   exactly them. *)
 let test_read_set_fused_scan () =
   let db = five_rows () in
   Alcotest.check read_set_testable "filter-count"

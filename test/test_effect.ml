@@ -55,7 +55,7 @@ let db_with_t () =
 let exec db sql =
   match Parser.parse_statement_string sql with
   | Ast.Stmt_op op ->
-    Dml.exec_op ~track_selects:true Eval.no_transitions db op
+    Dml.exec_cop ~track_selects:true Eval.no_transitions db (Dml.compile_op db op)
   | _ -> Alcotest.fail "expected a DML statement"
 
 let test_single_op_effects () =

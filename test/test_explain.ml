@@ -331,6 +331,57 @@ let test_hash_join_counters () =
   Alcotest.(check int) "one probe per emp row" 3
     (st.Engine.hash_join_probes - probes0)
 
+(* A join whose outer source is scanned after its probe passed the
+   budget: the source tests its own conjunct ([l.oid = 7], 4 of the 12
+   lineitem rows) on each stored row, so only passing rows reach the
+   join, and the join method is chosen from their count.  Over an
+   unindexed item table the hash join is probed once per passing row;
+   once item is indexed (budget 4 of its 16 rows) those 4 rows are
+   probed by index nested-loop join, where the 12 scanned rows would
+   have been hashed. *)
+let test_scanned_outer_tests_its_rows () =
+  let s =
+    system
+      "create table lineitem (oid int, iid int, qty int);\n\
+       create table item (iid int, price int);\n\
+       create index li_oid on lineitem (oid)"
+  in
+  run s
+    "insert into lineitem values (7, 1, 1), (7, 2, 2), (7, 3, 3), (7, 4, 4), (1, 5, 1), \
+     (2, 6, 1), (3, 7, 1), (4, 8, 1), (5, 9, 1), (6, 10, 1), (8, 11, 1), (9, 12, 1)";
+  run s
+    (Printf.sprintf "insert into item values %s"
+       (String.concat ", " (List.init 16 (fun i -> Printf.sprintf "(%d, %d)" (i + 1) (10 * (i + 1))))));
+  let sql = "select sum(l.qty * i.price) from lineitem l, item i where l.iid = i.iid and l.oid = 7" in
+  let st = Engine.stats (System.engine s) in
+  let explain () =
+    match explained s ("explain " ^ sql) with
+    | [ l; i ] -> (l, i)
+    | plans -> Alcotest.failf "expected two source plans, got %d" (List.length plans)
+  in
+  let run_counted () =
+    let hash0 = st.Engine.hash_join_probes and probes0 = st.Engine.index_probes in
+    Alcotest.(check int) "joined sum" 300 (int_cell s sql);
+    (st.Engine.hash_join_probes - hash0, st.Engine.index_probes - probes0)
+  in
+  let l, i = explain () in
+  Alcotest.(check string) "lineitem scanned past its budget"
+    "l: seq scan of lineitem (12 rows): index probe via li_oid passed its budget of 3"
+    (Eval.describe_source_plan l);
+  Alcotest.(check (list string)) "l.oid = 7 tested on lineitem's rows" [ "(l.oid = 7)" ]
+    l.Eval.sp_tests;
+  Alcotest.(check (list string)) "item has no conjunct of its own" [] i.Eval.sp_tests;
+  Alcotest.(check bool) "hash join" true
+    (match i.Eval.sp_join with Some { Eval.jp_method = Eval.Hash_join; _ } -> true | _ -> false);
+  Alcotest.(check (pair int int)) "one hash-join probe per l.oid = 7 row" (4, 0) (run_counted ());
+  run s "create index item_iid on item (iid)";
+  let _, i = explain () in
+  Alcotest.(check string) "index nested-loop join chosen from the 4 passing rows"
+    "i: 4 index probes of item (est ~4 of 16 rows), index nested-loop join with l on (l.iid = \
+     i.iid) via item_iid"
+    (Eval.describe_source_plan i);
+  Alcotest.(check (pair int int)) "one index probe per l.oid = 7 row" (0, 4) (run_counted ())
+
 let test_explain_does_not_execute () =
   let s = indexed_system () in
   let eng = System.engine s in
@@ -759,6 +810,8 @@ let suite =
       test_two_sided_range;
     Alcotest.test_case "hash join counters (compiled)" `Quick
       test_hash_join_counters;
+    Alcotest.test_case "a scanned join source tests its own rows" `Quick
+      test_scanned_outer_tests_its_rows;
     Alcotest.test_case "explain does not execute" `Quick
       test_explain_does_not_execute;
     Alcotest.test_case "explain leaves the statement cache" `Quick

@@ -352,6 +352,57 @@ let prop_update_maintenance =
 (* ------------------------------------------------------------------ *)
 (* Range probes against the unindexed twin                             *)
 
+(* A DELETE or UPDATE of t run on [s]'s database: the old rows its
+   effect records, in handle order, each checked to be the stored row
+   itself (physically) of the state the operation started from, and the
+   (seq scans, index or range probes) of t it noted. *)
+let victim_rows s sql =
+  let db = Engine.database (System.engine s) in
+  let scans = ref 0 and probes = ref 0 in
+  let note decision table =
+    if String.equal table "t" then
+      match decision with
+      | `Seq_scan -> incr scans
+      | `Index_probe | `Range_probe -> incr probes
+      | `Hash_join_build | `Hash_join_probe -> ()
+  in
+  let op =
+    match Parser.parse_statement_string sql with
+    | Ast.Stmt_op op -> op
+    | _ -> Alcotest.failf "not an operation: %s" sql
+  in
+  let r = Sqlf.Dml.exec_cop ~note Eval.no_transitions db (Sqlf.Dml.compile_op db op) in
+  let old =
+    match Effect.find (Effect.of_affected r.Sqlf.Dml.affected) "t" with
+    | None -> []
+    | Some p ->
+      Handle.Map.bindings p.Effect.del
+      @ List.map (fun (h, u) -> (h, u.Effect.old_row)) (Handle.Map.bindings p.Effect.upd)
+  in
+  List.iter
+    (fun (h, row) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the old row of #%d is the stored row" sql (Handle.id h))
+        true
+        (match Database.find_row db h with Some stored -> stored == row | None -> false))
+    old;
+  (List.map snd old, (!scans, !probes))
+
+(* A DELETE and an UPDATE whose WHERE is [pred], a conjunct tested on
+   t's stored rows, and [residual], one tested on the bound frame: the
+   indexed system's victims are the twin's, read by the path [probed]
+   names. *)
+let check_victims s_plain s_ix pred residual ~probed =
+  List.iter
+    (fun op ->
+      let sql = Printf.sprintf "%s where %s and %s" op pred residual in
+      let plain, _ = victim_rows s_plain sql and ix, path = victim_rows s_ix sql in
+      Alcotest.check rows_testable sql plain ix;
+      Alcotest.(check (pair int int)) (sql ^ ": seq scans, probes of t")
+        (if probed then (0, 1) else (1, 0))
+        path)
+    [ "delete from t"; "update t set a = a" ]
+
 (* What an index read of [n] rows may spend, [Eval.probe_budget]:
    max 1 (n / max 4 (log2 n)), each handle gathered costing one and each
    key probed at least one. *)
@@ -433,6 +484,7 @@ let prop_range_probe_budget =
             (if hits <= budget then (0, 1) else (1, 0))
             (st.Engine.seq_scans - scans0, st.Engine.range_probes - ranges0))
         [ "select a, s from t"; "select count(*), min(a), max(s) from t" ];
+      check_victims s_plain s_ix ("(" ^ pred ^ ")") "a + 0 <> 7" ~probed:(hits <= budget);
       true)
 
 (* Equality, IN-list, IN-subquery and index-join reads of tables of 0
@@ -566,7 +618,8 @@ let prop_eq_probe_budget =
         let path = if cost ks <= budget then (subquery_scans, 1, 0) else (subquery_scans + 1, 0, 0) in
         List.iter
           (fun q -> check (q ^ " where " ^ pred) path)
-          [ "select id, a, f from t"; "select count(*), min(id) from t" ]
+          [ "select id, a, f from t"; "select count(*), min(id) from t" ];
+        check_victims s_plain s_ix pred "id + 0 <> 3" ~probed:(cost ks <= budget)
       in
       (match read with
       | Eq k ->

@@ -76,7 +76,7 @@ let prop_engine_is_dml_without_rules =
       let db = Database.create_table Database.empty (t_schema ()) in
       let db =
         List.fold_left
-          (fun db op -> (Dml.exec_op Eval.no_transitions db op).Dml.db)
+          (fun db op -> (Dml.exec_cop Eval.no_transitions db (Dml.compile_op db op)).Dml.db)
           db ops
       in
       let via_dml = Table.rows (Database.table db "t") in

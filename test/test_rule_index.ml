@@ -226,8 +226,8 @@ let tracked_effect () =
   in
   let exec (db, eff) sql =
     let r =
-      Sqlf.Dml.exec_op ~track_selects:true Eval.no_transitions db
-        (parse_op sql)
+      Sqlf.Dml.exec_cop ~track_selects:true Eval.no_transitions db
+        (Sqlf.Dml.compile_op db (parse_op sql))
     in
     (r.Sqlf.Dml.db, Effect.compose eff (Effect.of_affected r.Sqlf.Dml.affected))
   in
